@@ -19,8 +19,9 @@ from .logic import (CapExceededError, Formula, KBError, KnowledgeBase,
                     rank_mu)
 from .strategies import (TABLE1_STRATEGIES, AttributeEmbedding, StrategyId,
                          emb_avg, emb_had, emb_norm, emb_ord, emb_sig_numeric,
-                         lab_dist, lab_dot, lab_dot_on_norm, lab_ord,
-                         lab_relu, strategy_accepts, strategy_from_name)
+                         exact_rule, lab_dist, lab_dot, lab_dot_on_norm,
+                         lab_ord, lab_relu, strategy_accepts,
+                         strategy_from_name)
 from .table1 import Table1Report, run_table1
 from .verifier import (PropertyReport, VerificationReport,
                        check_ord_monotonicity, check_tied_hadamard_symmetry,

@@ -36,7 +36,7 @@ from .logic import (CapExceededError, KnowledgeBase, Signature, StratifiedKB,
                     conjoin, entails, kb_digest, nm_consequence_rank)
 from .strategies import (AVG_DOT, AttributeEmbedding, StrategyId, frac_str,
                          parse_frac, strategy_from_name)
-from .verifier import nonempty_subsets, verify_monotonic
+from .verifier import subset_queries, verify_monotonic
 
 Oracle = Callable[[tuple[str, ...], str], bool]
 Query = tuple[tuple[str, ...], str]
@@ -84,34 +84,40 @@ class LinearSystem:
                    tuple(doc.get("queries", ())))
 
 
-class _VarRegistry:
-    """Variables in first-use order, with structured metadata."""
+def _linear_system(oracle: Oracle, atoms: Sequence[str], cap: int | None,
+                   queries: Iterable[Query] | None, encode) -> LinearSystem:
+    """One constraint per query, with variables numbered in first-use order.
 
-    def __init__(self):
-        self.names: list[str] = []
-        self.meta: dict[str, tuple] = {}
-        self._index: dict[str, int] = {}
+    `encode(subset, head, captured, add)` calls `add(variable, coefficient)`
+    for the row's terms and returns the row's (relation, rhs).
+    """
+    if queries is None:
+        queries = subset_queries(Signature(tuple(atoms)),
+                                 len(atoms) if cap is None else cap)
+    index: dict[str, int] = {}
+    rows: list[tuple[dict[int, Fraction], str, Fraction, str]] = []
+    encoded: list[dict] = []
+    for subset, head in queries:
+        captured = oracle(subset, head)
+        coeffs: dict[int, Fraction] = {}
 
-    def index(self, name: str, meta: tuple) -> int:
-        if name not in self._index:
-            self._index[name] = len(self.names)
-            self.names.append(name)
-            self.meta[name] = meta
-        return self._index[name]
+        def add(name: str, value: int) -> None:
+            j = index.setdefault(name, len(index))
+            coeffs[j] = coeffs.get(j, Fraction(0)) + value
 
-
-def _dense(coeffs: dict[int, Fraction], width: int) -> tuple[Fraction, ...]:
-    return tuple(coeffs.get(j, Fraction(0)) for j in range(width))
-
-
-def _default_queries(oracle: Oracle, atoms: Sequence[str],
-                     cap: int | None) -> list[Query]:
-    signature = Signature(tuple(atoms))
-    if cap is None:
-        cap = len(atoms)
-    return [(subset, head)
-            for subset in nonempty_subsets(signature, cap)
-            for head in atoms]
+        relation, rhs = encode(subset, head, captured, add)
+        word = "capture" if captured else "reject"
+        rows.append((coeffs, relation, Fraction(rhs),
+                     f"{word} {'&'.join(subset)} -> {head}"))
+        encoded.append({"subset": list(subset), "head": head,
+                        "captured": captured})
+    width = len(index)
+    constraints = tuple(
+        Constraint(tuple(coeffs.get(j, Fraction(0)) for j in range(width)),
+                   rel, rhs, label)
+        for coeffs, rel, rhs, label in rows
+    )
+    return LinearSystem(tuple(index), constraints, tuple(encoded))
 
 
 def build_avg_dot_system(oracle: Oracle, atoms: Sequence[str],
@@ -124,34 +130,14 @@ def build_avg_dot_system(oracle: Oracle, atoms: Sequence[str],
     be rejected (the unit-margin slack form of the strict inequality,
     cleared of the 1/|S| averaging denominator).
     """
-    reg = _VarRegistry()
-    rows: list[tuple[dict[int, Fraction], str, Fraction, str]] = []
-    encoded: list[dict] = []
-    query_list = list(queries) if queries is not None else _default_queries(
-        oracle, atoms, cap)
-    for subset, head in query_list:
-        captured = oracle(subset, head)
+    def encode(subset, head, captured, add):
         n = len(subset)
-        coeffs: dict[int, Fraction] = {}
         for a in subset:
-            j = reg.index(f"M[{a}][{head}]", ("M", a, head))
-            coeffs[j] = coeffs.get(j, Fraction(0)) + 1
-        jl = reg.index(f"lam[{head}]", ("lam", head))
-        coeffs[jl] = coeffs.get(jl, Fraction(0)) - n
-        word = "capture" if captured else "reject"
-        label = f"{word} {'&'.join(subset)} -> {head}"
-        encoded.append({"subset": list(subset), "head": head,
-                        "captured": captured})
-        if captured:
-            rows.append((coeffs, ">=", Fraction(0), label))
-        else:
-            rows.append((coeffs, "<=", Fraction(-n), label))
-    width = len(reg.names)
-    constraints = tuple(
-        Constraint(_dense(coeffs, width), rel, rhs, label)
-        for coeffs, rel, rhs, label in rows
-    )
-    return LinearSystem(tuple(reg.names), constraints, tuple(encoded))
+            add(f"M[{a}][{head}]", 1)
+        add(f"lam[{head}]", -n)
+        return (">=", 0) if captured else ("<=", -n)
+
+    return _linear_system(oracle, atoms, cap, queries, encode)
 
 
 def build_avg_dist_relaxation(oracle: Oracle, atoms: Sequence[str],
@@ -167,43 +153,21 @@ def build_avg_dist_relaxation(oracle: Oracle, atoms: Sequence[str],
     proves nothing.
     """
     atom_pos = {a: i for i, a in enumerate(atoms)}
-    reg = _VarRegistry()
-    rows: list[tuple[dict[int, Fraction], str, Fraction, str]] = []
-    encoded: list[dict] = []
-    query_list = list(queries) if queries is not None else _default_queries(
-        oracle, atoms, cap)
-    for subset, head in query_list:
-        captured = oracle(subset, head)
+
+    def encode(subset, head, captured, add):
         n = len(subset)
-        coeffs: dict[int, Fraction] = {}
-
-        def add(name: str, meta: tuple, value: Fraction | int):
-            j = reg.index(name, meta)
-            coeffs[j] = coeffs.get(j, Fraction(0)) + value
-
         for a in subset:
-            add(f"G[{a},{a}]", ("G", a, a), 1)
+            add(f"G[{a},{a}]", 1)
         for a, a2 in itertools.combinations(subset, 2):
             lo, hi = sorted((a, a2), key=atom_pos.__getitem__)
-            add(f"G[{lo},{hi}]", ("G", lo, hi), 2)
+            add(f"G[{lo},{hi}]", 2)
         for a in subset:
-            add(f"c[{head}][{a}]", ("c", head, a), -2 * n)
-        add(f"nsq[{head}]", ("nsq", head), n * n)
-        add(f"tsq[{head}]", ("tsq", head), -n * n)
-        word = "capture" if captured else "reject"
-        label = f"{word} {'&'.join(subset)} -> {head}"
-        encoded.append({"subset": list(subset), "head": head,
-                        "captured": captured})
-        if captured:
-            rows.append((coeffs, "<=", Fraction(0), label))
-        else:
-            rows.append((coeffs, ">=", Fraction(n * n), label))
-    width = len(reg.names)
-    constraints = tuple(
-        Constraint(_dense(coeffs, width), rel, rhs, label)
-        for coeffs, rel, rhs, label in rows
-    )
-    return LinearSystem(tuple(reg.names), constraints, tuple(encoded))
+            add(f"c[{head}][{a}]", -2 * n)
+        add(f"nsq[{head}]", n * n)
+        add(f"tsq[{head}]", -n * n)
+        return ("<=", 0) if captured else (">=", n * n)
+
+    return _linear_system(oracle, atoms, cap, queries, encode)
 
 
 # ------------------------------------------------------------------
@@ -614,6 +578,19 @@ def _ce2_queries() -> list[Query]:
     return [(p, "x") for p in pairs] + [(p, "y") for p in pairs]
 
 
+def _lp_evidence(system: LinearSystem, outcome: FeasibilityOutcome,
+                 relaxation: bool = False) -> dict:
+    """Serialised witness or Farkas evidence for a solved system."""
+    if outcome.feasible:
+        return {"kind": "witness", "system": system.to_dict(),
+                "assignment": {k: frac_str(v)
+                               for k, v in outcome.witness.items()}}
+    return {"kind": "farkas", "relaxation": relaxation,
+            "system": system.to_dict(),
+            "multipliers": [frac_str(y) for y in outcome.farkas.multipliers],
+            "gap": frac_str(outcome.farkas.gap)}
+
+
 def _lp_certificate(strategy: StrategyId, fixture_name: str,
                     build, queries: list[Query],
                     relaxation: bool) -> Certificate:
@@ -621,24 +598,11 @@ def _lp_certificate(strategy: StrategyId, fixture_name: str,
     oracle = lambda s, h: entails(kb, s, h)
     system = build(oracle, kb.signature.atoms, queries=queries)
     outcome = lp_feasible(system)
-    if outcome.feasible:
-        # a feasible query-restricted system says nothing about the
-        # remaining queries, so no simulability claim is made
-        return Certificate(strategy.name, fixture_name, "monotonic",
-                           "inconclusive",
-                           {"kind": "witness", "system": system.to_dict(),
-                            "assignment": {k: frac_str(v) for k, v
-                                           in outcome.witness.items()}},
-                           [])
-    evidence = {
-        "kind": "farkas",
-        "relaxation": relaxation,
-        "system": system.to_dict(),
-        "multipliers": [frac_str(y) for y in outcome.farkas.multipliers],
-        "gap": frac_str(outcome.farkas.gap),
-    }
-    return Certificate(strategy.name, fixture_name, "monotonic",
-                       "not-simulable", evidence, [])
+    # a feasible query-restricted system says nothing about the
+    # remaining queries, so no simulability claim is made
+    verdict = "inconclusive" if outcome.feasible else "not-simulable"
+    return Certificate(strategy.name, fixture_name, "monotonic", verdict,
+                       _lp_evidence(system, outcome, relaxation), [])
 
 
 def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
@@ -734,24 +698,20 @@ def _order_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
                        "not-simulable", evidence, [])
 
 
-_DISPATCH: dict[tuple[str, str], Callable[[StrategyId, str], Certificate]] = {
-    ("avg-dot", "CE1"): lambda s, f: _lp_certificate(
-        s, f, build_avg_dot_system, _ce1_queries(), relaxation=False),
-    ("avg-dist", "CE2"): lambda s, f: _lp_certificate(
-        s, f, build_avg_dist_relaxation, _ce2_queries(), relaxation=True),
-    ("norm-dot", "CE3"): _closure_certificate,
-    ("norm-dist", "CE3"): _closure_certificate,
-    ("sig-dot", "CE4"): _closure_certificate,
-    ("sig-dist", "CE4"): _closure_certificate,
-    ("had-dot-tied", "MOTHER"): _symmetry_certificate,
-    ("had-dot-tied", "CE4"): _symmetry_certificate,
-    ("ord-ord", "ORD-NM"): _order_certificate,
-}
-
-DEFAULT_FIXTURE = {
-    "avg-dot": "CE1", "avg-dist": "CE2", "norm-dot": "CE3",
-    "norm-dist": "CE3", "sig-dot": "CE4", "sig-dist": "CE4",
-    "had-dot-tied": "MOTHER", "ord-ord": "ORD-NM",
+# per strategy: the fixtures it has a failure certificate for (the first
+# is the default) and the builder of that certificate
+_CERTIFIERS: dict[str, tuple[tuple[str, ...],
+                             Callable[[StrategyId, str], Certificate]]] = {
+    "avg-dot": (("CE1",), lambda s, f: _lp_certificate(
+        s, f, build_avg_dot_system, _ce1_queries(), relaxation=False)),
+    "avg-dist": (("CE2",), lambda s, f: _lp_certificate(
+        s, f, build_avg_dist_relaxation, _ce2_queries(), relaxation=True)),
+    "norm-dot": (("CE3",), _closure_certificate),
+    "norm-dist": (("CE3",), _closure_certificate),
+    "sig-dot": (("CE4",), _closure_certificate),
+    "sig-dist": (("CE4",), _closure_certificate),
+    "had-dot-tied": (("MOTHER", "CE4"), _symmetry_certificate),
+    "ord-ord": (("ORD-NM",), _order_certificate),
 }
 
 
@@ -760,15 +720,15 @@ def certify_strategy_failure(strategy: StrategyId | str,
     """Certificate that the strategy cannot simulate the named fixture."""
     if isinstance(strategy, str):
         strategy = strategy_from_name(strategy)
+    if strategy.name not in _CERTIFIERS:
+        raise ValueError(f"no failure fixture for strategy {strategy.name}")
+    fixtures, build = _CERTIFIERS[strategy.name]
     if fixture_name is None:
-        fixture_name = DEFAULT_FIXTURE.get(strategy.name)
-        if fixture_name is None:
-            raise ValueError(f"no failure fixture for strategy {strategy.name}")
-    handler = _DISPATCH.get((strategy.name, fixture_name))
-    if handler is None:
+        fixture_name = fixtures[0]
+    if fixture_name not in fixtures:
         raise ValueError(
             f"unknown fixture {fixture_name!r} for strategy {strategy.name}")
-    return handler(strategy, fixture_name)
+    return build(strategy, fixture_name)
 
 
 def _encoded_queries(ev: dict) -> list[tuple[tuple[str, ...], str, bool]]:
@@ -799,7 +759,7 @@ def certify_nonmonotonic_failure(strategy: StrategyId | str,
     if isinstance(strategy, str):
         strategy = strategy_from_name(strategy)
     if strategy.name == "ord-ord":
-        return certify_strategy_failure(strategy, fixture_name or "ORD-NM")
+        return certify_strategy_failure(strategy, fixture_name)
     base = certify_strategy_failure(strategy, fixture_name)
     kb = fixture(base.fixture)
     theta = StratifiedKB(kb.signature, (conjoin(kb.formulas),))
@@ -844,14 +804,8 @@ def decide_avg_dot(kb: KnowledgeBase, cap: int | None = None) -> Certificate:
     oracle = lambda s, h: entails(kb, s, h)
     system = build_avg_dot_system(oracle, kb.signature.atoms, cap=cap)
     outcome = lp_feasible(system)
+    evidence = _lp_evidence(system, outcome)
     if not outcome.feasible:
-        evidence = {
-            "kind": "farkas",
-            "relaxation": False,
-            "system": system.to_dict(),
-            "multipliers": [frac_str(y) for y in outcome.farkas.multipliers],
-            "gap": frac_str(outcome.farkas.gap),
-        }
         return Certificate(AVG_DOT.name, None, "monotonic", "not-simulable",
                            evidence, [])
     embedding = realize_from_witness(system, outcome, kb.signature.atoms)
@@ -859,13 +813,8 @@ def decide_avg_dot(kb: KnowledgeBase, cap: int | None = None) -> Certificate:
     report = verify_monotonic(embedding, AVG_DOT, kb, queries=queries)
     if not report.simulates:
         raise AssertionError("realised embedding failed re-verification")
-    evidence = {
-        "kind": "witness",
-        "system": system.to_dict(),
-        "assignment": {k: frac_str(v) for k, v in outcome.witness.items()},
-        "embedding": embedding.to_json_dict(),
-        "reverified_queries": report.queries,
-    }
+    evidence["embedding"] = embedding.to_json_dict()
+    evidence["reverified_queries"] = report.queries
     return Certificate(AVG_DOT.name, None, "monotonic", "simulable",
                        evidence, [])
 

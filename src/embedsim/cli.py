@@ -9,7 +9,7 @@ contradicts --expect), 2 usage or input errors.
 Settings resolve flag > environment > config file > default; the
 environment names mirror the flags with an EMBEDSIM_ prefix (for
 example EMBEDSIM_CAP), and the config file is JSON with the flag names
-as keys ("cap", "delta", "seed", "jobs").
+as keys ("cap", "delta", "seed").
 """
 
 from __future__ import annotations
@@ -76,8 +76,22 @@ def _read_embedding(path: str) -> AttributeEmbedding:
     try:
         with open(path, encoding="utf-8") as fh:
             return AttributeEmbedding.from_json_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        # TypeError: JSON of the wrong shape; ZeroDivisionError: "p/0"
         raise UsageError(f"cannot load embedding {path}: {exc}") from exc
+
+
+def _write_text(path: str | None, text: str) -> None:
+    """Write to the -o destination, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(doc: dict, as_json: bool, human_lines: list[str]) -> None:
@@ -117,15 +131,10 @@ def cmd_construct(args, config) -> int:
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     doc = result.embedding.to_json_dict(provenance=result.provenance())
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if not args.json:
-            print(f"wrote {args.output}: dimension {result.embedding.dimension}, "
-                  f"strategy {result.strategy.name}")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+    if args.output and not args.json:
+        print(f"wrote {args.output}: dimension {result.embedding.dimension}, "
+              f"strategy {result.strategy.name}")
     return 0
 
 
@@ -137,11 +146,10 @@ def cmd_verify(args, config) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cap = _setting("cap", args.cap, config)
-    jobs = _setting("jobs", args.jobs, config, default=1)
     if isinstance(kb, StratifiedKB):
-        report = verify_nonmonotonic(embedding, strategy, kb, cap=cap, jobs=jobs)
+        report = verify_nonmonotonic(embedding, strategy, kb, cap=cap)
     else:
-        report = verify_monotonic(embedding, strategy, kb, cap=cap, jobs=jobs)
+        report = verify_monotonic(embedding, strategy, kb, cap=cap)
     lines = [f"strategy: {report.strategy}",
              f"queries: {report.queries} (subset cap {report.cap})",
              f"verdict: {'simulates' if report.simulates else 'mismatches'}"]
@@ -190,8 +198,7 @@ def cmd_certify(args, config) -> int:
 
 def cmd_table1(args, config) -> int:
     seed = _setting("seed", args.seed, config, default=0)
-    jobs = _setting("jobs", args.jobs, config, default=1)
-    report = run_table1(seed=seed, jobs=jobs)
+    report = run_table1(seed=seed)
     if args.json:
         text = report.to_json()
     elif args.md:
@@ -206,11 +213,7 @@ def cmd_table1(args, config) -> int:
             for r in report.rows
         ]
         text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, text)
     return 0
 
 
@@ -241,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("embedding")
     p.add_argument("--strategy", required=True)
     p.add_argument("--cap", type=int, help="subset size cap")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -257,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="run the full strategy verdict table")
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--md", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")

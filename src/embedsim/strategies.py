@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -301,30 +302,32 @@ def _ge_scaled_sqrt(lhs: Fraction, coeff: Fraction, q: Fraction) -> bool:
     return lhs * lhs >= coeff * coeff * q
 
 
-def lab_dot_on_norm(emb: AttributeEmbedding, atoms: Iterable[str],
+def lab_dot_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
                     head: str) -> bool:
-    """Dot labelling composed with normalised pooling, decided exactly.
+    """Dot labelling on normalised pooling, decided exactly.
 
-    Decides sum . output[head] >= lambda_head * ||sum|| by sign analysis
-    plus squaring; the zero pooled vector (empty set or cancelling sum)
+    `pooled` is the (sum, ||sum||^2) pair from `emb_norm`.  Decides
+    sum . output[head] >= lambda_head * ||sum|| by sign analysis plus
+    squaring; the zero pooled vector (empty set or cancelling sum)
     reduces to 0 >= lambda_head.
     """
-    total, q = emb_norm(emb, atoms)
+    total, q = pooled
     lam = emb.lam[head]
     if q == 0:
         return 0 >= lam
     return _ge_scaled_sqrt(dot(total, emb.output[head]), lam, q)
 
 
-def lab_dist_on_norm(emb: AttributeEmbedding, atoms: Iterable[str],
+def lab_dist_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
                      head: str) -> bool:
-    """Distance labelling composed with normalised pooling, decided exactly.
+    """Distance labelling on normalised pooling, decided exactly.
 
-    For a unit pooled vector e, d(e, b) <= theta_b unfolds to
+    `pooled` is the (sum, ||sum||^2) pair from `emb_norm`.  For a unit
+    pooled vector e, d(e, b) <= theta_b unfolds to
     2 (sum . b) >= (1 + ||b||^2 - theta_b^2) ||sum||, which the squaring
     helper decides; the zero pooled vector compares ||b|| to theta_b.
     """
-    total, q = emb_norm(emb, atoms)
+    total, q = pooled
     out = emb.output[head]
     th = emb.theta[head]
     if q == 0:
@@ -334,68 +337,89 @@ def lab_dist_on_norm(emb: AttributeEmbedding, atoms: Iterable[str],
 
 
 # ------------------------------------------------------------------
-# Exact strategy dispatch
+# Mismatch scores: the exact quantities behind a labelling decision
 # ------------------------------------------------------------------
 
-def strategy_accepts(emb: AttributeEmbedding, strategy: StrategyId,
-                     atoms: Iterable[str], head: str) -> bool:
-    """Does `head` belong to the label set of the pooled embedding of `atoms`?"""
+def _score_dot(emb: AttributeEmbedding, e: Vec, head: str,
+               tied: bool = False) -> str:
+    target = emb.context[head] if tied else emb.output[head]
+    return f"dot={frac_str(dot(e, target))} lambda={frac_str(emb.lam[head])}"
+
+
+def _score_dist(emb: AttributeEmbedding, e: Vec, head: str) -> str:
+    return (f"distsq={frac_str(dist_sq(e, emb.output[head]))} "
+            f"theta={frac_str(emb.theta[head])}")
+
+
+def _score_relu(emb: AttributeEmbedding, e: Vec, head: str) -> str:
+    return f"relu_dot={frac_str(dot(relu_vec(e), emb.context[head]))}"
+
+
+def _score_ord(emb: AttributeEmbedding, e: Vec, head: str) -> str:
+    return f"pooled={','.join(frac_str(x) for x in e)}"
+
+
+def _score_dot_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
+                       head: str) -> str:
+    total, q = pooled
+    return (f"sum.out={frac_str(dot(total, emb.output[head]))} "
+            f"normsq={frac_str(q)} lambda={frac_str(emb.lam[head])}")
+
+
+def _score_dist_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
+                        head: str) -> str:
+    total, q = pooled
+    out = emb.output[head]
+    return (f"sum.out={frac_str(dot(total, out))} normsq={frac_str(q)} "
+            f"outsq={frac_str(norm_sq(out))} "
+            f"theta={frac_str(emb.theta[head])}")
+
+
+# ------------------------------------------------------------------
+# Exact strategy evaluation
+# ------------------------------------------------------------------
+
+class ExactRule(NamedTuple):
+    """pool(emb, atoms) -> pooled; label/score(emb, pooled, head)."""
+
+    pool: Callable
+    label: Callable[..., bool]
+    score: Callable[..., str]
+
+
+def exact_rule(strategy: StrategyId) -> ExactRule:
+    """The pooling, labelling rule and mismatch-score text of a strategy.
+
+    This is the one place an exact strategy is mapped to its functions.
+    The names are resolved in this module on every call, not captured at
+    import, so a wrapper installed on a module attribute is the one used.
+    """
     p, l = strategy.pooling, strategy.labelling
     if p == "sig":
         raise ExactEvaluationError(
             "sigmoid pooling is numeric-only and has no exact verdict")
-    if p == "norm":
-        if l == "dot":
-            return lab_dot_on_norm(emb, atoms, head)
-        if l == "dist":
-            return lab_dist_on_norm(emb, atoms, head)
+    # tied dot labelling compares against the context vectors
+    dot_rule = (partial(lab_dot, tied=strategy.tied),
+                partial(_score_dot, tied=strategy.tied))
+    rules = {
+        ("avg", "dot"): (emb_avg, *dot_rule),
+        ("avg", "dist"): (emb_avg, lab_dist, _score_dist),
+        ("avg", "relu"): (emb_avg, lab_relu, _score_relu),
+        ("norm", "dot"): (emb_norm, lab_dot_on_norm, _score_dot_on_norm),
+        ("norm", "dist"): (emb_norm, lab_dist_on_norm, _score_dist_on_norm),
+        ("had", "dot"): (emb_had, *dot_rule),
+        ("ord", "ord"): (emb_ord, lab_ord, _score_ord),
+    }
+    if (p, l) not in rules:
         raise ExactEvaluationError(f"unsupported combination {strategy.name}")
-    if p == "avg":
-        e = emb_avg(emb, atoms)
-        if l == "dot":
-            return lab_dot(emb, e, head)
-        if l == "dist":
-            return lab_dist(emb, e, head)
-        if l == "relu":
-            return lab_relu(emb, e, head)
-    if p == "had" and l == "dot":
-        return lab_dot(emb, emb_had(emb, atoms), head, tied=strategy.tied)
-    if p == "ord" and l == "ord":
-        return lab_ord(emb, emb_ord(emb, atoms), head)
-    raise ExactEvaluationError(f"unsupported combination {strategy.name}")
+    return ExactRule(*rules[p, l])
 
 
-def strategy_score(emb: AttributeEmbedding, strategy: StrategyId,
-                   atoms: Iterable[str], head: str) -> str:
-    """Exact score string behind a labelling decision, for mismatch reports."""
-    p, l = strategy.pooling, strategy.labelling
-    if p == "norm":
-        total, q = emb_norm(emb, atoms)
-        d = dot(total, emb.output[head])
-        if l == "dot":
-            return (f"sum.out={frac_str(d)} normsq={frac_str(q)} "
-                    f"lambda={frac_str(emb.lam[head])}")
-        th = emb.theta[head]
-        return (f"sum.out={frac_str(d)} normsq={frac_str(q)} "
-                f"outsq={frac_str(norm_sq(emb.output[head]))} "
-                f"theta={frac_str(th)}")
-    if p == "avg":
-        e = emb_avg(emb, atoms)
-    elif p == "had":
-        e = emb_had(emb, atoms)
-    elif p == "ord":
-        e = emb_ord(emb, atoms)
-    else:
-        raise ExactEvaluationError("no exact score for sigmoid pooling")
-    if l == "dot":
-        target = emb.context[head] if strategy.tied else emb.output[head]
-        return f"dot={frac_str(dot(e, target))} lambda={frac_str(emb.lam[head])}"
-    if l == "dist":
-        return (f"distsq={frac_str(dist_sq(e, emb.output[head]))} "
-                f"theta={frac_str(emb.theta[head])}")
-    if l == "relu":
-        return f"relu_dot={frac_str(dot(relu_vec(e), emb.context[head]))}"
-    return f"pooled={','.join(frac_str(x) for x in e)}"
+def strategy_accepts(emb: AttributeEmbedding, strategy: StrategyId,
+                     atoms: Iterable[str], head: str) -> bool:
+    """Does `head` belong to the label set of the pooled embedding of `atoms`?"""
+    rule = exact_rule(strategy)
+    return rule.label(emb, rule.pool(emb, atoms), head)
 
 
 # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ seed for the numeric diagnostics, and no timing data in the JSON.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .certifier import (certify_nonmonotonic_failure,
@@ -153,12 +152,6 @@ def _build_row(strategy: StrategyId, seed: int) -> RowResult:
                      strategy.tied, mono, nm, diagnostics)
 
 
-def run_table1(seed: int = 0, jobs: int = 1) -> Table1Report:
+def run_table1(seed: int = 0) -> Table1Report:
     """Build every row; any failing cell aborts with the cell named."""
-    strategies = list(TABLE1_STRATEGIES)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda s: _build_row(s, seed), strategies))
-    else:
-        rows = [_build_row(s, seed) for s in strategies]
-    return Table1Report(rows)
+    return Table1Report([_build_row(s, seed) for s in TABLE1_STRATEGIES])

@@ -5,8 +5,9 @@ cap, asks the logical oracle (entailment for plain KBs, ranked-default
 consequence for stratified ones) what the verdict should be, evaluates
 the strategy's labelling decision exactly, and records every mismatch.  The
 sweep order is canonical: subsets ordered by (size, bitmask), heads by
-signature index, so reports are deterministic and the optional thread
-pool cannot change the output.
+signature index, so reports are deterministic.  Each subset is pooled
+once for all its heads, and a mismatch's score is read off that pooled
+value.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
 undefined for most strategies); each report records that exclusion.
@@ -15,14 +16,13 @@ undefined for most strategies); each report records that exclusion.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .logic import (KnowledgeBase, Signature, StratifiedKB, entails,
                     kb_digest, nm_consequence_rank)
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
-                         StrategyId, emb_had, emb_ord, lab_dot, lab_ord,
-                         strategy_accepts, strategy_score)
+                         StrategyId, emb_had, emb_ord, exact_rule, lab_dot,
+                         lab_ord)
 
 FULL_SWEEP_ATOM_LIMIT = 8
 CAPPED_SWEEP_DEFAULT = 4
@@ -109,33 +109,27 @@ def _check_coverage(embedding: AttributeEmbedding,
 
 def _sweep(embedding: AttributeEmbedding, strategy: StrategyId,
            kind: str, digest: str, oracle, signature: Signature,
-           cap: int | None, queries: list[Query] | None,
-           jobs: int) -> VerificationReport:
+           cap: int | None, queries: list[Query] | None) -> VerificationReport:
     _check_coverage(embedding, signature)
+    rule = exact_rule(strategy)
     if cap is None:
         cap = default_cap(signature)
     capped = cap < len(signature)
     if queries is None:
         queries = subset_queries(signature, cap)
     started = time.perf_counter()
-
-    def run(query: Query) -> tuple[bool, bool]:
-        subset, head = query
-        return oracle(subset, head), strategy_accepts(
-            embedding, strategy, subset, head)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, queries))
-    else:
-        results = [run(q) for q in queries]
-
-    mismatches = [
-        Mismatch(subset, head, expected, got,
-                 strategy_score(embedding, strategy, subset, head))
-        for (subset, head), (expected, got) in zip(queries, results)
-        if expected != got
-    ]
+    mismatches = []
+    pooled_subset = pooled = None
+    for subset, head in queries:
+        # consecutive queries on one subset share its pooled value, and
+        # the canonical order lists each subset's heads together
+        if subset != pooled_subset:
+            pooled_subset, pooled = subset, rule.pool(embedding, subset)
+        expected = oracle(subset, head)
+        got = rule.label(embedding, pooled, head)
+        if expected != got:
+            mismatches.append(Mismatch(subset, head, expected, got,
+                                       rule.score(embedding, pooled, head)))
     return VerificationReport(
         strategy=strategy.name,
         kb_digest=digest,
@@ -150,22 +144,21 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId,
 
 def verify_monotonic(embedding: AttributeEmbedding, strategy: StrategyId,
                      kb: KnowledgeBase, cap: int | None = None,
-                     queries: list[Query] | None = None,
-                     jobs: int = 1) -> VerificationReport:
+                     queries: list[Query] | None = None) -> VerificationReport:
     """Check the embedding's label sets against entailment on every query."""
     return _sweep(embedding, strategy, "monotonic", kb_digest(kb),
                   lambda s, h: entails(kb, s, h), kb.signature,
-                  cap, queries, jobs)
+                  cap, queries)
 
 
 def verify_nonmonotonic(embedding: AttributeEmbedding, strategy: StrategyId,
                         theta: StratifiedKB, cap: int | None = None,
-                        queries: list[Query] | None = None,
-                        jobs: int = 1) -> VerificationReport:
+                        queries: list[Query] | None = None
+                        ) -> VerificationReport:
     """Check the embedding's label sets against ranked-default consequence."""
     return _sweep(embedding, strategy, "non-monotonic", kb_digest(theta),
                   lambda s, h: nm_consequence_rank(theta, s, h),
-                  theta.signature, cap, queries, jobs)
+                  theta.signature, cap, queries)
 
 
 # ------------------------------------------------------------------

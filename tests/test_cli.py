@@ -88,6 +88,14 @@ class TestConstruct:
                            "--delta", "3")
         assert code == 2
 
+    def test_unwritable_output_exit_two(self, capsys, ce1_file, tmp_path):
+        dest = tmp_path / "missing" / "dir" / "x.json"
+        code, _, err = run(capsys, "construct", ce1_file, "--prop", "1",
+                           "-o", str(dest))
+        assert code == 2
+        assert err.startswith("error: cannot write")
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_round_trip_exit_zero(self, capsys, ce1_file, tmp_path):
@@ -146,6 +154,30 @@ class TestVerify:
                            "--strategy", "avg-dot")
         assert code == 2
         assert "lacks vectors" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"dimension": 2, "atoms": 5},
+        [1, 2],
+        {"dimension": 1, "atoms": [{"name": "a", "context": 5}]},
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["1/0"]}]},
+    ], ids=["atoms-not-a-list", "not-an-object", "context-not-a-list",
+            "zero-denominator"])
+    def test_malformed_embedding_exit_two(self, capsys, ce1_file, tmp_path,
+                                          doc):
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", ce1_file, str(emb),
+                           "--strategy", "avg-dot")
+        assert code == 2
+        assert err.startswith("error: cannot load embedding")
+        assert err.count("\n") == 1
+
+    def test_jobs_option_removed(self, capsys, ce1_file, tmp_path):
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        code, _, _ = run(capsys, "verify", ce1_file, str(emb),
+                         "--strategy", "avg-dot", "--jobs", "2")
+        assert code == 2
 
 
 class TestCertify:
@@ -217,6 +249,13 @@ class TestTable1Command:
         assert code == 0
         assert out.startswith("| strategy |")
         assert out.count("\n") == 12  # header, rule, ten rows
+
+    def test_unwritable_output_exit_two(self, capsys, tmp_path):
+        dest = tmp_path / "missing" / "dir" / "x.json"
+        code, _, err = run(capsys, "table1", "-o", str(dest))
+        assert code == 2
+        assert err.startswith("error: cannot write")
+        assert err.count("\n") == 1
 
 
 class TestConfigPrecedence:

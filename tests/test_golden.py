@@ -1,0 +1,87 @@
+"""Byte-level pins: the table1 JSON and one mismatch report per strategy.
+
+Any change to verdicts, query order, score text or serialisation
+changes a digest here.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from conftest import random_embedding
+from embedsim.cli import main
+from embedsim.fixtures import fixture
+from embedsim.strategies import TABLE1_STRATEGIES, strategy_from_name
+from embedsim.verifier import verify_monotonic
+
+# sha256 of `embedsim table1 --json` with the sigmoid diagnostics removed
+# (they are floats from a numeric optimiser), re-dumped canonically
+TABLE1_SHA256 = (
+    "4ce06133ee5d839cf23de3a3ca8ab3fcff015a0f980392295ab04a00fecba3fb")
+
+# (mismatches, sha256 of the timing-free report) of a seeded random
+# 3-dimensional embedding swept against CE1, per exact strategy
+CE1_REPORTS = {
+    "avg-dot": (76, "e77b7e6d98ce3b53e3938640687249e8"
+                    "f2a69825d391a2e2e29098e684cdd289"),
+    "avg-dist": (78, "22b0fb70e72205aa12edefd3ec3a54b6"
+                     "1413eec98af8659a5c86fcfd097863b7"),
+    "norm-dot": (77, "6be16d97075ff6d6d6dd0ee8a06913da"
+                     "b47f63a7a4612e65f2896cf9c9ceac6c"),
+    "norm-dist": (81, "b7601e73017a44d2097cdbc0afa756b9"
+                      "1cabbf598a90ca3b106fb525c1c043ac"),
+    "avg-relu": (72, "7aa9031abcbfb0f7502c039f311f9155"
+                     "9290ad651962382c9972734b81b56801"),
+    "had-dot": (73, "e921b1ea91a6362daee8b5ab1aecc849"
+                    "eeb5385f67dc5c9152e17ac42d7e2c40"),
+    "had-dot-tied": (77, "e6f0ca1227c5ccab7335c6913006d1cb"
+                         "f94928e72b25c3e86afbccde2e1708c2"),
+    "ord-ord": (27, "d2075d727967bc1cddc6d9bd5720775b"
+                    "25ed8b18a82f2b3e54518c101bb4baff"),
+}
+
+SCORE_PREFIX = {
+    "avg-dot": "dot=", "avg-dist": "distsq=", "norm-dot": "sum.out=",
+    "norm-dist": "sum.out=", "avg-relu": "relu_dot=", "had-dot": "dot=",
+    "had-dot-tied": "dot=", "ord-ord": "pooled=",
+}
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def ce1_report(name: str):
+    strategy = strategy_from_name(name)
+    kb = fixture("CE1")
+    emb = random_embedding(random.Random(f"golden:{name}"),
+                           kb.signature.atoms, dimension=3, tied=strategy.tied)
+    return verify_monotonic(emb, strategy, kb)
+
+
+def test_pins_cover_every_exact_strategy():
+    assert sorted(CE1_REPORTS) == sorted(
+        s.name for s in TABLE1_STRATEGIES if s.exact)
+
+
+def test_table1_json_bytes(capsys):
+    assert main(["table1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for row in doc["rows"]:
+        row.pop("diagnostics", None)
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert sha256_text(text) == TABLE1_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(CE1_REPORTS))
+def test_ce1_mismatch_report_bytes(name):
+    report = ce1_report(name)
+    mismatches, digest = CE1_REPORTS[name]
+    assert report.queries == 155
+    assert len(report.mismatches) == mismatches
+    assert all(m.score.startswith(SCORE_PREFIX[name])
+               for m in report.mismatches)
+    doc = report.to_dict(timing=False)
+    assert sha256_text(json.dumps(doc, sort_keys=True)) == digest

@@ -182,28 +182,28 @@ class TestLabelling:
 class TestNormalisedLabelling:
     def test_empty_set_positive_threshold(self):
         emb = make_embedding({"x": (1, 0)}, lam={"x": F(1, 10)})
-        assert not lab_dot_on_norm(emb, (), "x")
+        assert not lab_dot_on_norm(emb, emb_norm(emb, ()), "x")
 
     def test_empty_set_zero_threshold(self):
         emb = make_embedding({"x": (1, 0)}, lam={"x": 0})
-        assert lab_dot_on_norm(emb, (), "x")
+        assert lab_dot_on_norm(emb, emb_norm(emb, ()), "x")
 
     def test_zero_lambda_positive_dot(self):
         emb = make_embedding({"a": (1, 1), "x": (5, 0)}, lam={"x": 0})
-        assert lab_dot_on_norm(emb, ("a",), "x")
+        assert lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "x")
 
     def test_squared_comparison(self):
         # sum.out = 3, ||sum||^2 = 4, lambda = 2: 3 >= 2*2 is false
         emb = make_embedding({"a": (2, 0), "x": (F(3, 2), 0)}, lam={"x": 2})
         assert emb_norm(emb, ("a",))[1] == 4
-        assert not lab_dot_on_norm(emb, ("a",), "x")
+        assert not lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "x")
 
     def test_negative_lambda_negative_dot(self):
         # -1 >= -2 * sqrt(1): true; -3 >= -2: false
         emb = make_embedding({"a": (1, 0), "x": (-1, 0), "y": (-3, 0)},
                              lam={"x": -2, "y": -2})
-        assert lab_dot_on_norm(emb, ("a",), "x")
-        assert not lab_dot_on_norm(emb, ("a",), "y")
+        assert lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "x")
+        assert not lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "y")
 
     @settings(max_examples=150, deadline=None)
     @given(st.fractions(min_value=-9, max_value=9, max_denominator=7),
@@ -245,8 +245,8 @@ class TestNormalisedLabelling:
         dot_form = lab_dot(emb, e, "b")
         assert direct == dot_form
         # and the squaring-based path agrees with both
-        assert lab_dist_on_norm(emb, ("e",), "b") == direct
-        assert lab_dot_on_norm(emb, ("e",), "b") == direct
+        assert lab_dist_on_norm(emb, emb_norm(emb, ("e",)), "b") == direct
+        assert lab_dot_on_norm(emb, emb_norm(emb, ("e",)), "b") == direct
 
 
 class TestStrategyDispatch:

@@ -46,10 +46,6 @@ def test_sig_rows_carry_numeric_diagnostics(report):
             assert row.diagnostics is None
 
 
-def test_parallel_run_is_byte_identical(report):
-    assert run_table1(jobs=3).to_json() == report.to_json()
-
-
 def test_seed_changes_only_diagnostics(report):
     other = run_table1(seed=1)
     assert report.pattern() == other.pattern()

@@ -1,17 +1,20 @@
 """Verification sweeps, property checks, determinism."""
 
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import embedsim.strategies as strategies
 from conftest import random_embedding, random_rule_kb
 from embedsim.constructors import construct_avg_relu, construct_had_dot
 from embedsim.fixtures import fixture
 from embedsim.logic import KnowledgeBase, Signature, parse_kb
 from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
-                                 AttributeEmbedding, DimensionMismatchError)
+                                 TABLE1_STRATEGIES, AttributeEmbedding,
+                                 DimensionMismatchError, emb_avg, emb_had,
+                                 emb_norm, emb_ord, lab_dist, lab_dist_on_norm,
+                                 lab_dot, lab_dot_on_norm, lab_ord, lab_relu)
 from embedsim.verifier import (check_ord_monotonicity,
                                check_tied_hadamard_symmetry, subset_queries,
                                verify_monotonic, verify_nonmonotonic)
@@ -80,15 +83,6 @@ class TestVerifyMonotonic:
                 for m in report.mismatches]
         assert keys == sorted(keys)
 
-    def test_parallel_equals_serial(self):
-        rng = random.Random(101)
-        kb = fixture("CE2")
-        emb = random_embedding(rng, kb.signature.atoms)
-        serial = verify_monotonic(emb, AVG_DOT, kb, jobs=1)
-        parallel = verify_monotonic(emb, AVG_DOT, kb, jobs=4)
-        assert (json.dumps(serial.to_dict(timing=False), sort_keys=True)
-                == json.dumps(parallel.to_dict(timing=False), sort_keys=True))
-
     def test_determinism(self):
         rng = random.Random(103)
         kb = fixture("CE1")
@@ -119,6 +113,62 @@ class TestVerifyMonotonic:
         report = verify_monotonic(emb, AVG_DOT, kb)
         assert report.empty_antecedent_excluded
         assert report.to_dict()["empty_antecedent_excluded"]
+
+
+# each exact strategy's labelling decision, composed by hand
+DIRECT = {
+    "avg-dot": lambda e, s, b: lab_dot(e, emb_avg(e, s), b),
+    "avg-dist": lambda e, s, b: lab_dist(e, emb_avg(e, s), b),
+    "norm-dot": lambda e, s, b: lab_dot_on_norm(e, emb_norm(e, s), b),
+    "norm-dist": lambda e, s, b: lab_dist_on_norm(e, emb_norm(e, s), b),
+    "avg-relu": lambda e, s, b: lab_relu(e, emb_avg(e, s), b),
+    "had-dot": lambda e, s, b: lab_dot(e, emb_had(e, s), b),
+    "had-dot-tied": lambda e, s, b: lab_dot(e, emb_had(e, s), b, tied=True),
+    "ord-ord": lambda e, s, b: lab_ord(e, emb_ord(e, s), b),
+}
+
+
+class TestPoolOnce:
+    def test_each_subset_pooled_once(self, monkeypatch):
+        pooled = []
+        original = strategies.emb_avg
+
+        def counting(emb, atoms):
+            pooled.append(tuple(atoms))
+            return original(emb, atoms)
+
+        monkeypatch.setattr(strategies, "emb_avg", counting)
+        kb = fixture("CE1")
+        emb = random_embedding(random.Random(97), kb.signature.atoms)
+        report = verify_monotonic(emb, AVG_DOT, kb)
+        assert report.queries == 155 and report.mismatches
+        # 31 non-empty subsets of 5 atoms, mismatch scores included
+        assert len(pooled) == 31 == len(set(pooled))
+
+    def test_directs_cover_every_exact_strategy(self):
+        assert sorted(DIRECT) == sorted(
+            s.name for s in TABLE1_STRATEGIES if s.exact)
+
+    @pytest.mark.parametrize("strategy",
+                             [s for s in TABLE1_STRATEGIES if s.exact],
+                             ids=lambda s: s.name)
+    def test_sweep_matches_direct_evaluation(self, strategy):
+        rng = random.Random(f"direct:{strategy.name}")
+        for _ in range(3):
+            kb = random_rule_kb(rng, ["a", "b", "c", "d"])
+            emb = random_embedding(rng, kb.signature.atoms, tied=strategy.tied)
+            queries = subset_queries(kb.signature, 4)
+            # any query order is allowed, not only the grouped canonical one
+            rng.shuffle(queries)
+            report = verify_monotonic(emb, strategy, kb, queries=queries)
+            expected_mismatches = []
+            for subset, head in queries:
+                got = DIRECT[strategy.name](emb, subset, head)
+                want = tt_entails(kb, subset, head)
+                if got != want:
+                    expected_mismatches.append((subset, head, want, got))
+            assert [(m.subset, m.head, m.expected, m.got)
+                    for m in report.mismatches] == expected_mismatches
 
 
 class TestVerifyNonMonotonic:
