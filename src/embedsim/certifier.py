@@ -21,6 +21,16 @@ systems are positively homogeneous in their variables, so a solution
 with any positive slack can be scaled to one with slack 1, and rows are
 stored with denominators cleared (a positive row scaling that changes
 nothing about feasibility).
+
+The exact simplex (`lp_feasible`) splits a system into connected blocks
+of rows, two rows sharing a block when they share a variable; the
+avg-dot system, for instance, falls apart into one block per head.  Each
+block gets its own phase-1 tableau, and a pivot rewrites only the pivot
+row's non-zero positions.  Pivots, witness and Farkas multipliers equal
+those of the single joint tableau: every column belongs to exactly one
+block, so row operations never cross blocks, and Bland's lowest-index
+entering and leaving choices restricted to a block, whose columns keep
+the joint order, are the joint choices.
 """
 
 from __future__ import annotations
@@ -257,57 +267,84 @@ def _normalize_multipliers(mult: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in ints)
 
 
-def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
-    """Exact phase-1 simplex with Bland's anti-cycling pivot rule.
+def _row_blocks(oriented: Sequence[tuple[Sequence[Fraction], Fraction]]
+                ) -> list[list[int]]:
+    """Row indices grouped into connected components, in first-row order.
 
-    Free variables are split into non-negative pairs; every returned
-    witness or Farkas certificate is re-verified in exact arithmetic
-    before being handed back.
+    Two rows share a component when both have a non-zero coefficient on
+    the same variable; a row with no non-zero coefficient is alone.
     """
-    nvars = len(system.variables)
-    m = len(system.constraints)
-    oriented = [_oriented(c) for c in system.constraints]
+    parent = list(range(len(oriented)))
 
-    # columns: p (nvars) | q (nvars) | slack (m) | artificials
-    flipped = [False] * m
-    art_col: list[int | None] = [None] * m
-    ncols = 2 * nvars + m
-    for i, (_, d) in enumerate(oriented):
-        if d < 0:
-            flipped[i] = True
-        else:
-            art_col[i] = ncols
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first_row: dict[int, int] = {}
+    for i, (coeffs, _) in enumerate(oriented):
+        for j, c in enumerate(coeffs):
+            if c:
+                root, other = find(i), find(first_row.setdefault(j, i))
+                if root != other:
+                    parent[max(root, other)] = min(root, other)
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(oriented)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
+def _phase1_block(oriented: Sequence[tuple[Sequence[Fraction], Fraction]],
+                  block: Sequence[int]
+                  ) -> tuple[Fraction, dict[int, Fraction], list[Fraction]]:
+    """Phase-1 simplex on one connected block of rows.
+
+    The columns are the block's own columns of the joint tableau, in
+    the joint order: p then q for the block's variables, then the
+    rows' slacks, then the artificials of the rows whose rhs is
+    non-negative.  Returns the phase-1 objective, the value of every
+    block variable (p - q) and the raw dual multiplier of every row.
+    """
+    variables = sorted({j for i in block
+                        for j, c in enumerate(oriented[i][0]) if c})
+    nv = len(variables)
+    nr = len(block)
+    flipped = [oriented[i][1] < 0 for i in block]
+    art_col: list[int | None] = [None] * nr
+    ncols = 2 * nv + nr
+    for r in range(nr):
+        if not flipped[r]:
+            art_col[r] = ncols
             ncols += 1
 
     rows: list[list[Fraction]] = []
     basis: list[int] = []
-    for i, (coeffs, d) in enumerate(oriented):
+    for r, i in enumerate(block):
+        coeffs, d = oriented[i]
         row = [Fraction(0)] * (ncols + 1)
-        sign = -1 if flipped[i] else 1
-        for j, c in enumerate(coeffs):
-            row[j] = sign * c
-            row[nvars + j] = -sign * c
-        row[2 * nvars + i] = Fraction(-sign)
+        sign = -1 if flipped[r] else 1
+        for k, j in enumerate(variables):
+            row[k] = sign * coeffs[j]
+            row[nv + k] = -sign * coeffs[j]
+        row[2 * nv + r] = Fraction(-sign)
         row[-1] = sign * d
-        if flipped[i]:
-            basis.append(2 * nvars + i)
+        if flipped[r]:
+            basis.append(2 * nv + r)
         else:
-            row[art_col[i]] = Fraction(1)
-            basis.append(art_col[i])
+            row[art_col[r]] = Fraction(1)
+            basis.append(art_col[r])
         rows.append(row)
 
-    cost = [Fraction(0)] * ncols
-    for i in range(m):
-        if art_col[i] is not None:
-            cost[art_col[i]] = Fraction(1)
-    # reduced-cost row z_j = (basis costs) . column_j - cost_j, plus objective value
+    # reduced-cost row z_j = (basis costs) . column_j - cost_j, plus
+    # the objective value; artificials cost 1, everything else 0
     z = [Fraction(0)] * (ncols + 1)
-    for i in range(m):
-        if basis[i] >= 2 * nvars + m:  # artificial basic
-            for j in range(ncols + 1):
-                z[j] += rows[i][j]
-    for j in range(ncols):
-        z[j] -= cost[j]
+    for r in range(nr):
+        if art_col[r] is not None:
+            for j, x in enumerate(rows[r]):
+                if x:
+                    z[j] += x
+            z[art_col[r]] -= 1
 
     while True:
         enter = next((j for j in range(ncols) if z[j] > 0), None)
@@ -315,47 +352,76 @@ def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
             break
         leave = None
         best_ratio = None
-        for i in range(m):
-            coeff = rows[i][enter]
+        for r in range(nr):
+            coeff = rows[r][enter]
             if coeff > 0:
-                ratio = rows[i][-1] / coeff
+                ratio = rows[r][-1] / coeff
                 if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])):
+                        or (ratio == best_ratio and basis[r] < basis[leave])):
                     best_ratio = ratio
-                    leave = i
+                    leave = r
         if leave is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [x - f * p for x, p in zip(rows[i], rows[leave])]
-        if z[enter] != 0:
-            f = z[enter]
-            z = [x - f * p for x, p in zip(z, rows[leave])]
+        prow = rows[leave]
+        piv = prow[enter]
+        support = [j for j, x in enumerate(prow) if x]
+        for j in support:
+            prow[j] /= piv
+        for target in rows:
+            f = target[enter]
+            if f and target is not prow:
+                for j in support:
+                    target[j] -= f * prow[j]
+        f = z[enter]
+        if f:
+            for j in support:
+                z[j] -= f * prow[j]
         basis[leave] = enter
 
-    if z[-1] == 0:
-        values = [Fraction(0)] * ncols
-        for i in range(m):
-            values[basis[i]] = rows[i][-1]
-        witness = {}
-        for j, name in enumerate(system.variables):
-            witness[name] = values[j] - values[nvars + j]
+    values = [Fraction(0)] * ncols
+    for r in range(nr):
+        values[basis[r]] = rows[r][-1]
+    solution = {j: values[k] - values[nv + k]
+                for k, j in enumerate(variables)}
+    mult = [-z[2 * nv + r] if flipped[r] else z[art_col[r]] + 1
+            for r in range(nr)]
+    return z[-1], solution, mult
+
+
+def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
+    """Exact phase-1 simplex with Bland's anti-cycling pivot rule.
+
+    Free variables are split into non-negative pairs (p - q).  The rows
+    are split into connected blocks (rows sharing a variable), each
+    solved on its own tableau whose pivots touch only the pivot row's
+    non-zero positions.  The result equals that of one joint tableau
+    over all rows, pivot for pivot: every column belongs to exactly one
+    block, so row operations never cross blocks, and Bland's
+    lowest-index choices restricted to a block, kept in the joint
+    column order, are the joint choices.  The multipliers of all
+    blocks are normalised together, and every returned witness or
+    Farkas certificate is re-verified in exact arithmetic on the full
+    system before being handed back.
+    """
+    oriented = [_oriented(c) for c in system.constraints]
+    blocks = _row_blocks(oriented)
+    solved = [_phase1_block(oriented, block) for block in blocks]
+
+    if all(objective == 0 for objective, _, _ in solved):
+        values: dict[int, Fraction] = {}
+        for _, solution, _ in solved:
+            values.update(solution)
+        witness = {name: values.get(j, Fraction(0))
+                   for j, name in enumerate(system.variables)}
         if not verify_witness(system, witness):
             raise AssertionError("simplex witness failed exact re-check")
         return FeasibilityOutcome(True, witness=witness)
 
     # infeasible: duals from the reduced costs at the initial basis columns
-    mult = []
-    for i in range(m):
-        if flipped[i]:
-            y = z[2 * nvars + i]
-            mult.append(-y)
-        else:
-            y = z[art_col[i]] + 1
-            mult.append(y)
+    mult = [Fraction(0)] * len(oriented)
+    for block, (_, _, block_mult) in zip(blocks, solved):
+        for i, y in zip(block, block_mult):
+            mult[i] = y
     multipliers = _normalize_multipliers(mult)
     gap = verify_farkas(system, multipliers)
     return FeasibilityOutcome(False,

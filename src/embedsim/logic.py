@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Union
 
 DEFAULT_MODEL_CAP = 20
@@ -171,13 +171,9 @@ class Signature:
         except KeyError:
             raise KeyError(f"atom {name!r} not in signature") from None
 
-    @property
+    @cached_property
     def _index(self) -> dict[str, int]:
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = {a: i for i, a in enumerate(self.atoms)}
-            self.__dict__["_index_cache"] = cached
-        return cached
+        return {a: i for i, a in enumerate(self.atoms)}
 
     def bit(self, name: str) -> int:
         return 1 << self.index(name)
@@ -457,14 +453,20 @@ def interpretations(signature: Signature) -> Iterator[int]:
     return iter(range(1 << len(signature)))
 
 
+def _check_cap(signature: Signature, cap: int) -> int:
+    """Atom count of the signature; raises when 2^n exceeds the cap's budget."""
+    n = len(signature)
+    if n > cap:
+        raise CapExceededError(
+            f"signature has {n} atoms, enumeration cap is {cap}")
+    return n
+
+
 @lru_cache(maxsize=4096)
 def enumerate_models(kb: KnowledgeBase,
                      cap: int = DEFAULT_MODEL_CAP) -> tuple[int, ...]:
     """All models of the KB in ascending bitmask order (empty iff inconsistent)."""
-    n = len(kb.signature)
-    if n > cap:
-        raise CapExceededError(
-            f"signature has {n} atoms, enumeration cap is {cap}")
+    n = _check_cap(kb.signature, cap)
     return tuple(
         omega for omega in range(1 << n)
         if all(evaluate(f, omega, kb.signature) for f in kb.formulas)
@@ -498,8 +500,9 @@ def rank_mu(theta: StratifiedKB, omega: int) -> int:
 
 @lru_cache(maxsize=1024)
 def _mu_table(theta: StratifiedKB) -> tuple[int, ...]:
-    return tuple(rank_mu(theta, omega)
-                 for omega in range(1 << len(theta.signature)))
+    """Rank of every interpretation, indexed by bitmask."""
+    n = _check_cap(theta.signature, DEFAULT_MODEL_CAP)
+    return tuple(rank_mu(theta, omega) for omega in range(1 << n))
 
 
 def nm_consequence_def(theta: StratifiedKB, antecedent: Iterable[str],

@@ -1,5 +1,6 @@
 """Linear systems, the exact simplex, closure search, and certificates."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from conftest import random_rule_kb
 from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
                                 LinearSystem, PairRequirement, _ce1_queries,
-                                _ce2_queries, build_avg_dist_relaxation,
+                                _ce2_queries, _oriented, _row_blocks,
+                                build_avg_dist_relaxation,
                                 build_avg_dot_system,
                                 certify_nonmonotonic_failure,
                                 certify_strategy_failure, combine_constraints,
@@ -21,6 +23,7 @@ from embedsim.fixtures import fixture
 from embedsim.logic import CapExceededError, Signature, KnowledgeBase, entails, parse_kb
 from embedsim.strategies import AVG_DOT
 from embedsim.verifier import verify_monotonic
+from oracles import dense_lp_feasible
 
 F = Fraction
 
@@ -105,6 +108,43 @@ class TestBuildDistRelaxation:
         assert lp_feasible(system).feasible
 
 
+def planted_feasible_systems():
+    """Random systems satisfied by a planted rational point."""
+    rng = random.Random(61)
+    for _ in range(40):
+        width = rng.randint(1, 4)
+        point = [F(rng.randint(-5, 5), rng.randint(1, 3))
+                 for _ in range(width)]
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            coeffs = [F(rng.randint(-4, 4)) for _ in range(width)]
+            value = sum(c * x for c, x in zip(coeffs, point))
+            slack = F(rng.randint(0, 5))
+            if rng.random() < 0.5:
+                rows.append((coeffs, ">=", value - slack))
+            else:
+                rows.append((coeffs, "<=", value + slack))
+        yield make_system(rows)
+
+
+def planted_infeasible_systems():
+    """Random systems holding a planted contradictory pair of rows."""
+    rng = random.Random(67)
+    for _ in range(40):
+        width = rng.randint(1, 4)
+        coeffs = [F(rng.randint(-4, 4)) for _ in range(width)]
+        if all(c == 0 for c in coeffs):
+            coeffs[0] = F(1)
+        beta = F(rng.randint(-3, 3))
+        rows = [(coeffs, ">=", beta),
+                (coeffs, "<=", beta - 1)]
+        for _ in range(rng.randint(0, 5)):
+            rows.append(([F(rng.randint(-4, 4)) for _ in range(width)],
+                         rng.choice([">=", "<="]),
+                         F(rng.randint(-6, 6))))
+        yield make_system(rows)
+
+
 # ------------------------------------------------------------------
 # Simplex
 # ------------------------------------------------------------------
@@ -148,40 +188,13 @@ class TestSimplex:
         assert outcome.farkas.gap == 4
 
     def test_random_planted_feasible(self):
-        rng = random.Random(61)
-        for _ in range(40):
-            width = rng.randint(1, 4)
-            point = [F(rng.randint(-5, 5), rng.randint(1, 3))
-                     for _ in range(width)]
-            rows = []
-            for _ in range(rng.randint(1, 8)):
-                coeffs = [F(rng.randint(-4, 4)) for _ in range(width)]
-                value = sum(c * x for c, x in zip(coeffs, point))
-                slack = F(rng.randint(0, 5))
-                if rng.random() < 0.5:
-                    rows.append((coeffs, ">=", value - slack))
-                else:
-                    rows.append((coeffs, "<=", value + slack))
-            system = make_system(rows)
+        for system in planted_feasible_systems():
             outcome = lp_feasible(system)
             assert outcome.feasible  # witness re-checked inside lp_feasible
             assert verify_witness(system, outcome.witness)
 
     def test_random_planted_infeasible(self):
-        rng = random.Random(67)
-        for _ in range(40):
-            width = rng.randint(1, 4)
-            coeffs = [F(rng.randint(-4, 4)) for _ in range(width)]
-            if all(c == 0 for c in coeffs):
-                coeffs[0] = F(1)
-            beta = F(rng.randint(-3, 3))
-            rows = [(coeffs, ">=", beta),
-                    (coeffs, "<=", beta - 1)]
-            for _ in range(rng.randint(0, 5)):
-                rows.append(([F(rng.randint(-4, 4)) for _ in range(width)],
-                             rng.choice([">=", "<="]),
-                             F(rng.randint(-6, 6))))
-            system = make_system(rows)
+        for system in planted_infeasible_systems():
             outcome = lp_feasible(system)
             assert not outcome.feasible
             gap = verify_farkas(system, outcome.farkas.multipliers)
@@ -268,6 +281,100 @@ class TestSimplexAgainstEliminationOracles:
                     for _ in range(rng.randint(1, 7))]
             system = make_system(rows)
             assert lp_feasible(system).feasible == fm_feasible_2d(rows)
+
+
+def assert_same_outcome(system):
+    """The block solver returns exactly what the dense joint tableau does."""
+    got = lp_feasible(system)
+    want = dense_lp_feasible(system)
+    assert got.feasible == want.feasible
+    if want.feasible:
+        assert list(got.witness.items()) == list(want.witness.items())
+        assert got.farkas is None
+    else:
+        assert got.witness is None
+        assert got.farkas.multipliers == want.farkas.multipliers
+        assert got.farkas.gap == want.farkas.gap
+    return got
+
+
+# two blocks, {v0, v1} feasible and {v2} contradictory, v3 in no row
+TWO_BLOCKS = [([1, 1, 0, 0], ">=", 1), ([0, 0, 1, 0], ">=", 1),
+              ([1, -1, 0, 0], "<=", -1), ([0, 0, 2, 0], "<=", 1),
+              ([2, 1, 0, 0], "<=", 4)]
+
+
+class TestBlockSimplexMatchesDense:
+    """`lp_feasible` against the dense oracle in `tests/oracles.py`."""
+
+    def test_row_blocks(self):
+        assert _row_blocks([_oriented(c)
+                            for c in make_system(TWO_BLOCKS).constraints]
+                           ) == [[0, 2, 4], [1, 3]]
+        # the full avg-dot system is one block per head, in first-row order
+        kb = fixture("CE1")
+        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms)
+        blocks = _row_blocks([_oriented(c) for c in system.constraints])
+        assert [len(b) for b in blocks] == [31] * 5
+        assert [b[0] for b in blocks] == [0, 1, 2, 3, 4]
+
+    def test_two_blocks_one_infeasible(self):
+        outcome = assert_same_outcome(make_system(TWO_BLOCKS))
+        assert not outcome.feasible
+        # the combination lives on the contradictory block
+        assert outcome.farkas.multipliers[1] > 0
+        assert outcome.farkas.multipliers[3] > 0
+
+    def test_feasible_block_multipliers_kept(self):
+        # the feasible block {v0} pins v0 = 0 with both artificials left
+        # basic at level 0, so its rows carry non-zero multipliers that
+        # cancel among themselves; the certificate keeps them
+        rows = [([1, 0], ">=", 0), ([0, 1], ">=", 1),
+                ([1, 0], "<=", 0), ([0, 1], "<=", 0)]
+        outcome = assert_same_outcome(make_system(rows))
+        assert outcome.farkas.multipliers == (F(1), F(1), F(1), F(1))
+
+    def test_two_blocks_both_feasible(self):
+        rows = TWO_BLOCKS[:3] + [([0, 0, 2, 0], "<=", 3)] + TWO_BLOCKS[4:]
+        outcome = assert_same_outcome(make_system(rows))
+        assert outcome.feasible
+        assert outcome.witness["v3"] == 0
+
+    def test_planted_systems(self):
+        for system in itertools.chain(planted_feasible_systems(),
+                                      planted_infeasible_systems()):
+            assert_same_outcome(system)
+
+    def test_zero_and_empty_systems(self):
+        assert_same_outcome(make_system([([0, 0], ">=", 3)]))
+        assert_same_outcome(make_system([([0, 0], "<=", 3),
+                                         ([1, 0], ">=", 1)]))
+        assert_same_outcome(LinearSystem((), ()))
+
+    # seeds whose KBs include both simulable and non-simulable ones
+    @pytest.mark.parametrize("atoms,kbs,seed", [(3, 6, 81), (4, 2, 87)])
+    def test_random_avg_dot_systems(self, atoms, kbs, seed):
+        rng = random.Random(seed)
+        verdicts = set()
+        for _ in range(kbs):
+            kb = random_rule_kb(rng, ["a", "b", "c", "d"][:atoms])
+            system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms)
+            verdicts.add(assert_same_outcome(system).feasible)
+        assert verdicts == {True, False}
+
+    def test_ce1_restricted_system(self):
+        kb = fixture("CE1")
+        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms,
+                                      queries=_ce1_queries())
+        assert not assert_same_outcome(system).feasible
+
+    def test_ce2_relaxation_single_block(self):
+        kb = fixture("CE2")
+        system = build_avg_dist_relaxation(kb_oracle(kb), kb.signature.atoms,
+                                           queries=_ce2_queries())
+        oriented = [_oriented(c) for c in system.constraints]
+        assert _row_blocks(oriented) == [list(range(len(oriented)))]
+        assert not assert_same_outcome(system).feasible
 
 
 # ------------------------------------------------------------------

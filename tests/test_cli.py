@@ -172,6 +172,21 @@ class TestVerify:
         assert err.startswith("error: cannot load embedding")
         assert err.count("\n") == 1
 
+    def test_stratified_kb_over_cap_exit_two(self, capsys, tmp_path):
+        atoms = [f"p{i}" for i in range(21)]
+        kb = tmp_path / "wide.kb"
+        kb.write_text(f"atoms: {' '.join(atoms)}\nstratum: p0 -> p1\n")
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(
+            {"dimension": 1,
+             "atoms": [{"name": n, "context": ["1/1"], "output": ["1/1"]}
+                       for n in atoms]}))
+        code, out, err = run(capsys, "verify", str(kb), str(emb),
+                             "--strategy", "avg-dot")
+        assert code == 2
+        assert out == ""
+        assert err == "error: signature has 21 atoms, enumeration cap is 20\n"
+
     def test_jobs_option_removed(self, capsys, ce1_file, tmp_path):
         emb = tmp_path / "emb.json"
         run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))

@@ -1,4 +1,5 @@
-"""Byte-level pins: the table1 JSON and one mismatch report per strategy.
+"""Byte-level pins: the table1 JSON, one mismatch report per strategy and
+the generic avg-dot decision certificate for CE1.
 
 Any change to verdicts, query order, score text or serialisation
 changes a digest here.
@@ -7,10 +8,12 @@ changes a digest here.
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import random_embedding
+from embedsim.certifier import decide_avg_dot
 from embedsim.cli import main
 from embedsim.fixtures import fixture
 from embedsim.strategies import TABLE1_STRATEGIES, strategy_from_name
@@ -41,6 +44,10 @@ CE1_REPORTS = {
     "ord-ord": (27, "d2075d727967bc1cddc6d9bd5720775b"
                     "25ed8b18a82f2b3e54518c101bb4baff"),
 }
+
+# the benchmark's recorded digests; `fixed.CE1` (ec9ffe7e…) is the sha256
+# of the canonical JSON of `decide_avg_dot(fixture("CE1"))`
+GOLDEN_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 SCORE_PREFIX = {
     "avg-dot": "dot=", "avg-dist": "distsq=", "norm-dot": "sum.out=",
@@ -85,3 +92,10 @@ def test_ce1_mismatch_report_bytes(name):
                for m in report.mismatches)
     doc = report.to_dict(timing=False)
     assert sha256_text(json.dumps(doc, sort_keys=True)) == digest
+
+
+def test_ce1_decision_certificate_bytes():
+    want = json.loads(GOLDEN_JSON.read_text())["fixed"]["CE1"]
+    cert = decide_avg_dot(fixture("CE1"))
+    assert cert.verdict == "not-simulable"
+    assert sha256_text(json.dumps(cert.to_dict(), sort_keys=True)) == want

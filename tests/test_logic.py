@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_rule_kb, random_stratified_kb
+from embedsim import logic
 from embedsim.logic import (TOP, And, CapExceededError,
                             DuplicateAtomError, Implies, KnowledgeBase, Not,
                             Or, ParseError, Signature, StratifiedKB,
@@ -276,6 +277,21 @@ class TestNonMonotonicConsequence:
         theta = fixture("ORD-NM")
         assert nm_consequence_rank(theta, ("a",), "x")
         assert not nm_consequence_rank(theta, ("a", "b"), "x")
+
+    def test_rank_table_cap(self, monkeypatch):
+        # 2^21 interpretations exceed the enumeration budget: both
+        # relations refuse before ranking a single interpretation
+        atoms = " ".join(f"p{i}" for i in range(21))
+        theta = parse_kb(f"atoms: {atoms}\nstratum: p0 -> p1\n")
+
+        def no_ranking(theta, omega):
+            raise AssertionError("ranked an interpretation past the cap")
+
+        monkeypatch.setattr(logic, "rank_mu", no_ranking)
+        with pytest.raises(CapExceededError, match="21 atoms"):
+            nm_consequence_rank(theta, ("p0",), "p1")
+        with pytest.raises(CapExceededError, match="21 atoms"):
+            nm_consequence_def(theta, ("p0",), "p1")
 
     def test_def_equals_rank_random(self):
         rng = random.Random(17)
