@@ -13,14 +13,15 @@ from .constructors import (ConstructionResult, DeltaConfig, construct,
                            construct_ord)
 from .fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, fixture
 from .logic import (CapExceededError, Formula, KBError, KnowledgeBase,
-                    ParseError, Signature, StratifiedKB, entails,
-                    enumerate_models, evaluate, format_formula, kb_digest,
-                    nm_consequence_def, nm_consequence_rank, parse_kb,
-                    rank_mu)
-from .strategies import (TABLE1_STRATEGIES, AttributeEmbedding, StrategyId,
-                         emb_avg, emb_had, emb_norm, emb_ord, emb_sig_numeric,
-                         exact_rule, lab_dist, lab_dot, lab_dot_on_norm,
-                         lab_ord, lab_relu, strategy_accepts,
+                    ParseError, Signature, StratifiedKB, entailment_table,
+                    entails, enumerate_models, evaluate, format_formula,
+                    kb_digest, nm_consequence_def, nm_consequence_rank,
+                    nm_consequence_table, parse_kb, rank_mu)
+from .strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
+                         ScaledEmbedding, StrategyId, emb_avg, emb_had,
+                         emb_norm, emb_ord, emb_sig_numeric, exact_rule,
+                         lab_dist, lab_dot, lab_dot_on_norm, lab_ord,
+                         lab_relu, scale, strategy_accepts,
                          strategy_from_name)
 from .table1 import Table1Report, run_table1
 from .verifier import (PropertyReport, VerificationReport,

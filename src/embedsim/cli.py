@@ -4,7 +4,8 @@ Subcommands: check, construct, verify, certify, table1.  Machine output
 is JSON on stdout with --json, human-readable otherwise; table1 also
 renders markdown with --md.  Exit codes: 0 success (or "simulates"),
 1 semantic negative (verification mismatches, or a certify verdict that
-contradicts --expect), 2 usage or input errors.
+contradicts --expect), 2 usage or input errors, 141 (as for SIGPIPE)
+when the reader of stdout goes away early, as in `embedsim ... | head`.
 
 Settings resolve flag > environment > config file > default; the
 environment names mirror the flags with an EMBEDSIM_ prefix (for
@@ -275,12 +276,32 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         config = _load_config(args.config)
-        return args.func(args, config)
+        code = args.func(args, config)
+        sys.stdout.flush()  # a closed pipe shows up here, not at exit
+        return code
     except (UsageError, KBError, ValueError) as exc:
         # ValueError covers strategy/embedding shape problems surfaced
         # by the library (dimension mismatches, numeric-only strategies)
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        _discard_stdout()
+        return 141
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at devnull.
+
+    Output still buffered for a closed pipe would otherwise fail again
+    when the interpreter flushes stdout on exit.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,15 @@
 Every strategy pairs a pooling function (how an entity vector is built
 from the context vectors of its attributes) with a labelling rule (when
 an attribute is predicted from an entity vector).  All pooling and
-labelling decisions except the sigmoid-MLE pooling are evaluated in
-exact rational arithmetic; normalised pooling never materialises the
-irrational unit vector, it carries (sum, ||sum||^2) and decides
-comparisons by sign analysis and squaring.
+labelling decisions except the sigmoid-MLE pooling are exact and run in
+integers: `scale` puts each vector family (context, output) over one
+common denominator, pooling returns integer numerators with a single
+denominator, and each labelling rule multiplies the denominators and
+the threshold's p/q out before comparing integers.  `Fraction` appears
+only at the edges: in the embedding itself, and in the mismatch-score
+text.  Normalised pooling never materialises the irrational unit vector;
+it carries (sum, ||sum||^2) and decides comparisons by sign analysis and
+squaring.
 
 The sigmoid-MLE pooling is a floating-point demonstrator (gradient
 ascent on a seeded start, deterministic per (seed, iterations)); it is
@@ -18,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import lcm
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -181,27 +188,72 @@ class AttributeEmbedding:
 
 
 # ------------------------------------------------------------------
-# Exact vector helpers
+# Integer scaling
 # ------------------------------------------------------------------
 
-def dot(u: Vec, v: Vec) -> Fraction:
+IntVec = tuple[int, ...]
+# a pooled value: (numerators, denominator) for the rational pooled
+# vector, or (sum, ||sum||^2) for normalised pooling
+Pooled = tuple[IntVec, int]
+
+
+@dataclass(frozen=True)
+class ScaledEmbedding:
+    """An embedding's vectors as integers over one denominator per family.
+
+    The context vector of `a` is `context[a] / cden` and the output
+    vector of `b` is `output[b] / oden`, where each denominator is the
+    lcm of the coordinate denominators of its family.  Thresholds stay
+    exact rationals, copied when the scaling is made.
+    """
+
+    dimension: int
+    context: dict[str, IntVec]
+    output: dict[str, IntVec]
+    cden: int
+    oden: int
+    lam: dict[str, Fraction]
+    theta: dict[str, Fraction]
+
+
+def _over_common_denominator(vectors: dict[str, Vec]
+                             ) -> tuple[dict[str, IntVec], int]:
+    den = lcm(*(x.denominator for v in vectors.values() for x in v))
+    return ({a: tuple(x.numerator * (den // x.denominator) for x in v)
+             for a, v in vectors.items()}, den)
+
+
+def scale(emb: AttributeEmbedding | ScaledEmbedding) -> ScaledEmbedding:
+    """The embedding over common denominators (a scaled one is returned as is).
+
+    A sweep scales once and hands the result to every kernel; a kernel
+    given an `AttributeEmbedding` scales it on each call.  The result is
+    never stored on the embedding, whose fields may be reassigned.
+    """
+    if isinstance(emb, ScaledEmbedding):
+        return emb
+    context, cden = _over_common_denominator(emb.context)
+    output, oden = _over_common_denominator(emb.output)
+    return ScaledEmbedding(emb.dimension, context, output, cden, oden,
+                           dict(emb.lam), dict(emb.theta))
+
+
+def _idot(u: IntVec, v: IntVec) -> int:
     if len(u) != len(v):
         raise DimensionMismatchError(f"dot of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(map(mul, u, v))
 
 
-def norm_sq(v: Vec) -> Fraction:
-    return sum((x * x for x in v), Fraction(0))
+def _dist_sq_scaled(total: IntVec, den: int, out: IntVec, oden: int) -> int:
+    """||total/den - out/oden||^2, multiplied by (den * oden)^2."""
+    if len(total) != len(out):
+        raise DimensionMismatchError(
+            f"distance of lengths {len(total)}, {len(out)}")
+    return sum((t * oden - o * den) ** 2 for t, o in zip(total, out))
 
 
-def dist_sq(u: Vec, v: Vec) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"distance of lengths {len(u)}, {len(v)}")
-    return sum(((a - b) * (a - b) for a, b in zip(u, v)), Fraction(0))
-
-
-def relu_vec(v: Vec) -> Vec:
-    return tuple(x if x > 0 else Fraction(0) for x in v)
+def _relu(v: IntVec) -> IntVec:
+    return tuple(x if x > 0 else 0 for x in v)
 
 
 def _unique(atoms: Iterable[str]) -> tuple[str, ...]:
@@ -209,86 +261,125 @@ def _unique(atoms: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(atoms))
 
 
-def _vectors(emb: AttributeEmbedding, atoms: Iterable[str]) -> list[Vec]:
-    return [emb.context[a] for a in _unique(atoms)]
+def _members(sc: ScaledEmbedding, atoms: Iterable[str]) -> list[IntVec]:
+    return [sc.context[a] for a in _unique(atoms)]
 
 
 # ------------------------------------------------------------------
-# Pooling functions
+# Pooling functions: integer numerators and one denominator
 # ------------------------------------------------------------------
 
-def emb_avg(emb: AttributeEmbedding, atoms: Iterable[str]) -> Vec:
-    """Component-wise mean of the context vectors (exact)."""
-    vecs = _vectors(emb, atoms)
+def emb_avg(emb: AttributeEmbedding | ScaledEmbedding,
+            atoms: Iterable[str]) -> Pooled:
+    """Component-wise mean of the context vectors, as (sum, |S| * cden)."""
+    sc = scale(emb)
+    vecs = _members(sc, atoms)
     if not vecs:
         raise ValueError("average pooling needs a non-empty attribute set")
-    n = len(vecs)
-    return tuple(sum(col, Fraction(0)) / n for col in zip(*vecs))
+    return tuple(map(sum, zip(*vecs))), len(vecs) * sc.cden
 
 
-def emb_norm(emb: AttributeEmbedding, atoms: Iterable[str]) -> tuple[Vec, Fraction]:
-    """Normalised-sum pooling as (sum, ||sum||^2).
+def emb_norm(emb: AttributeEmbedding | ScaledEmbedding,
+             atoms: Iterable[str]) -> Pooled:
+    """Normalised-sum pooling as (sum, ||sum||^2), the sum over cden.
 
-    The unit vector itself is generally irrational, so it is never
-    built; labelling decisions on this representation square through
-    the normalisation.  An empty attribute set yields the zero vector.
+    The unit vector is generally irrational, so it is never built; it
+    does not depend on the sum's denominator, and labelling decisions
+    on this representation square through the normalisation.  An empty
+    attribute set yields the zero vector.
     """
-    vecs = _vectors(emb, atoms)
+    sc = scale(emb)
+    vecs = _members(sc, atoms)
     if not vecs:
-        zero = tuple(Fraction(0) for _ in range(emb.dimension))
-        return zero, Fraction(0)
-    total = tuple(sum(col, Fraction(0)) for col in zip(*vecs))
-    return total, norm_sq(total)
+        return (0,) * sc.dimension, 0
+    total = tuple(map(sum, zip(*vecs)))
+    return total, sum(x * x for x in total)
 
 
-def emb_had(emb: AttributeEmbedding, atoms: Iterable[str]) -> Vec:
-    """Hadamard (component-wise product) pooling."""
-    vecs = _vectors(emb, atoms)
+def emb_had(emb: AttributeEmbedding | ScaledEmbedding,
+            atoms: Iterable[str]) -> Pooled:
+    """Hadamard (component-wise product) pooling, as (product, cden^|S|)."""
+    sc = scale(emb)
+    vecs = _members(sc, atoms)
     if not vecs:
         raise ValueError("Hadamard pooling needs a non-empty attribute set")
     out = vecs[0]
     for v in vecs[1:]:
-        out = tuple(a * b for a, b in zip(out, v))
-    return out
+        out = tuple(map(mul, out, v))
+    return out, sc.cden ** len(vecs)
 
 
-def emb_ord(emb: AttributeEmbedding, atoms: Iterable[str]) -> Vec:
-    """Component-wise maximum pooling."""
-    vecs = _vectors(emb, atoms)
+def emb_ord(emb: AttributeEmbedding | ScaledEmbedding,
+            atoms: Iterable[str]) -> Pooled:
+    """Component-wise maximum pooling, as (maximum, cden)."""
+    sc = scale(emb)
+    vecs = _members(sc, atoms)
     if not vecs:
         raise ValueError("max pooling needs a non-empty attribute set")
-    return tuple(max(col) for col in zip(*vecs))
+    return tuple(map(max, zip(*vecs))), sc.cden
 
 
 # ------------------------------------------------------------------
-# Labelling functions
+# Labelling functions: denominators multiplied out, integers compared
 # ------------------------------------------------------------------
 
-def lab_dot(emb: AttributeEmbedding, e: Vec, head: str,
-            tied: bool = False) -> bool:
-    """e . output[head] >= lambda_head (context vector when tied)."""
-    target = emb.context[head] if tied else emb.output[head]
-    return dot(e, target) >= emb.lam[head]
+def _target(sc: ScaledEmbedding, head: str, tied: bool) -> tuple[IntVec, int]:
+    if tied:
+        return sc.context[head], sc.cden
+    return sc.output[head], sc.oden
 
 
-def lab_dist(emb: AttributeEmbedding, e: Vec, head: str) -> bool:
-    """Euclidean distance to output[head] at most theta_head (squared compare)."""
-    th = emb.theta[head]
-    return dist_sq(e, emb.output[head]) <= th * th
+def lab_dot(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+            head: str, tied: bool = False) -> bool:
+    """e . output[head] >= lambda_head (context vector when tied).
+
+    For e = T/D, target X/x and lambda = p/q: (T . X) q >= p D x.
+    """
+    sc = scale(emb)
+    total, den = pooled
+    target, tden = _target(sc, head, tied)
+    lam = sc.lam[head]
+    return _idot(total, target) * lam.denominator >= lam.numerator * den * tden
 
 
-def lab_relu(emb: AttributeEmbedding, e: Vec, head: str,
-             threshold: Fraction = Fraction(0)) -> bool:
-    """ReLU(e) . context[head] >= threshold (tied vectors; default 0)."""
-    return dot(relu_vec(e), emb.context[head]) >= threshold
+def lab_dist(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+             head: str) -> bool:
+    """Euclidean distance to output[head] at most theta_head.
+
+    For e = T/D, output O/o and theta = p/q, squared and multiplied out:
+    ||T o - O D||^2 q^2 <= (p D o)^2.
+    """
+    sc = scale(emb)
+    total, den = pooled
+    th = sc.theta[head]
+    distsq = _dist_sq_scaled(total, den, sc.output[head], sc.oden)
+    return distsq * th.denominator ** 2 <= (th.numerator * den * sc.oden) ** 2
 
 
-def lab_ord(emb: AttributeEmbedding, e: Vec, head: str) -> bool:
+def lab_relu(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+             head: str, threshold: Fraction = Fraction(0)) -> bool:
+    """ReLU(e) . context[head] >= threshold (tied vectors; default 0).
+
+    ReLU commutes with the positive denominator, so for e = T/D and
+    threshold p/q: (ReLU(T) . C) q >= p D cden.
+    """
+    sc = scale(emb)
+    total, den = pooled
+    relu_dot = _idot(_relu(total), sc.context[head])
+    return (relu_dot * threshold.denominator
+            >= threshold.numerator * den * sc.cden)
+
+
+def lab_ord(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+            head: str) -> bool:
     """context[head] below e in the component-wise product order."""
-    return all(b <= x for b, x in zip(emb.context[head], e))
+    sc = scale(emb)
+    total, den = pooled
+    cden = sc.cden
+    return all(b * den <= x * cden for b, x in zip(sc.context[head], total))
 
 
-def _ge_scaled_sqrt(lhs: Fraction, coeff: Fraction, q: Fraction) -> bool:
+def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
     """Decide lhs >= coeff * sqrt(q) exactly (q >= 0), without radicals."""
     if q < 0:
         raise ValueError("negative squared norm")
@@ -302,77 +393,109 @@ def _ge_scaled_sqrt(lhs: Fraction, coeff: Fraction, q: Fraction) -> bool:
     return lhs * lhs >= coeff * coeff * q
 
 
-def lab_dot_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
-                    head: str) -> bool:
+def lab_dot_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
+                    pooled: Pooled, head: str) -> bool:
     """Dot labelling on normalised pooling, decided exactly.
 
     `pooled` is the (sum, ||sum||^2) pair from `emb_norm`.  Decides
     sum . output[head] >= lambda_head * ||sum|| by sign analysis plus
-    squaring; the zero pooled vector (empty set or cancelling sum)
-    reduces to 0 >= lambda_head.
+    squaring; the sum's denominator cancels, so for output O/o and
+    lambda = p/q the test is (sum . O) q >= p o sqrt(||sum||^2).  The
+    zero pooled vector (empty set or cancelling sum) reduces to
+    0 >= lambda_head.
     """
-    total, q = pooled
-    lam = emb.lam[head]
-    if q == 0:
-        return 0 >= lam
-    return _ge_scaled_sqrt(dot(total, emb.output[head]), lam, q)
+    sc = scale(emb)
+    total, normsq = pooled
+    lam = sc.lam[head]
+    if normsq == 0:
+        return lam <= 0
+    return _ge_scaled_sqrt(_idot(total, sc.output[head]) * lam.denominator,
+                           lam.numerator * sc.oden, normsq)
 
 
-def lab_dist_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
-                     head: str) -> bool:
+def lab_dist_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
+                     pooled: Pooled, head: str) -> bool:
     """Distance labelling on normalised pooling, decided exactly.
 
     `pooled` is the (sum, ||sum||^2) pair from `emb_norm`.  For a unit
     pooled vector e, d(e, b) <= theta_b unfolds to
-    2 (sum . b) >= (1 + ||b||^2 - theta_b^2) ||sum||, which the squaring
-    helper decides; the zero pooled vector compares ||b|| to theta_b.
+    2 (sum . b) >= (1 + ||b||^2 - theta_b^2) ||sum||; with b = O/o and
+    theta_b = p/q it is multiplied by o^2 q^2 (and the sum's
+    denominator) and decided by the squaring helper.  The zero pooled
+    vector compares ||b|| to theta_b.
     """
-    total, q = pooled
-    out = emb.output[head]
-    th = emb.theta[head]
-    if q == 0:
-        return norm_sq(out) <= th * th
-    coeff = 1 + norm_sq(out) - th * th
-    return _ge_scaled_sqrt(2 * dot(total, out), coeff, q)
+    sc = scale(emb)
+    total, normsq = pooled
+    out, oden = sc.output[head], sc.oden
+    th = sc.theta[head]
+    p2, q2 = th.numerator ** 2, th.denominator ** 2
+    out_sq = sum(x * x for x in out)
+    if normsq == 0:
+        return out_sq * q2 <= p2 * oden * oden
+    coeff = (oden * oden + out_sq) * q2 - p2 * oden * oden
+    return _ge_scaled_sqrt(2 * _idot(total, out) * oden * q2, coeff, normsq)
 
 
 # ------------------------------------------------------------------
-# Mismatch scores: the exact quantities behind a labelling decision
+# Mismatch scores: the exact quantities behind a labelling decision,
+# brought back to rationals only for the report text
 # ------------------------------------------------------------------
 
-def _score_dot(emb: AttributeEmbedding, e: Vec, head: str,
-               tied: bool = False) -> str:
-    target = emb.context[head] if tied else emb.output[head]
-    return f"dot={frac_str(dot(e, target))} lambda={frac_str(emb.lam[head])}"
+def _ratio(num: int, den: int) -> str:
+    return frac_str(Fraction(num, den))
 
 
-def _score_dist(emb: AttributeEmbedding, e: Vec, head: str) -> str:
-    return (f"distsq={frac_str(dist_sq(e, emb.output[head]))} "
-            f"theta={frac_str(emb.theta[head])}")
+def _score_dot(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+               head: str, tied: bool = False) -> str:
+    sc = scale(emb)
+    total, den = pooled
+    target, tden = _target(sc, head, tied)
+    return (f"dot={_ratio(_idot(total, target), den * tden)} "
+            f"lambda={frac_str(sc.lam[head])}")
 
 
-def _score_relu(emb: AttributeEmbedding, e: Vec, head: str) -> str:
-    return f"relu_dot={frac_str(dot(relu_vec(e), emb.context[head]))}"
+def _score_dist(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+                head: str) -> str:
+    sc = scale(emb)
+    total, den = pooled
+    distsq = _dist_sq_scaled(total, den, sc.output[head], sc.oden)
+    return (f"distsq={_ratio(distsq, (den * sc.oden) ** 2)} "
+            f"theta={frac_str(sc.theta[head])}")
 
 
-def _score_ord(emb: AttributeEmbedding, e: Vec, head: str) -> str:
-    return f"pooled={','.join(frac_str(x) for x in e)}"
+def _score_relu(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+                head: str) -> str:
+    sc = scale(emb)
+    total, den = pooled
+    relu_dot = _idot(_relu(total), sc.context[head])
+    return f"relu_dot={_ratio(relu_dot, den * sc.cden)}"
 
 
-def _score_dot_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
-                       head: str) -> str:
-    total, q = pooled
-    return (f"sum.out={frac_str(dot(total, emb.output[head]))} "
-            f"normsq={frac_str(q)} lambda={frac_str(emb.lam[head])}")
+def _score_ord(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+               head: str) -> str:
+    total, den = pooled
+    return f"pooled={','.join(_ratio(x, den) for x in total)}"
 
 
-def _score_dist_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
-                        head: str) -> str:
-    total, q = pooled
-    out = emb.output[head]
-    return (f"sum.out={frac_str(dot(total, out))} normsq={frac_str(q)} "
-            f"outsq={frac_str(norm_sq(out))} "
-            f"theta={frac_str(emb.theta[head])}")
+def _score_dot_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
+                       pooled: Pooled, head: str) -> str:
+    sc = scale(emb)
+    total, normsq = pooled
+    sum_out = _idot(total, sc.output[head])
+    return (f"sum.out={_ratio(sum_out, sc.cden * sc.oden)} "
+            f"normsq={_ratio(normsq, sc.cden ** 2)} "
+            f"lambda={frac_str(sc.lam[head])}")
+
+
+def _score_dist_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
+                        pooled: Pooled, head: str) -> str:
+    sc = scale(emb)
+    total, normsq = pooled
+    out = sc.output[head]
+    return (f"sum.out={_ratio(_idot(total, out), sc.cden * sc.oden)} "
+            f"normsq={_ratio(normsq, sc.cden ** 2)} "
+            f"outsq={_ratio(sum(x * x for x in out), sc.oden ** 2)} "
+            f"theta={frac_str(sc.theta[head])}")
 
 
 # ------------------------------------------------------------------
@@ -380,7 +503,10 @@ def _score_dist_on_norm(emb: AttributeEmbedding, pooled: tuple[Vec, Fraction],
 # ------------------------------------------------------------------
 
 class ExactRule(NamedTuple):
-    """pool(emb, atoms) -> pooled; label/score(emb, pooled, head)."""
+    """pool(emb, atoms) -> pooled; label/score(emb, pooled, head).
+
+    `emb` is a `ScaledEmbedding` or an `AttributeEmbedding`, which is
+    scaled on the call."""
 
     pool: Callable
     label: Callable[..., bool]
@@ -419,7 +545,8 @@ def strategy_accepts(emb: AttributeEmbedding, strategy: StrategyId,
                      atoms: Iterable[str], head: str) -> bool:
     """Does `head` belong to the label set of the pooled embedding of `atoms`?"""
     rule = exact_rule(strategy)
-    return rule.label(emb, rule.pool(emb, atoms), head)
+    sc = scale(emb)
+    return rule.label(sc, rule.pool(sc, atoms), head)
 
 
 # ------------------------------------------------------------------

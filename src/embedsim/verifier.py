@@ -1,13 +1,18 @@
 """Exhaustive checking of embeddings against the logical consequence oracle.
 
 A verification sweep enumerates every non-empty attribute subset up to a
-cap, asks the logical oracle (entailment for plain KBs, ranked-default
-consequence for stratified ones) what the verdict should be, evaluates
-the strategy's labelling decision exactly, and records every mismatch.  The
-sweep order is canonical: subsets ordered by (size, bitmask), heads by
-signature index, so reports are deterministic.  Each subset is pooled
-once for all its heads, and a mismatch's score is read off that pooled
-value.
+cap, reads the logical verdict (entailment for plain KBs, ranked-default
+consequence for stratified ones) from the KB's consequence table,
+evaluates the strategy's labelling decision exactly, and records every
+mismatch.  The sweep order is canonical: subsets ordered by (size,
+bitmask), heads by signature index, so reports are deterministic.
+
+A sweep does the per-KB and per-embedding work once: it fetches the
+consequence table (`logic.entailment_table` or
+`logic.nm_consequence_table`, indexed by subset mask) and scales the
+embedding to integers (`strategies.scale`).  Each subset is then pooled
+once for all its heads, in integers, and a mismatch's score is read off
+that pooled value.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
 undefined for most strategies); each report records that exclusion.
@@ -17,12 +22,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
+from typing import Callable
 
-from .logic import (KnowledgeBase, Signature, StratifiedKB, entails,
-                    kb_digest, nm_consequence_rank)
+import numpy as np
+
+# `entails` is not called here; the benchmark's tracing test reads it
+# back as `embedsim.verifier.entails` after removing its wrappers
+from .logic import entails  # noqa: F401
+from .logic import (KnowledgeBase, Signature, StratifiedKB, entailment_table,
+                    kb_digest, nm_consequence_table)
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
-                         StrategyId, emb_had, emb_ord, exact_rule, lab_dot,
-                         lab_ord)
+                         ScaledEmbedding, StrategyId, emb_had, emb_ord,
+                         exact_rule, lab_dot, lab_ord, scale)
 
 FULL_SWEEP_ATOM_LIMIT = 8
 CAPPED_SWEEP_DEFAULT = 4
@@ -83,13 +95,19 @@ def default_cap(signature: Signature) -> int:
 
 
 def nonempty_subsets(signature: Signature, cap: int) -> list[tuple[str, ...]]:
-    """Non-empty subsets up to the cap in canonical (|S|, S-bitmask) order."""
-    n = len(signature)
-    masks = sorted(
-        (m for m in range(1, 1 << n) if bin(m).count("1") <= cap),
-        key=lambda m: (bin(m).count("1"), m),
-    )
-    return [signature.names(m) for m in masks]
+    """Non-empty subsets up to the cap in canonical (|S|, S-bitmask) order.
+
+    Each size is generated directly, so the cost follows the number of
+    subsets returned, not 2^n.
+    """
+    atoms = signature.atoms
+    subsets = []
+    for size in range(1, min(cap, len(atoms)) + 1):
+        # combinations come in lexicographic index order, not mask order
+        combos = sorted(combinations(range(len(atoms)), size),
+                        key=lambda combo: sum(1 << i for i in combo))
+        subsets += [tuple(atoms[i] for i in combo) for combo in combos]
+    return subsets
 
 
 def subset_queries(signature: Signature, cap: int) -> list[Query]:
@@ -107,9 +125,11 @@ def _check_coverage(embedding: AttributeEmbedding,
             f"embedding lacks vectors for atoms: {', '.join(missing)}")
 
 
-def _sweep(embedding: AttributeEmbedding, strategy: StrategyId,
-           kind: str, digest: str, oracle, signature: Signature,
+def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
+           kb: KnowledgeBase | StratifiedKB,
+           consequence_table: Callable[..., np.ndarray],
            cap: int | None, queries: list[Query] | None) -> VerificationReport:
+    signature = kb.signature
     _check_coverage(embedding, signature)
     rule = exact_rule(strategy)
     if cap is None:
@@ -118,21 +138,24 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId,
     if queries is None:
         queries = subset_queries(signature, cap)
     started = time.perf_counter()
+    table = consequence_table(kb)
+    scaled = scale(embedding)
     mismatches = []
-    pooled_subset = pooled = None
+    pooled_subset = pooled = implied = None
     for subset, head in queries:
-        # consecutive queries on one subset share its pooled value, and
-        # the canonical order lists each subset's heads together
+        # consecutive queries on one subset share its pooled value and
+        # table entry, and the canonical order lists its heads together
         if subset != pooled_subset:
-            pooled_subset, pooled = subset, rule.pool(embedding, subset)
-        expected = oracle(subset, head)
-        got = rule.label(embedding, pooled, head)
+            pooled_subset, pooled = subset, rule.pool(scaled, subset)
+            implied = int(table[signature.mask(subset)])
+        expected = bool(implied & signature.bit(head))
+        got = rule.label(scaled, pooled, head)
         if expected != got:
             mismatches.append(Mismatch(subset, head, expected, got,
-                                       rule.score(embedding, pooled, head)))
+                                       rule.score(scaled, pooled, head)))
     return VerificationReport(
         strategy=strategy.name,
-        kb_digest=digest,
+        kb_digest=kb_digest(kb),
         kind=kind,
         cap=cap,
         capped=capped,
@@ -146,8 +169,7 @@ def verify_monotonic(embedding: AttributeEmbedding, strategy: StrategyId,
                      kb: KnowledgeBase, cap: int | None = None,
                      queries: list[Query] | None = None) -> VerificationReport:
     """Check the embedding's label sets against entailment on every query."""
-    return _sweep(embedding, strategy, "monotonic", kb_digest(kb),
-                  lambda s, h: entails(kb, s, h), kb.signature,
+    return _sweep(embedding, strategy, "monotonic", kb, entailment_table,
                   cap, queries)
 
 
@@ -156,9 +178,10 @@ def verify_nonmonotonic(embedding: AttributeEmbedding, strategy: StrategyId,
                         queries: list[Query] | None = None
                         ) -> VerificationReport:
     """Check the embedding's label sets against ranked-default consequence."""
-    return _sweep(embedding, strategy, "non-monotonic", kb_digest(theta),
-                  lambda s, h: nm_consequence_rank(theta, s, h),
-                  theta.signature, cap, queries)
+    if queries is not None and not all(subset for subset, _ in queries):
+        raise ValueError("antecedent must be a non-empty atom set")
+    return _sweep(embedding, strategy, "non-monotonic", theta,
+                  nm_consequence_table, cap, queries)
 
 
 # ------------------------------------------------------------------
@@ -179,11 +202,10 @@ class PropertyReport:
                 "trace": self.trace}
 
 
-def _ord_labels(embedding: AttributeEmbedding,
+def _ord_labels(scaled: ScaledEmbedding,
                 subset: tuple[str, ...]) -> tuple[str, ...]:
-    pooled = emb_ord(embedding, subset)
-    return tuple(b for b in embedding.atoms
-                 if lab_ord(embedding, pooled, b))
+    pooled = emb_ord(scaled, subset)
+    return tuple(b for b in scaled.context if lab_ord(scaled, pooled, b))
 
 
 def check_ord_monotonicity(embedding: AttributeEmbedding,
@@ -199,7 +221,8 @@ def check_ord_monotonicity(embedding: AttributeEmbedding,
     if cap is None:
         cap = default_cap(sig)
     subsets = nonempty_subsets(sig, cap)
-    labels = {s: _ord_labels(embedding, s) for s in subsets}
+    scaled = scale(embedding)
+    labels = {s: _ord_labels(scaled, s) for s in subsets}
     violations = []
     checked = 0
     trace = None
@@ -237,12 +260,13 @@ def check_tied_hadamard_symmetry(embedding: AttributeEmbedding) -> PropertyRepor
     violations = []
     checked = 0
     trace = None
+    scaled = scale(embedding)
     for a in embedding.atoms:
-        e_a = emb_had(embedding, (a,))
+        e_a = emb_had(scaled, (a,))
         for b in embedding.atoms:
             checked += 1
-            fwd = lab_dot(embedding, e_a, b, tied=True)
-            bwd = lab_dot(embedding, emb_had(embedding, (b,)), a, tied=True)
+            fwd = lab_dot(scaled, e_a, b, tied=True)
+            bwd = lab_dot(scaled, emb_had(scaled, (b,)), a, tied=True)
             if fwd != bwd:
                 violations.append({"a": a, "b": b, "a_labels_b": fwd,
                                    "b_labels_a": bwd})

@@ -8,16 +8,23 @@ and the evaluator is its own recursion.  They share only the formula AST.
 split systems into connected blocks: one joint tableau, dense row
 updates.  It shares the system types and the exact re-checks with the
 library and must return exactly what `lp_feasible` returns.
+
+The `ref_*` pooling, labelling and score functions are the exact
+strategy evaluators as they stood before the library moved to integer
+kernels: every coordinate a `Fraction`, pooled vectors rational.  They
+must decide every query as the library does and print the same score.
 """
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
                                 LinearSystem, _normalize_multipliers,
                                 _oriented, verify_farkas, verify_witness)
 from embedsim.logic import (And, Const, Iff, Implies, KnowledgeBase, Not, Or,
                             StratifiedKB, Var)
+from embedsim.strategies import DimensionMismatchError, frac_str
 
 
 def tt_evaluate(formula, assignment: dict) -> bool:
@@ -59,6 +66,17 @@ def tt_entails(kb: KnowledgeBase, subset, head) -> bool:
         if all(model[a] for a in subset) and not model[head]:
             return False
     return True
+
+
+def mask_filter_subsets(signature, cap):
+    """Non-empty subsets up to the cap, by filtering all 2^n masks and
+    sorting them by (size, mask): the definition of the canonical order."""
+    n = len(signature)
+    masks = sorted(
+        (m for m in range(1, 1 << n) if bin(m).count("1") <= cap),
+        key=lambda m: (bin(m).count("1"), m),
+    )
+    return [signature.names(m) for m in masks]
 
 
 def tt_mu(theta: StratifiedKB, assignment: dict) -> int:
@@ -205,3 +223,163 @@ def dense_lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
     return FeasibilityOutcome(False,
                               farkas=FarkasCertificate(multipliers, gap))
 
+
+
+# ------------------------------------------------------------------
+# Fraction reference for the exact strategy evaluators
+# ------------------------------------------------------------------
+
+def ref_dot(u, v) -> Fraction:
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"dot of lengths {len(u)} and {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def ref_norm_sq(v) -> Fraction:
+    return sum((x * x for x in v), Fraction(0))
+
+
+def ref_dist_sq(u, v) -> Fraction:
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"distance of lengths {len(u)}, {len(v)}")
+    return sum(((a - b) * (a - b) for a, b in zip(u, v)), Fraction(0))
+
+
+def ref_relu_vec(v):
+    return tuple(x if x > 0 else Fraction(0) for x in v)
+
+
+def _ref_vectors(emb, atoms):
+    return [emb.context[a] for a in dict.fromkeys(atoms)]
+
+
+def ref_emb_avg(emb, atoms):
+    vecs = _ref_vectors(emb, atoms)
+    if not vecs:
+        raise ValueError("average pooling needs a non-empty attribute set")
+    n = len(vecs)
+    return tuple(sum(col, Fraction(0)) / n for col in zip(*vecs))
+
+
+def ref_emb_norm(emb, atoms):
+    """(sum, ||sum||^2); the zero vector for the empty set."""
+    vecs = _ref_vectors(emb, atoms)
+    if not vecs:
+        zero = tuple(Fraction(0) for _ in range(emb.dimension))
+        return zero, Fraction(0)
+    total = tuple(sum(col, Fraction(0)) for col in zip(*vecs))
+    return total, ref_norm_sq(total)
+
+
+def ref_emb_had(emb, atoms):
+    vecs = _ref_vectors(emb, atoms)
+    if not vecs:
+        raise ValueError("Hadamard pooling needs a non-empty attribute set")
+    out = vecs[0]
+    for v in vecs[1:]:
+        out = tuple(a * b for a, b in zip(out, v))
+    return out
+
+
+def ref_emb_ord(emb, atoms):
+    vecs = _ref_vectors(emb, atoms)
+    if not vecs:
+        raise ValueError("max pooling needs a non-empty attribute set")
+    return tuple(max(col) for col in zip(*vecs))
+
+
+def ref_lab_dot(emb, e, head, tied=False) -> bool:
+    target = emb.context[head] if tied else emb.output[head]
+    return ref_dot(e, target) >= emb.lam[head]
+
+
+def ref_lab_dist(emb, e, head) -> bool:
+    th = emb.theta[head]
+    return ref_dist_sq(e, emb.output[head]) <= th * th
+
+
+def ref_lab_relu(emb, e, head, threshold=Fraction(0)) -> bool:
+    return ref_dot(ref_relu_vec(e), emb.context[head]) >= threshold
+
+
+def ref_lab_ord(emb, e, head) -> bool:
+    return all(b <= x for b, x in zip(emb.context[head], e))
+
+
+def ref_ge_scaled_sqrt(lhs, coeff, q) -> bool:
+    """lhs >= coeff * sqrt(q) for q >= 0, by sign analysis and squaring."""
+    if coeff <= 0:
+        return lhs >= 0 or coeff * coeff * q >= lhs * lhs
+    return lhs >= 0 and lhs * lhs >= coeff * coeff * q
+
+
+def ref_lab_dot_on_norm(emb, pooled, head) -> bool:
+    total, q = pooled
+    lam = emb.lam[head]
+    if q == 0:
+        return 0 >= lam
+    return ref_ge_scaled_sqrt(ref_dot(total, emb.output[head]), lam, q)
+
+
+def ref_lab_dist_on_norm(emb, pooled, head) -> bool:
+    total, q = pooled
+    out = emb.output[head]
+    th = emb.theta[head]
+    if q == 0:
+        return ref_norm_sq(out) <= th * th
+    coeff = 1 + ref_norm_sq(out) - th * th
+    return ref_ge_scaled_sqrt(2 * ref_dot(total, out), coeff, q)
+
+
+def ref_score_dot(emb, e, head, tied=False) -> str:
+    target = emb.context[head] if tied else emb.output[head]
+    return (f"dot={frac_str(ref_dot(e, target))} "
+            f"lambda={frac_str(emb.lam[head])}")
+
+
+def ref_score_dist(emb, e, head) -> str:
+    return (f"distsq={frac_str(ref_dist_sq(e, emb.output[head]))} "
+            f"theta={frac_str(emb.theta[head])}")
+
+
+def ref_score_relu(emb, e, head) -> str:
+    return f"relu_dot={frac_str(ref_dot(ref_relu_vec(e), emb.context[head]))}"
+
+
+def ref_score_ord(emb, e, head) -> str:
+    return f"pooled={','.join(frac_str(x) for x in e)}"
+
+
+def ref_score_dot_on_norm(emb, pooled, head) -> str:
+    total, q = pooled
+    return (f"sum.out={frac_str(ref_dot(total, emb.output[head]))} "
+            f"normsq={frac_str(q)} lambda={frac_str(emb.lam[head])}")
+
+
+def ref_score_dist_on_norm(emb, pooled, head) -> str:
+    total, q = pooled
+    out = emb.output[head]
+    return (f"sum.out={frac_str(ref_dot(total, out))} normsq={frac_str(q)} "
+            f"outsq={frac_str(ref_norm_sq(out))} "
+            f"theta={frac_str(emb.theta[head])}")
+
+
+# strategy name -> (pool, label, score), as `strategies.exact_rule` maps them
+REF_RULES = {
+    "avg-dot": (ref_emb_avg, ref_lab_dot, ref_score_dot),
+    "avg-dist": (ref_emb_avg, ref_lab_dist, ref_score_dist),
+    "norm-dot": (ref_emb_norm, ref_lab_dot_on_norm, ref_score_dot_on_norm),
+    "norm-dist": (ref_emb_norm, ref_lab_dist_on_norm, ref_score_dist_on_norm),
+    "avg-relu": (ref_emb_avg, ref_lab_relu, ref_score_relu),
+    "had-dot": (ref_emb_had, ref_lab_dot, ref_score_dot),
+    "had-dot-tied": (ref_emb_had, partial(ref_lab_dot, tied=True),
+                     partial(ref_score_dot, tied=True)),
+    "ord-ord": (ref_emb_ord, ref_lab_ord, ref_score_ord),
+}
+
+
+def ref_evaluate(emb, strategy_name: str, atoms, head) -> tuple[bool, str]:
+    """(decision, score text) of one query on the Fraction reference."""
+    pool, label, score = REF_RULES[strategy_name]
+    pooled = pool(emb, atoms)
+    return label(emb, pooled, head), score(emb, pooled, head)

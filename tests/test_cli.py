@@ -1,6 +1,11 @@
 """End-to-end CLI behaviour: subcommands, exit codes, config precedence."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +198,38 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", ce1_file, str(emb),
                          "--strategy", "avg-dot", "--jobs", "2")
         assert code == 2
+
+
+class BrokenPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    def test_verify_into_closed_pipe_exits_quietly(self, capsys, monkeypatch,
+                                                  ce1_file, tmp_path):
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code = main(["verify", ce1_file, str(emb), "--strategy", "avg-dot"])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    def test_process_with_closed_pipe_prints_no_traceback(self, ce1_file):
+        # the output fits the stdout buffer, so the failing write is the
+        # final flush; the pipe is closed before the child starts writing
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "embedsim.cli", "check", ce1_file],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestCertify:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rule_kb, random_stratified_kb
+from conftest import random_formula, random_rule_kb, random_stratified_kb
 from embedsim import logic
 from embedsim.logic import (TOP, And, CapExceededError,
                             DuplicateAtomError, Implies, KnowledgeBase, Not,
@@ -337,3 +337,65 @@ class TestNonMonotonicConsequence:
         head = data.draw(st.sampled_from(atoms))
         assert (nm_consequence_def(theta, subset, head)
                 == nm_consequence_rank(theta, subset, head))
+
+
+# ------------------------------------------------------------------
+# Consequence tables (superset transforms)
+# ------------------------------------------------------------------
+
+def _formula_kb(rng, atoms):
+    # arbitrary formulas, so model sets are not closed under anything
+    return KnowledgeBase(Signature(tuple(atoms)), tuple(
+        random_formula(rng, atoms) for _ in range(rng.randint(1, 3))))
+
+
+class TestConsequenceTables:
+    atoms = ["a", "b", "c", "d"]
+
+    def test_entailment_table_matches_truth_tables(self):
+        rng = random.Random(41)
+        kbs = [random_rule_kb(rng, self.atoms) for _ in range(10)]
+        kbs += [_formula_kb(rng, self.atoms) for _ in range(10)]
+        for kb in kbs:
+            table = logic.entailment_table(kb)
+            assert len(table) == 16 and not table.flags.writeable
+            # every antecedent, the empty one and those holding the head
+            for mask in range(16):
+                subset = kb.signature.names(mask)
+                for head in self.atoms:
+                    want = tt_entails(kb, subset, head)
+                    assert bool(table[mask] & kb.signature.bit(head)) == want
+                    assert entails(kb, subset, head) == want
+
+    def test_inconsistent_kb_entails_everything(self):
+        kb = parse_kb("atoms: a b c d\nformula: a\nformula: !a\n")
+        assert list(logic.entailment_table(kb)) == [0b1111] * 16
+        assert entails(kb, (), "a") and entails(kb, ("b", "c"), "d")
+        assert entails(kb, ("a",), "a")
+
+    def test_rank_table_matches_both_definitions(self):
+        rng = random.Random(43)
+        for _ in range(25):
+            theta = random_stratified_kb(rng, self.atoms, max_strata=4)
+            table = logic.nm_consequence_table(theta)
+            assert len(table) == 16 and not table.flags.writeable
+            for mask in range(1, 16):
+                subset = theta.signature.names(mask)
+                for head in self.atoms:
+                    want = tt_nm_rank(theta, subset, head)
+                    got = bool(table[mask] & theta.signature.bit(head))
+                    assert got == want
+                    assert nm_consequence_rank(theta, subset, head) == want
+                    assert nm_consequence_def(theta, subset, head) == want
+                    if head in subset:
+                        assert want
+
+    def test_unsatisfiable_stratum_leaves_only_the_antecedent(self):
+        # every interpretation has rank 0, so S |> b exactly when b is in S
+        theta = parse_kb("atoms: a b c\nstratum: a & !a\n")
+        for mask in range(1, 8):
+            subset = theta.signature.names(mask)
+            for head in ("a", "b", "c"):
+                assert nm_consequence_rank(theta, subset, head) == (
+                    head in subset)
+                assert tt_nm_rank(theta, subset, head) == (head in subset)

@@ -10,15 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_embedding
-from embedsim.strategies import (AttributeEmbedding, DimensionMismatchError,
+from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
+                                 DimensionMismatchError,
                                  ExactEvaluationError, angular_error,
                                  cone_residual, emb_avg, emb_had, emb_norm,
                                  emb_ord, emb_sig_numeric, frac_str, lab_dist,
                                  lab_dist_on_norm, lab_dot, lab_dot_on_norm,
-                                 lab_ord, lab_relu, parse_frac, relu_vec,
-                                 sig_gradient, sig_objective,
-                                 strategy_accepts, strategy_from_name,
-                                 AVG_DOT, ORD_ORD, _sigmoid)
+                                 lab_ord, lab_relu, parse_frac, _relu,
+                                 exact_rule, scale, sig_gradient,
+                                 sig_objective, strategy_accepts,
+                                 strategy_from_name, AVG_DOT, ORD_ORD,
+                                 _sigmoid)
+from oracles import REF_RULES, ref_emb_avg, ref_evaluate, ref_lab_relu
 
 F = Fraction
 
@@ -45,15 +48,15 @@ class TestPooling:
 
     def test_avg_opposite_pair_cancels(self):
         emb = make_embedding(self.witness)
-        assert emb_avg(emb, ("a", "b")) == (F(0), F(0))
+        assert emb_avg(emb, ("a", "b")) == ((0, 0), 2)
 
     def test_avg_singleton_identity(self):
         emb = make_embedding(self.witness)
-        assert emb_avg(emb, ("a",)) == (F(-1), F(0))
+        assert emb_avg(emb, ("a",)) == ((-1, 0), 1)
 
     def test_avg_all_four(self):
         emb = make_embedding(self.witness)
-        assert emb_avg(emb, ("a", "b", "c", "d")) == (F(0), F(0))
+        assert emb_avg(emb, ("a", "b", "c", "d")) == ((0, 0), 4)
 
     def test_avg_empty_raises(self):
         emb = make_embedding(self.witness)
@@ -79,27 +82,28 @@ class TestPooling:
         vec, q = emb_norm(emb, ("v",))
         assert vec == (F(3), F(4)) and q == 25
         # implied unit vector (3/5, 4/5)
-        assert tuple(x / 5 for x in vec) == (F(3, 5), F(4, 5))
+        assert tuple(F(x, 5) for x in vec) == (F(3, 5), F(4, 5))
 
     def test_hadamard_indicator_and(self):
         emb = make_embedding({"p": (1, 0, 1), "q": (1, 1, 0)})
-        assert emb_had(emb, ("p", "q")) == (F(1), F(0), F(0))
+        assert emb_had(emb, ("p", "q")) == ((1, 0, 0), 1)
 
     def test_hadamard_singleton(self):
         emb = make_embedding({"p": (1, 0, 1)})
-        assert emb_had(emb, ("p",)) == (F(1), F(0), F(1))
+        assert emb_had(emb, ("p",)) == ((1, 0, 1), 1)
 
     def test_max_pool(self):
         emb = make_embedding({"p": (0, 1), "q": (1, 0)})
-        assert emb_ord(emb, ("p", "q")) == (F(1), F(1))
+        assert emb_ord(emb, ("p", "q")) == ((1, 1), 1)
 
     def test_max_dominates_members(self):
         rng = random.Random(3)
         for _ in range(20):
             emb = random_embedding(rng, ["a", "b", "c"])
-            pooled = emb_ord(emb, ("a", "b", "c"))
+            pooled, den = emb_ord(emb, ("a", "b", "c"))
             for a in ("a", "b", "c"):
-                assert all(x <= y for x, y in zip(emb.context[a], pooled))
+                assert all(x <= F(y, den)
+                           for x, y in zip(emb.context[a], pooled))
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(["a", "b", "c", "d"]), st.integers(0, 10**6))
@@ -123,19 +127,19 @@ class TestLabelling:
             {"parent": (-1, 1), "female": (1, 1), "mother": (0, 1)},
             lam={"mother": 1, "parent": 0, "female": 0})
         pooled = emb_avg(emb, ("parent", "female"))
-        assert pooled == (F(0), F(1))
+        assert pooled == ((0, 2), 2)  # (0, 1)
         assert lab_dot(emb, pooled, "mother")
 
     def test_dot_zero_vector_thresholds(self):
         emb = make_embedding({"b": (1, 1)}, lam={"b": 0})
-        assert lab_dot(emb, (F(0), F(0)), "b")
+        assert lab_dot(emb, ((0, 0), 1), "b")
         emb2 = make_embedding({"b": (1, 1)}, lam={"b": 1})
-        assert not lab_dot(emb2, (F(0), F(0)), "b")
+        assert not lab_dot(emb2, ((0, 0), 1), "b")
 
     def test_dot_dimension_mismatch(self):
         emb = make_embedding({"b": (1, 1)})
         with pytest.raises(DimensionMismatchError):
-            lab_dot(emb, (F(1),), "b")
+            lab_dot(emb, ((1,), 1), "b")
 
     def test_dist_witness_configuration(self):
         # avg{a,b} hits the head exactly; avg{a,c} misses at radius 1/2
@@ -148,20 +152,20 @@ class TestLabelling:
 
     def test_dist_at_center_and_zero_radius(self):
         emb = make_embedding({"b": (2, 3)}, theta={"b": 0})
-        assert lab_dist(emb, (F(2), F(3)), "b")
-        assert not lab_dist(emb, (F(2), F(4)), "b")
+        assert lab_dist(emb, ((2, 3), 1), "b")
+        assert not lab_dist(emb, ((2, 4), 1), "b")
 
     def test_relu_clamps(self):
-        assert relu_vec((F(-3), F(2))) == (F(0), F(2))
+        assert _relu((-3, 2)) == (0, 2)
 
     def test_relu_all_negative_accepts_everything(self):
         emb = make_embedding({"b": (-5, -7)})
-        assert lab_relu(emb, (F(-1), F(-2)), "b")
+        assert lab_relu(emb, ((-1, -2), 1), "b")
 
     def test_ord_reflexive_and_strict(self):
         emb = make_embedding({"b": (0, 1), "c": (1, 0)})
-        assert lab_ord(emb, (F(0), F(1)), "b")
-        assert not lab_ord(emb, (F(1), F(0)), "b")
+        assert lab_ord(emb, ((0, 1), 1), "b")
+        assert not lab_ord(emb, ((1, 0), 1), "b")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6),
@@ -170,7 +174,7 @@ class TestLabelling:
         # scaling output vector and threshold together never flips the verdict
         rng = random.Random(seed)
         emb = random_embedding(rng, ["a", "b"])
-        e = emb.context["a"]
+        e = emb_avg(emb, ("a",))  # the context vector of a
         scaled = AttributeEmbedding(
             emb.dimension, dict(emb.context),
             {k: tuple(scale * x for x in v) for k, v in emb.output.items()},
@@ -195,7 +199,8 @@ class TestNormalisedLabelling:
     def test_squared_comparison(self):
         # sum.out = 3, ||sum||^2 = 4, lambda = 2: 3 >= 2*2 is false
         emb = make_embedding({"a": (2, 0), "x": (F(3, 2), 0)}, lam={"x": 2})
-        assert emb_norm(emb, ("a",))[1] == 4
+        # the context denominator is 2, so the sum is carried as (4, 0)
+        assert emb_norm(emb, ("a",)) == ((4, 0), 16)
         assert not lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "x")
 
     def test_negative_lambda_negative_dot(self):
@@ -241,8 +246,9 @@ class TestNormalisedLabelling:
         emb = make_embedding({"e": e, "b": out},
                              lam={"b": (1 + b1 * b1 + b2 * b2 - th * th) / 2},
                              theta={"b": th})
-        direct = lab_dist(emb, e, "b")
-        dot_form = lab_dot(emb, e, "b")
+        pooled = emb_avg(emb, ("e",))  # the vector e itself
+        direct = lab_dist(emb, pooled, "b")
+        dot_form = lab_dot(emb, pooled, "b")
         assert direct == dot_form
         # and the squaring-based path agrees with both
         assert lab_dist_on_norm(emb, emb_norm(emb, ("e",)), "b") == direct
@@ -282,6 +288,88 @@ class TestStrategyDispatch:
             emb, emb_avg(emb, subset), "c")
         assert strategy_accepts(emb, ORD_ORD, subset, "c") == lab_ord(
             emb, emb_ord(emb, subset), "c")
+
+
+# ------------------------------------------------------------------
+# Integer kernels against the Fraction reference
+# ------------------------------------------------------------------
+
+EXACT = [s for s in TABLE1_STRATEGIES if s.exact]
+KERNEL_ATOMS = ("a", "b", "c", "d", "e", "f")
+# mixed denominators: the lcm of a family's denominators reaches 60
+coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+thresholds = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3,
+                                                   max_denominator=5))
+radii = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=4,
+                                              max_denominator=5))
+
+
+@st.composite
+def kernel_embeddings(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[coords] * dim)
+    context = {a: draw(vec) for a in KERNEL_ATOMS[:-1]}
+    # f cancels e, so {e, f} pools to the zero sum (||sum||^2 = 0)
+    context["f"] = tuple(-x for x in context["e"])
+    output = {a: draw(vec) for a in KERNEL_ATOMS}
+    return AttributeEmbedding(
+        dim, context, output,
+        {a: draw(thresholds) for a in KERNEL_ATOMS},
+        {a: draw(radii) for a in KERNEL_ATOMS})
+
+
+class TestKernelsMatchFractionReference:
+    def test_reference_covers_every_exact_strategy(self):
+        assert sorted(REF_RULES) == sorted(s.name for s in EXACT)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kernel_embeddings(),
+           st.lists(st.sampled_from(KERNEL_ATOMS), min_size=1, max_size=8))
+    def test_decisions_and_scores(self, emb, drawn):
+        scaled = scale(emb)
+        # the drawn atoms (duplicates included), a cancelling pair, and a
+        # Hadamard product over all six atoms
+        subsets = [tuple(drawn), ("e", "f"), KERNEL_ATOMS]
+        for strategy in EXACT:
+            rule = exact_rule(strategy)
+            cases = subsets + ([()] if strategy.pooling == "norm" else [])
+            for subset in cases:
+                pooled = rule.pool(scaled, subset)
+                assert rule.pool(emb, subset) == pooled
+                for head in KERNEL_ATOMS:
+                    want = ref_evaluate(emb, strategy.name, subset, head)
+                    got = (rule.label(scaled, pooled, head),
+                           rule.score(scaled, pooled, head))
+                    assert got == want, (strategy.name, subset, head)
+                    if subset:
+                        assert strategy_accepts(
+                            emb, strategy, subset + subset[:1],
+                            head) == want[0]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kernel_embeddings(), thresholds)
+    def test_relu_with_a_threshold(self, emb, threshold):
+        # exact_rule uses the default threshold 0 only
+        for subset in (("a", "b"), ("e", "f"), KERNEL_ATOMS):
+            pooled, ref = emb_avg(emb, subset), ref_emb_avg(emb, subset)
+            for head in KERNEL_ATOMS:
+                assert lab_relu(emb, pooled, head, threshold) == (
+                    ref_lab_relu(emb, ref, head, threshold))
+
+    def test_scaling_reads_the_current_thresholds(self):
+        emb = make_embedding({"a": (1, 0), "b": (1, 0)}, lam={"b": 2})
+        assert not strategy_accepts(emb, AVG_DOT, ("a",), "b")
+        emb.lam = {"a": F(0), "b": F(1)}
+        assert strategy_accepts(emb, AVG_DOT, ("a",), "b")
+
+    def test_common_denominators(self):
+        emb = make_embedding({"a": (F(1, 2), F(1, 3)), "b": (F(3, 4), 0)},
+                             output={"a": (1, F(2, 5)), "b": (0, 0)})
+        scaled = scale(emb)
+        assert (scaled.cden, scaled.oden) == (12, 5)
+        assert scaled.context == {"a": (6, 4), "b": (9, 0)}
+        assert scaled.output == {"a": (5, 2), "b": (0, 0)}
+        assert scale(scaled) is scaled
 
 
 class TestEmbeddingJson:

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import embedsim.logic as logic
 import embedsim.strategies as strategies
-from conftest import random_embedding, random_rule_kb
+from conftest import (random_embedding, random_rule_kb,
+                      random_stratified_kb)
 from embedsim.constructors import construct_avg_relu, construct_had_dot
 from embedsim.fixtures import fixture
 from embedsim.logic import KnowledgeBase, Signature, parse_kb
@@ -16,9 +18,10 @@ from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
                                  emb_norm, emb_ord, lab_dist, lab_dist_on_norm,
                                  lab_dot, lab_dot_on_norm, lab_ord, lab_relu)
 from embedsim.verifier import (check_ord_monotonicity,
-                               check_tied_hadamard_symmetry, subset_queries,
-                               verify_monotonic, verify_nonmonotonic)
-from oracles import tt_entails
+                               check_tied_hadamard_symmetry, nonempty_subsets,
+                               subset_queries, verify_monotonic,
+                               verify_nonmonotonic)
+from oracles import mask_filter_subsets, tt_entails, tt_nm_rank
 
 F = Fraction
 
@@ -169,6 +172,54 @@ class TestPoolOnce:
                     expected_mismatches.append((subset, head, want, got))
             assert [(m.subset, m.head, m.expected, m.got)
                     for m in report.mismatches] == expected_mismatches
+
+
+class TestSubsetEnumeration:
+    @pytest.mark.parametrize("n", range(11))
+    def test_matches_mask_filter_definition(self, n):
+        sig = Signature(tuple(f"p{i}" for i in range(n)))
+        for cap in range(-1, n + 2):
+            assert nonempty_subsets(sig, cap) == mask_filter_subsets(sig, cap)
+
+    def test_cost_follows_the_cap_not_2_to_the_n(self):
+        # 2^40 masks could not be filtered; the 820 subsets come at once
+        sig = Signature(tuple(f"p{i}" for i in range(40)))
+        subsets = nonempty_subsets(sig, 2)
+        assert len(subsets) == 40 + 40 * 39 // 2
+        assert subsets[:2] == [("p0",), ("p1",)]
+        assert subsets[40:43] == [("p0", "p1"), ("p0", "p2"), ("p1", "p2")]
+
+
+class TestOracleTables:
+    def test_full_nonmonotonic_sweep_ranks_each_interpretation_once(
+            self, monkeypatch):
+        atoms = [f"p{i}" for i in range(10)]
+        theta = random_stratified_kb(random.Random(7), atoms, max_strata=3)
+        emb = random_embedding(random.Random(8), atoms, dimension=1,
+                               tied=True)
+        ranked = []
+        original = logic.rank_mu
+
+        def counting(theta, omega):
+            ranked.append(omega)
+            return original(theta, omega)
+
+        monkeypatch.setattr(logic, "rank_mu", counting)
+        logic._mu_table.cache_clear()
+        logic.nm_consequence_table.cache_clear()
+        report = verify_nonmonotonic(emb, ORD_ORD, theta, cap=10)
+        assert report.queries == 1023 * 10
+        assert len(ranked) == 1 << 10 == len(set(ranked))
+        # sampled expected sides agree with the truth-table oracle
+        for m in report.mismatches[:5]:
+            assert tt_nm_rank(theta, m.subset, m.head) == m.expected
+
+    def test_nonmonotonic_queries_need_an_antecedent(self):
+        theta = fixture("ORD-NM")
+        emb = random_embedding(random.Random(9), theta.signature.atoms,
+                               tied=True)
+        with pytest.raises(ValueError, match="non-empty"):
+            verify_nonmonotonic(emb, ORD_ORD, theta, queries=[((), "x")])
 
 
 class TestVerifyNonMonotonic:
