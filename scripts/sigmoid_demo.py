@@ -24,8 +24,12 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=3000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    diag = sig_conical_diagnostics(args.dimension, args.trials, args.kappa,
-                                   args.iterations, args.seed)
+    try:
+        diag = sig_conical_diagnostics(args.dimension, args.trials,
+                                       args.kappa, args.iterations, args.seed)
+    except ValueError as exc:
+        # as parser.error, but one line: no usage text
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     json.dump(diag, sys.stdout, indent=2)
     print()
     worst_angle = max(max(t["singleton_angle_a"], t["singleton_angle_b"])

@@ -10,7 +10,7 @@ when the reader of stdout goes away early, as in `embedsim ... | head`.
 Settings resolve flag > environment > config file > default; the
 environment names mirror the flags with an EMBEDSIM_ prefix (for
 example EMBEDSIM_CAP), and the config file is JSON with the flag names
-as keys ("cap", "delta", "seed").
+as keys ("cap", "delta", "seed") and JSON integers as values.
 """
 
 from __future__ import annotations
@@ -51,17 +51,23 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _setting(name: str, flag_value, config: dict, cast=int, default=None):
+def _setting(name: str, flag_value, config: dict, default=None):
+    """An integer setting: flag, else environment, else config, else default."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get(ENV_PREFIX + name.upper())
     if env is not None:
         try:
-            return cast(env)
+            return int(env)
         except ValueError as exc:
             raise UsageError(f"bad {ENV_PREFIX}{name.upper()}={env!r}") from exc
     if name in config:
-        return cast(config[name])
+        value = config[name]
+        # bool is an int subclass; quoted numbers and floats are refused
+        if type(value) is not int:
+            raise UsageError(f"config key {name!r} must be a JSON integer, "
+                             f"got {json.dumps(value)}")
+        return value
     return default
 
 

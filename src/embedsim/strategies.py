@@ -15,7 +15,9 @@ squaring.
 
 The sigmoid-MLE pooling is a floating-point demonstrator (gradient
 ascent on a seeded start, deterministic per (seed, iterations)); it is
-diagnostic only and never feeds exact verdicts.
+diagnostic only and never feeds exact verdicts.  One kernel steps a
+whole batch of problems at once, so the conical diagnostics run all
+their optimisations as one batched ascent.
 """
 
 from __future__ import annotations
@@ -561,20 +563,53 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.exp(_log_sigmoid(t))
 
 
-def sig_objective(e: np.ndarray, vectors: np.ndarray, kappa: float) -> float:
+def sig_objective(e: np.ndarray, vectors: np.ndarray,
+                  kappa: float) -> float | np.ndarray:
     """Sum of log-sigmoid scores minus the quadratic penalty.
 
     The quadratic term must act as a penalty; otherwise the objective
-    grows without bound and no maximiser exists.
+    grows without bound and no maximiser exists.  `vectors` is (..., k, d)
+    and `e` is (..., d): one problem gives a float, a batch of problems
+    an array over the leading axes.
     """
-    scores = vectors @ e
-    return float(np.sum(_log_sigmoid(scores)) - kappa * float(e @ e))
+    scores = np.einsum("...kd,...d->...k", vectors, e)
+    value = (np.sum(_log_sigmoid(scores), axis=-1)
+             - kappa * np.einsum("...d,...d->...", e, e))
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def sig_gradient(e: np.ndarray, vectors: np.ndarray, kappa: float) -> np.ndarray:
-    scores = vectors @ e
+def sig_gradient(e: np.ndarray, vectors: np.ndarray,
+                 kappa: float) -> np.ndarray:
+    """Gradient of `sig_objective` in e, with the same batch axes as e."""
+    scores = np.einsum("...kd,...d->...k", vectors, e)
     weights = _sigmoid(-scores)
-    return weights @ vectors - 2.0 * kappa * e
+    return np.einsum("...k,...kd->...d", weights, vectors) - 2.0 * kappa * e
+
+
+def _sig_ascent(vectors: np.ndarray, starts: np.ndarray, kappa: float,
+                iterations: int) -> np.ndarray:
+    """Gradient ascent on a batch of sigmoid problems, stepped together.
+
+    `vectors` is (B, k, d) and `starts` is (B, d).  Each problem steps
+    below 1/L for its own smoothness bound L <= sum ||a||^2 / 4 + 2 kappa,
+    so problems with fewer attributes may be padded with zero rows: a
+    zero row adds exactly 0.0 to the gradient and nothing to the bound.
+    Raises ArithmeticError if any problem ends non-finite.
+    """
+    step = 1.0 / (np.sum(vectors * vectors, axis=(-2, -1)) / 4.0
+                  + 2.0 * kappa + 1.0)
+    step = step[..., None]
+    e = starts
+    for _ in range(iterations):
+        e = e + step * sig_gradient(e, vectors, kappa)
+    if not (np.all(np.isfinite(e))
+            and np.all(np.isfinite(sig_objective(e, vectors, kappa)))):
+        raise ArithmeticError("sigmoid objective became non-finite")
+    return e
+
+
+def _sig_start(seed: int, dimension: int) -> np.ndarray:
+    return 0.1 * np.random.default_rng(seed).standard_normal(dimension)
 
 
 def emb_sig_numeric(emb: AttributeEmbedding, atoms: Iterable[str],
@@ -592,16 +627,8 @@ def emb_sig_numeric(emb: AttributeEmbedding, atoms: Iterable[str],
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     vectors = np.array([[float(x) for x in emb.context[a]] for a in names])
-    rng = np.random.default_rng(seed)
-    e = 0.1 * rng.standard_normal(vectors.shape[1])
-    # step below 1/L for the smoothness bound L <= sum ||a||^2 / 4 + 2 kappa
-    step = 1.0 / (np.sum(vectors * vectors) / 4.0 + 2.0 * kappa + 1.0)
-    for _ in range(iterations):
-        e = e + step * sig_gradient(e, vectors, kappa)
-    if not (np.all(np.isfinite(e))
-            and np.isfinite(sig_objective(e, vectors, kappa))):
-        raise ArithmeticError("sigmoid objective became non-finite")
-    return e
+    start = _sig_start(seed, vectors.shape[1])
+    return _sig_ascent(vectors[None], start[None], kappa, iterations)[0]
 
 
 def angular_error(u: np.ndarray, v: np.ndarray) -> float:
@@ -638,27 +665,42 @@ def sig_conical_diagnostics(dimension: int = 4, trials: int = 5,
                             seed: int = 0) -> dict:
     """Numeric corroboration that pooled pairs sit in the singleton cone.
 
-    For random attribute pairs (a, b) that are not antipodal, the
+    For random attribute pairs (a, b), antipodal ones included, the
     singleton optimum is checked to align with the attribute vector and
     the pair optimum to lie in the conical hull of the two singleton
-    optima.  Returns JSON-ready floats, deterministic per seed.
+    optima.  The 3 * trials optimisations (a, b and {a, b} per trial,
+    each seeded with seed + 3 t + j) run as one batched ascent, the
+    singletons padded with a zero row.  Returns JSON-ready floats,
+    deterministic per seed.
     """
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if iterations < 0:
+        raise ValueError("iterations must be non-negative")
+    if not 0 < kappa < float("inf"):
+        raise ValueError("kappa must be positive and finite")
     rng = np.random.default_rng(seed)
-    rows = []
-    for t in range(trials):
+    pairs, problems = [], []
+    zero = np.zeros(dimension)
+    for _ in range(trials):
         a = rng.standard_normal(dimension)
         b = rng.standard_normal(dimension)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        context = {
-            "a": tuple(Fraction(x).limit_denominator(10**6) for x in a),
-            "b": tuple(Fraction(x).limit_denominator(10**6) for x in b),
-        }
-        emb = AttributeEmbedding(dimension, context, dict(context))
-        y_a = emb_sig_numeric(emb, ["a"], kappa, iterations, seed=seed + 3 * t)
-        y_b = emb_sig_numeric(emb, ["b"], kappa, iterations, seed=seed + 3 * t + 1)
-        y_ab = emb_sig_numeric(emb, ["a", "b"], kappa, iterations,
-                               seed=seed + 3 * t + 2)
+        pairs.append((a, b))
+        # rounded as an embedding of a and b holds them, so each optimum is
+        # the one emb_sig_numeric finds on that embedding
+        va, vb = (np.array([float(Fraction(x).limit_denominator(10**6))
+                            for x in v]) for v in (a, b))
+        problems += [(va, zero), (vb, zero), (va, vb)]
+    starts = np.array([_sig_start(seed + i, dimension)
+                       for i in range(len(problems))])
+    optima = _sig_ascent(np.array(problems), starts, kappa, iterations)
+    rows = []
+    for t, (a, b) in enumerate(pairs):
+        y_a, y_b, y_ab = optima[3 * t:3 * t + 3]
         rows.append({
             "cos_ab": round(float(a @ b), 12),
             "singleton_angle_a": round(angular_error(y_a, a), 12),

@@ -5,7 +5,9 @@ bundled fixtures and verifying it exhaustively (zero mismatches
 required); negative cells are backed by certificates that are replayed
 from their own serialized evidence inside the same run.  Sigmoid rows
 additionally carry numeric optimizer diagnostics as corroborating,
-non-authoritative evidence.
+non-authoritative evidence; the diagnostics depend only on the seed, so
+they are computed once per table and both sigmoid rows carry that one
+dict.
 
 The report is fully deterministic: canonical orders everywhere, a fixed
 seed for the numeric diagnostics, and no timing data in the JSON.
@@ -135,7 +137,7 @@ def _certificate_cell(strategy: StrategyId, monotonic: bool) -> CellResult:
     return CellResult("not-simulable", method, [cert.to_dict()])
 
 
-def _build_row(strategy: StrategyId, seed: int) -> RowResult:
+def _build_row(strategy: StrategyId, diagnostics: dict) -> RowResult:
     recipes = _CONSTRUCTIVE.get(strategy.name)
     if recipes and recipes[0] is not None:
         mono = _construction_cell(strategy, recipes[0], monotonic=True)
@@ -145,13 +147,13 @@ def _build_row(strategy: StrategyId, seed: int) -> RowResult:
         nm = _construction_cell(strategy, recipes[1], monotonic=False)
     else:
         nm = _certificate_cell(strategy, monotonic=False)
-    diagnostics = None
-    if strategy.pooling == "sig":
-        diagnostics = sig_conical_diagnostics(seed=seed)
     return RowResult(strategy.name, strategy.pooling, strategy.labelling,
-                     strategy.tied, mono, nm, diagnostics)
+                     strategy.tied, mono, nm,
+                     diagnostics if strategy.pooling == "sig" else None)
 
 
 def run_table1(seed: int = 0) -> Table1Report:
     """Build every row; any failing cell aborts with the cell named."""
-    return Table1Report([_build_row(s, seed) for s in TABLE1_STRATEGIES])
+    diagnostics = sig_conical_diagnostics(seed=seed)
+    return Table1Report([_build_row(s, diagnostics)
+                         for s in TABLE1_STRATEGIES])

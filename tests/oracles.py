@@ -13,18 +13,25 @@ The `ref_*` pooling, labelling and score functions are the exact
 strategy evaluators as they stood before the library moved to integer
 kernels: every coordinate a `Fraction`, pooled vectors rational.  They
 must decide every query as the library does and print the same score.
+
+`ref_emb_sig_numeric` and `ref_sig_conical_diagnostics` are the sigmoid
+demonstrator as it stood before the library stepped all problems as one
+batch: one 2-D problem at a time, one numpy step per iteration.
 """
 
 import itertools
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
                                 LinearSystem, _normalize_multipliers,
                                 _oriented, verify_farkas, verify_witness)
 from embedsim.logic import (And, Const, Iff, Implies, KnowledgeBase, Not, Or,
                             StratifiedKB, Var)
-from embedsim.strategies import DimensionMismatchError, frac_str
+from embedsim.strategies import (AttributeEmbedding, DimensionMismatchError,
+                                 angular_error, cone_residual, frac_str)
 
 
 def tt_evaluate(formula, assignment: dict) -> bool:
@@ -383,3 +390,58 @@ def ref_evaluate(emb, strategy_name: str, atoms, head) -> tuple[bool, str]:
     pool, label, score = REF_RULES[strategy_name]
     pooled = pool(emb, atoms)
     return label(emb, pooled, head), score(emb, pooled, head)
+
+
+# ------------------------------------------------------------------
+# Per-problem reference for the sigmoid demonstrator
+# ------------------------------------------------------------------
+
+def ref_emb_sig_numeric(emb, atoms, kappa=1.0, iterations=2000, seed=0):
+    """Gradient ascent on one problem, as `emb_sig_numeric` specifies it."""
+    names = tuple(dict.fromkeys(atoms))
+    if not names:
+        raise ValueError("sigmoid pooling needs a non-empty attribute set")
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    vectors = np.array([[float(x) for x in emb.context[a]] for a in names])
+    e = 0.1 * np.random.default_rng(seed).standard_normal(vectors.shape[1])
+    step = 1.0 / (np.sum(vectors * vectors) / 4.0 + 2.0 * kappa + 1.0)
+    for _ in range(iterations):
+        weights = np.exp(-np.logaddexp(0.0, vectors @ e))  # sigmoid(-scores)
+        e = e + step * (weights @ vectors - 2.0 * kappa * e)
+    objective = (-np.sum(np.logaddexp(0.0, -(vectors @ e)))
+                 - kappa * float(e @ e))
+    if not (np.all(np.isfinite(e)) and np.isfinite(objective)):
+        raise ArithmeticError("sigmoid objective became non-finite")
+    return e
+
+
+def ref_sig_conical_diagnostics(dimension=4, trials=5, kappa=1.0,
+                                iterations=3000, seed=0) -> dict:
+    """`sig_conical_diagnostics` with each optimisation run on its own."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for t in range(trials):
+        a = rng.standard_normal(dimension)
+        b = rng.standard_normal(dimension)
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        context = {
+            "a": tuple(Fraction(x).limit_denominator(10**6) for x in a),
+            "b": tuple(Fraction(x).limit_denominator(10**6) for x in b),
+        }
+        emb = AttributeEmbedding(dimension, context, dict(context))
+        y_a = ref_emb_sig_numeric(emb, ["a"], kappa, iterations,
+                                  seed=seed + 3 * t)
+        y_b = ref_emb_sig_numeric(emb, ["b"], kappa, iterations,
+                                  seed=seed + 3 * t + 1)
+        y_ab = ref_emb_sig_numeric(emb, ["a", "b"], kappa, iterations,
+                                   seed=seed + 3 * t + 2)
+        rows.append({
+            "cos_ab": round(float(a @ b), 12),
+            "singleton_angle_a": round(angular_error(y_a, a), 12),
+            "singleton_angle_b": round(angular_error(y_b, b), 12),
+            "pair_cone_residual": round(cone_residual(y_ab, y_a, y_b), 12),
+        })
+    return {"kappa": kappa, "iterations": iterations, "seed": seed,
+            "trials": rows}

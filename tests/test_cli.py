@@ -348,6 +348,18 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, "--config", str(cfg), "check", ce1_file)
         assert code == 2
 
+    @pytest.mark.parametrize("value", [None, [1], {"a": 1}, True, 1.5, "3"],
+                             ids=["null", "list", "object", "bool", "float",
+                                  "string"])
+    def test_config_value_must_be_integer(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": value}))
+        code, out, err = run(capsys, "--config", str(cfg), "table1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "'seed'" in err and "JSON integer" in err
+
     def test_bad_env_value(self, capsys, tmp_path, monkeypatch, ce1_file):
         emb = tmp_path / "emb.json"
         run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))

@@ -1,0 +1,39 @@
+"""`scripts/sigmoid_demo.py` as a process: finite JSON out, bad arguments exit 2."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_demo(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sigmoid_demo.py"), *argv],
+        capture_output=True, text=True, env=env, timeout=120)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_default_run_prints_finite_json():
+    done = run_demo()
+    assert done.returncode == 0
+    doc = json.loads(done.stdout, parse_constant=_reject_constant)
+    assert len(doc["trials"]) == 5
+
+
+@pytest.mark.parametrize("argv", [("--trials", "0"), ("--dimension", "0"),
+                                  ("--kappa", "0")])
+def test_bad_argument_exits_two_with_one_line(argv):
+    done = run_demo(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert "error:" in done.stderr

@@ -20,8 +20,10 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  exact_rule, scale, sig_gradient,
                                  sig_objective, strategy_accepts,
                                  strategy_from_name, AVG_DOT, ORD_ORD,
-                                 _sigmoid)
-from oracles import REF_RULES, ref_emb_avg, ref_evaluate, ref_lab_relu
+                                 _sig_ascent, _sigmoid,
+                                 sig_conical_diagnostics)
+from oracles import (REF_RULES, ref_emb_avg, ref_emb_sig_numeric,
+                     ref_evaluate, ref_lab_relu, ref_sig_conical_diagnostics)
 
 F = Fraction
 
@@ -457,3 +459,91 @@ class TestSigmoidNumeric:
         emb = make_embedding({"a": (1, 1)})
         with pytest.raises(ValueError):
             emb_sig_numeric(emb, ("a",), kappa=0.0)
+
+
+class TestSigmoidBatch:
+    """The batched ascent against the one-problem-at-a-time reference."""
+
+    def test_gradient_and_objective_take_batch_axes(self):
+        rng = np.random.default_rng(3)
+        vectors = rng.standard_normal((4, 3, 5))
+        e = rng.standard_normal((4, 5))
+        grads = sig_gradient(e, vectors, 0.6)
+        values = sig_objective(e, vectors, 0.6)
+        assert grads.shape == (4, 5) and values.shape == (4,)
+        for i in range(4):
+            assert np.allclose(grads[i], sig_gradient(e[i], vectors[i], 0.6),
+                               rtol=0, atol=1e-14)
+            single = sig_objective(e[i], vectors[i], 0.6)
+            assert isinstance(single, float)
+            assert abs(values[i] - single) < 1e-14
+
+    @pytest.mark.parametrize("dimension", range(1, 7))
+    @pytest.mark.parametrize("iterations", (0, 1, 500))
+    def test_mixed_batch_matches_reference(self, dimension, iterations):
+        rng = np.random.default_rng(100 * dimension + iterations)
+        raw = {n: rng.standard_normal(dimension) for n in "abc"}
+        raw["d"] = -raw["a"]  # an antipodal pair as well
+        context = {n: tuple(F(x).limit_denominator(10**6) for x in v)
+                   for n, v in raw.items()}
+        emb = AttributeEmbedding(dimension, context, dict(context))
+        problems = [("a",), ("a", "b"), ("c",), ("b", "c"), ("a", "d")]
+        kappa = 0.7
+        zero = [0.0] * dimension
+        vectors = np.array([
+            [[float(x) for x in context[n]] for n in atoms]
+            + [zero] * (2 - len(atoms))
+            for atoms in problems])
+        starts = np.array([
+            0.1 * np.random.default_rng(i).standard_normal(dimension)
+            for i in range(len(problems))])
+        got = _sig_ascent(vectors, starts, kappa, iterations)
+        for i, atoms in enumerate(problems):
+            want = ref_emb_sig_numeric(emb, atoms, kappa, iterations, seed=i)
+            assert np.max(np.abs(got[i] - want)) <= 1e-12
+
+    def test_batch_of_one_matches_reference(self):
+        emb = make_embedding({"a": (1, F(-1, 3), 2), "b": (0, 1, F(1, 2))})
+        for atoms in (("a",), ("b", "a")):
+            got = emb_sig_numeric(emb, atoms, kappa=1.5, iterations=400,
+                                  seed=9)
+            want = ref_emb_sig_numeric(emb, atoms, kappa=1.5, iterations=400,
+                                       seed=9)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_diagnostics_match_reference(self, seed):
+        got = sig_conical_diagnostics(seed=seed)
+        want = ref_sig_conical_diagnostics(seed=seed)
+        assert got.keys() == want.keys()
+        assert ({k: v for k, v in got.items() if k != "trials"}
+                == {k: v for k, v in want.items() if k != "trials"})
+        assert len(got["trials"]) == len(want["trials"])
+        for g, w in zip(got["trials"], want["trials"]):
+            assert g.keys() == w.keys()
+            assert all(abs(g[k] - w[k]) <= 1e-9 for k in g)
+
+    def test_nan_problem_raises(self):
+        vectors = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                            [[np.nan, 1.0], [0.0, 0.0]],
+                            [[0.5, 0.5], [0.0, 0.0]]])
+        with pytest.raises(ArithmeticError), np.errstate(invalid="ignore"):
+            _sig_ascent(vectors, np.full((3, 2), 0.1), 1.0, 10)
+
+    def test_dimension_one_is_finite(self):
+        # at dimension 1 about half of the drawn pairs are antipodal
+        diag = sig_conical_diagnostics(dimension=1, trials=8, iterations=500)
+        cosines = [t["cos_ab"] for t in diag["trials"]]
+        assert -1.0 in cosines and 1.0 in cosines
+        json.dumps(diag, allow_nan=False)
+
+    @pytest.mark.parametrize("bad", [
+        {"dimension": 0}, {"trials": 0}, {"iterations": -1},
+        {"kappa": 0.0}, {"kappa": -1.0}, {"kappa": float("nan")},
+        {"kappa": float("inf")}])
+    def test_diagnostics_arguments_validated(self, bad, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("ran before validating its arguments")
+        monkeypatch.setattr("embedsim.strategies._sig_ascent", no_work)
+        with pytest.raises(ValueError):
+            sig_conical_diagnostics(**bad)

@@ -2,6 +2,8 @@
 
 import pytest
 
+import embedsim.table1 as table1
+from embedsim.strategies import sig_conical_diagnostics
 from embedsim.table1 import (MONOTONIC_DEMO_FIXTURES,
                              NONMONOTONIC_DEMO_FIXTURES, run_table1)
 
@@ -44,6 +46,27 @@ def test_sig_rows_carry_numeric_diagnostics(report):
             assert all(t["singleton_angle_a"] < 1e-6 for t in diag["trials"])
         else:
             assert row.diagnostics is None
+
+
+def test_sig_rows_share_the_seeded_diagnostics():
+    seed = 2
+    report = run_table1(seed)
+    expected = sig_conical_diagnostics(seed=seed)
+    sig_rows = [r for r in report.rows if r.pooling == "sig"]
+    assert len(sig_rows) == 2
+    assert all(r.diagnostics == expected for r in sig_rows)
+
+
+def test_diagnostics_computed_once_per_table(monkeypatch):
+    calls = []
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return sig_conical_diagnostics(**kwargs)
+
+    monkeypatch.setattr(table1, "sig_conical_diagnostics", counting)
+    run_table1(seed=4)
+    assert calls == [{"seed": 4}]
 
 
 def test_seed_changes_only_diagnostics(report):
