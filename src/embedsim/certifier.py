@@ -25,12 +25,28 @@ nothing about feasibility).
 The exact simplex (`lp_feasible`) splits a system into connected blocks
 of rows, two rows sharing a block when they share a variable; the
 avg-dot system, for instance, falls apart into one block per head.  Each
-block gets its own phase-1 tableau, and a pivot rewrites only the pivot
-row's non-zero positions.  Pivots, witness and Farkas multipliers equal
-those of the single joint tableau: every column belongs to exactly one
-block, so row operations never cross blocks, and Bland's lowest-index
-entering and leaving choices restricted to a block, whose columns keep
-the joint order, are the joint choices.
+block gets its own phase-1 tableau, and a pivot subtracts only at the
+pivot row's non-zero positions.  Pivots, witness and Farkas multipliers
+equal those of the single joint tableau: every column belongs to
+exactly one block, so row operations never cross blocks, and Bland's
+lowest-index entering and leaving choices restricted to a block, whose
+columns keep the joint order, are the joint choices.
+
+The tableau holds integers only.  A row is a list of ints over one
+positive row denominator, its value being ints / denominator; it starts
+as the oriented constraint scaled by the lcm of its denominators.  The
+entering column is the first reduced cost with a positive numerator,
+and the ratio test compares rhs / entry across rows by cross-multiplying
+(a row's denominator cancels in its own ratio).  A pivot keeps the
+pivot row's ints and makes the pivot entry its denominator; every other
+row with entering entry f becomes (T pe - f P) / (dt pe), reduced by its
+gcd.  Each row stands for the same rationals as in a `Fraction` tableau,
+and every choice depends only on signs and exact comparisons, so the
+choices, and with them the returned values, are those of the `Fraction`
+tableau (`tests/oracles.py` keeps one as the reference).  `Fraction`s
+are built only for the witness, the phase-1 objective and the
+multipliers.  The witness re-check `verify_witness` also runs in
+integers.
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .fixtures import fixture
@@ -52,6 +68,8 @@ Oracle = Callable[[tuple[str, ...], str], bool]
 Query = tuple[tuple[str, ...], str]
 
 GENERIC_ATOM_CAP = 6
+
+_ZERO = Fraction(0)
 
 
 # ------------------------------------------------------------------
@@ -113,7 +131,7 @@ def _linear_system(oracle: Oracle, atoms: Sequence[str], cap: int | None,
 
         def add(name: str, value: int) -> None:
             j = index.setdefault(name, len(index))
-            coeffs[j] = coeffs.get(j, Fraction(0)) + value
+            coeffs[j] = coeffs.get(j, _ZERO) + value
 
         relation, rhs = encode(subset, head, captured, add)
         word = "capture" if captured else "reject"
@@ -123,7 +141,7 @@ def _linear_system(oracle: Oracle, atoms: Sequence[str], cap: int | None,
                         "captured": captured})
     width = len(index)
     constraints = tuple(
-        Constraint(tuple(coeffs.get(j, Fraction(0)) for j in range(width)),
+        Constraint(tuple(coeffs.get(j, _ZERO) for j in range(width)),
                    rel, rhs, label)
         for coeffs, rel, rhs, label in rows
     )
@@ -245,10 +263,24 @@ def verify_farkas(system: LinearSystem,
 
 def verify_witness(system: LinearSystem,
                    witness: dict[str, Fraction]) -> bool:
-    values = [witness.get(v, Fraction(0)) for v in system.variables]
+    """Exact re-check of every constraint, in integers.
+
+    The witness is scaled once to its common denominator D, and each
+    row by the lcm L of its own denominators: the row holds when the
+    integer sum of (L c_j)(D x_j) over its non-zero coefficients
+    compares with L rhs D as its relation says.
+    """
+    values = [witness.get(v, 0) for v in system.variables]
+    scale = lcm(*(x.denominator for x in values))
+    scaled = [x.numerator * (scale // x.denominator) for x in values]
     for con in system.constraints:
-        lhs = sum((c * x for c, x in zip(con.coeffs, values)), Fraction(0))
-        ok = lhs >= con.rhs if con.relation == ">=" else lhs <= con.rhs
+        terms = [(c, x) for c, x in zip(con.coeffs, scaled) if c]
+        row_scale = lcm(con.rhs.denominator,
+                        *(c.denominator for c, _ in terms))
+        lhs = sum(c.numerator * (row_scale // c.denominator) * x
+                  for c, x in terms)
+        rhs = con.rhs.numerator * (row_scale // con.rhs.denominator) * scale
+        ok = lhs >= rhs if con.relation == ">=" else lhs <= rhs
         if not ok:
             return False
     return True
@@ -267,14 +299,32 @@ def _normalize_multipliers(mult: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in ints)
 
 
-def _row_blocks(oriented: Sequence[tuple[Sequence[Fraction], Fraction]]
-                ) -> list[list[int]]:
+IntRow = tuple[tuple[int, ...], int, int]
+
+
+def _integer_row(constraint: Constraint) -> IntRow:
+    """The >=-oriented constraint as integers (coeffs, rhs, den).
+
+    `den` is the lcm of the row's denominators, and the oriented row
+    reads coeffs / den >= rhs / den.
+    """
+    sign = 1 if constraint.relation == ">=" else -1
+    den = lcm(constraint.rhs.denominator,
+              *(c.denominator for c in constraint.coeffs if c))
+    coeffs = tuple(sign * c.numerator * (den // c.denominator) if c else 0
+                   for c in constraint.coeffs)
+    rhs = sign * constraint.rhs.numerator * (den // constraint.rhs.denominator)
+    return coeffs, rhs, den
+
+
+def _row_blocks(rows: Sequence[tuple]) -> list[list[int]]:
     """Row indices grouped into connected components, in first-row order.
 
-    Two rows share a component when both have a non-zero coefficient on
-    the same variable; a row with no non-zero coefficient is alone.
+    Each row's first item is its coefficient sequence.  Two rows share
+    a component when both have a non-zero coefficient on the same
+    variable; a row with no non-zero coefficient is alone.
     """
-    parent = list(range(len(oriented)))
+    parent = list(range(len(rows)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -283,34 +333,58 @@ def _row_blocks(oriented: Sequence[tuple[Sequence[Fraction], Fraction]]
         return i
 
     first_row: dict[int, int] = {}
-    for i, (coeffs, _) in enumerate(oriented):
-        for j, c in enumerate(coeffs):
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row[0]):
             if c:
                 root, other = find(i), find(first_row.setdefault(j, i))
                 if root != other:
                     parent[max(root, other)] = min(root, other)
     blocks: dict[int, list[int]] = {}
-    for i in range(len(oriented)):
+    for i in range(len(rows)):
         blocks.setdefault(find(i), []).append(i)
     return list(blocks.values())
 
 
-def _phase1_block(oriented: Sequence[tuple[Sequence[Fraction], Fraction]],
-                  block: Sequence[int]
+def _eliminate(row: list[int], den: int, prow: list[int], pe: int,
+               support: list[int], enter: int) -> tuple[list[int], int]:
+    """row/den minus its entering-column multiple of the pivot row prow/pe.
+
+    With f = row[enter] the result is (row pe - f prow) / (den pe); the
+    common factor gcd(f, pe) is cancelled first and the gcd of the whole
+    row last, so the returned ints and denominator are coprime.
+    """
+    f = row[enter]
+    h = gcd(f, pe)
+    a, b = pe // h, f // h
+    if a != 1:
+        row = [x * a for x in row]
+        den *= a
+    for j in support:
+        row[j] -= b * prow[j]
+    g = gcd(den, *row)
+    if g > 1:
+        row = [x // g for x in row]
+        den //= g
+    return row, den
+
+
+def _phase1_block(rows: Sequence[IntRow], block: Sequence[int]
                   ) -> tuple[Fraction, dict[int, Fraction], list[Fraction]]:
-    """Phase-1 simplex on one connected block of rows.
+    """Phase-1 simplex on one connected block of rows, in integers.
 
     The columns are the block's own columns of the joint tableau, in
     the joint order: p then q for the block's variables, then the
     rows' slacks, then the artificials of the rows whose rhs is
-    non-negative.  Returns the phase-1 objective, the value of every
-    block variable (p - q) and the raw dual multiplier of every row.
+    non-negative.  Each tableau row is a list of ints over one positive
+    denominator; the reduced-cost row likewise.  Returns the phase-1
+    objective, the value of every block variable (p - q) and the raw
+    dual multiplier of every row.
     """
-    variables = sorted({j for i in block
-                        for j, c in enumerate(oriented[i][0]) if c})
+    variables = sorted({j for i in block for j, c in enumerate(rows[i][0])
+                        if c})
     nv = len(variables)
     nr = len(block)
-    flipped = [oriented[i][1] < 0 for i in block]
+    flipped = [rows[i][1] < 0 for i in block]
     art_col: list[int | None] = [None] * nr
     ncols = 2 * nv + nr
     for r in range(nr):
@@ -318,74 +392,84 @@ def _phase1_block(oriented: Sequence[tuple[Sequence[Fraction], Fraction]],
             art_col[r] = ncols
             ncols += 1
 
-    rows: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
+    dens: list[int] = []
     basis: list[int] = []
     for r, i in enumerate(block):
-        coeffs, d = oriented[i]
-        row = [Fraction(0)] * (ncols + 1)
+        coeffs, d, den = rows[i]
+        row = [0] * (ncols + 1)
         sign = -1 if flipped[r] else 1
         for k, j in enumerate(variables):
             row[k] = sign * coeffs[j]
             row[nv + k] = -sign * coeffs[j]
-        row[2 * nv + r] = Fraction(-sign)
+        row[2 * nv + r] = -sign * den
         row[-1] = sign * d
         if flipped[r]:
             basis.append(2 * nv + r)
         else:
-            row[art_col[r]] = Fraction(1)
+            row[art_col[r]] = den
             basis.append(art_col[r])
-        rows.append(row)
+        tableau.append(row)
+        dens.append(den)
 
     # reduced-cost row z_j = (basis costs) . column_j - cost_j, plus
-    # the objective value; artificials cost 1, everything else 0
-    z = [Fraction(0)] * (ncols + 1)
+    # the objective value, over zden; artificials cost 1, all else 0
+    zden = lcm(*(dens[r] for r in range(nr) if art_col[r] is not None))
+    z = [0] * (ncols + 1)
     for r in range(nr):
         if art_col[r] is not None:
-            for j, x in enumerate(rows[r]):
+            scale = zden // dens[r]
+            for j, x in enumerate(tableau[r]):
                 if x:
-                    z[j] += x
-            z[art_col[r]] -= 1
+                    z[j] += scale * x
+            z[art_col[r]] -= zden
 
     while True:
         enter = next((j for j in range(ncols) if z[j] > 0), None)
         if enter is None:
             break
+        # minimum ratio rhs / entry: a row's denominator cancels, so
+        # ratios compare by cross-multiplying the ints
         leave = None
-        best_ratio = None
         for r in range(nr):
-            coeff = rows[r][enter]
+            coeff = tableau[r][enter]
             if coeff > 0:
-                ratio = rows[r][-1] / coeff
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[leave])):
-                    best_ratio = ratio
-                    leave = r
+                rhs = tableau[r][-1]
+                if leave is None:
+                    leave, best_rhs, best_coeff = r, rhs, coeff
+                    continue
+                cmp = rhs * best_coeff - best_rhs * coeff
+                if cmp < 0 or (cmp == 0 and basis[r] < basis[leave]):
+                    leave, best_rhs, best_coeff = r, rhs, coeff
         if leave is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
-        prow = rows[leave]
-        piv = prow[enter]
+        # dividing the pivot row by its entry keeps the ints and makes
+        # the entry the denominator
+        prow = tableau[leave]
+        g = gcd(*prow)
+        if g > 1:
+            prow = tableau[leave] = [x // g for x in prow]
+        pe = dens[leave] = prow[enter]
         support = [j for j, x in enumerate(prow) if x]
-        for j in support:
-            prow[j] /= piv
-        for target in rows:
-            f = target[enter]
-            if f and target is not prow:
-                for j in support:
-                    target[j] -= f * prow[j]
-        f = z[enter]
-        if f:
-            for j in support:
-                z[j] -= f * prow[j]
+        for r in range(nr):
+            if r != leave and tableau[r][enter]:
+                tableau[r], dens[r] = _eliminate(tableau[r], dens[r], prow,
+                                                 pe, support, enter)
+        if z[enter]:
+            z, zden = _eliminate(z, zden, prow, pe, support, enter)
         basis[leave] = enter
 
-    values = [Fraction(0)] * ncols
+    values = [(0, 1)] * ncols
     for r in range(nr):
-        values[basis[r]] = rows[r][-1]
-    solution = {j: values[k] - values[nv + k]
-                for k, j in enumerate(variables)}
-    mult = [-z[2 * nv + r] if flipped[r] else z[art_col[r]] + 1
+        values[basis[r]] = (tableau[r][-1], dens[r])
+    solution = {}
+    for k, j in enumerate(variables):
+        (pn, pd), (qn, qd) = values[k], values[nv + k]
+        solution[j] = Fraction(pn * qd - qn * pd, pd * qd)
+    mult = [Fraction(-z[2 * nv + r], zden) if flipped[r]
+            else Fraction(z[art_col[r]] + zden, zden)
             for r in range(nr)]
-    return z[-1], solution, mult
+    return Fraction(z[-1], zden), solution, mult
 
 
 def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
@@ -398,27 +482,36 @@ def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
     over all rows, pivot for pivot: every column belongs to exactly one
     block, so row operations never cross blocks, and Bland's
     lowest-index choices restricted to a block, kept in the joint
-    column order, are the joint choices.  The multipliers of all
-    blocks are normalised together, and every returned witness or
-    Farkas certificate is re-verified in exact arithmetic on the full
-    system before being handed back.
+    column order, are the joint choices.
+
+    Each tableau row is ints over one positive row denominator, its
+    value being ints / denominator (integer-preserving elimination,
+    Edmonds 1967), and the ratio test cross-multiplies ints, since a
+    row's denominator cancels in rhs / entry.  The rows stand for the
+    rationals of a `Fraction` tableau and every choice reads only signs
+    and exact comparisons, so pivots, witness and multipliers are the
+    `Fraction` tableau's.
+
+    The multipliers of all blocks are normalised together, and every
+    returned witness or Farkas certificate is re-verified in exact
+    arithmetic on the full system before being handed back.
     """
-    oriented = [_oriented(c) for c in system.constraints]
-    blocks = _row_blocks(oriented)
-    solved = [_phase1_block(oriented, block) for block in blocks]
+    rows = [_integer_row(c) for c in system.constraints]
+    blocks = _row_blocks(rows)
+    solved = [_phase1_block(rows, block) for block in blocks]
 
     if all(objective == 0 for objective, _, _ in solved):
         values: dict[int, Fraction] = {}
         for _, solution, _ in solved:
             values.update(solution)
-        witness = {name: values.get(j, Fraction(0))
+        witness = {name: values.get(j, _ZERO)
                    for j, name in enumerate(system.variables)}
         if not verify_witness(system, witness):
             raise AssertionError("simplex witness failed exact re-check")
         return FeasibilityOutcome(True, witness=witness)
 
     # infeasible: duals from the reduced costs at the initial basis columns
-    mult = [Fraction(0)] * len(oriented)
+    mult = [_ZERO] * len(rows)
     for block, (_, _, block_mult) in zip(blocks, solved):
         for i, y in zip(block, block_mult):
             mult[i] = y

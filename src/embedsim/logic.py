@@ -28,7 +28,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -110,17 +110,6 @@ TOP = Const(True)
 BOTTOM = Const(False)
 
 
-def atoms_of(formula: Formula) -> frozenset[str]:
-    """All atom names occurring in the formula."""
-    if isinstance(formula, Var):
-        return frozenset((formula.name,))
-    if isinstance(formula, Const):
-        return frozenset()
-    if isinstance(formula, Not):
-        return atoms_of(formula.sub)
-    return atoms_of(formula.left) | atoms_of(formula.right)
-
-
 def conjoin(formulas: Iterable[Formula]) -> Formula:
     """Left-nested conjunction of the given formulas; TOP when empty."""
     result: Formula | None = None
@@ -194,9 +183,6 @@ class Signature:
         for name in names:
             m |= self.bit(name)
         return m
-
-    def names(self, mask: int) -> tuple[str, ...]:
-        return tuple(a for i, a in enumerate(self.atoms) if mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -458,10 +444,6 @@ def evaluate(formula: Formula, omega: int, signature: Signature) -> bool:
         return (evaluate(formula.left, omega, signature)
                 == evaluate(formula.right, omega, signature))
     raise TypeError(f"not a formula: {formula!r}")
-
-
-def interpretations(signature: Signature) -> Iterator[int]:
-    return iter(range(1 << len(signature)))
 
 
 def _check_cap(signature: Signature, cap: int) -> int:

@@ -50,7 +50,8 @@ class ExactEvaluationError(ValueError):
 # ------------------------------------------------------------------
 
 def frac_str(x: Fraction | int) -> str:
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -115,7 +115,7 @@ def _construction_cell(strategy: StrategyId, proposition: int,
                 f"{'monotonic' if monotonic else 'non-monotonic'}): "
                 f"construction {proposition} failed verification on {name}")
         evidence.append({"fixture": name, "proposition": proposition,
-                         "report": report.to_dict(timing=False)})
+                         "report": report.to_dict()})
     return CellResult("simulable", "construction+verification", evidence)
 
 

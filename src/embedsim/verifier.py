@@ -20,7 +20,6 @@ undefined for most strategies); each report records that exclusion.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable
@@ -65,15 +64,15 @@ class VerificationReport:
     capped: bool
     queries: int
     mismatches: list[Mismatch]
-    elapsed: float
     empty_antecedent_excluded: bool = True
 
     @property
     def simulates(self) -> bool:
         return not self.mismatches
 
-    def to_dict(self, timing: bool = True) -> dict:
-        doc = {
+    # `timing` is ignored; perfbench/workloads.py still passes timing=False
+    def to_dict(self, timing: bool = False) -> dict:
+        return {
             "strategy": self.strategy,
             "kb_digest": self.kb_digest,
             "kind": self.kind,
@@ -84,9 +83,6 @@ class VerificationReport:
             "mismatches": [m.to_dict() for m in self.mismatches],
             "empty_antecedent_excluded": self.empty_antecedent_excluded,
         }
-        if timing:
-            doc["elapsed_s"] = round(self.elapsed, 6)
-        return doc
 
 
 def default_cap(signature: Signature) -> int:
@@ -137,7 +133,6 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
     capped = cap < len(signature)
     if queries is None:
         queries = subset_queries(signature, cap)
-    started = time.perf_counter()
     table = consequence_table(kb)
     scaled = scale(embedding)
     mismatches = []
@@ -161,7 +156,6 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
         capped=capped,
         queries=len(queries),
         mismatches=mismatches,
-        elapsed=time.perf_counter() - started,
     )
 
 

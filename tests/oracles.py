@@ -5,9 +5,11 @@ assignments are plain dicts, model enumeration walks itertools.product,
 and the evaluator is its own recursion.  They share only the formula AST.
 
 `dense_lp_feasible` is the exact simplex as it stood before the solver
-split systems into connected blocks: one joint tableau, dense row
-updates.  It shares the system types and the exact re-checks with the
-library and must return exactly what `lp_feasible` returns.
+split systems into connected blocks and moved to integer rows: one
+joint `Fraction` tableau, dense row updates.  It shares the system types
+and the Farkas re-check with the library and must return exactly what
+`lp_feasible` returns.  `ref_verify_witness` is the witness re-check as
+it stood before it moved to integers: one `Fraction` sum per row.
 
 The `ref_*` pooling, labelling and score functions are the exact
 strategy evaluators as they stood before the library moved to integer
@@ -27,7 +29,7 @@ import numpy as np
 
 from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
                                 LinearSystem, _normalize_multipliers,
-                                _oriented, verify_farkas, verify_witness)
+                                _oriented, verify_farkas)
 from embedsim.logic import (And, Const, Iff, Implies, KnowledgeBase, Not, Or,
                             StratifiedKB, Var)
 from embedsim.strategies import (AttributeEmbedding, DimensionMismatchError,
@@ -75,6 +77,11 @@ def tt_entails(kb: KnowledgeBase, subset, head) -> bool:
     return True
 
 
+def mask_names(signature, mask):
+    """The atoms of the signature whose bit is set in the mask, in order."""
+    return tuple(a for i, a in enumerate(signature.atoms) if mask >> i & 1)
+
+
 def mask_filter_subsets(signature, cap):
     """Non-empty subsets up to the cap, by filtering all 2^n masks and
     sorting them by (size, mask): the definition of the canonical order."""
@@ -83,7 +90,7 @@ def mask_filter_subsets(signature, cap):
         (m for m in range(1, 1 << n) if bin(m).count("1") <= cap),
         key=lambda m: (bin(m).count("1"), m),
     )
-    return [signature.names(m) for m in masks]
+    return [mask_names(signature, m) for m in masks]
 
 
 def tt_mu(theta: StratifiedKB, assignment: dict) -> int:
@@ -122,6 +129,16 @@ def tt_nm_rank(theta: StratifiedKB, subset, head) -> bool:
         else:
             m_minus = max(m_minus, mu)
     return m_plus > m_minus
+
+
+def ref_verify_witness(system: LinearSystem, witness: dict) -> bool:
+    values = [witness.get(v, Fraction(0)) for v in system.variables]
+    for con in system.constraints:
+        lhs = sum((c * x for c, x in zip(con.coeffs, values)), Fraction(0))
+        ok = lhs >= con.rhs if con.relation == ">=" else lhs <= con.rhs
+        if not ok:
+            return False
+    return True
 
 
 def dense_lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
@@ -212,7 +229,7 @@ def dense_lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
         witness = {}
         for j, name in enumerate(system.variables):
             witness[name] = values[j] - values[nvars + j]
-        if not verify_witness(system, witness):
+        if not ref_verify_witness(system, witness):
             raise AssertionError("simplex witness failed exact re-check")
         return FeasibilityOutcome(True, witness=witness)
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rule_kb
 from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
@@ -23,7 +25,7 @@ from embedsim.fixtures import fixture
 from embedsim.logic import CapExceededError, Signature, KnowledgeBase, entails, parse_kb
 from embedsim.strategies import AVG_DOT
 from embedsim.verifier import verify_monotonic
-from oracles import dense_lp_feasible
+from oracles import dense_lp_feasible, ref_verify_witness
 
 F = Fraction
 
@@ -375,6 +377,77 @@ class TestBlockSimplexMatchesDense:
         oriented = [_oriented(c) for c in system.constraints]
         assert _row_blocks(oriented) == [list(range(len(oriented)))]
         assert not assert_same_outcome(system).feasible
+
+
+# mixed denominators, so rows are scaled by different lcms
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+
+
+@st.composite
+def rational_systems(draw):
+    """1-5 variables, 1-10 rows of rational coefficients and right-hand
+    sides, some rows all zero, both relations."""
+    width = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 7)) == 0:
+            coeffs = [0] * width
+        else:
+            coeffs = draw(st.lists(rationals, min_size=width,
+                                   max_size=width))
+        rows.append((coeffs, draw(st.sampled_from([">=", "<="])),
+                     draw(rationals)))
+    return make_system(rows)
+
+
+class TestIntegerRowsMatchFractionReference:
+    """The integer-row tableau against the dense `Fraction` tableau."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rational_systems())
+    def test_rational_systems(self, system):
+        assert_same_outcome(system)
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_rational_systems_reach_both_verdicts(self, feasible):
+        system = find(rational_systems(),
+                      lambda s: lp_feasible(s).feasible is feasible,
+                      settings=settings(derandomize=True, database=None))
+        assert assert_same_outcome(system).feasible is feasible
+
+
+class TestVerifyWitnessIntegers:
+    """`verify_witness` on rational rows, against `ref_verify_witness`."""
+
+    COEFFS = (F(1, 3), F(-2, 7), F(5, 6))
+    RHS = F(3, 4)
+    MISS = F(1, 10**9)
+
+    def boundary(self, shift=F(0)):
+        # v0 and v1 fixed; v2 puts the row's lhs at RHS + shift exactly
+        x0, x1 = F(-5, 2), F(9, 11)
+        c0, c1, c2 = self.COEFFS
+        x2 = (self.RHS + shift - c0 * x0 - c1 * x1) / c2
+        return {"v0": x0, "v1": x1, "v2": x2}
+
+    @pytest.mark.parametrize("relation,shift,want", [
+        (">=", F(0), True), (">=", -MISS, False), (">=", MISS, True),
+        ("<=", F(0), True), ("<=", MISS, False), ("<=", -MISS, True)])
+    def test_boundary_and_near_miss(self, relation, shift, want):
+        system = make_system([(list(self.COEFFS), relation, self.RHS),
+                              ([F(1, 2), 0, 0], ">=", F(-7, 3))])
+        witness = self.boundary(shift)
+        assert verify_witness(system, witness) is want
+        assert ref_verify_witness(system, witness) is want
+
+    def test_missing_and_integer_values(self):
+        system = make_system([([F(2, 3), 0], ">=", F(4, 3)),
+                              ([0, F(-1, 5)], "<=", 0)])
+        for witness, want in (({"v0": 2}, True), ({"v0": F(1)}, False),
+                              ({"v0": 2, "v1": F(-1, 9)}, False),
+                              ({"v0": 3, "v1": 7, "extra": F(1, 2)}, True)):
+            assert verify_witness(system, witness) is want
+            assert ref_verify_witness(system, witness) is want
 
 
 # ------------------------------------------------------------------

@@ -111,6 +111,15 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["verdict"] == "simulates"
 
+    def test_json_byte_stable(self, capsys, ce1_file, tmp_path):
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        argv = ("verify", ce1_file, str(emb), "--strategy", "avg-relu",
+                "--json")
+        first = run(capsys, *argv)
+        assert first == run(capsys, *argv)
+        assert first[0] == 0 and "elapsed" not in first[1]
+
     def test_nonmonotonic_round_trips(self, capsys, ex4_file, tmp_path):
         for prop, strategy in (("4", "avg-relu"), ("5", "had-dot")):
             emb = tmp_path / f"emb{prop}.json"

@@ -16,7 +16,8 @@ from embedsim.logic import (TOP, And, CapExceededError,
                             kb_to_source, nm_consequence_def,
                             nm_consequence_rank, parse_kb, rank_mu)
 from embedsim.fixtures import fixture
-from oracles import tt_entails, tt_models, tt_mu, tt_nm_def, tt_nm_rank
+from oracles import (mask_names, tt_entails, tt_models, tt_mu, tt_nm_def,
+                     tt_nm_rank)
 
 
 # ------------------------------------------------------------------
@@ -361,7 +362,7 @@ class TestConsequenceTables:
             assert len(table) == 16 and not table.flags.writeable
             # every antecedent, the empty one and those holding the head
             for mask in range(16):
-                subset = kb.signature.names(mask)
+                subset = mask_names(kb.signature, mask)
                 for head in self.atoms:
                     want = tt_entails(kb, subset, head)
                     assert bool(table[mask] & kb.signature.bit(head)) == want
@@ -380,7 +381,7 @@ class TestConsequenceTables:
             table = logic.nm_consequence_table(theta)
             assert len(table) == 16 and not table.flags.writeable
             for mask in range(1, 16):
-                subset = theta.signature.names(mask)
+                subset = mask_names(theta.signature, mask)
                 for head in self.atoms:
                     want = tt_nm_rank(theta, subset, head)
                     got = bool(table[mask] & theta.signature.bit(head))
@@ -394,7 +395,7 @@ class TestConsequenceTables:
         # every interpretation has rank 0, so S |> b exactly when b is in S
         theta = parse_kb("atoms: a b c\nstratum: a & !a\n")
         for mask in range(1, 8):
-            subset = theta.signature.names(mask)
+            subset = mask_names(theta.signature, mask)
             for head in ("a", "b", "c"):
                 assert nm_consequence_rank(theta, subset, head) == (
                     head in subset)
