@@ -84,8 +84,9 @@ def _read_embedding(path: str) -> AttributeEmbedding:
         with open(path, encoding="utf-8") as fh:
             return AttributeEmbedding.from_json_dict(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ZeroDivisionError) as exc:
-        # TypeError: JSON of the wrong shape; ZeroDivisionError: "p/0"
+            ZeroDivisionError, OverflowError) as exc:
+        # TypeError: JSON of the wrong shape; ZeroDivisionError: "p/0";
+        # OverflowError: a number such as 1e400, which JSON reads as inf
         raise UsageError(f"cannot load embedding {path}: {exc}") from exc
 
 

@@ -5,13 +5,14 @@ from the context vectors of its attributes) with a labelling rule (when
 an attribute is predicted from an entity vector).  All pooling and
 labelling decisions except the sigmoid-MLE pooling are exact and run in
 integers: `scale` puts each vector family (context, output) over one
-common denominator, pooling returns integer numerators with a single
-denominator, and each labelling rule multiplies the denominators and
-the threshold's p/q out before comparing integers.  `Fraction` appears
-only at the edges: in the embedding itself, and in the mismatch-score
-text.  Normalised pooling never materialises the irrational unit vector;
-it carries (sum, ||sum||^2) and decides comparisons by sign analysis and
-squaring.
+common denominator, and pooling returns integer numerators with a
+single denominator.  Each labelling rule is a labeller, bound once to
+the scaled embedding and a tuple of heads with every denominator and
+threshold p/q multiplied out; one call labels every head of a pooled
+value, as a bitmask.  `Fraction` appears only in the embedding itself
+and in threshold text.  Normalised pooling never materialises the
+irrational unit vector; it carries (sum, ||sum||^2) and decides
+comparisons by sign analysis and squaring.
 
 The sigmoid-MLE pooling is a floating-point demonstrator (gradient
 ascent on a seeded start, deterministic per (seed, iterations)); it is
@@ -25,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import le, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -241,20 +242,6 @@ def scale(emb: AttributeEmbedding | ScaledEmbedding) -> ScaledEmbedding:
                            dict(emb.lam), dict(emb.theta))
 
 
-def _idot(u: IntVec, v: IntVec) -> int:
-    if len(u) != len(v):
-        raise DimensionMismatchError(f"dot of lengths {len(u)} and {len(v)}")
-    return sum(map(mul, u, v))
-
-
-def _dist_sq_scaled(total: IntVec, den: int, out: IntVec, oden: int) -> int:
-    """||total/den - out/oden||^2, multiplied by (den * oden)^2."""
-    if len(total) != len(out):
-        raise DimensionMismatchError(
-            f"distance of lengths {len(total)}, {len(out)}")
-    return sum((t * oden - o * den) ** 2 for t, o in zip(total, out))
-
-
 def _relu(v: IntVec) -> IntVec:
     return tuple(x if x > 0 else 0 for x in v)
 
@@ -264,8 +251,12 @@ def _unique(atoms: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(atoms))
 
 
-def _members(sc: ScaledEmbedding, atoms: Iterable[str]) -> list[IntVec]:
-    return [sc.context[a] for a in _unique(atoms)]
+def _members(sc: ScaledEmbedding, atoms: Iterable[str],
+             pooling: str | None) -> list[IntVec]:
+    vecs = [sc.context[a] for a in _unique(atoms)]
+    if not vecs and pooling:
+        raise ValueError(f"{pooling} pooling needs a non-empty attribute set")
+    return vecs
 
 
 # ------------------------------------------------------------------
@@ -276,9 +267,7 @@ def emb_avg(emb: AttributeEmbedding | ScaledEmbedding,
             atoms: Iterable[str]) -> Pooled:
     """Component-wise mean of the context vectors, as (sum, |S| * cden)."""
     sc = scale(emb)
-    vecs = _members(sc, atoms)
-    if not vecs:
-        raise ValueError("average pooling needs a non-empty attribute set")
+    vecs = _members(sc, atoms, "average")
     return tuple(map(sum, zip(*vecs))), len(vecs) * sc.cden
 
 
@@ -292,7 +281,7 @@ def emb_norm(emb: AttributeEmbedding | ScaledEmbedding,
     attribute set yields the zero vector.
     """
     sc = scale(emb)
-    vecs = _members(sc, atoms)
+    vecs = _members(sc, atoms, None)
     if not vecs:
         return (0,) * sc.dimension, 0
     total = tuple(map(sum, zip(*vecs)))
@@ -303,9 +292,7 @@ def emb_had(emb: AttributeEmbedding | ScaledEmbedding,
             atoms: Iterable[str]) -> Pooled:
     """Hadamard (component-wise product) pooling, as (product, cden^|S|)."""
     sc = scale(emb)
-    vecs = _members(sc, atoms)
-    if not vecs:
-        raise ValueError("Hadamard pooling needs a non-empty attribute set")
+    vecs = _members(sc, atoms, "Hadamard")
     out = vecs[0]
     for v in vecs[1:]:
         out = tuple(map(mul, out, v))
@@ -316,70 +303,146 @@ def emb_ord(emb: AttributeEmbedding | ScaledEmbedding,
             atoms: Iterable[str]) -> Pooled:
     """Component-wise maximum pooling, as (maximum, cden)."""
     sc = scale(emb)
-    vecs = _members(sc, atoms)
-    if not vecs:
-        raise ValueError("max pooling needs a non-empty attribute set")
+    vecs = _members(sc, atoms, "max")
     return tuple(map(max, zip(*vecs))), sc.cden
 
 
 # ------------------------------------------------------------------
-# Labelling functions: denominators multiplied out, integers compared
+# Labellers: one per labelling rule, bound once to a scaled embedding
+# and a tuple of heads, with every threshold multiplied out at binding
 # ------------------------------------------------------------------
 
-def _target(sc: ScaledEmbedding, head: str, tied: bool) -> tuple[IntVec, int]:
-    if tied:
-        return sc.context[head], sc.cden
-    return sc.output[head], sc.oden
+def _ratio(num: int, den: int) -> str:
+    """`frac_str(Fraction(num, den))` for den > 0, without the Fraction."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
-def lab_dot(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-            head: str, tied: bool = False) -> bool:
-    """e . output[head] >= lambda_head (context vector when tied).
+class _Labeller:
+    """The label set of a pooled value over heads fixed at binding.
 
-    For e = T/D, target X/x and lambda = p/q: (T . X) q >= p D x.
+    `labels(pooled)` sets bit i when `heads[i]` is labelled, doing the
+    per-subset work once for all heads; `score(pooled, i)` is the exact
+    quantity behind head i's decision, as mismatch-report text.  Each
+    head's row holds its bit, target vector and threshold constants.
     """
-    sc = scale(emb)
-    total, den = pooled
-    target, tden = _target(sc, head, tied)
-    lam = sc.lam[head]
-    return _idot(total, target) * lam.denominator >= lam.numerator * den * tden
+
+    def __init__(self, sc: ScaledEmbedding):
+        self.dimension, self.cden, self.oden = sc.dimension, sc.cden, sc.oden
+
+    def _vector(self, pooled: Pooled) -> IntVec:
+        if len(pooled[0]) != self.dimension:
+            raise DimensionMismatchError(
+                f"pooled vector has length {len(pooled[0])}, "
+                f"embedding dimension is {self.dimension}")
+        return pooled[0]
 
 
-def lab_dist(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-             head: str) -> bool:
-    """Euclidean distance to output[head] at most theta_head.
+class DotLabeller(_Labeller):
+    """e . output[b] >= lambda_b (the context vector of b when tied).
 
-    For e = T/D, output O/o and theta = p/q, squared and multiplied out:
-    ||T o - O D||^2 q^2 <= (p D o)^2.
+    For e = T/D, target X/x and lambda_b = p/q: (T . X) q >= p x D.
     """
-    sc = scale(emb)
-    total, den = pooled
-    th = sc.theta[head]
-    distsq = _dist_sq_scaled(total, den, sc.output[head], sc.oden)
-    return distsq * th.denominator ** 2 <= (th.numerator * den * sc.oden) ** 2
+
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str],
+                 tied: bool = False):
+        super().__init__(sc)
+        vectors, self.tden = ((sc.context, sc.cden) if tied
+                              else (sc.output, sc.oden))
+        lams = [sc.lam[b] for b in heads]
+        self.rows = [(1 << i, vectors[b], lam.denominator,
+                      lam.numerator * self.tden, f" lambda={frac_str(lam)}")
+                     for i, (b, lam) in enumerate(zip(heads, lams))]
+
+    def labels(self, pooled: Pooled) -> int:
+        total, den = self._vector(pooled), pooled[1]
+        return sum(bit for bit, x, q, px, _ in self.rows
+                   if sum(map(mul, total, x)) * q >= px * den)
+
+    def score(self, pooled: Pooled, i: int) -> str:
+        _, x, _, _, text = self.rows[i]
+        dot = sum(map(mul, pooled[0], x))
+        return f"dot={_ratio(dot, pooled[1] * self.tden)}{text}"
 
 
-def lab_relu(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-             head: str, threshold: Fraction = Fraction(0)) -> bool:
-    """ReLU(e) . context[head] >= threshold (tied vectors; default 0).
+class DistLabeller(_Labeller):
+    """Euclidean distance from e to output[b] at most theta_b.
+
+    For e = T/D, output O/o and theta_b = p/q, squared and multiplied
+    out: ||T o - O D||^2 q^2 <= (p o D)^2.  The square is
+    o^2 ||T||^2 - 2 o D (T . O) + D^2 ||O||^2, so a subset costs one
+    norm and each head one dot product.
+    """
+
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
+        super().__init__(sc)
+        self.rows = []
+        for i, b in enumerate(heads):
+            out, th = sc.output[b], sc.theta[b]
+            self.rows.append((1 << i, out, sum(map(mul, out, out)),
+                              th.denominator ** 2,
+                              (th.numerator * sc.oden) ** 2,
+                              f" theta={frac_str(th)}"))
+
+    def labels(self, pooled: Pooled) -> int:
+        total, den = self._vector(pooled), pooled[1]
+        o, dsq = self.oden, den * den
+        tsq, cross = o * o * sum(map(mul, total, total)), 2 * o * den
+        return sum(bit for bit, out, outsq, q2, p2, _ in self.rows
+                   if (tsq - cross * sum(map(mul, total, out)) + dsq * outsq)
+                   * q2 <= p2 * dsq)
+
+    def score(self, pooled: Pooled, i: int) -> str:
+        (total, den), o = pooled, self.oden
+        _, out, _, _, _, text = self.rows[i]
+        distsq = sum((t * o - x * den) ** 2 for t, x in zip(total, out))
+        return f"distsq={_ratio(distsq, (den * o) ** 2)}{text}"
+
+
+class ReluLabeller(_Labeller):
+    """ReLU(e) . context[b] >= threshold (tied vectors; default 0).
 
     ReLU commutes with the positive denominator, so for e = T/D and
-    threshold p/q: (ReLU(T) . C) q >= p D cden.
+    threshold p/q: (ReLU(T) . C) q >= p cden D, ReLU(T) taken once.
     """
-    sc = scale(emb)
-    total, den = pooled
-    relu_dot = _idot(_relu(total), sc.context[head])
-    return (relu_dot * threshold.denominator
-            >= threshold.numerator * den * sc.cden)
+
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str],
+                 threshold: Fraction = Fraction(0)):
+        super().__init__(sc)
+        self.q, self.pc = threshold.denominator, threshold.numerator * sc.cden
+        self.rows = [(1 << i, sc.context[b]) for i, b in enumerate(heads)]
+
+    def labels(self, pooled: Pooled) -> int:
+        relu, rhs = _relu(self._vector(pooled)), self.pc * pooled[1]
+        return sum(bit for bit, c in self.rows
+                   if sum(map(mul, relu, c)) * self.q >= rhs)
+
+    def score(self, pooled: Pooled, i: int) -> str:
+        dot = sum(map(mul, _relu(pooled[0]), self.rows[i][1]))
+        return f"relu_dot={_ratio(dot, pooled[1] * self.cden)}"
 
 
-def lab_ord(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-            head: str) -> bool:
-    """context[head] below e in the component-wise product order."""
-    sc = scale(emb)
-    total, den = pooled
-    cden = sc.cden
-    return all(b * den <= x * cden for b, x in zip(sc.context[head], total))
+class OrdLabeller(_Labeller):
+    """context[b] below e in the component-wise product order.
+
+    `emb_ord` pools over cden, the context vectors' own denominator, so
+    the numerators are compared directly.
+    """
+
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
+        super().__init__(sc)
+        self.rows = [(1 << i, sc.context[b]) for i, b in enumerate(heads)]
+
+    def labels(self, pooled: Pooled) -> int:
+        total = self._vector(pooled)
+        if pooled[1] != self.cden:
+            raise ValueError(f"order labelling needs the max-pooled "
+                             f"denominator {self.cden}, got {pooled[1]}")
+        return sum(bit for bit, c in self.rows if all(map(le, c, total)))
+
+    def score(self, pooled: Pooled, i: int) -> str:
+        total, den = pooled
+        return f"pooled={','.join(_ratio(x, den) for x in total)}"
 
 
 def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
@@ -387,118 +450,83 @@ def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
     if q < 0:
         raise ValueError("negative squared norm")
     if coeff <= 0:
-        if lhs >= 0:
-            return True
-        # both sides negative: compare magnitudes, reversed by squaring
-        return coeff * coeff * q >= lhs * lhs
-    if lhs < 0:
-        return False
-    return lhs * lhs >= coeff * coeff * q
+        # unless lhs >= 0, both sides are negative: squaring reverses them
+        return lhs >= 0 or coeff * coeff * q >= lhs * lhs
+    return lhs >= 0 and lhs * lhs >= coeff * coeff * q
 
 
-def lab_dot_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
-                    pooled: Pooled, head: str) -> bool:
-    """Dot labelling on normalised pooling, decided exactly.
+class _NormLabeller(_Labeller):
+    """A rule on the (sum, ||sum||^2) pair from `emb_norm`, decided exactly.
 
-    `pooled` is the (sum, ||sum||^2) pair from `emb_norm`.  Decides
-    sum . output[head] >= lambda_head * ||sum|| by sign analysis plus
-    squaring; the sum's denominator cancels, so for output O/o and
-    lambda = p/q the test is (sum . O) q >= p o sqrt(||sum||^2).  The
-    zero pooled vector (empty set or cancelling sum) reduces to
-    0 >= lambda_head.
+    Head b's row reads m (sum . O) >= c ||sum||, decided by sign analysis
+    and squaring; the sum's denominator cancels.  The zero pooled vector
+    (empty set or cancelling sum) gets the label set `zero`, fixed at
+    binding."""
+
+    def labels(self, pooled: Pooled) -> int:
+        total, normsq = self._vector(pooled), pooled[1]
+        if normsq == 0:
+            return self.zero
+        return sum(bit for bit, out, m, c, _ in self.rows
+                   if _ge_scaled_sqrt(m * sum(map(mul, total, out)), c,
+                                      normsq))
+
+    def score(self, pooled: Pooled, i: int) -> str:
+        (total, normsq), cden = pooled, self.cden
+        _, out, _, _, text = self.rows[i]
+        dot = sum(map(mul, total, out))
+        return (f"sum.out={_ratio(dot, cden * self.oden)} "
+                f"normsq={_ratio(normsq, cden * cden)}{text}")
+
+
+class DotOnNormLabeller(_NormLabeller, DotLabeller):
+    """Dot labelling on normalised pooling: sum . b >= lambda_b ||sum||.
+
+    For b = O/o and lambda_b = p/q, on the untied `DotLabeller` rows:
+    (sum . O) q >= p o ||sum||.  The zero vector reduces to 0 >= lambda_b.
     """
-    sc = scale(emb)
-    total, normsq = pooled
-    lam = sc.lam[head]
-    if normsq == 0:
-        return lam <= 0
-    return _ge_scaled_sqrt(_idot(total, sc.output[head]) * lam.denominator,
-                           lam.numerator * sc.oden, normsq)
+
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
+        super().__init__(sc, heads)
+        self.zero = sum(bit for bit, _, _, po, _ in self.rows if po <= 0)
 
 
-def lab_dist_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
-                     pooled: Pooled, head: str) -> bool:
-    """Distance labelling on normalised pooling, decided exactly.
+class DistOnNormLabeller(_NormLabeller):
+    """Distance labelling on normalised pooling.
 
-    `pooled` is the (sum, ||sum||^2) pair from `emb_norm`.  For a unit
-    pooled vector e, d(e, b) <= theta_b unfolds to
+    For a unit pooled vector e, d(e, b) <= theta_b unfolds to
     2 (sum . b) >= (1 + ||b||^2 - theta_b^2) ||sum||; with b = O/o and
-    theta_b = p/q it is multiplied by o^2 q^2 (and the sum's
-    denominator) and decided by the squaring helper.  The zero pooled
+    theta_b = p/q both sides are multiplied by o^2 q^2.  The zero pooled
     vector compares ||b|| to theta_b.
     """
-    sc = scale(emb)
-    total, normsq = pooled
-    out, oden = sc.output[head], sc.oden
-    th = sc.theta[head]
-    p2, q2 = th.numerator ** 2, th.denominator ** 2
-    out_sq = sum(x * x for x in out)
-    if normsq == 0:
-        return out_sq * q2 <= p2 * oden * oden
-    coeff = (oden * oden + out_sq) * q2 - p2 * oden * oden
-    return _ge_scaled_sqrt(2 * _idot(total, out) * oden * q2, coeff, normsq)
+
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
+        super().__init__(sc)
+        o2, self.rows, self.zero = sc.oden ** 2, [], 0
+        for i, b in enumerate(heads):
+            out, th = sc.output[b], sc.theta[b]
+            outsq = sum(map(mul, out, out))
+            p2, q2 = th.numerator ** 2, th.denominator ** 2
+            self.rows.append((1 << i, out, 2 * sc.oden * q2,
+                              (o2 + outsq) * q2 - p2 * o2,
+                              f" outsq={_ratio(outsq, o2)} "
+                              f"theta={frac_str(th)}"))
+            self.zero |= (outsq * q2 <= p2 * o2) << i
 
 
-# ------------------------------------------------------------------
-# Mismatch scores: the exact quantities behind a labelling decision,
-# brought back to rationals only for the report text
-# ------------------------------------------------------------------
-
-def _ratio(num: int, den: int) -> str:
-    return frac_str(Fraction(num, den))
+def _label_one(labeller: Callable[..., _Labeller],
+               emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
+               head: str, *args, **kwargs) -> bool:
+    return bool(labeller(scale(emb), (head,), *args, **kwargs).labels(pooled))
 
 
-def _score_dot(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-               head: str, tied: bool = False) -> str:
-    sc = scale(emb)
-    total, den = pooled
-    target, tden = _target(sc, head, tied)
-    return (f"dot={_ratio(_idot(total, target), den * tden)} "
-            f"lambda={frac_str(sc.lam[head])}")
-
-
-def _score_dist(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-                head: str) -> str:
-    sc = scale(emb)
-    total, den = pooled
-    distsq = _dist_sq_scaled(total, den, sc.output[head], sc.oden)
-    return (f"distsq={_ratio(distsq, (den * sc.oden) ** 2)} "
-            f"theta={frac_str(sc.theta[head])}")
-
-
-def _score_relu(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-                head: str) -> str:
-    sc = scale(emb)
-    total, den = pooled
-    relu_dot = _idot(_relu(total), sc.context[head])
-    return f"relu_dot={_ratio(relu_dot, den * sc.cden)}"
-
-
-def _score_ord(emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-               head: str) -> str:
-    total, den = pooled
-    return f"pooled={','.join(_ratio(x, den) for x in total)}"
-
-
-def _score_dot_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
-                       pooled: Pooled, head: str) -> str:
-    sc = scale(emb)
-    total, normsq = pooled
-    sum_out = _idot(total, sc.output[head])
-    return (f"sum.out={_ratio(sum_out, sc.cden * sc.oden)} "
-            f"normsq={_ratio(normsq, sc.cden ** 2)} "
-            f"lambda={frac_str(sc.lam[head])}")
-
-
-def _score_dist_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
-                        pooled: Pooled, head: str) -> str:
-    sc = scale(emb)
-    total, normsq = pooled
-    out = sc.output[head]
-    return (f"sum.out={_ratio(_idot(total, out), sc.cden * sc.oden)} "
-            f"normsq={_ratio(normsq, sc.cden ** 2)} "
-            f"outsq={_ratio(sum(x * x for x in out), sc.oden ** 2)} "
-            f"theta={frac_str(sc.theta[head])}")
+# the single-head decisions: lab_*(emb, pooled, head, ...) -> bool
+lab_dot = partial(_label_one, DotLabeller)  # tied=False
+lab_dist = partial(_label_one, DistLabeller)
+lab_relu = partial(_label_one, ReluLabeller)  # threshold=0
+lab_ord = partial(_label_one, OrdLabeller)
+lab_dot_on_norm = partial(_label_one, DotOnNormLabeller)
+lab_dist_on_norm = partial(_label_one, DistOnNormLabeller)
 
 
 # ------------------------------------------------------------------
@@ -506,18 +534,14 @@ def _score_dist_on_norm(emb: AttributeEmbedding | ScaledEmbedding,
 # ------------------------------------------------------------------
 
 class ExactRule(NamedTuple):
-    """pool(emb, atoms) -> pooled; label/score(emb, pooled, head).
-
-    `emb` is a `ScaledEmbedding` or an `AttributeEmbedding`, which is
-    scaled on the call."""
+    """pool(emb, atoms) -> pooled; labeller(scaled, heads) -> a labeller."""
 
     pool: Callable
-    label: Callable[..., bool]
-    score: Callable[..., str]
+    labeller: Callable[..., _Labeller]
 
 
 def exact_rule(strategy: StrategyId) -> ExactRule:
-    """The pooling, labelling rule and mismatch-score text of a strategy.
+    """The pooling and the labeller of a strategy.
 
     This is the one place an exact strategy is mapped to its functions.
     The names are resolved in this module on every call, not captured at
@@ -528,16 +552,15 @@ def exact_rule(strategy: StrategyId) -> ExactRule:
         raise ExactEvaluationError(
             "sigmoid pooling is numeric-only and has no exact verdict")
     # tied dot labelling compares against the context vectors
-    dot_rule = (partial(lab_dot, tied=strategy.tied),
-                partial(_score_dot, tied=strategy.tied))
+    dot = partial(DotLabeller, tied=strategy.tied)
     rules = {
-        ("avg", "dot"): (emb_avg, *dot_rule),
-        ("avg", "dist"): (emb_avg, lab_dist, _score_dist),
-        ("avg", "relu"): (emb_avg, lab_relu, _score_relu),
-        ("norm", "dot"): (emb_norm, lab_dot_on_norm, _score_dot_on_norm),
-        ("norm", "dist"): (emb_norm, lab_dist_on_norm, _score_dist_on_norm),
-        ("had", "dot"): (emb_had, *dot_rule),
-        ("ord", "ord"): (emb_ord, lab_ord, _score_ord),
+        ("avg", "dot"): (emb_avg, dot),
+        ("avg", "dist"): (emb_avg, DistLabeller),
+        ("avg", "relu"): (emb_avg, ReluLabeller),
+        ("norm", "dot"): (emb_norm, DotOnNormLabeller),
+        ("norm", "dist"): (emb_norm, DistOnNormLabeller),
+        ("had", "dot"): (emb_had, dot),
+        ("ord", "ord"): (emb_ord, OrdLabeller),
     }
     if (p, l) not in rules:
         raise ExactEvaluationError(f"unsupported combination {strategy.name}")
@@ -549,7 +572,7 @@ def strategy_accepts(emb: AttributeEmbedding, strategy: StrategyId,
     """Does `head` belong to the label set of the pooled embedding of `atoms`?"""
     rule = exact_rule(strategy)
     sc = scale(emb)
-    return rule.label(sc, rule.pool(sc, atoms), head)
+    return _label_one(rule.labeller, sc, rule.pool(sc, atoms), head)
 
 
 # ------------------------------------------------------------------

@@ -9,10 +9,11 @@ bitmask), heads by signature index, so reports are deterministic.
 
 A sweep does the per-KB and per-embedding work once: it fetches the
 consequence table (`logic.entailment_table` or
-`logic.nm_consequence_table`, indexed by subset mask) and scales the
-embedding to integers (`strategies.scale`).  Each subset is then pooled
-once for all its heads, in integers, and a mismatch's score is read off
-that pooled value.
+`logic.nm_consequence_table`, indexed by subset mask, bit b for head b),
+scales the embedding to integers (`strategies.scale`) and binds the
+strategy's labeller to the signature's heads.  Each subset is then
+pooled once and labelled once, its label set a bitmask XORed with its
+table entry, and only the heads that differ are scored.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
 undefined for most strategies); each report records that exclusion.
@@ -32,8 +33,8 @@ from .logic import entails  # noqa: F401
 from .logic import (KnowledgeBase, Signature, StratifiedKB, entailment_table,
                     kb_digest, nm_consequence_table)
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
-                         ScaledEmbedding, StrategyId, emb_had, emb_ord,
-                         exact_rule, lab_dot, lab_ord, scale)
+                         OrdLabeller, StrategyId, emb_had, emb_ord,
+                         exact_rule, lab_dot, scale)
 
 FULL_SWEEP_ATOM_LIMIT = 8
 CAPPED_SWEEP_DEFAULT = 4
@@ -90,20 +91,23 @@ def default_cap(signature: Signature) -> int:
     return n if n <= FULL_SWEEP_ATOM_LIMIT else CAPPED_SWEEP_DEFAULT
 
 
-def nonempty_subsets(signature: Signature, cap: int) -> list[tuple[str, ...]]:
-    """Non-empty subsets up to the cap in canonical (|S|, S-bitmask) order.
-
-    Each size is generated directly, so the cost follows the number of
-    subsets returned, not 2^n.
-    """
+def _subset_masks(signature: Signature,
+                  cap: int) -> list[tuple[int, tuple[str, ...]]]:
+    """`nonempty_subsets` with each subset's mask, generated size by size
+    so that the cost follows the number of subsets returned, not 2^n."""
     atoms = signature.atoms
-    subsets = []
+    pairs = []
     for size in range(1, min(cap, len(atoms)) + 1):
         # combinations come in lexicographic index order, not mask order
-        combos = sorted(combinations(range(len(atoms)), size),
-                        key=lambda combo: sum(1 << i for i in combo))
-        subsets += [tuple(atoms[i] for i in combo) for combo in combos]
-    return subsets
+        pairs += sorted((sum(1 << i for i in combo),
+                         tuple(atoms[i] for i in combo))
+                        for combo in combinations(range(len(atoms)), size))
+    return pairs
+
+
+def nonempty_subsets(signature: Signature, cap: int) -> list[tuple[str, ...]]:
+    """Non-empty subsets up to the cap in canonical (|S|, S-bitmask) order."""
+    return [subset for _, subset in _subset_masks(signature, cap)]
 
 
 def subset_queries(signature: Signature, cap: int) -> list[Query]:
@@ -115,10 +119,11 @@ def subset_queries(signature: Signature, cap: int) -> list[Query]:
 
 def _check_coverage(embedding: AttributeEmbedding,
                     signature: Signature) -> None:
-    missing = [a for a in signature.atoms if a not in embedding.context]
-    if missing:
-        raise DimensionMismatchError(
-            f"embedding lacks vectors for atoms: {', '.join(missing)}")
+    for family, vectors in (("", embedding.context),
+                            ("output ", embedding.output)):
+        if missing := [a for a in signature.atoms if a not in vectors]:
+            raise DimensionMismatchError(f"embedding lacks {family}vectors "
+                                         f"for atoms: {', '.join(missing)}")
 
 
 def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
@@ -127,36 +132,40 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
            cap: int | None, queries: list[Query] | None) -> VerificationReport:
     signature = kb.signature
     _check_coverage(embedding, signature)
-    rule = exact_rule(strategy)
     if cap is None:
         cap = default_cap(signature)
-    capped = cap < len(signature)
-    if queries is None:
-        queries = subset_queries(signature, cap)
+    elif cap < 1:
+        raise ValueError(f"subset cap must be at least 1, got {cap}")
+    pool, bind = exact_rule(strategy)
     table = consequence_table(kb)
     scaled = scale(embedding)
+    labeller = bind(scaled, signature.atoms)
+    if queries is None:
+        subsets = _subset_masks(signature, cap)
+        runs = [(mask, subset, -1) for mask, subset in subsets]  # every head
+        count = len(subsets) * len(signature)
+    else:
+        runs = [(signature.mask(subset), subset, signature.bit(head))
+                for subset, head in queries]
+        count = len(queries)
     mismatches = []
-    pooled_subset = pooled = implied = None
-    for subset, head in queries:
-        # consecutive queries on one subset share its pooled value and
-        # table entry, and the canonical order lists its heads together
+    pooled_subset = None
+    for mask, subset, asked in runs:
+        # consecutive queries on one subset share its pooled value, label
+        # set and table entry
         if subset != pooled_subset:
-            pooled_subset, pooled = subset, rule.pool(scaled, subset)
-            implied = int(table[signature.mask(subset)])
-        expected = bool(implied & signature.bit(head))
-        got = rule.label(scaled, pooled, head)
-        if expected != got:
-            mismatches.append(Mismatch(subset, head, expected, got,
-                                       rule.score(scaled, pooled, head)))
-    return VerificationReport(
-        strategy=strategy.name,
-        kb_digest=kb_digest(kb),
-        kind=kind,
-        cap=cap,
-        capped=capped,
-        queries=len(queries),
-        mismatches=mismatches,
-    )
+            pooled_subset, pooled = subset, pool(scaled, subset)
+            got = labeller.labels(pooled)
+            wrong = got ^ int(table[mask])
+        wrong_asked = wrong & asked
+        while wrong_asked:  # one mismatch per wrong head, in head order
+            i = (wrong_asked & -wrong_asked).bit_length() - 1
+            mismatches.append(Mismatch(
+                subset, signature.atoms[i], not got >> i & 1,
+                bool(got >> i & 1), labeller.score(pooled, i)))
+            wrong_asked &= wrong_asked - 1
+    return VerificationReport(strategy.name, kb_digest(kb), kind, cap,
+                              cap < len(signature), count, mismatches)
 
 
 def verify_monotonic(embedding: AttributeEmbedding, strategy: StrategyId,
@@ -196,12 +205,6 @@ class PropertyReport:
                 "trace": self.trace}
 
 
-def _ord_labels(scaled: ScaledEmbedding,
-                subset: tuple[str, ...]) -> tuple[str, ...]:
-    pooled = emb_ord(scaled, subset)
-    return tuple(b for b in scaled.context if lab_ord(scaled, pooled, b))
-
-
 def check_ord_monotonicity(embedding: AttributeEmbedding,
                            cap: int | None = None) -> PropertyReport:
     """Label sets under max pooling grow with the attribute set.
@@ -216,7 +219,10 @@ def check_ord_monotonicity(embedding: AttributeEmbedding,
         cap = default_cap(sig)
     subsets = nonempty_subsets(sig, cap)
     scaled = scale(embedding)
-    labels = {s: _ord_labels(scaled, s) for s in subsets}
+    ord_labels = OrdLabeller(scaled, atoms).labels
+    masks = {s: ord_labels(emb_ord(scaled, s)) for s in subsets}
+    labels = {s: tuple(b for i, b in enumerate(atoms) if m >> i & 1)
+              for s, m in masks.items()}
     violations = []
     checked = 0
     trace = None

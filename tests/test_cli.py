@@ -186,6 +186,56 @@ class TestVerify:
         assert err.startswith("error: cannot load embedding")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"dimension": 1e400, "atoms": [{"name": "a", "context": ["1"]}]}',
+        '{"dimension": 1, "atoms": [{"name": "a", "context": [1e400]}]}',
+        '{"dimension": 1, "atoms": [{"name": "a", "context": ["1"], '
+        '"lambda": 1e400}]}',
+    ], ids=["dimension", "coordinate", "lambda"])
+    def test_overflowing_number_exit_two(self, capsys, ce1_file, tmp_path,
+                                         text):
+        # JSON reads 1e400 as an infinite float, which no integer or
+        # Fraction can hold
+        emb = tmp_path / "emb.json"
+        emb.write_text(text)
+        code, out, err = run(capsys, "verify", ce1_file, str(emb),
+                             "--strategy", "avg-dot")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot load embedding")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_exit_two(self, capsys, ce1_file, tmp_path, cap):
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        code, out, err = run(capsys, "verify", ce1_file, str(emb),
+                             "--strategy", "avg-relu", "--cap", cap)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: subset cap must be at least 1, got {cap}\n"
+
+    def test_cap_below_one_from_environment_exit_two(self, capsys, ce1_file,
+                                                     tmp_path, monkeypatch):
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        monkeypatch.setenv("EMBEDSIM_CAP", "0")
+        code, out, err = run(capsys, "verify", ce1_file, str(emb),
+                             "--strategy", "avg-relu")
+        assert (code, out) == (2, "")
+        assert err == "error: subset cap must be at least 1, got 0\n"
+
+    def test_cap_below_one_from_config_exit_two(self, capsys, ce1_file,
+                                                tmp_path):
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cap": 0}))
+        code, out, err = run(capsys, "--config", str(cfg), "verify",
+                             ce1_file, str(emb), "--strategy", "avg-relu")
+        assert (code, out) == (2, "")
+        assert err == "error: subset cap must be at least 1, got 0\n"
+
     def test_stratified_kb_over_cap_exit_two(self, capsys, tmp_path):
         atoms = [f"p{i}" for i in range(21)]
         kb = tmp_path / "wide.kb"

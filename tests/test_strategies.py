@@ -169,6 +169,14 @@ class TestLabelling:
         assert lab_ord(emb, ((0, 1), 1), "b")
         assert not lab_ord(emb, ((1, 0), 1), "b")
 
+    def test_ord_needs_the_max_pooled_denominator(self):
+        # numerators are compared directly, so the pooled value must be
+        # over cden, as emb_ord returns it
+        emb = make_embedding({"a": (F(1, 2), 0), "b": (F(1, 2), F(1, 3))})
+        assert lab_ord(emb, emb_ord(emb, ("a", "b")), "b")
+        with pytest.raises(ValueError, match="denominator 6, got 1"):
+            lab_ord(emb, ((3, 2), 1), "b")
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6),
            st.fractions(min_value="1/100", max_value=100))
@@ -320,33 +328,61 @@ def kernel_embeddings(draw):
         {a: draw(radii) for a in KERNEL_ATOMS})
 
 
+OUTSIDE = ("y", "z")
+
+
+@st.composite
+def labeller_cases(draw):
+    """A kernel embedding with two atoms more, and heads: a drawn ordering
+    of some kernel atoms.  Lambda is 0 for a and negative for b, and
+    theta is 0 for c."""
+    emb = draw(kernel_embeddings())
+    vec = st.tuples(*[coords] * emb.dimension)
+    for a in OUTSIDE:
+        emb.context[a], emb.output[a] = draw(vec), draw(vec)
+        emb.lam[a], emb.theta[a] = draw(thresholds), draw(radii)
+    emb.lam["a"] = F(0)
+    emb.lam["b"] = -draw(st.fractions(min_value=F(1, 5), max_value=3,
+                                      max_denominator=5))
+    emb.theta["c"] = F(0)
+    heads = draw(st.permutations(KERNEL_ATOMS))[:draw(st.integers(1, 6))]
+    return emb, tuple(heads)
+
+
 class TestKernelsMatchFractionReference:
     def test_reference_covers_every_exact_strategy(self):
         assert sorted(REF_RULES) == sorted(s.name for s in EXACT)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(kernel_embeddings(),
-           st.lists(st.sampled_from(KERNEL_ATOMS), min_size=1, max_size=8))
-    def test_decisions_and_scores(self, emb, drawn):
+    @given(labeller_cases(),
+           st.lists(st.sampled_from(KERNEL_ATOMS + OUTSIDE), min_size=1,
+                    max_size=8))
+    def test_decisions_and_scores(self, case, drawn):
+        # a labeller bound to the drawn heads labels every one of them in
+        # one bitmask; subsets may pool atoms that are not heads
+        emb, heads = case
         scaled = scale(emb)
         # the drawn atoms (duplicates included), a cancelling pair, and a
-        # Hadamard product over all six atoms
+        # Hadamard product over all six kernel atoms
         subsets = [tuple(drawn), ("e", "f"), KERNEL_ATOMS]
         for strategy in EXACT:
             rule = exact_rule(strategy)
+            labeller = rule.labeller(scaled, heads)
             cases = subsets + ([()] if strategy.pooling == "norm" else [])
             for subset in cases:
                 pooled = rule.pool(scaled, subset)
                 assert rule.pool(emb, subset) == pooled
-                for head in KERNEL_ATOMS:
-                    want = ref_evaluate(emb, strategy.name, subset, head)
-                    got = (rule.label(scaled, pooled, head),
-                           rule.score(scaled, pooled, head))
-                    assert got == want, (strategy.name, subset, head)
+                want = [ref_evaluate(emb, strategy.name, subset, head)
+                        for head in heads]
+                assert labeller.labels(pooled) == sum(
+                    1 << i for i, (label, _) in enumerate(want) if label)
+                for i, head in enumerate(heads):
+                    assert labeller.score(pooled, i) == want[i][1], (
+                        strategy.name, subset, head)
                     if subset:
                         assert strategy_accepts(
                             emb, strategy, subset + subset[:1],
-                            head) == want[0]
+                            head) == want[i][0]
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(kernel_embeddings(), thresholds)

@@ -7,6 +7,7 @@ import pytest
 
 import embedsim.logic as logic
 import embedsim.strategies as strategies
+import embedsim.verifier as verifier
 from conftest import (random_embedding, random_rule_kb,
                       random_stratified_kb)
 from embedsim.constructors import construct_avg_relu, construct_had_dot
@@ -110,6 +111,26 @@ class TestVerifyMonotonic:
         with pytest.raises(DimensionMismatchError):
             verify_monotonic(emb, AVG_DOT, kb)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        kb = fixture("CE1")
+        emb = random_embedding(random.Random(3), kb.signature.atoms)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            verify_monotonic(emb, AVG_DOT, kb, cap=cap)
+        theta = fixture("ORD-NM")
+        emb = random_embedding(random.Random(4), theta.signature.atoms,
+                               tied=True)
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            verify_nonmonotonic(emb, ORD_ORD, theta, cap=cap)
+
+    def test_missing_output_vector_rejected(self):
+        kb = fixture("CE1")
+        emb = random_embedding(random.Random(3), kb.signature.atoms)
+        del emb.output["x"], emb.output["b"]
+        with pytest.raises(DimensionMismatchError,
+                           match="lacks output vectors for atoms: b, x$"):
+            verify_monotonic(emb, AVG_DOT, kb)
+
     def test_report_records_empty_antecedent_exclusion(self):
         kb = parse_kb("atoms: a\n")
         emb = random_embedding(random.Random(5), ("a",))
@@ -172,6 +193,43 @@ class TestPoolOnce:
                     expected_mismatches.append((subset, head, want, got))
             assert [(m.subset, m.head, m.expected, m.got)
                     for m in report.mismatches] == expected_mismatches
+
+
+class TestLabelOnce:
+    @pytest.mark.parametrize("strategy",
+                             [s for s in TABLE1_STRATEGIES if s.exact],
+                             ids=lambda s: s.name)
+    def test_one_labeller_and_one_labels_call_per_subset(self, strategy,
+                                                         monkeypatch):
+        bound, labelled = [], []
+        original = verifier.exact_rule
+
+        def counting_rule(s):
+            rule = original(s)
+
+            def bind(scaled, heads):
+                labeller = rule.labeller(scaled, heads)
+                bound.append(heads)
+                labels = labeller.labels
+
+                def counting_labels(pooled):
+                    labelled.append(pooled)
+                    return labels(pooled)
+
+                labeller.labels = counting_labels
+                return labeller
+
+            return rule._replace(labeller=bind)
+
+        monkeypatch.setattr(verifier, "exact_rule", counting_rule)
+        kb = fixture("CE1")
+        emb = random_embedding(random.Random(97), kb.signature.atoms,
+                               tied=strategy.tied)
+        report = verify_monotonic(emb, strategy, kb)
+        assert report.queries == 155
+        # bound once to every head; 31 non-empty subsets of 5 atoms
+        assert bound == [kb.signature.atoms]
+        assert len(labelled) == 31
 
 
 class TestSubsetEnumeration:
