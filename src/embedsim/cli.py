@@ -24,7 +24,7 @@ from .certifier import (certify_nonmonotonic_failure,
                         certify_strategy_failure, decide_avg_dot)
 from .constructors import DeltaConfig, construct
 from .fixtures import FIXTURE_NAMES
-from .logic import KBError, StratifiedKB, enumerate_models, parse_kb
+from .logic import KBError, StratifiedKB, count_models, parse_kb
 from .strategies import AttributeEmbedding, strategy_from_name
 from .table1 import run_table1
 from .verifier import verify_monotonic, verify_nonmonotonic
@@ -119,14 +119,13 @@ def cmd_check(args, config) -> int:
                  f"atoms: {len(kb.signature)} ({' '.join(kb.signature.atoms)})",
                  f"interpretations: {doc['interpretations']}"]
     else:
-        models = enumerate_models(kb)
+        models = count_models(kb)
         doc = {"kind": "plain", "atoms": len(kb.signature),
-               "formulas": len(kb.formulas), "models": len(models),
+               "formulas": len(kb.formulas), "models": models,
                "consistent": bool(models)}
         lines = [f"plain KB, {len(kb.formulas)} formulas",
                  f"atoms: {len(kb.signature)} ({' '.join(kb.signature.atoms)})",
-                 f"models: {len(models)}"
-                 + ("" if models else " (inconsistent)")]
+                 f"models: {models}" + ("" if models else " (inconsistent)")]
     _emit(doc, args.json, lines)
     return 0
 

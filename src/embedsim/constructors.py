@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .logic import (CapExceededError, KnowledgeBase, StratifiedKB,
-                    enumerate_models, rank_mu)
+                    enumerate_models, rank_table)
 from .strategies import (AVG_RELU, HAD_DOT, ORD_ORD, AttributeEmbedding,
                          StrategyId, Vec)
 
@@ -169,12 +169,9 @@ def construct_ord(kb: KnowledgeBase) -> ConstructionResult:
 
 def _rank_weights(theta: StratifiedKB, delta: int) -> list[tuple[int, int]]:
     """Per interpretation: (delta^(2 mu), delta^(1 + 2 mu))."""
-    weights = []
-    for omega in range(1 << len(theta.signature)):
-        mu = rank_mu(theta, omega)
-        pos = delta ** (2 * mu)
-        weights.append((pos, delta * pos))
-    return weights
+    by_rank = [(delta ** (2 * mu), delta ** (1 + 2 * mu))
+               for mu in range(len(theta.strata) + 1)]
+    return [by_rank[mu] for mu in rank_table(theta).tolist()]
 
 
 def construct_avg_relu_nm(theta: StratifiedKB,

@@ -1,15 +1,21 @@
 """Propositional syntax, parsing, model enumeration and consequence relations.
 
 Two consequence relations live here.  The monotonic one is classical
-entailment over a finite knowledge base, decided from its models found
-by truth-table enumeration (exact, no SAT solver; the whole toolkit
-operates at desk scale).  The non-monotonic one is the ranked-default
-relation over a stratified knowledge base (alpha_1, ..., alpha_k): an
-interpretation's rank is the longest prefix of strata it satisfies, and
-`S |> b` holds when the best-ranked models of S u {b} beat the
-best-ranked models of S u {not b}.  Both the existential-prefix
-definition and the rank criterion are implemented so they can be
-checked against each other.
+entailment over a finite knowledge base, decided from its models (exact,
+no SAT solver; the whole toolkit operates at desk scale).  The
+non-monotonic one is the ranked-default relation over a stratified
+knowledge base (alpha_1, ..., alpha_k): an interpretation's rank is the
+longest prefix of strata it satisfies, and `S |> b` holds when the
+best-ranked models of S u {b} beat the best-ranked models of
+S u {not b}.  Both the existential-prefix definition and the rank
+criterion are implemented so they can be checked against each other.
+
+Formulas are evaluated over all 2^n interpretations at once, one step
+per syntax-tree node: a node's truth set is a Python int whose bit
+omega is set exactly when the node holds at interpretation omega, so
+connectives are single big-int operations (`truth_set`).  The models of
+a KB are the AND of its formulas' truth sets; the rank of every
+interpretation comes from a running AND over the strata (`rank_table`).
 
 Neither relation scans the interpretations per query.  Each KB gets one
 table over all 2^n antecedents, built by a superset transform in
@@ -34,6 +40,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_MODEL_CAP = 20
+
+# Budget on a parsed formula's depth: the parentheses, `!` and binary
+# connectives along any root-to-leaf path.  Parsing takes up to six
+# Python frames per level (a parenthesis passes through every precedence
+# level), and printing, hashing, comparing and evaluating one frame per
+# level, so 100 levels stay well inside the default recursion limit of
+# 1000 with room for the caller's own frames.
+MAX_FORMULA_DEPTH = 100
 
 
 class KBError(Exception):
@@ -224,6 +238,7 @@ def kb_digest(kb: KnowledgeBase | StratifiedKB) -> str:
 # lines (plain KB) or ordered `stratum:` lines (stratified KB).
 # Connectives ! & | -> <->, constants TRUE/FALSE, parentheses.
 # Precedence ! > & > | > -> (right-assoc) > <-> ; & | <-> left-assoc.
+# A formula may nest at most MAX_FORMULA_DEPTH levels deep.
 # ------------------------------------------------------------------
 
 _LINE_RE = re.compile(r"^\s*(atoms|rule|formula|stratum)\s*:\s*(.*)$")
@@ -274,12 +289,20 @@ def _tokenize(payload: str, line_no: int, offset: int) -> list[_Token]:
 
 
 class _FormulaParser:
-    """Recursive-descent parser over a token list."""
+    """Recursive-descent parser over a token list.
+
+    Each method returns the parsed formula with its depth, so a formula
+    deeper than `MAX_FORMULA_DEPTH` is refused at the token where it
+    crosses the budget, before anything walks it.  `open` counts the
+    operands being parsed below an earlier token; each will add a level
+    above its own subtree, so bounding it bounds the parser's recursion.
+    """
 
     def __init__(self, tokens: list[_Token], declared: set[str]):
         self.tokens = tokens
         self.pos = 0
         self.declared = declared
+        self.open = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -289,61 +312,87 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
+    def _too_deep(self, tok: _Token) -> ParseError:
+        return ParseError(
+            f"formula nests deeper than {MAX_FORMULA_DEPTH} levels",
+            tok.line, tok.column)
+
+    def _operand(self, tok: _Token, parse) -> tuple[Formula, int]:
+        """Parse an operand of the connective or parenthesis at `tok`."""
+        self.open += 1
+        if self.open > MAX_FORMULA_DEPTH:
+            raise self._too_deep(tok)
+        result = parse()
+        self.open -= 1
+        return result
+
+    def _depth(self, tok: _Token, *children: int) -> int:
+        """Depth of a node over the given child depths, within budget."""
+        depth = 1 + max(children)
+        if self.open + depth > MAX_FORMULA_DEPTH:
+            raise self._too_deep(tok)
+        return depth
+
     def parse(self) -> Formula:
-        f = self.iff()
+        f, _ = self.iff()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
         return f
 
-    def iff(self) -> Formula:
-        f = self.implies()
+    def iff(self) -> tuple[Formula, int]:
+        f, d = self.implies()
         while self.peek().kind == "<->":
-            self.take()
-            f = Iff(f, self.implies())
-        return f
+            tok = self.take()
+            g, e = self._operand(tok, self.implies)
+            f, d = Iff(f, g), self._depth(tok, d, e)
+        return f, d
 
-    def implies(self) -> Formula:
-        f = self.disj()
+    def implies(self) -> tuple[Formula, int]:
+        f, d = self.disj()
         if self.peek().kind == "->":
-            self.take()
-            return Implies(f, self.implies())
-        return f
+            tok = self.take()
+            g, e = self._operand(tok, self.implies)
+            return Implies(f, g), self._depth(tok, d, e)
+        return f, d
 
-    def disj(self) -> Formula:
-        f = self.conj()
+    def disj(self) -> tuple[Formula, int]:
+        f, d = self.conj()
         while self.peek().kind == "|":
-            self.take()
-            f = Or(f, self.conj())
-        return f
+            tok = self.take()
+            g, e = self._operand(tok, self.conj)
+            f, d = Or(f, g), self._depth(tok, d, e)
+        return f, d
 
-    def conj(self) -> Formula:
-        f = self.unary()
+    def conj(self) -> tuple[Formula, int]:
+        f, d = self.unary()
         while self.peek().kind == "&":
-            self.take()
-            f = And(f, self.unary())
-        return f
+            tok = self.take()
+            g, e = self._operand(tok, self.unary)
+            f, d = And(f, g), self._depth(tok, d, e)
+        return f, d
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         tok = self.take()
         if tok.kind == "!":
-            return Not(self.unary())
+            f, d = self._operand(tok, self.unary)
+            return Not(f), self._depth(tok, d)
         if tok.kind == "(":
-            f = self.iff()
+            f, d = self._operand(tok, self.iff)
             closing = self.take()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.line, closing.column)
-            return f
+            return f, self._depth(tok, d)
         if tok.kind == "true":
-            return TOP
+            return TOP, 0
         if tok.kind == "false":
-            return BOTTOM
+            return BOTTOM, 0
         if tok.kind == "atom":
             if tok.text not in self.declared:
                 raise UndeclaredAtomError(
                     f"undeclared atom {tok.text!r}", tok.line, tok.column
                 )
-            return Var(tok.text)
+            return Var(tok.text), 0
         raise ParseError(
             f"expected formula, found {tok.text or 'end of line'!r}",
             tok.line,
@@ -423,27 +472,66 @@ def parse_kb(text: str) -> KnowledgeBase | StratifiedKB:
 # Semantics
 # ------------------------------------------------------------------
 
-def evaluate(formula: Formula, omega: int, signature: Signature) -> bool:
-    """Classical truth value of the formula under interpretation bits."""
+@lru_cache(maxsize=8)
+def _universe(n: int) -> tuple[int, tuple[int, ...]]:
+    """The set of all 2^n interpretations, and atom i's truth set.
+
+    Atom i holds where bit i of the interpretation is set: runs of 2^i
+    clear then 2^i set bits.  One period is doubled by shifts until it
+    fills 2^n bits, O(2^n / 64) word operations per atom.
+    """
+    size = 1 << n
+    atoms = []
+    for i in range(n):
+        period = 2 << i
+        bits = ((1 << (1 << i)) - 1) << (1 << i)
+        while period < size:
+            bits |= bits << period
+            period <<= 1
+        atoms.append(bits)
+    return (1 << size) - 1, tuple(atoms)
+
+
+def truth_set(formula: Formula, signature: Signature) -> int:
+    """The interpretations where the formula holds, as a bit set.
+
+    Bit omega of the result is set exactly when the formula holds under
+    interpretation omega.  Each syntax-tree node costs one big-int
+    operation over all 2^n interpretations at once.
+    """
+    n = _check_cap(signature, DEFAULT_MODEL_CAP)
+    return _truth(formula, signature, *_universe(n))
+
+
+def _truth(formula: Formula, signature: Signature, full: int,
+           atoms: tuple[int, ...]) -> int:
+    """`truth_set` below the cap check, given `_universe(n)`."""
     if isinstance(formula, Var):
-        return bool(omega >> signature.index(formula.name) & 1)
+        return atoms[signature.index(formula.name)]
     if isinstance(formula, Const):
-        return formula.value
+        return full if formula.value else 0
     if isinstance(formula, Not):
-        return not evaluate(formula.sub, omega, signature)
+        return full ^ _truth(formula.sub, signature, full, atoms)
+    left = _truth(formula.left, signature, full, atoms)
+    right = _truth(formula.right, signature, full, atoms)
     if isinstance(formula, And):
-        return (evaluate(formula.left, omega, signature)
-                and evaluate(formula.right, omega, signature))
+        return left & right
     if isinstance(formula, Or):
-        return (evaluate(formula.left, omega, signature)
-                or evaluate(formula.right, omega, signature))
+        return left | right
     if isinstance(formula, Implies):
-        return (not evaluate(formula.left, omega, signature)
-                or evaluate(formula.right, omega, signature))
+        return (full ^ left) | right
     if isinstance(formula, Iff):
-        return (evaluate(formula.left, omega, signature)
-                == evaluate(formula.right, omega, signature))
+        return full ^ left ^ right
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def _bit_array(bits: int, n: int) -> np.ndarray:
+    """The bit set over 2^n interpretations as a bool array, one entry each."""
+    import numpy as np  # on first use, as in `entailment_table`
+    size = 1 << n
+    packed = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"),
+                           dtype=np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool)
 
 
 def _check_cap(signature: Signature, cap: int) -> int:
@@ -455,15 +543,27 @@ def _check_cap(signature: Signature, cap: int) -> int:
     return n
 
 
+def _model_set(kb: KnowledgeBase) -> int:
+    """The models of the KB as a bit set; the caller checks the cap."""
+    full, atoms = _universe(len(kb.signature))
+    models = full
+    for f in kb.formulas:
+        models &= _truth(f, kb.signature, full, atoms)
+    return models
+
+
+def count_models(kb: KnowledgeBase, cap: int = DEFAULT_MODEL_CAP) -> int:
+    """Number of models of the KB, without listing them."""
+    _check_cap(kb.signature, cap)
+    return _model_set(kb).bit_count()
+
+
 @lru_cache(maxsize=4096)
 def enumerate_models(kb: KnowledgeBase,
                      cap: int = DEFAULT_MODEL_CAP) -> tuple[int, ...]:
     """All models of the KB in ascending bitmask order (empty iff inconsistent)."""
     n = _check_cap(kb.signature, cap)
-    return tuple(
-        omega for omega in range(1 << n)
-        if all(evaluate(f, omega, kb.signature) for f in kb.formulas)
-    )
+    return tuple(_bit_array(_model_set(kb), n).nonzero()[0].tolist())
 
 
 @lru_cache(maxsize=64)
@@ -480,9 +580,8 @@ def entailment_table(kb: KnowledgeBase) -> np.ndarray:
     # process by 1 MB when sources are compiled on import
     import numpy as np
     n = _check_cap(kb.signature, DEFAULT_MODEL_CAP)
-    table = np.full(1 << n, (1 << n) - 1, dtype=np.int64)
-    models = np.array(enumerate_models(kb), dtype=np.int64)
-    table[models] = models
+    table = np.where(_bit_array(_model_set(kb), n),
+                     np.arange(1 << n, dtype=np.int64), (1 << n) - 1)
     for i in range(n):
         # [:, 0] holds the masks without atom i, [:, 1] the same masks with it
         halves = table.reshape(-1, 2, 1 << i)
@@ -502,21 +601,31 @@ def entails(kb: KnowledgeBase, antecedent: Iterable[str], head: str) -> bool:
     return bool(entailment_table(kb)[smask] & hbit)
 
 
+@lru_cache(maxsize=1024)
+def rank_table(theta: StratifiedKB) -> np.ndarray:
+    """Rank of every interpretation, indexed by bitmask; read-only.
+
+    A running AND over the strata keeps the interpretations that satisfy
+    every stratum so far, and each one still alive after a stratum gains
+    a rank.  Ranking stops at the first stratum that leaves none alive.
+    """
+    import numpy as np  # on first use, as in `entailment_table`
+    n = _check_cap(theta.signature, DEFAULT_MODEL_CAP)
+    rank = np.zeros(1 << n, dtype=np.int64)
+    full, atoms = _universe(n)
+    alive = full
+    for stratum in theta.strata:
+        alive &= _truth(stratum, theta.signature, full, atoms)
+        if not alive:
+            break
+        rank += _bit_array(alive, n)
+    rank.flags.writeable = False
+    return rank
+
+
 def rank_mu(theta: StratifiedKB, omega: int) -> int:
     """Length of the longest satisfied stratum prefix (0 when strata[0] fails)."""
-    mu = 0
-    for stratum in theta.strata:
-        if not evaluate(stratum, omega, theta.signature):
-            break
-        mu += 1
-    return mu
-
-
-@lru_cache(maxsize=1024)
-def _mu_table(theta: StratifiedKB) -> tuple[int, ...]:
-    """Rank of every interpretation, indexed by bitmask."""
-    n = _check_cap(theta.signature, DEFAULT_MODEL_CAP)
-    return tuple(rank_mu(theta, omega) for omega in range(1 << n))
+    return int(rank_table(theta)[omega])
 
 
 def nm_consequence_def(theta: StratifiedKB, antecedent: Iterable[str],
@@ -534,7 +643,7 @@ def nm_consequence_def(theta: StratifiedKB, antecedent: Iterable[str],
     sig = theta.signature
     smask = sig.mask(atoms)
     hbit = sig.bit(head)
-    mu = _mu_table(theta)
+    mu = rank_table(theta).tolist()
     for i in range(len(theta.strata) + 1):
         candidates = [m for m in range(1 << len(sig))
                       if m & smask == smask and mu[m] >= i]
@@ -555,7 +664,7 @@ def nm_consequence_table(theta: StratifiedKB) -> np.ndarray:
     atom, O(n 2^n) steps; the result is read-only.
     """
     import numpy as np  # on first use, as in `entailment_table`
-    rank = np.array(_mu_table(theta), dtype=np.int64)
+    rank = rank_table(theta).copy()
     best = np.arange(len(rank), dtype=np.int64)
     for i in range(len(theta.signature)):
         # [:, 0] holds the masks without atom i, [:, 1] the same masks with it

@@ -23,6 +23,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+# Formulas far past the parser's depth budget, each the `formula:` line
+# of a one-atom KB, with the line and column where parsing must stop: the
+# 101st `!`, the 101st `(`, the 101st `&` and the 101st `->`.
+DEEP_FORMULA_PROBES = {
+    "negations": ("!" * 5000 + "a", 110),
+    "parentheses": ("(" * 3000 + "a" + ")" * 3000, 110),
+    "conjunction": (" & ".join(["a"] * 20000), 412),
+    "implication": (" -> ".join(["a"] * 3000), 512),
+}
+
+
 def random_rule_kb(rng: random.Random, atoms, max_rules=6,
                    max_antecedent=3) -> KnowledgeBase:
     """Conjunctive-antecedent, atomic-head rules over the given atoms."""

@@ -58,6 +58,15 @@ def tt_evaluate(formula, assignment: dict) -> bool:
     raise TypeError(formula)
 
 
+def syntax_nodes(formula) -> int:
+    """Number of nodes in the formula's syntax tree."""
+    if isinstance(formula, Not):
+        return 1 + syntax_nodes(formula.sub)
+    if isinstance(formula, (Var, Const)):
+        return 1
+    return 1 + syntax_nodes(formula.left) + syntax_nodes(formula.right)
+
+
 def tt_assignments(atoms):
     for values in itertools.product([False, True], repeat=len(atoms)):
         yield dict(zip(atoms, values))

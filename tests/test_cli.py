@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import DEEP_FORMULA_PROBES
 from embedsim.cli import main
 from embedsim.fixtures import FIXTURE_SOURCES
 
@@ -63,6 +64,27 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("probe", sorted(DEEP_FORMULA_PROBES))
+    def test_deep_formula_exit_two(self, capsys, tmp_path, probe):
+        payload, column = DEEP_FORMULA_PROBES[probe]
+        path = tmp_path / "deep.kb"
+        path.write_text(f"atoms: a\nformula: {payload}\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert f"line 2, column {column}: formula nests deeper" in err
+
+    def test_twenty_atom_kb(self, capsys, tmp_path):
+        # 2^20 interpretations, of which p0 -> p1 rules out a quarter
+        path = tmp_path / "wide.kb"
+        atoms = " ".join(f"p{i}" for i in range(20))
+        path.write_text(f"atoms: {atoms}\nrule: p0 -> p1\n")
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        assert json.loads(out) == {"kind": "plain", "atoms": 20,
+                                   "formulas": 1, "models": 786432,
+                                   "consistent": True}
 
 
 class TestConstruct:

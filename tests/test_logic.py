@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_formula, random_rule_kb, random_stratified_kb
+from conftest import (DEEP_FORMULA_PROBES, random_formula, random_rule_kb,
+                      random_stratified_kb)
 from embedsim import logic
-from embedsim.logic import (TOP, And, CapExceededError,
-                            DuplicateAtomError, Implies, KnowledgeBase, Not,
-                            Or, ParseError, Signature, StratifiedKB,
-                            UndeclaredAtomError, Var, entails,
-                            enumerate_models, evaluate, format_formula,
-                            kb_to_source, nm_consequence_def,
-                            nm_consequence_rank, parse_kb, rank_mu)
+from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And,
+                            CapExceededError, DuplicateAtomError, Iff,
+                            Implies, KnowledgeBase, Not, Or, ParseError,
+                            Signature, StratifiedKB, UndeclaredAtomError, Var,
+                            count_models, entails, enumerate_models,
+                            format_formula, kb_to_source, nm_consequence_def,
+                            nm_consequence_rank, parse_kb, rank_mu,
+                            rank_table, truth_set)
 from embedsim.fixtures import fixture
-from oracles import (mask_names, tt_entails, tt_models, tt_mu, tt_nm_def,
-                     tt_nm_rank)
+from oracles import (mask_names, tt_entails, tt_evaluate, tt_models, tt_mu,
+                     tt_nm_def, tt_nm_rank)
 
 
 # ------------------------------------------------------------------
@@ -115,6 +117,34 @@ class TestParser:
             kb = random_rule_kb(rng, ["a", "b", "c", "d"])
             assert parse_kb(kb_to_source(kb)) == kb
 
+    @pytest.mark.parametrize("probe", sorted(DEEP_FORMULA_PROBES))
+    def test_depth_budget_stops_deep_formulas(self, probe):
+        payload, column = DEEP_FORMULA_PROBES[probe]
+        with pytest.raises(ParseError, match="deeper than 100") as err:
+            parse_kb(f"atoms: a\nformula: {payload}\n")
+        assert (err.value.line, err.value.column) == (2, column)
+
+    @pytest.mark.parametrize("shape", [
+        lambda k: "!" * k + "a",
+        lambda k: "(" * k + "a" + ")" * k,
+        lambda k: " & ".join(["a"] * (k + 1)),
+        lambda k: " | ".join(["a"] * (k + 1)),
+        lambda k: " <-> ".join(["a"] * (k + 1)),
+        lambda k: " -> ".join(["a"] * (k + 1)),
+        lambda k: "(" * (k - 1) + "a & a" + ")" * (k - 1),
+        lambda k: " & ".join(["(a)"] * k),
+    ], ids=["not", "paren", "and", "or", "iff", "implies", "paren-and",
+            "and-of-parens"])
+    def test_depth_budget_is_exact(self, shape):
+        # depth counts parentheses, `!` and binary connectives on a path
+        def source(depth):
+            return f"atoms: a\nformula: {shape(depth)}\n"
+
+        at_budget = parse_kb(source(MAX_FORMULA_DEPTH))
+        assert parse_kb(kb_to_source(at_budget)) == at_budget
+        with pytest.raises(ParseError, match="deeper than"):
+            parse_kb(source(MAX_FORMULA_DEPTH + 1))
+
     @settings(max_examples=150, deadline=None)
     @given(st.text(
         alphabet="abx: \n\t#!&|<->()TRUEFALSEatomsrulformstr_0",
@@ -137,14 +167,15 @@ class TestSemantics:
     sig = Signature(("a", "b"))
 
     def test_evaluate_conjunction(self):
-        assert evaluate(And(Var("a"), Var("b")), 0b11, self.sig)
+        assert truth_set(And(Var("a"), Var("b")), self.sig) == 1 << 0b11
 
     def test_evaluate_implication_false(self):
-        assert not evaluate(Implies(Var("a"), Var("b")), 0b01, self.sig)
+        # a -> b fails only where a holds and b does not
+        assert truth_set(Implies(Var("a"), Var("b")), self.sig) == 0b1101
 
     def test_evaluate_negated_disjunction(self):
         sig = Signature(("t", "f"))
-        assert not evaluate(Or(Not(Var("t")), Not(Var("f"))), 0b11, sig)
+        assert not truth_set(Or(Not(Var("t")), Not(Var("f"))), sig) >> 0b11 & 1
 
     def test_models_of_single_implication(self):
         kb = parse_kb("atoms: a b\nrule: a -> b\n")
@@ -163,6 +194,21 @@ class TestSemantics:
         with pytest.raises(CapExceededError):
             enumerate_models(kb)
 
+    def test_cap_checked_before_evaluating(self, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("evaluated a formula past the cap")
+
+        monkeypatch.setattr(logic, "_truth", no_evaluation)
+        monkeypatch.setattr(logic, "_universe", no_evaluation)
+        sig = Signature(tuple(f"p{i}" for i in range(21)))
+        kb = KnowledgeBase(sig, (Var("p0"),))
+        with pytest.raises(CapExceededError, match="21 atoms"):
+            truth_set(Var("p0"), sig)
+        with pytest.raises(CapExceededError, match="21 atoms"):
+            enumerate_models(kb)
+        with pytest.raises(CapExceededError, match="21 atoms"):
+            entails(kb, ("p0",), "p1")
+
     def test_models_match_truth_table_oracle(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -172,6 +218,98 @@ class TestSemantics:
             assert len(got) == len(expected)
             assert list(got) == sorted(got)
             assert len(set(got)) == len(got)
+
+
+def _assignment(atoms, omega):
+    return {a: bool(omega >> i & 1) for i, a in enumerate(atoms)}
+
+
+# formulas over p0..p5 from every connective and both constants; drawn
+# once here, since building the strategy per example costs 20 ms
+_SIX_ATOM_FORMULAS = st.recursive(
+    st.sampled_from([Var(f"p{i}") for i in range(6)] + [TOP, BOTTOM]),
+    lambda kids: st.one_of(
+        st.builds(Not, kids),
+        st.builds(And, kids, kids),
+        st.builds(Or, kids, kids),
+        st.builds(Implies, kids, kids),
+        st.builds(Iff, kids, kids)),
+    max_leaves=8)
+
+
+def _fold(f, n):
+    """The formula with every atom p_i renamed p_(i mod n)."""
+    if isinstance(f, Var):
+        return Var(f"p{int(f.name[1:]) % n}")
+    if isinstance(f, Not):
+        return Not(_fold(f.sub, n))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(_fold(f.left, n), _fold(f.right, n))
+    return f
+
+
+@st.composite
+def signatures_with_formulas(draw, max_formulas):
+    """1-6 atoms, so truth sets shorter than a byte occur, and up to
+    `max_formulas` formulas over them."""
+    n = draw(st.integers(1, 6))
+    formulas = draw(st.lists(_SIX_ATOM_FORMULAS, max_size=max_formulas))
+    return (Signature(tuple(f"p{i}" for i in range(n))),
+            tuple(_fold(f, n) for f in formulas))
+
+
+class TestTruthSetsMatchTruthTables:
+    """The per-node bit-set evaluation against the per-interpretation
+    tree walk of `tests/oracles.py`."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(signatures_with_formulas(max_formulas=3))
+    def test_truth_sets(self, drawn):
+        sig, formulas = drawn
+        for f in formulas:
+            bits = truth_set(f, sig)
+            assert bits >> (1 << len(sig)) == 0
+            for omega in range(1 << len(sig)):
+                want = tt_evaluate(f, _assignment(sig.atoms, omega))
+                assert bool(bits >> omega & 1) == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(signatures_with_formulas(max_formulas=4))
+    def test_models(self, drawn):
+        # no formulas: every interpretation is a model
+        kb = KnowledgeBase(*drawn)
+        want = sorted(kb.signature.mask(a for a, v in m.items() if v)
+                      for m in tt_models(kb))
+        assert enumerate_models(kb) == tuple(want)
+        assert count_models(kb) == len(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(signatures_with_formulas(max_formulas=4).filter(lambda d: d[1]))
+    def test_ranks(self, drawn):
+        theta = StratifiedKB(*drawn)
+        ranks = rank_table(theta)
+        assert len(ranks) == 1 << len(theta.signature)
+        assert not ranks.flags.writeable
+        for omega in range(1 << len(theta.signature)):
+            want = tt_mu(theta, _assignment(theta.signature.atoms, omega))
+            assert ranks[omega] == rank_mu(theta, omega) == want
+
+    def test_inconsistent_kb_has_no_models(self):
+        for n in range(1, 7):
+            atoms = tuple(f"p{i}" for i in range(n))
+            kb = KnowledgeBase(Signature(atoms),
+                               (Var("p0"), Or(Not(Var("p0")), BOTTOM)))
+            assert enumerate_models(kb) == ()
+            assert not tt_models(kb)
+
+    def test_unsatisfiable_stratum_stops_the_ranks(self):
+        # nothing passes the middle stratum, so the last one is never
+        # reached and no interpretation ranks above 1
+        theta = parse_kb("atoms: a b c\nstratum: a | b\n"
+                         "stratum: c & !c\nstratum: a\n")
+        want = [tt_mu(theta, _assignment(theta.signature.atoms, omega))
+                for omega in range(8)]
+        assert rank_table(theta).tolist() == want == [0, 1, 1, 1, 0, 1, 1, 1]
 
 
 class TestEntails:
@@ -281,14 +419,15 @@ class TestNonMonotonicConsequence:
 
     def test_rank_table_cap(self, monkeypatch):
         # 2^21 interpretations exceed the enumeration budget: both
-        # relations refuse before ranking a single interpretation
+        # relations refuse before evaluating a single formula
         atoms = " ".join(f"p{i}" for i in range(21))
         theta = parse_kb(f"atoms: {atoms}\nstratum: p0 -> p1\n")
 
-        def no_ranking(theta, omega):
-            raise AssertionError("ranked an interpretation past the cap")
+        def no_evaluation(*args):
+            raise AssertionError("evaluated a formula past the cap")
 
-        monkeypatch.setattr(logic, "rank_mu", no_ranking)
+        monkeypatch.setattr(logic, "_truth", no_evaluation)
+        monkeypatch.setattr(logic, "_universe", no_evaluation)
         with pytest.raises(CapExceededError, match="21 atoms"):
             nm_consequence_rank(theta, ("p0",), "p1")
         with pytest.raises(CapExceededError, match="21 atoms"):

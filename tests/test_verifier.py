@@ -22,7 +22,8 @@ from embedsim.verifier import (check_ord_monotonicity,
                                check_tied_hadamard_symmetry, nonempty_subsets,
                                subset_queries, verify_monotonic,
                                verify_nonmonotonic)
-from oracles import mask_filter_subsets, tt_entails, tt_nm_rank
+from oracles import (mask_filter_subsets, syntax_nodes, tt_assignments,
+                     tt_entails, tt_mu, tt_nm_rank)
 
 F = Fraction
 
@@ -251,23 +252,32 @@ class TestSubsetEnumeration:
 class TestOracleTables:
     def test_full_nonmonotonic_sweep_ranks_each_interpretation_once(
             self, monkeypatch):
+        # one rank table for the whole sweep, built with one evaluator
+        # call per syntax-tree node of each stratum it reaches, never one
+        # per interpretation
         atoms = [f"p{i}" for i in range(10)]
         theta = random_stratified_kb(random.Random(7), atoms, max_strata=3)
         emb = random_embedding(random.Random(8), atoms, dimension=1,
                                tied=True)
-        ranked = []
-        original = logic.rank_mu
+        evaluated = []
+        original = logic._truth
 
-        def counting(theta, omega):
-            ranked.append(omega)
-            return original(theta, omega)
+        def counting(formula, *args):
+            evaluated.append(formula)
+            return original(formula, *args)
 
-        monkeypatch.setattr(logic, "rank_mu", counting)
-        logic._mu_table.cache_clear()
+        monkeypatch.setattr(logic, "_truth", counting)
+        logic.rank_table.cache_clear()
         logic.nm_consequence_table.cache_clear()
         report = verify_nonmonotonic(emb, ORD_ORD, theta, cap=10)
         assert report.queries == 1023 * 10
-        assert len(ranked) == 1 << 10 == len(set(ranked))
+        assert logic.rank_table.cache_info().misses == 1
+        # ranking stops after the first stratum no interpretation reaches
+        best = max(tt_mu(theta, a) for a in tt_assignments(atoms))
+        reached = theta.strata[:best + 1]
+        assert reached == theta.strata
+        assert len(evaluated) == sum(syntax_nodes(f) for f in reached)
+        assert len(evaluated) < 1 << 10
         # sampled expected sides agree with the truth-table oracle
         for m in report.mismatches[:5]:
             assert tt_nm_rank(theta, m.subset, m.head) == m.expected
