@@ -16,7 +16,7 @@ from .logic import (CapExceededError, Formula, KBError, KnowledgeBase,
                     ParseError, Signature, StratifiedKB, entailment_table,
                     entails, enumerate_models, format_formula, kb_digest,
                     nm_consequence_def, nm_consequence_rank,
-                    nm_consequence_table, parse_kb, rank_mu, truth_set)
+                    nm_consequence_table, parse_kb, rank_mu)
 from .strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                          ScaledEmbedding, StrategyId, emb_avg, emb_had,
                          emb_norm, emb_ord, emb_sig_numeric, exact_rule,

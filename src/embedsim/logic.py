@@ -552,9 +552,9 @@ def _model_set(kb: KnowledgeBase) -> int:
     return models
 
 
-def count_models(kb: KnowledgeBase, cap: int = DEFAULT_MODEL_CAP) -> int:
+def count_models(kb: KnowledgeBase) -> int:
     """Number of models of the KB, without listing them."""
-    _check_cap(kb.signature, cap)
+    _check_cap(kb.signature, DEFAULT_MODEL_CAP)
     return _model_set(kb).bit_count()
 
 
