@@ -8,14 +8,25 @@ Five recipes, selected by the `--prop` number in the CLI:
   4  avg pooling + ReLU labelling, tied             (stratified KB)
   5  Hadamard pooling + dot labelling, untied       (stratified KB)
 
-Recipes 1-3 allot one coordinate per model of the KB (plus one constant
-coordinate for 1-2); recipes 4-5 allot one coordinate per interpretation
-of the signature and weight it by a power of delta that grows with the
-interpretation's stratum rank, so that a single better-ranked model
-outweighs every worse-ranked one.  delta must exceed the number of
-interpretations; the default is the smallest legal value 2^|A| + 1.
-All coordinates are exact integers (pooling introduces the only
-denominators).
+Recipes 1-3 allot one coordinate per needed counter-model (plus one
+constant coordinate for 1-2).  The paper gives every model of the KB a
+coordinate, but a rule S -> b fails exactly when some model lacking b
+contains S, and then so does a maximal model lacking b.  So the models
+that matter are K, the union over every head b of the maximal models
+lacking b (`logic.counter_models`), and the paper's proofs go through
+with K in place of all models: a coordinate survives pooling exactly
+when its counter-model contains the pooled set, and one surviving
+counter-model lacking the head outweighs all the others, since delta
+exceeds |K|.  The all-true interpretation lacks no head, so |K| is at
+most 2^|A| - 1 and the paper's delta stays legal.
+
+Recipes 4-5 allot one coordinate per interpretation of the signature
+and weight it by a power of delta that grows with the interpretation's
+stratum rank, so that a single better-ranked model outweighs every
+worse-ranked one.  delta must exceed the number of interpretations; the
+default is the smallest legal value 2^|A| + 1.  Recipes 1, 2, 4 and 5
+build their vectors with one kernel (`_families`).  All coordinates are
+exact integers (pooling introduces the only denominators).
 """
 
 from __future__ import annotations
@@ -23,12 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .logic import (CapExceededError, KnowledgeBase, StratifiedKB,
-                    enumerate_models, rank_table)
+from .logic import (DEFAULT_MODEL_CAP, CapExceededError, KnowledgeBase,
+                    Signature, StratifiedKB, counter_models, rank_table)
 from .strategies import (AVG_RELU, HAD_DOT, ORD_ORD, AttributeEmbedding,
                          StrategyId, Vec)
 
-MONOTONIC_ATOM_CAP = 15
+MONOTONIC_ATOM_CAP = DEFAULT_MODEL_CAP
 NONMONOTONIC_ATOM_CAP = 12
 
 
@@ -71,107 +82,102 @@ def _check_cap(kb: KnowledgeBase | StratifiedKB, cap: int) -> None:
             f"construction supports at most {cap} atoms, KB has {n}")
 
 
-def _avg_relu_vectors(kb: KnowledgeBase, models: tuple[int, ...],
-                      delta: int) -> dict[str, Vec]:
-    sig = kb.signature
-    vectors = {}
+def _families(sig: Signature, order: tuple[int, ...],
+              weights: list[tuple[int, int]],
+              extra: Vec = ()) -> tuple[dict[str, Vec], dict[str, Vec]]:
+    """Each atom's indicator and weighted vector over the interpretations.
+
+    Coordinate j stands for interpretation order[j].  The indicator is 1
+    where the atom holds and 0 where it does not; the weighted vector is
+    w_in where the atom holds and -w_out where it does not, for
+    (w_in, w_out) = weights[j].  Both vectors end with `extra`.
+    """
+    one, zero = Fraction(1), Fraction(0)
+    signed = [(Fraction(w_in), Fraction(-w_out)) for w_in, w_out in weights]
+    indicator, weighted = {}, {}
     for a in sig.atoms:
         bit = sig.bit(a)
-        vectors[a] = tuple(
-            Fraction(1) if omega & bit else Fraction(-delta)
-            for omega in models
-        ) + (Fraction(1),)
-    return vectors
+        indicator[a] = tuple(one if omega & bit else zero
+                             for omega in order) + extra
+        weighted[a] = tuple(held if omega & bit else lacking
+                            for omega, (held, lacking) in zip(order, signed)
+                            ) + extra
+    return indicator, weighted
+
+
+def _monotonic(kb: KnowledgeBase, cfg: DeltaConfig | None):
+    """K, delta, and both families over K with weights (1, delta) and a
+    constant coordinate 1."""
+    _check_cap(kb, MONOTONIC_ATOM_CAP)
+    delta = (cfg or DeltaConfig()).resolve(len(kb.signature))
+    needed = counter_models(kb)
+    families = _families(kb.signature, needed, [(1, delta)] * len(needed),
+                         (Fraction(1),))
+    return needed, delta, families
 
 
 def construct_avg_relu(kb: KnowledgeBase,
                        cfg: DeltaConfig | None = None) -> ConstructionResult:
-    """Tied embedding for avg+ReLU: one coordinate per model plus a constant.
+    """Tied embedding for avg+ReLU: one coordinate per needed counter-model
+    plus a constant.
 
-    A model coordinate is 1 where the atom holds and -delta where it
-    does not, so the pooled average stays at 1 exactly on models of the
-    pooled attribute set and drops below 0 elsewhere; the trailing
-    constant coordinate keeps the inconsistent-KB case (no models at
-    all) accepting every rule.
+    A counter-model coordinate is 1 where the atom holds and -delta where
+    it does not, so the pooled average stays at 1 exactly on the
+    counter-models containing the pooled attribute set and drops below 0
+    elsewhere; the trailing constant coordinate keeps the case without
+    counter-models (an inconsistent KB, or one whose only model is
+    all-true) accepting every rule.
     """
-    _check_cap(kb, MONOTONIC_ATOM_CAP)
-    cfg = cfg or DeltaConfig()
-    delta = cfg.resolve(len(kb.signature))
-    models = enumerate_models(kb, cap=MONOTONIC_ATOM_CAP)
-    vectors = _avg_relu_vectors(kb, models, delta)
-    emb = AttributeEmbedding(
-        dimension=len(models) + 1,
-        context=vectors,
-        output=dict(vectors),
-    )
-    return ConstructionResult(emb, AVG_RELU, 1, models, delta)
+    needed, delta, (_, weighted) = _monotonic(kb, cfg)
+    emb = AttributeEmbedding(len(needed) + 1, weighted, dict(weighted))
+    return ConstructionResult(emb, AVG_RELU, 1, needed, delta)
 
 
 def construct_had_dot(kb: KnowledgeBase,
                       cfg: DeltaConfig | None = None) -> ConstructionResult:
     """Untied embedding for Hadamard+dot with all thresholds at zero.
 
-    Context vectors are model indicators (so the Hadamard product is the
-    indicator of the pooled set's models); output vectors penalise
-    models violating the head by -delta.  Tying the two vector families
-    is impossible here: the dot product is symmetric, so a tied
-    embedding accepting a -> b would accept b -> a as well.
+    Context vectors are counter-model indicators (so the Hadamard product
+    is the indicator of the counter-models containing the pooled set);
+    output vectors penalise counter-models lacking the head by -delta.
+    Tying the two vector families is impossible here: the dot product is
+    symmetric, so a tied embedding accepting a -> b would accept b -> a
+    as well.
     """
-    _check_cap(kb, MONOTONIC_ATOM_CAP)
-    cfg = cfg or DeltaConfig()
-    delta = cfg.resolve(len(kb.signature))
-    models = enumerate_models(kb, cap=MONOTONIC_ATOM_CAP)
-    sig = kb.signature
-    context, output = {}, {}
-    for a in sig.atoms:
-        bit = sig.bit(a)
-        context[a] = tuple(
-            Fraction(1) if omega & bit else Fraction(0) for omega in models
-        ) + (Fraction(1),)
-        output[a] = tuple(
-            Fraction(1) if omega & bit else Fraction(-delta) for omega in models
-        ) + (Fraction(1),)
-    emb = AttributeEmbedding(
-        dimension=len(models) + 1,
-        context=context,
-        output=output,
-    )
-    return ConstructionResult(emb, HAD_DOT, 2, models, delta)
+    needed, delta, (indicator, weighted) = _monotonic(kb, cfg)
+    emb = AttributeEmbedding(len(needed) + 1, indicator, weighted)
+    return ConstructionResult(emb, HAD_DOT, 2, needed, delta)
 
 
 def construct_ord(kb: KnowledgeBase) -> ConstructionResult:
     """Tied embedding for max pooling with the product-order labelling.
 
-    Coordinates are model complements (0 where the atom holds); max
-    pooling then marks the models some pooled attribute violates, and
-    the product order reads off containment of violation sets.  An
-    inconsistent KB gets all-zero vectors, which accept everything.
+    Coordinates are counter-model complements (0 where the atom holds);
+    max pooling then marks the counter-models some pooled attribute
+    violates, and the product order reads off containment of violation
+    sets.  Without counter-models the vectors are one zero coordinate,
+    which accepts everything.
     """
     _check_cap(kb, MONOTONIC_ATOM_CAP)
-    models = enumerate_models(kb, cap=MONOTONIC_ATOM_CAP)
-    sig = kb.signature
-    if not models:
-        dim = 1
-        vectors = {a: (Fraction(0),) for a in sig.atoms}
-    else:
-        dim = len(models)
-        vectors = {
-            a: tuple(
-                Fraction(0) if omega & sig.bit(a) else Fraction(1)
-                for omega in models
-            )
-            for a in sig.atoms
-        }
-    emb = AttributeEmbedding(dimension=dim, context=vectors,
-                             output=dict(vectors))
-    return ConstructionResult(emb, ORD_ORD, 3, models, None)
+    needed = counter_models(kb)
+    # weights (0, -1): 0 where the atom holds, 1 where it does not
+    _, vectors = _families(kb.signature, needed, [(0, -1)] * len(needed),
+                           () if needed else (Fraction(0),))
+    emb = AttributeEmbedding(max(len(needed), 1), vectors, dict(vectors))
+    return ConstructionResult(emb, ORD_ORD, 3, needed, None)
 
 
-def _rank_weights(theta: StratifiedKB, delta: int) -> list[tuple[int, int]]:
-    """Per interpretation: (delta^(2 mu), delta^(1 + 2 mu))."""
+def _ranked(theta: StratifiedKB, cfg: DeltaConfig | None):
+    """Every interpretation, delta, and both families over them weighted
+    (delta^(2 mu), delta^(1 + 2 mu)) by each interpretation's rank mu."""
+    _check_cap(theta, NONMONOTONIC_ATOM_CAP)
+    sig = theta.signature
+    delta = (cfg or DeltaConfig()).resolve(len(sig))
     by_rank = [(delta ** (2 * mu), delta ** (1 + 2 * mu))
                for mu in range(len(theta.strata) + 1)]
-    return [by_rank[mu] for mu in rank_table(theta).tolist()]
+    order = tuple(range(1 << len(sig)))
+    weights = [by_rank[mu] for mu in rank_table(theta).tolist()]
+    return order, delta, _families(sig, order, weights)
 
 
 def construct_avg_relu_nm(theta: StratifiedKB,
@@ -184,25 +190,8 @@ def construct_avg_relu_nm(theta: StratifiedKB,
     the pooled set, and rank dominance makes the dot-product sign decide
     whether the best rank with the head beats the best rank against it.
     """
-    _check_cap(theta, NONMONOTONIC_ATOM_CAP)
-    cfg = cfg or DeltaConfig()
-    sig = theta.signature
-    delta = cfg.resolve(len(sig))
-    weights = _rank_weights(theta, delta)
-    order = tuple(range(1 << len(sig)))
-    vectors = {}
-    for a in sig.atoms:
-        bit = sig.bit(a)
-        vectors[a] = tuple(
-            Fraction(weights[omega][0]) if omega & bit
-            else Fraction(-weights[omega][1])
-            for omega in order
-        )
-    emb = AttributeEmbedding(
-        dimension=len(order),
-        context=vectors,
-        output=dict(vectors),
-    )
+    order, delta, (_, weighted) = _ranked(theta, cfg)
+    emb = AttributeEmbedding(len(order), weighted, dict(weighted))
     return ConstructionResult(emb, AVG_RELU, 4, order, delta)
 
 
@@ -213,28 +202,8 @@ def construct_had_dot_nm(theta: StratifiedKB,
     Context vectors are interpretation indicators; output vectors carry
     the rank weights of `construct_avg_relu_nm`.  Thresholds stay at 0.
     """
-    _check_cap(theta, NONMONOTONIC_ATOM_CAP)
-    cfg = cfg or DeltaConfig()
-    sig = theta.signature
-    delta = cfg.resolve(len(sig))
-    weights = _rank_weights(theta, delta)
-    order = tuple(range(1 << len(sig)))
-    context, output = {}, {}
-    for a in sig.atoms:
-        bit = sig.bit(a)
-        context[a] = tuple(
-            Fraction(1) if omega & bit else Fraction(0) for omega in order
-        )
-        output[a] = tuple(
-            Fraction(weights[omega][0]) if omega & bit
-            else Fraction(-weights[omega][1])
-            for omega in order
-        )
-    emb = AttributeEmbedding(
-        dimension=len(order),
-        context=context,
-        output=output,
-    )
+    order, delta, (indicator, weighted) = _ranked(theta, cfg)
+    emb = AttributeEmbedding(len(order), indicator, weighted)
     return ConstructionResult(emb, HAD_DOT, 5, order, delta)
 
 

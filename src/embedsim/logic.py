@@ -22,7 +22,9 @@ table over all 2^n antecedents, built by a superset transform in
 O(n 2^n) steps (Yates; see Bjorklund et al., "Fourier meets Mobius",
 STOC 2007) and cached: entry S holds the AND of the relevant
 interpretations containing S, and a query (S, b) reads bit b of entry
-S.  Sweeps fetch the table once and index it by subset mask.
+S.  Sweeps fetch the table once and index it by subset mask.  The
+constructions read `counter_models`, the maximal models lacking each
+head, found by shifts over the same bit sets.
 
 Interpretations are plain ints: bit i set means the i-th atom of the
 signature is true.
@@ -558,12 +560,18 @@ def count_models(kb: KnowledgeBase) -> int:
     return _model_set(kb).bit_count()
 
 
-@lru_cache(maxsize=4096)
-def enumerate_models(kb: KnowledgeBase,
-                     cap: int = DEFAULT_MODEL_CAP) -> tuple[int, ...]:
-    """All models of the KB in ascending bitmask order (empty iff inconsistent)."""
-    n = _check_cap(kb.signature, cap)
-    return tuple(_bit_array(_model_set(kb), n).nonzero()[0].tolist())
+def _members(bits: int, n: int) -> tuple[int, ...]:
+    """The interpretations in a bit set, in ascending bitmask order."""
+    return tuple(_bit_array(bits, n).nonzero()[0].tolist())
+
+
+def enumerate_models(kb: KnowledgeBase) -> tuple[int, ...]:
+    """All models of the KB in ascending bitmask order (empty iff inconsistent).
+
+    Not cached: at 20 atoms one result holds up to 2^20 ints, about 28 MB.
+    """
+    n = _check_cap(kb.signature, DEFAULT_MODEL_CAP)
+    return _members(_model_set(kb), n)
 
 
 @lru_cache(maxsize=64)
@@ -588,6 +596,36 @@ def entailment_table(kb: KnowledgeBase) -> np.ndarray:
         halves[:, 0] &= halves[:, 1]
     table.flags.writeable = False
     return table
+
+
+def counter_models(kb: KnowledgeBase) -> tuple[int, ...]:
+    """For every head b, the maximal models of the KB that lack b.
+
+    S does not entail b exactly when some model lacking b contains S, and
+    then so does a maximal model lacking b.  So the union, over every head
+    b, of the maximal models that lack b decides every query; it is
+    returned in ascending bitmask order.  For a Horn KB these are the
+    meet-irreducible closed sets (Ganter and Wille, Formal Concept
+    Analysis, 1999).  The all-true interpretation lacks no head, so at
+    most 2^n - 1 are returned; none when the KB is inconsistent.
+
+    Per head, bit-set shifts close the models lacking b downwards, then
+    one more pass marks every set strictly below one of them: O(n^2)
+    big-int operations over 2^n bits in all.
+    """
+    n = _check_cap(kb.signature, DEFAULT_MODEL_CAP)
+    atoms = _universe(n)[1]
+    models = _model_set(kb)
+    needed = 0
+    for atom_b in atoms:
+        lack = down = models & ~atom_b
+        for i, atom_i in enumerate(atoms):
+            down |= (down & atom_i) >> (1 << i)
+        strict = 0
+        for i, atom_i in enumerate(atoms):
+            strict |= (down & atom_i) >> (1 << i)
+        needed |= lack & ~strict
+    return _members(needed, n)
 
 
 def entails(kb: KnowledgeBase, antecedent: Iterable[str], head: str) -> bool:

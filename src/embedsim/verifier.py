@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 # `entails` is not called here; the benchmark's tracing test reads it
 # back as `embedsim.verifier.entails` after removing its wrappers
@@ -35,6 +33,9 @@ from .logic import (KnowledgeBase, Signature, StratifiedKB, entailment_table,
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
                          OrdLabeller, StrategyId, emb_had, emb_ord,
                          exact_rule, lab_dot, scale)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FULL_SWEEP_ATOM_LIMIT = 8
 CAPPED_SWEEP_DEFAULT = 4

@@ -4,10 +4,13 @@ plus the terminal summary for the acceptance criteria."""
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
-from embedsim.logic import (And, Iff, Implies, KnowledgeBase, Not, Or,
-                            Signature, StratifiedKB, Var, conjoin)
+from hypothesis import strategies as st
+
+from embedsim.logic import (BOTTOM, TOP, And, Iff, Implies, KnowledgeBase, Not,
+                            Or, Signature, StratifiedKB, Var, conjoin)
 from embedsim.strategies import AttributeEmbedding
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
@@ -44,6 +47,38 @@ def random_rule_kb(rng: random.Random, atoms, max_rules=6,
         head = rng.choice(atoms)
         rules.append(Implies(conjoin(Var(a) for a in body), Var(head)))
     return KnowledgeBase(signature, tuple(rules))
+
+
+@lru_cache(maxsize=None)
+def formulas_over(n: int):
+    """Formulas over p0..p(n-1) from every connective and both constants;
+    built once per atom count, since building one costs 20 ms."""
+    return st.recursive(
+        st.sampled_from([Var(f"p{i}") for i in range(n)] + [TOP, BOTTOM]),
+        lambda kids: st.one_of(
+            st.builds(Not, kids),
+            *(st.builds(op, kids, kids) for op in (And, Or, Implies, Iff))),
+        max_leaves=8)
+
+
+@st.composite
+def plain_kbs(draw, max_atoms):
+    """Plain KBs over 1 to `max_atoms` atoms p0, p1, ...: up to six
+    conjunctive rules, or up to three formulas."""
+    n = draw(st.integers(1, max_atoms))
+    atoms = tuple(f"p{i}" for i in range(n))
+    if draw(st.booleans()):
+        index = st.integers(0, n - 1)
+        rules = draw(st.lists(
+            st.tuples(st.sets(index, min_size=1, max_size=3), index),
+            max_size=6))
+        formulas = tuple(
+            Implies(conjoin(Var(atoms[i]) for i in sorted(body)),
+                    Var(atoms[head]))
+            for body, head in rules)
+    else:
+        formulas = tuple(draw(st.lists(formulas_over(n), max_size=3)))
+    return KnowledgeBase(Signature(atoms), formulas)
 
 
 def random_formula(rng: random.Random, atoms, depth=2):

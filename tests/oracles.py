@@ -16,6 +16,10 @@ strategy evaluators as they stood before the library moved to integer
 kernels: every coordinate a `Fraction`, pooled vectors rational.  They
 must decide every query as the library does and print the same score.
 
+`scan_counter_models` finds the needed counter-models by a quadratic
+scan over the models, and the `ref_construct_*` recipes are recipes 1-3
+as the paper states them, with one coordinate per model of the KB.
+
 `ref_emb_sig_numeric` and `ref_sig_conical_diagnostics` are the sigmoid
 demonstrator as it stood before the library stepped all problems as one
 batch: one 2-D problem at a time, one numpy step per iteration.
@@ -30,9 +34,11 @@ import numpy as np
 from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
                                 LinearSystem, _normalize_multipliers,
                                 _oriented, verify_farkas)
+from embedsim.constructors import ConstructionResult, DeltaConfig
 from embedsim.logic import (And, Const, Iff, Implies, KnowledgeBase, Not, Or,
-                            StratifiedKB, Var)
-from embedsim.strategies import (AttributeEmbedding, DimensionMismatchError,
+                            StratifiedKB, Var, enumerate_models)
+from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
+                                 AttributeEmbedding, DimensionMismatchError,
                                  angular_error, cone_residual, frac_str)
 
 
@@ -100,6 +106,19 @@ def mask_filter_subsets(signature, cap):
         key=lambda m: (bin(m).count("1"), m),
     )
     return [mask_names(signature, m) for m in masks]
+
+
+def scan_counter_models(kb: KnowledgeBase) -> tuple[int, ...]:
+    """For every head, the models lacking it that no other model lacking
+    it strictly contains; their union in ascending bitmask order."""
+    sig = kb.signature
+    models = [sig.mask(a for a, v in m.items() if v) for m in tt_models(kb)]
+    needed = set()
+    for head in range(len(sig)):
+        lack = [m for m in models if not m >> head & 1]
+        needed.update(m for m in lack
+                      if not any(o != m and o & m == m for o in lack))
+    return tuple(sorted(needed))
 
 
 def tt_mu(theta: StratifiedKB, assignment: dict) -> int:
@@ -256,6 +275,54 @@ def dense_lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
     return FeasibilityOutcome(False,
                               farkas=FarkasCertificate(multipliers, gap))
 
+
+
+# ------------------------------------------------------------------
+# Recipes 1-3 over every model of the KB
+# ------------------------------------------------------------------
+
+def ref_avg_relu_vectors(kb: KnowledgeBase, models, delta: int) -> dict:
+    """Per atom: 1 on the models where it holds, -delta on the others,
+    then a constant 1."""
+    sig = kb.signature
+    return {a: tuple(Fraction(1) if omega & sig.bit(a) else Fraction(-delta)
+                     for omega in models) + (Fraction(1),)
+            for a in sig.atoms}
+
+
+def ref_construct_avg_relu(kb: KnowledgeBase,
+                           cfg: DeltaConfig | None = None) -> ConstructionResult:
+    delta = (cfg or DeltaConfig()).resolve(len(kb.signature))
+    models = enumerate_models(kb)
+    vectors = ref_avg_relu_vectors(kb, models, delta)
+    emb = AttributeEmbedding(len(models) + 1, vectors, dict(vectors))
+    return ConstructionResult(emb, AVG_RELU, 1, models, delta)
+
+
+def ref_construct_had_dot(kb: KnowledgeBase,
+                          cfg: DeltaConfig | None = None) -> ConstructionResult:
+    delta = (cfg or DeltaConfig()).resolve(len(kb.signature))
+    models = enumerate_models(kb)
+    sig = kb.signature
+    context = {a: tuple(Fraction(1) if omega & sig.bit(a) else Fraction(0)
+                        for omega in models) + (Fraction(1),)
+               for a in sig.atoms}
+    emb = AttributeEmbedding(len(models) + 1, context,
+                             ref_avg_relu_vectors(kb, models, delta))
+    return ConstructionResult(emb, HAD_DOT, 2, models, delta)
+
+
+def ref_construct_ord(kb: KnowledgeBase) -> ConstructionResult:
+    models = enumerate_models(kb)
+    sig = kb.signature
+    if not models:
+        vectors = {a: (Fraction(0),) for a in sig.atoms}
+    else:
+        vectors = {a: tuple(Fraction(0) if omega & sig.bit(a) else Fraction(1)
+                            for omega in models)
+                   for a in sig.atoms}
+    emb = AttributeEmbedding(max(len(models), 1), vectors, dict(vectors))
+    return ConstructionResult(emb, ORD_ORD, 3, models, None)
 
 
 # ------------------------------------------------------------------

@@ -103,7 +103,32 @@ class TestConstruct:
         out_path = tmp_path / "emb.json"
         run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(out_path))
         doc = json.loads(out_path.read_text())
-        assert doc["dimension"] == 26  # 25 models + constant coordinate
+        # 8 needed counter-models (of 25 models) + constant coordinate
+        assert doc["dimension"] == 9
+
+    def test_twenty_atom_rule_kb(self, capsys, tmp_path):
+        atoms = [f"p{i}" for i in range(20)]
+        kb = tmp_path / "wide.kb"
+        kb.write_text(f"atoms: {' '.join(atoms)}\nrule: p0 & p1 -> p2\n"
+                      "rule: p3 -> p4\n")
+        out_path = tmp_path / "emb.json"
+        code, _, _ = run(capsys, "construct", str(kb), "--prop", "1",
+                         "-o", str(out_path))
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        # the 18 co-atoms that are models, the two maximal models without
+        # p2 (p0 or p1 false too) and the one without p4 (p3 false too)
+        assert len(doc["provenance"]["model_order"]) == 21
+        assert doc["dimension"] == 22
+
+    def test_twenty_one_atoms_exit_two(self, capsys, tmp_path):
+        kb = tmp_path / "wider.kb"
+        kb.write_text("atoms: " + " ".join(f"p{i}" for i in range(21))
+                      + "\nrule: p0 -> p1\n")
+        code, out, err = run(capsys, "construct", str(kb), "--prop", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "at most 20 atoms" in err
 
     def test_kind_mismatch(self, capsys, ex4_file):
         code, _, err = run(capsys, "construct", ex4_file, "--prop", "1")

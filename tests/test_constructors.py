@@ -1,22 +1,31 @@
-"""The five constructions: worked instances, equivalences, dominance bounds."""
+"""The five constructions: worked instances, equivalences, dominance bounds.
+
+Recipes 1-3 give one coordinate per needed counter-model; the paper's
+versions, one coordinate per model, are the `ref_construct_*` recipes of
+`tests/oracles.py`, and the worked instances pin both.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_rule_kb, random_stratified_kb
-from embedsim.constructors import (DeltaConfig, _avg_relu_vectors, construct,
+from conftest import plain_kbs, random_rule_kb, random_stratified_kb
+from embedsim.constructors import (DeltaConfig, _families, construct,
                                    construct_avg_relu, construct_avg_relu_nm,
                                    construct_had_dot, construct_had_dot_nm,
                                    construct_ord)
 from embedsim.fixtures import fixture
 from embedsim.logic import (CapExceededError, KnowledgeBase, Signature,
-                            entails, enumerate_models, parse_kb, rank_mu)
+                            counter_models, entails, enumerate_models,
+                            parse_kb, rank_mu)
 from embedsim.strategies import strategy_accepts
 from embedsim.verifier import (subset_queries, verify_monotonic,
                                verify_nonmonotonic)
-from oracles import ref_dot, ref_emb_avg, ref_emb_had, ref_relu_vec
+from oracles import (ref_avg_relu_vectors, ref_construct_avg_relu,
+                     ref_construct_had_dot, ref_construct_ord, ref_dot,
+                     ref_emb_avg, ref_emb_had, ref_relu_vec)
 
 F = Fraction
 AB_KB = "atoms: a b\nrule: a -> b\n"
@@ -25,17 +34,27 @@ AB_KB = "atoms: a b\nrule: a -> b\n"
 class TestAvgRelu:
     def test_worked_instance_vectors(self):
         kb = parse_kb(AB_KB)
-        res = construct_avg_relu(kb, DeltaConfig(5))
+        res = ref_construct_avg_relu(kb, DeltaConfig(5))
         assert res.model_order == (0b00, 0b10, 0b11)
         assert res.embedding.context["a"] == (F(-5), F(-5), F(1), F(1))
         assert res.embedding.context["b"] == (F(-5), F(1), F(1), F(1))
+        # the model 0b11 refutes nothing: K is the maximal model lacking
+        # a (0b10) and the one lacking b (0b00)
+        res = construct_avg_relu(kb, DeltaConfig(5))
+        assert res.model_order == (0b00, 0b10)
+        assert res.embedding.context["a"] == (F(-5), F(-5), F(1))
+        assert res.embedding.context["b"] == (F(-5), F(1), F(1))
 
     def test_worked_instance_scores(self):
         kb = parse_kb(AB_KB)
-        emb = construct_avg_relu(kb, DeltaConfig(5)).embedding
-        fwd = ref_dot(ref_relu_vec(ref_emb_avg(emb, ("a",))), emb.context["b"])
-        bwd = ref_dot(ref_relu_vec(ref_emb_avg(emb, ("b",))), emb.context["a"])
-        assert fwd == 2 and bwd == -3
+        for build, want in ((ref_construct_avg_relu, (2, -3)),
+                            (construct_avg_relu, (1, -4))):
+            emb = build(kb, DeltaConfig(5)).embedding
+            fwd = ref_dot(ref_relu_vec(ref_emb_avg(emb, ("a",))),
+                          emb.context["b"])
+            bwd = ref_dot(ref_relu_vec(ref_emb_avg(emb, ("b",))),
+                          emb.context["a"])
+            assert (fwd, bwd) == want
 
     def test_inconsistent_kb_accepts_everything(self):
         kb = parse_kb("atoms: a b\nformula: a\nformula: !a\n")
@@ -61,7 +80,7 @@ class TestAvgRelu:
             construct_avg_relu(kb, DeltaConfig(4))
 
     def test_atom_cap(self):
-        kb = KnowledgeBase(Signature(tuple(f"p{i}" for i in range(16))), ())
+        kb = KnowledgeBase(Signature(tuple(f"p{i}" for i in range(21))), ())
         with pytest.raises(CapExceededError):
             construct_avg_relu(kb)
 
@@ -69,10 +88,16 @@ class TestAvgRelu:
 class TestHadDot:
     def test_worked_instance_vectors(self):
         kb = parse_kb(AB_KB)
-        emb = construct_had_dot(kb, DeltaConfig(5)).embedding
+        emb = ref_construct_had_dot(kb, DeltaConfig(5)).embedding
         assert emb.context["a"] == (F(0), F(0), F(1), F(1))
         assert emb.output["a"] == (F(-5), F(-5), F(1), F(1))
         assert ref_dot(ref_emb_had(emb, ("a",)), emb.output["b"]) == 2
+        res = construct_had_dot(kb, DeltaConfig(5))
+        assert res.model_order == (0b00, 0b10)
+        emb = res.embedding
+        assert emb.context["a"] == (F(0), F(0), F(1))
+        assert emb.output["a"] == (F(-5), F(-5), F(1))
+        assert ref_dot(ref_emb_had(emb, ("a",)), emb.output["b"]) == 1
 
     def test_zero_thresholds(self):
         kb = fixture("CE1")
@@ -105,10 +130,17 @@ class TestHadDot:
 class TestOrd:
     def test_worked_instance(self):
         kb = parse_kb(AB_KB)
-        emb = construct_ord(kb).embedding
+        emb = ref_construct_ord(kb).embedding
         assert emb.context["a"] == (F(1), F(1), F(0))
         assert emb.context["b"] == (F(1), F(0), F(0))
+        res = ref_construct_ord(kb)
+        assert strategy_accepts(emb, res.strategy, ("a",), "b")
+        assert not strategy_accepts(emb, res.strategy, ("b",), "a")
         res = construct_ord(kb)
+        emb = res.embedding
+        assert res.model_order == (0b00, 0b10)
+        assert emb.context["a"] == (F(1), F(1))
+        assert emb.context["b"] == (F(1), F(0))
         assert strategy_accepts(emb, res.strategy, ("a",), "b")
         assert not strategy_accepts(emb, res.strategy, ("b",), "a")
 
@@ -199,32 +231,40 @@ class TestNonMonotonicConstructions:
 
 
 class TestDeltaBoundMatters:
-    def test_small_delta_breaks_the_construction(self):
+    @staticmethod
+    def _small_delta_witness(vectors_for):
         # search for a KB and an illegally small delta that flip a verdict
         rng = random.Random(59)
         atoms = ["a", "b"]
-        witness = None
         kbs = [parse_kb("atoms: a b\n")]
         kbs += [random_rule_kb(rng, atoms, max_rules=2) for _ in range(10)]
         for kb in kbs:
-            models = enumerate_models(kb)
             for delta in range(1, (1 << len(atoms)) + 1):
-                vectors = _avg_relu_vectors(kb, models, delta)
+                vectors = vectors_for(kb, delta)
                 for subset, head in subset_queries(kb.signature, 2):
-                    pooled = tuple(
-                        sum(vectors[a][i] for a in subset) / len(subset)
-                        for i in range(len(models) + 1))
+                    pooled = tuple(sum(col) / len(subset) for col in
+                                   zip(*(vectors[a] for a in subset)))
                     got = ref_dot(ref_relu_vec(pooled), vectors[head]) >= 0
                     if got != entails(kb, subset, head):
-                        witness = (kb, delta, subset, head)
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+                        return kb, delta, subset, head
+        return None
+
+    def test_small_delta_breaks_the_construction(self):
+        witness = self._small_delta_witness(
+            lambda kb, delta: ref_avg_relu_vectors(kb, enumerate_models(kb),
+                                                   delta))
         assert witness is not None, "no small-delta failure found"
-        kb, delta, subset, head = witness
-        assert delta <= 1 << len(atoms)
+        assert witness[1] <= 1 << 2
+
+    def test_small_delta_breaks_the_counter_model_recipe(self):
+        def vectors_for(kb, delta):
+            needed = counter_models(kb)
+            return _families(kb.signature, needed, [(1, delta)] * len(needed),
+                             (F(1),))[1]
+
+        witness = self._small_delta_witness(vectors_for)
+        assert witness is not None, "no small-delta failure found"
+        assert witness[1] <= 1 << 2
 
 
 class TestDispatch:
@@ -243,7 +283,7 @@ class TestDispatch:
         prov = res.provenance()
         assert prov["proposition"] == "1"
         assert prov["delta"] == str((1 << 5) + 1)
-        assert prov["model_order"] == list(enumerate_models(fixture("CE1")))
+        assert prov["model_order"] == list(counter_models(fixture("CE1")))
 
 
 class TestIntegerCoordinates:
@@ -257,3 +297,45 @@ class TestIntegerCoordinates:
             for vecs in (res.embedding.context, res.embedding.output):
                 for v in vecs.values():
                     assert all(x.denominator == 1 for x in v)
+
+
+class TestCounterModelRecipes:
+    """Recipes 1-3 over K against the paper's recipes over every model."""
+
+    RECIPES = ((construct_avg_relu, ref_construct_avg_relu),
+               (construct_had_dot, ref_construct_had_dot),
+               (construct_ord, ref_construct_ord))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(plain_kbs(max_atoms=7))
+    def test_exhaustive_and_no_larger(self, kb):
+        n = len(kb.signature)
+        for build, reference in self.RECIPES:
+            res, ref = build(kb), reference(kb)
+            assert res.model_order == counter_models(kb)
+            assert res.embedding.dimension <= ref.embedding.dimension
+            for built in (res, ref):
+                report = verify_monotonic(built.embedding, built.strategy, kb,
+                                          cap=n)
+                assert report.queries == n * ((1 << n) - 1)
+                assert report.simulates, (kb, built.strategy,
+                                          report.mismatches[:3])
+
+    @pytest.mark.parametrize("source, needed", [
+        ("atoms: a b c\nformula: a\nformula: !a\n", ()),  # inconsistent
+        ("atoms: a b c\n", (0b011, 0b101, 0b110)),  # the co-atoms
+        ("atoms: a b\nformula: a & b\n", ()),  # only the all-true model
+    ])
+    def test_edge_cases(self, source, needed):
+        kb = parse_kb(source)
+        n = len(kb.signature)
+        assert counter_models(kb) == needed
+        dims = (len(needed) + 1, len(needed) + 1, max(len(needed), 1))
+        for (build, _), dim in zip(self.RECIPES, dims):
+            res = build(kb)
+            assert res.embedding.dimension == dim
+            report = verify_monotonic(res.embedding, res.strategy, kb, cap=n)
+            assert report.simulates
+        if not needed:
+            vectors = construct_ord(kb).embedding.context.values()
+            assert all(v == (F(0),) for v in vectors)

@@ -1,25 +1,26 @@
 """Parser, semantics, and the two consequence relations."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DEEP_FORMULA_PROBES, random_formula, random_rule_kb,
-                      random_stratified_kb)
+from conftest import (DEEP_FORMULA_PROBES, formulas_over, plain_kbs,
+                      random_formula, random_rule_kb, random_stratified_kb)
 from embedsim import logic
 from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And,
                             CapExceededError, DuplicateAtomError, Iff,
                             Implies, KnowledgeBase, Not, Or, ParseError,
                             Signature, StratifiedKB, UndeclaredAtomError, Var,
-                            count_models, entails, enumerate_models,
-                            format_formula, kb_to_source, nm_consequence_def,
-                            nm_consequence_rank, parse_kb, rank_mu,
-                            rank_table, truth_set)
+                            count_models, counter_models, entails,
+                            enumerate_models, format_formula, kb_to_source,
+                            nm_consequence_def, nm_consequence_rank, parse_kb,
+                            rank_mu, rank_table, truth_set)
 from embedsim.fixtures import fixture
-from oracles import (mask_names, tt_entails, tt_evaluate, tt_models, tt_mu,
-                     tt_nm_def, tt_nm_rank)
+from oracles import (mask_names, scan_counter_models, tt_entails, tt_evaluate,
+                     tt_models, tt_mu, tt_nm_def, tt_nm_rank)
 
 
 # ------------------------------------------------------------------
@@ -207,7 +208,28 @@ class TestSemantics:
         with pytest.raises(CapExceededError, match="21 atoms"):
             enumerate_models(kb)
         with pytest.raises(CapExceededError, match="21 atoms"):
+            counter_models(kb)
+        with pytest.raises(CapExceededError, match="21 atoms"):
             entails(kb, ("p0",), "p1")
+
+    def test_enumerate_models_keeps_no_result(self):
+        # 49,152 models; a cached result would hold about 1.8 MB
+        import numpy  # noqa: F401  (imported on first enumeration)
+        kb = KnowledgeBase(Signature(tuple(f"p{i}" for i in range(16))),
+                           (Implies(Var("p0"), Var("p1")),))
+        count_models(kb)  # caches the 16-atom universe
+        tracemalloc.start()
+        try:
+            assert len(enumerate_models(kb)) == 49152
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(plain_kbs(max_atoms=7))
+    def test_counter_models_match_quadratic_scan(self, kb):
+        assert counter_models(kb) == scan_counter_models(kb)
 
     def test_models_match_truth_table_oracle(self):
         rng = random.Random(11)
@@ -224,17 +246,7 @@ def _assignment(atoms, omega):
     return {a: bool(omega >> i & 1) for i, a in enumerate(atoms)}
 
 
-# formulas over p0..p5 from every connective and both constants; drawn
-# once here, since building the strategy per example costs 20 ms
-_SIX_ATOM_FORMULAS = st.recursive(
-    st.sampled_from([Var(f"p{i}") for i in range(6)] + [TOP, BOTTOM]),
-    lambda kids: st.one_of(
-        st.builds(Not, kids),
-        st.builds(And, kids, kids),
-        st.builds(Or, kids, kids),
-        st.builds(Implies, kids, kids),
-        st.builds(Iff, kids, kids)),
-    max_leaves=8)
+_SIX_ATOM_FORMULAS = formulas_over(6)
 
 
 def _fold(f, n):
