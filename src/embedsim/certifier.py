@@ -16,11 +16,15 @@ Three certificate engines:
     conical combinations, and exhaustive enumeration of the 3^|base|
     sign assignments shows no assignment survives.
 
-Strict inequalities enter the linear systems as unit margins: the
-systems are positively homogeneous in their variables, so a solution
-with any positive slack can be scaled to one with slack 1, and rows are
-stored with denominators cleared (a positive row scaling that changes
-nothing about feasibility).
+The two builders take the KB, answer every query from its entailment
+table, and emit rows of plain ints.  Strict inequalities enter as unit
+margins: the systems are positively homogeneous in their variables, so a
+solution with any positive slack can be scaled to one with slack 1, and
+rows are cleared of the averaging denominators (a positive row scaling
+that changes nothing about feasibility).  Replayed and hand-built rows
+may still carry rationals; `_integer_row` is the one place any row is
+oriented to >= and cleared of denominators, for the simplex and for the
+witness and Farkas checks alike.
 
 The exact simplex (`lp_feasible`) splits a system into connected blocks
 of rows, two rows sharing a block when they share a variable; the
@@ -43,7 +47,7 @@ row with entering entry f becomes (T pe - f P) / (dt pe), reduced by its
 gcd.  Each row stands for the same rationals as in a `Fraction` tableau,
 and every choice depends only on signs and exact comparisons, so the
 choices, and with them the returned values, are those of the `Fraction`
-tableau (`tests/oracles.py` keeps one as the reference).  `Fraction`s
+tableau (`tests/references.py` keeps one as the reference).  `Fraction`s
 are built only for the witness, the phase-1 objective and the
 multipliers.  The witness re-check `verify_witness` also runs in
 integers.
@@ -58,18 +62,15 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .fixtures import fixture
-from .logic import (CapExceededError, KnowledgeBase, Signature, StratifiedKB,
-                    conjoin, entails, kb_digest, nm_consequence_rank)
+from .logic import (CapExceededError, KnowledgeBase, StratifiedKB, conjoin,
+                    entailment_table, entails, kb_digest, nm_consequence_rank)
 from .strategies import (AVG_DOT, AttributeEmbedding, StrategyId, frac_str,
                          parse_frac, strategy_from_name)
 from .verifier import subset_queries, verify_monotonic
 
-Oracle = Callable[[tuple[str, ...], str], bool]
 Query = tuple[tuple[str, ...], str]
 
 GENERIC_ATOM_CAP = 6
-
-_ZERO = Fraction(0)
 
 
 # ------------------------------------------------------------------
@@ -78,9 +79,10 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    # ints from the builders; replayed and hand-built rows carry Fractions
+    coeffs: tuple[int | Fraction, ...]
     relation: str  # ">=" or "<="
-    rhs: Fraction
+    rhs: int | Fraction
     label: str
 
     def to_dict(self) -> dict:
@@ -98,7 +100,7 @@ class Constraint:
 class LinearSystem:
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
-    queries: tuple[dict, ...] = ()  # provenance: the encoded oracle answers
+    queries: tuple[dict, ...] = ()  # provenance: the encoded KB answers
 
     def to_dict(self) -> dict:
         return {"variables": list(self.variables),
@@ -112,51 +114,56 @@ class LinearSystem:
                    tuple(doc.get("queries", ())))
 
 
-def _linear_system(oracle: Oracle, atoms: Sequence[str], cap: int | None,
+def _linear_system(kb: KnowledgeBase, cap: int | None,
                    queries: Iterable[Query] | None, encode) -> LinearSystem:
-    """One constraint per query, with variables numbered in first-use order.
+    """One integer constraint per query, variables numbered in first-use order.
 
-    `encode(subset, head, captured, add)` calls `add(variable, coefficient)`
-    for the row's terms and returns the row's (relation, rhs).
+    Each query is answered from the KB's entailment table, read once
+    and indexed by subset mask.  `encode(subset, head, captured, add)`
+    calls `add(variable, coefficient)` for the row's terms and returns
+    the row's (relation, rhs).
     """
+    signature = kb.signature
     if queries is None:
-        queries = subset_queries(Signature(tuple(atoms)),
-                                 len(atoms) if cap is None else cap)
+        queries = subset_queries(signature,
+                                 len(signature) if cap is None else cap)
+    table = entailment_table(kb)
     index: dict[str, int] = {}
-    rows: list[tuple[dict[int, Fraction], str, Fraction, str]] = []
+    rows: list[tuple[dict[int, int], str, int, str]] = []
     encoded: list[dict] = []
     for subset, head in queries:
-        captured = oracle(subset, head)
-        coeffs: dict[int, Fraction] = {}
+        captured = bool(table[signature.mask(subset)] & signature.bit(head))
+        coeffs: dict[int, int] = {}
 
         def add(name: str, value: int) -> None:
             j = index.setdefault(name, len(index))
-            coeffs[j] = coeffs.get(j, _ZERO) + value
+            coeffs[j] = coeffs.get(j, 0) + value
 
         relation, rhs = encode(subset, head, captured, add)
         word = "capture" if captured else "reject"
-        rows.append((coeffs, relation, Fraction(rhs),
+        rows.append((coeffs, relation, rhs,
                      f"{word} {'&'.join(subset)} -> {head}"))
         encoded.append({"subset": list(subset), "head": head,
                         "captured": captured})
     width = len(index)
     constraints = tuple(
-        Constraint(tuple(coeffs.get(j, _ZERO) for j in range(width)),
+        Constraint(tuple(coeffs.get(j, 0) for j in range(width)),
                    rel, rhs, label)
         for coeffs, rel, rhs, label in rows
     )
     return LinearSystem(tuple(index), constraints, tuple(encoded))
 
 
-def build_avg_dot_system(oracle: Oracle, atoms: Sequence[str],
-                         cap: int | None = None,
-                         queries: Iterable[Query] | None = None) -> LinearSystem:
-    """Constraints forcing averaged dot labelling to mirror the oracle.
+def build_avg_dot_system(kb: KnowledgeBase, cap: int | None = None,
+                         queries: Iterable[Query] | None = None
+                         ) -> LinearSystem:
+    """Constraints forcing averaged dot labelling to mirror the KB.
 
     Per query (S, b): sum of M[a][b] over S at least |S| lambda_b when
     the rule must be captured, at most |S| (lambda_b - 1) when it must
     be rejected (the unit-margin slack form of the strict inequality,
-    cleared of the 1/|S| averaging denominator).
+    cleared of the 1/|S| averaging denominator).  Every coefficient and
+    rhs is an int.
     """
     def encode(subset, head, captured, add):
         n = len(subset)
@@ -165,29 +172,29 @@ def build_avg_dot_system(oracle: Oracle, atoms: Sequence[str],
         add(f"lam[{head}]", -n)
         return (">=", 0) if captured else ("<=", -n)
 
-    return _linear_system(oracle, atoms, cap, queries, encode)
+    return _linear_system(kb, cap, queries, encode)
 
 
-def build_avg_dist_relaxation(oracle: Oracle, atoms: Sequence[str],
-                              cap: int | None = None,
+def build_avg_dist_relaxation(kb: KnowledgeBase, cap: int | None = None,
                               queries: Iterable[Query] | None = None
                               ) -> LinearSystem:
     """Squared-distance constraints, linear in Gram-style variables.
 
     d^2(avg(S), out_b) expands over G[a][a'] = a.a', c[b][a] = out_b.a,
     nsq[b] = ||out_b||^2 and tsq[b] = theta_b^2; rows are cleared of the
-    1/|S|^2 denominator.  Dropping the PSD requirement on G makes this a
-    relaxation: infeasibility still rules the strategy out, feasibility
-    proves nothing.
+    1/|S|^2 denominator, so every coefficient and rhs is an int.
+    Dropping the PSD requirement on G makes this a relaxation:
+    infeasibility still rules the strategy out, feasibility proves
+    nothing.
     """
-    atom_pos = {a: i for i, a in enumerate(atoms)}
+    index = kb.signature.index
 
     def encode(subset, head, captured, add):
         n = len(subset)
         for a in subset:
             add(f"G[{a},{a}]", 1)
         for a, a2 in itertools.combinations(subset, 2):
-            lo, hi = sorted((a, a2), key=atom_pos.__getitem__)
+            lo, hi = sorted((a, a2), key=index)
             add(f"G[{lo},{hi}]", 2)
         for a in subset:
             add(f"c[{head}][{a}]", -2 * n)
@@ -195,7 +202,7 @@ def build_avg_dist_relaxation(oracle: Oracle, atoms: Sequence[str],
         add(f"tsq[{head}]", -n * n)
         return ("<=", 0) if captured else (">=", n * n)
 
-    return _linear_system(oracle, atoms, cap, queries, encode)
+    return _linear_system(kb, cap, queries, encode)
 
 
 # ------------------------------------------------------------------
@@ -221,10 +228,22 @@ class FeasibilityOutcome:
     farkas: FarkasCertificate | None = None
 
 
-def _oriented(constraint: Constraint) -> tuple[tuple[Fraction, ...], Fraction]:
-    if constraint.relation == ">=":
-        return constraint.coeffs, constraint.rhs
-    return tuple(-c for c in constraint.coeffs), -constraint.rhs
+IntRow = tuple[tuple[int, ...], int, int]
+
+
+def _integer_row(constraint: Constraint) -> IntRow:
+    """The >=-oriented constraint as integers (coeffs, rhs, den).
+
+    `den` is the lcm of the row's denominators, and the oriented row
+    reads coeffs / den >= rhs / den; a builder's int row has den 1.
+    """
+    sign = 1 if constraint.relation == ">=" else -1
+    den = lcm(constraint.rhs.denominator,
+              *(c.denominator for c in constraint.coeffs if c))
+    coeffs = tuple(sign * c.numerator * (den // c.denominator) if c else 0
+                   for c in constraint.coeffs)
+    rhs = sign * constraint.rhs.numerator * (den // constraint.rhs.denominator)
+    return coeffs, rhs, den
 
 
 def combine_constraints(system: LinearSystem,
@@ -241,10 +260,12 @@ def combine_constraints(system: LinearSystem,
             raise ValueError(f"negative multiplier at row {i}")
         if y == 0:
             continue
-        coeffs, d = _oriented(system.constraints[i])
+        coeffs, d, den = _integer_row(system.constraints[i])
+        weight = Fraction(y, den)
         for j, c in enumerate(coeffs):
-            total[j] += y * c
-        rhs += y * d
+            if c:
+                total[j] += weight * c
+        rhs += weight * d
     return tuple(total), rhs
 
 
@@ -265,56 +286,26 @@ def verify_witness(system: LinearSystem,
                    witness: dict[str, Fraction]) -> bool:
     """Exact re-check of every constraint, in integers.
 
-    The witness is scaled once to its common denominator D, and each
-    row by the lcm L of its own denominators: the row holds when the
-    integer sum of (L c_j)(D x_j) over its non-zero coefficients
-    compares with L rhs D as its relation says.
+    The witness is scaled once to its common denominator D: an integer
+    row coeffs >= rhs holds when the sum of c_j (D x_j) over its
+    non-zero coefficients is at least rhs D.
     """
     values = [witness.get(v, 0) for v in system.variables]
     scale = lcm(*(x.denominator for x in values))
     scaled = [x.numerator * (scale // x.denominator) for x in values]
     for con in system.constraints:
-        terms = [(c, x) for c, x in zip(con.coeffs, scaled) if c]
-        row_scale = lcm(con.rhs.denominator,
-                        *(c.denominator for c, _ in terms))
-        lhs = sum(c.numerator * (row_scale // c.denominator) * x
-                  for c, x in terms)
-        rhs = con.rhs.numerator * (row_scale // con.rhs.denominator) * scale
-        ok = lhs >= rhs if con.relation == ">=" else lhs <= rhs
-        if not ok:
+        coeffs, rhs, _ = _integer_row(con)
+        if sum(c * x for c, x in zip(coeffs, scaled) if c) < rhs * scale:
             return False
     return True
 
 
-def _normalize_multipliers(mult: list[Fraction]) -> tuple[Fraction, ...]:
-    denom_lcm = 1
-    for y in mult:
-        denom_lcm = denom_lcm * y.denominator // gcd(denom_lcm, y.denominator)
-    ints = [int(y * denom_lcm) for y in mult]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
-IntRow = tuple[tuple[int, ...], int, int]
-
-
-def _integer_row(constraint: Constraint) -> IntRow:
-    """The >=-oriented constraint as integers (coeffs, rhs, den).
-
-    `den` is the lcm of the row's denominators, and the oriented row
-    reads coeffs / den >= rhs / den.
-    """
-    sign = 1 if constraint.relation == ">=" else -1
-    den = lcm(constraint.rhs.denominator,
-              *(c.denominator for c in constraint.coeffs if c))
-    coeffs = tuple(sign * c.numerator * (den // c.denominator) if c else 0
-                   for c in constraint.coeffs)
-    rhs = sign * constraint.rhs.numerator * (den // constraint.rhs.denominator)
-    return coeffs, rhs, den
+def _normalize_multipliers(mult: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The multipliers scaled by a positive factor to coprime integers."""
+    scale = lcm(*(y.denominator for y in mult))
+    ints = [y.numerator * (scale // y.denominator) for y in mult]
+    g = gcd(*ints) or 1
+    return tuple(Fraction(v // g) for v in ints)
 
 
 def _row_blocks(rows: Sequence[tuple]) -> list[list[int]]:
@@ -504,14 +495,14 @@ def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
         values: dict[int, Fraction] = {}
         for _, solution, _ in solved:
             values.update(solution)
-        witness = {name: values.get(j, _ZERO)
+        witness = {name: values.get(j, Fraction(0))
                    for j, name in enumerate(system.variables)}
         if not verify_witness(system, witness):
             raise AssertionError("simplex witness failed exact re-check")
         return FeasibilityOutcome(True, witness=witness)
 
     # infeasible: duals from the reduced costs at the initial basis columns
-    mult = [_ZERO] * len(rows)
+    mult = [Fraction(0)] * len(rows)
     for block, (_, _, block_mult) in zip(blocks, solved):
         for i, y in zip(block, block_mult):
             mult[i] = y
@@ -619,10 +610,6 @@ class ClosureOutcome:
     total: int
     satisfying: dict[str, str] | None = None
     refutations: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"consistent": self.consistent, "total": self.total,
-                "satisfying": self.satisfying, "refutations": self.refutations}
 
 
 def _violated(req: PairRequirement, sides: dict[str, str]) -> bool:
@@ -753,9 +740,7 @@ def _lp_evidence(system: LinearSystem, outcome: FeasibilityOutcome,
 def _lp_certificate(strategy: StrategyId, fixture_name: str,
                     build, queries: list[Query],
                     relaxation: bool) -> Certificate:
-    kb = fixture(fixture_name)
-    oracle = lambda s, h: entails(kb, s, h)
-    system = build(oracle, kb.signature.atoms, queries=queries)
+    system = build(fixture(fixture_name), queries=queries)
     outcome = lp_feasible(system)
     # a feasible query-restricted system says nothing about the
     # remaining queries, so no simulability claim is made
@@ -946,30 +931,28 @@ def certify_nonmonotonic_failure(strategy: StrategyId | str,
                        "not-simulable", evidence, assumptions)
 
 
-def decide_avg_dot(kb: KnowledgeBase, cap: int | None = None) -> Certificate:
+def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
     """Full decision for averaged dot labelling on an arbitrary small KB.
 
-    Builds the complete constraint system over all subsets (within the
-    cap), solves it exactly, and either realises a witness embedding
-    (re-verified query by query) or returns the Farkas certificate.
+    Builds the complete constraint system over all non-empty subsets,
+    solves it exactly, and either realises a witness embedding
+    (re-verified by a sweep over the same queries in the same order)
+    or returns the Farkas certificate.
     """
     n = len(kb.signature)
     if n > GENERIC_ATOM_CAP:
         raise CapExceededError(
             f"generic avg-dot decision supports at most {GENERIC_ATOM_CAP} "
             f"atoms, KB has {n}")
-    if cap is None:
-        cap = min(n, GENERIC_ATOM_CAP)
-    oracle = lambda s, h: entails(kb, s, h)
-    system = build_avg_dot_system(oracle, kb.signature.atoms, cap=cap)
+    system = build_avg_dot_system(kb)
     outcome = lp_feasible(system)
     evidence = _lp_evidence(system, outcome)
     if not outcome.feasible:
         return Certificate(AVG_DOT.name, None, "monotonic", "not-simulable",
                            evidence, [])
     embedding = realize_from_witness(system, outcome, kb.signature.atoms)
-    queries = [(tuple(q["subset"]), q["head"]) for q in system.queries]
-    report = verify_monotonic(embedding, AVG_DOT, kb, queries=queries)
+    # an atomless KB has no queries at any cap, and a sweep refuses cap 0
+    report = verify_monotonic(embedding, AVG_DOT, kb, cap=max(n, 1))
     if not report.simulates:
         raise AssertionError("realised embedding failed re-verification")
     evidence["embedding"] = embedding.to_json_dict()

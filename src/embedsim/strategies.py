@@ -180,10 +180,15 @@ class AttributeEmbedding:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AttributeEmbedding":
-        dim = int(doc["dimension"])
+        dim = doc["dimension"]
+        # bool is an int subclass; a float is refused, not truncated
+        if type(dim) is not int:
+            raise ValueError(f"dimension must be a JSON integer, got {dim!r}")
         context, output, lam, theta = {}, {}, {}, {}
         for entry in doc["atoms"]:
             name = entry["name"]
+            if name in context:
+                raise ValueError(f"duplicate atom {name!r}")
             context[name] = parse_vec(entry["context"])
             output[name] = parse_vec(entry.get("output", entry["context"]))
             lam[name] = parse_frac(entry.get("lambda", "0"))

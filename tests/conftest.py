@@ -13,7 +13,8 @@ from embedsim.logic import (BOTTOM, TOP, And, Iff, Implies, KnowledgeBase, Not,
                             Or, Signature, StratifiedKB, Var, conjoin)
 from embedsim.strategies import AttributeEmbedding
 
-sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
+# make `oracles` and `references` importable
+sys.path.insert(0, str(Path(__file__).parent))
 
 # one line per acceptance criterion, filled by tests/test_acceptance.py
 ACCEPTANCE_LINES: list[str] = []

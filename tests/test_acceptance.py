@@ -134,8 +134,7 @@ def test_criterion_3_stratified_example():
 def test_criterion_4_ce1_certificate():
     kb = fixture("CE1")
     started = time.perf_counter()
-    system = build_avg_dot_system(lambda s, h: entails(kb, s, h),
-                                  kb.signature.atoms, queries=_ce1_queries())
+    system = build_avg_dot_system(kb, queries=_ce1_queries())
     outcome = lp_feasible(system)
     elapsed = time.perf_counter() - started
     assert not outcome.feasible
@@ -152,9 +151,7 @@ def test_criterion_4_ce1_certificate():
               "contradiction pattern, exact")
 def test_criterion_5_ce2_certificate():
     kb = fixture("CE2")
-    system = build_avg_dist_relaxation(lambda s, h: entails(kb, s, h),
-                                       kb.signature.atoms,
-                                       queries=_ce2_queries())
+    system = build_avg_dist_relaxation(kb, queries=_ce2_queries())
     outcome = lp_feasible(system)
     assert not outcome.feasible
     mult = outcome.farkas.multipliers

@@ -1,6 +1,7 @@
 """Linear systems, the exact simplex, closure search, and certificates."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import random_rule_kb
 from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
                                 LinearSystem, PairRequirement, _ce1_queries,
-                                _ce2_queries, _oriented, _row_blocks,
+                                _ce2_queries, _integer_row, _lp_evidence,
+                                _row_blocks,
                                 build_avg_dist_relaxation,
                                 build_avg_dot_system,
                                 certify_nonmonotonic_failure,
@@ -22,16 +24,14 @@ from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
                                 reverify_certificate, verify_farkas,
                                 verify_witness)
 from embedsim.fixtures import fixture
-from embedsim.logic import CapExceededError, Signature, KnowledgeBase, entails, parse_kb
+from embedsim.logic import (CapExceededError, KnowledgeBase, Signature,
+                            parse_kb)
 from embedsim.strategies import AVG_DOT
-from embedsim.verifier import verify_monotonic
-from oracles import dense_lp_feasible, ref_verify_witness
+from embedsim.verifier import subset_queries, verify_monotonic
+from oracles import tt_entails
+from references import dense_lp_feasible, ref_verify_witness
 
 F = Fraction
-
-
-def kb_oracle(kb):
-    return lambda subset, head: entails(kb, subset, head)
 
 
 def make_system(rows):
@@ -51,8 +51,7 @@ def make_system(rows):
 class TestBuildDotSystem:
     def test_ce1_restricted_shape(self):
         kb = fixture("CE1")
-        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms,
-                                      queries=_ce1_queries())
+        system = build_avg_dot_system(kb, queries=_ce1_queries())
         assert len(system.constraints) == 4
         assert set(system.variables) == {
             "M[a][x]", "M[b][x]", "M[c][x]", "M[d][x]", "lam[x]"}
@@ -61,29 +60,26 @@ class TestBuildDotSystem:
 
     def test_singleton_rules_feasible(self):
         kb = parse_kb("atoms: a b\nrule: a -> b\n")
-        system = build_avg_dot_system(
-            kb_oracle(kb), kb.signature.atoms,
-            queries=[(("a",), "b"), (("b",), "a")])
+        system = build_avg_dot_system(kb, queries=[(("a",), "b"),
+                                                   (("b",), "a")])
         outcome = lp_feasible(system)
         assert outcome.feasible
 
     def test_full_system_count(self):
         kb = parse_kb("atoms: a b c d\n")
-        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms, cap=4)
+        system = build_avg_dot_system(kb, cap=4)
         assert len(system.constraints) == 15 * 4
 
     def test_serialization_roundtrip(self):
         kb = fixture("CE1")
-        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms,
-                                      queries=_ce1_queries())
+        system = build_avg_dot_system(kb, queries=_ce1_queries())
         assert LinearSystem.from_dict(system.to_dict()) == system
 
 
 class TestBuildDistRelaxation:
     def test_ce2_infeasible_with_pattern(self):
         kb = fixture("CE2")
-        system = build_avg_dist_relaxation(kb_oracle(kb), kb.signature.atoms,
-                                           queries=_ce2_queries())
+        system = build_avg_dist_relaxation(kb, queries=_ce2_queries())
         outcome = lp_feasible(system)
         assert not outcome.feasible
         mult = outcome.farkas.multipliers
@@ -98,16 +94,117 @@ class TestBuildDistRelaxation:
 
     def test_single_rule_feasible(self):
         kb = parse_kb("atoms: a x\nrule: a -> x\n")
-        system = build_avg_dist_relaxation(kb_oracle(kb), kb.signature.atoms,
-                                           queries=[(("a",), "x")])
+        system = build_avg_dist_relaxation(kb, queries=[(("a",), "x")])
         assert lp_feasible(system).feasible
 
     def test_ce1_distance_relaxation_feasible(self):
         # the four-query pattern is realisable with distance labelling
         kb = fixture("CE1")
-        system = build_avg_dist_relaxation(kb_oracle(kb), kb.signature.atoms,
-                                           queries=_ce1_queries())
+        system = build_avg_dist_relaxation(kb, queries=_ce1_queries())
         assert lp_feasible(system).feasible
+
+
+BUILDERS = [build_avg_dot_system, build_avg_dist_relaxation]
+
+
+@st.composite
+def seeded_rule_kbs(draw, max_atoms):
+    """`random_rule_kb` over 1 to `max_atoms` of the atoms a-f."""
+    n = draw(st.integers(1, max_atoms))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_rule_kb(random.Random(seed), list("abcdef"[:n]))
+
+
+@st.composite
+def kbs_with_queries(draw, max_atoms):
+    """A seeded rule KB and an explicit query list over it: non-empty
+    subsets in any atom order, repeats allowed, in any order."""
+    kb = draw(seeded_rule_kbs(max_atoms))
+    atoms = st.sampled_from(kb.signature.atoms)
+    queries = draw(st.lists(
+        st.tuples(st.lists(atoms, min_size=1, unique=True).map(tuple),
+                  atoms),
+        max_size=12))
+    return kb, queries
+
+
+def captured_flags(system):
+    return [(tuple(q["subset"]), q["head"], q["captured"])
+            for q in system.queries]
+
+
+class TestBuildersReadTheKB:
+    """Both builders answer from the entailment table and emit int rows."""
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seeded_rule_kbs(6), st.integers(1, 6))
+    def test_canonical_rows_are_ints_and_match_truth_table(self, build, kb,
+                                                          cap):
+        cap = min(cap, len(kb.signature))
+        system = build(kb, cap=cap)
+        queries = subset_queries(kb.signature, cap)
+        assert len(system.constraints) == len(queries)
+        for con in system.constraints:
+            assert all(type(c) is int for c in con.coeffs)
+            assert type(con.rhs) is int
+        assert captured_flags(system) == [
+            (subset, head, tt_entails(kb, subset, head))
+            for subset, head in queries]
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(kbs_with_queries(6))
+    def test_explicit_queries_match_truth_table(self, build, kb_queries):
+        kb, queries = kb_queries
+        system = build(kb, queries=queries)
+        for con in system.constraints:
+            assert all(type(c) is int for c in con.coeffs)
+            assert type(con.rhs) is int
+        assert captured_flags(system) == [
+            (subset, head, tt_entails(kb, subset, head))
+            for subset, head in queries]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seeded_rule_kbs(4))
+    def test_replayed_system_solves_the_same(self, kb):
+        system = build_avg_dot_system(kb)
+        replayed = LinearSystem.from_dict(system.to_dict())
+        got, again = lp_feasible(system), lp_feasible(replayed)
+        assert got.feasible == again.feasible
+        if got.feasible:
+            assert list(got.witness.items()) == list(again.witness.items())
+        else:
+            assert got.farkas.multipliers == again.farkas.multipliers
+            assert got.farkas.gap == again.farkas.gap
+        assert (json.dumps(_lp_evidence(system, got))
+                == json.dumps(_lp_evidence(replayed, again)))
+
+    def test_rational_farkas_certificate_replays(self):
+        # CE1's first reject row scaled by 1/3 carries the multiplier 3
+        # where the integer row carries 1
+        system = build_avg_dot_system(fixture("CE1"), queries=_ce1_queries())
+        assert lp_feasible(system).farkas.multipliers == (1, 1, 1, 1)
+        row = system.constraints[2]
+        assert row.relation == "<=" and row.rhs == -2
+        scaled = Constraint(tuple(F(c, 3) for c in row.coeffs), "<=",
+                            F(row.rhs, 3), row.label)
+        system = LinearSystem(system.variables,
+                              system.constraints[:2] + (scaled,)
+                              + system.constraints[3:], system.queries)
+        evidence = {"kind": "farkas", "relaxation": False,
+                    "system": system.to_dict(),
+                    "multipliers": ["1/1", "1/1", "3/1", "1/1"],
+                    "gap": "4/1"}
+        assert evidence["system"]["constraints"][2]["rhs"] == "-2/3"
+        assert verify_farkas(system, [F(1), F(1), F(3), F(1)]) == 4
+        assert reverify_certificate(Certificate(
+            "avg-dot", "CE1", "monotonic", "not-simulable", evidence, []))
+        with pytest.raises(ValueError, match="does not cancel"):
+            verify_farkas(system, [F(1)] * 4)
+        evidence["multipliers"][2] = "1/1"
+        with pytest.raises(ValueError, match="does not cancel"):
+            reverify_certificate({"evidence": evidence, "fixture": "CE1"})
 
 
 def planted_feasible_systems():
@@ -182,8 +279,7 @@ class TestSimplex:
 
     def test_ce1_farkas_exact(self):
         kb = fixture("CE1")
-        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms,
-                                      queries=_ce1_queries())
+        system = build_avg_dot_system(kb, queries=_ce1_queries())
         outcome = lp_feasible(system)
         assert not outcome.feasible
         assert outcome.farkas.multipliers == (F(1), F(1), F(1), F(1))
@@ -208,7 +304,7 @@ class TestSimplex:
         checked = 0
         for _ in range(30):
             kb = random_rule_kb(rng, ["a", "b", "c"])
-            system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms)
+            system = build_avg_dot_system(kb)
             outcome = lp_feasible(system)
             if not outcome.feasible:
                 continue
@@ -307,16 +403,16 @@ TWO_BLOCKS = [([1, 1, 0, 0], ">=", 1), ([0, 0, 1, 0], ">=", 1),
 
 
 class TestBlockSimplexMatchesDense:
-    """`lp_feasible` against the dense oracle in `tests/oracles.py`."""
+    """`lp_feasible` against the dense reference in `tests/references.py`."""
 
     def test_row_blocks(self):
-        assert _row_blocks([_oriented(c)
+        assert _row_blocks([_integer_row(c)
                             for c in make_system(TWO_BLOCKS).constraints]
                            ) == [[0, 2, 4], [1, 3]]
         # the full avg-dot system is one block per head, in first-row order
         kb = fixture("CE1")
-        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms)
-        blocks = _row_blocks([_oriented(c) for c in system.constraints])
+        system = build_avg_dot_system(kb)
+        blocks = _row_blocks([_integer_row(c) for c in system.constraints])
         assert [len(b) for b in blocks] == [31] * 5
         assert [b[0] for b in blocks] == [0, 1, 2, 3, 4]
 
@@ -360,21 +456,19 @@ class TestBlockSimplexMatchesDense:
         verdicts = set()
         for _ in range(kbs):
             kb = random_rule_kb(rng, ["a", "b", "c", "d"][:atoms])
-            system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms)
+            system = build_avg_dot_system(kb)
             verdicts.add(assert_same_outcome(system).feasible)
         assert verdicts == {True, False}
 
     def test_ce1_restricted_system(self):
         kb = fixture("CE1")
-        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms,
-                                      queries=_ce1_queries())
+        system = build_avg_dot_system(kb, queries=_ce1_queries())
         assert not assert_same_outcome(system).feasible
 
     def test_ce2_relaxation_single_block(self):
         kb = fixture("CE2")
-        system = build_avg_dist_relaxation(kb_oracle(kb), kb.signature.atoms,
-                                           queries=_ce2_queries())
-        oriented = [_oriented(c) for c in system.constraints]
+        system = build_avg_dist_relaxation(kb, queries=_ce2_queries())
+        oriented = [_integer_row(c) for c in system.constraints]
         assert _row_blocks(oriented) == [list(range(len(oriented)))]
         assert not assert_same_outcome(system).feasible
 
@@ -466,7 +560,7 @@ class TestRealize:
 
     def test_feasible_system_realizes_and_verifies(self):
         kb = parse_kb("atoms: a b\nrule: a -> b\n")
-        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms)
+        system = build_avg_dot_system(kb)
         outcome = lp_feasible(system)
         assert outcome.feasible
         emb = realize_from_witness(system, outcome, kb.signature.atoms)
@@ -476,8 +570,7 @@ class TestRealize:
 
     def test_infeasible_system_rejected(self):
         kb = fixture("CE1")
-        system = build_avg_dot_system(kb_oracle(kb), kb.signature.atoms,
-                                      queries=_ce1_queries())
+        system = build_avg_dot_system(kb, queries=_ce1_queries())
         outcome = lp_feasible(system)
         with pytest.raises(ValueError):
             realize_from_witness(system, outcome, kb.signature.atoms)

@@ -221,8 +221,13 @@ class TestVerify:
         [1, 2],
         {"dimension": 1, "atoms": [{"name": "a", "context": 5}]},
         {"dimension": 1, "atoms": [{"name": "a", "context": ["1/0"]}]},
+        {"dimension": 2.5, "atoms": [{"name": "a", "context": ["1", "1"]}]},
+        {"dimension": True, "atoms": [{"name": "a", "context": ["1"]}]},
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["1"]},
+                                   {"name": "a", "context": ["-1"]}]},
     ], ids=["atoms-not-a-list", "not-an-object", "context-not-a-list",
-            "zero-denominator"])
+            "zero-denominator", "dimension-not-an-integer",
+            "dimension-boolean", "duplicate-atom"])
     def test_malformed_embedding_exit_two(self, capsys, ce1_file, tmp_path,
                                           doc):
         emb = tmp_path / "emb.json"

@@ -2,7 +2,7 @@
 
 Recipes 1-3 give one coordinate per needed counter-model; the paper's
 versions, one coordinate per model, are the `ref_construct_*` recipes of
-`tests/oracles.py`, and the worked instances pin both.
+`tests/references.py`, and the worked instances pin both.
 """
 
 import random
@@ -23,9 +23,9 @@ from embedsim.logic import (CapExceededError, KnowledgeBase, Signature,
 from embedsim.strategies import strategy_accepts
 from embedsim.verifier import (subset_queries, verify_monotonic,
                                verify_nonmonotonic)
-from oracles import (ref_avg_relu_vectors, ref_construct_avg_relu,
-                     ref_construct_had_dot, ref_construct_ord, ref_dot,
-                     ref_emb_avg, ref_emb_had, ref_relu_vec)
+from references import (ref_avg_relu_vectors, ref_construct_avg_relu,
+                        ref_construct_had_dot, ref_construct_ord, ref_dot,
+                        ref_emb_avg, ref_emb_had, ref_relu_vec)
 
 F = Fraction
 AB_KB = "atoms: a b\nrule: a -> b\n"

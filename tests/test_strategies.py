@@ -22,8 +22,9 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  strategy_from_name, AVG_DOT, ORD_ORD,
                                  _sig_ascent, _sigmoid,
                                  sig_conical_diagnostics)
-from oracles import (REF_RULES, ref_emb_avg, ref_emb_sig_numeric,
-                     ref_evaluate, ref_lab_relu, ref_sig_conical_diagnostics)
+from references import (REF_RULES, ref_emb_avg, ref_emb_sig_numeric,
+                        ref_evaluate, ref_lab_relu,
+                        ref_sig_conical_diagnostics)
 
 F = Fraction
 
