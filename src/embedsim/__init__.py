@@ -7,16 +7,14 @@ from .certifier import (Certificate, ConicalRequirement, FarkasCertificate,
                         certify_nonmonotonic_failure, certify_strategy_failure,
                         conical_closure_certify, decide_avg_dot, lp_feasible,
                         realize_from_matrix, reverify_certificate)
-from .constructors import (ConstructionResult, DeltaConfig, construct,
-                           construct_avg_relu, construct_avg_relu_nm,
-                           construct_had_dot, construct_had_dot_nm,
-                           construct_ord)
+from .constructors import (ConstructionResult, construct, construct_avg_relu,
+                           construct_avg_relu_nm, construct_had_dot,
+                           construct_had_dot_nm, construct_ord)
 from .fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, fixture
 from .logic import (CapExceededError, Formula, KBError, KnowledgeBase,
                     ParseError, Signature, StratifiedKB, entailment_table,
-                    entails, enumerate_models, format_formula, kb_digest,
-                    nm_consequence_def, nm_consequence_rank,
-                    nm_consequence_table, parse_kb, rank_mu)
+                    entails, format_formula, kb_digest, nm_consequence_rank,
+                    nm_consequence_table, parse_kb)
 from .strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                          ScaledEmbedding, StrategyId, emb_avg, emb_had,
                          emb_norm, emb_ord, emb_sig_numeric, exact_rule,

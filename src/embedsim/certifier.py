@@ -23,8 +23,9 @@ solution with any positive slack can be scaled to one with slack 1, and
 rows are cleared of the averaging denominators (a positive row scaling
 that changes nothing about feasibility).  Replayed and hand-built rows
 may still carry rationals; `_integer_row` is the one place any row is
-oriented to >= and cleared of denominators, for the simplex and for the
-witness and Farkas checks alike.
+oriented to >= and cleared of denominators, and each system runs it once
+per row (`LinearSystem.int_rows`), for the simplex and for the witness
+and Farkas checks alike.
 
 The exact simplex (`lp_feasible`) splits a system into connected blocks
 of rows, two rows sharing a block when they share a variable; the
@@ -58,6 +59,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -102,6 +104,11 @@ class LinearSystem:
     constraints: tuple[Constraint, ...]
     queries: tuple[dict, ...] = ()  # provenance: the encoded KB answers
 
+    @cached_property
+    def int_rows(self) -> tuple[IntRow, ...]:
+        """Every constraint through `_integer_row`, converted once."""
+        return tuple(_integer_row(c) for c in self.constraints)
+
     def to_dict(self) -> dict:
         return {"variables": list(self.variables),
                 "constraints": [c.to_dict() for c in self.constraints],
@@ -114,19 +121,19 @@ class LinearSystem:
                    tuple(doc.get("queries", ())))
 
 
-def _linear_system(kb: KnowledgeBase, cap: int | None,
-                   queries: Iterable[Query] | None, encode) -> LinearSystem:
+def _linear_system(kb: KnowledgeBase, queries: Iterable[Query] | None,
+                   encode) -> LinearSystem:
     """One integer constraint per query, variables numbered in first-use order.
 
-    Each query is answered from the KB's entailment table, read once
-    and indexed by subset mask.  `encode(subset, head, captured, add)`
+    The queries default to every (subset, head) pair in canonical
+    order.  Each query is answered from the KB's entailment table, read
+    once and indexed by subset mask.  `encode(subset, head, captured, add)`
     calls `add(variable, coefficient)` for the row's terms and returns
     the row's (relation, rhs).
     """
     signature = kb.signature
     if queries is None:
-        queries = subset_queries(signature,
-                                 len(signature) if cap is None else cap)
+        queries = subset_queries(signature, len(signature))
     table = entailment_table(kb)
     index: dict[str, int] = {}
     rows: list[tuple[dict[int, int], str, int, str]] = []
@@ -154,7 +161,7 @@ def _linear_system(kb: KnowledgeBase, cap: int | None,
     return LinearSystem(tuple(index), constraints, tuple(encoded))
 
 
-def build_avg_dot_system(kb: KnowledgeBase, cap: int | None = None,
+def build_avg_dot_system(kb: KnowledgeBase,
                          queries: Iterable[Query] | None = None
                          ) -> LinearSystem:
     """Constraints forcing averaged dot labelling to mirror the KB.
@@ -172,10 +179,10 @@ def build_avg_dot_system(kb: KnowledgeBase, cap: int | None = None,
         add(f"lam[{head}]", -n)
         return (">=", 0) if captured else ("<=", -n)
 
-    return _linear_system(kb, cap, queries, encode)
+    return _linear_system(kb, queries, encode)
 
 
-def build_avg_dist_relaxation(kb: KnowledgeBase, cap: int | None = None,
+def build_avg_dist_relaxation(kb: KnowledgeBase,
                               queries: Iterable[Query] | None = None
                               ) -> LinearSystem:
     """Squared-distance constraints, linear in Gram-style variables.
@@ -202,7 +209,7 @@ def build_avg_dist_relaxation(kb: KnowledgeBase, cap: int | None = None,
         add(f"tsq[{head}]", -n * n)
         return ("<=", 0) if captured else (">=", n * n)
 
-    return _linear_system(kb, cap, queries, encode)
+    return _linear_system(kb, queries, encode)
 
 
 # ------------------------------------------------------------------
@@ -247,20 +254,20 @@ def _integer_row(constraint: Constraint) -> IntRow:
 
 
 def combine_constraints(system: LinearSystem,
-                        multipliers: Sequence[Fraction],
-                        rows: Iterable[int] | None = None
+                        multipliers: Sequence[Fraction]
                         ) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Non-negative combination of (>=-oriented) rows: returns (coeffs, rhs)."""
-    indices = range(len(system.constraints)) if rows is None else rows
+    """Non-negative combination of (>=-oriented) rows: returns (coeffs, rhs).
+
+    Multiplier i weighs row i; rows past the last multiplier get none.
+    """
     total = [Fraction(0)] * len(system.variables)
     rhs = Fraction(0)
-    for i in indices:
-        y = multipliers[i]
+    for i, y in enumerate(multipliers):
         if y < 0:
             raise ValueError(f"negative multiplier at row {i}")
         if y == 0:
             continue
-        coeffs, d, den = _integer_row(system.constraints[i])
+        coeffs, d, den = system.int_rows[i]
         weight = Fraction(y, den)
         for j, c in enumerate(coeffs):
             if c:
@@ -293,8 +300,7 @@ def verify_witness(system: LinearSystem,
     values = [witness.get(v, 0) for v in system.variables]
     scale = lcm(*(x.denominator for x in values))
     scaled = [x.numerator * (scale // x.denominator) for x in values]
-    for con in system.constraints:
-        coeffs, rhs, _ = _integer_row(con)
+    for coeffs, rhs, _ in system.int_rows:
         if sum(c * x for c, x in zip(coeffs, scaled) if c) < rhs * scale:
             return False
     return True
@@ -487,7 +493,7 @@ def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
     returned witness or Farkas certificate is re-verified in exact
     arithmetic on the full system before being handed back.
     """
-    rows = [_integer_row(c) for c in system.constraints]
+    rows = system.int_rows
     blocks = _row_blocks(rows)
     solved = [_phase1_block(rows, block) for block in blocks]
 

@@ -22,7 +22,7 @@ import sys
 
 from .certifier import (certify_nonmonotonic_failure,
                         certify_strategy_failure, decide_avg_dot)
-from .constructors import DeltaConfig, construct
+from .constructors import construct
 from .fixtures import FIXTURE_NAMES
 from .logic import KBError, StratifiedKB, count_models, parse_kb
 from .strategies import AttributeEmbedding, strategy_from_name
@@ -44,7 +44,8 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: JSON nested too deeply to decode
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -84,9 +85,9 @@ def _read_embedding(path: str) -> AttributeEmbedding:
         with open(path, encoding="utf-8") as fh:
             return AttributeEmbedding.from_json_dict(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ZeroDivisionError, OverflowError) as exc:
+            ZeroDivisionError, RecursionError) as exc:
         # TypeError: JSON of the wrong shape; ZeroDivisionError: "p/0";
-        # OverflowError: a number such as 1e400, which JSON reads as inf
+        # RecursionError: JSON nested too deeply to decode
         raise UsageError(f"cannot load embedding {path}: {exc}") from exc
 
 
@@ -134,7 +135,7 @@ def cmd_construct(args, config) -> int:
     kb = _read_kb(args.kb)
     delta = _setting("delta", args.delta, config)
     try:
-        result = construct(kb, args.prop, DeltaConfig(delta))
+        result = construct(kb, args.prop, delta)
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     doc = result.embedding.to_json_dict(provenance=result.provenance())

@@ -23,10 +23,14 @@ most 2^|A| - 1 and the paper's delta stays legal.
 Recipes 4-5 allot one coordinate per interpretation of the signature
 and weight it by a power of delta that grows with the interpretation's
 stratum rank, so that a single better-ranked model outweighs every
-worse-ranked one.  delta must exceed the number of interpretations; the
-default is the smallest legal value 2^|A| + 1.  Recipes 1, 2, 4 and 5
-build their vectors with one kernel (`_families`).  All coordinates are
-exact integers (pooling introduces the only denominators).
+worse-ranked one.  delta must exceed the number of interpretations.
+
+Recipes 1, 2, 4 and 5 take the dominance constant as `delta`, an int
+above 2^|A|; None, the default, picks the smallest legal value
+2^|A| + 1.  Recipe 3 has no dominance constant and ignores `delta`.
+Recipes 1, 2, 4 and 5 build their vectors with one kernel
+(`_families`).  All coordinates are exact integers (pooling introduces
+the only denominators).
 """
 
 from __future__ import annotations
@@ -43,22 +47,6 @@ MONOTONIC_ATOM_CAP = DEFAULT_MODEL_CAP
 NONMONOTONIC_ATOM_CAP = 12
 
 
-@dataclass(frozen=True)
-class DeltaConfig:
-    """Dominance constant; None picks the smallest legal value per KB."""
-
-    delta: int | None = None
-
-    def resolve(self, atom_count: int) -> int:
-        minimum = (1 << atom_count) + 1
-        if self.delta is None:
-            return minimum
-        if self.delta < minimum:
-            raise ValueError(
-                f"delta must exceed 2^{atom_count} = {minimum - 1}")
-        return self.delta
-
-
 @dataclass
 class ConstructionResult:
     embedding: AttributeEmbedding
@@ -73,6 +61,16 @@ class ConstructionResult:
             "delta": str(self.delta) if self.delta is not None else None,
             "model_order": list(self.model_order),
         }
+
+
+def _delta(atom_count: int, delta: int | None) -> int:
+    """The given dominance constant, checked, or the smallest legal one."""
+    minimum = (1 << atom_count) + 1
+    if delta is None:
+        return minimum
+    if delta < minimum:
+        raise ValueError(f"delta must exceed 2^{atom_count} = {minimum - 1}")
+    return delta
 
 
 def _check_cap(kb: KnowledgeBase | StratifiedKB, cap: int) -> None:
@@ -105,11 +103,11 @@ def _families(sig: Signature, order: tuple[int, ...],
     return indicator, weighted
 
 
-def _monotonic(kb: KnowledgeBase, cfg: DeltaConfig | None):
+def _monotonic(kb: KnowledgeBase, delta: int | None):
     """K, delta, and both families over K with weights (1, delta) and a
     constant coordinate 1."""
     _check_cap(kb, MONOTONIC_ATOM_CAP)
-    delta = (cfg or DeltaConfig()).resolve(len(kb.signature))
+    delta = _delta(len(kb.signature), delta)
     needed = counter_models(kb)
     families = _families(kb.signature, needed, [(1, delta)] * len(needed),
                          (Fraction(1),))
@@ -117,7 +115,7 @@ def _monotonic(kb: KnowledgeBase, cfg: DeltaConfig | None):
 
 
 def construct_avg_relu(kb: KnowledgeBase,
-                       cfg: DeltaConfig | None = None) -> ConstructionResult:
+                       delta: int | None = None) -> ConstructionResult:
     """Tied embedding for avg+ReLU: one coordinate per needed counter-model
     plus a constant.
 
@@ -128,13 +126,13 @@ def construct_avg_relu(kb: KnowledgeBase,
     counter-models (an inconsistent KB, or one whose only model is
     all-true) accepting every rule.
     """
-    needed, delta, (_, weighted) = _monotonic(kb, cfg)
+    needed, delta, (_, weighted) = _monotonic(kb, delta)
     emb = AttributeEmbedding(len(needed) + 1, weighted, dict(weighted))
     return ConstructionResult(emb, AVG_RELU, 1, needed, delta)
 
 
 def construct_had_dot(kb: KnowledgeBase,
-                      cfg: DeltaConfig | None = None) -> ConstructionResult:
+                      delta: int | None = None) -> ConstructionResult:
     """Untied embedding for Hadamard+dot with all thresholds at zero.
 
     Context vectors are counter-model indicators (so the Hadamard product
@@ -144,7 +142,7 @@ def construct_had_dot(kb: KnowledgeBase,
     symmetric, so a tied embedding accepting a -> b would accept b -> a
     as well.
     """
-    needed, delta, (indicator, weighted) = _monotonic(kb, cfg)
+    needed, delta, (indicator, weighted) = _monotonic(kb, delta)
     emb = AttributeEmbedding(len(needed) + 1, indicator, weighted)
     return ConstructionResult(emb, HAD_DOT, 2, needed, delta)
 
@@ -167,12 +165,12 @@ def construct_ord(kb: KnowledgeBase) -> ConstructionResult:
     return ConstructionResult(emb, ORD_ORD, 3, needed, None)
 
 
-def _ranked(theta: StratifiedKB, cfg: DeltaConfig | None):
+def _ranked(theta: StratifiedKB, delta: int | None):
     """Every interpretation, delta, and both families over them weighted
     (delta^(2 mu), delta^(1 + 2 mu)) by each interpretation's rank mu."""
     _check_cap(theta, NONMONOTONIC_ATOM_CAP)
     sig = theta.signature
-    delta = (cfg or DeltaConfig()).resolve(len(sig))
+    delta = _delta(len(sig), delta)
     by_rank = [(delta ** (2 * mu), delta ** (1 + 2 * mu))
                for mu in range(len(theta.strata) + 1)]
     order = tuple(range(1 << len(sig)))
@@ -181,7 +179,7 @@ def _ranked(theta: StratifiedKB, cfg: DeltaConfig | None):
 
 
 def construct_avg_relu_nm(theta: StratifiedKB,
-                          cfg: DeltaConfig | None = None) -> ConstructionResult:
+                          delta: int | None = None) -> ConstructionResult:
     """Tied avg+ReLU embedding matching the ranked-default consequence.
 
     One coordinate per interpretation (not just models): delta^(2 mu)
@@ -190,19 +188,19 @@ def construct_avg_relu_nm(theta: StratifiedKB,
     the pooled set, and rank dominance makes the dot-product sign decide
     whether the best rank with the head beats the best rank against it.
     """
-    order, delta, (_, weighted) = _ranked(theta, cfg)
+    order, delta, (_, weighted) = _ranked(theta, delta)
     emb = AttributeEmbedding(len(order), weighted, dict(weighted))
     return ConstructionResult(emb, AVG_RELU, 4, order, delta)
 
 
 def construct_had_dot_nm(theta: StratifiedKB,
-                         cfg: DeltaConfig | None = None) -> ConstructionResult:
+                         delta: int | None = None) -> ConstructionResult:
     """Untied Hadamard+dot embedding matching the ranked-default consequence.
 
     Context vectors are interpretation indicators; output vectors carry
     the rank weights of `construct_avg_relu_nm`.  Thresholds stay at 0.
     """
-    order, delta, (indicator, weighted) = _ranked(theta, cfg)
+    order, delta, (indicator, weighted) = _ranked(theta, delta)
     emb = AttributeEmbedding(len(order), indicator, weighted)
     return ConstructionResult(emb, HAD_DOT, 5, order, delta)
 
@@ -210,14 +208,14 @@ def construct_had_dot_nm(theta: StratifiedKB,
 CONSTRUCTORS = {
     1: construct_avg_relu,
     2: construct_had_dot,
-    3: lambda kb, cfg=None: construct_ord(kb),
+    3: lambda kb, delta=None: construct_ord(kb),
     4: construct_avg_relu_nm,
     5: construct_had_dot_nm,
 }
 
 
 def construct(kb: KnowledgeBase | StratifiedKB, proposition: int,
-              cfg: DeltaConfig | None = None) -> ConstructionResult:
+              delta: int | None = None) -> ConstructionResult:
     """Dispatch by recipe number, checking the KB kind matches."""
     if proposition not in CONSTRUCTORS:
         raise ValueError(f"unknown construction {proposition}")
@@ -226,4 +224,4 @@ def construct(kb: KnowledgeBase | StratifiedKB, proposition: int,
         kind = "stratified" if stratified else "plain"
         raise TypeError(
             f"construction {proposition} does not apply to a {kind} KB")
-    return CONSTRUCTORS[proposition](kb, cfg)
+    return CONSTRUCTORS[proposition](kb, delta)

@@ -1,4 +1,4 @@
-"""Propositional syntax, parsing, model enumeration and consequence relations.
+"""Propositional syntax, parsing, models and consequence relations.
 
 Two consequence relations live here.  The monotonic one is classical
 entailment over a finite knowledge base, decided from its models (exact,
@@ -7,8 +7,11 @@ non-monotonic one is the ranked-default relation over a stratified
 knowledge base (alpha_1, ..., alpha_k): an interpretation's rank is the
 longest prefix of strata it satisfies, and `S |> b` holds when the
 best-ranked models of S u {b} beat the best-ranked models of
-S u {not b}.  Both the existential-prefix definition and the rank
-criterion are implemented so they can be checked against each other.
+S u {not b}.  The library decides it by this rank criterion only; the
+paper's existential-prefix definition (some prefix of strata, together
+with S, has models and all of them satisfy b) lives only in the test
+oracle `tests/oracles.py::tt_nm_def`, which the rank criterion is
+checked against.
 
 Formulas are evaluated over all 2^n interpretations at once, one step
 per syntax-tree node: a node's truth set is a Python int whose bit
@@ -565,15 +568,6 @@ def _members(bits: int, n: int) -> tuple[int, ...]:
     return tuple(_bit_array(bits, n).nonzero()[0].tolist())
 
 
-def enumerate_models(kb: KnowledgeBase) -> tuple[int, ...]:
-    """All models of the KB in ascending bitmask order (empty iff inconsistent).
-
-    Not cached: at 20 atoms one result holds up to 2^20 ints, about 28 MB.
-    """
-    n = _check_cap(kb.signature, DEFAULT_MODEL_CAP)
-    return _members(_model_set(kb), n)
-
-
 @lru_cache(maxsize=64)
 def entailment_table(kb: KnowledgeBase) -> np.ndarray:
     """Entailment for every antecedent, indexed by the antecedent's bitmask.
@@ -659,35 +653,6 @@ def rank_table(theta: StratifiedKB) -> np.ndarray:
         rank += _bit_array(alive, n)
     rank.flags.writeable = False
     return rank
-
-
-def rank_mu(theta: StratifiedKB, omega: int) -> int:
-    """Length of the longest satisfied stratum prefix (0 when strata[0] fails)."""
-    return int(rank_table(theta)[omega])
-
-
-def nm_consequence_def(theta: StratifiedKB, antecedent: Iterable[str],
-                       head: str) -> bool:
-    """Ranked-default consequence via the existential-prefix definition.
-
-    True iff for some prefix of strata, the prefix conjoined with the
-    antecedent atoms entails head without also entailing its negation
-    (equivalently: the constrained model set is non-empty and all its
-    members satisfy head).
-    """
-    atoms = tuple(antecedent)
-    if not atoms:
-        raise ValueError("antecedent must be a non-empty atom set")
-    sig = theta.signature
-    smask = sig.mask(atoms)
-    hbit = sig.bit(head)
-    mu = rank_table(theta).tolist()
-    for i in range(len(theta.strata) + 1):
-        candidates = [m for m in range(1 << len(sig))
-                      if m & smask == smask and mu[m] >= i]
-        if candidates and all(m & hbit for m in candidates):
-            return True
-    return False
 
 
 @lru_cache(maxsize=64)

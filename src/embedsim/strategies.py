@@ -56,16 +56,24 @@ def frac_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
+def parse_frac(x: str | int) -> Fraction:
+    """An exact rational from a "p/q" string or an integer.
+
+    A JSON float was already rounded to binary when it was read, and
+    JSON `true` is the int 1, so both are refused, not converted.
+    """
+    # bool is an int subclass
+    if type(x) is not int and not isinstance(x, str):
+        raise ValueError(f'expected a "p/q" string or an integer, got {x!r}')
+    return Fraction(x)
 
 
 def vec_strs(v: Vec) -> list[str]:
     return [frac_str(x) for x in v]
 
 
-def parse_vec(items: Sequence[str]) -> Vec:
-    return tuple(Fraction(x) for x in items)
+def parse_vec(items: Sequence[str | int]) -> Vec:
+    return tuple(map(parse_frac, items))
 
 
 # ------------------------------------------------------------------
@@ -405,22 +413,20 @@ class DistLabeller(_Labeller):
 
 
 class ReluLabeller(_Labeller):
-    """ReLU(e) . context[b] >= threshold (tied vectors; default 0).
+    """ReLU(e) . context[b] >= 0 (tied vectors).
 
-    ReLU commutes with the positive denominator, so for e = T/D and
-    threshold p/q: (ReLU(T) . C) q >= p cden D, ReLU(T) taken once.
+    ReLU commutes with the positive denominator, so for e = T/D the
+    rule reads ReLU(T) . C >= 0, ReLU(T) taken once.
     """
 
-    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str],
-                 threshold: Fraction = Fraction(0)):
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
         super().__init__(sc)
-        self.q, self.pc = threshold.denominator, threshold.numerator * sc.cden
         self.rows = [(1 << i, sc.context[b]) for i, b in enumerate(heads)]
 
     def labels(self, pooled: Pooled) -> int:
-        relu, rhs = _relu(self._vector(pooled)), self.pc * pooled[1]
+        relu = _relu(self._vector(pooled))
         return sum(bit for bit, c in self.rows
-                   if sum(map(mul, relu, c)) * self.q >= rhs)
+                   if sum(map(mul, relu, c)) >= 0)
 
     def score(self, pooled: Pooled, i: int) -> str:
         dot = sum(map(mul, _relu(pooled[0]), self.rows[i][1]))
@@ -528,7 +534,7 @@ def _label_one(labeller: Callable[..., _Labeller],
 # the single-head decisions: lab_*(emb, pooled, head, ...) -> bool
 lab_dot = partial(_label_one, DotLabeller)  # tied=False
 lab_dist = partial(_label_one, DistLabeller)
-lab_relu = partial(_label_one, ReluLabeller)  # threshold=0
+lab_relu = partial(_label_one, ReluLabeller)
 lab_ord = partial(_label_one, OrdLabeller)
 lab_dot_on_norm = partial(_label_one, DotOnNormLabeller)
 lab_dist_on_norm = partial(_label_one, DistOnNormLabeller)

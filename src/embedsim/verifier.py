@@ -16,7 +16,15 @@ pooled once and labelled once, its label set a bitmask XORed with its
 table entry, and only the heads that differ are scored.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
-undefined for most strategies); each report records that exclusion.
+undefined for most strategies); each report's JSON records that
+exclusion.  A sweep always covers every subset up to its cap: a caller
+that wants single queries asks `strategies.strategy_accepts` and
+`logic.entails` directly.
+
+`check_ord_monotonicity` compares label sets of nested subsets as
+bitmasks: a subset's strict supersets all come after it in the
+canonical order, and the labels it drops are its label mask less the
+superset's.
 """
 
 from __future__ import annotations
@@ -66,7 +74,6 @@ class VerificationReport:
     capped: bool
     queries: int
     mismatches: list[Mismatch]
-    empty_antecedent_excluded: bool = True
 
     @property
     def simulates(self) -> bool:
@@ -83,7 +90,7 @@ class VerificationReport:
             "queries": self.queries,
             "verdict": "simulates" if self.simulates else "mismatches",
             "mismatches": [m.to_dict() for m in self.mismatches],
-            "empty_antecedent_excluded": self.empty_antecedent_excluded,
+            "empty_antecedent_excluded": True,
         }
 
 
@@ -130,7 +137,7 @@ def _check_coverage(embedding: AttributeEmbedding,
 def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
            kb: KnowledgeBase | StratifiedKB,
            consequence_table: Callable[..., np.ndarray],
-           cap: int | None, queries: list[Query] | None) -> VerificationReport:
+           cap: int | None) -> VerificationReport:
     signature = kb.signature
     _check_coverage(embedding, signature)
     if cap is None:
@@ -141,51 +148,36 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
     table = consequence_table(kb)
     scaled = scale(embedding)
     labeller = bind(scaled, signature.atoms)
-    if queries is None:
-        subsets = _subset_masks(signature, cap)
-        runs = [(mask, subset, -1) for mask, subset in subsets]  # every head
-        count = len(subsets) * len(signature)
-    else:
-        runs = [(signature.mask(subset), subset, signature.bit(head))
-                for subset, head in queries]
-        count = len(queries)
+    subsets = _subset_masks(signature, cap)
     mismatches = []
-    pooled_subset = None
-    for mask, subset, asked in runs:
-        # consecutive queries on one subset share its pooled value, label
-        # set and table entry
-        if subset != pooled_subset:
-            pooled_subset, pooled = subset, pool(scaled, subset)
-            got = labeller.labels(pooled)
-            wrong = got ^ int(table[mask])
-        wrong_asked = wrong & asked
-        while wrong_asked:  # one mismatch per wrong head, in head order
-            i = (wrong_asked & -wrong_asked).bit_length() - 1
+    for mask, subset in subsets:
+        pooled = pool(scaled, subset)
+        got = labeller.labels(pooled)
+        wrong = got ^ int(table[mask])
+        while wrong:  # one mismatch per wrong head, in head order
+            i = (wrong & -wrong).bit_length() - 1
             mismatches.append(Mismatch(
                 subset, signature.atoms[i], not got >> i & 1,
                 bool(got >> i & 1), labeller.score(pooled, i)))
-            wrong_asked &= wrong_asked - 1
+            wrong &= wrong - 1
     return VerificationReport(strategy.name, kb_digest(kb), kind, cap,
-                              cap < len(signature), count, mismatches)
+                              cap < len(signature),
+                              len(subsets) * len(signature), mismatches)
 
 
 def verify_monotonic(embedding: AttributeEmbedding, strategy: StrategyId,
-                     kb: KnowledgeBase, cap: int | None = None,
-                     queries: list[Query] | None = None) -> VerificationReport:
+                     kb: KnowledgeBase,
+                     cap: int | None = None) -> VerificationReport:
     """Check the embedding's label sets against entailment on every query."""
-    return _sweep(embedding, strategy, "monotonic", kb, entailment_table,
-                  cap, queries)
+    return _sweep(embedding, strategy, "monotonic", kb, entailment_table, cap)
 
 
 def verify_nonmonotonic(embedding: AttributeEmbedding, strategy: StrategyId,
-                        theta: StratifiedKB, cap: int | None = None,
-                        queries: list[Query] | None = None
-                        ) -> VerificationReport:
+                        theta: StratifiedKB,
+                        cap: int | None = None) -> VerificationReport:
     """Check the embedding's label sets against ranked-default consequence."""
-    if queries is not None and not all(subset for subset, _ in queries):
-        raise ValueError("antecedent must be a non-empty atom set")
     return _sweep(embedding, strategy, "non-monotonic", theta,
-                  nm_consequence_table, cap, queries)
+                  nm_consequence_table, cap)
 
 
 # ------------------------------------------------------------------
@@ -218,31 +210,36 @@ def check_ord_monotonicity(embedding: AttributeEmbedding,
     sig = Signature(atoms)
     if cap is None:
         cap = default_cap(sig)
-    subsets = nonempty_subsets(sig, cap)
+    subsets = _subset_masks(sig, cap)
     scaled = scale(embedding)
     ord_labels = OrdLabeller(scaled, atoms).labels
-    masks = {s: ord_labels(emb_ord(scaled, s)) for s in subsets}
-    labels = {s: tuple(b for i, b in enumerate(atoms) if m >> i & 1)
-              for s, m in masks.items()}
+    labels = [ord_labels(emb_ord(scaled, s)) for _, s in subsets]
     violations = []
     checked = 0
     trace = None
-    for small in subsets:
-        small_set = set(small)
-        for big in subsets:
-            if small == big or not small_set.issubset(big):
+    for i, (small, small_atoms) in enumerate(subsets):
+        # a strict superset is larger, so it comes later in the canonical
+        # (size, mask) order
+        for j in range(i + 1, len(subsets)):
+            big, big_atoms = subsets[j]
+            if big & small != small:
                 continue
             checked += 1
-            missing = [b for b in labels[small] if b not in labels[big]]
-            if missing:
-                violations.append({"subset": list(small), "superset": list(big),
-                                   "dropped": missing})
+            if dropped := labels[i] & ~labels[j]:
+                violations.append({"subset": list(small_atoms),
+                                   "superset": list(big_atoms),
+                                   "dropped": _names(atoms, dropped)})
             if trace is None:
-                trace = {"subset": list(small), "superset": list(big),
-                         "labels_subset": list(labels[small]),
-                         "labels_superset": list(labels[big])}
+                trace = {"subset": list(small_atoms),
+                         "superset": list(big_atoms),
+                         "labels_subset": _names(atoms, labels[i]),
+                         "labels_superset": _names(atoms, labels[j])}
     return PropertyReport("ord-label-monotonicity", not violations,
                           checked, violations, trace)
+
+
+def _names(atoms: tuple[str, ...], mask: int) -> list[str]:
+    return [a for i, a in enumerate(atoms) if mask >> i & 1]
 
 
 def check_tied_hadamard_symmetry(embedding: AttributeEmbedding) -> PropertyReport:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from embedsim.logic import (BOTTOM, TOP, And, Iff, Implies, KnowledgeBase, Not,
@@ -15,6 +16,12 @@ from embedsim.strategies import AttributeEmbedding
 
 # make `oracles` and `references` importable
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every property test draws the same examples on every run, with no time
+# limit per example and nothing replayed from an example database.
+settings.register_profile("reproducible", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("reproducible")
 
 # one line per acceptance criterion, filled by tests/test_acceptance.py
 ACCEPTANCE_LINES: list[str] = []

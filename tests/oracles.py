@@ -106,15 +106,18 @@ def tt_mu(theta: StratifiedKB, assignment: dict) -> int:
 
 
 def tt_nm_def(theta: StratifiedKB, subset, head) -> bool:
-    subset = tuple(subset)
-    for i in range(len(theta.strata) + 1):
-        prefix = theta.strata[:i]
-        candidates = [
-            a for a in tt_assignments(theta.signature.atoms)
-            if all(a[s] for s in subset)
-            and all(tt_evaluate(f, a) for f in prefix)
-        ]
-        if candidates and all(a[head] for a in candidates):
+    """The existential-prefix definition of ranked-default consequence:
+    for some prefix of strata, the assignments satisfying the prefix and
+    the subset exist and all satisfy head.  Each stratum narrows the
+    previous prefix's candidates."""
+    candidates = [a for a in tt_assignments(theta.signature.atoms)
+                  if all(a[s] for s in subset)]
+    for stratum in (None, *theta.strata):
+        if stratum is not None:
+            candidates = [a for a in candidates if tt_evaluate(stratum, a)]
+        if not candidates:
+            return False
+        if all(a[head] for a in candidates):
             return True
     return False
 

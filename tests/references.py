@@ -13,7 +13,11 @@ kernels: every coordinate a `Fraction`, pooled vectors rational.  They
 must decide every query as the library does and print the same score.
 
 The `ref_construct_*` recipes are recipes 1-3 as the paper states them,
-with one coordinate per model of the KB.
+with one coordinate per model of the KB (`ref_models`).
+
+`ref_check_ord_monotonicity` is the product-order monotonicity check as
+it stood before it compared masks: Python sets, and a containment test
+on every ordered pair of subsets.
 
 `ref_emb_sig_numeric` and `ref_sig_conical_diagnostics` are the sigmoid
 demonstrator as it stood before the library stepped all problems as one
@@ -28,11 +32,13 @@ import numpy as np
 from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
                                 LinearSystem, _normalize_multipliers,
                                 verify_farkas)
-from embedsim.constructors import ConstructionResult, DeltaConfig
-from embedsim.logic import KnowledgeBase, enumerate_models
+from embedsim.constructors import ConstructionResult, _delta
+from embedsim.logic import KnowledgeBase, Signature, truth_set
 from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  AttributeEmbedding, DimensionMismatchError,
-                                 angular_error, cone_residual, frac_str)
+                                 OrdLabeller, angular_error, cone_residual,
+                                 emb_ord, frac_str, scale)
+from embedsim.verifier import PropertyReport, default_cap, nonempty_subsets
 
 
 def _fraction_row(constraint):
@@ -163,6 +169,15 @@ def dense_lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
 # Recipes 1-3 over every model of the KB
 # ------------------------------------------------------------------
 
+def ref_models(kb: KnowledgeBase) -> tuple[int, ...]:
+    """The models of the KB in ascending bitmask order, read off the
+    truth sets of its formulas."""
+    sig = kb.signature
+    sets = [truth_set(f, sig) for f in kb.formulas]
+    return tuple(omega for omega in range(1 << len(sig))
+                 if all(bits >> omega & 1 for bits in sets))
+
+
 def ref_avg_relu_vectors(kb: KnowledgeBase, models, delta: int) -> dict:
     """Per atom: 1 on the models where it holds, -delta on the others,
     then a constant 1."""
@@ -173,18 +188,18 @@ def ref_avg_relu_vectors(kb: KnowledgeBase, models, delta: int) -> dict:
 
 
 def ref_construct_avg_relu(kb: KnowledgeBase,
-                           cfg: DeltaConfig | None = None) -> ConstructionResult:
-    delta = (cfg or DeltaConfig()).resolve(len(kb.signature))
-    models = enumerate_models(kb)
+                           delta: int | None = None) -> ConstructionResult:
+    delta = _delta(len(kb.signature), delta)
+    models = ref_models(kb)
     vectors = ref_avg_relu_vectors(kb, models, delta)
     emb = AttributeEmbedding(len(models) + 1, vectors, dict(vectors))
     return ConstructionResult(emb, AVG_RELU, 1, models, delta)
 
 
 def ref_construct_had_dot(kb: KnowledgeBase,
-                          cfg: DeltaConfig | None = None) -> ConstructionResult:
-    delta = (cfg or DeltaConfig()).resolve(len(kb.signature))
-    models = enumerate_models(kb)
+                          delta: int | None = None) -> ConstructionResult:
+    delta = _delta(len(kb.signature), delta)
+    models = ref_models(kb)
     sig = kb.signature
     context = {a: tuple(Fraction(1) if omega & sig.bit(a) else Fraction(0)
                         for omega in models) + (Fraction(1),)
@@ -195,7 +210,7 @@ def ref_construct_had_dot(kb: KnowledgeBase,
 
 
 def ref_construct_ord(kb: KnowledgeBase) -> ConstructionResult:
-    models = enumerate_models(kb)
+    models = ref_models(kb)
     sig = kb.signature
     if not models:
         vectors = {a: (Fraction(0),) for a in sig.atoms}
@@ -280,8 +295,8 @@ def ref_lab_dist(emb, e, head) -> bool:
     return ref_dist_sq(e, emb.output[head]) <= th * th
 
 
-def ref_lab_relu(emb, e, head, threshold=Fraction(0)) -> bool:
-    return ref_dot(ref_relu_vec(e), emb.context[head]) >= threshold
+def ref_lab_relu(emb, e, head) -> bool:
+    return ref_dot(ref_relu_vec(e), emb.context[head]) >= 0
 
 
 def ref_lab_ord(emb, e, head) -> bool:
@@ -365,6 +380,42 @@ def ref_evaluate(emb, strategy_name: str, atoms, head) -> tuple[bool, str]:
     pool, label, score = REF_RULES[strategy_name]
     pooled = pool(emb, atoms)
     return label(emb, pooled, head), score(emb, pooled, head)
+
+
+# ------------------------------------------------------------------
+# Product-order monotonicity by set containment
+# ------------------------------------------------------------------
+
+def ref_check_ord_monotonicity(embedding, cap=None) -> PropertyReport:
+    atoms = embedding.atoms
+    sig = Signature(atoms)
+    if cap is None:
+        cap = default_cap(sig)
+    subsets = nonempty_subsets(sig, cap)
+    scaled = scale(embedding)
+    ord_labels = OrdLabeller(scaled, atoms).labels
+    masks = {s: ord_labels(emb_ord(scaled, s)) for s in subsets}
+    labels = {s: tuple(b for i, b in enumerate(atoms) if m >> i & 1)
+              for s, m in masks.items()}
+    violations = []
+    checked = 0
+    trace = None
+    for small in subsets:
+        small_set = set(small)
+        for big in subsets:
+            if small == big or not small_set.issubset(big):
+                continue
+            checked += 1
+            missing = [b for b in labels[small] if b not in labels[big]]
+            if missing:
+                violations.append({"subset": list(small), "superset": list(big),
+                                   "dropped": missing})
+            if trace is None:
+                trace = {"subset": list(small), "superset": list(big),
+                         "labels_subset": list(labels[small]),
+                         "labels_superset": list(labels[big])}
+    return PropertyReport("ord-label-monotonicity", not violations,
+                          checked, violations, trace)
 
 
 # ------------------------------------------------------------------

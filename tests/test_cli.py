@@ -225,9 +225,16 @@ class TestVerify:
         {"dimension": True, "atoms": [{"name": "a", "context": ["1"]}]},
         {"dimension": 1, "atoms": [{"name": "a", "context": ["1"]},
                                    {"name": "a", "context": ["-1"]}]},
+        # a JSON float is already rounded to binary and `true` reads as 1:
+        # both are refused rather than silently changed
+        {"dimension": 1, "atoms": [{"name": "a", "context": [0.1]}]},
+        {"dimension": 1, "atoms": [{"name": "a", "context": [True]}]},
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
+                                    "lambda": 0.5}]},
     ], ids=["atoms-not-a-list", "not-an-object", "context-not-a-list",
             "zero-denominator", "dimension-not-an-integer",
-            "dimension-boolean", "duplicate-atom"])
+            "dimension-boolean", "duplicate-atom", "float-coordinate",
+            "boolean-coordinate", "float-lambda"])
     def test_malformed_embedding_exit_two(self, capsys, ce1_file, tmp_path,
                                           doc):
         emb = tmp_path / "emb.json"
@@ -235,6 +242,17 @@ class TestVerify:
         code, _, err = run(capsys, "verify", ce1_file, str(emb),
                            "--strategy", "avg-dot")
         assert code == 2
+        assert err.startswith("error: cannot load embedding")
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_embedding_exit_two(self, capsys, ce1_file,
+                                              tmp_path):
+        emb = tmp_path / "emb.json"
+        emb.write_text("[" * 200000)
+        code, out, err = run(capsys, "verify", ce1_file, str(emb),
+                             "--strategy", "avg-dot")
+        assert code == 2
+        assert out == ""
         assert err.startswith("error: cannot load embedding")
         assert err.count("\n") == 1
 
@@ -246,8 +264,8 @@ class TestVerify:
     ], ids=["dimension", "coordinate", "lambda"])
     def test_overflowing_number_exit_two(self, capsys, ce1_file, tmp_path,
                                          text):
-        # JSON reads 1e400 as an infinite float, which no integer or
-        # Fraction can hold
+        # JSON reads 1e400 as an infinite float, which is neither an
+        # integer nor a "p/q" string
         emb = tmp_path / "emb.json"
         emb.write_text(text)
         code, out, err = run(capsys, "verify", ce1_file, str(emb),
@@ -458,6 +476,15 @@ class TestConfigPrecedence:
         cfg.write_text("not json")
         code, _, err = run(capsys, "--config", str(cfg), "check", ce1_file)
         assert code == 2
+
+    def test_deeply_nested_config_file(self, capsys, tmp_path, ce1_file):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 200000)
+        code, out, err = run(capsys, "--config", str(cfg), "check", ce1_file)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read config file")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("value", [None, [1], {"a": 1}, True, 1.5, "3"],
                              ids=["null", "list", "object", "bool", "float",

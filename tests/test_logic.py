@@ -1,7 +1,6 @@
 """Parser, semantics, and the two consequence relations."""
 
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +14,12 @@ from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And,
                             Implies, KnowledgeBase, Not, Or, ParseError,
                             Signature, StratifiedKB, UndeclaredAtomError, Var,
                             count_models, counter_models, entails,
-                            enumerate_models, format_formula, kb_to_source,
-                            nm_consequence_def, nm_consequence_rank, parse_kb,
-                            rank_mu, rank_table, truth_set)
+                            format_formula, kb_to_source, nm_consequence_rank,
+                            parse_kb, rank_table, truth_set)
 from embedsim.fixtures import fixture
 from oracles import (mask_names, scan_counter_models, tt_entails, tt_evaluate,
                      tt_models, tt_mu, tt_nm_def, tt_nm_rank)
+from references import ref_models
 
 
 # ------------------------------------------------------------------
@@ -146,7 +145,7 @@ class TestParser:
         with pytest.raises(ParseError, match="deeper than"):
             parse_kb(source(MAX_FORMULA_DEPTH + 1))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.text(
         alphabet="abx: \n\t#!&|<->()TRUEFALSEatomsrulformstr_0",
         max_size=120))
@@ -180,20 +179,23 @@ class TestSemantics:
 
     def test_models_of_single_implication(self):
         kb = parse_kb("atoms: a b\nrule: a -> b\n")
-        assert enumerate_models(kb) == (0b00, 0b10, 0b11)
+        assert ref_models(kb) == (0b00, 0b10, 0b11)
+        assert count_models(kb) == 3
 
     def test_models_inconsistent(self):
         kb = parse_kb("atoms: a\nformula: a\nformula: !a\n")
-        assert enumerate_models(kb) == ()
+        assert ref_models(kb) == ()
+        assert count_models(kb) == 0
 
     def test_models_empty_kb(self):
         kb = parse_kb("atoms: a\n")
-        assert enumerate_models(kb) == (0, 1)
+        assert ref_models(kb) == (0, 1)
+        assert count_models(kb) == 2
 
     def test_model_cap(self):
         kb = KnowledgeBase(Signature(tuple(f"p{i}" for i in range(21))), ())
         with pytest.raises(CapExceededError):
-            enumerate_models(kb)
+            count_models(kb)
 
     def test_cap_checked_before_evaluating(self, monkeypatch):
         def no_evaluation(*args):
@@ -206,27 +208,13 @@ class TestSemantics:
         with pytest.raises(CapExceededError, match="21 atoms"):
             truth_set(Var("p0"), sig)
         with pytest.raises(CapExceededError, match="21 atoms"):
-            enumerate_models(kb)
+            count_models(kb)
         with pytest.raises(CapExceededError, match="21 atoms"):
             counter_models(kb)
         with pytest.raises(CapExceededError, match="21 atoms"):
             entails(kb, ("p0",), "p1")
 
-    def test_enumerate_models_keeps_no_result(self):
-        # 49,152 models; a cached result would hold about 1.8 MB
-        import numpy  # noqa: F401  (imported on first enumeration)
-        kb = KnowledgeBase(Signature(tuple(f"p{i}" for i in range(16))),
-                           (Implies(Var("p0"), Var("p1")),))
-        count_models(kb)  # caches the 16-atom universe
-        tracemalloc.start()
-        try:
-            assert len(enumerate_models(kb)) == 49152
-            kept, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert kept < 1 << 20
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(plain_kbs(max_atoms=7))
     def test_counter_models_match_quadratic_scan(self, kb):
         assert counter_models(kb) == scan_counter_models(kb)
@@ -235,11 +223,10 @@ class TestSemantics:
         rng = random.Random(11)
         for _ in range(30):
             kb = random_rule_kb(rng, ["a", "b", "c", "d", "e"])
-            expected = tt_models(kb)
-            got = enumerate_models(kb)
-            assert len(got) == len(expected)
-            assert list(got) == sorted(got)
-            assert len(set(got)) == len(got)
+            expected = sorted(kb.signature.mask(a for a, v in m.items() if v)
+                              for m in tt_models(kb))
+            assert ref_models(kb) == tuple(expected)
+            assert count_models(kb) == len(expected)
 
 
 def _assignment(atoms, omega):
@@ -274,7 +261,7 @@ class TestTruthSetsMatchTruthTables:
     """The per-node bit-set evaluation against the per-interpretation
     tree walk of `tests/oracles.py`."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(signatures_with_formulas(max_formulas=3))
     def test_truth_sets(self, drawn):
         sig, formulas = drawn
@@ -285,17 +272,17 @@ class TestTruthSetsMatchTruthTables:
                 want = tt_evaluate(f, _assignment(sig.atoms, omega))
                 assert bool(bits >> omega & 1) == want
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(signatures_with_formulas(max_formulas=4))
     def test_models(self, drawn):
         # no formulas: every interpretation is a model
         kb = KnowledgeBase(*drawn)
         want = sorted(kb.signature.mask(a for a, v in m.items() if v)
                       for m in tt_models(kb))
-        assert enumerate_models(kb) == tuple(want)
+        assert ref_models(kb) == tuple(want)
         assert count_models(kb) == len(want)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(signatures_with_formulas(max_formulas=4).filter(lambda d: d[1]))
     def test_ranks(self, drawn):
         theta = StratifiedKB(*drawn)
@@ -304,14 +291,14 @@ class TestTruthSetsMatchTruthTables:
         assert not ranks.flags.writeable
         for omega in range(1 << len(theta.signature)):
             want = tt_mu(theta, _assignment(theta.signature.atoms, omega))
-            assert ranks[omega] == rank_mu(theta, omega) == want
+            assert ranks[omega] == want
 
     def test_inconsistent_kb_has_no_models(self):
         for n in range(1, 7):
             atoms = tuple(f"p{i}" for i in range(n))
             kb = KnowledgeBase(Signature(atoms),
                                (Var("p0"), Or(Not(Var("p0")), BOTTOM)))
-            assert enumerate_models(kb) == ()
+            assert count_models(kb) == 0
             assert not tt_models(kb)
 
     def test_unsatisfiable_stratum_stops_the_ranks(self):
@@ -351,7 +338,7 @@ class TestEntails:
                     assert entails(kb, subset, head) == tt_entails(
                         kb, subset, head)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_monotonicity(self, data):
         rng = random.Random(data.draw(st.integers(0, 10**6)))
@@ -373,8 +360,8 @@ class TestRankMu:
     def test_ex4_full_rank(self):
         theta = fixture("EX4")
         omega = theta.signature.mask(("apple", "cat:food"))
-        assert rank_mu(theta, omega) == 3
-        assert rank_mu(theta, omega) == tt_mu(
+        assert rank_table(theta)[omega] == 3
+        assert rank_table(theta)[omega] == tt_mu(
             theta, {a: bool(omega >> i & 1)
                     for i, a in enumerate(theta.signature.atoms)})
 
@@ -382,11 +369,11 @@ class TestRankMu:
         theta = fixture("EX4")
         omega = theta.signature.mask(
             ("apple", "safari", "cat:food", "cat:technology"))
-        assert rank_mu(theta, omega) == 0
+        assert rank_table(theta)[omega] == 0
 
     def test_all_strata_hold(self):
         theta = parse_kb("atoms: a b\nstratum: a\nstratum: a | b\n")
-        assert rank_mu(theta, 0b01) == 2
+        assert rank_table(theta)[0b01] == 2
 
     def test_matches_oracle(self):
         rng = random.Random(5)
@@ -396,15 +383,15 @@ class TestRankMu:
             for omega in range(16):
                 assignment = {a: bool(omega >> i & 1)
                               for i, a in enumerate(atoms)}
-                assert rank_mu(theta, omega) == tt_mu(theta, assignment)
+                assert rank_table(theta)[omega] == tt_mu(theta, assignment)
 
 
 class TestNonMonotonicConsequence:
     def test_ex4_verdicts_def(self):
         theta = fixture("EX4")
-        assert nm_consequence_def(theta, ("apple",), "cat:food")
-        assert nm_consequence_def(theta, ("apple", "safari"), "cat:technology")
-        assert not nm_consequence_def(theta, ("apple", "safari"), "cat:food")
+        assert tt_nm_def(theta, ("apple",), "cat:food")
+        assert tt_nm_def(theta, ("apple", "safari"), "cat:technology")
+        assert not tt_nm_def(theta, ("apple", "safari"), "cat:food")
 
     def test_ex4_verdicts_rank(self):
         theta = fixture("EX4")
@@ -415,14 +402,12 @@ class TestNonMonotonicConsequence:
     def test_reflexive_head_in_antecedent(self):
         theta = parse_kb("atoms: a b\nstratum: a -> b\n")
         assert nm_consequence_rank(theta, ("a",), "a")
-        assert nm_consequence_def(theta, ("a",), "a")
+        assert tt_nm_def(theta, ("a",), "a")
 
     def test_empty_antecedent_rejected(self):
         theta = fixture("EX4")
         with pytest.raises(ValueError):
             nm_consequence_rank(theta, (), "cat:food")
-        with pytest.raises(ValueError):
-            nm_consequence_def(theta, (), "cat:food")
 
     def test_nonmonotonic_example(self):
         theta = fixture("ORD-NM")
@@ -430,8 +415,8 @@ class TestNonMonotonicConsequence:
         assert not nm_consequence_rank(theta, ("a", "b"), "x")
 
     def test_rank_table_cap(self, monkeypatch):
-        # 2^21 interpretations exceed the enumeration budget: both
-        # relations refuse before evaluating a single formula
+        # 2^21 interpretations exceed the enumeration budget: the
+        # relation refuses before evaluating a single formula
         atoms = " ".join(f"p{i}" for i in range(21))
         theta = parse_kb(f"atoms: {atoms}\nstratum: p0 -> p1\n")
 
@@ -442,8 +427,6 @@ class TestNonMonotonicConsequence:
         monkeypatch.setattr(logic, "_universe", no_evaluation)
         with pytest.raises(CapExceededError, match="21 atoms"):
             nm_consequence_rank(theta, ("p0",), "p1")
-        with pytest.raises(CapExceededError, match="21 atoms"):
-            nm_consequence_def(theta, ("p0",), "p1")
 
     def test_def_equals_rank_random(self):
         rng = random.Random(17)
@@ -453,7 +436,7 @@ class TestNonMonotonicConsequence:
             for mask in range(1, 16):
                 subset = tuple(a for i, a in enumerate(atoms) if mask >> i & 1)
                 for head in atoms:
-                    assert (nm_consequence_def(theta, subset, head)
+                    assert (tt_nm_def(theta, subset, head)
                             == nm_consequence_rank(theta, subset, head))
 
     def test_rank_matches_independent_oracles(self):
@@ -468,7 +451,7 @@ class TestNonMonotonicConsequence:
                     assert nm_consequence_rank(theta, subset, head) == want
                     assert tt_nm_def(theta, subset, head) == want
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.data())
     def test_def_equals_rank_on_formula_trees(self, data):
         # hypothesis-built strata rather than the seeded generator
@@ -487,7 +470,7 @@ class TestNonMonotonicConsequence:
         subset = tuple(sorted(data.draw(
             st.sets(st.sampled_from(atoms), min_size=1))))
         head = data.draw(st.sampled_from(atoms))
-        assert (nm_consequence_def(theta, subset, head)
+        assert (tt_nm_def(theta, subset, head)
                 == nm_consequence_rank(theta, subset, head))
 
 
@@ -538,7 +521,7 @@ class TestConsequenceTables:
                     got = bool(table[mask] & theta.signature.bit(head))
                     assert got == want
                     assert nm_consequence_rank(theta, subset, head) == want
-                    assert nm_consequence_def(theta, subset, head) == want
+                    assert tt_nm_def(theta, subset, head) == want
                     if head in subset:
                         assert want
 

@@ -22,8 +22,7 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  strategy_from_name, AVG_DOT, ORD_ORD,
                                  _sig_ascent, _sigmoid,
                                  sig_conical_diagnostics)
-from references import (REF_RULES, ref_emb_avg, ref_emb_sig_numeric,
-                        ref_evaluate, ref_lab_relu,
+from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
                         ref_sig_conical_diagnostics)
 
 F = Fraction
@@ -108,7 +107,7 @@ class TestPooling:
                 assert all(x <= F(y, den)
                            for x, y in zip(emb.context[a], pooled))
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.permutations(["a", "b", "c", "d"]), st.integers(0, 10**6))
     def test_pooling_symmetry(self, perm, seed):
         rng = random.Random(seed)
@@ -178,7 +177,7 @@ class TestLabelling:
         with pytest.raises(ValueError, match="denominator 6, got 1"):
             lab_ord(emb, ((3, 2), 1), "b")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 10**6),
            st.fractions(min_value="1/100", max_value=100))
     def test_dot_scale_invariance(self, seed, scale):
@@ -221,7 +220,7 @@ class TestNormalisedLabelling:
         assert lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "x")
         assert not lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "y")
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(st.fractions(min_value=-9, max_value=9, max_denominator=7),
            st.fractions(min_value=-9, max_value=9, max_denominator=7),
            st.fractions(min_value=0, max_value=20, max_denominator=7))
@@ -244,7 +243,7 @@ class TestNormalisedLabelling:
         assert not _ge_scaled_sqrt(F(-4), F(-1), F(9))    # -4 < -3
         assert not _ge_scaled_sqrt(F(2), F(1), F(9))      # 2 < 3
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(st.fractions(min_value=-5, max_value=5, max_denominator=9),
            st.fractions(min_value=-5, max_value=5, max_denominator=9),
            st.fractions(min_value=-5, max_value=5, max_denominator=9),
@@ -354,7 +353,7 @@ class TestKernelsMatchFractionReference:
     def test_reference_covers_every_exact_strategy(self):
         assert sorted(REF_RULES) == sorted(s.name for s in EXACT)
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(labeller_cases(),
            st.lists(st.sampled_from(KERNEL_ATOMS + OUTSIDE), min_size=1,
                     max_size=8))
@@ -384,16 +383,6 @@ class TestKernelsMatchFractionReference:
                         assert strategy_accepts(
                             emb, strategy, subset + subset[:1],
                             head) == want[i][0]
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(kernel_embeddings(), thresholds)
-    def test_relu_with_a_threshold(self, emb, threshold):
-        # exact_rule uses the default threshold 0 only
-        for subset in (("a", "b"), ("e", "f"), KERNEL_ATOMS):
-            pooled, ref = emb_avg(emb, subset), ref_emb_avg(emb, subset)
-            for head in KERNEL_ATOMS:
-                assert lab_relu(emb, pooled, head, threshold) == (
-                    ref_lab_relu(emb, ref, head, threshold))
 
     def test_scaling_reads_the_current_thresholds(self):
         emb = make_embedding({"a": (1, 0), "b": (1, 0)}, lam={"b": 2})
@@ -427,6 +416,11 @@ class TestEmbeddingJson:
         assert frac_str(5) == "5/1"
         assert parse_frac("7/2") == F(7, 2)
         assert parse_frac("4") == F(4)
+        assert parse_frac(-4) == F(-4)  # a JSON integer is exact
+        # a JSON float is already rounded, and `true` would read as 1
+        for value in (0.1, 4.0, True, None, [1]):
+            with pytest.raises(ValueError, match="p/q"):
+                parse_frac(value)
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionMismatchError):

@@ -12,18 +12,21 @@ from conftest import (random_embedding, random_rule_kb,
                       random_stratified_kb)
 from embedsim.constructors import construct_avg_relu, construct_had_dot
 from embedsim.fixtures import fixture
-from embedsim.logic import KnowledgeBase, Signature, parse_kb
+from embedsim.logic import KnowledgeBase, Signature, entails, parse_kb
 from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
                                  TABLE1_STRATEGIES, AttributeEmbedding,
                                  DimensionMismatchError, emb_avg, emb_had,
                                  emb_norm, emb_ord, lab_dist, lab_dist_on_norm,
-                                 lab_dot, lab_dot_on_norm, lab_ord, lab_relu)
+                                 lab_dot, lab_dot_on_norm, lab_ord, lab_relu,
+                                 strategy_accepts)
 from embedsim.verifier import (check_ord_monotonicity,
                                check_tied_hadamard_symmetry, nonempty_subsets,
                                subset_queries, verify_monotonic,
                                verify_nonmonotonic)
 from oracles import (mask_filter_subsets, syntax_nodes, tt_assignments,
                      tt_entails, tt_mu, tt_nm_rank)
+import references
+from references import ref_check_ord_monotonicity
 
 F = Fraction
 
@@ -53,15 +56,16 @@ class TestVerifyMonotonic:
         kb = fixture("CE1")
         for _ in range(50):
             emb = random_embedding(rng, kb.signature.atoms)
-            report = verify_monotonic(emb, AVG_DOT, kb, queries=CE1_QUERIES)
-            assert not report.simulates
+            report = verify_monotonic(emb, AVG_DOT, kb)
+            assert any((m.subset, m.head) in CE1_QUERIES
+                       for m in report.mismatches)
 
     def test_distance_witness_matches_four_queries(self):
         kb = fixture("CE1")
-        report = verify_monotonic(distance_witness_embedding(), AVG_DIST,
-                                  kb, queries=CE1_QUERIES)
-        assert report.simulates
-        assert report.queries == 4
+        emb = distance_witness_embedding()
+        for subset, head in CE1_QUERIES:
+            assert (strategy_accepts(emb, AVG_DIST, subset, head)
+                    == entails(kb, subset, head))
 
     def test_expected_side_matches_independent_oracle(self):
         rng = random.Random(89)
@@ -69,7 +73,6 @@ class TestVerifyMonotonic:
         emb = random_embedding(rng, kb.signature.atoms)
         report = verify_monotonic(emb, AVG_DOT, kb)
         mismatch_index = {(m.subset, m.head): m for m in report.mismatches}
-        from embedsim.strategies import strategy_accepts
         for subset, head in subset_queries(kb.signature, 3):
             want = tt_entails(kb, subset, head)
             got = strategy_accepts(emb, AVG_DOT, subset, head)
@@ -136,8 +139,7 @@ class TestVerifyMonotonic:
         kb = parse_kb("atoms: a\n")
         emb = random_embedding(random.Random(5), ("a",))
         report = verify_monotonic(emb, AVG_DOT, kb)
-        assert report.empty_antecedent_excluded
-        assert report.to_dict()["empty_antecedent_excluded"]
+        assert report.to_dict()["empty_antecedent_excluded"] is True
 
 
 # each exact strategy's labelling decision, composed by hand
@@ -182,12 +184,9 @@ class TestPoolOnce:
         for _ in range(3):
             kb = random_rule_kb(rng, ["a", "b", "c", "d"])
             emb = random_embedding(rng, kb.signature.atoms, tied=strategy.tied)
-            queries = subset_queries(kb.signature, 4)
-            # any query order is allowed, not only the grouped canonical one
-            rng.shuffle(queries)
-            report = verify_monotonic(emb, strategy, kb, queries=queries)
+            report = verify_monotonic(emb, strategy, kb)
             expected_mismatches = []
-            for subset, head in queries:
+            for subset, head in subset_queries(kb.signature, 4):
                 got = DIRECT[strategy.name](emb, subset, head)
                 want = tt_entails(kb, subset, head)
                 if got != want:
@@ -282,13 +281,6 @@ class TestOracleTables:
         for m in report.mismatches[:5]:
             assert tt_nm_rank(theta, m.subset, m.head) == m.expected
 
-    def test_nonmonotonic_queries_need_an_antecedent(self):
-        theta = fixture("ORD-NM")
-        emb = random_embedding(random.Random(9), theta.signature.atoms,
-                               tied=True)
-        with pytest.raises(ValueError, match="non-empty"):
-            verify_nonmonotonic(emb, ORD_ORD, theta, queries=[((), "x")])
-
 
 class TestVerifyNonMonotonic:
     def test_ord_nm_capture_pattern_shown_by_had_construction(self):
@@ -315,6 +307,38 @@ class TestOrdMonotonicity:
             report = check_ord_monotonicity(emb)
             assert report.holds
             assert report.checked > 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_set_based_reference(self, n):
+        # masks against the pairwise set containment of the reference:
+        # the same pairs in the same order, the same report
+        rng = random.Random(f"ord-monotonicity:{n}")
+        atoms = tuple(f"p{i}" for i in range(n))
+        for cap in (None, 2):  # n atoms at full cap, then capped at 2
+            for _ in range(4):
+                emb = random_embedding(rng, atoms, tied=True)
+                want = ref_check_ord_monotonicity(emb, cap)
+                assert check_ord_monotonicity(emb, cap) == want
+
+    def test_reports_dropped_labels_like_the_reference(self, monkeypatch):
+        # max pooling cannot drop a label, so a pooling that lowers every
+        # coordinate by |S| - 1 stands in to make violations to report
+        def shrinking(scaled, atoms):
+            total, den = emb_ord(scaled, atoms)
+            return tuple(x - (len(atoms) - 1) * den for x in total), den
+
+        zero = (F(0),)
+        emb = AttributeEmbedding(1, {a: zero for a in "abx"},
+                                 {a: zero for a in "abx"})
+        monkeypatch.setattr(verifier, "emb_ord", shrinking)
+        monkeypatch.setattr(references, "emb_ord", shrinking)
+        want = ref_check_ord_monotonicity(emb)
+        # each singleton loses all three labels in each of its three
+        # supersets; the pairs have none left to lose
+        assert (want.checked, len(want.violations)) == (12, 9)
+        assert want.violations[0] == {"subset": ["a"], "superset": ["a", "b"],
+                                      "dropped": ["a", "b", "x"]}
+        assert check_ord_monotonicity(emb) == want
 
     def test_trace_shows_a_subset_pair(self):
         emb = random_embedding(random.Random(113), ("a", "b"), tied=True)
