@@ -20,10 +20,23 @@ counter-model lacking the head outweighs all the others, since delta
 exceeds |K|.  The all-true interpretation lacks no head, so |K| is at
 most 2^|A| - 1 and the paper's delta stays legal.
 
-Recipes 4-5 allot one coordinate per interpretation of the signature
-and weight it by a power of delta that grows with the interpretation's
-stratum rank, so that a single better-ranked model outweighs every
-worse-ranked one.  delta must exceed the number of interpretations.
+Recipes 4-5 allot one coordinate per ranked counter-model and weight
+it by a power of delta that grows with the interpretation's stratum
+rank, so that a single better-ranked interpretation outweighs every
+worse-ranked one.  The paper gives every interpretation a coordinate,
+but the score of head b on S only compares the best rank over the
+supersets of S containing b with the best rank over those lacking b.
+Drop an interpretation w other than all-true when, for every atom c not
+in w, some strict superset of w lacking c has rank at least mu(w).  That
+superset contains everything w contains, so it is a superset of S
+whenever w is, and it contains b whenever w does (take any c not in w)
+and lacks b whenever w does (take c = b): no best rank with b or
+without b over the supersets of any S changes, and chains of drops end
+at kept interpretations, since each step strictly grows the set.  The
+kept ones are `logic.ranked_counter_models`; a kept coordinate weighs
+what it weighs in the paper's recipe, and at most 2^|A| are kept, so
+the paper's delta stays legal.  A cap of 20 atoms, the enumeration cap
+of `logic`, holds for all five recipes.
 
 Recipes 1, 2, 4 and 5 take the dominance constant as `delta`, an int
 above 2^|A|; None, the default, picks the smallest legal value
@@ -38,13 +51,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .logic import (DEFAULT_MODEL_CAP, CapExceededError, KnowledgeBase,
-                    Signature, StratifiedKB, counter_models, rank_table)
+from .logic import (KnowledgeBase, Signature, StratifiedKB, counter_models,
+                    rank_table, ranked_counter_models)
 from .strategies import (AVG_RELU, HAD_DOT, ORD_ORD, AttributeEmbedding,
                          StrategyId, Vec)
-
-MONOTONIC_ATOM_CAP = DEFAULT_MODEL_CAP
-NONMONOTONIC_ATOM_CAP = 12
 
 
 @dataclass
@@ -73,13 +83,6 @@ def _delta(atom_count: int, delta: int | None) -> int:
     return delta
 
 
-def _check_cap(kb: KnowledgeBase | StratifiedKB, cap: int) -> None:
-    n = len(kb.signature)
-    if n > cap:
-        raise CapExceededError(
-            f"construction supports at most {cap} atoms, KB has {n}")
-
-
 def _families(sig: Signature, order: tuple[int, ...],
               weights: list[tuple[int, int]],
               extra: Vec = ()) -> tuple[dict[str, Vec], dict[str, Vec]]:
@@ -106,9 +109,8 @@ def _families(sig: Signature, order: tuple[int, ...],
 def _monotonic(kb: KnowledgeBase, delta: int | None):
     """K, delta, and both families over K with weights (1, delta) and a
     constant coordinate 1."""
-    _check_cap(kb, MONOTONIC_ATOM_CAP)
-    delta = _delta(len(kb.signature), delta)
     needed = counter_models(kb)
+    delta = _delta(len(kb.signature), delta)
     families = _families(kb.signature, needed, [(1, delta)] * len(needed),
                          (Fraction(1),))
     return needed, delta, families
@@ -156,7 +158,6 @@ def construct_ord(kb: KnowledgeBase) -> ConstructionResult:
     sets.  Without counter-models the vectors are one zero coordinate,
     which accepts everything.
     """
-    _check_cap(kb, MONOTONIC_ATOM_CAP)
     needed = counter_models(kb)
     # weights (0, -1): 0 where the atom holds, 1 where it does not
     _, vectors = _families(kb.signature, needed, [(0, -1)] * len(needed),
@@ -166,27 +167,27 @@ def construct_ord(kb: KnowledgeBase) -> ConstructionResult:
 
 
 def _ranked(theta: StratifiedKB, delta: int | None):
-    """Every interpretation, delta, and both families over them weighted
-    (delta^(2 mu), delta^(1 + 2 mu)) by each interpretation's rank mu."""
-    _check_cap(theta, NONMONOTONIC_ATOM_CAP)
+    """The ranked counter-models, delta, and both families over them
+    weighted (delta^(2 mu), delta^(1 + 2 mu)) by each one's rank mu."""
+    kept = ranked_counter_models(theta)
     sig = theta.signature
     delta = _delta(len(sig), delta)
     by_rank = [(delta ** (2 * mu), delta ** (1 + 2 * mu))
                for mu in range(len(theta.strata) + 1)]
-    order = tuple(range(1 << len(sig)))
-    weights = [by_rank[mu] for mu in rank_table(theta).tolist()]
-    return order, delta, _families(sig, order, weights)
+    weights = [by_rank[mu] for mu in rank_table(theta)[list(kept)].tolist()]
+    return kept, delta, _families(sig, kept, weights)
 
 
 def construct_avg_relu_nm(theta: StratifiedKB,
                           delta: int | None = None) -> ConstructionResult:
     """Tied avg+ReLU embedding matching the ranked-default consequence.
 
-    One coordinate per interpretation (not just models): delta^(2 mu)
-    where the atom holds, -delta^(1 + 2 mu) where it does not.  After
-    ReLU the surviving coordinates are exactly the interpretations of
-    the pooled set, and rank dominance makes the dot-product sign decide
-    whether the best rank with the head beats the best rank against it.
+    One coordinate per ranked counter-model (not just models):
+    delta^(2 mu) where the atom holds, -delta^(1 + 2 mu) where it does
+    not.  After ReLU the surviving coordinates are exactly the kept
+    supersets of the pooled set, and rank dominance makes the dot-product
+    sign decide whether the best rank with the head beats the best rank
+    against it.
     """
     order, delta, (_, weighted) = _ranked(theta, delta)
     emb = AttributeEmbedding(len(order), weighted, dict(weighted))
@@ -197,7 +198,7 @@ def construct_had_dot_nm(theta: StratifiedKB,
                          delta: int | None = None) -> ConstructionResult:
     """Untied Hadamard+dot embedding matching the ranked-default consequence.
 
-    Context vectors are interpretation indicators; output vectors carry
+    Context vectors are ranked counter-model indicators; output vectors carry
     the rank weights of `construct_avg_relu_nm`.  Thresholds stay at 0.
     """
     order, delta, (indicator, weighted) = _ranked(theta, delta)

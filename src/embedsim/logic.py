@@ -27,7 +27,8 @@ STOC 2007) and cached: entry S holds the AND of the relevant
 interpretations containing S, and a query (S, b) reads bit b of entry
 S.  Sweeps fetch the table once and index it by subset mask.  The
 constructions read `counter_models`, the maximal models lacking each
-head, found by shifts over the same bit sets.
+head, and `ranked_counter_models`, its analogue per rank level, both
+found by shifts over the same bit sets.
 
 Interpretations are plain ints: bit i set means the i-th atom of the
 signature is true.
@@ -592,6 +593,23 @@ def entailment_table(kb: KnowledgeBase) -> np.ndarray:
     return table
 
 
+def _strictly_below(bits: int, atoms: tuple[int, ...]) -> int:
+    """The interpretations strictly contained in some member of the bit set.
+
+    Shifting by 2^i clears atom i: one pass of shifts closes the set
+    downwards, and one more pass, clearing one atom of each member of
+    that closure, leaves exactly the strict subsets.  2n big-int
+    operations over 2^n bits.
+    """
+    down = bits
+    for i, atom_i in enumerate(atoms):
+        down |= (down & atom_i) >> (1 << i)
+    strict = 0
+    for i, atom_i in enumerate(atoms):
+        strict |= (down & atom_i) >> (1 << i)
+    return strict
+
+
 def counter_models(kb: KnowledgeBase) -> tuple[int, ...]:
     """For every head b, the maximal models of the KB that lack b.
 
@@ -603,22 +621,16 @@ def counter_models(kb: KnowledgeBase) -> tuple[int, ...]:
     Analysis, 1999).  The all-true interpretation lacks no head, so at
     most 2^n - 1 are returned; none when the KB is inconsistent.
 
-    Per head, bit-set shifts close the models lacking b downwards, then
-    one more pass marks every set strictly below one of them: O(n^2)
-    big-int operations over 2^n bits in all.
+    Per head, the models lacking b less those strictly below one of them
+    (`_strictly_below`): O(n^2) big-int operations over 2^n bits in all.
     """
     n = _check_cap(kb.signature, DEFAULT_MODEL_CAP)
     atoms = _universe(n)[1]
     models = _model_set(kb)
     needed = 0
     for atom_b in atoms:
-        lack = down = models & ~atom_b
-        for i, atom_i in enumerate(atoms):
-            down |= (down & atom_i) >> (1 << i)
-        strict = 0
-        for i, atom_i in enumerate(atoms):
-            strict |= (down & atom_i) >> (1 << i)
-        needed |= lack & ~strict
+        lack = models & ~atom_b
+        needed |= lack & ~_strictly_below(lack, atoms)
     return _members(needed, n)
 
 
@@ -633,26 +645,68 @@ def entails(kb: KnowledgeBase, antecedent: Iterable[str], head: str) -> bool:
     return bool(entailment_table(kb)[smask] & hbit)
 
 
+def _rank_at_least(theta: StratifiedKB) -> tuple[int, ...]:
+    """Entry r is the set of interpretations of rank at least r, for r
+    from 0 up to the highest rank any interpretation has; the caller
+    checks the cap.
+
+    A running AND over the strata keeps the interpretations that satisfy
+    every stratum so far; it stops at the first stratum that leaves none.
+    """
+    full, atoms = _universe(len(theta.signature))
+    sets = [full]
+    for stratum in theta.strata:
+        alive = sets[-1] & _truth(stratum, theta.signature, full, atoms)
+        if not alive:
+            break
+        sets.append(alive)
+    return tuple(sets)
+
+
 @lru_cache(maxsize=1024)
 def rank_table(theta: StratifiedKB) -> np.ndarray:
     """Rank of every interpretation, indexed by bitmask; read-only.
 
-    A running AND over the strata keeps the interpretations that satisfy
-    every stratum so far, and each one still alive after a stratum gains
-    a rank.  Ranking stops at the first stratum that leaves none alive.
+    Each interpretation gains a rank for every level r >= 1 whose set
+    `_rank_at_least` puts it in.
     """
     import numpy as np  # on first use, as in `entailment_table`
     n = _check_cap(theta.signature, DEFAULT_MODEL_CAP)
     rank = np.zeros(1 << n, dtype=np.int64)
-    full, atoms = _universe(n)
-    alive = full
-    for stratum in theta.strata:
-        alive &= _truth(stratum, theta.signature, full, atoms)
-        if not alive:
-            break
-        rank += _bit_array(alive, n)
+    for at_least in _rank_at_least(theta)[1:]:
+        rank += _bit_array(at_least, n)
     rank.flags.writeable = False
     return rank
+
+
+def ranked_counter_models(theta: StratifiedKB) -> tuple[int, ...]:
+    """The interpretations that can be the best-ranked superset of a query.
+
+    S |> b compares the best rank over the supersets of S that contain b
+    with the best rank over those that lack b.  Returned, in ascending
+    bitmask order, are the all-true interpretation, which contains every
+    S, and, for every head b and rank level r, the interpretations of
+    rank exactly r lacking b that no interpretation of rank at least r
+    lacking b strictly contains: the ranked models (Lehmann and Magidor,
+    "What does a conditional knowledge base entail?", 1992) that the rank
+    comparison reads.  Any other interpretation w has, for each atom c
+    that it lacks, a strict superset of rank at least mu(w) lacking c,
+    which stands in for w in either maximum; the `constructors` docstring
+    gives the argument.  At most 2^n are returned.
+
+    Per head and level, `_strictly_below` over the sets of
+    `_rank_at_least`: O(n^2) big-int operations over 2^n bits per level.
+    """
+    n = _check_cap(theta.signature, DEFAULT_MODEL_CAP)
+    atoms = _universe(n)[1]
+    at_least = _rank_at_least(theta) + (0,)
+    kept = 1 << ((1 << n) - 1)
+    for atom_b in atoms:
+        for ge, above in zip(at_least, at_least[1:]):
+            exact = ge & ~above & ~atom_b
+            if exact:
+                kept |= exact & ~_strictly_below(ge & ~atom_b, atoms)
+    return _members(kept, n)
 
 
 @lru_cache(maxsize=64)

@@ -338,10 +338,13 @@ class _Labeller:
     per-subset work once for all heads; `score(pooled, i)` is the exact
     quantity behind head i's decision, as mismatch-report text.  Each
     head's row holds its bit, target vector and threshold constants.
+    `labels` keeps the per-head quantities of the value it last labelled,
+    so scoring the heads it got wrong costs no further products.
     """
 
     def __init__(self, sc: ScaledEmbedding):
         self.dimension, self.cden, self.oden = sc.dimension, sc.cden, sc.oden
+        self.last: tuple[Pooled, list[int]] | None = None
 
     def _vector(self, pooled: Pooled) -> IntVec:
         if len(pooled[0]) != self.dimension:
@@ -349,6 +352,13 @@ class _Labeller:
                 f"pooled vector has length {len(pooled[0])}, "
                 f"embedding dimension is {self.dimension}")
         return pooled[0]
+
+    def _quantity(self, pooled: Pooled, i: int) -> int:
+        """Head i's quantity for `pooled`, labelling it first unless it
+        was the value last labelled."""
+        if self.last is None or self.last[0] is not pooled:
+            self.labels(pooled)
+        return self.last[1][i]
 
 
 class DotLabeller(_Labeller):
@@ -369,13 +379,14 @@ class DotLabeller(_Labeller):
 
     def labels(self, pooled: Pooled) -> int:
         total, den = self._vector(pooled), pooled[1]
-        return sum(bit for bit, x, q, px, _ in self.rows
-                   if sum(map(mul, total, x)) * q >= px * den)
+        dots = [sum(map(mul, total, row[1])) for row in self.rows]
+        self.last = pooled, dots
+        return sum(bit for (bit, _, q, px, _), dot in zip(self.rows, dots)
+                   if dot * q >= px * den)
 
     def score(self, pooled: Pooled, i: int) -> str:
-        _, x, _, _, text = self.rows[i]
-        dot = sum(map(mul, pooled[0], x))
-        return f"dot={_ratio(dot, pooled[1] * self.tden)}{text}"
+        dot = self._quantity(pooled, i)
+        return f"dot={_ratio(dot, pooled[1] * self.tden)}{self.rows[i][4]}"
 
 
 class DistLabeller(_Labeller):
@@ -401,15 +412,17 @@ class DistLabeller(_Labeller):
         total, den = self._vector(pooled), pooled[1]
         o, dsq = self.oden, den * den
         tsq, cross = o * o * sum(map(mul, total, total)), 2 * o * den
-        return sum(bit for bit, out, outsq, q2, p2, _ in self.rows
-                   if (tsq - cross * sum(map(mul, total, out)) + dsq * outsq)
-                   * q2 <= p2 * dsq)
+        # ||T o - O D||^2, head by head
+        distsqs = [tsq - cross * sum(map(mul, total, out)) + dsq * outsq
+                   for _, out, outsq, _, _, _ in self.rows]
+        self.last = pooled, distsqs
+        return sum(bit for (bit, _, _, q2, p2, _), distsq
+                   in zip(self.rows, distsqs) if distsq * q2 <= p2 * dsq)
 
     def score(self, pooled: Pooled, i: int) -> str:
-        (total, den), o = pooled, self.oden
-        _, out, _, _, _, text = self.rows[i]
-        distsq = sum((t * o - x * den) ** 2 for t, x in zip(total, out))
-        return f"distsq={_ratio(distsq, (den * o) ** 2)}{text}"
+        distsq = self._quantity(pooled, i)
+        return (f"distsq={_ratio(distsq, (pooled[1] * self.oden) ** 2)}"
+                f"{self.rows[i][5]}")
 
 
 class ReluLabeller(_Labeller):
@@ -425,11 +438,12 @@ class ReluLabeller(_Labeller):
 
     def labels(self, pooled: Pooled) -> int:
         relu = _relu(self._vector(pooled))
-        return sum(bit for bit, c in self.rows
-                   if sum(map(mul, relu, c)) >= 0)
+        dots = [sum(map(mul, relu, c)) for _, c in self.rows]
+        self.last = pooled, dots
+        return sum(bit for (bit, _), dot in zip(self.rows, dots) if dot >= 0)
 
     def score(self, pooled: Pooled, i: int) -> str:
-        dot = sum(map(mul, _relu(pooled[0]), self.rows[i][1]))
+        dot = self._quantity(pooled, i)
         return f"relu_dot={_ratio(dot, pooled[1] * self.cden)}"
 
 
@@ -476,18 +490,17 @@ class _NormLabeller(_Labeller):
 
     def labels(self, pooled: Pooled) -> int:
         total, normsq = self._vector(pooled), pooled[1]
+        dots = [sum(map(mul, total, row[1])) for row in self.rows]
+        self.last = pooled, dots
         if normsq == 0:
             return self.zero
-        return sum(bit for bit, out, m, c, _ in self.rows
-                   if _ge_scaled_sqrt(m * sum(map(mul, total, out)), c,
-                                      normsq))
+        return sum(bit for (bit, _, m, c, _), dot in zip(self.rows, dots)
+                   if _ge_scaled_sqrt(m * dot, c, normsq))
 
     def score(self, pooled: Pooled, i: int) -> str:
-        (total, normsq), cden = pooled, self.cden
-        _, out, _, _, text = self.rows[i]
-        dot = sum(map(mul, total, out))
+        dot, normsq, cden = self._quantity(pooled, i), pooled[1], self.cden
         return (f"sum.out={_ratio(dot, cden * self.oden)} "
-                f"normsq={_ratio(normsq, cden * cden)}{text}")
+                f"normsq={_ratio(normsq, cden * cden)}{self.rows[i][4]}")
 
 
 class DotOnNormLabeller(_NormLabeller, DotLabeller):

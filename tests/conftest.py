@@ -89,6 +89,16 @@ def plain_kbs(draw, max_atoms):
     return KnowledgeBase(Signature(atoms), formulas)
 
 
+@st.composite
+def stratified_kbs(draw, max_atoms, max_strata=4):
+    """Stratified KBs over 1 to `max_atoms` atoms p0, p1, ... with 1 to
+    `max_strata` strata."""
+    n = draw(st.integers(1, max_atoms))
+    strata = draw(st.lists(formulas_over(n), min_size=1, max_size=max_strata))
+    return StratifiedKB(Signature(tuple(f"p{i}" for i in range(n))),
+                        tuple(strata))
+
+
 def random_formula(rng: random.Random, atoms, depth=2):
     if depth == 0 or rng.random() < 0.3:
         return Var(rng.choice(atoms))

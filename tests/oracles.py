@@ -4,7 +4,8 @@ They deliberately avoid the library's bitmask machinery: assignments are
 plain dicts, model enumeration walks itertools.product, and the
 evaluator is its own recursion.  They share only the formula AST.
 `scan_counter_models` finds the needed counter-models by a quadratic
-scan over the models.
+scan over the models, and `scan_ranked_counter_models` applies the drop
+rule of recipes 4-5 to every interpretation.
 
 The reference implementations of the simplex, the strategy kernels,
 the recipes and the sigmoid demonstrator live in `references.py`; the
@@ -103,6 +104,25 @@ def tt_mu(theta: StratifiedKB, assignment: dict) -> int:
             break
         mu += 1
     return mu
+
+
+def scan_ranked_counter_models(theta: StratifiedKB) -> tuple[int, ...]:
+    """The interpretations recipes 4-5 keep, in ascending bitmask order:
+    all-true, and every other interpretation w for which some atom c is
+    missing from w and from every strict superset of w of rank at least
+    mu(w)."""
+    atoms = theta.signature.atoms
+    n = len(atoms)
+    mu = [tt_mu(theta, {a: bool(w >> i & 1) for i, a in enumerate(atoms)})
+          for w in range(1 << n)]
+    full = (1 << n) - 1
+    return tuple(
+        w for w in range(1 << n)
+        if w == full or any(
+            not w >> c & 1 and not any(
+                o != w and o & w == w and not o >> c & 1 and mu[o] >= mu[w]
+                for o in range(1 << n))
+            for c in range(n)))
 
 
 def tt_nm_def(theta: StratifiedKB, subset, head) -> bool:

@@ -12,8 +12,9 @@ strategy evaluators as they stood before the library moved to integer
 kernels: every coordinate a `Fraction`, pooled vectors rational.  They
 must decide every query as the library does and print the same score.
 
-The `ref_construct_*` recipes are recipes 1-3 as the paper states them,
-with one coordinate per model of the KB (`ref_models`).
+The `ref_construct_*` recipes are the recipes as the paper states them:
+recipes 1-3 with one coordinate per model of the KB (`ref_models`),
+recipes 4-5 (`ref_construct_*_nm`) with one per interpretation.
 
 `ref_check_ord_monotonicity` is the product-order monotonicity check as
 it stood before it compared masks: Python sets, and a containment test
@@ -33,7 +34,8 @@ from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
                                 LinearSystem, _normalize_multipliers,
                                 verify_farkas)
 from embedsim.constructors import ConstructionResult, _delta
-from embedsim.logic import KnowledgeBase, Signature, truth_set
+from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB,
+                            rank_table, truth_set)
 from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  AttributeEmbedding, DimensionMismatchError,
                                  OrdLabeller, angular_error, cone_residual,
@@ -220,6 +222,43 @@ def ref_construct_ord(kb: KnowledgeBase) -> ConstructionResult:
                    for a in sig.atoms}
     emb = AttributeEmbedding(max(len(models), 1), vectors, dict(vectors))
     return ConstructionResult(emb, ORD_ORD, 3, models, None)
+
+
+# ------------------------------------------------------------------
+# Recipes 4-5 over every interpretation
+# ------------------------------------------------------------------
+
+def ref_rank_weighted_vectors(theta: StratifiedKB, delta: int) -> dict:
+    """Per atom over every interpretation w: delta^(2 mu(w)) where it
+    holds, -delta^(1 + 2 mu(w)) where it does not."""
+    sig = theta.signature
+    mu = rank_table(theta).tolist()
+    return {a: tuple(Fraction(delta ** (2 * mu[w])) if w & sig.bit(a)
+                     else Fraction(-delta ** (1 + 2 * mu[w]))
+                     for w in range(1 << len(sig)))
+            for a in sig.atoms}
+
+
+def ref_construct_avg_relu_nm(theta: StratifiedKB,
+                              delta: int | None = None) -> ConstructionResult:
+    delta = _delta(len(theta.signature), delta)
+    vectors = ref_rank_weighted_vectors(theta, delta)
+    size = 1 << len(theta.signature)
+    emb = AttributeEmbedding(size, vectors, dict(vectors))
+    return ConstructionResult(emb, AVG_RELU, 4, tuple(range(size)), delta)
+
+
+def ref_construct_had_dot_nm(theta: StratifiedKB,
+                             delta: int | None = None) -> ConstructionResult:
+    delta = _delta(len(theta.signature), delta)
+    sig = theta.signature
+    size = 1 << len(sig)
+    context = {a: tuple(Fraction(1) if w & sig.bit(a) else Fraction(0)
+                        for w in range(size))
+               for a in sig.atoms}
+    emb = AttributeEmbedding(size, context,
+                             ref_rank_weighted_vectors(theta, delta))
+    return ConstructionResult(emb, HAD_DOT, 5, tuple(range(size)), delta)
 
 
 # ------------------------------------------------------------------

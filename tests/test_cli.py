@@ -12,6 +12,9 @@ import pytest
 from conftest import DEEP_FORMULA_PROBES
 from embedsim.cli import main
 from embedsim.fixtures import FIXTURE_SOURCES
+from embedsim.logic import parse_kb
+from embedsim.strategies import frac_str
+from references import ref_construct_avg_relu_nm
 
 CE1 = FIXTURE_SOURCES["CE1"]
 EX4 = FIXTURE_SOURCES["EX4"]
@@ -94,10 +97,18 @@ class TestConstruct:
                          "-o", str(out_path))
         assert code == 0
         doc = json.loads(out_path.read_text())
-        assert doc["dimension"] == 16
+        # the paper's recipe over all 16 interpretations, restricted to
+        # the 10 ranked counter-models listed as `model_order`
+        ref = ref_construct_avg_relu_nm(parse_kb(EX4))
+        assert ref.embedding.dimension == len(ref.model_order) == 16
+        kept = doc["provenance"]["model_order"]
+        assert doc["dimension"] == len(kept) == 10
+        assert set(kept) <= set(ref.model_order) and kept == sorted(kept)
         assert doc["provenance"]["proposition"] == "4"
-        assert doc["provenance"]["delta"] == "17"
-        assert len(doc["provenance"]["model_order"]) == 16
+        assert doc["provenance"]["delta"] == str(ref.delta) == "17"
+        for atom in doc["atoms"]:
+            want = ref.embedding.context[atom["name"]]
+            assert atom["context"] == [frac_str(want[w]) for w in kept]
 
     def test_ce1_prop1_dimension(self, capsys, ce1_file, tmp_path):
         out_path = tmp_path / "emb.json"
@@ -127,8 +138,33 @@ class TestConstruct:
                       + "\nrule: p0 -> p1\n")
         code, out, err = run(capsys, "construct", str(kb), "--prop", "1")
         assert code == 2 and out == ""
-        assert err.count("\n") == 1
-        assert "at most 20 atoms" in err
+        assert err == "error: signature has 21 atoms, enumeration cap is 20\n"
+
+    def test_twenty_atom_stratified_kb_constructs_and_verifies(self, capsys,
+                                                                tmp_path):
+        # a bird flies by default, a penguin is a bird that by default
+        # does not fly, and a penguin ranks below whatever else is known
+        atoms = ["bird", "flies", "penguin", "wings"] + [
+            f"p{i}" for i in range(16)]
+        kb = tmp_path / "birds.kb"
+        kb.write_text(f"atoms: {' '.join(atoms)}\n"
+                      "stratum: penguin -> bird\n"
+                      "stratum: penguin -> !flies\n"
+                      "stratum: bird -> flies & wings\n"
+                      "stratum: p0 | p1\n")
+        emb = tmp_path / "emb.json"
+        code, _, _ = run(capsys, "construct", str(kb), "--prop", "4",
+                         "-o", str(emb))
+        assert code == 0
+        doc = json.loads(emb.read_text())
+        assert doc["dimension"] == len(doc["provenance"]["model_order"])
+        assert doc["dimension"] < 100
+        code, out, err = run(capsys, "verify", str(kb), str(emb),
+                             "--strategy", "avg-relu")
+        assert (code, err) == (0, "")
+        # 6195 subsets of up to 4 of the 20 atoms, 20 heads each
+        assert "queries: 123900 (subset cap 4)" in out
+        assert "verdict: simulates" in out
 
     def test_kind_mismatch(self, capsys, ex4_file):
         code, _, err = run(capsys, "construct", ex4_file, "--prop", "1")

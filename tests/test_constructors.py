@@ -1,7 +1,8 @@
 """The five constructions: worked instances, equivalences, dominance bounds.
 
-Recipes 1-3 give one coordinate per needed counter-model; the paper's
-versions, one coordinate per model, are the `ref_construct_*` recipes of
+Recipes 1-3 give one coordinate per needed counter-model and recipes 4-5
+one per ranked counter-model; the paper's versions, one coordinate per
+model or per interpretation, are the `ref_construct_*` recipes of
 `tests/references.py`, and the worked instances pin both.
 """
 
@@ -11,19 +12,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import plain_kbs, random_rule_kb, random_stratified_kb
+from conftest import (plain_kbs, random_rule_kb, random_stratified_kb,
+                      stratified_kbs)
 from embedsim.constructors import (_families, construct,
                                    construct_avg_relu, construct_avg_relu_nm,
                                    construct_had_dot, construct_had_dot_nm,
                                    construct_ord)
 from embedsim.fixtures import fixture
 from embedsim.logic import (CapExceededError, KnowledgeBase, Signature,
-                            counter_models, entails, parse_kb, rank_table)
+                            counter_models, entails, parse_kb, rank_table,
+                            ranked_counter_models)
 from embedsim.strategies import strategy_accepts
 from embedsim.verifier import (subset_queries, verify_monotonic,
                                verify_nonmonotonic)
+from oracles import scan_ranked_counter_models
 from references import (ref_avg_relu_vectors, ref_construct_avg_relu,
-                        ref_construct_had_dot, ref_construct_ord, ref_dot,
+                        ref_construct_avg_relu_nm, ref_construct_had_dot,
+                        ref_construct_had_dot_nm, ref_construct_ord, ref_dot,
                         ref_emb_avg, ref_emb_had, ref_models, ref_relu_vec)
 
 F = Fraction
@@ -185,8 +190,17 @@ class TestNonMonotonicConstructions:
 
     def test_dimension_is_interpretation_count(self):
         theta = fixture("EX4")
-        assert construct_avg_relu_nm(theta).embedding.dimension == 16
-        assert construct_had_dot_nm(theta).embedding.dimension == 16
+        assert ref_construct_avg_relu_nm(theta).embedding.dimension == 16
+        assert ref_construct_had_dot_nm(theta).embedding.dimension == 16
+
+    def test_ex4_keeps_ten_interpretations(self):
+        theta = fixture("EX4")
+        kept = ranked_counter_models(theta)
+        assert len(kept) == 10 and kept[-1] == 0b1111
+        for build in (construct_avg_relu_nm, construct_had_dot_nm):
+            res = build(theta)
+            assert res.model_order == kept
+            assert res.embedding.dimension == 10
 
     def test_random_match_with_rank_oracle(self):
         rng = random.Random(47)
@@ -224,10 +238,50 @@ class TestNonMonotonicConstructions:
                 assert (score > 0) == (m_plus - m_minus - F(1, 2) > 0)
 
     def test_atom_cap(self):
-        theta = parse_kb("atoms: " + " ".join(f"p{i}" for i in range(13))
+        theta = parse_kb("atoms: " + " ".join(f"p{i}" for i in range(21))
                          + "\nstratum: p0\n")
         with pytest.raises(CapExceededError):
             construct_avg_relu_nm(theta)
+
+
+class TestRankedCounterModelRecipes:
+    """Recipes 4-5 over the ranked counter-models against the paper's
+    recipes over every interpretation."""
+
+    RECIPES = ((construct_avg_relu_nm, ref_construct_avg_relu_nm),
+               (construct_had_dot_nm, ref_construct_had_dot_nm))
+
+    @settings(max_examples=100)
+    @given(stratified_kbs(max_atoms=7))
+    def test_exhaustive_and_columns_of_the_reference(self, theta):
+        n = len(theta.signature)
+        kept = ranked_counter_models(theta)
+        assert kept == scan_ranked_counter_models(theta)
+        for build, reference in self.RECIPES:
+            res, ref = build(theta), reference(theta)
+            assert res.model_order == kept and res.delta == ref.delta
+            report = verify_nonmonotonic(res.embedding, res.strategy, theta,
+                                         cap=n)
+            assert report.queries == n * ((1 << n) - 1)
+            assert report.simulates, (theta, res.strategy,
+                                      report.mismatches[:3])
+            for built, want in ((res.embedding.context, ref.embedding.context),
+                                (res.embedding.output, ref.embedding.output)):
+                for a in theta.signature.atoms:
+                    assert built[a] == tuple(want[a][w] for w in kept)
+
+    @pytest.mark.parametrize("source, kept", [
+        # one rank everywhere: the co-atoms and all-true
+        ("atoms: a b c\nstratum: TRUE\n", (0b011, 0b101, 0b110, 0b111)),
+        ("atoms: a b\nstratum: FALSE\n", (0b01, 0b10, 0b11)),
+        # a is ranked up: the best interpretation lacking a is 0b10, and
+        # the best with a lacking b is 0b01
+        ("atoms: a b\nstratum: a\n", (0b01, 0b10, 0b11)),
+    ])
+    def test_edge_cases(self, source, kept):
+        theta = parse_kb(source)
+        assert ranked_counter_models(theta) == kept
+        assert scan_ranked_counter_models(theta) == kept
 
 
 class TestDeltaBoundMatters:

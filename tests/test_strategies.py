@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_embedding
+from conftest import random_embedding, random_fraction
 from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  DimensionMismatchError,
                                  ExactEvaluationError, angular_error,
@@ -383,6 +383,24 @@ class TestKernelsMatchFractionReference:
                         assert strategy_accepts(
                             emb, strategy, subset + subset[:1],
                             head) == want[i][0]
+
+    def test_score_of_a_value_other_than_the_last_labelled(self):
+        # score reads what `labels` kept for the value it last labelled;
+        # any other value, or one never labelled, is labelled first
+        rng = random.Random(61)
+        atoms = ["a", "b", "c"]
+        for strategy in EXACT:
+            emb = random_embedding(rng, atoms, dimension=3, tied=strategy.tied)
+            emb.lam = {a: random_fraction(rng) for a in atoms}
+            emb.theta = {a: abs(random_fraction(rng)) for a in atoms}
+            rule = exact_rule(strategy)
+            labeller = rule.labeller(scale(emb), atoms)
+            first, second = (rule.pool(emb, s) for s in (("a", "b"), ("c",)))
+            labeller.labels(first)
+            for subset, pooled in ((("c",), second), (("a", "b"), first)):
+                for i, head in enumerate(atoms):
+                    want = ref_evaluate(emb, strategy.name, subset, head)[1]
+                    assert labeller.score(pooled, i) == want, strategy.name
 
     def test_scaling_reads_the_current_thresholds(self):
         emb = make_embedding({"a": (1, 0), "b": (1, 0)}, lam={"b": 2})
