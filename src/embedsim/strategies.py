@@ -634,6 +634,16 @@ def sig_gradient(e: np.ndarray, vectors: np.ndarray,
     return np.einsum("...k,...kd->...d", weights, vectors) - 2.0 * kappa * e
 
 
+def _check_ascent(kappa: float, iterations: int) -> None:
+    """Refuse what neither ascent entry point can run: kappa must be
+    positive and finite, iterations an int (not a bool) >= 0."""
+    if not 0 < kappa < float("inf"):
+        raise ValueError("kappa must be positive and finite")
+    if (isinstance(iterations, bool) or not isinstance(iterations, int)
+            or iterations < 0):
+        raise ValueError("iterations must be a non-negative integer")
+
+
 def _sig_ascent(vectors: np.ndarray, starts: np.ndarray, kappa: float,
                 iterations: int) -> np.ndarray:
     """Gradient ascent on a batch of sigmoid problems, stepped together.
@@ -643,13 +653,35 @@ def _sig_ascent(vectors: np.ndarray, starts: np.ndarray, kappa: float,
     so problems with fewer attributes may be padded with zero rows: a
     zero row adds exactly 0.0 to the gradient and nothing to the bound.
     Raises ArithmeticError if any problem ends non-finite.
+
+    Returns exactly the state after `iterations` steps, but rarely takes
+    them all.  The vectors, step sizes and kappa are fixed, so a step is
+    a pure function of the state's bits: once a state repeats, the rest
+    of the run goes round that cycle, and the state after the remaining
+    steps is the one (remaining % period) steps on.  Repeats are found by
+    Brent's scheme: each state's bytes are compared with one saved mark,
+    which moves to the current state whenever the distance since its
+    last move reaches a power of two.  That keeps O(1) extra memory, no
+    table of seen states, and finds a cycle within a few times the steps
+    taken to enter it plus its period.  On the table's batches (seeds
+    0-63) the iterate cycles within 51 steps, with periods of 2 to 30,
+    so at most 120 of the 3000 steps are taken.
     """
     step = 1.0 / (np.sum(vectors * vectors, axis=(-2, -1)) / 4.0
                   + 2.0 * kappa + 1.0)
     step = step[..., None]
     e = starts
-    for _ in range(iterations):
+    mark, since, power = e.tobytes(), 0, 1
+    for done in range(1, iterations + 1):
         e = e + step * sig_gradient(e, vectors, kappa)
+        since += 1
+        key = e.tobytes()
+        if key == mark:  # `since` steps bring this state back to itself
+            for _ in range((iterations - done) % since):
+                e = e + step * sig_gradient(e, vectors, kappa)
+            break
+        if since == power:
+            mark, since, power = key, 0, 2 * power
     if not (np.all(np.isfinite(e))
             and np.all(np.isfinite(sig_objective(e, vectors, kappa)))):
         raise ArithmeticError("sigmoid objective became non-finite")
@@ -669,11 +701,10 @@ def emb_sig_numeric(emb: AttributeEmbedding, atoms: Iterable[str],
     maximisers are therefore resolved reproducibly rather than
     canonically.  Diagnostic use only.
     """
+    _check_ascent(kappa, iterations)
     names = _unique(atoms)
     if not names:
         raise ValueError("sigmoid pooling needs a non-empty attribute set")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
     vectors = np.array([[float(x) for x in emb.context[a]] for a in names])
     start = _sig_start(seed, vectors.shape[1])
     return _sig_ascent(vectors[None], start[None], kappa, iterations)[0]
@@ -719,16 +750,15 @@ def sig_conical_diagnostics(dimension: int = 4, trials: int = 5,
     optima.  The 3 * trials optimisations (a, b and {a, b} per trial,
     each seeded with seed + 3 t + j) run as one batched ascent, the
     singletons padded with a zero row.  Returns JSON-ready floats,
-    deterministic per seed.
+    deterministic per seed.  The results are bit-identical to taking all
+    `iterations` steps; the cost is set by when the iterate starts to
+    cycle, not by `iterations` (see `_sig_ascent`).
     """
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    if not 0 < kappa < float("inf"):
-        raise ValueError("kappa must be positive and finite")
+    _check_ascent(kappa, iterations)
     rng = np.random.default_rng(seed)
     pairs, problems = [], []
     zero = np.zeros(dimension)

@@ -23,6 +23,9 @@ on every ordered pair of subsets.
 `ref_emb_sig_numeric` and `ref_sig_conical_diagnostics` are the sigmoid
 demonstrator as it stood before the library stepped all problems as one
 batch: one 2-D problem at a time, one numpy step per iteration.
+`ref_sig_ascent` is the batched ascent as it stood before it stopped at
+the first repeated state: every one of the `iterations` steps taken.
+It must return the same bytes as `_sig_ascent`.
 """
 
 from fractions import Fraction
@@ -39,7 +42,8 @@ from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB,
 from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  AttributeEmbedding, DimensionMismatchError,
                                  OrdLabeller, angular_error, cone_residual,
-                                 emb_ord, frac_str, scale)
+                                 emb_ord, frac_str, scale, sig_gradient,
+                                 sig_objective)
 from embedsim.verifier import PropertyReport, default_cap, nonempty_subsets
 
 
@@ -477,6 +481,20 @@ def ref_emb_sig_numeric(emb, atoms, kappa=1.0, iterations=2000, seed=0):
     objective = (-np.sum(np.logaddexp(0.0, -(vectors @ e)))
                  - kappa * float(e @ e))
     if not (np.all(np.isfinite(e)) and np.isfinite(objective)):
+        raise ArithmeticError("sigmoid objective became non-finite")
+    return e
+
+
+def ref_sig_ascent(vectors, starts, kappa, iterations):
+    """`_sig_ascent` taking all `iterations` steps, with no cycle check."""
+    step = 1.0 / (np.sum(vectors * vectors, axis=(-2, -1)) / 4.0
+                  + 2.0 * kappa + 1.0)
+    step = step[..., None]
+    e = starts
+    for _ in range(iterations):
+        e = e + step * sig_gradient(e, vectors, kappa)
+    if not (np.all(np.isfinite(e))
+            and np.all(np.isfinite(sig_objective(e, vectors, kappa)))):
         raise ArithmeticError("sigmoid objective became non-finite")
     return e
 

@@ -30,10 +30,20 @@ def test_default_run_prints_finite_json():
 
 
 @pytest.mark.parametrize("argv", [("--trials", "0"), ("--dimension", "0"),
-                                  ("--kappa", "0")])
+                                  ("--kappa", "0"), ("--iterations", "-1"),
+                                  ("--kappa", "nan"), ("--kappa", "inf")])
 def test_bad_argument_exits_two_with_one_line(argv):
     done = run_demo(*argv)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.count("\n") == 1
     assert "error:" in done.stderr
+
+
+def test_billion_iterations_finish_with_finite_json():
+    # the ascent stops once its iterate cycles, so the step count costs nothing
+    done = run_demo("--iterations", "1000000000")
+    assert done.returncode == 0
+    doc = json.loads(done.stdout, parse_constant=_reject_constant)
+    assert doc["iterations"] == 10**9
+    assert len(doc["trials"]) == 5

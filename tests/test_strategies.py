@@ -23,7 +23,7 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  _sig_ascent, _sigmoid,
                                  sig_conical_diagnostics)
 from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
-                        ref_sig_conical_diagnostics)
+                        ref_sig_ascent, ref_sig_conical_diagnostics)
 
 F = Fraction
 
@@ -589,10 +589,102 @@ class TestSigmoidBatch:
     @pytest.mark.parametrize("bad", [
         {"dimension": 0}, {"trials": 0}, {"iterations": -1},
         {"kappa": 0.0}, {"kappa": -1.0}, {"kappa": float("nan")},
-        {"kappa": float("inf")}])
+        {"kappa": float("inf")}, {"iterations": True},
+        {"iterations": 2.5}, {"iterations": "3"}])
     def test_diagnostics_arguments_validated(self, bad, monkeypatch):
         def no_work(*args):
             raise AssertionError("ran before validating its arguments")
         monkeypatch.setattr("embedsim.strategies._sig_ascent", no_work)
         with pytest.raises(ValueError):
             sig_conical_diagnostics(**bad)
+
+
+# Step counts around the powers of two where the cycle check moves its mark
+CYCLE_ITERATIONS = (0, 1, 2, 3, 63, 64, 65, 127, 128, 500, 3000, 3001)
+
+
+def _reference_checkpoints(vectors, starts, kappa):
+    """`ref_sig_ascent` at every count of CYCLE_ITERATIONS, one run chained
+    through the counts in order (the plain loop continues from any state)."""
+    states, e, done = {}, starts, 0
+    for iterations in CYCLE_ITERATIONS:
+        e = ref_sig_ascent(vectors, e, kappa, iterations - done)
+        states[iterations], done = e, iterations
+    return states
+
+
+def _table_batch(seed, monkeypatch):
+    """The (vectors, starts, kappa) batch `sig_conical_diagnostics` ascends."""
+    seen = []
+
+    def capture(vectors, starts, kappa, iterations):
+        seen.append((vectors, starts, kappa))
+        return starts
+    with monkeypatch.context() as m:
+        m.setattr("embedsim.strategies._sig_ascent", capture)
+        sig_conical_diagnostics(seed=seed)
+    (batch,) = seen
+    return batch
+
+
+def _count_gradients(monkeypatch):
+    calls = []
+    real = sig_gradient
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+    monkeypatch.setattr("embedsim.strategies.sig_gradient", counting)
+    return calls
+
+
+class TestSigmoidCycleStop:
+    """The ascent that stops at a repeated state against the full loop."""
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_table_batch_bit_identical(self, seed, monkeypatch):
+        vectors, starts, kappa = _table_batch(seed, monkeypatch)
+        assert vectors.shape == (15, 2, 4)
+        want = _reference_checkpoints(vectors, starts, kappa)
+        for iterations in CYCLE_ITERATIONS:
+            got = _sig_ascent(vectors, starts, kappa, iterations)
+            assert got.tobytes() == want[iterations].tobytes(), iterations
+
+    @pytest.mark.parametrize("dimension", range(1, 9))
+    def test_padded_random_batch_bit_identical(self, dimension):
+        rng = np.random.default_rng(7000 + dimension)
+        batch, rows = 6, 3
+        vectors = rng.standard_normal((batch, rows, dimension))
+        for b in range(batch):
+            vectors[b, rng.integers(1, rows + 1):] = 0.0  # zero-padded rows
+        starts = 0.1 * rng.standard_normal((batch, dimension))
+        kappa = float(rng.uniform(0.2, 2.0))
+        want = _reference_checkpoints(vectors, starts, kappa)
+        for iterations in CYCLE_ITERATIONS:
+            got = _sig_ascent(vectors, starts, kappa, iterations)
+            assert got.tobytes() == want[iterations].tobytes(), iterations
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_diagnostics_cost_follows_the_cycle(self, seed, monkeypatch):
+        calls = _count_gradients(monkeypatch)
+        sig_conical_diagnostics(seed=seed)
+        assert 0 < len(calls) <= 200
+
+    def test_billion_iterations_cost_the_same(self, monkeypatch):
+        calls = _count_gradients(monkeypatch)
+        diag = sig_conical_diagnostics(iterations=10**9)
+        assert 0 < len(calls) <= 200
+        assert diag["iterations"] == 10**9
+        json.dumps(diag, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [
+    {"iterations": -1}, {"iterations": True}, {"iterations": 2.5},
+    {"iterations": "3"}, {"kappa": 0.0}, {"kappa": -1.0},
+    {"kappa": float("nan")}, {"kappa": float("inf")}])
+def test_emb_sig_numeric_arguments_validated(bad, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("ran before validating its arguments")
+    monkeypatch.setattr("embedsim.strategies._sig_ascent", no_work)
+    with pytest.raises(ValueError):
+        emb_sig_numeric(make_embedding({"a": (1, 2)}), ("a",), **bad)

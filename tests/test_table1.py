@@ -6,6 +6,7 @@ import embedsim.table1 as table1
 from embedsim.strategies import sig_conical_diagnostics
 from embedsim.table1 import (MONOTONIC_DEMO_FIXTURES,
                              NONMONOTONIC_DEMO_FIXTURES, run_table1)
+from references import ref_sig_ascent
 
 NEG = ("not-simulable", "not-simulable")
 POS = ("simulable", "simulable")
@@ -85,3 +86,10 @@ def test_markdown_shape(report):
     lines = md.strip().splitlines()
     assert len(lines) == 12
     assert all(line.startswith("|") for line in lines)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_json_matches_full_step_ascent(seed, monkeypatch):
+    fast = run_table1(seed).to_json()
+    monkeypatch.setattr("embedsim.strategies._sig_ascent", ref_sig_ascent)
+    assert run_table1(seed).to_json() == fast
