@@ -63,9 +63,10 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .fixtures import fixture
+from .fixtures import FIXTURE_NAMES, fixture
 from .logic import (CapExceededError, KnowledgeBase, StratifiedKB, conjoin,
-                    entailment_table, entails, kb_digest, nm_consequence_rank)
+                    entailment_table, entails, kb_digest, nm_consequence_rank,
+                    nm_consequence_table)
 from .strategies import (AVG_DOT, AttributeEmbedding, StrategyId, frac_str,
                          parse_frac, strategy_from_name)
 from .verifier import subset_queries, verify_monotonic
@@ -662,9 +663,11 @@ def derive_pair_requirements(kb: KnowledgeBase, base: Sequence[str],
     """
     requirements = []
     facts = []
+    table, signature = entailment_table(kb), kb.signature
     for u, v in itertools.combinations(base, 2):
-        to_neg = entails(kb, (u, v), head_neg)
-        to_pos = entails(kb, (u, v), head_pos)
+        row = table[signature.mask((u, v))]
+        to_neg = bool(row & signature.bit(head_neg))
+        to_pos = bool(row & signature.bit(head_pos))
         if to_neg and not to_pos:
             requirements.append(PairRequirement((u, v), "negative"))
         elif to_pos and not to_neg:
@@ -881,7 +884,10 @@ def certify_strategy_failure(strategy: StrategyId | str,
     return build(strategy, fixture_name)
 
 
-def _encoded_queries(ev: dict) -> list[tuple[tuple[str, ...], str, bool]]:
+Fact = tuple[tuple[str, ...], str, bool]
+
+
+def _encoded_queries(ev: dict) -> list[Fact]:
     """The (subset, head, captured) facts a certificate's evidence rests on."""
     if "system" in ev:
         return [(tuple(q["subset"]), q["head"], q["captured"])
@@ -890,11 +896,16 @@ def _encoded_queries(ev: dict) -> list[tuple[tuple[str, ...], str, bool]]:
         return [(tuple(f["pair"]), h, f[f"entails_{h}"])
                 for f in ev["pair_facts"]
                 for h in ev["heads"]]
-    if ev["kind"] == "symmetry":
+    if ev["kind"] in ("symmetry", "order-argument"):
         cap, rej = ev["must_capture"], ev["must_reject"]
         return [(tuple(cap["subset"]), cap["head"], True),
                 (tuple(rej["subset"]), rej["head"], False)]
     return []
+
+
+def _one_stratum(kb: KnowledgeBase) -> StratifiedKB:
+    """The KB as a ranked KB whose one stratum conjoins its formulas."""
+    return StratifiedKB(kb.signature, (conjoin(kb.formulas),))
 
 
 def certify_nonmonotonic_failure(strategy: StrategyId | str,
@@ -912,7 +923,7 @@ def certify_nonmonotonic_failure(strategy: StrategyId | str,
         return certify_strategy_failure(strategy, fixture_name)
     base = certify_strategy_failure(strategy, fixture_name)
     kb = fixture(base.fixture)
-    theta = StratifiedKB(kb.signature, (conjoin(kb.formulas),))
+    theta = _one_stratum(kb)
     checked = 0
     for subset, head, captured in _encoded_queries(base.evidence):
         if nm_consequence_rank(theta, subset, head) != captured:
@@ -972,13 +983,24 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
 # ------------------------------------------------------------------
 
 def reverify_certificate(cert: Certificate | dict) -> bool:
-    """Replay a certificate's evidence; True when it checks out exactly."""
+    """Replay a certificate's evidence; True when it checks out exactly.
+
+    A certificate that names a fixture is replayed against that fixture:
+    every fact it encodes is asked again, and its linear system or its
+    pair requirements are rebuilt from the fixture and compared exactly,
+    before the evidence itself is checked.  A generic certificate
+    (`decide_avg_dot`, no fixture) is checked on its own evidence only.
+    """
     doc = cert.to_dict() if isinstance(cert, Certificate) else cert
     return _reverify_evidence(doc["evidence"], doc.get("fixture"))
 
 
 def _reverify_evidence(ev: dict, fixture_name: str | None) -> bool:
     kind = ev["kind"]
+    if kind == "stratified-reduction":
+        return _reverify_reduction(ev, fixture_name)
+    if fixture_name is not None and not _bound_to_fixture(ev, fixture_name):
+        return False
     if kind == "farkas":
         system = LinearSystem.from_dict(ev["system"])
         mult = [parse_frac(y) for y in ev["multipliers"]]
@@ -993,20 +1015,67 @@ def _reverify_evidence(ev: dict, fixture_name: str | None) -> bool:
         return (not outcome.consistent
                 and outcome.total == ev["outcome"]["total"]
                 and len(outcome.refutations) == ev["outcome"]["refuted"])
-    if kind == "symmetry":
-        kb = fixture(fixture_name)
-        cap = ev["must_capture"]
-        rej = ev["must_reject"]
-        return (entails(kb, tuple(cap["subset"]), cap["head"])
-                and not entails(kb, tuple(rej["subset"]), rej["head"]))
-    if kind == "order-argument":
-        theta = fixture(fixture_name)
-        cap = ev["must_capture"]
-        rej = ev["must_reject"]
-        return (nm_consequence_rank(theta, tuple(cap["subset"]), cap["head"])
-                and not nm_consequence_rank(theta, tuple(rej["subset"]),
-                                            rej["head"]))
-    if kind == "stratified-reduction":
-        wrapped = ev["wrapped"]
-        return _reverify_evidence(wrapped["evidence"], wrapped.get("fixture"))
+    if kind in ("symmetry", "order-argument"):
+        # the argument rests on its two facts alone, re-asked above
+        return fixture_name is not None
     raise ValueError(f"unknown evidence kind {kind!r}")
+
+
+def _facts_hold(kb: KnowledgeBase | StratifiedKB, facts: list[Fact]) -> bool:
+    """Each fact is over the KB's atoms and its `captured` is the KB's
+    answer: entailment for a plain KB, ranked-default consequence (over
+    non-empty antecedents) for a stratified one, read from the KB's
+    table as `entails` and `nm_consequence_rank` read it."""
+    signature = kb.signature
+    atoms = set(signature.atoms)
+    stratified = isinstance(kb, StratifiedKB)
+    table = nm_consequence_table(kb) if stratified else entailment_table(kb)
+    return all(head in atoms and atoms.issuperset(subset)
+               and (subset or not stratified)
+               and bool(table[signature.mask(subset)]
+                        & signature.bit(head)) == captured
+               for subset, head, captured in facts)
+
+
+def _bound_to_fixture(ev: dict, fixture_name: str) -> bool:
+    """The evidence is re-derived from the named fixture: its facts, and
+    its linear system or pair requirements."""
+    if fixture_name not in FIXTURE_NAMES:
+        return False
+    kb = fixture(fixture_name)
+    facts = _encoded_queries(ev)
+    if not _facts_hold(kb, facts):
+        return False
+    plain = isinstance(kb, KnowledgeBase)
+    if "system" in ev:
+        build = (build_avg_dist_relaxation if ev.get("relaxation")
+                 else build_avg_dot_system)
+        queries = [(subset, head) for subset, head, _ in facts]
+        return plain and build(kb, queries=queries).to_dict() == ev["system"]
+    if ev["kind"] == "closure":
+        base, heads = ev["requirement"]["base"], ev["heads"]
+        if not plain or not set(kb.signature.atoms).issuperset(base + heads):
+            return False
+        requirement, pair_facts = derive_pair_requirements(kb, base, *heads)
+        return (requirement.to_dict() == ev["requirement"]
+                and pair_facts == ev["pair_facts"])
+    return True
+
+
+def _reverify_reduction(ev: dict, fixture_name: str | None) -> bool:
+    """A stratified reduction names the fixture its wrapped certificate
+    names, its digest is that of the fixture's one-stratum wrapper, and
+    the wrapper agrees with the fixture on every wrapped fact."""
+    wrapped = ev["wrapped"]
+    name = wrapped.get("fixture")
+    if name is None or name != fixture_name or name not in FIXTURE_NAMES:
+        return False
+    kb = fixture(name)
+    if not isinstance(kb, KnowledgeBase):
+        return False
+    theta = _one_stratum(kb)
+    facts = _encoded_queries(wrapped["evidence"])
+    return (ev["stratified_digest"] == kb_digest(theta)
+            and ev["coincidence_checked"] == len(facts)
+            and _facts_hold(theta, facts)
+            and _reverify_evidence(wrapped["evidence"], name))

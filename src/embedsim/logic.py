@@ -48,11 +48,11 @@ if TYPE_CHECKING:
 DEFAULT_MODEL_CAP = 20
 
 # Budget on a parsed formula's depth: the parentheses, `!` and binary
-# connectives along any root-to-leaf path.  Parsing takes up to six
-# Python frames per level (a parenthesis passes through every precedence
-# level), and printing, hashing, comparing and evaluating one frame per
-# level, so 100 levels stay well inside the default recursion limit of
-# 1000 with room for the caller's own frames.
+# connectives along any root-to-leaf path.  Parsing takes up to three
+# Python frames per level (a parenthesis passes through `unary`,
+# `_operand` and `binary`), and printing, hashing, comparing and
+# evaluating one frame per level, so 100 levels stay well inside the
+# default recursion limit of 1000 with room for the caller's own frames.
 MAX_FORMULA_DEPTH = 100
 
 
@@ -138,9 +138,15 @@ def conjoin(formulas: Iterable[Formula]) -> Formula:
     return TOP if result is None else result
 
 
-# Pretty-printing precedence levels; parentheses are emitted only when
-# a child binds looser than its context requires.
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6, Const: 6}
+# The binary connectives, the one statement of the grammar's precedence
+# and associativity: token -> (node, precedence, right-associative).
+# `!` binds tighter than all of them.  The parser climbs this table and
+# the printer reads it inverted.
+_BINARY = {"<->": (Iff, 1, False), "->": (Implies, 2, True),
+           "|": (Or, 3, False), "&": (And, 4, False)}
+_SYMBOL = {node: (token, prec, right)
+           for token, (node, prec, right) in _BINARY.items()}
+_NOT_PREC = 5
 
 
 def format_formula(formula: Formula) -> str:
@@ -149,22 +155,18 @@ def format_formula(formula: Formula) -> str:
 
 
 def _fmt(f: Formula, context: int) -> str:
-    prec = _PREC[type(f)]
+    """`f` bracketed when it binds looser than its `context`; no context
+    binds tighter than `!`, so only binary connectives are bracketed."""
     if isinstance(f, Var):
-        s = f.name
-    elif isinstance(f, Const):
-        s = "TRUE" if f.value else "FALSE"
-    elif isinstance(f, Not):
-        s = "!" + _fmt(f.sub, prec)
-    elif isinstance(f, And):
-        s = f"{_fmt(f.left, prec)} & {_fmt(f.right, prec + 1)}"
-    elif isinstance(f, Or):
-        s = f"{_fmt(f.left, prec)} | {_fmt(f.right, prec + 1)}"
-    elif isinstance(f, Implies):
-        # right-associative: the right child may repeat at equal level
-        s = f"{_fmt(f.left, prec + 1)} -> {_fmt(f.right, prec)}"
-    else:
-        s = f"{_fmt(f.left, prec)} <-> {_fmt(f.right, prec + 1)}"
+        return f.name
+    if isinstance(f, Const):
+        return "TRUE" if f.value else "FALSE"
+    if isinstance(f, Not):
+        return "!" + _fmt(f.sub, _NOT_PREC)
+    token, prec, right_assoc = _SYMBOL[type(f)]
+    # the child on the associative side may repeat the connective unbracketed
+    lctx, rctx = (prec + 1, prec) if right_assoc else (prec, prec + 1)
+    s = f"{_fmt(f.left, lctx)} {token} {_fmt(f.right, rctx)}"
     return f"({s})" if prec < context else s
 
 
@@ -242,19 +244,23 @@ def kb_digest(kb: KnowledgeBase | StratifiedKB) -> str:
 #
 # Line-oriented source:  one `atoms:` header, then `rule:` / `formula:`
 # lines (plain KB) or ordered `stratum:` lines (stratified KB).
-# Connectives ! & | -> <->, constants TRUE/FALSE, parentheses.
-# Precedence ! > & > | > -> (right-assoc) > <-> ; & | <-> left-assoc.
+# Connectives ! & | -> <->, constants TRUE/FALSE, parentheses; `!`
+# binds tightest, and `_BINARY` gives the binary connectives' precedence
+# and associativity.
 # A formula may nest at most MAX_FORMULA_DEPTH levels deep.
 # ------------------------------------------------------------------
 
 _LINE_RE = re.compile(r"^\s*(atoms|rule|formula|stratum)\s*:\s*(.*)$")
-_ATOM_RE = re.compile(r"[A-Za-z0-9_:]+")
-_RESERVED = {"TRUE", "FALSE"}
+# One match per token: punctuation, a word (an atom name or a constant),
+# or any other non-blank character, which is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<punct><->|->|[!&|()])|(?P<word>[A-Za-z0-9_:]+)|[^ \t]")
+_CONSTANTS = {"TRUE": TOP, "FALSE": BOTTOM}
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # 'atom' 'true' 'false' '!' '&' '|' '->' '<->' '(' ')' 'end'
+    kind: str  # 'atom' 'TRUE' 'FALSE' '!' '&' '|' '->' '<->' '(' ')' 'end'
     text: str
     line: int
     column: int
@@ -262,40 +268,19 @@ class _Token:
 
 def _tokenize(payload: str, line_no: int, offset: int) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(payload):
-        ch = payload[i]
-        col = offset + i + 1
-        if ch in " \t":
-            i += 1
-            continue
-        if payload.startswith("<->", i):
-            tokens.append(_Token("<->", "<->", line_no, col))
-            i += 3
-        elif payload.startswith("->", i):
-            tokens.append(_Token("->", "->", line_no, col))
-            i += 2
-        elif ch in "!&|()":
-            tokens.append(_Token(ch, ch, line_no, col))
-            i += 1
-        else:
-            m = _ATOM_RE.match(payload, i)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}", line_no, col)
-            word = m.group(0)
-            if word == "TRUE":
-                tokens.append(_Token("true", word, line_no, col))
-            elif word == "FALSE":
-                tokens.append(_Token("false", word, line_no, col))
-            else:
-                tokens.append(_Token("atom", word, line_no, col))
-            i = m.end()
+    for m in _TOKEN_RE.finditer(payload):
+        text, col = m.group(), offset + m.start() + 1
+        if m.lastgroup is None:
+            raise ParseError(f"unexpected character {text!r}", line_no, col)
+        kind = ("atom" if m.lastgroup == "word" and text not in _CONSTANTS
+                else text)
+        tokens.append(_Token(kind, text, line_no, col))
     tokens.append(_Token("end", "", line_no, offset + len(payload) + 1))
     return tokens
 
 
 class _FormulaParser:
-    """Recursive-descent parser over a token list.
+    """Precedence-climbing parser over a token list (`_BINARY`).
 
     Each method returns the parsed formula with its depth, so a formula
     deeper than `MAX_FORMULA_DEPTH` is refused at the token where it
@@ -323,12 +308,12 @@ class _FormulaParser:
             f"formula nests deeper than {MAX_FORMULA_DEPTH} levels",
             tok.line, tok.column)
 
-    def _operand(self, tok: _Token, parse) -> tuple[Formula, int]:
+    def _operand(self, tok: _Token, parse, *args) -> tuple[Formula, int]:
         """Parse an operand of the connective or parenthesis at `tok`."""
         self.open += 1
         if self.open > MAX_FORMULA_DEPTH:
             raise self._too_deep(tok)
-        result = parse()
+        result = parse(*args)
         self.open -= 1
         return result
 
@@ -340,42 +325,25 @@ class _FormulaParser:
         return depth
 
     def parse(self) -> Formula:
-        f, _ = self.iff()
+        f, _ = self.binary(1)
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
         return f
 
-    def iff(self) -> tuple[Formula, int]:
-        f, d = self.implies()
-        while self.peek().kind == "<->":
-            tok = self.take()
-            g, e = self._operand(tok, self.implies)
-            f, d = Iff(f, g), self._depth(tok, d, e)
-        return f, d
+    def binary(self, lowest: int) -> tuple[Formula, int]:
+        """Operands joined by connectives of precedence `lowest` or more.
 
-    def implies(self) -> tuple[Formula, int]:
-        f, d = self.disj()
-        if self.peek().kind == "->":
-            tok = self.take()
-            g, e = self._operand(tok, self.implies)
-            return Implies(f, g), self._depth(tok, d, e)
-        return f, d
-
-    def disj(self) -> tuple[Formula, int]:
-        f, d = self.conj()
-        while self.peek().kind == "|":
-            tok = self.take()
-            g, e = self._operand(tok, self.conj)
-            f, d = Or(f, g), self._depth(tok, d, e)
-        return f, d
-
-    def conj(self) -> tuple[Formula, int]:
+        A right operand takes only tighter connectives, so this loop nests
+        repeats to the left, unless the connective is right-associative.
+        """
         f, d = self.unary()
-        while self.peek().kind == "&":
+        while (op := _BINARY.get(self.peek().kind)) and op[1] >= lowest:
+            node, prec, right_assoc = op
             tok = self.take()
-            g, e = self._operand(tok, self.unary)
-            f, d = And(f, g), self._depth(tok, d, e)
+            g, e = self._operand(tok, self.binary,
+                                 prec if right_assoc else prec + 1)
+            f, d = node(f, g), self._depth(tok, d, e)
         return f, d
 
     def unary(self) -> tuple[Formula, int]:
@@ -384,15 +352,13 @@ class _FormulaParser:
             f, d = self._operand(tok, self.unary)
             return Not(f), self._depth(tok, d)
         if tok.kind == "(":
-            f, d = self._operand(tok, self.iff)
+            f, d = self._operand(tok, self.binary, 1)
             closing = self.take()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.line, closing.column)
             return f, self._depth(tok, d)
-        if tok.kind == "true":
-            return TOP, 0
-        if tok.kind == "false":
-            return BOTTOM, 0
+        if tok.kind in _CONSTANTS:
+            return _CONSTANTS[tok.kind], 0
         if tok.kind == "atom":
             if tok.text not in self.declared:
                 raise UndeclaredAtomError(
@@ -415,7 +381,6 @@ def parse_kb(text: str) -> KnowledgeBase | StratifiedKB:
     signature: Signature | None = None
     formulas: list[Formula] = []
     strata: list[Formula] = []
-    plain_lines = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -437,7 +402,7 @@ def parse_kb(text: str) -> KnowledgeBase | StratifiedKB:
                 if tok.kind == "end":
                     break
                 if tok.kind != "atom":
-                    if tok.text in _RESERVED:
+                    if tok.kind in _CONSTANTS:
                         raise ParseError(
                             f"{tok.text} is reserved and cannot name an atom",
                             tok.line, tok.column)
@@ -462,8 +427,7 @@ def parse_kb(text: str) -> KnowledgeBase | StratifiedKB:
             strata.append(formula)
         else:
             formulas.append(formula)
-            plain_lines += 1
-        if strata and plain_lines:
+        if strata and formulas:
             raise ParseError(
                 "cannot mix stratum: with rule:/formula: lines", line_no, 1)
 
@@ -505,7 +469,7 @@ def truth_set(formula: Formula, signature: Signature) -> int:
     interpretation omega.  Each syntax-tree node costs one big-int
     operation over all 2^n interpretations at once.
     """
-    n = _check_cap(signature, DEFAULT_MODEL_CAP)
+    n = _check_cap(signature)
     return _truth(formula, signature, *_universe(n))
 
 
@@ -540,12 +504,12 @@ def _bit_array(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(packed, count=size, bitorder="little").view(bool)
 
 
-def _check_cap(signature: Signature, cap: int) -> int:
-    """Atom count of the signature; raises when 2^n exceeds the cap's budget."""
+def _check_cap(signature: Signature) -> int:
+    """Atom count of the signature; raises above `DEFAULT_MODEL_CAP` atoms."""
     n = len(signature)
-    if n > cap:
-        raise CapExceededError(
-            f"signature has {n} atoms, enumeration cap is {cap}")
+    if n > DEFAULT_MODEL_CAP:
+        raise CapExceededError(f"signature has {n} atoms, enumeration cap "
+                               f"is {DEFAULT_MODEL_CAP}")
     return n
 
 
@@ -560,7 +524,7 @@ def _model_set(kb: KnowledgeBase) -> int:
 
 def count_models(kb: KnowledgeBase) -> int:
     """Number of models of the KB, without listing them."""
-    _check_cap(kb.signature, DEFAULT_MODEL_CAP)
+    _check_cap(kb.signature)
     return _model_set(kb).bit_count()
 
 
@@ -582,7 +546,7 @@ def entailment_table(kb: KnowledgeBase) -> np.ndarray:
     # of the rest of the package, raised the peak memory of a fresh
     # process by 1 MB when sources are compiled on import
     import numpy as np
-    n = _check_cap(kb.signature, DEFAULT_MODEL_CAP)
+    n = _check_cap(kb.signature)
     table = np.where(_bit_array(_model_set(kb), n),
                      np.arange(1 << n, dtype=np.int64), (1 << n) - 1)
     for i in range(n):
@@ -624,7 +588,7 @@ def counter_models(kb: KnowledgeBase) -> tuple[int, ...]:
     Per head, the models lacking b less those strictly below one of them
     (`_strictly_below`): O(n^2) big-int operations over 2^n bits in all.
     """
-    n = _check_cap(kb.signature, DEFAULT_MODEL_CAP)
+    n = _check_cap(kb.signature)
     atoms = _universe(n)[1]
     models = _model_set(kb)
     needed = 0
@@ -671,7 +635,7 @@ def rank_table(theta: StratifiedKB) -> np.ndarray:
     `_rank_at_least` puts it in.
     """
     import numpy as np  # on first use, as in `entailment_table`
-    n = _check_cap(theta.signature, DEFAULT_MODEL_CAP)
+    n = _check_cap(theta.signature)
     rank = np.zeros(1 << n, dtype=np.int64)
     for at_least in _rank_at_least(theta)[1:]:
         rank += _bit_array(at_least, n)
@@ -697,7 +661,7 @@ def ranked_counter_models(theta: StratifiedKB) -> tuple[int, ...]:
     Per head and level, `_strictly_below` over the sets of
     `_rank_at_least`: O(n^2) big-int operations over 2^n bits per level.
     """
-    n = _check_cap(theta.signature, DEFAULT_MODEL_CAP)
+    n = _check_cap(theta.signature)
     atoms = _universe(n)[1]
     at_least = _rank_at_least(theta) + (0,)
     kept = 1 << ((1 << n) - 1)

@@ -39,8 +39,8 @@ from .logic import entails  # noqa: F401
 from .logic import (KnowledgeBase, Signature, StratifiedKB, entailment_table,
                     kb_digest, nm_consequence_table)
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
-                         OrdLabeller, StrategyId, emb_had, emb_ord,
-                         exact_rule, lab_dot, scale)
+                         DotLabeller, OrdLabeller, StrategyId, emb_had,
+                         emb_ord, exact_rule, scale)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -255,20 +255,20 @@ def check_tied_hadamard_symmetry(embedding: AttributeEmbedding) -> PropertyRepor
         raise ValueError(
             f"tied Hadamard symmetry check requires zero thresholds, "
             f"got non-zero for: {', '.join(bad)}")
-    violations = []
-    checked = 0
-    trace = None
+    atoms = embedding.atoms
     scaled = scale(embedding)
-    for a in embedding.atoms:
-        e_a = emb_had(scaled, (a,))
-        for b in embedding.atoms:
-            checked += 1
-            fwd = lab_dot(scaled, e_a, b, tied=True)
-            bwd = lab_dot(scaled, emb_had(scaled, (b,)), a, tied=True)
-            if fwd != bwd:
-                violations.append({"a": a, "b": b, "a_labels_b": fwd,
-                                   "b_labels_a": bwd})
-            if trace is None:
-                trace = {"a": a, "b": b, "a_labels_b": fwd, "b_labels_a": bwd}
-    return PropertyReport("tied-hadamard-symmetry", not violations,
-                          checked, violations, trace)
+    labels = DotLabeller(scaled, atoms, tied=True).labels
+    # row i: the heads labelled from {atoms[i]}, bit j for atoms[j]; the
+    # labels are symmetric when this matrix equals its transpose
+    rows = [labels(emb_had(scaled, (a,))) for a in atoms]
+
+    def pair(i: int, j: int) -> dict:
+        return {"a": atoms[i], "b": atoms[j],
+                "a_labels_b": bool(rows[i] >> j & 1),
+                "b_labels_a": bool(rows[j] >> i & 1)}
+
+    n = len(atoms)
+    violations = [pair(i, j) for i in range(n) for j in range(n)
+                  if (rows[i] >> j ^ rows[j] >> i) & 1]
+    return PropertyReport("tied-hadamard-symmetry", not violations, n * n,
+                          violations, pair(0, 0) if n else None)

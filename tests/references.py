@@ -18,7 +18,18 @@ recipes 4-5 (`ref_construct_*_nm`) with one per interpretation.
 
 `ref_check_ord_monotonicity` is the product-order monotonicity check as
 it stood before it compared masks: Python sets, and a containment test
-on every ordered pair of subsets.
+on every ordered pair of subsets.  `ref_check_tied_hadamard_symmetry`
+is the tied Hadamard symmetry check as it stood before it bound one
+labeller: two singleton poolings and two single-head labellers per
+ordered pair of atoms.
+
+`ref_parse_kb`, `ref_tokenize`, `RefFormulaParser` and
+`ref_format_formula` are the KB front end as it stood before one
+connective table drove both directions: a character-by-character
+tokenizer, one recursive-descent method per precedence level
+(`iff`, `implies`, `disj`, `conj`, `unary`) and a printer with one
+branch per connective.  They must give the library's ASTs, its errors
+(class, message, line and column) and its canonical text.
 
 `ref_emb_sig_numeric` and `ref_sig_conical_diagnostics` are the sigmoid
 demonstrator as it stood before the library stepped all problems as one
@@ -28,6 +39,8 @@ the first repeated state: every one of the `iterations` steps taken.
 It must return the same bytes as `_sig_ascent`.
 """
 
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -37,13 +50,15 @@ from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
                                 LinearSystem, _normalize_multipliers,
                                 verify_farkas)
 from embedsim.constructors import ConstructionResult, _delta
-from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB,
-                            rank_table, truth_set)
+from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And, Const,
+                            DuplicateAtomError, Iff, Implies, KnowledgeBase,
+                            Not, Or, ParseError, Signature, StratifiedKB,
+                            UndeclaredAtomError, Var, rank_table, truth_set)
 from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  AttributeEmbedding, DimensionMismatchError,
                                  OrdLabeller, angular_error, cone_residual,
-                                 emb_ord, frac_str, scale, sig_gradient,
-                                 sig_objective)
+                                 emb_had, emb_ord, frac_str, lab_dot, scale,
+                                 sig_gradient, sig_objective)
 from embedsim.verifier import PropertyReport, default_cap, nonempty_subsets
 
 
@@ -461,6 +476,31 @@ def ref_check_ord_monotonicity(embedding, cap=None) -> PropertyReport:
                           checked, violations, trace)
 
 
+def ref_check_tied_hadamard_symmetry(embedding) -> PropertyReport:
+    bad = [a for a in embedding.atoms if embedding.lam[a] != 0]
+    if bad:
+        raise ValueError(
+            f"tied Hadamard symmetry check requires zero thresholds, "
+            f"got non-zero for: {', '.join(bad)}")
+    violations = []
+    checked = 0
+    trace = None
+    scaled = scale(embedding)
+    for a in embedding.atoms:
+        e_a = emb_had(scaled, (a,))
+        for b in embedding.atoms:
+            checked += 1
+            fwd = lab_dot(scaled, e_a, b, tied=True)
+            bwd = lab_dot(scaled, emb_had(scaled, (b,)), a, tied=True)
+            if fwd != bwd:
+                violations.append({"a": a, "b": b, "a_labels_b": fwd,
+                                   "b_labels_a": bwd})
+            if trace is None:
+                trace = {"a": a, "b": b, "a_labels_b": fwd, "b_labels_a": bwd}
+    return PropertyReport("tied-hadamard-symmetry", not violations,
+                          checked, violations, trace)
+
+
 # ------------------------------------------------------------------
 # Per-problem reference for the sigmoid demonstrator
 # ------------------------------------------------------------------
@@ -528,3 +568,245 @@ def ref_sig_conical_diagnostics(dimension=4, trials=5, kappa=1.0,
         })
     return {"kappa": kappa, "iterations": iterations, "seed": seed,
             "trials": rows}
+
+
+# ------------------------------------------------------------------
+# KB parser and printer with one method per precedence level
+# ------------------------------------------------------------------
+
+_REF_LINE_RE = re.compile(r"^\s*(atoms|rule|formula|stratum)\s*:\s*(.*)$")
+_REF_ATOM_RE = re.compile(r"[A-Za-z0-9_:]+")
+_REF_RESERVED = {"TRUE", "FALSE"}
+_REF_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5, Var: 6, Const: 6}
+
+
+def ref_format_formula(formula) -> str:
+    return _ref_fmt(formula, 0)
+
+
+def _ref_fmt(f, context: int) -> str:
+    prec = _REF_PREC[type(f)]
+    if isinstance(f, Var):
+        s = f.name
+    elif isinstance(f, Const):
+        s = "TRUE" if f.value else "FALSE"
+    elif isinstance(f, Not):
+        s = "!" + _ref_fmt(f.sub, prec)
+    elif isinstance(f, And):
+        s = f"{_ref_fmt(f.left, prec)} & {_ref_fmt(f.right, prec + 1)}"
+    elif isinstance(f, Or):
+        s = f"{_ref_fmt(f.left, prec)} | {_ref_fmt(f.right, prec + 1)}"
+    elif isinstance(f, Implies):
+        s = f"{_ref_fmt(f.left, prec + 1)} -> {_ref_fmt(f.right, prec)}"
+    else:
+        s = f"{_ref_fmt(f.left, prec)} <-> {_ref_fmt(f.right, prec + 1)}"
+    return f"({s})" if prec < context else s
+
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str  # 'atom' 'true' 'false' '!' '&' '|' '->' '<->' '(' ')' 'end'
+    text: str
+    line: int
+    column: int
+
+
+def ref_tokenize(payload: str, line_no: int, offset: int) -> list[_RefToken]:
+    tokens = []
+    i = 0
+    while i < len(payload):
+        ch = payload[i]
+        col = offset + i + 1
+        if ch in " \t":
+            i += 1
+            continue
+        if payload.startswith("<->", i):
+            tokens.append(_RefToken("<->", "<->", line_no, col))
+            i += 3
+        elif payload.startswith("->", i):
+            tokens.append(_RefToken("->", "->", line_no, col))
+            i += 2
+        elif ch in "!&|()":
+            tokens.append(_RefToken(ch, ch, line_no, col))
+            i += 1
+        else:
+            m = _REF_ATOM_RE.match(payload, i)
+            if not m:
+                raise ParseError(f"unexpected character {ch!r}", line_no, col)
+            word = m.group(0)
+            if word == "TRUE":
+                tokens.append(_RefToken("true", word, line_no, col))
+            elif word == "FALSE":
+                tokens.append(_RefToken("false", word, line_no, col))
+            else:
+                tokens.append(_RefToken("atom", word, line_no, col))
+            i = m.end()
+    tokens.append(_RefToken("end", "", line_no, offset + len(payload) + 1))
+    return tokens
+
+
+class RefFormulaParser:
+    """Recursive descent, one method per precedence level, with the
+    library's depth budget counted at the same tokens."""
+
+    def __init__(self, tokens, declared):
+        self.tokens = tokens
+        self.pos = 0
+        self.declared = declared
+        self.open = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def _too_deep(self, tok):
+        return ParseError(
+            f"formula nests deeper than {MAX_FORMULA_DEPTH} levels",
+            tok.line, tok.column)
+
+    def _operand(self, tok, parse):
+        self.open += 1
+        if self.open > MAX_FORMULA_DEPTH:
+            raise self._too_deep(tok)
+        result = parse()
+        self.open -= 1
+        return result
+
+    def _depth(self, tok, *children):
+        depth = 1 + max(children)
+        if self.open + depth > MAX_FORMULA_DEPTH:
+            raise self._too_deep(tok)
+        return depth
+
+    def parse(self):
+        f, _ = self.iff()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.column)
+        return f
+
+    def iff(self):
+        f, d = self.implies()
+        while self.peek().kind == "<->":
+            tok = self.take()
+            g, e = self._operand(tok, self.implies)
+            f, d = Iff(f, g), self._depth(tok, d, e)
+        return f, d
+
+    def implies(self):
+        f, d = self.disj()
+        if self.peek().kind == "->":
+            tok = self.take()
+            g, e = self._operand(tok, self.implies)
+            return Implies(f, g), self._depth(tok, d, e)
+        return f, d
+
+    def disj(self):
+        f, d = self.conj()
+        while self.peek().kind == "|":
+            tok = self.take()
+            g, e = self._operand(tok, self.conj)
+            f, d = Or(f, g), self._depth(tok, d, e)
+        return f, d
+
+    def conj(self):
+        f, d = self.unary()
+        while self.peek().kind == "&":
+            tok = self.take()
+            g, e = self._operand(tok, self.unary)
+            f, d = And(f, g), self._depth(tok, d, e)
+        return f, d
+
+    def unary(self):
+        tok = self.take()
+        if tok.kind == "!":
+            f, d = self._operand(tok, self.unary)
+            return Not(f), self._depth(tok, d)
+        if tok.kind == "(":
+            f, d = self._operand(tok, self.iff)
+            closing = self.take()
+            if closing.kind != ")":
+                raise ParseError("expected ')'", closing.line, closing.column)
+            return f, self._depth(tok, d)
+        if tok.kind == "true":
+            return TOP, 0
+        if tok.kind == "false":
+            return BOTTOM, 0
+        if tok.kind == "atom":
+            if tok.text not in self.declared:
+                raise UndeclaredAtomError(
+                    f"undeclared atom {tok.text!r}", tok.line, tok.column
+                )
+            return Var(tok.text), 0
+        raise ParseError(
+            f"expected formula, found {tok.text or 'end of line'!r}",
+            tok.line,
+            tok.column,
+        )
+
+
+def ref_parse_kb(text: str):
+    signature = None
+    formulas = []
+    strata = []
+    plain_lines = 0
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        m = _REF_LINE_RE.match(line)
+        if not m:
+            col = len(line) - len(line.lstrip()) + 1
+            raise ParseError("expected 'atoms:', 'rule:', 'formula:' or "
+                             "'stratum:' line", line_no, col)
+        keyword, payload = m.group(1), m.group(2)
+        payload_offset = m.start(2)
+
+        if keyword == "atoms":
+            if signature is not None:
+                raise ParseError("duplicate atoms: header", line_no, 1)
+            names = []
+            for tok in ref_tokenize(payload, line_no, payload_offset):
+                if tok.kind == "end":
+                    break
+                if tok.kind != "atom":
+                    if tok.text in _REF_RESERVED:
+                        raise ParseError(
+                            f"{tok.text} is reserved and cannot name an atom",
+                            tok.line, tok.column)
+                    raise ParseError(
+                        f"bad atom name {tok.text!r}", tok.line, tok.column)
+                if tok.text in names:
+                    raise DuplicateAtomError(
+                        f"duplicate atom {tok.text!r}", tok.line, tok.column)
+                names.append(tok.text)
+            if not names:
+                raise ParseError("empty atoms: header", line_no, 1)
+            signature = Signature(tuple(names))
+            continue
+
+        if signature is None:
+            raise ParseError("atoms: header must come first", line_no, 1)
+        parser = RefFormulaParser(
+            ref_tokenize(payload, line_no, payload_offset), set(signature.atoms)
+        )
+        formula = parser.parse()
+        if keyword == "stratum":
+            strata.append(formula)
+        else:
+            formulas.append(formula)
+            plain_lines += 1
+        if strata and plain_lines:
+            raise ParseError(
+                "cannot mix stratum: with rule:/formula: lines", line_no, 1)
+
+    if signature is None:
+        raise ParseError("missing atoms: header", 1, 1)
+    if strata:
+        return StratifiedKB(signature, tuple(strata))
+    return KnowledgeBase(signature, tuple(formulas))

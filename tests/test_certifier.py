@@ -27,7 +27,8 @@ from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
 from embedsim.fixtures import fixture
 from embedsim.logic import (CapExceededError, KnowledgeBase, Signature,
                             parse_kb)
-from embedsim.strategies import AVG_DOT
+from embedsim.strategies import AVG_DOT, frac_str, parse_frac
+from embedsim.table1 import run_table1
 from embedsim.verifier import subset_queries, verify_monotonic
 from oracles import tt_entails
 from references import dense_lp_feasible, ref_verify_witness
@@ -181,7 +182,8 @@ class TestBuildersReadTheKB:
 
     def test_rational_farkas_certificate_replays(self):
         # CE1's first reject row scaled by 1/3 carries the multiplier 3
-        # where the integer row carries 1
+        # where the integer row carries 1; as a generic certificate it
+        # replays, but not bound to CE1, whose rebuilt row is the integer one
         system = build_avg_dot_system(fixture("CE1"), queries=_ce1_queries())
         assert lp_feasible(system).farkas.multipliers == (1, 1, 1, 1)
         row = system.constraints[2]
@@ -198,12 +200,14 @@ class TestBuildersReadTheKB:
         assert evidence["system"]["constraints"][2]["rhs"] == "-2/3"
         assert verify_farkas(system, [F(1), F(1), F(3), F(1)]) == 4
         assert reverify_certificate(Certificate(
+            "avg-dot", None, "monotonic", "not-simulable", evidence, []))
+        assert not reverify_certificate(Certificate(
             "avg-dot", "CE1", "monotonic", "not-simulable", evidence, []))
         with pytest.raises(ValueError, match="does not cancel"):
             verify_farkas(system, [F(1)] * 4)
         evidence["multipliers"][2] = "1/1"
         with pytest.raises(ValueError, match="does not cancel"):
-            reverify_certificate({"evidence": evidence, "fixture": "CE1"})
+            reverify_certificate({"evidence": evidence, "fixture": None})
 
 
 def planted_feasible_systems():
@@ -743,6 +747,125 @@ class TestCertificates:
                            {"kind": "mystery"}, [])
         with pytest.raises(ValueError):
             reverify_certificate(cert)
+
+
+def _doc(cert: Certificate) -> dict:
+    """A certificate as its JSON document, a fresh copy to tamper with."""
+    return json.loads(json.dumps(cert.to_dict()))
+
+
+def _flip_captured(doc: dict) -> dict:
+    for q in doc["evidence"]["system"]["queries"]:
+        q["captured"] = not q["captured"]
+    return doc
+
+
+def _flip_pair_facts(doc: dict) -> dict:
+    for f in doc["evidence"]["pair_facts"]:
+        for key in f:
+            if key.startswith("entails_"):
+                f[key] = not f[key]
+    return doc
+
+
+def _scale_first_row(doc: dict) -> dict:
+    # a positive multiple of a row, with its multiplier divided to match:
+    # still a valid Farkas combination, but not the fixture's system
+    ev = doc["evidence"]
+    row = ev["system"]["constraints"][0]
+    row["coeffs"] = [frac_str(2 * parse_frac(c)) for c in row["coeffs"]]
+    row["rhs"] = frac_str(2 * parse_frac(row["rhs"]))
+    ev["multipliers"][0] = frac_str(parse_frac(ev["multipliers"][0]) / 2)
+    return doc
+
+
+def _flip_first_side(doc: dict) -> dict:
+    req = doc["evidence"]["requirement"]["requirements"][0]
+    req["side"] = "positive" if req["side"] == "negative" else "negative"
+    return doc
+
+
+def _swap_order_facts(doc: dict) -> dict:
+    ev = doc["evidence"]
+    ev["must_capture"], ev["must_reject"] = ev["must_reject"], ev["must_capture"]
+    return doc
+
+
+def _zero_digest(doc: dict, wrapped_fixture: str | None = None) -> dict:
+    ev = doc["evidence"]
+    ev["stratified_digest"] = "0" * 64
+    if wrapped_fixture is not None:
+        ev["wrapped"]["fixture"] = wrapped_fixture
+    return doc
+
+
+def _relabel(doc: dict, name: str) -> dict:
+    doc["fixture"] = name
+    return doc
+
+
+def _monotonic(strategy, fixture_name=None):
+    return lambda: certify_strategy_failure(strategy, fixture_name)
+
+
+def _nonmonotonic(strategy):
+    return lambda: certify_nonmonotonic_failure(strategy)
+
+
+# (certificate, tampering): each tampered certificate must fail replay
+TAMPERED = {
+    "farkas-relabelled-flags-flipped": (
+        _monotonic("avg-dot"),
+        lambda d: _flip_captured(_relabel(d, "MOTHER"))),
+    "farkas-flags-flipped": (_monotonic("avg-dot"), _flip_captured),
+    "farkas-row-scaled": (_monotonic("avg-dot"), _scale_first_row),
+    "relaxation-relabelled": (_monotonic("avg-dist"),
+                              lambda d: _relabel(d, "CE1")),
+    "closure-relabelled-facts-flipped": (
+        _monotonic("norm-dot"),
+        lambda d: _flip_pair_facts(_relabel(d, "CE1"))),
+    "closure-side-flipped": (_monotonic("sig-dot"), _flip_first_side),
+    "reduction-digest-zeroed-wrapped-mother": (
+        _nonmonotonic("avg-dist"), lambda d: _zero_digest(d, "MOTHER")),
+    "reduction-digest-zeroed": (_nonmonotonic("norm-dist"), _zero_digest),
+    "reduction-count-changed": (
+        _nonmonotonic("had-dot-tied"),
+        lambda d: {**d, "evidence": {**d["evidence"],
+                                     "coincidence_checked": 3}}),
+    "symmetry-relabelled-ce4": (_monotonic("had-dot-tied", "MOTHER"),
+                                lambda d: _relabel(d, "CE4")),
+    "symmetry-relabelled-stratified": (_monotonic("had-dot-tied", "CE4"),
+                                       lambda d: _relabel(d, "ORD-NM")),
+    "order-facts-swapped": (_monotonic("ord-ord"), _swap_order_facts),
+    "order-unknown-fixture": (_monotonic("ord-ord"),
+                              lambda d: _relabel(d, "NOPE")),
+    "farkas-unknown-fixture": (_monotonic("avg-dot"),
+                               lambda d: _relabel(d, "NOPE")),
+}
+
+
+class TestTamperedCertificates:
+    @pytest.mark.parametrize("name", sorted(TAMPERED))
+    def test_tampered_certificate_fails_replay(self, name):
+        certify, tamper = TAMPERED[name]
+        doc = _doc(certify())
+        assert reverify_certificate(doc)
+        assert reverify_certificate(tamper(doc)) is False
+
+    def test_every_table1_certificate_replays(self):
+        doc = json.loads(run_table1(0).to_json())
+        replayed = 0
+        for row in doc["rows"]:
+            for cell in (row["monotonic"], row["non_monotonic"]):
+                for ev in cell["evidence"]:
+                    if "report" not in ev:
+                        assert reverify_certificate(ev)
+                        replayed += 1
+        assert replayed == 15
+
+    def test_fixture_free_symmetry_fails_replay(self):
+        doc = _doc(certify_strategy_failure("had-dot-tied"))
+        assert reverify_certificate(_relabel(doc, None)) is False
 
 
 class TestGenericDecision:

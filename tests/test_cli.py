@@ -267,10 +267,15 @@ class TestVerify:
         {"dimension": 1, "atoms": [{"name": "a", "context": [True]}]},
         {"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
                                     "lambda": 0.5}]},
+        # a string or an object would iterate as its characters or keys
+        {"dimension": 2, "atoms": [{"name": "a", "context": "12"}]},
+        {"dimension": 2, "atoms": [{"name": "a", "context": ["1", "2"],
+                                    "output": {"1": 0, "2": 0}}]},
     ], ids=["atoms-not-a-list", "not-an-object", "context-not-a-list",
             "zero-denominator", "dimension-not-an-integer",
             "dimension-boolean", "duplicate-atom", "float-coordinate",
-            "boolean-coordinate", "float-lambda"])
+            "boolean-coordinate", "float-lambda", "vector-a-string",
+            "vector-an-object"])
     def test_malformed_embedding_exit_two(self, capsys, ce1_file, tmp_path,
                                           doc):
         emb = tmp_path / "emb.json"

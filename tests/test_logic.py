@@ -19,12 +19,25 @@ from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And,
 from embedsim.fixtures import fixture
 from oracles import (mask_names, scan_counter_models, tt_entails, tt_evaluate,
                      tt_models, tt_mu, tt_nm_def, tt_nm_rank)
-from references import ref_models
+from references import ref_format_formula, ref_models, ref_parse_kb
 
 
 # ------------------------------------------------------------------
 # Parsing
 # ------------------------------------------------------------------
+
+# formula text nesting k levels deep, one shape per way of nesting
+DEPTH_SHAPES = {
+    "not": lambda k: "!" * k + "a",
+    "paren": lambda k: "(" * k + "a" + ")" * k,
+    "and": lambda k: " & ".join(["a"] * (k + 1)),
+    "or": lambda k: " | ".join(["a"] * (k + 1)),
+    "iff": lambda k: " <-> ".join(["a"] * (k + 1)),
+    "implies": lambda k: " -> ".join(["a"] * (k + 1)),
+    "paren-and": lambda k: "(" * (k - 1) + "a & a" + ")" * (k - 1),
+    "and-of-parens": lambda k: " & ".join(["(a)"] * k),
+}
+
 
 class TestParser:
     def test_basic_rule_file(self):
@@ -124,17 +137,8 @@ class TestParser:
             parse_kb(f"atoms: a\nformula: {payload}\n")
         assert (err.value.line, err.value.column) == (2, column)
 
-    @pytest.mark.parametrize("shape", [
-        lambda k: "!" * k + "a",
-        lambda k: "(" * k + "a" + ")" * k,
-        lambda k: " & ".join(["a"] * (k + 1)),
-        lambda k: " | ".join(["a"] * (k + 1)),
-        lambda k: " <-> ".join(["a"] * (k + 1)),
-        lambda k: " -> ".join(["a"] * (k + 1)),
-        lambda k: "(" * (k - 1) + "a & a" + ")" * (k - 1),
-        lambda k: " & ".join(["(a)"] * k),
-    ], ids=["not", "paren", "and", "or", "iff", "implies", "paren-and",
-            "and-of-parens"])
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES.values(),
+                             ids=DEPTH_SHAPES.keys())
     def test_depth_budget_is_exact(self, shape):
         # depth counts parentheses, `!` and binary connectives on a path
         def source(depth):
@@ -157,6 +161,64 @@ class TestParser:
             return
         assert isinstance(kb, (KnowledgeBase, StratifiedKB))
         assert parse_kb(kb_to_source(kb)) == kb
+
+
+def _parsed(parse, text):
+    """The parse result, or the error's class, message and position."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return type(err), str(err), err.line, err.column
+
+
+# tokens, near-tokens and stray characters for formula lines
+_SOUP = ["a", "b", "c", "TRUE", "FALSE", "TRUEa", "!", "&", "|", "->", "<->",
+         "(", ")", "<", "-", ">", "<-", " ", "\t", "$", "\xa0", "a:b", "#"]
+
+
+class TestParserMatchesReference:
+    """The table-driven tokenizer, parser and printer against the
+    per-level ones of `tests/references.py`: equal ASTs, or equal error
+    class, message, line and column."""
+
+    @settings(max_examples=400)
+    @given(st.text(
+        alphabet="abc: \n\t#!&|<->()TRUEFALSEatomsrulformstr_0$\xa0\r",
+        max_size=120))
+    def test_junk_text(self, text):
+        assert _parsed(parse_kb, text) == _parsed(ref_parse_kb, text)
+
+    def test_token_soup_lines(self):
+        rng = random.Random(2027)
+        for _ in range(3000):
+            payload = "".join(rng.choices(_SOUP, k=rng.randint(0, 14)))
+            keyword = rng.choice(["formula", "rule", "stratum", "atoms"])
+            text = f"atoms: a b c\n{keyword}: {payload}\n"
+            assert _parsed(parse_kb, text) == _parsed(ref_parse_kb, text)
+
+    @settings(max_examples=300)
+    @given(st.lists(formulas_over(4), min_size=1, max_size=3))
+    def test_printed_formulas(self, formulas):
+        kb = KnowledgeBase(Signature(("p0", "p1", "p2", "p3")),
+                           tuple(formulas))
+        assert [format_formula(f) for f in formulas] \
+            == [ref_format_formula(f) for f in formulas]
+        source = kb_to_source(kb)
+        assert parse_kb(source) == ref_parse_kb(source) == kb
+
+    @pytest.mark.parametrize("probe", sorted(DEEP_FORMULA_PROBES))
+    def test_deep_probes(self, probe):
+        text = f"atoms: a\nformula: {DEEP_FORMULA_PROBES[probe][0]}\n"
+        assert _parsed(parse_kb, text) == _parsed(ref_parse_kb, text)
+
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES.values(),
+                             ids=DEPTH_SHAPES.keys())
+    @pytest.mark.parametrize("depth", [MAX_FORMULA_DEPTH - 1,
+                                       MAX_FORMULA_DEPTH,
+                                       MAX_FORMULA_DEPTH + 1])
+    def test_depth_shapes(self, shape, depth):
+        text = f"atoms: a\nformula: {shape(depth)}\n"
+        assert _parsed(parse_kb, text) == _parsed(ref_parse_kb, text)
 
 
 # ------------------------------------------------------------------

@@ -31,7 +31,9 @@ def test_default_run_prints_finite_json():
 
 @pytest.mark.parametrize("argv", [("--trials", "0"), ("--dimension", "0"),
                                   ("--kappa", "0"), ("--iterations", "-1"),
-                                  ("--kappa", "nan"), ("--kappa", "inf")])
+                                  ("--kappa", "nan"), ("--kappa", "inf"),
+                                  ("--dimension", "1001"),
+                                  ("--trials", "1001")])
 def test_bad_argument_exits_two_with_one_line(argv):
     done = run_demo(*argv)
     assert done.returncode == 2

@@ -590,7 +590,9 @@ class TestSigmoidBatch:
         {"dimension": 0}, {"trials": 0}, {"iterations": -1},
         {"kappa": 0.0}, {"kappa": -1.0}, {"kappa": float("nan")},
         {"kappa": float("inf")}, {"iterations": True},
-        {"iterations": 2.5}, {"iterations": "3"}])
+        {"iterations": 2.5}, {"iterations": "3"},
+        # past the size budget: refused before anything is allocated
+        {"dimension": 1001}, {"trials": 1001}, {"dimension": 100000}])
     def test_diagnostics_arguments_validated(self, bad, monkeypatch):
         def no_work(*args):
             raise AssertionError("ran before validating its arguments")
