@@ -23,7 +23,7 @@ from .strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                          strategy_from_name)
 from .table1 import Table1Report, run_table1
 from .verifier import (PropertyReport, VerificationReport,
-                       check_ord_monotonicity, check_tied_hadamard_symmetry,
-                       verify_monotonic, verify_nonmonotonic)
+                       check_ord_monotonicity, verify_monotonic,
+                       verify_nonmonotonic)
 
 __version__ = "0.1.0"

@@ -63,10 +63,9 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .fixtures import FIXTURE_NAMES, fixture
+from .fixtures import fixture
 from .logic import (CapExceededError, KnowledgeBase, StratifiedKB, conjoin,
-                    entailment_table, entails, kb_digest, nm_consequence_rank,
-                    nm_consequence_table)
+                    entailment_table, kb_digest, nm_consequence_table)
 from .strategies import (AVG_DOT, AttributeEmbedding, StrategyId, frac_str,
                          parse_frac, strategy_from_name)
 from .verifier import subset_queries, verify_monotonic
@@ -604,12 +603,6 @@ class ConicalRequirement:
         return {"base": list(self.base),
                 "requirements": [r.to_dict() for r in self.requirements]}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ConicalRequirement":
-        return cls(tuple(doc["base"]),
-                   tuple(PairRequirement(tuple(r["pair"]), r["side"])
-                         for r in doc["requirements"]))
-
 
 @dataclass
 class ClosureOutcome:
@@ -758,8 +751,21 @@ def _lp_certificate(strategy: StrategyId, fixture_name: str,
                        _lp_evidence(system, outcome, relaxation), [])
 
 
+def _consequence(kb: KnowledgeBase | StratifiedKB
+                 ) -> Callable[[Sequence[str], str], bool]:
+    """The KB's answer to (subset, head), read from its table fetched once:
+    entailment for a plain KB, ranked-default consequence for a ranked
+    one, as `entails` and `nm_consequence_rank` read them."""
+    table = (nm_consequence_table(kb) if isinstance(kb, StratifiedKB)
+             else entailment_table(kb))
+    signature = kb.signature
+    return lambda subset, head: bool(table[signature.mask(subset)]
+                                     & signature.bit(head))
+
+
 def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
     kb = fixture(fixture_name)
+    follows = _consequence(kb)
     base = ("a", "b", "c", "d")
     heads = ("x", "y")
     requirement, pair_facts = derive_pair_requirements(kb, base, *heads)
@@ -767,7 +773,7 @@ def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate
     if outcome.consistent:
         raise AssertionError("closure search unexpectedly found an assignment")
     threshold_facts = [
-        {"head": h, "follows_from_empty_antecedent": entails(kb, (), h)}
+        {"head": h, "follows_from_empty_antecedent": follows((), h)}
         for h in heads
     ]
     assumptions = [ZERO_POOL_LEMMA, CONICAL_LEMMA]
@@ -777,9 +783,9 @@ def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate
             z = f"z_{u}{v}"
             z_facts.append({
                 "auxiliary_head": z,
-                f"entails_from_{u}": entails(kb, (u,), z),
-                f"entails_from_{v}": entails(kb, (v,), z),
-                "follows_from_empty_antecedent": entails(kb, (), z),
+                f"entails_from_{u}": follows((u,), z),
+                f"entails_from_{v}": follows((v,), z),
+                "follows_from_empty_antecedent": follows((), z),
             })
         assumptions = [ZERO_POOL_LEMMA, SINGLETON_RAY_LEMMA, ANGLE_LEMMA,
                        CONICAL_LEMMA]
@@ -806,14 +812,11 @@ def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate
 
 def _symmetry_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
     kb = fixture(fixture_name)
-    found = None
-    for u in kb.signature.atoms:
-        for w in kb.signature.atoms:
-            if u != w and entails(kb, (u,), w) and not entails(kb, (w,), u):
-                found = (u, w)
-                break
-        if found:
-            break
+    follows = _consequence(kb)
+    atoms = kb.signature.atoms
+    found = next(((u, w) for u in atoms for w in atoms
+                  if u != w and follows((u,), w) and not follows((w,), u)),
+                 None)
     if found is None:
         raise ValueError(
             f"fixture {fixture_name} has no one-way singleton entailment")
@@ -832,10 +835,8 @@ def _symmetry_certificate(strategy: StrategyId, fixture_name: str) -> Certificat
 
 
 def _order_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
-    theta = fixture(fixture_name)
-    cap_fact = nm_consequence_rank(theta, ("a",), "x")
-    rej_fact = nm_consequence_rank(theta, ("a", "b"), "x")
-    if not cap_fact or rej_fact:
+    follows = _consequence(fixture(fixture_name))
+    if not follows(("a",), "x") or follows(("a", "b"), "x"):
         raise AssertionError("order fixture facts changed")
     evidence = {
         "kind": "order-argument",
@@ -868,6 +869,11 @@ _CERTIFIERS: dict[str, tuple[tuple[str, ...],
 }
 
 
+# every evidence kind a certificate can carry
+_EVIDENCE_KINDS = ("farkas", "witness", "closure", "symmetry", "order-argument",
+                   "stratified-reduction")
+
+
 def certify_strategy_failure(strategy: StrategyId | str,
                              fixture_name: str | None = None) -> Certificate:
     """Certificate that the strategy cannot simulate the named fixture."""
@@ -896,7 +902,7 @@ def _encoded_queries(ev: dict) -> list[Fact]:
         return [(tuple(f["pair"]), h, f[f"entails_{h}"])
                 for f in ev["pair_facts"]
                 for h in ev["heads"]]
-    if ev["kind"] in ("symmetry", "order-argument"):
+    if ev["kind"] == "symmetry":
         cap, rej = ev["must_capture"], ev["must_reject"]
         return [(tuple(cap["subset"]), cap["head"], True),
                 (tuple(rej["subset"]), rej["head"], False)]
@@ -924,9 +930,10 @@ def certify_nonmonotonic_failure(strategy: StrategyId | str,
     base = certify_strategy_failure(strategy, fixture_name)
     kb = fixture(base.fixture)
     theta = _one_stratum(kb)
+    follows = _consequence(theta)
     checked = 0
     for subset, head, captured in _encoded_queries(base.evidence):
-        if nm_consequence_rank(theta, subset, head) != captured:
+        if follows(subset, head) != captured:
             raise AssertionError(
                 "single-stratum wrapper changes the verdict on "
                 f"{'&'.join(subset)} -> {head}")
@@ -983,24 +990,34 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
 # ------------------------------------------------------------------
 
 def reverify_certificate(cert: Certificate | dict) -> bool:
-    """Replay a certificate's evidence; True when it checks out exactly.
+    """Replay a certificate; True when it checks out exactly.
 
-    A certificate that names a fixture is replayed against that fixture:
-    every fact it encodes is asked again, and its linear system or its
-    pair requirements are rebuilt from the fixture and compared exactly,
-    before the evidence itself is checked.  A generic certificate
-    (`decide_avg_dot`, no fixture) is checked on its own evidence only.
+    A certificate that names a fixture replays exactly when rebuilding
+    it from that fixture (`certify_nonmonotonic_failure` in
+    non-monotonic mode, `certify_strategy_failure` otherwise) gives the
+    same document: facts, systems, multipliers, requirements,
+    refutations, digests, assumptions and verdict are all derived again
+    and compared, and the rebuild checks its own Farkas combination,
+    witness or closure search exactly.  A fixture the strategy has no
+    certificate for fails.  A generic certificate (`decide_avg_dot`, no
+    fixture) is checked on its own Farkas or witness evidence; any other
+    evidence without a fixture fails.
     """
     doc = cert.to_dict() if isinstance(cert, Certificate) else cert
-    return _reverify_evidence(doc["evidence"], doc.get("fixture"))
-
-
-def _reverify_evidence(ev: dict, fixture_name: str | None) -> bool:
+    ev = doc["evidence"]
     kind = ev["kind"]
-    if kind == "stratified-reduction":
-        return _reverify_reduction(ev, fixture_name)
-    if fixture_name is not None and not _bound_to_fixture(ev, fixture_name):
-        return False
+    if kind not in _EVIDENCE_KINDS:
+        raise ValueError(f"unknown evidence kind {kind!r}")
+    fixture_name = doc.get("fixture")
+    if fixture_name is not None:
+        strategy = doc.get("strategy")
+        fixtures, _ = _CERTIFIERS.get(strategy, ((), None))
+        if fixture_name not in fixtures:
+            return False
+        certify = (certify_nonmonotonic_failure
+                   if doc.get("mode") == "non-monotonic"
+                   else certify_strategy_failure)
+        return certify(strategy, fixture_name).to_dict() == doc
     if kind == "farkas":
         system = LinearSystem.from_dict(ev["system"])
         mult = [parse_frac(y) for y in ev["multipliers"]]
@@ -1009,73 +1026,4 @@ def _reverify_evidence(ev: dict, fixture_name: str | None) -> bool:
         system = LinearSystem.from_dict(ev["system"])
         witness = {k: parse_frac(v) for k, v in ev["assignment"].items()}
         return verify_witness(system, witness)
-    if kind == "closure":
-        requirement = ConicalRequirement.from_dict(ev["requirement"])
-        outcome = conical_closure_certify(requirement)
-        return (not outcome.consistent
-                and outcome.total == ev["outcome"]["total"]
-                and len(outcome.refutations) == ev["outcome"]["refuted"])
-    if kind in ("symmetry", "order-argument"):
-        # the argument rests on its two facts alone, re-asked above
-        return fixture_name is not None
-    raise ValueError(f"unknown evidence kind {kind!r}")
-
-
-def _facts_hold(kb: KnowledgeBase | StratifiedKB, facts: list[Fact]) -> bool:
-    """Each fact is over the KB's atoms and its `captured` is the KB's
-    answer: entailment for a plain KB, ranked-default consequence (over
-    non-empty antecedents) for a stratified one, read from the KB's
-    table as `entails` and `nm_consequence_rank` read it."""
-    signature = kb.signature
-    atoms = set(signature.atoms)
-    stratified = isinstance(kb, StratifiedKB)
-    table = nm_consequence_table(kb) if stratified else entailment_table(kb)
-    return all(head in atoms and atoms.issuperset(subset)
-               and (subset or not stratified)
-               and bool(table[signature.mask(subset)]
-                        & signature.bit(head)) == captured
-               for subset, head, captured in facts)
-
-
-def _bound_to_fixture(ev: dict, fixture_name: str) -> bool:
-    """The evidence is re-derived from the named fixture: its facts, and
-    its linear system or pair requirements."""
-    if fixture_name not in FIXTURE_NAMES:
-        return False
-    kb = fixture(fixture_name)
-    facts = _encoded_queries(ev)
-    if not _facts_hold(kb, facts):
-        return False
-    plain = isinstance(kb, KnowledgeBase)
-    if "system" in ev:
-        build = (build_avg_dist_relaxation if ev.get("relaxation")
-                 else build_avg_dot_system)
-        queries = [(subset, head) for subset, head, _ in facts]
-        return plain and build(kb, queries=queries).to_dict() == ev["system"]
-    if ev["kind"] == "closure":
-        base, heads = ev["requirement"]["base"], ev["heads"]
-        if not plain or not set(kb.signature.atoms).issuperset(base + heads):
-            return False
-        requirement, pair_facts = derive_pair_requirements(kb, base, *heads)
-        return (requirement.to_dict() == ev["requirement"]
-                and pair_facts == ev["pair_facts"])
-    return True
-
-
-def _reverify_reduction(ev: dict, fixture_name: str | None) -> bool:
-    """A stratified reduction names the fixture its wrapped certificate
-    names, its digest is that of the fixture's one-stratum wrapper, and
-    the wrapper agrees with the fixture on every wrapped fact."""
-    wrapped = ev["wrapped"]
-    name = wrapped.get("fixture")
-    if name is None or name != fixture_name or name not in FIXTURE_NAMES:
-        return False
-    kb = fixture(name)
-    if not isinstance(kb, KnowledgeBase):
-        return False
-    theta = _one_stratum(kb)
-    facts = _encoded_queries(wrapped["evidence"])
-    return (ev["stratified_digest"] == kb_digest(theta)
-            and ev["coincidence_checked"] == len(facts)
-            and _facts_hold(theta, facts)
-            and _reverify_evidence(wrapped["evidence"], name))
+    return False

@@ -39,8 +39,7 @@ from .logic import entails  # noqa: F401
 from .logic import (KnowledgeBase, Signature, StratifiedKB, entailment_table,
                     kb_digest, nm_consequence_table)
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
-                         DotLabeller, OrdLabeller, StrategyId, emb_had,
-                         emb_ord, exact_rule, scale)
+                         OrdLabeller, StrategyId, emb_ord, exact_rule, scale)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -240,35 +239,3 @@ def check_ord_monotonicity(embedding: AttributeEmbedding,
 
 def _names(atoms: tuple[str, ...], mask: int) -> list[str]:
     return [a for i, a in enumerate(atoms) if mask >> i & 1]
-
-
-def check_tied_hadamard_symmetry(embedding: AttributeEmbedding) -> PropertyReport:
-    """Singleton labelling under tied Hadamard+dot is symmetric.
-
-    With tied vectors and zero thresholds, pooling a singleton {a} gives
-    the vector a itself, and a . b = b . a, so b is labelled from {a}
-    exactly when a is labelled from {b}.  The check requires zero
-    thresholds, the form in which the tied variant is defined.
-    """
-    bad = [a for a in embedding.atoms if embedding.lam[a] != 0]
-    if bad:
-        raise ValueError(
-            f"tied Hadamard symmetry check requires zero thresholds, "
-            f"got non-zero for: {', '.join(bad)}")
-    atoms = embedding.atoms
-    scaled = scale(embedding)
-    labels = DotLabeller(scaled, atoms, tied=True).labels
-    # row i: the heads labelled from {atoms[i]}, bit j for atoms[j]; the
-    # labels are symmetric when this matrix equals its transpose
-    rows = [labels(emb_had(scaled, (a,))) for a in atoms]
-
-    def pair(i: int, j: int) -> dict:
-        return {"a": atoms[i], "b": atoms[j],
-                "a_labels_b": bool(rows[i] >> j & 1),
-                "b_labels_a": bool(rows[j] >> i & 1)}
-
-    n = len(atoms)
-    violations = [pair(i, j) for i in range(n) for j in range(n)
-                  if (rows[i] >> j ^ rows[j] >> i) & 1]
-    return PropertyReport("tied-hadamard-symmetry", not violations, n * n,
-                          violations, pair(0, 0) if n else None)

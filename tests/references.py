@@ -18,10 +18,7 @@ recipes 4-5 (`ref_construct_*_nm`) with one per interpretation.
 
 `ref_check_ord_monotonicity` is the product-order monotonicity check as
 it stood before it compared masks: Python sets, and a containment test
-on every ordered pair of subsets.  `ref_check_tied_hadamard_symmetry`
-is the tied Hadamard symmetry check as it stood before it bound one
-labeller: two singleton poolings and two single-head labellers per
-ordered pair of atoms.
+on every ordered pair of subsets.
 
 `ref_parse_kb`, `ref_tokenize`, `RefFormulaParser` and
 `ref_format_formula` are the KB front end as it stood before one
@@ -57,8 +54,8 @@ from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And, Const,
 from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  AttributeEmbedding, DimensionMismatchError,
                                  OrdLabeller, angular_error, cone_residual,
-                                 emb_had, emb_ord, frac_str, lab_dot, scale,
-                                 sig_gradient, sig_objective)
+                                 emb_ord, frac_str, scale, sig_gradient,
+                                 sig_objective)
 from embedsim.verifier import PropertyReport, default_cap, nonempty_subsets
 
 
@@ -473,31 +470,6 @@ def ref_check_ord_monotonicity(embedding, cap=None) -> PropertyReport:
                          "labels_subset": list(labels[small]),
                          "labels_superset": list(labels[big])}
     return PropertyReport("ord-label-monotonicity", not violations,
-                          checked, violations, trace)
-
-
-def ref_check_tied_hadamard_symmetry(embedding) -> PropertyReport:
-    bad = [a for a in embedding.atoms if embedding.lam[a] != 0]
-    if bad:
-        raise ValueError(
-            f"tied Hadamard symmetry check requires zero thresholds, "
-            f"got non-zero for: {', '.join(bad)}")
-    violations = []
-    checked = 0
-    trace = None
-    scaled = scale(embedding)
-    for a in embedding.atoms:
-        e_a = emb_had(scaled, (a,))
-        for b in embedding.atoms:
-            checked += 1
-            fwd = lab_dot(scaled, e_a, b, tied=True)
-            bwd = lab_dot(scaled, emb_had(scaled, (b,)), a, tied=True)
-            if fwd != bwd:
-                violations.append({"a": a, "b": b, "a_labels_b": fwd,
-                                   "b_labels_a": bwd})
-            if trace is None:
-                trace = {"a": a, "b": b, "a_labels_b": fwd, "b_labels_a": bwd}
-    return PropertyReport("tied-hadamard-symmetry", not violations,
                           checked, violations, trace)
 
 

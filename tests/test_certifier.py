@@ -785,6 +785,15 @@ def _flip_first_side(doc: dict) -> dict:
     return doc
 
 
+def _flip_flags(doc: dict, key: str) -> dict:
+    # every boolean of every entry of evidence[key]
+    for f in doc["evidence"][key]:
+        for name, value in f.items():
+            if isinstance(value, bool):
+                f[name] = not value
+    return doc
+
+
 def _swap_order_facts(doc: dict) -> dict:
     ev = doc["evidence"]
     ev["must_capture"], ev["must_reject"] = ev["must_reject"], ev["must_capture"]
@@ -825,6 +834,17 @@ TAMPERED = {
         _monotonic("norm-dot"),
         lambda d: _flip_pair_facts(_relabel(d, "CE1"))),
     "closure-side-flipped": (_monotonic("sig-dot"), _flip_first_side),
+    "closure-threshold-facts-flipped": (
+        _monotonic("norm-dot"), lambda d: _flip_flags(d, "threshold_facts")),
+    "closure-auxiliary-facts-flipped": (
+        _monotonic("sig-dot"),
+        lambda d: _flip_flags(d, "auxiliary_head_facts")),
+    "closure-refutations-truncated": (
+        _monotonic("norm-dot"),
+        lambda d: {**d, "evidence": {**d["evidence"], "refutations":
+                                     d["evidence"]["refutations"][:1]}}),
+    "assumptions-emptied": (_monotonic("norm-dist"),
+                            lambda d: {**d, "assumptions": []}),
     "reduction-digest-zeroed-wrapped-mother": (
         _nonmonotonic("avg-dist"), lambda d: _zero_digest(d, "MOTHER")),
     "reduction-digest-zeroed": (_nonmonotonic("norm-dist"), _zero_digest),
@@ -844,6 +864,29 @@ TAMPERED = {
 }
 
 
+def _bool_paths(node, path=()):
+    """The path to every boolean in a JSON document."""
+    if isinstance(node, bool):
+        yield path
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _bool_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _bool_paths(value, path + (i,))
+
+
+def _flip_at(doc: dict, path: tuple) -> dict:
+    """A copy of the document with the boolean at `path` negated."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = not node[last]
+    return doc
+
+
 class TestTamperedCertificates:
     @pytest.mark.parametrize("name", sorted(TAMPERED))
     def test_tampered_certificate_fails_replay(self, name):
@@ -851,6 +894,21 @@ class TestTamperedCertificates:
         doc = _doc(certify())
         assert reverify_certificate(doc)
         assert reverify_certificate(tamper(doc)) is False
+
+    def test_every_flipped_boolean_fails_replay(self):
+        # every strategy, every fixture it lists, both modes
+        flipped = 0
+        for certify in (certify_strategy_failure,
+                        certify_nonmonotonic_failure):
+            for strategy, (names, _) in certifier._CERTIFIERS.items():
+                for name in names:
+                    doc = _doc(certify(strategy, name))
+                    assert reverify_certificate(doc)
+                    for path in _bool_paths(doc):
+                        assert reverify_certificate(
+                            _flip_at(doc, path)) is False, (strategy, path)
+                        flipped += 1
+        assert flipped == 220
 
     def test_every_table1_certificate_replays(self):
         doc = json.loads(run_table1(0).to_json())

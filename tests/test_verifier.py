@@ -19,15 +19,13 @@ from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
                                  emb_norm, emb_ord, lab_dist, lab_dist_on_norm,
                                  lab_dot, lab_dot_on_norm, lab_ord, lab_relu,
                                  strategy_accepts)
-from embedsim.verifier import (check_ord_monotonicity,
-                               check_tied_hadamard_symmetry, nonempty_subsets,
+from embedsim.verifier import (check_ord_monotonicity, nonempty_subsets,
                                subset_queries, verify_monotonic,
                                verify_nonmonotonic)
 from oracles import (mask_filter_subsets, syntax_nodes, tt_assignments,
                      tt_entails, tt_mu, tt_nm_rank)
 import references
-from references import (ref_check_ord_monotonicity,
-                        ref_check_tied_hadamard_symmetry)
+from references import ref_check_ord_monotonicity
 
 F = Fraction
 
@@ -350,53 +348,6 @@ class TestOrdMonotonicity:
 
 
 class TestTiedHadamardSymmetry:
-    def test_symmetry_holds_for_any_tied_embedding(self):
-        rng = random.Random(127)
-        for _ in range(30):
-            emb = random_embedding(rng, ("a", "b", "c"), tied=True)
-            emb.lam = {k: F(0) for k in emb.lam}
-            report = check_tied_hadamard_symmetry(emb)
-            assert report.holds
-
-    def test_nonzero_threshold_rejected(self):
-        emb = random_embedding(random.Random(131), ("a", "b"), tied=True)
-        emb.lam["a"] = F(1)
-        with pytest.raises(ValueError):
-            check_tied_hadamard_symmetry(emb)
-
-    def test_matches_reference(self):
-        rng = random.Random(139)
-        for n in range(7):
-            for _ in range(5):
-                atoms = tuple(f"p{i}" for i in range(n))
-                emb = random_embedding(rng, atoms, tied=True)
-                emb.lam = {k: F(0) for k in emb.lam}
-                assert check_tied_hadamard_symmetry(emb) \
-                    == ref_check_tied_hadamard_symmetry(emb)
-
-    def test_matches_reference_on_violations(self, monkeypatch):
-        # pooling {b} or {d} to its negation makes the labels asymmetric,
-        # so the violations' order and the trace are compared too
-        real = strategies.emb_had
-
-        def skewed(emb, atoms):
-            vec, den = real(emb, atoms)
-            if atoms[0] in ("b", "d"):
-                vec = tuple(-x for x in vec)
-            return vec, den
-
-        monkeypatch.setattr(verifier, "emb_had", skewed)
-        monkeypatch.setattr(references, "emb_had", skewed)
-        rng = random.Random(149)
-        seen = 0
-        for _ in range(20):
-            emb = random_embedding(rng, ("a", "b", "c", "d", "e"), tied=True)
-            emb.lam = {k: F(0) for k in emb.lam}
-            want = ref_check_tied_hadamard_symmetry(emb)
-            seen += len(want.violations)
-            assert check_tied_hadamard_symmetry(emb) == want
-        assert seen > 0
-
     def test_consequence_one_way_rule_never_simulated(self):
         kb = parse_kb("atoms: a b\nrule: a -> b\n")
         rng = random.Random(137)
