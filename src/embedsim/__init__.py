@@ -12,18 +12,15 @@ from .constructors import (ConstructionResult, construct, construct_avg_relu,
                            construct_had_dot_nm, construct_ord)
 from .fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, fixture
 from .logic import (CapExceededError, Formula, KBError, KnowledgeBase,
-                    ParseError, Signature, StratifiedKB, entailment_table,
-                    entails, format_formula, kb_digest, nm_consequence_rank,
+                    ParseError, Signature, StratifiedKB, consequence_table,
+                    entailment_table, entails, format_formula, kb_digest,
                     nm_consequence_table, parse_kb)
 from .strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                          ScaledEmbedding, StrategyId, emb_avg, emb_had,
                          emb_norm, emb_ord, emb_sig_numeric, exact_rule,
-                         lab_dist, lab_dot, lab_dot_on_norm, lab_ord,
-                         lab_relu, scale, strategy_accepts,
-                         strategy_from_name)
+                         scale, strategy_from_name)
 from .table1 import Table1Report, run_table1
-from .verifier import (PropertyReport, VerificationReport,
-                       check_ord_monotonicity, verify_monotonic,
+from .verifier import (VerificationReport, verify_monotonic,
                        verify_nonmonotonic)
 
 __version__ = "0.1.0"

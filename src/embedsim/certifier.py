@@ -57,6 +57,7 @@ integers.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -65,7 +66,7 @@ from typing import Callable, Iterable, Sequence
 
 from .fixtures import fixture
 from .logic import (CapExceededError, KnowledgeBase, StratifiedKB, conjoin,
-                    entailment_table, kb_digest, nm_consequence_table)
+                    consequence_table, entailment_table, kb_digest)
 from .strategies import (AVG_DOT, AttributeEmbedding, StrategyId, frac_str,
                          parse_frac, strategy_from_name)
 from .verifier import subset_queries, verify_monotonic
@@ -751,29 +752,19 @@ def _lp_certificate(strategy: StrategyId, fixture_name: str,
                        _lp_evidence(system, outcome, relaxation), [])
 
 
-def _consequence(kb: KnowledgeBase | StratifiedKB
-                 ) -> Callable[[Sequence[str], str], bool]:
-    """The KB's answer to (subset, head), read from its table fetched once:
-    entailment for a plain KB, ranked-default consequence for a ranked
-    one, as `entails` and `nm_consequence_rank` read them."""
-    table = (nm_consequence_table(kb) if isinstance(kb, StratifiedKB)
-             else entailment_table(kb))
-    signature = kb.signature
-    return lambda subset, head: bool(table[signature.mask(subset)]
-                                     & signature.bit(head))
-
-
 def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
     kb = fixture(fixture_name)
-    follows = _consequence(kb)
+    table, sig = consequence_table(kb), kb.signature
     base = ("a", "b", "c", "d")
     heads = ("x", "y")
     requirement, pair_facts = derive_pair_requirements(kb, base, *heads)
     outcome = conical_closure_certify(requirement)
     if outcome.consistent:
         raise AssertionError("closure search unexpectedly found an assignment")
+    # entry 0 of the table answers the empty antecedent
     threshold_facts = [
-        {"head": h, "follows_from_empty_antecedent": follows((), h)}
+        {"head": h,
+         "follows_from_empty_antecedent": bool(table[0] & sig.bit(h))}
         for h in heads
     ]
     assumptions = [ZERO_POOL_LEMMA, CONICAL_LEMMA]
@@ -781,11 +772,12 @@ def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate
         z_facts = []
         for u, v in itertools.combinations(base, 2):
             z = f"z_{u}{v}"
+            zbit = sig.bit(z)
             z_facts.append({
                 "auxiliary_head": z,
-                f"entails_from_{u}": follows((u,), z),
-                f"entails_from_{v}": follows((v,), z),
-                "follows_from_empty_antecedent": follows((), z),
+                f"entails_from_{u}": bool(table[sig.bit(u)] & zbit),
+                f"entails_from_{v}": bool(table[sig.bit(v)] & zbit),
+                "follows_from_empty_antecedent": bool(table[0] & zbit),
             })
         assumptions = [ZERO_POOL_LEMMA, SINGLETON_RAY_LEMMA, ANGLE_LEMMA,
                        CONICAL_LEMMA]
@@ -812,10 +804,11 @@ def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate
 
 def _symmetry_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
     kb = fixture(fixture_name)
-    follows = _consequence(kb)
-    atoms = kb.signature.atoms
+    table, sig = consequence_table(kb), kb.signature
+    atoms = sig.atoms
     found = next(((u, w) for u in atoms for w in atoms
-                  if u != w and follows((u,), w) and not follows((w,), u)),
+                  if u != w and table[sig.bit(u)] & sig.bit(w)
+                  and not table[sig.bit(w)] & sig.bit(u)),
                  None)
     if found is None:
         raise ValueError(
@@ -835,8 +828,10 @@ def _symmetry_certificate(strategy: StrategyId, fixture_name: str) -> Certificat
 
 
 def _order_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
-    follows = _consequence(fixture(fixture_name))
-    if not follows(("a",), "x") or follows(("a", "b"), "x"):
+    theta = fixture(fixture_name)
+    table, sig = consequence_table(theta), theta.signature
+    x = sig.bit("x")
+    if not table[sig.bit("a")] & x or table[sig.mask(("a", "b"))] & x:
         raise AssertionError("order fixture facts changed")
     evidence = {
         "kind": "order-argument",
@@ -930,10 +925,10 @@ def certify_nonmonotonic_failure(strategy: StrategyId | str,
     base = certify_strategy_failure(strategy, fixture_name)
     kb = fixture(base.fixture)
     theta = _one_stratum(kb)
-    follows = _consequence(theta)
+    table, sig = consequence_table(theta), theta.signature
     checked = 0
     for subset, head, captured in _encoded_queries(base.evidence):
-        if follows(subset, head) != captured:
+        if bool(table[sig.mask(subset)] & sig.bit(head)) != captured:
             raise AssertionError(
                 "single-stratum wrapper changes the verdict on "
                 f"{'&'.join(subset)} -> {head}")
@@ -961,8 +956,11 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
     Builds the complete constraint system over all non-empty subsets,
     solves it exactly, and either realises a witness embedding
     (re-verified by a sweep over the same queries in the same order)
-    or returns the Farkas certificate.
+    or returns the Farkas certificate.  The decision reads entailment,
+    so a stratified KB is refused.
     """
+    if isinstance(kb, StratifiedKB):
+        raise ValueError("generic avg-dot decision needs a plain KB")
     n = len(kb.signature)
     if n > GENERIC_ATOM_CAP:
         raise CapExceededError(
@@ -989,19 +987,28 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
 # Certificate re-verification (replay from the serialized evidence)
 # ------------------------------------------------------------------
 
+def _canonical(doc: dict) -> str:
+    """The document as canonical JSON text, keys sorted.  A certificate is
+    a tree, so the cycle check, which more than doubles the encoding
+    time, is skipped."""
+    return json.dumps(doc, sort_keys=True, check_circular=False)
+
+
 def reverify_certificate(cert: Certificate | dict) -> bool:
     """Replay a certificate; True when it checks out exactly.
 
     A certificate that names a fixture replays exactly when rebuilding
     it from that fixture (`certify_nonmonotonic_failure` in
     non-monotonic mode, `certify_strategy_failure` otherwise) gives the
-    same document: facts, systems, multipliers, requirements,
-    refutations, digests, assumptions and verdict are all derived again
-    and compared, and the rebuild checks its own Farkas combination,
-    witness or closure search exactly.  A fixture the strategy has no
-    certificate for fails.  A generic certificate (`decide_avg_dot`, no
-    fixture) is checked on its own Farkas or witness evidence; any other
-    evidence without a fixture fails.
+    same document, compared as canonical JSON text (sorted keys), so
+    `1` or `1.0` never stands in for `true`: facts, systems,
+    multipliers, requirements, refutations, digests, assumptions and
+    verdict are all derived again and compared, and the rebuild checks
+    its own Farkas combination, witness or closure search exactly.  A
+    fixture the strategy has no certificate for fails, and so does a
+    strategy or fixture that is not a string.  A generic certificate
+    (`decide_avg_dot`, no fixture) is checked on its own Farkas or
+    witness evidence; any other evidence without a fixture fails.
     """
     doc = cert.to_dict() if isinstance(cert, Certificate) else cert
     ev = doc["evidence"]
@@ -1011,13 +1018,16 @@ def reverify_certificate(cert: Certificate | dict) -> bool:
     fixture_name = doc.get("fixture")
     if fixture_name is not None:
         strategy = doc.get("strategy")
-        fixtures, _ = _CERTIFIERS.get(strategy, ((), None))
+        # only a string can name a strategy; other JSON values are unhashable
+        fixtures = (_CERTIFIERS.get(strategy, ((),))[0]
+                    if isinstance(strategy, str) else ())
         if fixture_name not in fixtures:
             return False
         certify = (certify_nonmonotonic_failure
                    if doc.get("mode") == "non-monotonic"
                    else certify_strategy_failure)
-        return certify(strategy, fixture_name).to_dict() == doc
+        rebuilt = certify(strategy, fixture_name).to_dict()
+        return _canonical(rebuilt) == _canonical(doc)
     if kind == "farkas":
         system = LinearSystem.from_dict(ev["system"])
         mult = [parse_frac(y) for y in ev["multipliers"]]

@@ -187,10 +187,10 @@ def cmd_certify(args, config) -> int:
             raise UsageError(
                 "generic decisions exist only for avg-dot; other strategies "
                 f"take --fixture (one of: {', '.join(FIXTURE_NAMES)})")
-        kb = _read_kb(args.kb)
-        if isinstance(kb, StratifiedKB):
-            raise UsageError("generic avg-dot decision needs a plain KB")
-        cert = decide_avg_dot(kb)
+        if args.nonmonotonic:
+            raise UsageError("the generic avg-dot decision is monotonic only; "
+                             "--nonmonotonic takes --fixture")
+        cert = decide_avg_dot(_read_kb(args.kb))
     lines = [f"strategy: {cert.strategy}",
              f"fixture: {cert.fixture or '(generic)'}",
              f"mode: {cert.mode}",

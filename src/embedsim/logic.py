@@ -25,7 +25,8 @@ table over all 2^n antecedents, built by a superset transform in
 O(n 2^n) steps (Yates; see Bjorklund et al., "Fourier meets Mobius",
 STOC 2007) and cached: entry S holds the AND of the relevant
 interpretations containing S, and a query (S, b) reads bit b of entry
-S.  Sweeps fetch the table once and index it by subset mask.  The
+S.  `consequence_table` picks a KB's table by the KB's type; sweeps and
+certificates fetch it once and index it by subset mask.  The
 constructions read `counter_models`, the maximal models lacking each
 head, and `ranked_counter_models`, its analogue per rank level, both
 found by shifts over the same bit sets.
@@ -700,19 +701,13 @@ def nm_consequence_table(theta: StratifiedKB) -> np.ndarray:
     return best
 
 
-def nm_consequence_rank(theta: StratifiedKB, antecedent: Iterable[str],
-                        head: str) -> bool:
-    """Ranked-default consequence via the rank-maximum criterion.
+def consequence_table(kb: KnowledgeBase | StratifiedKB) -> np.ndarray:
+    """The KB's consequence table: `entailment_table` for a plain KB,
+    `nm_consequence_table` for a stratified one.
 
-    Compares the best rank among interpretations satisfying the
-    antecedent plus head against the best rank among those satisfying
-    the antecedent plus the negated head (-1 when no such interpretation
-    exists, i.e. head is one of the antecedent atoms), read off
-    `nm_consequence_table`.
+    This is the one place a KB's type picks its consequence relation;
+    every reader indexes the result by subset mask, bit b for head b.
     """
-    atoms = tuple(antecedent)
-    if not atoms:
-        raise ValueError("antecedent must be a non-empty atom set")
-    smask = theta.signature.mask(atoms)
-    hbit = theta.signature.bit(head)
-    return bool(nm_consequence_table(theta)[smask] & hbit)
+    if isinstance(kb, StratifiedKB):
+        return nm_consequence_table(kb)
+    return entailment_table(kb)

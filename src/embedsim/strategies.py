@@ -543,21 +543,6 @@ class DistOnNormLabeller(_NormLabeller):
             self.zero |= (outsq * q2 <= p2 * o2) << i
 
 
-def _label_one(labeller: Callable[..., _Labeller],
-               emb: AttributeEmbedding | ScaledEmbedding, pooled: Pooled,
-               head: str, *args, **kwargs) -> bool:
-    return bool(labeller(scale(emb), (head,), *args, **kwargs).labels(pooled))
-
-
-# the single-head decisions: lab_*(emb, pooled, head, ...) -> bool
-lab_dot = partial(_label_one, DotLabeller)  # tied=False
-lab_dist = partial(_label_one, DistLabeller)
-lab_relu = partial(_label_one, ReluLabeller)
-lab_ord = partial(_label_one, OrdLabeller)
-lab_dot_on_norm = partial(_label_one, DotOnNormLabeller)
-lab_dist_on_norm = partial(_label_one, DistOnNormLabeller)
-
-
 # ------------------------------------------------------------------
 # Exact strategy evaluation
 # ------------------------------------------------------------------
@@ -594,14 +579,6 @@ def exact_rule(strategy: StrategyId) -> ExactRule:
     if (p, l) not in rules:
         raise ExactEvaluationError(f"unsupported combination {strategy.name}")
     return ExactRule(*rules[p, l])
-
-
-def strategy_accepts(emb: AttributeEmbedding, strategy: StrategyId,
-                     atoms: Iterable[str], head: str) -> bool:
-    """Does `head` belong to the label set of the pooled embedding of `atoms`?"""
-    rule = exact_rule(strategy)
-    sc = scale(emb)
-    return _label_one(rule.labeller, sc, rule.pool(sc, atoms), head)
 
 
 # ------------------------------------------------------------------

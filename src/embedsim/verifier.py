@@ -8,41 +8,35 @@ mismatch.  The sweep order is canonical: subsets ordered by (size,
 bitmask), heads by signature index, so reports are deterministic.
 
 A sweep does the per-KB and per-embedding work once: it fetches the
-consequence table (`logic.entailment_table` or
-`logic.nm_consequence_table`, indexed by subset mask, bit b for head b),
-scales the embedding to integers (`strategies.scale`) and binds the
-strategy's labeller to the signature's heads.  Each subset is then
-pooled once and labelled once, its label set a bitmask XORed with its
-table entry, and only the heads that differ are scored.
+KB's consequence table (`logic.consequence_table`, indexed by subset
+mask, bit b for head b), scales the embedding to integers
+(`strategies.scale`) and binds the strategy's labeller to the
+signature's heads.  Each subset is then pooled once and labelled once,
+its label set a bitmask XORed with its table entry, and only the heads
+that differ are scored.  `verify_monotonic` takes a plain KB and
+`verify_nonmonotonic` a stratified one; each refuses the other kind, so
+the table's type dispatch never swaps the semantics a caller asked for.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
 undefined for most strategies); each report's JSON records that
-exclusion.  A sweep always covers every subset up to its cap: a caller
-that wants single queries asks `strategies.strategy_accepts` and
-`logic.entails` directly.
-
-`check_ord_monotonicity` compares label sets of nested subsets as
-bitmasks: a subset's strict supersets all come after it in the
-canonical order, and the labels it drops are its label mask less the
-superset's.
+exclusion.  A sweep always covers every subset up to its cap.  There is
+no single-query entry point: one query (S, b) is bit b of the table's
+entry at S's mask, and the strategy's decision is the labeller of
+`strategies.exact_rule` bound to head b alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable
 
 # `entails` is not called here; the benchmark's tracing test reads it
 # back as `embedsim.verifier.entails` after removing its wrappers
 from .logic import entails  # noqa: F401
-from .logic import (KnowledgeBase, Signature, StratifiedKB, entailment_table,
-                    kb_digest, nm_consequence_table)
+from .logic import (KnowledgeBase, Signature, StratifiedKB, consequence_table,
+                    kb_digest)
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
-                         OrdLabeller, StrategyId, emb_ord, exact_rule, scale)
-
-if TYPE_CHECKING:
-    import numpy as np
+                         StrategyId, exact_rule, scale)
 
 FULL_SWEEP_ATOM_LIMIT = 8
 CAPPED_SWEEP_DEFAULT = 4
@@ -135,7 +129,6 @@ def _check_coverage(embedding: AttributeEmbedding,
 
 def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
            kb: KnowledgeBase | StratifiedKB,
-           consequence_table: Callable[..., np.ndarray],
            cap: int | None) -> VerificationReport:
     signature = kb.signature
     _check_coverage(embedding, signature)
@@ -168,74 +161,17 @@ def verify_monotonic(embedding: AttributeEmbedding, strategy: StrategyId,
                      kb: KnowledgeBase,
                      cap: int | None = None) -> VerificationReport:
     """Check the embedding's label sets against entailment on every query."""
-    return _sweep(embedding, strategy, "monotonic", kb, entailment_table, cap)
+    if isinstance(kb, StratifiedKB):
+        raise ValueError("monotonic verification needs a plain KB, "
+                         "got a stratified KB")
+    return _sweep(embedding, strategy, "monotonic", kb, cap)
 
 
 def verify_nonmonotonic(embedding: AttributeEmbedding, strategy: StrategyId,
                         theta: StratifiedKB,
                         cap: int | None = None) -> VerificationReport:
     """Check the embedding's label sets against ranked-default consequence."""
-    return _sweep(embedding, strategy, "non-monotonic", theta,
-                  nm_consequence_table, cap)
-
-
-# ------------------------------------------------------------------
-# Structural property checks
-# ------------------------------------------------------------------
-
-@dataclass
-class PropertyReport:
-    name: str
-    holds: bool
-    checked: int
-    violations: list[dict] = field(default_factory=list)
-    trace: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {"property": self.name, "holds": self.holds,
-                "checked": self.checked, "violations": self.violations,
-                "trace": self.trace}
-
-
-def check_ord_monotonicity(embedding: AttributeEmbedding,
-                           cap: int | None = None) -> PropertyReport:
-    """Label sets under max pooling grow with the attribute set.
-
-    Component-wise max only moves vectors up in the product order, so
-    S <= S' forces labels(S) <= labels(S'); consequently no max/order
-    embedding can drop a label when attributes are added.
-    """
-    atoms = embedding.atoms
-    sig = Signature(atoms)
-    if cap is None:
-        cap = default_cap(sig)
-    subsets = _subset_masks(sig, cap)
-    scaled = scale(embedding)
-    ord_labels = OrdLabeller(scaled, atoms).labels
-    labels = [ord_labels(emb_ord(scaled, s)) for _, s in subsets]
-    violations = []
-    checked = 0
-    trace = None
-    for i, (small, small_atoms) in enumerate(subsets):
-        # a strict superset is larger, so it comes later in the canonical
-        # (size, mask) order
-        for j in range(i + 1, len(subsets)):
-            big, big_atoms = subsets[j]
-            if big & small != small:
-                continue
-            checked += 1
-            if dropped := labels[i] & ~labels[j]:
-                violations.append({"subset": list(small_atoms),
-                                   "superset": list(big_atoms),
-                                   "dropped": _names(atoms, dropped)})
-            if trace is None:
-                trace = {"subset": list(small_atoms),
-                         "superset": list(big_atoms),
-                         "labels_subset": _names(atoms, labels[i]),
-                         "labels_superset": _names(atoms, labels[j])}
-    return PropertyReport("ord-label-monotonicity", not violations,
-                          checked, violations, trace)
-
-
-def _names(atoms: tuple[str, ...], mask: int) -> list[str]:
-    return [a for i, a in enumerate(atoms) if mask >> i & 1]
+    if not isinstance(theta, StratifiedKB):
+        raise ValueError("non-monotonic verification needs a stratified KB, "
+                         "got a plain KB")
+    return _sweep(embedding, strategy, "non-monotonic", theta, cap)

@@ -11,8 +11,9 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from embedsim.logic import (BOTTOM, TOP, And, Iff, Implies, KnowledgeBase, Not,
-                            Or, Signature, StratifiedKB, Var, conjoin)
-from embedsim.strategies import AttributeEmbedding
+                            Or, Signature, StratifiedKB, Var, conjoin,
+                            consequence_table)
+from embedsim.strategies import AttributeEmbedding, exact_rule, scale
 
 # make `oracles` and `references` importable
 sys.path.insert(0, str(Path(__file__).parent))
@@ -32,6 +33,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# ------------------------------------------------------------------
+# Single queries, composed from the library's per-KB and per-labeller
+# parts, as the sweeps use them
+# ------------------------------------------------------------------
+
+def follows(kb, subset, head) -> bool:
+    """The KB's answer to (subset, head): entailment for a plain KB,
+    ranked-default consequence for a stratified one."""
+    sig = kb.signature
+    return bool(consequence_table(kb)[sig.mask(subset)] & sig.bit(head))
+
+
+def label(labeller, emb, pooled, head, **kwargs) -> bool:
+    """One head's decision on a pooled value: a labeller class bound to
+    that head alone."""
+    return bool(labeller(scale(emb), (head,), **kwargs).labels(pooled))
+
+
+def accepts(emb, strategy, atoms, head) -> bool:
+    """Does the exact strategy label the pooled `atoms` with `head`?"""
+    pool, labeller = exact_rule(strategy)
+    scaled = scale(emb)
+    return label(labeller, scaled, pool(scaled, atoms), head)
 
 
 # Formulas far past the parser's depth budget, each the `formula:` line

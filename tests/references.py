@@ -16,9 +16,11 @@ The `ref_construct_*` recipes are the recipes as the paper states them:
 recipes 1-3 with one coordinate per model of the KB (`ref_models`),
 recipes 4-5 (`ref_construct_*_nm`) with one per interpretation.
 
-`ref_check_ord_monotonicity` is the product-order monotonicity check as
-it stood before it compared masks: Python sets, and a containment test
-on every ordered pair of subsets.
+`ref_check_ord_monotonicity` is the product-order monotonicity check
+(label sets under max pooling grow with the attribute set) that
+ACCEPTANCE 7 runs: Python sets, and a containment test on every ordered
+pair of subsets, reported as a `PropertyReport`.  It is the only copy,
+and ACCEPTANCE 7 its one caller.
 
 `ref_parse_kb`, `ref_tokenize`, `RefFormulaParser` and
 `ref_format_formula` are the KB front end as it stood before one
@@ -37,7 +39,7 @@ It must return the same bytes as `_sig_ascent`.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -56,7 +58,7 @@ from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  OrdLabeller, angular_error, cone_residual,
                                  emb_ord, frac_str, scale, sig_gradient,
                                  sig_objective)
-from embedsim.verifier import PropertyReport, default_cap, nonempty_subsets
+from embedsim.verifier import default_cap, nonempty_subsets
 
 
 def _fraction_row(constraint):
@@ -441,7 +443,22 @@ def ref_evaluate(emb, strategy_name: str, atoms, head) -> tuple[bool, str]:
 # Product-order monotonicity by set containment
 # ------------------------------------------------------------------
 
+@dataclass
+class PropertyReport:
+    name: str
+    holds: bool
+    checked: int
+    violations: list[dict] = field(default_factory=list)
+    trace: dict | None = None
+
+
 def ref_check_ord_monotonicity(embedding, cap=None) -> PropertyReport:
+    """Label sets under max pooling grow with the attribute set.
+
+    Component-wise max only moves vectors up in the product order, so
+    S <= S' forces labels(S) <= labels(S'); no max/order embedding can
+    drop a label when attributes are added.
+    """
     atoms = embedding.atoms
     sig = Signature(atoms)
     if cap is None:

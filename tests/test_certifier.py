@@ -6,11 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 import embedsim.certifier as certifier
-from conftest import random_rule_kb
+from conftest import accepts, random_rule_kb
 from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
                                 LinearSystem, PairRequirement, _ce1_queries,
                                 _ce2_queries, _integer_row, _lp_evidence,
@@ -598,9 +598,8 @@ class TestRealize:
         matrix = {("a", "a"): F(1), ("b", "b"): F(1),
                   ("a", "b"): F(0), ("b", "a"): F(0)}
         emb = realize_from_matrix(matrix, {"a": F(1), "b": F(1)}, atoms)
-        from embedsim.strategies import strategy_accepts
-        assert strategy_accepts(emb, AVG_DOT, ("a",), "a")
-        assert not strategy_accepts(emb, AVG_DOT, ("a",), "b")
+        assert accepts(emb, AVG_DOT, ("a",), "a")
+        assert not accepts(emb, AVG_DOT, ("a",), "b")
 
     def test_feasible_system_realizes_and_verifies(self):
         kb = parse_kb("atoms: a b\nrule: a -> b\n")
@@ -864,26 +863,56 @@ TAMPERED = {
 }
 
 
-def _bool_paths(node, path=()):
-    """The path to every boolean in a JSON document."""
-    if isinstance(node, bool):
-        yield path
-    elif isinstance(node, dict):
+# what a leaf of a JSON document may be changed to
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+    st.sampled_from(["CE1", "avg-dot", "monotonic", "non-monotonic",
+                     "farkas", "closure", "1/1", "0/1", "x", "a"]),
+    st.just([]), st.just({}))
+
+
+def _fixture_documents() -> list[dict]:
+    """Every fixture certificate as a JSON document: every strategy,
+    every fixture it lists, both modes."""
+    return [_doc(certify(strategy, name))
+            for certify in (certify_strategy_failure,
+                            certify_nonmonotonic_failure)
+            for strategy, (names, _) in certifier._CERTIFIERS.items()
+            for name in names]
+
+
+def _leaf_paths(node, path=()):
+    """The path to every leaf of a JSON document: each scalar, and each
+    empty list or object."""
+    if isinstance(node, dict) and node:
         for key, value in node.items():
-            yield from _bool_paths(value, path + (key,))
-    elif isinstance(node, list):
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
         for i, value in enumerate(node):
-            yield from _bool_paths(value, path + (i,))
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
 
 
-def _flip_at(doc: dict, path: tuple) -> dict:
-    """A copy of the document with the boolean at `path` negated."""
+def _lookalikes(leaf) -> list:
+    """Values of other JSON types that equal the leaf under `==`."""
+    if isinstance(leaf, (bool, int, float)):
+        return [x for x in (bool(leaf), int(leaf), float(leaf))
+                if x == leaf and type(x) is not type(leaf)]
+    return []
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced_at(doc: dict, path: tuple, value) -> dict:
+    """A copy of the document with the leaf at `path` set to `value`."""
     doc = json.loads(json.dumps(doc))
-    *parents, last = path
-    node = doc
-    for key in parents:
-        node = node[key]
-    node[last] = not node[last]
+    _at(doc, path[:-1])[path[-1]] = value
     return doc
 
 
@@ -896,18 +925,15 @@ class TestTamperedCertificates:
         assert reverify_certificate(tamper(doc)) is False
 
     def test_every_flipped_boolean_fails_replay(self):
-        # every strategy, every fixture it lists, both modes
         flipped = 0
-        for certify in (certify_strategy_failure,
-                        certify_nonmonotonic_failure):
-            for strategy, (names, _) in certifier._CERTIFIERS.items():
-                for name in names:
-                    doc = _doc(certify(strategy, name))
-                    assert reverify_certificate(doc)
-                    for path in _bool_paths(doc):
-                        assert reverify_certificate(
-                            _flip_at(doc, path)) is False, (strategy, path)
-                        flipped += 1
+        for doc in _fixture_documents():
+            assert reverify_certificate(doc)
+            for path in _leaf_paths(doc):
+                leaf = _at(doc, path)
+                if isinstance(leaf, bool):
+                    assert reverify_certificate(_replaced_at(
+                        doc, path, not leaf)) is False, (doc["strategy"], path)
+                    flipped += 1
         assert flipped == 220
 
     def test_every_table1_certificate_replays(self):
@@ -924,6 +950,51 @@ class TestTamperedCertificates:
     def test_fixture_free_symmetry_fails_replay(self):
         doc = _doc(certify_strategy_failure("had-dot-tied"))
         assert reverify_certificate(_relabel(doc, None)) is False
+
+    @pytest.mark.parametrize("captured", [1, 1.0])
+    def test_number_for_a_boolean_fails_replay(self, captured):
+        # equal to True under ==, but not the same JSON text
+        doc = _doc(certify_strategy_failure("avg-dot"))
+        query = doc["evidence"]["system"]["queries"][0]
+        assert query["captured"] is True
+        query["captured"] = captured
+        assert reverify_certificate(doc) is False
+
+    @pytest.mark.parametrize("value", [["avg-dot"], {"avg-dot": "CE1"}, 7])
+    def test_non_string_strategy_fails_replay(self, value):
+        doc = _doc(certify_strategy_failure("avg-dot"))
+        doc["strategy"] = value
+        assert reverify_certificate(doc) is False
+
+    @pytest.mark.parametrize("value", [["CE1"], {"CE1": "CE1"}, 7])
+    def test_non_string_fixture_fails_replay(self, value):
+        doc = _doc(certify_strategy_failure("avg-dot"))
+        doc["fixture"] = value
+        assert reverify_certificate(doc) is False
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_any_changed_leaf_fails_replay(self, data):
+        doc = data.draw(st.sampled_from(_fixture_documents()))
+        path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+        old = _at(doc, path)
+        value = data.draw(st.one_of(JSON_LEAVES, *(
+            [st.sampled_from(_lookalikes(old))] if _lookalikes(old) else [])))
+        assume(json.dumps(value) != json.dumps(old))
+        tampered = _replaced_at(doc, path, value)
+        try:
+            replayed = reverify_certificate(tampered)
+        except ValueError as exc:
+            # the one refusal the replay documents
+            assert path == ("evidence", "kind"), (path, exc)
+            assert str(exc).startswith("unknown evidence kind")
+            return
+        if path == ("fixture",) and value is None:
+            # no fixture left: a generic certificate, which replay checks
+            # on its own Farkas evidence, not against a KB
+            assert replayed is (doc["evidence"]["kind"] == "farkas")
+            return
+        assert replayed is False, path
 
 
 class TestGenericDecision:
@@ -943,6 +1014,14 @@ class TestGenericDecision:
         kb = KnowledgeBase(Signature(tuple(f"p{i}" for i in range(7))), ())
         with pytest.raises(CapExceededError):
             decide_avg_dot(kb)
+
+    def test_stratified_kb_refused(self):
+        # entailment is the relation decided; a ranked KB must not be
+        # answered with its ranked-default table instead
+        with pytest.raises(ValueError,
+                           match="^generic avg-dot decision needs a plain "
+                                 "KB$"):
+            decide_avg_dot(fixture("EX4"))
 
     def test_random_kbs_decide_cleanly(self):
         rng = random.Random(73)

@@ -453,6 +453,22 @@ class TestCertify:
         code, _, _ = run(capsys, "certify", "--strategy", "avg-dot")
         assert code == 2
 
+    def test_nonmonotonic_with_kb_file_exit_two(self, capsys, tmp_path):
+        # the generic decision reads entailment; it has no ranked column
+        path = tmp_path / "ab.kb"
+        path.write_text(AB)
+        code, out, err = run(capsys, "certify", str(path), "--strategy",
+                             "avg-dot", "--nonmonotonic")
+        assert code == 2 and out == ""
+        assert err == ("error: the generic avg-dot decision is monotonic "
+                       "only; --nonmonotonic takes --fixture\n")
+
+    def test_stratified_kb_file_exit_two(self, capsys, ex4_file):
+        code, out, err = run(capsys, "certify", ex4_file,
+                             "--strategy", "avg-dot")
+        assert code == 2 and out == ""
+        assert err == "error: generic avg-dot decision needs a plain KB\n"
+
 
 class TestTable1Command:
     def test_json_runs_and_matches_pattern(self, capsys):

@@ -1,9 +1,13 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name is read somewhere in the library.
 
-A static scan with `ast`, standing in for a linter's unused-import rule
-(F401): a deletion that leaves an import behind fails here.  An import
-whose statement carries `# noqa: F401` is a deliberate re-export and is
-skipped.  `__init__.py` only re-exports, so it is not scanned.
+Static scans with `ast`.  The first stands in for a linter's
+unused-import rule (F401): a deletion that leaves an import behind fails
+here.  An import whose statement carries `# noqa: F401` is a deliberate
+re-export and is skipped.  `__init__.py` only re-exports, so it is not
+scanned for imports.  The second finds a `_name` that a module defines
+at its top level and no module of the package reads: a helper left
+behind when its last caller was deleted.
 """
 
 import ast
@@ -44,17 +48,58 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set[str]:
-    """Every name read in the module, quoted annotations included."""
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _quoted(tree: ast.Module) -> set[str]:
+    """Every name in the module's quoted annotations."""
+    names = set()
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             # a forward reference such as -> "LinearSystem"
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 quoted = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(quoted)
-                            if isinstance(n, ast.Name))
-    return used
+                names.update(n.id for n in ast.walk(quoted)
+                             if isinstance(n, ast.Name))
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name in the module, quoted annotations included."""
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name)} | _quoted(tree)
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each `_name` (not a dunder) bound at the module's top level by a
+    def, a class or an assignment, with its line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            bound = [node.target.id]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names.setdefault(name, node.lineno)
+    return names
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name the module reads: loaded names, attribute names, names
+    imported from another module, and quoted annotations."""
+    reads = _quoted(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -79,3 +124,37 @@ def test_scan_finds_an_unused_import():
     imported = _imported(tree, source.splitlines())
     assert set(imported) == {"FIXTURE_NAMES", "fixture", "np"}
     assert set(imported) - _used(tree) == {"FIXTURE_NAMES"}
+
+
+def test_no_unused_private_names():
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(SOURCE.glob("*.py"))}
+    read = set().union(*map(_reads, trees.values()))
+    unused = [f"{module}: {name} (line {line})"
+              for module, tree in trees.items()
+              for name, line in _private_definitions(tree).items()
+              if name not in read]
+    assert not unused, "private names never read: " + ", ".join(unused)
+
+
+def test_scan_finds_an_unused_private_name():
+    source = ("from .logic import _universe\n"
+              "_LIMIT = 3\n"
+              "_unused: int = 4\n"
+              "_written = 5\n"
+              "_written = 6\n"
+              "def _helper(x):\n"
+              "    return x + _LIMIT\n"
+              "def _orphan():\n"
+              "    return _helper(1)\n"
+              "class _Hidden:\n"
+              "    pass\n"
+              "__all__ = []\n"
+              "def f(module) -> '_Hidden':\n"
+              "    return module._attribute\n")
+    tree = ast.parse(source)
+    defined = _private_definitions(tree)
+    assert set(defined) == {"_LIMIT", "_unused", "_written", "_helper",
+                            "_orphan", "_Hidden"}
+    assert {"_universe", "_attribute"} <= _reads(tree)
+    assert set(defined) - _reads(tree) == {"_unused", "_written", "_orphan"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (DEEP_FORMULA_PROBES, formulas_over, plain_kbs,
+from conftest import (DEEP_FORMULA_PROBES, follows, formulas_over, plain_kbs,
                       random_formula, random_rule_kb, random_stratified_kb)
 from embedsim import logic
 from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And,
@@ -14,8 +14,8 @@ from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And,
                             Implies, KnowledgeBase, Not, Or, ParseError,
                             Signature, StratifiedKB, UndeclaredAtomError, Var,
                             count_models, counter_models, entails,
-                            format_formula, kb_to_source, nm_consequence_rank,
-                            parse_kb, rank_table, truth_set)
+                            format_formula, kb_to_source, parse_kb,
+                            rank_table, truth_set)
 from embedsim.fixtures import fixture
 from oracles import (mask_names, scan_counter_models, tt_entails, tt_evaluate,
                      tt_models, tt_mu, tt_nm_def, tt_nm_rank)
@@ -457,24 +457,19 @@ class TestNonMonotonicConsequence:
 
     def test_ex4_verdicts_rank(self):
         theta = fixture("EX4")
-        assert nm_consequence_rank(theta, ("apple",), "cat:food")
-        assert nm_consequence_rank(theta, ("apple", "safari"), "cat:technology")
-        assert not nm_consequence_rank(theta, ("apple", "safari"), "cat:food")
+        assert follows(theta, ("apple",), "cat:food")
+        assert follows(theta, ("apple", "safari"), "cat:technology")
+        assert not follows(theta, ("apple", "safari"), "cat:food")
 
     def test_reflexive_head_in_antecedent(self):
         theta = parse_kb("atoms: a b\nstratum: a -> b\n")
-        assert nm_consequence_rank(theta, ("a",), "a")
+        assert follows(theta, ("a",), "a")
         assert tt_nm_def(theta, ("a",), "a")
-
-    def test_empty_antecedent_rejected(self):
-        theta = fixture("EX4")
-        with pytest.raises(ValueError):
-            nm_consequence_rank(theta, (), "cat:food")
 
     def test_nonmonotonic_example(self):
         theta = fixture("ORD-NM")
-        assert nm_consequence_rank(theta, ("a",), "x")
-        assert not nm_consequence_rank(theta, ("a", "b"), "x")
+        assert follows(theta, ("a",), "x")
+        assert not follows(theta, ("a", "b"), "x")
 
     def test_rank_table_cap(self, monkeypatch):
         # 2^21 interpretations exceed the enumeration budget: the
@@ -488,7 +483,7 @@ class TestNonMonotonicConsequence:
         monkeypatch.setattr(logic, "_truth", no_evaluation)
         monkeypatch.setattr(logic, "_universe", no_evaluation)
         with pytest.raises(CapExceededError, match="21 atoms"):
-            nm_consequence_rank(theta, ("p0",), "p1")
+            follows(theta, ("p0",), "p1")
 
     def test_def_equals_rank_random(self):
         rng = random.Random(17)
@@ -499,7 +494,7 @@ class TestNonMonotonicConsequence:
                 subset = tuple(a for i, a in enumerate(atoms) if mask >> i & 1)
                 for head in atoms:
                     assert (tt_nm_def(theta, subset, head)
-                            == nm_consequence_rank(theta, subset, head))
+                            == follows(theta, subset, head))
 
     def test_rank_matches_independent_oracles(self):
         rng = random.Random(29)
@@ -510,7 +505,7 @@ class TestNonMonotonicConsequence:
                 subset = tuple(a for i, a in enumerate(atoms) if mask >> i & 1)
                 for head in atoms:
                     want = tt_nm_rank(theta, subset, head)
-                    assert nm_consequence_rank(theta, subset, head) == want
+                    assert follows(theta, subset, head) == want
                     assert tt_nm_def(theta, subset, head) == want
 
     @settings(max_examples=60)
@@ -533,7 +528,7 @@ class TestNonMonotonicConsequence:
             st.sets(st.sampled_from(atoms), min_size=1))))
         head = data.draw(st.sampled_from(atoms))
         assert (tt_nm_def(theta, subset, head)
-                == nm_consequence_rank(theta, subset, head))
+                == follows(theta, subset, head))
 
 
 # ------------------------------------------------------------------
@@ -564,6 +559,12 @@ class TestConsequenceTables:
                     assert bool(table[mask] & kb.signature.bit(head)) == want
                     assert entails(kb, subset, head) == want
 
+    def test_consequence_table_picks_the_relation_by_kb_type(self):
+        kb, theta = fixture("CE1"), fixture("EX4")
+        assert logic.consequence_table(kb) is logic.entailment_table(kb)
+        assert (logic.consequence_table(theta)
+                is logic.nm_consequence_table(theta))
+
     def test_inconsistent_kb_entails_everything(self):
         kb = parse_kb("atoms: a b c d\nformula: a\nformula: !a\n")
         assert list(logic.entailment_table(kb)) == [0b1111] * 16
@@ -582,7 +583,7 @@ class TestConsequenceTables:
                     want = tt_nm_rank(theta, subset, head)
                     got = bool(table[mask] & theta.signature.bit(head))
                     assert got == want
-                    assert nm_consequence_rank(theta, subset, head) == want
+                    assert follows(theta, subset, head) == want
                     assert tt_nm_def(theta, subset, head) == want
                     if head in subset:
                         assert want
@@ -593,6 +594,6 @@ class TestConsequenceTables:
         for mask in range(1, 8):
             subset = mask_names(theta.signature, mask)
             for head in ("a", "b", "c"):
-                assert nm_consequence_rank(theta, subset, head) == (
+                assert follows(theta, subset, head) == (
                     head in subset)
                 assert tt_nm_rank(theta, subset, head) == (head in subset)

@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_embedding, random_fraction
+from conftest import accepts, label, random_embedding, random_fraction
 from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
-                                 DimensionMismatchError,
-                                 ExactEvaluationError, angular_error,
+                                 DimensionMismatchError, DistLabeller,
+                                 DistOnNormLabeller, DotLabeller,
+                                 DotOnNormLabeller, ExactEvaluationError,
+                                 OrdLabeller, ReluLabeller, angular_error,
                                  cone_residual, emb_avg, emb_had, emb_norm,
-                                 emb_ord, emb_sig_numeric, frac_str, lab_dist,
-                                 lab_dist_on_norm, lab_dot, lab_dot_on_norm,
-                                 lab_ord, lab_relu, parse_frac, _relu,
-                                 exact_rule, scale, sig_gradient,
-                                 sig_objective, strategy_accepts,
+                                 emb_ord, emb_sig_numeric, frac_str,
+                                 parse_frac, _relu, exact_rule, scale,
+                                 sig_gradient, sig_objective,
                                  strategy_from_name, AVG_DOT, ORD_ORD,
                                  _sig_ascent, _sigmoid,
                                  sig_conical_diagnostics)
@@ -130,18 +130,18 @@ class TestLabelling:
             lam={"mother": 1, "parent": 0, "female": 0})
         pooled = emb_avg(emb, ("parent", "female"))
         assert pooled == ((0, 2), 2)  # (0, 1)
-        assert lab_dot(emb, pooled, "mother")
+        assert label(DotLabeller, emb, pooled, "mother")
 
     def test_dot_zero_vector_thresholds(self):
         emb = make_embedding({"b": (1, 1)}, lam={"b": 0})
-        assert lab_dot(emb, ((0, 0), 1), "b")
+        assert label(DotLabeller, emb, ((0, 0), 1), "b")
         emb2 = make_embedding({"b": (1, 1)}, lam={"b": 1})
-        assert not lab_dot(emb2, ((0, 0), 1), "b")
+        assert not label(DotLabeller, emb2, ((0, 0), 1), "b")
 
     def test_dot_dimension_mismatch(self):
         emb = make_embedding({"b": (1, 1)})
         with pytest.raises(DimensionMismatchError):
-            lab_dot(emb, ((1,), 1), "b")
+            label(DotLabeller, emb, ((1,), 1), "b")
 
     def test_dist_witness_configuration(self):
         # avg{a,b} hits the head exactly; avg{a,c} misses at radius 1/2
@@ -149,33 +149,33 @@ class TestLabelling:
             {"a": (-1, 0), "b": (1, 0), "c": (0, -1), "d": (0, 1),
              "x": (0, 0)},
             theta={"x": F(1, 2)})
-        assert lab_dist(emb, emb_avg(emb, ("a", "b")), "x")
-        assert not lab_dist(emb, emb_avg(emb, ("a", "c")), "x")
+        assert label(DistLabeller, emb, emb_avg(emb, ("a", "b")), "x")
+        assert not label(DistLabeller, emb, emb_avg(emb, ("a", "c")), "x")
 
     def test_dist_at_center_and_zero_radius(self):
         emb = make_embedding({"b": (2, 3)}, theta={"b": 0})
-        assert lab_dist(emb, ((2, 3), 1), "b")
-        assert not lab_dist(emb, ((2, 4), 1), "b")
+        assert label(DistLabeller, emb, ((2, 3), 1), "b")
+        assert not label(DistLabeller, emb, ((2, 4), 1), "b")
 
     def test_relu_clamps(self):
         assert _relu((-3, 2)) == (0, 2)
 
     def test_relu_all_negative_accepts_everything(self):
         emb = make_embedding({"b": (-5, -7)})
-        assert lab_relu(emb, ((-1, -2), 1), "b")
+        assert label(ReluLabeller, emb, ((-1, -2), 1), "b")
 
     def test_ord_reflexive_and_strict(self):
         emb = make_embedding({"b": (0, 1), "c": (1, 0)})
-        assert lab_ord(emb, ((0, 1), 1), "b")
-        assert not lab_ord(emb, ((1, 0), 1), "b")
+        assert label(OrdLabeller, emb, ((0, 1), 1), "b")
+        assert not label(OrdLabeller, emb, ((1, 0), 1), "b")
 
     def test_ord_needs_the_max_pooled_denominator(self):
         # numerators are compared directly, so the pooled value must be
         # over cden, as emb_ord returns it
         emb = make_embedding({"a": (F(1, 2), 0), "b": (F(1, 2), F(1, 3))})
-        assert lab_ord(emb, emb_ord(emb, ("a", "b")), "b")
+        assert label(OrdLabeller, emb, emb_ord(emb, ("a", "b")), "b")
         with pytest.raises(ValueError, match="denominator 6, got 1"):
-            lab_ord(emb, ((3, 2), 1), "b")
+            label(OrdLabeller, emb, ((3, 2), 1), "b")
 
     @settings(max_examples=60)
     @given(st.integers(0, 10**6),
@@ -190,35 +190,36 @@ class TestLabelling:
             {k: tuple(scale * x for x in v) for k, v in emb.output.items()},
             {k: scale * v for k, v in emb.lam.items()},
             dict(emb.theta))
-        assert lab_dot(emb, e, "b") == lab_dot(scaled, e, "b")
+        assert (label(DotLabeller, emb, e, "b")
+                == label(DotLabeller, scaled, e, "b"))
 
 
 class TestNormalisedLabelling:
     def test_empty_set_positive_threshold(self):
         emb = make_embedding({"x": (1, 0)}, lam={"x": F(1, 10)})
-        assert not lab_dot_on_norm(emb, emb_norm(emb, ()), "x")
+        assert not label(DotOnNormLabeller, emb, emb_norm(emb, ()), "x")
 
     def test_empty_set_zero_threshold(self):
         emb = make_embedding({"x": (1, 0)}, lam={"x": 0})
-        assert lab_dot_on_norm(emb, emb_norm(emb, ()), "x")
+        assert label(DotOnNormLabeller, emb, emb_norm(emb, ()), "x")
 
     def test_zero_lambda_positive_dot(self):
         emb = make_embedding({"a": (1, 1), "x": (5, 0)}, lam={"x": 0})
-        assert lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "x")
+        assert label(DotOnNormLabeller, emb, emb_norm(emb, ("a",)), "x")
 
     def test_squared_comparison(self):
         # sum.out = 3, ||sum||^2 = 4, lambda = 2: 3 >= 2*2 is false
         emb = make_embedding({"a": (2, 0), "x": (F(3, 2), 0)}, lam={"x": 2})
         # the context denominator is 2, so the sum is carried as (4, 0)
         assert emb_norm(emb, ("a",)) == ((4, 0), 16)
-        assert not lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "x")
+        assert not label(DotOnNormLabeller, emb, emb_norm(emb, ("a",)), "x")
 
     def test_negative_lambda_negative_dot(self):
         # -1 >= -2 * sqrt(1): true; -3 >= -2: false
         emb = make_embedding({"a": (1, 0), "x": (-1, 0), "y": (-3, 0)},
                              lam={"x": -2, "y": -2})
-        assert lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "x")
-        assert not lab_dot_on_norm(emb, emb_norm(emb, ("a",)), "y")
+        assert label(DotOnNormLabeller, emb, emb_norm(emb, ("a",)), "x")
+        assert not label(DotOnNormLabeller, emb, emb_norm(emb, ("a",)), "y")
 
     @settings(max_examples=150)
     @given(st.fractions(min_value=-9, max_value=9, max_denominator=7),
@@ -257,12 +258,13 @@ class TestNormalisedLabelling:
                              lam={"b": (1 + b1 * b1 + b2 * b2 - th * th) / 2},
                              theta={"b": th})
         pooled = emb_avg(emb, ("e",))  # the vector e itself
-        direct = lab_dist(emb, pooled, "b")
-        dot_form = lab_dot(emb, pooled, "b")
+        direct = label(DistLabeller, emb, pooled, "b")
+        dot_form = label(DotLabeller, emb, pooled, "b")
         assert direct == dot_form
         # and the squaring-based path agrees with both
-        assert lab_dist_on_norm(emb, emb_norm(emb, ("e",)), "b") == direct
-        assert lab_dot_on_norm(emb, emb_norm(emb, ("e",)), "b") == direct
+        normed = emb_norm(emb, ("e",))
+        assert label(DistOnNormLabeller, emb, normed, "b") == direct
+        assert label(DotOnNormLabeller, emb, normed, "b") == direct
 
 
 class TestStrategyDispatch:
@@ -278,7 +280,7 @@ class TestStrategyDispatch:
     def test_sig_has_no_exact_verdict(self):
         emb = make_embedding({"a": (1, 0)})
         with pytest.raises(ExactEvaluationError):
-            strategy_accepts(emb, strategy_from_name("sig-dot"), ("a",), "a")
+            accepts(emb, strategy_from_name("sig-dot"), ("a",), "a")
 
     def test_tied_vs_untied_hadamard(self):
         emb = make_embedding({"a": (1, 1), "b": (-2, 1)},
@@ -287,17 +289,17 @@ class TestStrategyDispatch:
         tied = strategy_from_name("had-dot-tied")
         untied = strategy_from_name("had-dot")
         # untied consults output vectors, tied the context vectors
-        assert strategy_accepts(emb, untied, ("a",), "b")
-        assert not strategy_accepts(emb, tied, ("a",), "b")
+        assert accepts(emb, untied, ("a",), "b")
+        assert not accepts(emb, tied, ("a",), "b")
 
     def test_dispatch_matches_primitives(self):
         rng = random.Random(9)
         emb = random_embedding(rng, ["a", "b", "c"])
         subset = ("a", "b")
-        assert strategy_accepts(emb, AVG_DOT, subset, "c") == lab_dot(
-            emb, emb_avg(emb, subset), "c")
-        assert strategy_accepts(emb, ORD_ORD, subset, "c") == lab_ord(
-            emb, emb_ord(emb, subset), "c")
+        assert accepts(emb, AVG_DOT, subset, "c") == label(
+            DotLabeller, emb, emb_avg(emb, subset), "c")
+        assert accepts(emb, ORD_ORD, subset, "c") == label(
+            OrdLabeller, emb, emb_ord(emb, subset), "c")
 
 
 # ------------------------------------------------------------------
@@ -380,7 +382,7 @@ class TestKernelsMatchFractionReference:
                     assert labeller.score(pooled, i) == want[i][1], (
                         strategy.name, subset, head)
                     if subset:
-                        assert strategy_accepts(
+                        assert accepts(
                             emb, strategy, subset + subset[:1],
                             head) == want[i][0]
 
@@ -404,9 +406,9 @@ class TestKernelsMatchFractionReference:
 
     def test_scaling_reads_the_current_thresholds(self):
         emb = make_embedding({"a": (1, 0), "b": (1, 0)}, lam={"b": 2})
-        assert not strategy_accepts(emb, AVG_DOT, ("a",), "b")
+        assert not accepts(emb, AVG_DOT, ("a",), "b")
         emb.lam = {"a": F(0), "b": F(1)}
-        assert strategy_accepts(emb, AVG_DOT, ("a",), "b")
+        assert accepts(emb, AVG_DOT, ("a",), "b")
 
     def test_common_denominators(self):
         emb = make_embedding({"a": (F(1, 2), F(1, 3)), "b": (F(3, 4), 0)},

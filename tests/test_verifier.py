@@ -2,26 +2,26 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import embedsim.logic as logic
 import embedsim.strategies as strategies
 import embedsim.verifier as verifier
-from conftest import (random_embedding, random_rule_kb,
+from conftest import (accepts, label, random_embedding, random_rule_kb,
                       random_stratified_kb)
 from embedsim.constructors import construct_avg_relu, construct_had_dot
 from embedsim.fixtures import fixture
 from embedsim.logic import KnowledgeBase, Signature, entails, parse_kb
 from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
                                  TABLE1_STRATEGIES, AttributeEmbedding,
-                                 DimensionMismatchError, emb_avg, emb_had,
-                                 emb_norm, emb_ord, lab_dist, lab_dist_on_norm,
-                                 lab_dot, lab_dot_on_norm, lab_ord, lab_relu,
-                                 strategy_accepts)
-from embedsim.verifier import (check_ord_monotonicity, nonempty_subsets,
-                               subset_queries, verify_monotonic,
-                               verify_nonmonotonic)
+                                 DimensionMismatchError, DistLabeller,
+                                 DistOnNormLabeller, DotLabeller,
+                                 DotOnNormLabeller, OrdLabeller, ReluLabeller,
+                                 emb_avg, emb_had, emb_norm, emb_ord)
+from embedsim.verifier import (nonempty_subsets, subset_queries,
+                               verify_monotonic, verify_nonmonotonic)
 from oracles import (mask_filter_subsets, syntax_nodes, tt_assignments,
                      tt_entails, tt_mu, tt_nm_rank)
 import references
@@ -63,7 +63,7 @@ class TestVerifyMonotonic:
         kb = fixture("CE1")
         emb = distance_witness_embedding()
         for subset, head in CE1_QUERIES:
-            assert (strategy_accepts(emb, AVG_DIST, subset, head)
+            assert (accepts(emb, AVG_DIST, subset, head)
                     == entails(kb, subset, head))
 
     def test_expected_side_matches_independent_oracle(self):
@@ -74,7 +74,7 @@ class TestVerifyMonotonic:
         mismatch_index = {(m.subset, m.head): m for m in report.mismatches}
         for subset, head in subset_queries(kb.signature, 3):
             want = tt_entails(kb, subset, head)
-            got = strategy_accepts(emb, AVG_DOT, subset, head)
+            got = accepts(emb, AVG_DOT, subset, head)
             mm = mismatch_index.get((subset, head))
             assert (mm is not None) == (want != got)
             if mm is not None:
@@ -134,6 +134,15 @@ class TestVerifyMonotonic:
                            match="lacks output vectors for atoms: b, x$"):
             verify_monotonic(emb, AVG_DOT, kb)
 
+    def test_stratified_kb_refused(self):
+        theta = fixture("ORD-NM")
+        emb = random_embedding(random.Random(6), theta.signature.atoms,
+                               tied=True)
+        with pytest.raises(ValueError,
+                           match="^monotonic verification needs a plain KB, "
+                                 "got a stratified KB$"):
+            verify_monotonic(emb, ORD_ORD, theta)
+
     def test_report_records_empty_antecedent_exclusion(self):
         kb = parse_kb("atoms: a\n")
         emb = random_embedding(random.Random(5), ("a",))
@@ -141,16 +150,16 @@ class TestVerifyMonotonic:
         assert report.to_dict()["empty_antecedent_excluded"] is True
 
 
-# each exact strategy's labelling decision, composed by hand
+# each exact strategy's pooling and labeller, paired by hand
 DIRECT = {
-    "avg-dot": lambda e, s, b: lab_dot(e, emb_avg(e, s), b),
-    "avg-dist": lambda e, s, b: lab_dist(e, emb_avg(e, s), b),
-    "norm-dot": lambda e, s, b: lab_dot_on_norm(e, emb_norm(e, s), b),
-    "norm-dist": lambda e, s, b: lab_dist_on_norm(e, emb_norm(e, s), b),
-    "avg-relu": lambda e, s, b: lab_relu(e, emb_avg(e, s), b),
-    "had-dot": lambda e, s, b: lab_dot(e, emb_had(e, s), b),
-    "had-dot-tied": lambda e, s, b: lab_dot(e, emb_had(e, s), b, tied=True),
-    "ord-ord": lambda e, s, b: lab_ord(e, emb_ord(e, s), b),
+    "avg-dot": (emb_avg, DotLabeller),
+    "avg-dist": (emb_avg, DistLabeller),
+    "norm-dot": (emb_norm, DotOnNormLabeller),
+    "norm-dist": (emb_norm, DistOnNormLabeller),
+    "avg-relu": (emb_avg, ReluLabeller),
+    "had-dot": (emb_had, DotLabeller),
+    "had-dot-tied": (emb_had, partial(DotLabeller, tied=True)),
+    "ord-ord": (emb_ord, OrdLabeller),
 }
 
 
@@ -186,7 +195,8 @@ class TestPoolOnce:
             report = verify_monotonic(emb, strategy, kb)
             expected_mismatches = []
             for subset, head in subset_queries(kb.signature, 4):
-                got = DIRECT[strategy.name](emb, subset, head)
+                pool, labeller = DIRECT[strategy.name]
+                got = label(labeller, emb, pool(emb, subset), head)
                 want = tt_entails(kb, subset, head)
                 if got != want:
                     expected_mismatches.append((subset, head, want, got))
@@ -289,6 +299,15 @@ class TestVerifyNonMonotonic:
         report = verify_nonmonotonic(res.embedding, res.strategy, theta)
         assert report.simulates
 
+    def test_plain_kb_refused(self):
+        kb = fixture("CE1")
+        emb = random_embedding(random.Random(7), kb.signature.atoms,
+                               tied=True)
+        with pytest.raises(ValueError,
+                           match="^non-monotonic verification needs a "
+                                 "stratified KB, got a plain KB$"):
+            verify_nonmonotonic(emb, ORD_ORD, kb)
+
     def test_any_max_order_embedding_fails_ord_nm(self):
         rng = random.Random(107)
         theta = fixture("ORD-NM")
@@ -299,25 +318,15 @@ class TestVerifyNonMonotonic:
 
 
 class TestOrdMonotonicity:
+    """The product-order monotonicity check that ACCEPTANCE 7 runs."""
+
     def test_holds_on_random_embeddings(self):
         rng = random.Random(109)
         for _ in range(50):
             emb = random_embedding(rng, ("a", "b", "x"), tied=True)
-            report = check_ord_monotonicity(emb)
+            report = ref_check_ord_monotonicity(emb)
             assert report.holds
             assert report.checked > 0
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_the_set_based_reference(self, n):
-        # masks against the pairwise set containment of the reference:
-        # the same pairs in the same order, the same report
-        rng = random.Random(f"ord-monotonicity:{n}")
-        atoms = tuple(f"p{i}" for i in range(n))
-        for cap in (None, 2):  # n atoms at full cap, then capped at 2
-            for _ in range(4):
-                emb = random_embedding(rng, atoms, tied=True)
-                want = ref_check_ord_monotonicity(emb, cap)
-                assert check_ord_monotonicity(emb, cap) == want
 
     def test_reports_dropped_labels_like_the_reference(self, monkeypatch):
         # max pooling cannot drop a label, so a pooling that lowers every
@@ -329,19 +338,19 @@ class TestOrdMonotonicity:
         zero = (F(0),)
         emb = AttributeEmbedding(1, {a: zero for a in "abx"},
                                  {a: zero for a in "abx"})
-        monkeypatch.setattr(verifier, "emb_ord", shrinking)
         monkeypatch.setattr(references, "emb_ord", shrinking)
-        want = ref_check_ord_monotonicity(emb)
+        report = ref_check_ord_monotonicity(emb)
         # each singleton loses all three labels in each of its three
         # supersets; the pairs have none left to lose
-        assert (want.checked, len(want.violations)) == (12, 9)
-        assert want.violations[0] == {"subset": ["a"], "superset": ["a", "b"],
-                                      "dropped": ["a", "b", "x"]}
-        assert check_ord_monotonicity(emb) == want
+        assert (report.checked, len(report.violations)) == (12, 9)
+        assert report.violations[0] == {"subset": ["a"],
+                                        "superset": ["a", "b"],
+                                        "dropped": ["a", "b", "x"]}
+        assert not report.holds
 
     def test_trace_shows_a_subset_pair(self):
         emb = random_embedding(random.Random(113), ("a", "b"), tied=True)
-        report = check_ord_monotonicity(emb)
+        report = ref_check_ord_monotonicity(emb)
         assert report.trace is not None
         assert set(report.trace) == {"subset", "superset", "labels_subset",
                                      "labels_superset"}
