@@ -21,11 +21,10 @@ table, and emit rows of plain ints.  Strict inequalities enter as unit
 margins: the systems are positively homogeneous in their variables, so a
 solution with any positive slack can be scaled to one with slack 1, and
 rows are cleared of the averaging denominators (a positive row scaling
-that changes nothing about feasibility).  Replayed and hand-built rows
-may still carry rationals; `_integer_row` is the one place any row is
-oriented to >= and cleared of denominators, and each system runs it once
-per row (`LinearSystem.int_rows`), for the simplex and for the witness
-and Farkas checks alike.
+that changes nothing about feasibility).  Every system comes from these
+builders, so every row is ints; `_integer_row` orients a row to >=, and
+each system runs it once per row (`LinearSystem.int_rows`), for the
+simplex and for the witness and Farkas checks alike.
 
 The exact simplex (`lp_feasible`) splits a system into connected blocks
 of rows, two rows sharing a block when they share a variable; the
@@ -39,10 +38,10 @@ columns keep the joint order, are the joint choices.
 
 The tableau holds integers only.  A row is a list of ints over one
 positive row denominator, its value being ints / denominator; it starts
-as the oriented constraint scaled by the lcm of its denominators.  The
-entering column is the first reduced cost with a positive numerator,
-and the ratio test compares rhs / entry across rows by cross-multiplying
-(a row's denominator cancels in its own ratio).  A pivot keeps the
+as the oriented constraint over denominator 1.  The entering column is
+the first reduced cost with a positive numerator, and the ratio test
+compares rhs / entry across rows by cross-multiplying (a row's
+denominator cancels in its own ratio).  A pivot keeps the
 pivot row's ints and makes the pivot entry its denominator; every other
 row with entering entry f becomes (T pe - f P) / (dt pe), reduced by its
 gcd.  Each row stands for the same rationals as in a `Fraction` tableau,
@@ -52,6 +51,11 @@ tableau (`tests/references.py` keeps one as the reference).  `Fraction`s
 are built only for the witness, the phase-1 objective and the
 multipliers.  The witness re-check `verify_witness` also runs in
 integers.
+
+Replay trusts nothing a certificate records: every certificate is
+rebuilt, a fixture certificate from its fixture and a generic decision
+from the KB its captured queries describe (`_facts_kb`), and the two
+documents must be the same canonical JSON text (`reverify_certificate`).
 """
 
 from __future__ import annotations
@@ -65,10 +69,11 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .fixtures import fixture
-from .logic import (CapExceededError, KnowledgeBase, StratifiedKB, conjoin,
-                    consequence_table, entailment_table, kb_digest)
+from .logic import (CapExceededError, Implies, KBError, KnowledgeBase,
+                    Signature, StratifiedKB, Var, conjoin, consequence_table,
+                    entailment_table, kb_digest)
 from .strategies import (AVG_DOT, AttributeEmbedding, StrategyId, frac_str,
-                         parse_frac, strategy_from_name)
+                         strategy_from_name)
 from .verifier import subset_queries, verify_monotonic
 
 Query = tuple[tuple[str, ...], str]
@@ -82,21 +87,15 @@ GENERIC_ATOM_CAP = 6
 
 @dataclass(frozen=True)
 class Constraint:
-    # ints from the builders; replayed and hand-built rows carry Fractions
-    coeffs: tuple[int | Fraction, ...]
+    coeffs: tuple[int, ...]
     relation: str  # ">=" or "<="
-    rhs: int | Fraction
+    rhs: int
     label: str
 
     def to_dict(self) -> dict:
         return {"coeffs": [frac_str(c) for c in self.coeffs],
                 "relation": self.relation, "rhs": frac_str(self.rhs),
                 "label": self.label}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Constraint":
-        return cls(tuple(parse_frac(c) for c in doc["coeffs"]),
-                   doc["relation"], parse_frac(doc["rhs"]), doc["label"])
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,6 @@ class LinearSystem:
         return {"variables": list(self.variables),
                 "constraints": [c.to_dict() for c in self.constraints],
                 "queries": list(self.queries)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LinearSystem":
-        return cls(tuple(doc["variables"]),
-                   tuple(Constraint.from_dict(c) for c in doc["constraints"]),
-                   tuple(doc.get("queries", ())))
 
 
 def _linear_system(kb: KnowledgeBase, queries: Iterable[Query] | None,
@@ -236,22 +229,14 @@ class FeasibilityOutcome:
     farkas: FarkasCertificate | None = None
 
 
-IntRow = tuple[tuple[int, ...], int, int]
+IntRow = tuple[tuple[int, ...], int]
 
 
 def _integer_row(constraint: Constraint) -> IntRow:
-    """The >=-oriented constraint as integers (coeffs, rhs, den).
-
-    `den` is the lcm of the row's denominators, and the oriented row
-    reads coeffs / den >= rhs / den; a builder's int row has den 1.
-    """
-    sign = 1 if constraint.relation == ">=" else -1
-    den = lcm(constraint.rhs.denominator,
-              *(c.denominator for c in constraint.coeffs if c))
-    coeffs = tuple(sign * c.numerator * (den // c.denominator) if c else 0
-                   for c in constraint.coeffs)
-    rhs = sign * constraint.rhs.numerator * (den // constraint.rhs.denominator)
-    return coeffs, rhs, den
+    """The constraint oriented to coeffs >= rhs, as (coeffs, rhs)."""
+    if constraint.relation == ">=":
+        return constraint.coeffs, constraint.rhs
+    return tuple(-c for c in constraint.coeffs), -constraint.rhs
 
 
 def combine_constraints(system: LinearSystem,
@@ -268,12 +253,11 @@ def combine_constraints(system: LinearSystem,
             raise ValueError(f"negative multiplier at row {i}")
         if y == 0:
             continue
-        coeffs, d, den = system.int_rows[i]
-        weight = Fraction(y, den)
+        coeffs, d = system.int_rows[i]
         for j, c in enumerate(coeffs):
             if c:
-                total[j] += weight * c
-        rhs += weight * d
+                total[j] += y * c
+        rhs += y * d
     return tuple(total), rhs
 
 
@@ -301,7 +285,7 @@ def verify_witness(system: LinearSystem,
     values = [witness.get(v, 0) for v in system.variables]
     scale = lcm(*(x.denominator for x in values))
     scaled = [x.numerator * (scale // x.denominator) for x in values]
-    for coeffs, rhs, _ in system.int_rows:
+    for coeffs, rhs in system.int_rows:
         if sum(c * x for c, x in zip(coeffs, scaled) if c) < rhs * scale:
             return False
     return True
@@ -391,36 +375,34 @@ def _phase1_block(rows: Sequence[IntRow], block: Sequence[int]
             ncols += 1
 
     tableau: list[list[int]] = []
-    dens: list[int] = []
+    dens = [1] * nr
     basis: list[int] = []
     for r, i in enumerate(block):
-        coeffs, d, den = rows[i]
+        coeffs, d = rows[i]
         row = [0] * (ncols + 1)
         sign = -1 if flipped[r] else 1
         for k, j in enumerate(variables):
             row[k] = sign * coeffs[j]
             row[nv + k] = -sign * coeffs[j]
-        row[2 * nv + r] = -sign * den
+        row[2 * nv + r] = -sign
         row[-1] = sign * d
         if flipped[r]:
             basis.append(2 * nv + r)
         else:
-            row[art_col[r]] = den
+            row[art_col[r]] = 1
             basis.append(art_col[r])
         tableau.append(row)
-        dens.append(den)
 
     # reduced-cost row z_j = (basis costs) . column_j - cost_j, plus
     # the objective value, over zden; artificials cost 1, all else 0
-    zden = lcm(*(dens[r] for r in range(nr) if art_col[r] is not None))
+    zden = 1
     z = [0] * (ncols + 1)
     for r in range(nr):
         if art_col[r] is not None:
-            scale = zden // dens[r]
             for j, x in enumerate(tableau[r]):
                 if x:
-                    z[j] += scale * x
-            z[art_col[r]] -= zden
+                    z[j] += x
+            z[art_col[r]] -= 1
 
     while True:
         enter = next((j for j in range(ncols) if z[j] > 0), None)
@@ -864,11 +846,6 @@ _CERTIFIERS: dict[str, tuple[tuple[str, ...],
 }
 
 
-# every evidence kind a certificate can carry
-_EVIDENCE_KINDS = ("farkas", "witness", "closure", "symmetry", "order-argument",
-                   "stratified-reduction")
-
-
 def certify_strategy_failure(strategy: StrategyId | str,
                              fixture_name: str | None = None) -> Certificate:
     """Certificate that the strategy cannot simulate the named fixture."""
@@ -984,7 +961,7 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
 
 
 # ------------------------------------------------------------------
-# Certificate re-verification (replay from the serialized evidence)
+# Certificate re-verification (replay by rebuilding)
 # ------------------------------------------------------------------
 
 def _canonical(doc: dict) -> str:
@@ -994,46 +971,53 @@ def _canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, check_circular=False)
 
 
+def _facts_kb(queries: Sequence[dict]) -> KnowledgeBase:
+    """The KB that a generic decision's recorded queries describe.
+
+    Its atoms are the heads of the first subset's queries, and it has a
+    rule S -> b for each recorded query whose `captured` is true.  Each
+    such rule holds in every model of the source KB, so what this KB
+    entails the source KB entails, and each captured query is one of
+    its rules: on every non-empty subset the two entail the same heads.
+    The avg-dot system and the re-verifying sweep read nothing else, so
+    `decide_avg_dot` gives both KBs the same certificate.
+    """
+    first = queries[0]["subset"] if queries else None
+    atoms = tuple(q["head"] for q in queries if q["subset"] == first)
+    rules = tuple(Implies(conjoin(map(Var, q["subset"])), Var(q["head"]))
+                  for q in queries if q["captured"])
+    return KnowledgeBase(Signature(atoms), rules)
+
+
+def _rebuild(doc: dict) -> Certificate:
+    """The certificate the document claims to be, derived again."""
+    fixture_name = doc["fixture"]
+    if fixture_name is None:
+        return decide_avg_dot(_facts_kb(doc["evidence"]["system"]["queries"]))
+    certify = (certify_nonmonotonic_failure
+               if doc["mode"] == "non-monotonic"
+               else certify_strategy_failure)
+    return certify(strategy_from_name(doc["strategy"]), fixture_name)
+
+
 def reverify_certificate(cert: Certificate | dict) -> bool:
     """Replay a certificate; True when it checks out exactly.
 
-    A certificate that names a fixture replays exactly when rebuilding
-    it from that fixture (`certify_nonmonotonic_failure` in
-    non-monotonic mode, `certify_strategy_failure` otherwise) gives the
-    same document, compared as canonical JSON text (sorted keys), so
-    `1` or `1.0` never stands in for `true`: facts, systems,
-    multipliers, requirements, refutations, digests, assumptions and
-    verdict are all derived again and compared, and the rebuild checks
-    its own Farkas combination, witness or closure search exactly.  A
-    fixture the strategy has no certificate for fails, and so does a
-    strategy or fixture that is not a string.  A generic certificate
-    (`decide_avg_dot`, no fixture) is checked on its own Farkas or
-    witness evidence; any other evidence without a fixture fails.
+    Every certificate replays by one rule: rebuilt, it must give the
+    same canonical JSON text (sorted keys), so `1` or `1.0` never stands
+    in for `true`.  A fixture certificate is rebuilt from its fixture
+    (`certify_nonmonotonic_failure` in non-monotonic mode,
+    `certify_strategy_failure` otherwise), a generic one by
+    `decide_avg_dot` on the KB its captured queries describe
+    (`_facts_kb`).  So every recorded field is derived again, and the
+    rebuild checks its own Farkas combination, witness or closure search
+    exactly.  A document the rebuild cannot read (a missing key, a value
+    of the wrong type, an unknown strategy, a fixture the strategy has
+    no certificate for) fails.
     """
     doc = cert.to_dict() if isinstance(cert, Certificate) else cert
-    ev = doc["evidence"]
-    kind = ev["kind"]
-    if kind not in _EVIDENCE_KINDS:
-        raise ValueError(f"unknown evidence kind {kind!r}")
-    fixture_name = doc.get("fixture")
-    if fixture_name is not None:
-        strategy = doc.get("strategy")
-        # only a string can name a strategy; other JSON values are unhashable
-        fixtures = (_CERTIFIERS.get(strategy, ((),))[0]
-                    if isinstance(strategy, str) else ())
-        if fixture_name not in fixtures:
-            return False
-        certify = (certify_nonmonotonic_failure
-                   if doc.get("mode") == "non-monotonic"
-                   else certify_strategy_failure)
-        rebuilt = certify(strategy, fixture_name).to_dict()
-        return _canonical(rebuilt) == _canonical(doc)
-    if kind == "farkas":
-        system = LinearSystem.from_dict(ev["system"])
-        mult = [parse_frac(y) for y in ev["multipliers"]]
-        return verify_farkas(system, mult) == parse_frac(ev["gap"])
-    if kind == "witness":
-        system = LinearSystem.from_dict(ev["system"])
-        witness = {k: parse_frac(v) for k, v in ev["assignment"].items()}
-        return verify_witness(system, witness)
-    return False
+    try:
+        rebuilt = _rebuild(doc)
+    except (KeyError, TypeError, ValueError, KBError):
+        return False
+    return _canonical(rebuilt.to_dict()) == _canonical(doc)

@@ -24,7 +24,8 @@ from .certifier import (certify_nonmonotonic_failure,
                         certify_strategy_failure, decide_avg_dot)
 from .constructors import construct
 from .fixtures import FIXTURE_NAMES
-from .logic import KBError, StratifiedKB, count_models, parse_kb
+from .logic import (KBError, StratifiedKB, check_cap, count_models,
+                    parse_kb)
 from .strategies import AttributeEmbedding, strategy_from_name
 from .table1 import run_table1
 from .verifier import verify_monotonic, verify_nonmonotonic
@@ -113,9 +114,10 @@ def _emit(doc: dict, as_json: bool, human_lines: list[str]) -> None:
 def cmd_check(args, config) -> int:
     kb = _read_kb(args.kb)
     if isinstance(kb, StratifiedKB):
+        # refused above the cap, as counting a plain KB's models is
         doc = {"kind": "stratified", "atoms": len(kb.signature),
                "strata": len(kb.strata),
-               "interpretations": 1 << len(kb.signature)}
+               "interpretations": 1 << check_cap(kb.signature)}
         lines = [f"stratified, k={len(kb.strata)}",
                  f"atoms: {len(kb.signature)} ({' '.join(kb.signature.atoms)})",
                  f"interpretations: {doc['interpretations']}"]

@@ -380,6 +380,7 @@ def parse_kb(text: str) -> KnowledgeBase | StratifiedKB:
     order is the semantic stratum order), a KnowledgeBase otherwise.
     """
     signature: Signature | None = None
+    declared: set[str] = set()  # the header's atoms, kept for every line
     formulas: list[Formula] = []
     strata: list[Formula] = []
 
@@ -409,9 +410,10 @@ def parse_kb(text: str) -> KnowledgeBase | StratifiedKB:
                             tok.line, tok.column)
                     raise ParseError(
                         f"bad atom name {tok.text!r}", tok.line, tok.column)
-                if tok.text in names:
+                if tok.text in declared:
                     raise DuplicateAtomError(
                         f"duplicate atom {tok.text!r}", tok.line, tok.column)
+                declared.add(tok.text)
                 names.append(tok.text)
             if not names:
                 raise ParseError("empty atoms: header", line_no, 1)
@@ -421,8 +423,7 @@ def parse_kb(text: str) -> KnowledgeBase | StratifiedKB:
         if signature is None:
             raise ParseError("atoms: header must come first", line_no, 1)
         parser = _FormulaParser(
-            _tokenize(payload, line_no, payload_offset), set(signature.atoms)
-        )
+            _tokenize(payload, line_no, payload_offset), declared)
         formula = parser.parse()
         if keyword == "stratum":
             strata.append(formula)
@@ -470,7 +471,7 @@ def truth_set(formula: Formula, signature: Signature) -> int:
     interpretation omega.  Each syntax-tree node costs one big-int
     operation over all 2^n interpretations at once.
     """
-    n = _check_cap(signature)
+    n = check_cap(signature)
     return _truth(formula, signature, *_universe(n))
 
 
@@ -505,7 +506,7 @@ def _bit_array(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(packed, count=size, bitorder="little").view(bool)
 
 
-def _check_cap(signature: Signature) -> int:
+def check_cap(signature: Signature) -> int:
     """Atom count of the signature; raises above `DEFAULT_MODEL_CAP` atoms."""
     n = len(signature)
     if n > DEFAULT_MODEL_CAP:
@@ -525,7 +526,7 @@ def _model_set(kb: KnowledgeBase) -> int:
 
 def count_models(kb: KnowledgeBase) -> int:
     """Number of models of the KB, without listing them."""
-    _check_cap(kb.signature)
+    check_cap(kb.signature)
     return _model_set(kb).bit_count()
 
 
@@ -547,7 +548,7 @@ def entailment_table(kb: KnowledgeBase) -> np.ndarray:
     # of the rest of the package, raised the peak memory of a fresh
     # process by 1 MB when sources are compiled on import
     import numpy as np
-    n = _check_cap(kb.signature)
+    n = check_cap(kb.signature)
     table = np.where(_bit_array(_model_set(kb), n),
                      np.arange(1 << n, dtype=np.int64), (1 << n) - 1)
     for i in range(n):
@@ -589,7 +590,7 @@ def counter_models(kb: KnowledgeBase) -> tuple[int, ...]:
     Per head, the models lacking b less those strictly below one of them
     (`_strictly_below`): O(n^2) big-int operations over 2^n bits in all.
     """
-    n = _check_cap(kb.signature)
+    n = check_cap(kb.signature)
     atoms = _universe(n)[1]
     models = _model_set(kb)
     needed = 0
@@ -636,7 +637,7 @@ def rank_table(theta: StratifiedKB) -> np.ndarray:
     `_rank_at_least` puts it in.
     """
     import numpy as np  # on first use, as in `entailment_table`
-    n = _check_cap(theta.signature)
+    n = check_cap(theta.signature)
     rank = np.zeros(1 << n, dtype=np.int64)
     for at_least in _rank_at_least(theta)[1:]:
         rank += _bit_array(at_least, n)
@@ -662,7 +663,7 @@ def ranked_counter_models(theta: StratifiedKB) -> tuple[int, ...]:
     Per head and level, `_strictly_below` over the sets of
     `_rank_at_least`: O(n^2) big-int operations over 2^n bits per level.
     """
-    n = _check_cap(theta.signature)
+    n = check_cap(theta.signature)
     atoms = _universe(n)[1]
     at_least = _rank_at_least(theta) + (0,)
     kept = 1 << ((1 << n) - 1)

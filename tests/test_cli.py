@@ -61,6 +61,29 @@ class TestCheck:
         assert code == 2
         assert "atoms" in err
 
+    @pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("line", ["stratum: p0 -> p1", "rule: p0 -> p1"])
+    @pytest.mark.parametrize("atoms", [21, 15_000])
+    def test_kb_over_cap_exit_two(self, capsys, tmp_path, output, line,
+                                  atoms):
+        # a stratified KB gets the plain KB's one-line refusal, not 2^n
+        # (or, past 4,300 digits, Python's int-to-string limit)
+        path = tmp_path / "wide.kb"
+        path.write_text("atoms: " + " ".join(f"p{i}" for i in range(atoms))
+                        + f"\n{line}\n")
+        code, out, err = run(capsys, "check", str(path), *output)
+        assert (code, out) == (2, "")
+        assert err == (f"error: signature has {atoms} atoms, enumeration "
+                       f"cap is 20\n")
+
+    def test_stratified_kb_at_cap(self, capsys, tmp_path):
+        path = tmp_path / "wide.kb"
+        path.write_text("atoms: " + " ".join(f"p{i}" for i in range(20))
+                        + "\nstratum: p0 -> p1\n")
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["interpretations"] == 1 << 20
+
     def test_parse_error_location(self, capsys, tmp_path):
         path = tmp_path / "bad.kb"
         path.write_text("atoms: a\nrule: a &\n")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -510,6 +511,40 @@ class TestSigmoidNumeric:
         emb = make_embedding({"a": (1, 1)})
         with pytest.raises(ValueError):
             emb_sig_numeric(emb, ("a",), kappa=0.0)
+
+
+class TestAngularError:
+    @pytest.mark.parametrize("degrees", [0, 10, 45, 90, 135, 180])
+    def test_known_angles(self, degrees):
+        # the plane of u and v sits at an arbitrary place in R^5, and
+        # the lengths differ, so only the directions may count
+        rotation, _ = np.linalg.qr(np.random.default_rng(3).standard_normal(
+            (5, 5)))
+        t = np.radians(degrees)
+        u = rotation @ np.array([3.0, 0, 0, 0, 0])
+        v = rotation @ np.array([0.5 * np.cos(t), 0.5 * np.sin(t), 0, 0, 0])
+        assert angular_error(u, v) == pytest.approx(t, abs=1e-12)
+        assert angular_error(v, u) == pytest.approx(t, abs=1e-12)
+
+    def test_tiny_angle_keeps_its_relative_precision(self):
+        t = 1e-9
+        u, v = np.array([1.0, 0.0]), np.array([np.cos(t), np.sin(t)])
+        assert angular_error(u, v) == pytest.approx(t, rel=1e-6)
+
+    def test_zero_vector_is_nan(self):
+        assert np.isnan(angular_error(np.zeros(3), np.ones(3)))
+        assert np.isnan(angular_error(np.ones(3), np.zeros(3)))
+
+    def test_memory_is_linear_in_the_dimension(self):
+        # two d x d float matrices at d = 1,000 would be 16 MB
+        u, v = np.ones(1000), np.arange(1000.0)
+        tracemalloc.start()
+        try:
+            angular_error(u, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
 
 class TestSigmoidBatch:
