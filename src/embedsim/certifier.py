@@ -245,20 +245,25 @@ def combine_constraints(system: LinearSystem,
     """Non-negative combination of (>=-oriented) rows: returns (coeffs, rhs).
 
     Multiplier i weighs row i; rows past the last multiplier get none.
+    The multipliers are scaled once to their common denominator D, the
+    rows summed in integers, and each total divided by D at the end.
     """
-    total = [Fraction(0)] * len(system.variables)
-    rhs = Fraction(0)
+    terms = []
     for i, y in enumerate(multipliers):
         if y < 0:
             raise ValueError(f"negative multiplier at row {i}")
-        if y == 0:
-            continue
-        coeffs, d = system.int_rows[i]
+        if y:
+            terms.append((y, system.int_rows[i]))
+    scale = lcm(*(y.denominator for y, _ in terms))
+    total = [0] * len(system.variables)
+    rhs = 0
+    for y, (coeffs, d) in terms:
+        k = y.numerator * (scale // y.denominator)
         for j, c in enumerate(coeffs):
             if c:
-                total[j] += y * c
-        rhs += y * d
-    return tuple(total), rhs
+                total[j] += k * c
+        rhs += k * d
+    return tuple(Fraction(t, scale) for t in total), Fraction(rhs, scale)
 
 
 def verify_farkas(system: LinearSystem,
@@ -964,11 +969,16 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
 # Certificate re-verification (replay by rebuilding)
 # ------------------------------------------------------------------
 
-def _canonical(doc: dict) -> str:
-    """The document as canonical JSON text, keys sorted.  A certificate is
-    a tree, so the cycle check, which more than doubles the encoding
-    time, is skipped."""
-    return json.dumps(doc, sort_keys=True, check_circular=False)
+def canonical_json(doc: dict) -> str:
+    """The document as canonical JSON text: keys sorted, no whitespace.
+
+    This is the one encoding of every `--json` document and of replay's
+    comparisons.  Without `indent`, `json.dumps` runs CPython's C
+    encoder.  The documents are trees, so the cycle check, which more
+    than doubles the encoding time, is skipped.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 def _facts_kb(queries: Sequence[dict]) -> KnowledgeBase:
@@ -1020,4 +1030,4 @@ def reverify_certificate(cert: Certificate | dict) -> bool:
         rebuilt = _rebuild(doc)
     except (KeyError, TypeError, ValueError, KBError):
         return False
-    return _canonical(rebuilt.to_dict()) == _canonical(doc)
+    return canonical_json(rebuilt.to_dict()) == canonical_json(doc)

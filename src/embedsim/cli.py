@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: check, construct, verify, certify, table1.  Machine output
-is JSON on stdout with --json, human-readable otherwise; table1 also
-renders markdown with --md.  Exit codes: 0 success (or "simulates"),
-1 semantic negative (verification mismatches, or a certify verdict that
-contradicts --expect), 2 usage or input errors, 141 (as for SIGPIPE)
-when the reader of stdout goes away early, as in `embedsim ... | head`.
+is JSON on stdout with --json, one line with sorted keys and no spaces
+(`canonical_json`; `python -m json.tool` indents it), human-readable
+otherwise; table1 also renders markdown with --md.  The embedding file
+that construct writes stays indented, for reading and editing by hand.
+Exit codes: 0 success (or "simulates"), 1 semantic negative
+(verification mismatches, or a certify verdict that contradicts
+--expect), 2 usage or input errors, 141 (as for SIGPIPE) when the reader
+of stdout goes away early, as in `embedsim ... | head`.
 
 Settings resolve flag > environment > config file > default; the
 environment names mirror the flags with an EMBEDSIM_ prefix (for
@@ -20,7 +23,7 @@ import json
 import os
 import sys
 
-from .certifier import (certify_nonmonotonic_failure,
+from .certifier import (canonical_json, certify_nonmonotonic_failure,
                         certify_strategy_failure, decide_avg_dot)
 from .constructors import construct
 from .fixtures import FIXTURE_NAMES
@@ -106,7 +109,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _emit(doc: dict, as_json: bool, human_lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(canonical_json(doc))
     else:
         print("\n".join(human_lines))
 

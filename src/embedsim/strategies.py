@@ -725,11 +725,17 @@ def cone_residual(target: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
 
 
 # Budget of the diagnostics, checked on the arguments before anything is
-# allocated.  At either bound one call takes well under a second and
-# tens of MB (2-vCPU VM, fresh process: d = 1,000 with 5 trials in
-# 0.30 s at a 36 MB peak; 1,000 trials at d = 4 in 0.56 s at 38 MB).
+# allocated.  A step of the ascent costs about trials x dimension plus a
+# per-trial overhead, and a call takes at most `iterations` steps (3,000
+# by default), fewer once its iterate cycles.  Calls at the limit that
+# took all 3,000 steps (kappa 0.01) ran in at most 0.69 s at a 37 MB
+# peak (2-vCPU VM, fresh process: 250 trials at d = 16, 0.69 s; 128 at
+# d = 32, 0.64 s; 4 at d = 1,000, 0.49 s).  Trials are bounded at 250
+# because 1,000 trials at d = 4 took 1.56 s at the default kappa
+# (seed 3, all 3,000 steps).
 MAX_DIAGNOSTIC_DIMENSION = 1000
-MAX_DIAGNOSTIC_TRIALS = 1000
+MAX_DIAGNOSTIC_TRIALS = 250
+MAX_DIAGNOSTIC_SIZE = 4096  # trials x dimension
 
 
 def sig_conical_diagnostics(dimension: int = 4, trials: int = 5,
@@ -753,6 +759,9 @@ def sig_conical_diagnostics(dimension: int = 4, trials: int = 5,
     if not 1 <= trials <= MAX_DIAGNOSTIC_TRIALS:
         raise ValueError(f"trials must be between 1 and "
                          f"{MAX_DIAGNOSTIC_TRIALS}")
+    if trials * dimension > MAX_DIAGNOSTIC_SIZE:
+        raise ValueError(f"trials x dimension must be at most "
+                         f"{MAX_DIAGNOSTIC_SIZE}, got {trials * dimension}")
     _check_ascent(kappa, iterations)
     rng = np.random.default_rng(seed)
     pairs, problems = [], []

@@ -15,10 +15,9 @@ seed for the numeric diagnostics, and no timing data in the JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .certifier import (certify_nonmonotonic_failure,
+from .certifier import (canonical_json, certify_nonmonotonic_failure,
                         certify_strategy_failure, reverify_certificate)
 from .constructors import construct
 from .fixtures import fixture
@@ -73,7 +72,7 @@ class Table1Report:
         return {"rows": [r.to_dict() for r in self.rows]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_dict()) + "\n"
 
     def to_markdown(self) -> str:
         mark = {"simulable": "yes", "not-simulable": "no"}

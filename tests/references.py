@@ -6,6 +6,8 @@ joint `Fraction` tableau, dense row updates.  It shares the system types
 and the Farkas re-check with the library and must return exactly what
 `lp_feasible` returns.  `ref_verify_witness` is the witness re-check as
 it stood before it moved to integers: one `Fraction` sum per row.
+`ref_combine_constraints` is the Farkas recombination as it stood
+before it moved to integers: one `Fraction` product per coefficient.
 
 The `ref_*` pooling, labelling and score functions are the exact
 strategy evaluators as they stood before the library moved to integer
@@ -76,6 +78,22 @@ def ref_verify_witness(system: LinearSystem, witness: dict) -> bool:
         if not ok:
             return False
     return True
+
+
+def ref_combine_constraints(system: LinearSystem, multipliers):
+    total = [Fraction(0)] * len(system.variables)
+    rhs = Fraction(0)
+    for i, y in enumerate(multipliers):
+        if y < 0:
+            raise ValueError(f"negative multiplier at row {i}")
+        if y == 0:
+            continue
+        coeffs, d = _fraction_row(system.constraints[i])
+        for j, c in enumerate(coeffs):
+            if c:
+                total[j] += y * c
+        rhs += y * d
+    return tuple(total), rhs
 
 
 def dense_lp_feasible(system: LinearSystem) -> FeasibilityOutcome:

@@ -33,7 +33,8 @@ from embedsim.strategies import AVG_DOT, frac_str, parse_frac
 from embedsim.table1 import run_table1
 from embedsim.verifier import subset_queries, verify_monotonic
 from oracles import tt_entails
-from references import dense_lp_feasible, ref_verify_witness
+from references import (dense_lp_feasible, ref_combine_constraints,
+                        ref_verify_witness)
 
 F = Fraction
 
@@ -508,6 +509,77 @@ class TestVerifyWitnessIntegers:
                               ({"v0": 3, "v1": 7, "extra": F(1, 2)}, True)):
             assert verify_witness(system, witness) is want
             assert ref_verify_witness(system, witness) is want
+
+
+def seeded_farkas_systems():
+    """(system, multipliers) of each infeasible avg-dot decision system
+    over seeded random 4-atom rule KBs."""
+    rng = random.Random(73)
+    found = []
+    while len(found) < 6:
+        system = build_avg_dot_system(random_rule_kb(rng, list("abcd")))
+        outcome = lp_feasible(system)
+        if not outcome.feasible:
+            found.append((system, outcome.farkas.multipliers))
+    return found
+
+
+@lru_cache(maxsize=None)
+def farkas_cases():
+    ce1 = build_avg_dot_system(fixture("CE1"), queries=_ce1_queries())
+    ce2 = build_avg_dist_relaxation(fixture("CE2"), queries=_ce2_queries())
+    return tuple([(system, lp_feasible(system).farkas.multipliers)
+                  for system in (ce1, ce2)] + seeded_farkas_systems())
+
+
+def assert_same_combination(system, multipliers):
+    got = combine_constraints(system, multipliers)
+    want = ref_combine_constraints(system, multipliers)
+    # equal as text and as types: every entry a Fraction, as before
+    assert repr(got) == repr(want)
+    return got
+
+
+class TestCombineConstraintsIntegers:
+    """`combine_constraints` in integers against the `Fraction` loop of
+    `ref_combine_constraints`."""
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_farkas_multipliers_and_their_prefixes(self, case):
+        system, mult = farkas_cases()[case]
+        coeffs, gap = assert_same_combination(system, mult)
+        assert all(c == 0 for c in coeffs) and gap > 0
+        for k in range(len(mult)):
+            assert_same_combination(system, mult[:k])
+
+    def test_rational_multipliers(self):
+        rng = random.Random(79)
+        for system, mult in farkas_cases():
+            for _ in range(5):
+                scaled = [y * F(rng.randint(0, 9), rng.randint(1, 12))
+                          for y in mult]
+                assert_same_combination(system, scaled)
+                mixed = [F(rng.randint(0, 5), rng.randint(1, 7))
+                         for _ in mult]
+                assert_same_combination(system, mixed)
+
+    @pytest.mark.parametrize("mult", [
+        [F(-1), F(1)], [F(1), F(-1, 3)], [F(0), F(-2)], [F(1), F(1), F(-1)],
+        [F(1), F(0), F(0), F(2)]])
+    def test_same_errors(self, mult):
+        system = make_system([([1], ">=", 1), ([1], "<=", 0), ([2], ">=", 3)])
+        errors = []
+        for combine in (combine_constraints, ref_combine_constraints):
+            with pytest.raises((ValueError, IndexError)) as info:
+                combine(system, mult)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+    def test_length_checked_by_verify_farkas(self):
+        system, mult = farkas_cases()[0]
+        for bad in (mult[:-1], (*mult, F(0))):
+            with pytest.raises(ValueError, match="multiplier count"):
+                verify_farkas(system, bad)
 
 
 class TestIntegerRowsConvertedOnce:

@@ -519,6 +519,57 @@ class TestTable1Command:
         assert err.count("\n") == 1
 
 
+def compact(text: str) -> str:
+    """The text's document in the --json form: sorted keys, no spaces."""
+    return json.dumps(json.loads(text), sort_keys=True,
+                      separators=(",", ":")) + "\n"
+
+
+class TestCompactJSON:
+    """Every --json document is printed compact, keys sorted, one line."""
+
+    def test_table1(self, capsys):
+        code, out, _ = run(capsys, "table1", "--json")
+        assert code == 0
+        assert out == compact(out)
+        assert out.count("\n") == 1
+
+    def test_check(self, capsys, ce1_file, ex4_file):
+        for path in (ce1_file, ex4_file):
+            code, out, _ = run(capsys, "check", path, "--json")
+            assert code == 0
+            assert out == compact(out)
+
+    def test_verify(self, capsys, ce1_file, tmp_path):
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        for strategy, want in (("avg-relu", 0), ("avg-dot", 1)):
+            code, out, _ = run(capsys, "verify", ce1_file, str(emb),
+                               "--strategy", strategy, "--json")
+            assert code == want
+            assert out == compact(out)
+
+    @pytest.mark.parametrize("argv", [
+        ("avg-dot", "--fixture", "CE1"),
+        ("avg-dist", "--fixture", "CE2", "--nonmonotonic"),
+        ("sig-dot", "--fixture", "CE4"),
+        ("ord-ord", "--fixture", "ORD-NM"),
+        ("avg-dot", "CE1.kb")])
+    def test_certify(self, capsys, ce1_file, argv):
+        strategy, *rest = (ce1_file if a == "CE1.kb" else a for a in argv)
+        code, out, _ = run(capsys, "certify", "--strategy", strategy, *rest,
+                           "--json")
+        assert code == 0
+        assert out == compact(out)
+
+    def test_embedding_file_stays_indented(self, capsys, ce1_file, tmp_path):
+        # the file construct writes is read and edited by hand
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        text = emb.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
 class TestConfigPrecedence:
     def test_env_overrides_config_file(self, capsys, tmp_path, monkeypatch,
                                        ce1_file):

@@ -1,5 +1,6 @@
-"""Byte-level pins: the table1 JSON, one mismatch report per strategy and
-the generic avg-dot decision certificate for CE1.
+"""Byte-level pins: the table1 JSON, one mismatch report per strategy,
+the generic avg-dot decision certificate for CE1, and the indented text
+of both avg-dot CE1 certificates.
 
 Any change to verdicts, query order, score text or serialisation
 changes a digest here.
@@ -15,8 +16,9 @@ import pytest
 from conftest import random_embedding
 from embedsim.certifier import decide_avg_dot
 from embedsim.cli import main
-from embedsim.fixtures import fixture
-from embedsim.strategies import TABLE1_STRATEGIES, strategy_from_name
+from embedsim.fixtures import FIXTURE_SOURCES, fixture
+from embedsim.strategies import (TABLE1_STRATEGIES, sig_conical_diagnostics,
+                                 strategy_from_name)
 from embedsim.verifier import verify_monotonic
 
 # sha256 of `embedsim table1 --json` with the sigmoid diagnostics removed
@@ -43,6 +45,13 @@ CE1_REPORTS = {
                          "f94928e72b25c3e86afbccde2e1708c2"),
     "ord-ord": (27, "d2075d727967bc1cddc6d9bd5720775b"
                     "25ed8b18a82f2b3e54518c101bb4baff"),
+}
+
+# sha256 of the CE1 certificates as `certify --strategy avg-dot --json`
+# printed them with two-space indents, before --json turned compact
+INDENTED_CE1_CERTIFICATES = {
+    "fixture": "d8a69f0c5c59acfbf506c7d26210726066d4254fe495d0995480cec3c8a6768e",
+    "generic": "1f0a53d8b01cd6f3b5d9ddac0bd399223ce8c53f20554d3f9c49a8c1fd210ae4",
 }
 
 # the benchmark's recorded digests; `fixed.CE1` (ec9ffe7e…) is the sha256
@@ -80,6 +89,42 @@ def test_table1_json_bytes(capsys):
         row.pop("diagnostics", None)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert sha256_text(text) == TABLE1_SHA256
+
+
+def indented(doc) -> str:
+    """The document as --json printed it before turning compact."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compact_table1_is_the_indented_document(capsys, seed):
+    # the same document as before, compared as text so that 1 cannot
+    # pass for true: diagnostics-free part against the pin, diagnostics
+    # against the library's own for the seed
+    assert main(["table1", "--seed", str(seed), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    want = indented(sig_conical_diagnostics(seed=seed))
+    for row in doc["rows"]:
+        diagnostics = row.pop("diagnostics", None)
+        if row["strategy"].startswith("sig-"):
+            assert indented(diagnostics) == want
+        else:
+            assert diagnostics is None
+    assert sha256_text(indented(doc)) == TABLE1_SHA256
+
+
+@pytest.mark.parametrize("kind", sorted(INDENTED_CE1_CERTIFICATES))
+def test_compact_ce1_certificate_is_the_indented_document(capsys, tmp_path,
+                                                          kind):
+    if kind == "fixture":
+        source = ["--fixture", "CE1"]
+    else:
+        path = tmp_path / "ce1.kb"
+        path.write_text(FIXTURE_SOURCES["CE1"])
+        source = [str(path)]
+    assert main(["certify", "--strategy", "avg-dot", *source, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sha256_text(indented(doc)) == INDENTED_CE1_CERTIFICATES[kind]
 
 
 @pytest.mark.parametrize("name", sorted(CE1_REPORTS))

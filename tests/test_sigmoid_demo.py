@@ -42,6 +42,15 @@ def test_bad_argument_exits_two_with_one_line(argv):
     assert "error:" in done.stderr
 
 
+def test_size_budget_exits_two_with_one_line():
+    # 17 trials x dimension 241 = 4097, one over the diagnostics' budget
+    done = run_demo("--trials", "17", "--dimension", "241")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert "trials x dimension must be at most 4096, got 4097" in done.stderr
+
+
 def test_billion_iterations_finish_with_finite_json():
     # the ascent stops once its iterate cycles, so the step count costs nothing
     done = run_demo("--iterations", "1000000000")

@@ -22,7 +22,8 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  sig_gradient, sig_objective,
                                  strategy_from_name, AVG_DOT, ORD_ORD,
                                  _sig_ascent, _sigmoid,
-                                 sig_conical_diagnostics)
+                                 sig_conical_diagnostics,
+                                 MAX_DIAGNOSTIC_SIZE)
 from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
                         ref_sig_ascent, ref_sig_conical_diagnostics)
 
@@ -636,6 +637,25 @@ class TestSigmoidBatch:
         monkeypatch.setattr("embedsim.strategies._sig_ascent", no_work)
         with pytest.raises(ValueError):
             sig_conical_diagnostics(**bad)
+
+    def test_diagnostics_size_budget(self, monkeypatch):
+        # the table's defaults, 5 trials at d = 4, sit well inside it
+        assert 5 * 4 <= MAX_DIAGNOSTIC_SIZE == 4096
+        seen = []
+
+        def no_ascent(vectors, starts, kappa, iterations):
+            seen.append(vectors.shape)
+            return starts
+        monkeypatch.setattr("embedsim.strategies._sig_ascent", no_ascent)
+        # 17 x 241 = 4097 is one over, each factor within its own bound
+        with pytest.raises(ValueError, match="at most 4096, got 4097"):
+            sig_conical_diagnostics(dimension=241, trials=17)
+        with pytest.raises(ValueError, match="trials"):
+            sig_conical_diagnostics(dimension=1, trials=251)
+        assert not seen
+        # exactly at the limit the call goes ahead
+        sig_conical_diagnostics(dimension=256, trials=16)
+        assert seen == [(48, 2, 256)]
 
 
 # Step counts around the powers of two where the cycle check moves its mark
