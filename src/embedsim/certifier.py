@@ -93,8 +93,9 @@ class Constraint:
     label: str
 
     def to_dict(self) -> dict:
-        return {"coeffs": [frac_str(c) for c in self.coeffs],
-                "relation": self.relation, "rhs": frac_str(self.rhs),
+        # every coefficient and rhs is an int, so each "p/q" text is "c/1"
+        return {"coeffs": [f"{c}/1" for c in self.coeffs],
+                "relation": self.relation, "rhs": f"{self.rhs}/1",
                 "label": self.label}
 
 

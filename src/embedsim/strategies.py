@@ -6,13 +6,14 @@ an attribute is predicted from an entity vector).  All pooling and
 labelling decisions except the sigmoid-MLE pooling are exact and run in
 integers: `scale` puts each vector family (context, output) over one
 common denominator, and pooling returns integer numerators with a
-single denominator.  Each labelling rule is a labeller, bound once to
-the scaled embedding and a tuple of heads with every denominator and
-threshold p/q multiplied out; one call labels every head of a pooled
-value, as a bitmask.  `Fraction` appears only in the embedding itself
-and in threshold text.  Normalised pooling never materialises the
-irrational unit vector; it carries (sum, ||sum||^2) and decides
-comparisons by sign analysis and squaring.
+single denominator, built by a start step and extend steps.  Each
+labelling rule is a labeller, bound once to the scaled embedding and a
+tuple of heads with every denominator and threshold p/q multiplied out;
+one call labels every head of a pooled value, as a bitmask, from one
+packed product per coordinate.  `Fraction` appears only in the
+embedding itself and in threshold text.  Normalised pooling never
+materialises the irrational unit vector; it carries (sum, ||sum||^2)
+and decides comparisons by sign analysis and squaring.
 
 The sigmoid-MLE pooling is a floating-point demonstrator (gradient
 ascent on a seeded start, deterministic per (seed, iterations)); it is
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from operator import le, mul
+from operator import add, le, lshift, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -269,24 +270,52 @@ def _unique(atoms: Iterable[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(atoms))
 
 
-def _members(sc: ScaledEmbedding, atoms: Iterable[str],
-             pooling: str | None) -> list[IntVec]:
+# ------------------------------------------------------------------
+# Pooling: start(v, cden) pools one vector as integer numerators over
+# one denominator, extend(pooled, one) adds another, `_fold` folds both
+# ------------------------------------------------------------------
+
+def _start(v: IntVec, cden: int) -> Pooled:
+    return v, cden
+
+
+def _avg_extend(pooled: Pooled, one: Pooled) -> Pooled:
+    return tuple(map(add, pooled[0], one[0])), pooled[1] + one[1]
+
+
+def _norm_start(v: IntVec, cden: int) -> Pooled:
+    return v, sum(map(mul, v, v))
+
+
+def _norm_extend(pooled: Pooled, one: Pooled) -> Pooled:
+    total = tuple(map(add, pooled[0], one[0]))
+    return total, sum(map(mul, total, total))
+
+
+def _had_extend(pooled: Pooled, one: Pooled) -> Pooled:
+    return tuple(map(mul, pooled[0], one[0])), pooled[1] * one[1]
+
+
+def _ord_extend(pooled: Pooled, one: Pooled) -> Pooled:
+    return tuple(map(max, pooled[0], one[0])), one[1]
+
+
+def _fold(emb: AttributeEmbedding | ScaledEmbedding, atoms: Iterable[str],
+          pooling: str | None, start, extend) -> Pooled:
+    sc = scale(emb)
     vecs = [sc.context[a] for a in _unique(atoms)]
     if not vecs and pooling:
         raise ValueError(f"{pooling} pooling needs a non-empty attribute set")
-    return vecs
+    pooled = start(vecs[0], sc.cden) if vecs else ((0,) * sc.dimension, 0)
+    for v in vecs[1:]:
+        pooled = extend(pooled, start(v, sc.cden))
+    return pooled
 
-
-# ------------------------------------------------------------------
-# Pooling functions: integer numerators and one denominator
-# ------------------------------------------------------------------
 
 def emb_avg(emb: AttributeEmbedding | ScaledEmbedding,
             atoms: Iterable[str]) -> Pooled:
     """Component-wise mean of the context vectors, as (sum, |S| * cden)."""
-    sc = scale(emb)
-    vecs = _members(sc, atoms, "average")
-    return tuple(map(sum, zip(*vecs))), len(vecs) * sc.cden
+    return _fold(emb, atoms, "average", _start, _avg_extend)
 
 
 def emb_norm(emb: AttributeEmbedding | ScaledEmbedding,
@@ -298,31 +327,19 @@ def emb_norm(emb: AttributeEmbedding | ScaledEmbedding,
     on this representation square through the normalisation.  An empty
     attribute set yields the zero vector.
     """
-    sc = scale(emb)
-    vecs = _members(sc, atoms, None)
-    if not vecs:
-        return (0,) * sc.dimension, 0
-    total = tuple(map(sum, zip(*vecs)))
-    return total, sum(x * x for x in total)
+    return _fold(emb, atoms, None, _norm_start, _norm_extend)
 
 
 def emb_had(emb: AttributeEmbedding | ScaledEmbedding,
             atoms: Iterable[str]) -> Pooled:
     """Hadamard (component-wise product) pooling, as (product, cden^|S|)."""
-    sc = scale(emb)
-    vecs = _members(sc, atoms, "Hadamard")
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = tuple(map(mul, out, v))
-    return out, sc.cden ** len(vecs)
+    return _fold(emb, atoms, "Hadamard", _start, _had_extend)
 
 
 def emb_ord(emb: AttributeEmbedding | ScaledEmbedding,
             atoms: Iterable[str]) -> Pooled:
     """Component-wise maximum pooling, as (maximum, cden)."""
-    sc = scale(emb)
-    vecs = _members(sc, atoms, "max")
-    return tuple(map(max, zip(*vecs))), sc.cden
+    return _fold(emb, atoms, "max", _start, _ord_extend)
 
 
 # ------------------------------------------------------------------
@@ -342,14 +359,22 @@ class _Labeller:
     `labels(pooled)` sets bit i when `heads[i]` is labelled, doing the
     per-subset work once for all heads; `score(pooled, i)` is the exact
     quantity behind head i's decision, as mismatch-report text.  Each
-    head's row holds its bit, target vector and threshold constants.
-    `labels` keeps the per-head quantities of the value it last labelled,
-    so scoring the heads it got wrong costs no further products.
+    head's row holds its bit and threshold constants.  `labels` keeps
+    the per-head quantities of the value it last labelled, so scoring
+    the heads it got wrong costs no further products.
+
+    `dots(v)` is v . target for every head: column k packs coordinate k
+    of target i as a signed field in bits [i w, (i + 1) w), and w, a
+    multiple of 16, holds max|v_k| * max_i sum_k |target_i[k]| with two
+    bits to spare, so no field of sum_k v_k col_k carries into the next.
     """
 
-    def __init__(self, sc: ScaledEmbedding):
+    def __init__(self, sc: ScaledEmbedding, targets: Sequence[IntVec]):
         self.dimension, self.cden, self.oden = sc.dimension, sc.cden, sc.oden
         self.last: tuple[Pooled, list[int]] | None = None
+        self.targets = tuple(targets)
+        self.reach = max((sum(map(abs, t)) for t in self.targets), default=0)
+        self.packs: dict[int, tuple] = {}
 
     def _vector(self, pooled: Pooled) -> IntVec:
         if len(pooled[0]) != self.dimension:
@@ -357,6 +382,19 @@ class _Labeller:
                 f"pooled vector has length {len(pooled[0])}, "
                 f"embedding dimension is {self.dimension}")
         return pooled[0]
+
+    def dots(self, v: IntVec) -> list[int]:
+        w = ((max(map(abs, v), default=0) * self.reach).bit_length()
+             + 17) // 16 * 16
+        if w not in self.packs:
+            shifts, half = range(0, w * len(self.targets), w), 1 << (w - 1)
+            self.packs[w] = ([sum(map(lshift, column, shifts))
+                              for column in zip(*self.targets)],
+                             sum(half << s for s in shifts), shifts,
+                             (1 << w) - 1, half)
+        cols, bias, shifts, mask, half = self.packs[w]
+        x = sum(map(mul, v, cols), bias)
+        return [(x >> s & mask) - half for s in shifts]
 
     def _quantity(self, pooled: Pooled, i: int) -> int:
         """Head i's quantity for `pooled`, labelling it first unless it
@@ -374,24 +412,23 @@ class DotLabeller(_Labeller):
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str],
                  tied: bool = False):
-        super().__init__(sc)
         vectors, self.tden = ((sc.context, sc.cden) if tied
                               else (sc.output, sc.oden))
-        lams = [sc.lam[b] for b in heads]
-        self.rows = [(1 << i, vectors[b], lam.denominator,
-                      lam.numerator * self.tden, f" lambda={frac_str(lam)}")
-                     for i, (b, lam) in enumerate(zip(heads, lams))]
+        super().__init__(sc, [vectors[b] for b in heads])
+        self.rows = [(1 << i, lam.denominator, lam.numerator * self.tden,
+                      f" lambda={frac_str(lam)}")
+                     for i, lam in enumerate(sc.lam[b] for b in heads)]
 
     def labels(self, pooled: Pooled) -> int:
-        total, den = self._vector(pooled), pooled[1]
-        dots = [sum(map(mul, total, row[1])) for row in self.rows]
+        den = pooled[1]
+        dots = self.dots(self._vector(pooled))
         self.last = pooled, dots
-        return sum(bit for (bit, _, q, px, _), dot in zip(self.rows, dots)
+        return sum(bit for (bit, q, px, _), dot in zip(self.rows, dots)
                    if dot * q >= px * den)
 
     def score(self, pooled: Pooled, i: int) -> str:
         dot = self._quantity(pooled, i)
-        return f"dot={_ratio(dot, pooled[1] * self.tden)}{self.rows[i][4]}"
+        return f"dot={_ratio(dot, pooled[1] * self.tden)}{self.rows[i][3]}"
 
 
 class DistLabeller(_Labeller):
@@ -400,34 +437,32 @@ class DistLabeller(_Labeller):
     For e = T/D, output O/o and theta_b = p/q, squared and multiplied
     out: ||T o - O D||^2 q^2 <= (p o D)^2.  The square is
     o^2 ||T||^2 - 2 o D (T . O) + D^2 ||O||^2, so a subset costs one
-    norm and each head one dot product.
+    norm and the heads one packed dot product.
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc)
-        self.rows = []
-        for i, b in enumerate(heads):
-            out, th = sc.output[b], sc.theta[b]
-            self.rows.append((1 << i, out, sum(map(mul, out, out)),
-                              th.denominator ** 2,
-                              (th.numerator * sc.oden) ** 2,
-                              f" theta={frac_str(th)}"))
+        super().__init__(sc, [sc.output[b] for b in heads])
+        self.rows = [(1 << i, sum(map(mul, out, out)), th.denominator ** 2,
+                      (th.numerator * sc.oden) ** 2, f" theta={frac_str(th)}")
+                     for i, (out, th) in enumerate(
+                         zip(self.targets, (sc.theta[b] for b in heads)))]
 
     def labels(self, pooled: Pooled) -> int:
         total, den = self._vector(pooled), pooled[1]
         o, dsq = self.oden, den * den
         tsq, cross = o * o * sum(map(mul, total, total)), 2 * o * den
         # ||T o - O D||^2, head by head
-        distsqs = [tsq - cross * sum(map(mul, total, out)) + dsq * outsq
-                   for _, out, outsq, _, _, _ in self.rows]
+        distsqs = [tsq - cross * dot + dsq * outsq
+                   for dot, (_, outsq, _, _, _)
+                   in zip(self.dots(total), self.rows)]
         self.last = pooled, distsqs
-        return sum(bit for (bit, _, _, q2, p2, _), distsq
+        return sum(bit for (bit, _, q2, p2, _), distsq
                    in zip(self.rows, distsqs) if distsq * q2 <= p2 * dsq)
 
     def score(self, pooled: Pooled, i: int) -> str:
         distsq = self._quantity(pooled, i)
         return (f"distsq={_ratio(distsq, (pooled[1] * self.oden) ** 2)}"
-                f"{self.rows[i][5]}")
+                f"{self.rows[i][4]}")
 
 
 class ReluLabeller(_Labeller):
@@ -438,14 +473,12 @@ class ReluLabeller(_Labeller):
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc)
-        self.rows = [(1 << i, sc.context[b]) for i, b in enumerate(heads)]
+        super().__init__(sc, [sc.context[b] for b in heads])
 
     def labels(self, pooled: Pooled) -> int:
-        relu = _relu(self._vector(pooled))
-        dots = [sum(map(mul, relu, c)) for _, c in self.rows]
+        dots = self.dots(_relu(self._vector(pooled)))
         self.last = pooled, dots
-        return sum(bit for (bit, _), dot in zip(self.rows, dots) if dot >= 0)
+        return sum(1 << i for i, dot in enumerate(dots) if dot >= 0)
 
     def score(self, pooled: Pooled, i: int) -> str:
         dot = self._quantity(pooled, i)
@@ -460,15 +493,15 @@ class OrdLabeller(_Labeller):
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc)
-        self.rows = [(1 << i, sc.context[b]) for i, b in enumerate(heads)]
+        super().__init__(sc, [sc.context[b] for b in heads])
 
     def labels(self, pooled: Pooled) -> int:
         total = self._vector(pooled)
         if pooled[1] != self.cden:
             raise ValueError(f"order labelling needs the max-pooled "
                              f"denominator {self.cden}, got {pooled[1]}")
-        return sum(bit for bit, c in self.rows if all(map(le, c, total)))
+        return sum(1 << i for i, c in enumerate(self.targets)
+                   if all(map(le, c, total)))
 
     def score(self, pooled: Pooled, i: int) -> str:
         total, den = pooled
@@ -494,18 +527,18 @@ class _NormLabeller(_Labeller):
     binding."""
 
     def labels(self, pooled: Pooled) -> int:
-        total, normsq = self._vector(pooled), pooled[1]
-        dots = [sum(map(mul, total, row[1])) for row in self.rows]
+        normsq = pooled[1]
+        dots = self.dots(self._vector(pooled))
         self.last = pooled, dots
         if normsq == 0:
             return self.zero
-        return sum(bit for (bit, _, m, c, _), dot in zip(self.rows, dots)
+        return sum(bit for (bit, m, c, _), dot in zip(self.rows, dots)
                    if _ge_scaled_sqrt(m * dot, c, normsq))
 
     def score(self, pooled: Pooled, i: int) -> str:
         dot, normsq, cden = self._quantity(pooled, i), pooled[1], self.cden
         return (f"sum.out={_ratio(dot, cden * self.oden)} "
-                f"normsq={_ratio(normsq, cden * cden)}{self.rows[i][4]}")
+                f"normsq={_ratio(normsq, cden * cden)}{self.rows[i][3]}")
 
 
 class DotOnNormLabeller(_NormLabeller, DotLabeller):
@@ -517,7 +550,7 @@ class DotOnNormLabeller(_NormLabeller, DotLabeller):
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
         super().__init__(sc, heads)
-        self.zero = sum(bit for bit, _, _, po, _ in self.rows if po <= 0)
+        self.zero = sum(bit for bit, _, po, _ in self.rows if po <= 0)
 
 
 class DistOnNormLabeller(_NormLabeller):
@@ -530,13 +563,13 @@ class DistOnNormLabeller(_NormLabeller):
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc)
+        super().__init__(sc, [sc.output[b] for b in heads])
         o2, self.rows, self.zero = sc.oden ** 2, [], 0
         for i, b in enumerate(heads):
             out, th = sc.output[b], sc.theta[b]
             outsq = sum(map(mul, out, out))
             p2, q2 = th.numerator ** 2, th.denominator ** 2
-            self.rows.append((1 << i, out, 2 * sc.oden * q2,
+            self.rows.append((1 << i, 2 * sc.oden * q2,
                               (o2 + outsq) * q2 - p2 * o2,
                               f" outsq={_ratio(outsq, o2)} "
                               f"theta={frac_str(th)}"))
@@ -548,14 +581,17 @@ class DistOnNormLabeller(_NormLabeller):
 # ------------------------------------------------------------------
 
 class ExactRule(NamedTuple):
-    """pool(emb, atoms) -> pooled; labeller(scaled, heads) -> a labeller."""
+    """pool(emb, atoms), the fold of start(v, cden) and
+    extend(pooled, one); labeller(scaled, heads) -> a labeller."""
 
     pool: Callable
+    start: Callable[[IntVec, int], Pooled]
+    extend: Callable[[Pooled, Pooled], Pooled]
     labeller: Callable[..., _Labeller]
 
 
 def exact_rule(strategy: StrategyId) -> ExactRule:
-    """The pooling and the labeller of a strategy.
+    """The pooling, its steps and the labeller of a strategy.
 
     This is the one place an exact strategy is mapped to its functions.
     The names are resolved in this module on every call, not captured at
@@ -565,20 +601,20 @@ def exact_rule(strategy: StrategyId) -> ExactRule:
     if p == "sig":
         raise ExactEvaluationError(
             "sigmoid pooling is numeric-only and has no exact verdict")
+    poolings = {"avg": (emb_avg, _start, _avg_extend),
+                "norm": (emb_norm, _norm_start, _norm_extend),
+                "had": (emb_had, _start, _had_extend),
+                "ord": (emb_ord, _start, _ord_extend)}
     # tied dot labelling compares against the context vectors
     dot = partial(DotLabeller, tied=strategy.tied)
-    rules = {
-        ("avg", "dot"): (emb_avg, dot),
-        ("avg", "dist"): (emb_avg, DistLabeller),
-        ("avg", "relu"): (emb_avg, ReluLabeller),
-        ("norm", "dot"): (emb_norm, DotOnNormLabeller),
-        ("norm", "dist"): (emb_norm, DistOnNormLabeller),
-        ("had", "dot"): (emb_had, dot),
-        ("ord", "ord"): (emb_ord, OrdLabeller),
-    }
-    if (p, l) not in rules:
+    labellers = {("avg", "dot"): dot, ("avg", "dist"): DistLabeller,
+                 ("avg", "relu"): ReluLabeller, ("had", "dot"): dot,
+                 ("norm", "dot"): DotOnNormLabeller,
+                 ("norm", "dist"): DistOnNormLabeller,
+                 ("ord", "ord"): OrdLabeller}
+    if (p, l) not in labellers:
         raise ExactEvaluationError(f"unsupported combination {strategy.name}")
-    return ExactRule(*rules[p, l])
+    return ExactRule(*poolings[p], labellers[p, l])
 
 
 # ------------------------------------------------------------------
@@ -647,14 +683,20 @@ def _sig_ascent(vectors: np.ndarray, starts: np.ndarray, kappa: float,
     table of seen states, and finds a cycle within a few times the steps
     taken to enter it plus its period.  On the table's batches (seeds
     0-63) the iterate cycles within 51 steps, with periods of 2 to 30,
-    so at most 120 of the 3000 steps are taken.
+    so at most 120 of the 3000 steps are taken.  A search longer than
+    `MAX_ASCENT_WORK` steps x coordinates raises ValueError.
     """
     step = 1.0 / (np.sum(vectors * vectors, axis=(-2, -1)) / 4.0
                   + 2.0 * kappa + 1.0)
     step = step[..., None]
     e = starts
+    limit = MAX_ASCENT_WORK // max(starts.size, 1)
     mark, since, power = e.tobytes(), 0, 1
     for done in range(1, iterations + 1):
+        if done > limit:
+            raise ValueError(f"the sigmoid ascent repeated no state within "
+                             f"{limit} steps of {starts.size} coordinates; "
+                             f"raise kappa or lower iterations")
         e = e + step * sig_gradient(e, vectors, kappa)
         since += 1
         key = e.tobytes()
@@ -736,6 +778,9 @@ def cone_residual(target: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
 MAX_DIAGNOSTIC_DIMENSION = 1000
 MAX_DIAGNOSTIC_TRIALS = 250
 MAX_DIAGNOSTIC_SIZE = 4096  # trials x dimension
+# Steps x coordinates (batch x dimension) an ascent may search for a
+# repeated state: 3,000 steps of the largest batch admitted above.
+MAX_ASCENT_WORK = 3000 * 3 * MAX_DIAGNOSTIC_SIZE
 
 
 def sig_conical_diagnostics(dimension: int = 4, trials: int = 5,
@@ -751,7 +796,7 @@ def sig_conical_diagnostics(dimension: int = 4, trials: int = 5,
     singletons padded with a zero row.  Returns JSON-ready floats,
     deterministic per seed.  The results are bit-identical to taking all
     `iterations` steps; the cost is set by when the iterate starts to
-    cycle, not by `iterations` (see `_sig_ascent`).
+    cycle, not by `iterations`, within a budget (see `_sig_ascent`).
     """
     if not 1 <= dimension <= MAX_DIAGNOSTIC_DIMENSION:
         raise ValueError(f"dimension must be between 1 and "

@@ -11,11 +11,12 @@ A sweep does the per-KB and per-embedding work once: it fetches the
 KB's consequence table (`logic.consequence_table`, indexed by subset
 mask, bit b for head b), scales the embedding to integers
 (`strategies.scale`) and binds the strategy's labeller to the
-signature's heads.  Each subset is then pooled once and labelled once,
-its label set a bitmask XORed with its table entry, and only the heads
-that differ are scored.  `verify_monotonic` takes a plain KB and
-`verify_nonmonotonic` a stratified one; each refuses the other kind, so
-the table's type dispatch never swaps the semantics a caller asked for.
+signature's heads.  It walks the subset lattice level by level, pools
+each subset by one step from the subset less its top atom, labels all
+its heads at once as a bitmask, XORs that with its table entry, and
+scores only the heads that differ.  `verify_monotonic` takes a plain KB
+and `verify_nonmonotonic` a stratified one; each refuses the other
+kind, so the table's type dispatch never swaps the semantics asked for.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
 undefined for most strategies); each report's JSON records that
@@ -28,7 +29,8 @@ entry at S's mask, and the strategy's decision is the labeller of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from operator import add
+from typing import Callable, Iterator, Sequence
 
 # `entails` is not called here; the benchmark's tracing test reads it
 # back as `embedsim.verifier.entails` after removing its wrappers
@@ -92,23 +94,32 @@ def default_cap(signature: Signature) -> int:
     return n if n <= FULL_SWEEP_ATOM_LIMIT else CAPPED_SWEEP_DEFAULT
 
 
-def _subset_masks(signature: Signature,
-                  cap: int) -> list[tuple[int, tuple[str, ...]]]:
-    """`nonempty_subsets` with each subset's mask, generated size by size
-    so that the cost follows the number of subsets returned, not 2^n."""
-    atoms = signature.atoms
-    pairs = []
-    for size in range(1, min(cap, len(atoms)) + 1):
-        # combinations come in lexicographic index order, not mask order
-        pairs += sorted((sum(1 << i for i in combo),
-                         tuple(atoms[i] for i in combo))
-                        for combo in combinations(range(len(atoms)), size))
-    return pairs
+def _walk(singles: Sequence, cap: int,
+          extend: Callable) -> Iterator[tuple[int, object]]:
+    """(mask, value) of every non-empty subset up to the cap in canonical
+    (|S|, S-bitmask) order: singles[i] for {i}, else extend(value of S
+    less its top item j, singles[j]).  For each j ascending, the previous
+    level's sets with masks below 2^j, a prefix of it, gain item j."""
+    depth = min(cap, len(singles))
+    level = [(1 << i, one) for i, one in enumerate(singles) if depth > 0]
+    yield from level
+    for size in range(2, depth + 1):
+        children = []
+        for j in range(size - 1, len(singles)):
+            bit, one = 1 << j, singles[j]
+            for mask, value in level:
+                if mask >= bit:
+                    break
+                child = mask | bit, extend(value, one)
+                yield child
+                if size < depth:  # the deepest level is not kept
+                    children.append(child)
+        level = children
 
 
 def nonempty_subsets(signature: Signature, cap: int) -> list[tuple[str, ...]]:
     """Non-empty subsets up to the cap in canonical (|S|, S-bitmask) order."""
-    return [subset for _, subset in _subset_masks(signature, cap)]
+    return [s for _, s in _walk([(a,) for a in signature.atoms], cap, add)]
 
 
 def subset_queries(signature: Signature, cap: int) -> list[Query]:
@@ -136,25 +147,28 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
         cap = default_cap(signature)
     elif cap < 1:
         raise ValueError(f"subset cap must be at least 1, got {cap}")
-    pool, bind = exact_rule(strategy)
+    rule = exact_rule(strategy)
     table = consequence_table(kb)
     scaled = scale(embedding)
-    labeller = bind(scaled, signature.atoms)
-    subsets = _subset_masks(signature, cap)
-    mismatches = []
-    for mask, subset in subsets:
-        pooled = pool(scaled, subset)
+    atoms = signature.atoms
+    labeller = rule.labeller(scaled, atoms)
+    subsets, mismatches = 0, []
+    for mask, pooled in _walk([rule.start(scaled.context[a], scaled.cden)
+                               for a in atoms], cap, rule.extend):
+        subsets += 1
         got = labeller.labels(pooled)
         wrong = got ^ int(table[mask])
+        if wrong:
+            subset = tuple(a for i, a in enumerate(atoms) if mask >> i & 1)
         while wrong:  # one mismatch per wrong head, in head order
             i = (wrong & -wrong).bit_length() - 1
             mismatches.append(Mismatch(
-                subset, signature.atoms[i], not got >> i & 1,
+                subset, atoms[i], not got >> i & 1,
                 bool(got >> i & 1), labeller.score(pooled, i)))
             wrong &= wrong - 1
     return VerificationReport(strategy.name, kb_digest(kb), kind, cap,
                               cap < len(signature),
-                              len(subsets) * len(signature), mismatches)
+                              subsets * len(signature), mismatches)
 
 
 def verify_monotonic(embedding: AttributeEmbedding, strategy: StrategyId,

@@ -55,9 +55,9 @@ def label(labeller, emb, pooled, head, **kwargs) -> bool:
 
 def accepts(emb, strategy, atoms, head) -> bool:
     """Does the exact strategy label the pooled `atoms` with `head`?"""
-    pool, labeller = exact_rule(strategy)
+    rule = exact_rule(strategy)
     scaled = scale(emb)
-    return label(labeller, scaled, pool(scaled, atoms), head)
+    return label(rule.labeller, scaled, rule.pool(scaled, atoms), head)
 
 
 # Formulas far past the parser's depth budget, each the `formula:` line

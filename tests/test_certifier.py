@@ -83,6 +83,18 @@ class TestBuildDotSystem:
         system = build_avg_dot_system(kb)
         assert len(system.constraints) == 15 * 4
 
+    def test_rows_print_as_the_fraction_text_of_their_ints(self):
+        # the builders emit int coefficients, printed "c/1" without a
+        # Fraction; the text is what frac_str gives
+        rng = random.Random(7)
+        for kb in (fixture("CE1"), random_rule_kb(rng, ["a", "b", "c"])):
+            for build in (build_avg_dot_system, build_avg_dist_relaxation):
+                for row in build(kb).constraints:
+                    assert all(type(c) is int for c in row.coeffs + (row.rhs,))
+                    doc = row.to_dict()
+                    assert doc["coeffs"] == [frac_str(c) for c in row.coeffs]
+                    assert doc["rhs"] == frac_str(row.rhs)
+
 
 class TestBuildDistRelaxation:
     def test_ce2_infeasible_with_pattern(self):

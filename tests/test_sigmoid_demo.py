@@ -58,3 +58,14 @@ def test_billion_iterations_finish_with_finite_json():
     doc = json.loads(done.stdout, parse_constant=_reject_constant)
     assert doc["iterations"] == 10**9
     assert len(doc["trials"]) == 5
+
+
+def test_search_without_a_repeat_exits_two_with_one_line():
+    # kappa 1e-5 does not cycle within the ascent's steps x coordinates
+    # budget, so the search is refused rather than run for minutes
+    done = run_demo("--dimension", "1000", "--trials", "4", "--kappa", "1e-5",
+                    "--iterations", "1000000000")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert "repeated no state within 3072 steps" in done.stderr

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  strategy_from_name, AVG_DOT, ORD_ORD,
                                  _sig_ascent, _sigmoid,
                                  sig_conical_diagnostics,
-                                 MAX_DIAGNOSTIC_SIZE)
+                                 MAX_ASCENT_WORK, MAX_DIAGNOSTIC_SIZE,
+                                 ScaledEmbedding)
 from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
                         ref_sig_ascent, ref_sig_conical_diagnostics)
 
@@ -422,6 +424,53 @@ class TestKernelsMatchFractionReference:
         assert scale(scaled) is scaled
 
 
+def _packed(heads, dimension):
+    """A dot labeller whose output vectors are `heads`."""
+    names = [f"h{i}" for i in range(len(heads))]
+    sc = ScaledEmbedding(dimension, {}, dict(zip(names, heads)), 1, 1,
+                         dict.fromkeys(names, F(0)), {})
+    return DotLabeller(sc, names)
+
+
+def _per_head(v, heads):
+    return [sum(map(mul, v, h)) for h in heads]
+
+
+class TestPackedDots:
+    """`dots`, one packed product per coordinate, against one product
+    per head."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 25), st.integers(0, 60),
+           st.lists(st.sampled_from([0, 1, 2**7, 2**15, 2**16, 10**9, 2**31,
+                                     10**40]), min_size=5, max_size=5),
+           st.integers(0, 2**32))
+    def test_matches_per_head_products(self, n, d, bounds, seed):
+        # coordinates up to each drawn bound, drawn from a seeded generator
+        # (drawing 25 x 60 of them through hypothesis is slow)
+        rng = random.Random(seed)
+
+        def vector(bound):
+            return tuple(rng.randint(-bound, bound) for _ in range(d))
+
+        heads = [vector(bounds[0]) for _ in range(n)]
+        labeller = _packed(heads, d)
+        # several magnitudes per labeller, so several widths share it
+        for v in [(0,) * d] + [vector(bound) for bound in bounds[1:]]:
+            assert labeller.dots(v) == _per_head(v, heads)
+
+    def test_widths_on_either_side_of_a_16_bit_boundary(self):
+        # the reach is 3, so |dot| <= 3 max|v_k|, and a field holds that
+        # with two bits to spare: 16 bits up to max|v_k| = 5461, 32 up to
+        # 357,913,941 and 48 above
+        heads = [(1, 1, 1), (-1, -1, -1), (1, -1, 1), (0, 0, 0)]
+        labeller = _packed(heads, 3)
+        for top in (5460, 5461, 5462, 357913941, 357913942):
+            for v in ((top,) * 3, (-top,) * 3, (top, -top, top)):
+                assert labeller.dots(v) == _per_head(v, heads), (top, v)
+        assert sorted(labeller.packs) == [16, 32, 48]
+
+
 class TestEmbeddingJson:
     def test_roundtrip(self):
         rng = random.Random(31)
@@ -735,6 +784,28 @@ class TestSigmoidCycleStop:
         assert 0 < len(calls) <= 200
         assert diag["iterations"] == 10**9
         json.dumps(diag, allow_nan=False)
+
+    @pytest.mark.parametrize("shape", [(1000, 4), (16, 250)])
+    def test_search_without_a_repeat_is_refused(self, shape, monkeypatch):
+        # kappa 1e-5 does not cycle within the budget: the largest batches
+        # are refused after MAX_ASCENT_WORK / (3 x 4,000) steps
+        calls = _count_gradients(monkeypatch)
+        dimension, trials = shape
+        with pytest.raises(ValueError, match="repeated no state within "
+                                             "3072 steps of 12000 coordinates"):
+            sig_conical_diagnostics(dimension, trials, kappa=1e-5,
+                                    iterations=10**9)
+        assert len(calls) == MAX_ASCENT_WORK // 12000 == 3072
+
+    def test_default_shape_search_is_refused(self, monkeypatch):
+        # at the default shape (15 problems of dimension 4) the budget
+        # allows 614,400 steps, about 11 s; a smaller one shows the
+        # refusal in 1,000
+        calls = _count_gradients(monkeypatch)
+        monkeypatch.setattr("embedsim.strategies.MAX_ASCENT_WORK", 60_000)
+        with pytest.raises(ValueError, match="within 1000 steps of 60 "):
+            sig_conical_diagnostics(kappa=1e-5, iterations=10**9)
+        assert len(calls) == 1000
 
 
 @pytest.mark.parametrize("bad", [

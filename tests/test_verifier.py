@@ -9,25 +9,28 @@ import pytest
 import embedsim.logic as logic
 import embedsim.strategies as strategies
 import embedsim.verifier as verifier
-from conftest import (accepts, label, random_embedding, random_rule_kb,
+from conftest import (accepts, follows, random_embedding, random_rule_kb,
                       random_stratified_kb)
 from embedsim.constructors import construct_avg_relu, construct_had_dot
 from embedsim.fixtures import fixture
-from embedsim.logic import KnowledgeBase, Signature, entails, parse_kb
+from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB, entails,
+                            parse_kb)
 from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
                                  TABLE1_STRATEGIES, AttributeEmbedding,
                                  DimensionMismatchError, DistLabeller,
                                  DistOnNormLabeller, DotLabeller,
                                  DotOnNormLabeller, OrdLabeller, ReluLabeller,
-                                 emb_avg, emb_had, emb_norm, emb_ord)
+                                 emb_avg, emb_had, emb_norm, emb_ord, scale)
 from embedsim.verifier import (nonempty_subsets, subset_queries,
                                verify_monotonic, verify_nonmonotonic)
 from oracles import (mask_filter_subsets, syntax_nodes, tt_assignments,
                      tt_entails, tt_mu, tt_nm_rank)
 import references
-from references import ref_check_ord_monotonicity
+from references import ref_check_ord_monotonicity, ref_evaluate
 
 F = Fraction
+
+ATOMS = tuple("abcdefghi")
 
 CE1_QUERIES = [(("a", "b"), "x"), (("c", "d"), "x"),
                (("a", "c"), "x"), (("b", "d"), "x")]
@@ -165,20 +168,25 @@ DIRECT = {
 
 class TestPoolOnce:
     def test_each_subset_pooled_once(self, monkeypatch):
-        pooled = []
-        original = strategies.emb_avg
-
-        def counting(emb, atoms):
-            pooled.append(tuple(atoms))
-            return original(emb, atoms)
-
-        monkeypatch.setattr(strategies, "emb_avg", counting)
+        # a sweep pools each subset by one step from its parent: a start
+        # for each of CE1's 5 singletons and an extend for each of the 26
+        # larger subsets, mismatch scores included
         kb = fixture("CE1")
         emb = random_embedding(random.Random(97), kb.signature.atoms)
+        want = sorted(emb_avg(emb, s) for s in nonempty_subsets(kb.signature, 5))
+        assert len(set(want)) == 31  # no two subsets pool alike
+        steps = {"_start": [], "_avg_extend": []}
+        for name, made in steps.items():
+            def counting(*args, step=getattr(strategies, name), made=made):
+                pooled = step(*args)
+                made.append(pooled)
+                return pooled
+
+            monkeypatch.setattr(strategies, name, counting)
         report = verify_monotonic(emb, AVG_DOT, kb)
         assert report.queries == 155 and report.mismatches
-        # 31 non-empty subsets of 5 atoms, mismatch scores included
-        assert len(pooled) == 31 == len(set(pooled))
+        assert [len(made) for made in steps.values()] == [5, 26]
+        assert sorted(steps["_start"] + steps["_avg_extend"]) == want
 
     def test_directs_cover_every_exact_strategy(self):
         assert sorted(DIRECT) == sorted(
@@ -188,20 +196,46 @@ class TestPoolOnce:
                              [s for s in TABLE1_STRATEGIES if s.exact],
                              ids=lambda s: s.name)
     def test_sweep_matches_direct_evaluation(self, strategy):
+        # every subset pooled from scratch and every head labelled and
+        # scored by a labeller bound to it alone, each checked against the
+        # Fraction reference, against the sweep's walk and its packed
+        # labeller: plain and stratified KBs, full sweeps of 4 and 7 atoms
+        # and cap-4 sweeps of 9.  The expected side comes from the
+        # truth-table oracles at 4 atoms and from the KB's consequence
+        # table above that
         rng = random.Random(f"direct:{strategy.name}")
-        for _ in range(3):
-            kb = random_rule_kb(rng, ["a", "b", "c", "d"])
-            emb = random_embedding(rng, kb.signature.atoms, tied=strategy.tied)
-            report = verify_monotonic(emb, strategy, kb)
-            expected_mismatches = []
-            for subset, head in subset_queries(kb.signature, 4):
-                pool, labeller = DIRECT[strategy.name]
-                got = label(labeller, emb, pool(emb, subset), head)
-                want = tt_entails(kb, subset, head)
-                if got != want:
-                    expected_mismatches.append((subset, head, want, got))
-            assert [(m.subset, m.head, m.expected, m.got)
-                    for m in report.mismatches] == expected_mismatches
+        pool, labeller = DIRECT[strategy.name]
+        cases = ([(random_rule_kb(rng, ATOMS[:4]), None) for _ in range(3)]
+                 + [(random_stratified_kb(rng, ATOMS[:4]), None)]
+                 + [(make(rng, ATOMS[:n]), cap)
+                    for n, cap in ((7, None), (9, 4))
+                    for make in (random_rule_kb, random_stratified_kb)])
+        for kb, cap in cases:
+            sig = kb.signature
+            stratified = isinstance(kb, StratifiedKB)
+            if len(sig) > 4:
+                oracle = follows
+            else:
+                oracle = tt_nm_rank if stratified else tt_entails
+            emb = random_embedding(rng, sig.atoms, tied=strategy.tied)
+            verify = verify_nonmonotonic if stratified else verify_monotonic
+            report = verify(emb, strategy, kb, cap)
+            assert report.cap == (cap or len(sig))
+            scaled = scale(emb)
+            expected = []
+            for subset in mask_filter_subsets(sig, report.cap):
+                pooled = pool(scaled, subset)
+                for head in sig.atoms:
+                    alone = labeller(scaled, (head,))
+                    got = bool(alone.labels(pooled))
+                    score = alone.score(pooled, 0)
+                    assert (got, score) == ref_evaluate(
+                        emb, strategy.name, subset, head)
+                    want = oracle(kb, subset, head)
+                    if got != want:
+                        expected.append((subset, head, want, got, score))
+            assert [(m.subset, m.head, m.expected, m.got, m.score)
+                    for m in report.mismatches] == expected
 
 
 class TestLabelOnce:
