@@ -38,13 +38,16 @@ columns keep the joint order, are the joint choices.
 
 The tableau holds integers only.  A row is a list of ints over one
 positive row denominator, its value being ints / denominator; it starts
-as the oriented constraint over denominator 1.  The entering column is
-the first reduced cost with a positive numerator, and the ratio test
+as the oriented constraint over denominator 1.  Only the p and slack
+columns and the rhs are stored: the q and artificial columns are their
+negations and are read off them (`_phase1_block`).  The entering column
+is the first reduced cost with a positive numerator, and the ratio test
 compares rhs / entry across rows by cross-multiplying (a row's
-denominator cancels in its own ratio).  A pivot keeps the
-pivot row's ints and makes the pivot entry its denominator; every other
-row with entering entry f becomes (T pe - f P) / (dt pe), reduced by its
-gcd.  Each row stands for the same rationals as in a `Fraction` tableau,
+denominator cancels in its own ratio).  A pivot keeps the pivot row's
+ints and makes the pivot entry its denominator; every other row with
+entering entry f becomes (T pe - f P) / (dt pe), reduced by its gcd,
+or, when pe and dt are both 1, just T - f P, updated in place.
+Each row stands for the same rationals as in a `Fraction` tableau,
 and every choice depends only on signs and exact comparisons, so the
 choices, and with them the returned values, are those of the `Fraction`
 tableau (`tests/references.py` keeps one as the reference).  `Fraction`s
@@ -334,14 +337,15 @@ def _row_blocks(rows: Sequence[tuple]) -> list[list[int]]:
 
 
 def _eliminate(row: list[int], den: int, prow: list[int], pe: int,
-               support: list[int], enter: int) -> tuple[list[int], int]:
-    """row/den minus its entering-column multiple of the pivot row prow/pe.
+               support: list[int], f: int) -> tuple[list[int], int]:
+    """row/den minus f times the pivot row prow/pe.
 
-    With f = row[enter] the result is (row pe - f prow) / (den pe); the
+    f is the row's entry in the entering column and pe the pivot row's,
+    so the result, (row pe - f prow) / (den pe), is zero there.  The
     common factor gcd(f, pe) is cancelled first and the gcd of the whole
-    row last, so the returned ints and denominator are coprime.
+    row last (a pass skipped over denominator 1), so the returned ints
+    and denominator are coprime.
     """
-    f = row[enter]
     h = gcd(f, pe)
     a, b = pe // h, f // h
     if a != 1:
@@ -349,10 +353,11 @@ def _eliminate(row: list[int], den: int, prow: list[int], pe: int,
         den *= a
     for j in support:
         row[j] -= b * prow[j]
-    g = gcd(den, *row)
-    if g > 1:
-        row = [x // g for x in row]
-        den //= g
+    if den != 1:
+        g = gcd(den, *row)
+        if g > 1:
+            row = [x // g for x in row]
+            den //= g
     return row, den
 
 
@@ -360,65 +365,72 @@ def _phase1_block(rows: Sequence[IntRow], block: Sequence[int]
                   ) -> tuple[Fraction, dict[int, Fraction], list[Fraction]]:
     """Phase-1 simplex on one connected block of rows, in integers.
 
-    The columns are the block's own columns of the joint tableau, in
-    the joint order: p then q for the block's variables, then the
-    rows' slacks, then the artificials of the rows whose rhs is
-    non-negative.  Each tableau row is a list of ints over one positive
-    denominator; the reduced-cost row likewise.  Returns the phase-1
-    objective, the value of every block variable (p - q) and the raw
-    dual multiplier of every row.
+    The block's columns of the joint tableau are, in Bland's order, p
+    then q for the block's variables, then the rows' slacks, then the
+    artificials of the rows whose rhs is non-negative; `basis` holds
+    these joint indices.  Only the p and slack columns and the rhs are
+    stored, as ints over one positive row denominator: in every
+    constraint row a q column is its p column negated, and an
+    artificial its row's slack column negated, since row operations
+    keep both relations.  In the reduced-cost row (over zden) likewise
+    z_q = -z_p and, an artificial costing 1, z_art = -z_slack - zden.
+    A derived column enters by those readings: the ratio test reads the
+    negated stored entries, and the pivot row's stored entry, negated,
+    becomes its denominator, which so stays positive.
+
+    A pivot with entry 1 subtracts its multiple in place from every row
+    over denominator 1; any other row goes through `_eliminate`.
+    Returns the phase-1 objective, the value of every block variable
+    (p - q) and the raw dual multiplier of every row, -z_slack / zden
+    (which is z_art / zden + 1 for a row with an artificial).
     """
     variables = sorted({j for i in block for j, c in enumerate(rows[i][0])
                         if c})
     nv = len(variables)
     nr = len(block)
-    flipped = [rows[i][1] < 0 for i in block]
-    art_col: list[int | None] = [None] * nr
-    ncols = 2 * nv + nr
-    for r in range(nr):
-        if not flipped[r]:
-            art_col[r] = ncols
-            ncols += 1
+    # the joint columns in order, each as (stored column, sign, cost);
+    # the artificials are appended as their rows come
+    order = ([(k, 1, 0) for k in range(nv)]
+             + [(k, -1, 0) for k in range(nv)]
+             + [(nv + r, 1, 0) for r in range(nr)])
 
+    # reduced-cost row z_j = (basis costs) . column_j - cost_j, plus
+    # the objective value, over zden: the sum of the rows whose
+    # artificial is basic
+    zden = 1
+    z = [0] * (nv + nr + 1)
     tableau: list[list[int]] = []
     dens = [1] * nr
     basis: list[int] = []
     for r, i in enumerate(block):
         coeffs, d = rows[i]
-        row = [0] * (ncols + 1)
-        sign = -1 if flipped[r] else 1
+        sign = -1 if d < 0 else 1
+        row = [0] * (nv + nr + 1)
         for k, j in enumerate(variables):
             row[k] = sign * coeffs[j]
-            row[nv + k] = -sign * coeffs[j]
-        row[2 * nv + r] = -sign
+        row[nv + r] = -sign
         row[-1] = sign * d
-        if flipped[r]:
+        tableau.append(row)
+        if d < 0:
             basis.append(2 * nv + r)
         else:
-            row[art_col[r]] = 1
-            basis.append(art_col[r])
-        tableau.append(row)
-
-    # reduced-cost row z_j = (basis costs) . column_j - cost_j, plus
-    # the objective value, over zden; artificials cost 1, all else 0
-    zden = 1
-    z = [0] * (ncols + 1)
-    for r in range(nr):
-        if art_col[r] is not None:
-            for j, x in enumerate(tableau[r]):
+            basis.append(len(order))
+            order.append((nv + r, -1, 1))
+            for j, x in enumerate(row):
                 if x:
                     z[j] += x
-            z[art_col[r]] -= 1
 
     while True:
-        enter = next((j for j in range(ncols) if z[j] > 0), None)
+        enter = next((j for j, (s, sign, cost) in enumerate(order)
+                      if sign * z[s] > cost * zden), None)
         if enter is None:
             break
+        s, sign, cost = order[enter]
         # minimum ratio rhs / entry: a row's denominator cancels, so
         # ratios compare by cross-multiplying the ints
         leave = None
         for r in range(nr):
-            coeff = tableau[r][enter]
+            coeff = sign * tableau[r][s]
             if coeff > 0:
                 rhs = tableau[r][-1]
                 if leave is None:
@@ -435,26 +447,27 @@ def _phase1_block(rows: Sequence[IntRow], block: Sequence[int]
         g = gcd(*prow)
         if g > 1:
             prow = tableau[leave] = [x // g for x in prow]
-        pe = dens[leave] = prow[enter]
+        pe = dens[leave] = sign * prow[s]
         support = [j for j, x in enumerate(prow) if x]
-        for r in range(nr):
-            if r != leave and tableau[r][enter]:
-                tableau[r], dens[r] = _eliminate(tableau[r], dens[r], prow,
-                                                 pe, support, enter)
-        if z[enter]:
-            z, zden = _eliminate(z, zden, prow, pe, support, enter)
+        for r, row in enumerate(tableau):
+            f = sign * row[s]
+            if f and r != leave:
+                if pe == 1 == dens[r]:
+                    for j in support:
+                        row[j] -= f * prow[j]
+                else:
+                    tableau[r], dens[r] = _eliminate(row, dens[r], prow, pe,
+                                                     support, f)
+        z, zden = _eliminate(z, zden, prow, pe, support,
+                             sign * z[s] - cost * zden)
         basis[leave] = enter
 
-    values = [(0, 1)] * ncols
-    for r in range(nr):
-        values[basis[r]] = (tableau[r][-1], dens[r])
+    values = {b: (tableau[r][-1], dens[r]) for r, b in enumerate(basis)}
     solution = {}
     for k, j in enumerate(variables):
-        (pn, pd), (qn, qd) = values[k], values[nv + k]
+        (pn, pd), (qn, qd) = values.get(k, (0, 1)), values.get(nv + k, (0, 1))
         solution[j] = Fraction(pn * qd - qn * pd, pd * qd)
-    mult = [Fraction(-z[2 * nv + r], zden) if flipped[r]
-            else Fraction(z[art_col[r]] + zden, zden)
-            for r in range(nr)]
+    mult = [Fraction(-z[nv + r], zden) for r in range(nr)]
     return Fraction(z[-1], zden), solution, mult
 
 
@@ -473,10 +486,14 @@ def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
     Each tableau row is ints over one positive row denominator, its
     value being ints / denominator (integer-preserving elimination,
     Edmonds 1967), and the ratio test cross-multiplies ints, since a
-    row's denominator cancels in rhs / entry.  The rows stand for the
-    rationals of a `Fraction` tableau and every choice reads only signs
-    and exact comparisons, so pivots, witness and multipliers are the
-    `Fraction` tableau's.
+    row's denominator cancels in rhs / entry.  A row stores only the p
+    and slack columns and the rhs, about half the joint width: the q
+    and artificial columns are their negations and are derived when
+    scanned or entered (`_phase1_block`).  A pivot with entry 1
+    updates the rows over denominator 1 in place.  The rows stand for
+    the rationals of a `Fraction` tableau and every choice reads only
+    signs and exact comparisons, in the joint column order, so pivots,
+    witness and multipliers are the `Fraction` tableau's.
 
     The multipliers of all blocks are normalised together, and every
     returned witness or Farkas certificate is re-verified in exact

@@ -13,7 +13,8 @@ of stdout goes away early, as in `embedsim ... | head`.
 Settings resolve flag > environment > config file > default; the
 environment names mirror the flags with an EMBEDSIM_ prefix (for
 example EMBEDSIM_CAP), and the config file is JSON with the flag names
-as keys ("cap", "delta", "seed") and JSON integers as values.
+as keys ("cap", "delta", "seed"; any other key exits 2) and JSON
+integers as values.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .table1 import run_table1
 from .verifier import verify_monotonic, verify_nonmonotonic
 
 ENV_PREFIX = "EMBEDSIM_"
+CONFIG_KEYS = ("cap", "delta", "seed")
 
 
 class UsageError(Exception):
@@ -53,6 +55,11 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
+    unknown = next((key for key in doc if key not in CONFIG_KEYS), None)
+    if unknown is not None:
+        # repr keeps a key holding a newline on the one error line
+        raise UsageError(f"config file {path} has unknown key {unknown!r} "
+                         f"(known: {', '.join(CONFIG_KEYS)})")
     return doc
 
 
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="embedsim",
         description="decide, construct and certify pooled-embedding "
                     "simulations of attribute dependencies")
-    parser.add_argument("--config", help="JSON config file (caps, delta, seed)")
+    parser.add_argument("--config", help="JSON config file (cap, delta, seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="parse a KB file and summarize it")

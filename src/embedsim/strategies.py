@@ -684,13 +684,14 @@ def _sig_ascent(vectors: np.ndarray, starts: np.ndarray, kappa: float,
     taken to enter it plus its period.  On the table's batches (seeds
     0-63) the iterate cycles within 51 steps, with periods of 2 to 30,
     so at most 120 of the 3000 steps are taken.  A search longer than
-    `MAX_ASCENT_WORK` steps x coordinates raises ValueError.
+    `MAX_ASCENT_WORK` / max(coordinates, `MAX_DIAGNOSTIC_SIZE`) steps
+    raises ValueError.
     """
     step = 1.0 / (np.sum(vectors * vectors, axis=(-2, -1)) / 4.0
                   + 2.0 * kappa + 1.0)
     step = step[..., None]
     e = starts
-    limit = MAX_ASCENT_WORK // max(starts.size, 1)
+    limit = MAX_ASCENT_WORK // max(starts.size, MAX_DIAGNOSTIC_SIZE)
     mark, since, power = e.tobytes(), 0, 1
     for done in range(1, iterations + 1):
         if done > limit:
@@ -779,7 +780,11 @@ MAX_DIAGNOSTIC_DIMENSION = 1000
 MAX_DIAGNOSTIC_TRIALS = 250
 MAX_DIAGNOSTIC_SIZE = 4096  # trials x dimension
 # Steps x coordinates (batch x dimension) an ascent may search for a
-# repeated state: 3,000 steps of the largest batch admitted above.
+# repeated state: 3,000 steps of the largest batch admitted above.  A
+# step costs mostly its fixed overhead on a small batch, so a batch of
+# fewer than MAX_DIAGNOSTIC_SIZE coordinates is charged that many per
+# step and refused after 9,000 steps (0.13 s at the default diagnostics
+# shape, 60 coordinates, on the 2-vCPU VM).
 MAX_ASCENT_WORK = 3000 * 3 * MAX_DIAGNOSTIC_SIZE
 
 

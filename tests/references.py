@@ -96,14 +96,17 @@ def ref_combine_constraints(system: LinearSystem, multipliers):
     return tuple(total), rhs
 
 
-def dense_lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
+def dense_lp_feasible(system: LinearSystem,
+                      entered: list | None = None) -> FeasibilityOutcome:
     """Exact phase-1 simplex with Bland's rule on one dense joint tableau.
 
     The reference path for `embedsim.certifier.lp_feasible`: every pivot
-    rewrites every full-width row, zeros included.  Free variables are
-    split into non-negative pairs; every returned witness or Farkas
-    certificate is re-verified in exact arithmetic before being handed
-    back.
+    rewrites every full-width row, zeros included, and every column is
+    stored, q and artificial columns too.  Free variables are split into
+    non-negative pairs; every returned witness or Farkas certificate is
+    re-verified in exact arithmetic before being handed back.  When
+    `entered` is a list, the kind of each entering column ("p", "q",
+    "slack" or "artificial") is appended to it, pivot by pivot.
     """
     nvars = len(system.variables)
     m = len(system.constraints)
@@ -166,6 +169,11 @@ def dense_lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
                     leave = i
         if leave is None:
             raise AssertionError("phase-1 objective cannot be unbounded")
+        if entered is not None:
+            entered.append("p" if enter < nvars else
+                           "q" if enter < 2 * nvars else
+                           "slack" if enter < 2 * nvars + m else
+                           "artificial")
         piv = rows[leave][enter]
         rows[leave] = [x / piv for x in rows[leave]]
         for i in range(m):

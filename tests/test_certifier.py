@@ -450,6 +450,63 @@ class TestBlockSimplexMatchesDense:
         assert not assert_same_outcome(system).feasible
 
 
+def mixed_sign_systems(seed, count):
+    """Random systems of 1-4 variables and 1-8 rows, coefficients in
+    [-4, 4], both relations, rhs in [-6, 6]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        width = rng.randint(1, 4)
+        yield make_system([([rng.randint(-4, 4) for _ in range(width)],
+                            rng.choice([">=", "<="]), rng.randint(-6, 6))
+                           for _ in range(rng.randint(1, 8))])
+
+
+class TestDerivedColumns:
+    """`lp_feasible` stores only the p, slack and rhs columns and derives
+    the q and artificial columns; the dense reference stores them all."""
+
+    # (rows, entering column kinds, witness or (multipliers, gap))
+    CASES = {
+        # the only feasible point is negative: q enters
+        "q-enters": ([([1], "<=", -1)], ["q"], {"v0": F(-1)}),
+        # Bland picks an artificial again once z_slack < -zden
+        "artificial-reenters-feasible": (
+            [([-1, 1], ">=", 0), ([-2, 1], "<=", 0), ([-2, -2], ">=", 0)],
+            ["q", "q", "artificial", "p"], {"v0": F(0), "v1": F(0)}),
+        "artificial-reenters-infeasible": (
+            [([-2, 0], "<=", -1), ([1, 0], "<=", 0), ([-2, -1], ">=", 0)],
+            ["q", "q", "artificial", "p"], ((F(1), F(2), F(0)), F(1))),
+        # negative oriented rhs: the row starts with its slack basic
+        "flipped-feasible": ([([1], ">=", -3), ([1], "<=", -1)], ["q"],
+                             {"v0": F(-1)}),
+        "flipped-infeasible": (
+            [([1, 1], ">=", -2), ([1, -1], ">=", -1), ([1, 0], "<=", -3)],
+            ["q", "q"], ((F(1), F(1), F(2)), F(3))),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_literal_systems(self, name):
+        rows, kinds, want = self.CASES[name]
+        system = make_system(rows)
+        entered = []
+        dense_lp_feasible(system, entered)
+        assert entered == kinds
+        outcome = assert_same_outcome(system)
+        if isinstance(want, dict):
+            assert list(outcome.witness.items()) == list(want.items())
+        else:
+            assert (outcome.farkas.multipliers, outcome.farkas.gap) == want
+
+    def test_mixed_sign_corpus(self):
+        entered, verdicts = [], set()
+        for system in mixed_sign_systems(2003, 500):
+            dense_lp_feasible(system, entered)
+            verdicts.add(assert_same_outcome(system).feasible)
+        assert verdicts == {True, False}
+        assert entered.count("q") > 100
+        assert entered.count("artificial") > 0
+
+
 # mixed denominators, so `make_system` scales rows to ints by different lcms
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
 

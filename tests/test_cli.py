@@ -629,6 +629,23 @@ class TestConfigPrecedence:
         assert err.count("\n") == 1
         assert "'seed'" in err and "JSON integer" in err
 
+    @pytest.mark.parametrize("doc,key", [
+        ({"caps": 2}, "'caps'"), ({"seed": 1, "Seed": 2}, "'Seed'"),
+        ({"cap\nx": 1}, "'cap\\nx'"), ({"": 1}, "''")])
+    def test_unknown_config_key_exit_two(self, capsys, tmp_path, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--config", str(cfg), "table1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"unknown key {key}" in err
+
+    def test_config_help_names_the_keys(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "(cap, delta, seed)" in " ".join(out.split())
+
     def test_bad_env_value(self, capsys, tmp_path, monkeypatch, ce1_file):
         emb = tmp_path / "emb.json"
         run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))

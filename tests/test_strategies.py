@@ -798,14 +798,14 @@ class TestSigmoidCycleStop:
         assert len(calls) == MAX_ASCENT_WORK // 12000 == 3072
 
     def test_default_shape_search_is_refused(self, monkeypatch):
-        # at the default shape (15 problems of dimension 4) the budget
-        # allows 614,400 steps, about 11 s; a smaller one shows the
-        # refusal in 1,000
+        # at the default shape (15 problems of dimension 4) each step is
+        # charged MAX_DIAGNOSTIC_SIZE coordinates, not 60, so the search
+        # is refused after MAX_ASCENT_WORK / 4,096 steps
         calls = _count_gradients(monkeypatch)
-        monkeypatch.setattr("embedsim.strategies.MAX_ASCENT_WORK", 60_000)
-        with pytest.raises(ValueError, match="within 1000 steps of 60 "):
+        with pytest.raises(ValueError, match="within 9000 steps of 60 "
+                                             "coordinates"):
             sig_conical_diagnostics(kappa=1e-5, iterations=10**9)
-        assert len(calls) == 1000
+        assert len(calls) == MAX_ASCENT_WORK // MAX_DIAGNOSTIC_SIZE == 9000
 
 
 @pytest.mark.parametrize("bad", [
