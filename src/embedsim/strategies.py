@@ -9,11 +9,20 @@ common denominator, and pooling returns integer numerators with a
 single denominator, built by a start step and extend steps.  Each
 labelling rule is a labeller, bound once to the scaled embedding and a
 tuple of heads with every denominator and threshold p/q multiplied out;
-one call labels every head of a pooled value, as a bitmask, from one
-packed product per coordinate.  `Fraction` appears only in the
-embedding itself and in threshold text.  Normalised pooling never
-materialises the irrational unit vector; it carries (sum, ||sum||^2)
-and decides comparisons by sign analysis and squaring.
+one call labels every head of a pooled value as a bitmask.  The dot,
+ReLU and distance labellers pack every head into one integer: field i
+holds head i's signed threshold difference, made by one packed product
+per coordinate plus packed constants, and the fields' sign bits are
+read out together as the label mask.  A field is w bits wide, a
+multiple of 16 that leaves two bits to spare over the labeller's bound
+on the difference.  Scores are read back from the fields: one call per
+wrong subset inverts each wrong head's difference to its dot product
+or squared distance.  The order and normalised labellers compare head
+by head.  `Fraction` appears
+only in the embedding itself and in threshold text.  Normalised
+pooling never materialises the irrational unit vector; it carries
+(sum, ||sum||^2) and decides comparisons by sign analysis and
+squaring.
 
 The sigmoid-MLE pooling is a floating-point demonstrator (gradient
 ascent on a seeded start, deterministic per (seed, iterations)); it is
@@ -29,7 +38,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 from operator import add, le, lshift, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -353,28 +362,70 @@ def _ratio(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
+# byte b -> the ASCII digit of its top bit
+_TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
+
+
+class _Pack(NamedTuple):
+    """A labeller's head columns and constants packed at field width w.
+
+    Field i spans bits [i w, (i + 1) w) and belongs to head i.
+    `columns[k]` holds coordinate k of every head's column vector and
+    `constants[r]` every head's r-th constant, each as a signed field.
+    `signs` sets bit w - 1 of every field: added to a packed sum whose
+    field values f_i all lie in [-2^(w-1), 2^(w-1)), it leaves field i
+    holding f_i + 2^(w-1), whose top bit is set exactly when f_i >= 0.
+    """
+
+    width: int
+    columns: list[int]
+    constants: list[int]
+    signs: int
+
+    def top_bits(self, x: int, heads: int) -> int:
+        """Bit i set exactly when field i of x has its top bit set.
+
+        w is a multiple of 8, so field i's top bit is the top bit of byte
+        (i + 1) w / 8 - 1; those bytes are sliced out of x's bytes, read
+        as binary digits, and parsed.  Unlike a multiplication that
+        gathers the bits, this costs time linear in the packed size.
+        """
+        step = self.width // 8
+        digits = x.to_bytes(heads * step, "little")[step - 1::step]
+        return int(digits.translate(_TOP_BIT)[::-1] or b"0", 2)
+
+    def fields(self, x: int, heads: int) -> list[int]:
+        w = self.width
+        mask, half = (1 << w) - 1, 1 << w - 1
+        return [(x >> s & mask) - half for s in range(0, w * heads, w)]
+
+
 class _Labeller:
     """The label set of a pooled value over heads fixed at binding.
 
     `labels(pooled)` sets bit i when `heads[i]` is labelled, doing the
-    per-subset work once for all heads; `score(pooled, i)` is the exact
-    quantity behind head i's decision, as mismatch-report text.  Each
-    head's row holds its bit and threshold constants.  `labels` keeps
-    the per-head quantities of the value it last labelled, so scoring
-    the heads it got wrong costs no further products.
+    per-subset work once for all heads.  `scores(pooled, wrong)` yields
+    (i, text) for each bit i set in `wrong`: the exact quantity behind
+    head i's decision as mismatch-report text, the parts it shares with
+    the other heads made once.  `labels` keeps what it computed for the
+    value it last labelled, so scoring that value costs no further
+    products; any other value is labelled first.
 
-    `dots(v)` is v . target for every head: column k packs coordinate k
-    of target i as a signed field in bits [i w, (i + 1) w), and w, a
-    multiple of 16, holds max|v_k| * max_i sum_k |target_i[k]| with two
-    bits to spare, so no field of sum_k v_k col_k carries into the next.
+    Each head has a column vector and may have constants, packed
+    (`_Pack`) at a width w fitted to the pooled value: a multiple of 16
+    that holds the labeller's bound on every field's value with two bits
+    to spare, so that no field of a packed sum carries into the next.
     """
 
-    def __init__(self, sc: ScaledEmbedding, targets: Sequence[IntVec]):
+    def __init__(self, sc: ScaledEmbedding, columns: Sequence[IntVec],
+                 constants: Sequence[Sequence[int]] = ()):
         self.dimension, self.cden, self.oden = sc.dimension, sc.cden, sc.oden
-        self.last: tuple[Pooled, list[int]] | None = None
-        self.targets = tuple(targets)
-        self.reach = max((sum(map(abs, t)) for t in self.targets), default=0)
-        self.packs: dict[int, tuple] = {}
+        self.last: tuple | None = None
+        self.columns = tuple(columns)
+        self.constants = tuple(constants)
+        self.heads = len(self.columns)
+        self.reach = max((sum(map(abs, c)) for c in self.columns), default=0)
+        self.packs: dict[int, _Pack] = {}
 
     def _vector(self, pooled: Pooled) -> IntVec:
         if len(pooled[0]) != self.dimension:
@@ -383,113 +434,159 @@ class _Labeller:
                 f"embedding dimension is {self.dimension}")
         return pooled[0]
 
-    def dots(self, v: IntVec) -> list[int]:
-        w = ((max(map(abs, v), default=0) * self.reach).bit_length()
-             + 17) // 16 * 16
+    def _pack(self, bound: int) -> _Pack:
+        """The pack whose fields hold values up to `bound` in magnitude."""
+        w = (bound.bit_length() + 17) // 16 * 16
         if w not in self.packs:
-            shifts, half = range(0, w * len(self.targets), w), 1 << (w - 1)
-            self.packs[w] = ([sum(map(lshift, column, shifts))
-                              for column in zip(*self.targets)],
-                             sum(half << s for s in shifts), shifts,
-                             (1 << w) - 1, half)
-        cols, bias, shifts, mask, half = self.packs[w]
-        x = sum(map(mul, v, cols), bias)
-        return [(x >> s & mask) - half for s in shifts]
+            shifts = range(0, w * self.heads, w)
+            self.packs[w] = _Pack(
+                w, [sum(map(lshift, column, shifts))
+                    for column in zip(*self.columns)],
+                [sum(map(lshift, row, shifts)) for row in self.constants],
+                sum(1 << s + w - 1 for s in shifts))
+        return self.packs[w]
 
-    def _quantity(self, pooled: Pooled, i: int) -> int:
-        """Head i's quantity for `pooled`, labelling it first unless it
+    def _labelled(self, pooled: Pooled) -> tuple:
+        """What `labels` kept for `pooled`, labelling it first unless it
         was the value last labelled."""
         if self.last is None or self.last[0] is not pooled:
             self.labels(pooled)
-        return self.last[1][i]
+        return self.last
 
 
 class DotLabeller(_Labeller):
     """e . output[b] >= lambda_b (the context vector of b when tied).
 
-    For e = T/D, target X/x and lambda_b = p/q: (T . X) q >= p x D.
+    For e = T/D, target X/x and lambda_b = p/q the rule reads
+    q (T . X) - p x D >= 0, head b's field: the columns pack q X and a
+    constant p x, which D multiplies.
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str],
                  tied: bool = False):
         vectors, self.tden = ((sc.context, sc.cden) if tied
                               else (sc.output, sc.oden))
-        super().__init__(sc, [vectors[b] for b in heads])
-        self.rows = [(1 << i, lam.denominator, lam.numerator * self.tden,
-                      f" lambda={frac_str(lam)}")
-                     for i, lam in enumerate(sc.lam[b] for b in heads)]
+        lams = [sc.lam[b] for b in heads]
+        pxs = [lam.numerator * self.tden for lam in lams]
+        super().__init__(sc, [tuple(lam.denominator * t for t in vectors[b])
+                              for b, lam in zip(heads, lams)], [pxs])
+        self.preach = max(map(abs, pxs), default=0)
+        self.rows = [(lam.denominator, px, f" lambda={frac_str(lam)}")
+                     for lam, px in zip(lams, pxs)]
 
     def labels(self, pooled: Pooled) -> int:
-        den = pooled[1]
-        dots = self.dots(self._vector(pooled))
-        self.last = pooled, dots
-        return sum(bit for (bit, q, px, _), dot in zip(self.rows, dots)
-                   if dot * q >= px * den)
+        total, den = self._vector(pooled), pooled[1]
+        pack = self._pack(max(map(abs, total), default=0) * self.reach
+                          + den * self.preach)
+        x = sum(map(mul, total, pack.columns),
+                pack.signs - den * pack.constants[0])
+        self.last = pooled, x, pack
+        return pack.top_bits(x, self.heads)
 
-    def score(self, pooled: Pooled, i: int) -> str:
-        dot = self._quantity(pooled, i)
-        return f"dot={_ratio(dot, pooled[1] * self.tden)}{self.rows[i][3]}"
+    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
+        _, x, pack = self._labelled(pooled)
+        w = pack.width
+        mask, half = (1 << w) - 1, 1 << w - 1
+        den = pooled[1]
+        dden, rows = den * self.tden, self.rows
+        while wrong:
+            low = wrong & -wrong
+            i = low.bit_length() - 1
+            wrong ^= low
+            q, px, text = rows[i]
+            dot = ((x >> i * w & mask) - half + px * den) // q
+            yield i, f"dot={_ratio(dot, dden)}{text}"
 
 
 class DistLabeller(_Labeller):
     """Euclidean distance from e to output[b] at most theta_b.
 
     For e = T/D, output O/o and theta_b = p/q, squared and multiplied
-    out: ||T o - O D||^2 q^2 <= (p o D)^2.  The square is
-    o^2 ||T||^2 - 2 o D (T . O) + D^2 ||O||^2, so a subset costs one
-    norm and the heads one packed dot product.
+    out: (p o D)^2 - q^2 ||T o - O D||^2 >= 0.  With p2 = (p o)^2 and
+    q2 = q^2, head b's field is
+    2 o D (T . q2 O) + D^2 (p2 - q2 ||O||^2) - o^2 ||T||^2 q2: the
+    columns pack q2 O, two constants pack p2 - q2 ||O||^2 and q2, and a
+    subset costs one norm and one packed product.
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc, [sc.output[b] for b in heads])
-        self.rows = [(1 << i, sum(map(mul, out, out)), th.denominator ** 2,
-                      (th.numerator * sc.oden) ** 2, f" theta={frac_str(th)}")
-                     for i, (out, th) in enumerate(
-                         zip(self.targets, (sc.theta[b] for b in heads)))]
+        outputs = [sc.output[b] for b in heads]
+        thetas = [sc.theta[b] for b in heads]
+        q2s = [th.denominator ** 2 for th in thetas]
+        p2s = [(th.numerator * sc.oden) ** 2 for th in thetas]
+        offsets = [p2 - q2 * sum(map(mul, out, out))
+                   for p2, q2, out in zip(p2s, q2s, outputs)]
+        super().__init__(sc, [tuple(q2 * x for x in out)
+                              for q2, out in zip(q2s, outputs)],
+                         [offsets, q2s])
+        self.offset_reach = max(map(abs, offsets), default=0)
+        self.q2_reach = max(q2s, default=0)
+        self.rows = [(p2, q2, f" theta={frac_str(th)}")
+                     for p2, q2, th in zip(p2s, q2s, thetas)]
 
     def labels(self, pooled: Pooled) -> int:
         total, den = self._vector(pooled), pooled[1]
-        o, dsq = self.oden, den * den
-        tsq, cross = o * o * sum(map(mul, total, total)), 2 * o * den
-        # ||T o - O D||^2, head by head
-        distsqs = [tsq - cross * dot + dsq * outsq
-                   for dot, (_, outsq, _, _, _)
-                   in zip(self.dots(total), self.rows)]
-        self.last = pooled, distsqs
-        return sum(bit for (bit, _, q2, p2, _), distsq
-                   in zip(self.rows, distsqs) if distsq * q2 <= p2 * dsq)
+        o = self.oden
+        cross, dsq = 2 * o * den, den * den
+        tsq = o * o * sum(map(mul, total, total))
+        pack = self._pack(cross * max(map(abs, total), default=0) * self.reach
+                          + dsq * self.offset_reach + tsq * self.q2_reach)
+        offsets, q2s = pack.constants
+        x = (cross * sum(map(mul, total, pack.columns))
+             + dsq * offsets - tsq * q2s + pack.signs)
+        self.last = pooled, x, pack
+        return pack.top_bits(x, self.heads)
 
-    def score(self, pooled: Pooled, i: int) -> str:
-        distsq = self._quantity(pooled, i)
-        return (f"distsq={_ratio(distsq, (pooled[1] * self.oden) ** 2)}"
-                f"{self.rows[i][4]}")
+    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
+        _, x, pack = self._labelled(pooled)
+        w = pack.width
+        mask, half = (1 << w) - 1, 1 << w - 1
+        den = pooled[1]
+        dsq, dden, rows = den * den, (den * self.oden) ** 2, self.rows
+        while wrong:
+            low = wrong & -wrong
+            i = low.bit_length() - 1
+            wrong ^= low
+            p2, q2, text = rows[i]
+            distsq = (p2 * dsq - (x >> i * w & mask) + half) // q2
+            yield i, f"distsq={_ratio(distsq, dden)}{text}"
 
 
 class ReluLabeller(_Labeller):
     """ReLU(e) . context[b] >= 0 (tied vectors).
 
     ReLU commutes with the positive denominator, so for e = T/D the
-    rule reads ReLU(T) . C >= 0, ReLU(T) taken once.
+    rule reads ReLU(T) . C >= 0, head b's field, ReLU(T) taken once.
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
         super().__init__(sc, [sc.context[b] for b in heads])
 
     def labels(self, pooled: Pooled) -> int:
-        dots = self.dots(_relu(self._vector(pooled)))
-        self.last = pooled, dots
-        return sum(1 << i for i, dot in enumerate(dots) if dot >= 0)
+        v = _relu(self._vector(pooled))
+        pack = self._pack(max(v, default=0) * self.reach)
+        x = sum(map(mul, v, pack.columns), pack.signs)
+        self.last = pooled, x, pack
+        return pack.top_bits(x, self.heads)
 
-    def score(self, pooled: Pooled, i: int) -> str:
-        dot = self._quantity(pooled, i)
-        return f"relu_dot={_ratio(dot, pooled[1] * self.cden)}"
+    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
+        _, x, pack = self._labelled(pooled)
+        w = pack.width
+        mask, half = (1 << w) - 1, 1 << w - 1
+        dden = pooled[1] * self.cden
+        while wrong:
+            low = wrong & -wrong
+            i = low.bit_length() - 1
+            wrong ^= low
+            yield i, f"relu_dot={_ratio((x >> i * w & mask) - half, dden)}"
 
 
 class OrdLabeller(_Labeller):
     """context[b] below e in the component-wise product order.
 
     `emb_ord` pools over cden, the context vectors' own denominator, so
-    the numerators are compared directly.
+    the numerators are compared directly, head by head: a comparison
+    stops at the first coordinate that decides it.
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
@@ -500,12 +597,13 @@ class OrdLabeller(_Labeller):
         if pooled[1] != self.cden:
             raise ValueError(f"order labelling needs the max-pooled "
                              f"denominator {self.cden}, got {pooled[1]}")
-        return sum(1 << i for i, c in enumerate(self.targets)
+        return sum(1 << i for i, c in enumerate(self.columns)
                    if all(map(le, c, total)))
 
-    def score(self, pooled: Pooled, i: int) -> str:
+    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
         total, den = pooled
-        return f"pooled={','.join(_ratio(x, den) for x in total)}"
+        text = f"pooled={','.join(_ratio(x, den) for x in total)}"
+        return ((i, text) for i in range(self.heads) if wrong >> i & 1)
 
 
 def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
@@ -522,9 +620,19 @@ class _NormLabeller(_Labeller):
     """A rule on the (sum, ||sum||^2) pair from `emb_norm`, decided exactly.
 
     Head b's row reads m (sum . O) >= c ||sum||, decided by sign analysis
-    and squaring; the sum's denominator cancels.  The zero pooled vector
-    (empty set or cancelling sum) gets the label set `zero`, fixed at
-    binding."""
+    and squaring, head by head, on the plain products that `dots` reads
+    from one packed product; the sum's denominator cancels.  The zero
+    pooled vector (empty set or cancelling sum) gets the label set
+    `zero`, fixed at binding."""
+
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
+        super().__init__(sc, [sc.output[b] for b in heads])
+
+    def dots(self, v: IntVec) -> list[int]:
+        """v . output[b] for every head."""
+        pack = self._pack(max(map(abs, v), default=0) * self.reach)
+        return pack.fields(sum(map(mul, v, pack.columns), pack.signs),
+                           self.heads)
 
     def labels(self, pooled: Pooled) -> int:
         normsq = pooled[1]
@@ -535,21 +643,31 @@ class _NormLabeller(_Labeller):
         return sum(bit for (bit, m, c, _), dot in zip(self.rows, dots)
                    if _ge_scaled_sqrt(m * dot, c, normsq))
 
-    def score(self, pooled: Pooled, i: int) -> str:
-        dot, normsq, cden = self._quantity(pooled, i), pooled[1], self.cden
-        return (f"sum.out={_ratio(dot, cden * self.oden)} "
-                f"normsq={_ratio(normsq, cden * cden)}{self.rows[i][3]}")
+    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
+        _, dots = self._labelled(pooled)
+        cden = self.cden
+        dden, normsq = cden * self.oden, _ratio(pooled[1], cden * cden)
+        rows = self.rows
+        while wrong:
+            low = wrong & -wrong
+            i = low.bit_length() - 1
+            wrong ^= low
+            yield i, (f"sum.out={_ratio(dots[i], dden)} normsq={normsq}"
+                      f"{rows[i][3]}")
 
 
-class DotOnNormLabeller(_NormLabeller, DotLabeller):
+class DotOnNormLabeller(_NormLabeller):
     """Dot labelling on normalised pooling: sum . b >= lambda_b ||sum||.
 
-    For b = O/o and lambda_b = p/q, on the untied `DotLabeller` rows:
-    (sum . O) q >= p o ||sum||.  The zero vector reduces to 0 >= lambda_b.
+    For b = O/o and lambda_b = p/q: (sum . O) q >= p o ||sum||.  The
+    zero vector reduces to 0 >= lambda_b.
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
         super().__init__(sc, heads)
+        self.rows = [(1 << i, lam.denominator, lam.numerator * sc.oden,
+                      f" lambda={frac_str(lam)}")
+                     for i, lam in enumerate(sc.lam[b] for b in heads)]
         self.zero = sum(bit for bit, _, po, _ in self.rows if po <= 0)
 
 
@@ -563,7 +681,7 @@ class DistOnNormLabeller(_NormLabeller):
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc, [sc.output[b] for b in heads])
+        super().__init__(sc, heads)
         o2, self.rows, self.zero = sc.oden ** 2, [], 0
         for i, b in enumerate(heads):
             out, th = sc.output[b], sc.theta[b]

@@ -7,16 +7,20 @@ evaluates the strategy's labelling decision exactly, and records every
 mismatch.  The sweep order is canonical: subsets ordered by (size,
 bitmask), heads by signature index, so reports are deterministic.
 
-A sweep does the per-KB and per-embedding work once: it fetches the
-KB's consequence table (`logic.consequence_table`, indexed by subset
-mask, bit b for head b), scales the embedding to integers
-(`strategies.scale`) and binds the strategy's labeller to the
-signature's heads.  It walks the subset lattice level by level, pools
-each subset by one step from the subset less its top atom, labels all
-its heads at once as a bitmask, XORs that with its table entry, and
-scores only the heads that differ.  `verify_monotonic` takes a plain KB
-and `verify_nonmonotonic` a stratified one; each refuses the other
-kind, so the table's type dispatch never swaps the semantics asked for.
+A sweep first counts its queries in closed form and refuses more than
+`MAX_SWEEP_QUERIES` before any table is built.  It does the per-KB and
+per-embedding work once: it fetches the KB's consequence table
+(`logic.consequence_table`, indexed by subset mask, bit b for head b),
+scales the embedding to integers (`strategies.scale`) and binds the
+strategy's labeller to the signature's heads.  It walks the subset
+lattice level by level, pools each subset by one step from the subset
+less its top atom and extends that subset's name tuple by the same
+atom, labels all its heads at once as a bitmask, and XORs that with its
+table entry.  A subset with wrong heads costs one `scores` call, which
+yields the score text of each wrong head.  `verify_monotonic` takes a
+plain KB and `verify_nonmonotonic` a stratified one; each refuses the
+other kind, so the table's type dispatch never swaps the semantics
+asked for.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
 undefined for most strategies); each report's JSON records that
@@ -29,24 +33,31 @@ entry at S's mask, and the strategy's decision is the labeller of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 # `entails` is not called here; the benchmark's tracing test reads it
 # back as `embedsim.verifier.entails` after removing its wrappers
 from .logic import entails  # noqa: F401
-from .logic import (KnowledgeBase, Signature, StratifiedKB, consequence_table,
-                    kb_digest)
+from .logic import (CapExceededError, KnowledgeBase, Signature, StratifiedKB,
+                    consequence_table, kb_digest)
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
                          StrategyId, exact_rule, scale)
 
 FULL_SWEEP_ATOM_LIMIT = 8
 CAPPED_SWEEP_DEFAULT = 4
+# Queries (subsets x heads) a sweep may answer; a larger one is refused
+# before any table is built.  2^20 admits the full 16-atom sweep
+# (1,048,560 queries) and refuses the full 17-atom one (2,228,207).  At
+# that edge a sweep whose every query mismatches took 10.4 s and 800 MB
+# through `verify --json`, writing 134 MB (2-vCPU VM; 15 atoms: 5.5 s,
+# 390 MB).
+MAX_SWEEP_QUERIES = 1 << 20
 
 Query = tuple[tuple[str, ...], str]
 
 
-@dataclass
+@dataclass(slots=True)
 class Mismatch:
     subset: tuple[str, ...]
     head: str
@@ -94,23 +105,25 @@ def default_cap(signature: Signature) -> int:
     return n if n <= FULL_SWEEP_ATOM_LIMIT else CAPPED_SWEEP_DEFAULT
 
 
-def _walk(singles: Sequence, cap: int,
-          extend: Callable) -> Iterator[tuple[int, object]]:
-    """(mask, value) of every non-empty subset up to the cap in canonical
-    (|S|, S-bitmask) order: singles[i] for {i}, else extend(value of S
-    less its top item j, singles[j]).  For each j ascending, the previous
+def _walk(atoms: Sequence[str], singles: Sequence, cap: int,
+          extend: Callable) -> Iterator[tuple[int, tuple[str, ...], object]]:
+    """(mask, names, value) of every non-empty subset up to the cap in
+    canonical (|S|, S-bitmask) order: singles[i] for {atoms[i]}, else
+    extend(value of S less its top item j, singles[j]), the names of S
+    less j extended by atoms[j].  For each j ascending, the previous
     level's sets with masks below 2^j, a prefix of it, gain item j."""
     depth = min(cap, len(singles))
-    level = [(1 << i, one) for i, one in enumerate(singles) if depth > 0]
+    level = [(1 << i, (a,), one)
+             for i, (a, one) in enumerate(zip(atoms, singles)) if depth > 0]
     yield from level
     for size in range(2, depth + 1):
         children = []
         for j in range(size - 1, len(singles)):
-            bit, one = 1 << j, singles[j]
-            for mask, value in level:
+            bit, tail, one = 1 << j, (atoms[j],), singles[j]
+            for mask, names, value in level:
                 if mask >= bit:
                     break
-                child = mask | bit, extend(value, one)
+                child = mask | bit, names + tail, extend(value, one)
                 yield child
                 if size < depth:  # the deepest level is not kept
                     children.append(child)
@@ -119,7 +132,15 @@ def _walk(singles: Sequence, cap: int,
 
 def nonempty_subsets(signature: Signature, cap: int) -> list[tuple[str, ...]]:
     """Non-empty subsets up to the cap in canonical (|S|, S-bitmask) order."""
-    return [s for _, s in _walk([(a,) for a in signature.atoms], cap, add)]
+    # the walk's names are the subsets (its values, each subset's top
+    # index, go unused)
+    return [names for _, names, _ in _walk(signature.atoms,
+                                           range(len(signature)), cap, max)]
+
+
+def sweep_queries(atoms: int, cap: int) -> int:
+    """The queries of a sweep up to the cap: heads x non-empty subsets."""
+    return atoms * sum(comb(atoms, k) for k in range(1, min(cap, atoms) + 1))
 
 
 def subset_queries(signature: Signature, cap: int) -> list[Query]:
@@ -148,27 +169,28 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
     elif cap < 1:
         raise ValueError(f"subset cap must be at least 1, got {cap}")
     rule = exact_rule(strategy)
+    queries = sweep_queries(len(signature), cap)
+    if queries > MAX_SWEEP_QUERIES:
+        raise CapExceededError(
+            f"a sweep of {len(signature)} atoms at subset cap {cap} has "
+            f"{queries} queries, the sweep budget is {MAX_SWEEP_QUERIES}")
     table = consequence_table(kb)
     scaled = scale(embedding)
     atoms = signature.atoms
     labeller = rule.labeller(scaled, atoms)
-    subsets, mismatches = 0, []
-    for mask, pooled in _walk([rule.start(scaled.context[a], scaled.cden)
-                               for a in atoms], cap, rule.extend):
-        subsets += 1
+    mismatches = []
+    for mask, subset, pooled in _walk(
+            atoms, [rule.start(scaled.context[a], scaled.cden) for a in atoms],
+            cap, rule.extend):
         got = labeller.labels(pooled)
-        wrong = got ^ int(table[mask])
-        if wrong:
-            subset = tuple(a for i, a in enumerate(atoms) if mask >> i & 1)
-        while wrong:  # one mismatch per wrong head, in head order
-            i = (wrong & -wrong).bit_length() - 1
-            mismatches.append(Mismatch(
-                subset, atoms[i], not got >> i & 1,
-                bool(got >> i & 1), labeller.score(pooled, i)))
-            wrong &= wrong - 1
+        wrong = got ^ table.item(mask)
+        if wrong:  # one mismatch per wrong head, in head order
+            for i, score in labeller.scores(pooled, wrong):
+                label = bool(got >> i & 1)
+                mismatches.append(
+                    Mismatch(subset, atoms[i], not label, label, score))
     return VerificationReport(strategy.name, kb_digest(kb), kind, cap,
-                              cap < len(signature),
-                              subsets * len(signature), mismatches)
+                              cap < len(signature), queries, mismatches)
 
 
 def verify_monotonic(embedding: AttributeEmbedding, strategy: StrategyId,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,41 @@ from embedsim.cli import main
 from embedsim.fixtures import FIXTURE_SOURCES
 from embedsim.logic import parse_kb
 from embedsim.strategies import frac_str
+from embedsim.verifier import VerificationReport
 from references import ref_construct_avg_relu_nm
 
 CE1 = FIXTURE_SOURCES["CE1"]
 EX4 = FIXTURE_SOURCES["EX4"]
 AB = "atoms: a b\nrule: a -> b\n"
+
+
+# `verify --cap 2` text for the embedding of test_text_mode_builds_no_document
+VERIFY_TEXT = "".join(line + "\n" for line in (
+    "strategy: avg-dot",
+    "queries: 75 (subset cap 2)",
+    "verdict: mismatches",
+    "  mismatch a -> b: expected False, got True [dot=3/4 lambda=1/3]",
+    "  mismatch a -> c: expected False, got True [dot=1/1 lambda=1/3]",
+    "  mismatch a -> d: expected False, got True [dot=1/2 lambda=1/3]",
+    "  mismatch a -> x: expected False, got True [dot=3/2 lambda=1/3]",
+    "  mismatch b -> b: expected True, got False [dot=-5/4 lambda=1/3]",
+    "  mismatch c -> a: expected False, got True [dot=2/1 lambda=1/3]",
+    "  mismatch c -> b: expected False, got True [dot=7/4 lambda=1/3]",
+    "  mismatch c -> d: expected False, got True [dot=3/2 lambda=1/3]",
+    "  mismatch c -> x: expected False, got True [dot=5/2 lambda=1/3]",
+    "  mismatch d -> d: expected True, got False [dot=-1/2 lambda=1/3]",
+    "  mismatch d -> x: expected False, got True [dot=1/2 lambda=1/3]",
+    "  mismatch x -> a: expected False, got True [dot=1/2 lambda=1/3]",
+    "  mismatch x -> c: expected False, got True [dot=1/2 lambda=1/3]",
+    "  mismatch a&b -> a: expected True, got False [dot=0/1 lambda=1/3]",
+    "  mismatch a&b -> b: expected True, got False [dot=-1/4 lambda=1/3]",
+    "  mismatch a&c -> b: expected False, got True [dot=5/4 lambda=1/3]",
+    "  mismatch a&c -> d: expected False, got True [dot=1/1 lambda=1/3]",
+    "  mismatch a&c -> x: expected False, got True [dot=2/1 lambda=1/3]",
+    "  mismatch b&c -> a: expected False, got True [dot=1/2 lambda=1/3]",
+    "  mismatch b&c -> b: expected True, got False [dot=1/4 lambda=1/3]",
+    "  ... 16 more",
+))
 
 
 @pytest.fixture
@@ -384,6 +415,49 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err == "error: signature has 21 atoms, enumeration cap is 20\n"
+
+    def test_sweep_over_budget_exits_two_at_once(self, capsys, tmp_path):
+        # 20 x (2^20 - 1) queries at cap 20: refused before any table is
+        # built, so the refusal costs no more than reading the inputs
+        atoms = [f"p{i}" for i in range(20)]
+        kb = tmp_path / "wide.kb"
+        kb.write_text(f"atoms: {' '.join(atoms)}\nrule: p0 -> p1\n")
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(
+            {"dimension": 1,
+             "atoms": [{"name": n, "context": ["1/1"], "output": ["1/1"]}
+                       for n in atoms]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(kb), str(emb),
+                             "--strategy", "avg-dot", "--cap", "20")
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == ("error: a sweep of 20 atoms at subset cap 20 has "
+                       "20971500 queries, the sweep budget is 1048576\n")
+
+    def test_text_mode_builds_no_document(self, capsys, ce1_file, tmp_path,
+                                          monkeypatch):
+        # the lines a user reads, as the report document was built and
+        # thrown away before; the document itself is never made
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(
+            {"dimension": 2,
+             "atoms": [{"name": n, "context": [c, "-1/2"],
+                        "output": ["1/1", o], "lambda": "1/3"}
+                       for n, c, o in (("a", "1/1", "0/1"),
+                                       ("b", "-1/1", "1/2"),
+                                       ("c", "2/1", "0/1"),
+                                       ("d", "0/1", "1/1"),
+                                       ("x", "1/2", "-1/1"))]}))
+
+        def refuse(self, timing=False):
+            raise AssertionError("to_dict called in text mode")
+
+        monkeypatch.setattr(VerificationReport, "to_dict", refuse)
+        code, out, err = run(capsys, "verify", ce1_file, str(emb),
+                             "--strategy", "avg-dot", "--cap", "2")
+        assert (code, err) == (1, "")
+        assert out == VERIFY_TEXT
 
     def test_jobs_option_removed(self, capsys, ce1_file, tmp_path):
         emb = tmp_path / "emb.json"

@@ -382,16 +382,23 @@ class TestKernelsMatchFractionReference:
                         for head in heads]
                 assert labeller.labels(pooled) == sum(
                     1 << i for i, (label, _) in enumerate(want) if label)
+                # one scores call over every head, and one over the heads
+                # at even positions alone
+                every = (1 << len(heads)) - 1
+                assert list(labeller.scores(pooled, every)) == [
+                    (i, text) for i, (_, text) in enumerate(want)], (
+                        strategy.name, subset)
+                assert list(labeller.scores(pooled, every & 0b10101)) == [
+                    (i, text) for i, (_, text) in enumerate(want)
+                    if i % 2 == 0]
                 for i, head in enumerate(heads):
-                    assert labeller.score(pooled, i) == want[i][1], (
-                        strategy.name, subset, head)
                     if subset:
                         assert accepts(
                             emb, strategy, subset + subset[:1],
                             head) == want[i][0]
 
     def test_score_of_a_value_other_than_the_last_labelled(self):
-        # score reads what `labels` kept for the value it last labelled;
+        # scores reads what `labels` kept for the value it last labelled;
         # any other value, or one never labelled, is labelled first
         rng = random.Random(61)
         atoms = ["a", "b", "c"]
@@ -404,9 +411,10 @@ class TestKernelsMatchFractionReference:
             first, second = (rule.pool(emb, s) for s in (("a", "b"), ("c",)))
             labeller.labels(first)
             for subset, pooled in ((("c",), second), (("a", "b"), first)):
-                for i, head in enumerate(atoms):
-                    want = ref_evaluate(emb, strategy.name, subset, head)[1]
-                    assert labeller.score(pooled, i) == want, strategy.name
+                want = [(i, ref_evaluate(emb, strategy.name, subset, head)[1])
+                        for i, head in enumerate(atoms)]
+                assert list(labeller.scores(pooled, 0b111)) == want, (
+                    strategy.name)
 
     def test_scaling_reads_the_current_thresholds(self):
         emb = make_embedding({"a": (1, 0), "b": (1, 0)}, lam={"b": 2})
@@ -424,12 +432,75 @@ class TestKernelsMatchFractionReference:
         assert scale(scaled) is scaled
 
 
+def _wide_embedding(rng, atoms, dimension, bits):
+    """Coordinates of up to `bits` bits over small denominators; one atom
+    is the negation of another and one is zero, so sums cancel and
+    Hadamard products vanish.  Lambda is negative, 0 or large; theta 0,
+    small or large."""
+    def coord():
+        return F(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 7))
+
+    context = {a: tuple(coord() for _ in range(dimension)) for a in atoms}
+    context[atoms[1]] = tuple(-x for x in context[atoms[0]])
+    context[atoms[2]] = (F(0),) * dimension
+    output = {a: tuple(coord() for _ in range(dimension)) for a in atoms}
+    big = F(2 ** (bits + 2), rng.randint(1, 5))
+    lam = {a: rng.choice([-big, F(-1, 3), F(0), big,
+                          F(rng.randint(-2 ** bits, 2 ** bits), 3)])
+           for a in atoms}
+    theta = {a: rng.choice([F(0), F(1, 2), big, big * big]) for a in atoms}
+    return AttributeEmbedding(dimension, context, output, lam, theta)
+
+
+class TestPackedDecisions:
+    """Every head's label bit and score text, from a labeller bound to
+    16-20 heads (at least as many as a narrowest field has bits),
+    against the Fraction reference: coordinates of 3 and of 100-130
+    bits, Hadamard products over 6-8 atoms, and zero pooled vectors."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_on_wide_heads(self, seed):
+        rng = random.Random(f"packed:{seed}")
+        atoms = tuple(f"h{i}" for i in range(rng.randint(16, 20)))
+        bits = 3 if seed % 3 == 0 else rng.randint(100, 130)
+        base = _wide_embedding(rng, atoms, rng.randint(2, 4), bits)
+        subsets = [atoms[:2], atoms[2:3], atoms[:6], atoms[3:11],
+                   tuple(rng.sample(atoms, 7)), atoms[5:6]]
+        for strategy in EXACT:
+            emb = base
+            if strategy.tied:  # tied rules read the context vectors
+                emb = AttributeEmbedding(base.dimension, base.context,
+                                         base.context, base.lam, base.theta)
+            rule = exact_rule(strategy)
+            labeller = rule.labeller(scale(emb), atoms)
+            for subset in subsets:
+                pooled = rule.pool(emb, subset)
+                want = [ref_evaluate(emb, strategy.name, subset, head)
+                        for head in atoms]
+                got = labeller.labels(pooled)
+                assert [bool(got >> i & 1) for i in range(len(atoms))] == [
+                    label for label, _ in want], (strategy.name, subset)
+                every = (1 << len(atoms)) - 1
+                assert list(labeller.scores(pooled, every)) == [
+                    (i, text) for i, (_, text) in enumerate(want)], (
+                        strategy.name, subset)
+
+    def test_no_heads(self):
+        emb = make_embedding({"a": (1, -2)}, lam={"a": 1}, theta={"a": 1})
+        for strategy in EXACT:
+            rule = exact_rule(strategy)
+            labeller = rule.labeller(scale(emb), ())
+            pooled = rule.pool(emb, ("a",))
+            assert labeller.labels(pooled) == 0
+            assert list(labeller.scores(pooled, 0)) == []
+
+
 def _packed(heads, dimension):
-    """A dot labeller whose output vectors are `heads`."""
+    """A normalised dot labeller whose output vectors are `heads`."""
     names = [f"h{i}" for i in range(len(heads))]
     sc = ScaledEmbedding(dimension, {}, dict(zip(names, heads)), 1, 1,
                          dict.fromkeys(names, F(0)), {})
-    return DotLabeller(sc, names)
+    return DotOnNormLabeller(sc, names)
 
 
 def _per_head(v, heads):

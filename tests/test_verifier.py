@@ -21,7 +21,9 @@ from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
                                  DistOnNormLabeller, DotLabeller,
                                  DotOnNormLabeller, OrdLabeller, ReluLabeller,
                                  emb_avg, emb_had, emb_norm, emb_ord, scale)
-from embedsim.verifier import (nonempty_subsets, subset_queries,
+from embedsim.certifier import GENERIC_ATOM_CAP
+from embedsim.verifier import (MAX_SWEEP_QUERIES, nonempty_subsets,
+                               subset_queries, sweep_queries,
                                verify_monotonic, verify_nonmonotonic)
 from oracles import (mask_filter_subsets, syntax_nodes, tt_assignments,
                      tt_entails, tt_mu, tt_nm_rank)
@@ -228,7 +230,7 @@ class TestPoolOnce:
                 for head in sig.atoms:
                     alone = labeller(scaled, (head,))
                     got = bool(alone.labels(pooled))
-                    score = alone.score(pooled, 0)
+                    (_, score), = alone.scores(pooled, 1)
                     assert (got, score) == ref_evaluate(
                         emb, strategy.name, subset, head)
                     want = oracle(kb, subset, head)
@@ -289,6 +291,62 @@ class TestSubsetEnumeration:
         assert len(subsets) == 40 + 40 * 39 // 2
         assert subsets[:2] == [("p0",), ("p1",)]
         assert subsets[40:43] == [("p0", "p1"), ("p0", "p2"), ("p1", "p2")]
+
+
+class TestSweepBudget:
+    @pytest.mark.parametrize("n", range(9))
+    def test_query_count_matches_the_walk(self, n):
+        sig = Signature(tuple(f"p{i}" for i in range(n)))
+        for cap in range(1, n + 2):
+            assert sweep_queries(n, cap) == len(subset_queries(sig, cap))
+
+    def test_budget_admits_the_full_16_atom_sweep_and_no_wider(self):
+        assert sweep_queries(16, 16) == 1_048_560 <= MAX_SWEEP_QUERIES
+        assert sweep_queries(17, 17) == 2_228_207 > MAX_SWEEP_QUERIES
+        # the 20-atom cap-4 sweeps, the benchmark's jobs (9 atoms at the
+        # default cap, 7 and 8 in full) and the decision's re-verify
+        assert sweep_queries(20, 4) == 123_900
+        for n, cap in ((20, 4), (9, 4), (7, 7), (8, 8),
+                       (GENERIC_ATOM_CAP, GENERIC_ATOM_CAP)):
+            assert sweep_queries(n, cap) <= MAX_SWEEP_QUERIES
+
+    @pytest.mark.parametrize("budget", [155, 154])
+    def test_at_the_budget_and_one_over(self, budget, monkeypatch):
+        # CE1's full sweep has 155 queries: admitted at a budget of 155,
+        # refused at 154 before its consequence table is built
+        kb = fixture("CE1")
+        emb = random_embedding(random.Random(97), kb.signature.atoms)
+        built = []
+        table = verifier.consequence_table
+        monkeypatch.setattr(verifier, "consequence_table",
+                            lambda kb: built.append(kb) or table(kb))
+        monkeypatch.setattr(verifier, "MAX_SWEEP_QUERIES", budget)
+        if budget == 155:
+            assert verify_monotonic(emb, AVG_DOT, kb).queries == 155
+            assert built == [kb]
+        else:
+            with pytest.raises(logic.CapExceededError,
+                               match="has 155 queries, the sweep budget "
+                                     "is 154$"):
+                verify_monotonic(emb, AVG_DOT, kb)
+            assert built == []
+
+    def test_wide_sweeps_are_refused_before_any_table(self, monkeypatch):
+        def no_table(kb):
+            raise AssertionError("consequence table built")
+
+        monkeypatch.setattr(verifier, "consequence_table", no_table)
+        atoms = tuple(f"p{i}" for i in range(17))
+        emb = random_embedding(random.Random(5), atoms)
+        plain = parse_kb(f"atoms: {' '.join(atoms)}\nrule: p0 -> p1\n")
+        ranked = parse_kb(f"atoms: {' '.join(atoms)}\n"
+                          f"stratum: p0 -> p1\nstratum: p2\n")
+        for verify, kb in ((verify_monotonic, plain),
+                           (verify_nonmonotonic, ranked)):
+            with pytest.raises(logic.CapExceededError,
+                               match="^a sweep of 17 atoms at subset cap 17 "
+                                     "has 2228207 queries"):
+                verify(emb, AVG_DOT, kb, 17)
 
 
 class TestOracleTables:
