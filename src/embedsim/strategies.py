@@ -6,7 +6,10 @@ an attribute is predicted from an entity vector).  All pooling and
 labelling decisions except the sigmoid-MLE pooling are exact and run in
 integers: `scale` puts each vector family (context, output) over one
 common denominator, and pooling returns integer numerators with a
-single denominator, built by a start step and extend steps.  Each
+single denominator, built by a start step and extend steps.  These
+steps are the library's only pooling: a sweep pools each subset by one
+step from its parent, and `exact_rule` reads the eight exact
+strategies' steps and labellers from one table built at import.  Each
 labelling rule is a labeller, bound once to the scaled embedding and a
 tuple of heads with every denominator and threshold p/q multiplied out;
 one call labels every head of a pooled value as a bitmask.  The dot,
@@ -118,7 +121,8 @@ class StrategyId:
 
     @property
     def exact(self) -> bool:
-        return self.pooling != "sig"
+        """Whether `exact_rule` accepts this id."""
+        return self in _RULES
 
 
 AVG_DOT = StrategyId("avg", "dot")
@@ -255,15 +259,13 @@ def _over_common_denominator(vectors: dict[str, Vec]
              for a, v in vectors.items()}, den)
 
 
-def scale(emb: AttributeEmbedding | ScaledEmbedding) -> ScaledEmbedding:
-    """The embedding over common denominators (a scaled one is returned as is).
+def scale(emb: AttributeEmbedding) -> ScaledEmbedding:
+    """The embedding over common denominators.
 
-    A sweep scales once and hands the result to every kernel; a kernel
-    given an `AttributeEmbedding` scales it on each call.  The result is
-    never stored on the embedding, whose fields may be reassigned.
+    A sweep scales once and hands the result to its pooling steps and
+    its labeller.  The result is never stored on the embedding, whose
+    fields may be reassigned.
     """
-    if isinstance(emb, ScaledEmbedding):
-        return emb
     context, cden = _over_common_denominator(emb.context)
     output, oden = _over_common_denominator(emb.output)
     return ScaledEmbedding(emb.dimension, context, output, cden, oden,
@@ -280,8 +282,13 @@ def _unique(atoms: Iterable[str]) -> tuple[str, ...]:
 
 
 # ------------------------------------------------------------------
-# Pooling: start(v, cden) pools one vector as integer numerators over
-# one denominator, extend(pooled, one) adds another, `_fold` folds both
+# Pooling steps: start(v, cden) pools one context vector as integer
+# numerators over one denominator, extend(pooled, one) adds another
+# vector's start.  A set S pools to (sum, |S| cden) under average
+# pooling, (product, cden^|S|) under Hadamard pooling and (maximum,
+# cden) under max pooling.  Normalised pooling carries (sum, ||sum||^2),
+# the sum over cden: the unit vector is generally irrational, so it is
+# never built, and the labellers square through the normalisation.
 # ------------------------------------------------------------------
 
 def _start(v: IntVec, cden: int) -> Pooled:
@@ -307,48 +314,6 @@ def _had_extend(pooled: Pooled, one: Pooled) -> Pooled:
 
 def _ord_extend(pooled: Pooled, one: Pooled) -> Pooled:
     return tuple(map(max, pooled[0], one[0])), one[1]
-
-
-def _fold(emb: AttributeEmbedding | ScaledEmbedding, atoms: Iterable[str],
-          pooling: str | None, start, extend) -> Pooled:
-    sc = scale(emb)
-    vecs = [sc.context[a] for a in _unique(atoms)]
-    if not vecs and pooling:
-        raise ValueError(f"{pooling} pooling needs a non-empty attribute set")
-    pooled = start(vecs[0], sc.cden) if vecs else ((0,) * sc.dimension, 0)
-    for v in vecs[1:]:
-        pooled = extend(pooled, start(v, sc.cden))
-    return pooled
-
-
-def emb_avg(emb: AttributeEmbedding | ScaledEmbedding,
-            atoms: Iterable[str]) -> Pooled:
-    """Component-wise mean of the context vectors, as (sum, |S| * cden)."""
-    return _fold(emb, atoms, "average", _start, _avg_extend)
-
-
-def emb_norm(emb: AttributeEmbedding | ScaledEmbedding,
-             atoms: Iterable[str]) -> Pooled:
-    """Normalised-sum pooling as (sum, ||sum||^2), the sum over cden.
-
-    The unit vector is generally irrational, so it is never built; it
-    does not depend on the sum's denominator, and labelling decisions
-    on this representation square through the normalisation.  An empty
-    attribute set yields the zero vector.
-    """
-    return _fold(emb, atoms, None, _norm_start, _norm_extend)
-
-
-def emb_had(emb: AttributeEmbedding | ScaledEmbedding,
-            atoms: Iterable[str]) -> Pooled:
-    """Hadamard (component-wise product) pooling, as (product, cden^|S|)."""
-    return _fold(emb, atoms, "Hadamard", _start, _had_extend)
-
-
-def emb_ord(emb: AttributeEmbedding | ScaledEmbedding,
-            atoms: Iterable[str]) -> Pooled:
-    """Component-wise maximum pooling, as (maximum, cden)."""
-    return _fold(emb, atoms, "max", _start, _ord_extend)
 
 
 # ------------------------------------------------------------------
@@ -584,8 +549,8 @@ class ReluLabeller(_Labeller):
 class OrdLabeller(_Labeller):
     """context[b] below e in the component-wise product order.
 
-    `emb_ord` pools over cden, the context vectors' own denominator, so
-    the numerators are compared directly, head by head: a comparison
+    Max pooling stays over cden, the context vectors' own denominator,
+    so the numerators are compared directly, head by head: a comparison
     stops at the first coordinate that decides it.
     """
 
@@ -617,7 +582,8 @@ def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
 
 
 class _NormLabeller(_Labeller):
-    """A rule on the (sum, ||sum||^2) pair from `emb_norm`, decided exactly.
+    """A rule on the (sum, ||sum||^2) pair of normalised pooling, decided
+    exactly.
 
     Head b's row reads m (sum . O) >= c ||sum||, decided by sign analysis
     and squaring, head by head, on the plain products that `dots` reads
@@ -699,40 +665,43 @@ class DistOnNormLabeller(_NormLabeller):
 # ------------------------------------------------------------------
 
 class ExactRule(NamedTuple):
-    """pool(emb, atoms), the fold of start(v, cden) and
-    extend(pooled, one); labeller(scaled, heads) -> a labeller."""
+    """A subset's pooled value is start(v, cden) of one context vector,
+    extended by start(v, cden) of each other one; labeller(scaled,
+    heads) binds the labelling rule to the heads."""
 
-    pool: Callable
     start: Callable[[IntVec, int], Pooled]
     extend: Callable[[Pooled, Pooled], Pooled]
     labeller: Callable[..., _Labeller]
 
 
-def exact_rule(strategy: StrategyId) -> ExactRule:
-    """The pooling, its steps and the labeller of a strategy.
+# The one place an exact strategy is mapped to its functions.  Tied dot
+# labelling compares against the context vectors.
+_RULES = {
+    AVG_DOT: ExactRule(_start, _avg_extend, DotLabeller),
+    AVG_DIST: ExactRule(_start, _avg_extend, DistLabeller),
+    NORM_DOT: ExactRule(_norm_start, _norm_extend, DotOnNormLabeller),
+    NORM_DIST: ExactRule(_norm_start, _norm_extend, DistOnNormLabeller),
+    AVG_RELU: ExactRule(_start, _avg_extend, ReluLabeller),
+    HAD_DOT: ExactRule(_start, _had_extend, DotLabeller),
+    HAD_DOT_TIED: ExactRule(_start, _had_extend,
+                            partial(DotLabeller, tied=True)),
+    ORD_ORD: ExactRule(_start, _ord_extend, OrdLabeller),
+}
 
-    This is the one place an exact strategy is mapped to its functions.
-    The names are resolved in this module on every call, not captured at
-    import, so a wrapper installed on a module attribute is the one used.
+
+def exact_rule(strategy: StrategyId) -> ExactRule:
+    """The pooling steps and the labeller of an exact strategy.
+
+    Only the eight exact `StrategyId` constants have a rule; any other
+    id, such as avg-dot with tied vectors, is refused rather than
+    evaluated under a name that is not its own.
     """
-    p, l = strategy.pooling, strategy.labelling
-    if p == "sig":
+    if strategy.pooling == "sig":
         raise ExactEvaluationError(
             "sigmoid pooling is numeric-only and has no exact verdict")
-    poolings = {"avg": (emb_avg, _start, _avg_extend),
-                "norm": (emb_norm, _norm_start, _norm_extend),
-                "had": (emb_had, _start, _had_extend),
-                "ord": (emb_ord, _start, _ord_extend)}
-    # tied dot labelling compares against the context vectors
-    dot = partial(DotLabeller, tied=strategy.tied)
-    labellers = {("avg", "dot"): dot, ("avg", "dist"): DistLabeller,
-                 ("avg", "relu"): ReluLabeller, ("had", "dot"): dot,
-                 ("norm", "dot"): DotOnNormLabeller,
-                 ("norm", "dist"): DistOnNormLabeller,
-                 ("ord", "ord"): OrdLabeller}
-    if (p, l) not in labellers:
-        raise ExactEvaluationError(f"unsupported combination {strategy.name}")
-    return ExactRule(*poolings[p], labellers[p, l])
+    if strategy not in _RULES:
+        raise ExactEvaluationError(f"no exact rule for {strategy!r}")
+    return _RULES[strategy]
 
 
 # ------------------------------------------------------------------

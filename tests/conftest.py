@@ -4,7 +4,7 @@ plus the terminal summary for the acceptance criteria."""
 import random
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
 
 from hypothesis import settings
@@ -47,6 +47,17 @@ def follows(kb, subset, head) -> bool:
     return bool(consequence_table(kb)[sig.mask(subset)] & sig.bit(head))
 
 
+def pool(emb, strategy, atoms):
+    """The attribute set `atoms` (duplicates collapse) pooled from scratch
+    by an exact strategy's steps: the start step of its first context
+    vector, extended by the start step of each other one.  The empty
+    set gives the zero sum, which only normalised pooling reads."""
+    rule = exact_rule(strategy)
+    sc = scale(emb)
+    ones = [rule.start(sc.context[a], sc.cden) for a in dict.fromkeys(atoms)]
+    return reduce(rule.extend, ones) if ones else ((0,) * sc.dimension, 0)
+
+
 def label(labeller, emb, pooled, head, **kwargs) -> bool:
     """One head's decision on a pooled value: a labeller class bound to
     that head alone."""
@@ -55,9 +66,8 @@ def label(labeller, emb, pooled, head, **kwargs) -> bool:
 
 def accepts(emb, strategy, atoms, head) -> bool:
     """Does the exact strategy label the pooled `atoms` with `head`?"""
-    rule = exact_rule(strategy)
-    scaled = scale(emb)
-    return label(rule.labeller, scaled, rule.pool(scaled, atoms), head)
+    return label(exact_rule(strategy).labeller, emb,
+                 pool(emb, strategy, atoms), head)
 
 
 # Formulas far past the parser's depth budget, each the `formula:` line

@@ -47,6 +47,7 @@ from functools import partial
 
 import numpy as np
 
+from conftest import pool
 from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
                                 LinearSystem, _normalize_multipliers,
                                 verify_farkas)
@@ -58,7 +59,7 @@ from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And, Const,
 from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  AttributeEmbedding, DimensionMismatchError,
                                  OrdLabeller, angular_error, cone_residual,
-                                 emb_ord, frac_str, scale, sig_gradient,
+                                 frac_str, scale, sig_gradient,
                                  sig_objective)
 from embedsim.verifier import default_cap, nonempty_subsets
 
@@ -490,9 +491,8 @@ def ref_check_ord_monotonicity(embedding, cap=None) -> PropertyReport:
     if cap is None:
         cap = default_cap(sig)
     subsets = nonempty_subsets(sig, cap)
-    scaled = scale(embedding)
-    ord_labels = OrdLabeller(scaled, atoms).labels
-    masks = {s: ord_labels(emb_ord(scaled, s)) for s in subsets}
+    ord_labels = OrdLabeller(scale(embedding), atoms).labels
+    masks = {s: ord_labels(pool(embedding, ORD_ORD, s)) for s in subsets}
     labels = {s: tuple(b for i, b in enumerate(atoms) if m >> i & 1)
               for s, m in masks.items()}
     violations = []

@@ -11,21 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import accepts, label, random_embedding, random_fraction
+from conftest import (accepts, label, pool, random_embedding,
+                      random_fraction)
 from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  DimensionMismatchError, DistLabeller,
                                  DistOnNormLabeller, DotLabeller,
                                  DotOnNormLabeller, ExactEvaluationError,
                                  OrdLabeller, ReluLabeller, angular_error,
-                                 cone_residual, emb_avg, emb_had, emb_norm,
-                                 emb_ord, emb_sig_numeric, frac_str,
+                                 cone_residual, emb_sig_numeric, frac_str,
                                  parse_frac, _relu, exact_rule, scale,
                                  sig_gradient, sig_objective,
-                                 strategy_from_name, AVG_DOT, ORD_ORD,
+                                 strategy_from_name, AVG_DOT, HAD_DOT,
+                                 NORM_DOT, ORD_ORD,
                                  _sig_ascent, _sigmoid,
                                  sig_conical_diagnostics,
-                                 MAX_ASCENT_WORK, MAX_DIAGNOSTIC_SIZE,
-                                 ScaledEmbedding)
+                                 LABELLINGS, MAX_ASCENT_WORK,
+                                 MAX_DIAGNOSTIC_SIZE, POOLINGS,
+                                 ScaledEmbedding, StrategyId)
 from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
                         ref_sig_ascent, ref_sig_conical_diagnostics)
 
@@ -54,59 +56,50 @@ class TestPooling:
 
     def test_avg_opposite_pair_cancels(self):
         emb = make_embedding(self.witness)
-        assert emb_avg(emb, ("a", "b")) == ((0, 0), 2)
+        assert pool(emb, AVG_DOT, ("a", "b")) == ((0, 0), 2)
 
     def test_avg_singleton_identity(self):
         emb = make_embedding(self.witness)
-        assert emb_avg(emb, ("a",)) == ((-1, 0), 1)
+        assert pool(emb, AVG_DOT, ("a",)) == ((-1, 0), 1)
 
     def test_avg_all_four(self):
         emb = make_embedding(self.witness)
-        assert emb_avg(emb, ("a", "b", "c", "d")) == ((0, 0), 4)
-
-    def test_avg_empty_raises(self):
-        emb = make_embedding(self.witness)
-        with pytest.raises(ValueError):
-            emb_avg(emb, ())
-
-    def test_avg_collapses_duplicates(self):
-        emb = make_embedding(self.witness)
-        assert emb_avg(emb, ("a", "a", "b")) == emb_avg(emb, ("a", "b"))
+        assert pool(emb, AVG_DOT, ("a", "b", "c", "d")) == ((0, 0), 4)
 
     def test_norm_empty_is_zero(self):
         emb = make_embedding(self.witness)
-        vec, q = emb_norm(emb, ())
+        vec, q = pool(emb, NORM_DOT, ())
         assert vec == (F(0), F(0)) and q == 0
 
     def test_norm_unit_vector(self):
         emb = make_embedding({"u": (1, 0)})
-        vec, q = emb_norm(emb, ("u",))
+        vec, q = pool(emb, NORM_DOT, ("u",))
         assert (vec, q) == ((F(1), F(0)), F(1))
 
     def test_norm_pythagorean(self):
         emb = make_embedding({"v": (3, 4)})
-        vec, q = emb_norm(emb, ("v",))
+        vec, q = pool(emb, NORM_DOT, ("v",))
         assert vec == (F(3), F(4)) and q == 25
         # implied unit vector (3/5, 4/5)
         assert tuple(F(x, 5) for x in vec) == (F(3, 5), F(4, 5))
 
     def test_hadamard_indicator_and(self):
         emb = make_embedding({"p": (1, 0, 1), "q": (1, 1, 0)})
-        assert emb_had(emb, ("p", "q")) == ((1, 0, 0), 1)
+        assert pool(emb, HAD_DOT, ("p", "q")) == ((1, 0, 0), 1)
 
     def test_hadamard_singleton(self):
         emb = make_embedding({"p": (1, 0, 1)})
-        assert emb_had(emb, ("p",)) == ((1, 0, 1), 1)
+        assert pool(emb, HAD_DOT, ("p",)) == ((1, 0, 1), 1)
 
     def test_max_pool(self):
         emb = make_embedding({"p": (0, 1), "q": (1, 0)})
-        assert emb_ord(emb, ("p", "q")) == ((1, 1), 1)
+        assert pool(emb, ORD_ORD, ("p", "q")) == ((1, 1), 1)
 
     def test_max_dominates_members(self):
         rng = random.Random(3)
         for _ in range(20):
             emb = random_embedding(rng, ["a", "b", "c"])
-            pooled, den = emb_ord(emb, ("a", "b", "c"))
+            pooled, den = pool(emb, ORD_ORD, ("a", "b", "c"))
             for a in ("a", "b", "c"):
                 assert all(x <= F(y, den)
                            for x, y in zip(emb.context[a], pooled))
@@ -116,10 +109,9 @@ class TestPooling:
     def test_pooling_symmetry(self, perm, seed):
         rng = random.Random(seed)
         emb = random_embedding(rng, ["a", "b", "c", "d"])
-        assert emb_avg(emb, perm) == emb_avg(emb, ("a", "b", "c", "d"))
-        assert emb_had(emb, perm) == emb_had(emb, ("a", "b", "c", "d"))
-        assert emb_ord(emb, perm) == emb_ord(emb, ("a", "b", "c", "d"))
-        assert emb_norm(emb, perm) == emb_norm(emb, ("a", "b", "c", "d"))
+        for strategy in (AVG_DOT, HAD_DOT, ORD_ORD, NORM_DOT):
+            assert (pool(emb, strategy, perm)
+                    == pool(emb, strategy, ("a", "b", "c", "d")))
 
 
 # ------------------------------------------------------------------
@@ -132,7 +124,7 @@ class TestLabelling:
         emb = make_embedding(
             {"parent": (-1, 1), "female": (1, 1), "mother": (0, 1)},
             lam={"mother": 1, "parent": 0, "female": 0})
-        pooled = emb_avg(emb, ("parent", "female"))
+        pooled = pool(emb, AVG_DOT, ("parent", "female"))
         assert pooled == ((0, 2), 2)  # (0, 1)
         assert label(DotLabeller, emb, pooled, "mother")
 
@@ -153,8 +145,9 @@ class TestLabelling:
             {"a": (-1, 0), "b": (1, 0), "c": (0, -1), "d": (0, 1),
              "x": (0, 0)},
             theta={"x": F(1, 2)})
-        assert label(DistLabeller, emb, emb_avg(emb, ("a", "b")), "x")
-        assert not label(DistLabeller, emb, emb_avg(emb, ("a", "c")), "x")
+        assert label(DistLabeller, emb, pool(emb, AVG_DOT, ("a", "b")), "x")
+        assert not label(DistLabeller, emb, pool(emb, AVG_DOT, ("a", "c")),
+                         "x")
 
     def test_dist_at_center_and_zero_radius(self):
         emb = make_embedding({"b": (2, 3)}, theta={"b": 0})
@@ -175,9 +168,9 @@ class TestLabelling:
 
     def test_ord_needs_the_max_pooled_denominator(self):
         # numerators are compared directly, so the pooled value must be
-        # over cden, as emb_ord returns it
+        # over cden, as max pooling leaves it
         emb = make_embedding({"a": (F(1, 2), 0), "b": (F(1, 2), F(1, 3))})
-        assert label(OrdLabeller, emb, emb_ord(emb, ("a", "b")), "b")
+        assert label(OrdLabeller, emb, pool(emb, ORD_ORD, ("a", "b")), "b")
         with pytest.raises(ValueError, match="denominator 6, got 1"):
             label(OrdLabeller, emb, ((3, 2), 1), "b")
 
@@ -188,7 +181,7 @@ class TestLabelling:
         # scaling output vector and threshold together never flips the verdict
         rng = random.Random(seed)
         emb = random_embedding(rng, ["a", "b"])
-        e = emb_avg(emb, ("a",))  # the context vector of a
+        e = pool(emb, AVG_DOT, ("a",))  # the context vector of a
         scaled = AttributeEmbedding(
             emb.dimension, dict(emb.context),
             {k: tuple(scale * x for x in v) for k, v in emb.output.items()},
@@ -201,29 +194,32 @@ class TestLabelling:
 class TestNormalisedLabelling:
     def test_empty_set_positive_threshold(self):
         emb = make_embedding({"x": (1, 0)}, lam={"x": F(1, 10)})
-        assert not label(DotOnNormLabeller, emb, emb_norm(emb, ()), "x")
+        assert not label(DotOnNormLabeller, emb, pool(emb, NORM_DOT, ()),
+                         "x")
 
     def test_empty_set_zero_threshold(self):
         emb = make_embedding({"x": (1, 0)}, lam={"x": 0})
-        assert label(DotOnNormLabeller, emb, emb_norm(emb, ()), "x")
+        assert label(DotOnNormLabeller, emb, pool(emb, NORM_DOT, ()), "x")
 
     def test_zero_lambda_positive_dot(self):
         emb = make_embedding({"a": (1, 1), "x": (5, 0)}, lam={"x": 0})
-        assert label(DotOnNormLabeller, emb, emb_norm(emb, ("a",)), "x")
+        assert label(DotOnNormLabeller, emb, pool(emb, NORM_DOT, ("a",)), "x")
 
     def test_squared_comparison(self):
         # sum.out = 3, ||sum||^2 = 4, lambda = 2: 3 >= 2*2 is false
         emb = make_embedding({"a": (2, 0), "x": (F(3, 2), 0)}, lam={"x": 2})
         # the context denominator is 2, so the sum is carried as (4, 0)
-        assert emb_norm(emb, ("a",)) == ((4, 0), 16)
-        assert not label(DotOnNormLabeller, emb, emb_norm(emb, ("a",)), "x")
+        assert pool(emb, NORM_DOT, ("a",)) == ((4, 0), 16)
+        assert not label(DotOnNormLabeller, emb, pool(emb, NORM_DOT, ("a",)),
+                         "x")
 
     def test_negative_lambda_negative_dot(self):
         # -1 >= -2 * sqrt(1): true; -3 >= -2: false
         emb = make_embedding({"a": (1, 0), "x": (-1, 0), "y": (-3, 0)},
                              lam={"x": -2, "y": -2})
-        assert label(DotOnNormLabeller, emb, emb_norm(emb, ("a",)), "x")
-        assert not label(DotOnNormLabeller, emb, emb_norm(emb, ("a",)), "y")
+        assert label(DotOnNormLabeller, emb, pool(emb, NORM_DOT, ("a",)), "x")
+        assert not label(DotOnNormLabeller, emb, pool(emb, NORM_DOT, ("a",)),
+                         "y")
 
     @settings(max_examples=150)
     @given(st.fractions(min_value=-9, max_value=9, max_denominator=7),
@@ -261,12 +257,12 @@ class TestNormalisedLabelling:
         emb = make_embedding({"e": e, "b": out},
                              lam={"b": (1 + b1 * b1 + b2 * b2 - th * th) / 2},
                              theta={"b": th})
-        pooled = emb_avg(emb, ("e",))  # the vector e itself
+        pooled = pool(emb, AVG_DOT, ("e",))  # the vector e itself
         direct = label(DistLabeller, emb, pooled, "b")
         dot_form = label(DotLabeller, emb, pooled, "b")
         assert direct == dot_form
         # and the squaring-based path agrees with both
-        normed = emb_norm(emb, ("e",))
+        normed = pool(emb, NORM_DOT, ("e",))
         assert label(DistOnNormLabeller, emb, normed, "b") == direct
         assert label(DotOnNormLabeller, emb, normed, "b") == direct
 
@@ -286,6 +282,23 @@ class TestStrategyDispatch:
         with pytest.raises(ExactEvaluationError):
             accepts(emb, strategy_from_name("sig-dot"), ("a",), "a")
 
+    def test_only_the_eight_exact_constants_have_a_rule(self):
+        # avg-dot with tied vectors used to bind the tied dot labeller
+        # under the name avg-dot, and avg-dist with tied vectors was
+        # evaluated untied; every id off the table is refused
+        table = [s for s in TABLE1_STRATEGIES if s.pooling != "sig"]
+        assert len(table) == 8
+        for pooling in POOLINGS:
+            for labelling in LABELLINGS:
+                for tied in (False, True):
+                    strategy = StrategyId(pooling, labelling, tied)
+                    assert strategy.exact == (strategy in table)
+                    if strategy.exact:
+                        assert exact_rule(strategy).labeller
+                        continue
+                    with pytest.raises(ExactEvaluationError):
+                        exact_rule(strategy)
+
     def test_tied_vs_untied_hadamard(self):
         emb = make_embedding({"a": (1, 1), "b": (-2, 1)},
                              output={"a": (1, 0), "b": (1, 0)},
@@ -301,9 +314,9 @@ class TestStrategyDispatch:
         emb = random_embedding(rng, ["a", "b", "c"])
         subset = ("a", "b")
         assert accepts(emb, AVG_DOT, subset, "c") == label(
-            DotLabeller, emb, emb_avg(emb, subset), "c")
+            DotLabeller, emb, pool(emb, AVG_DOT, subset), "c")
         assert accepts(emb, ORD_ORD, subset, "c") == label(
-            OrdLabeller, emb, emb_ord(emb, subset), "c")
+            OrdLabeller, emb, pool(emb, ORD_ORD, subset), "c")
 
 
 # ------------------------------------------------------------------
@@ -376,8 +389,7 @@ class TestKernelsMatchFractionReference:
             labeller = rule.labeller(scaled, heads)
             cases = subsets + ([()] if strategy.pooling == "norm" else [])
             for subset in cases:
-                pooled = rule.pool(scaled, subset)
-                assert rule.pool(emb, subset) == pooled
+                pooled = pool(emb, strategy, subset)
                 want = [ref_evaluate(emb, strategy.name, subset, head)
                         for head in heads]
                 assert labeller.labels(pooled) == sum(
@@ -408,7 +420,8 @@ class TestKernelsMatchFractionReference:
             emb.theta = {a: abs(random_fraction(rng)) for a in atoms}
             rule = exact_rule(strategy)
             labeller = rule.labeller(scale(emb), atoms)
-            first, second = (rule.pool(emb, s) for s in (("a", "b"), ("c",)))
+            first, second = (pool(emb, strategy, s)
+                             for s in (("a", "b"), ("c",)))
             labeller.labels(first)
             for subset, pooled in ((("c",), second), (("a", "b"), first)):
                 want = [(i, ref_evaluate(emb, strategy.name, subset, head)[1])
@@ -429,7 +442,6 @@ class TestKernelsMatchFractionReference:
         assert (scaled.cden, scaled.oden) == (12, 5)
         assert scaled.context == {"a": (6, 4), "b": (9, 0)}
         assert scaled.output == {"a": (5, 2), "b": (0, 0)}
-        assert scale(scaled) is scaled
 
 
 def _wide_embedding(rng, atoms, dimension, bits):
@@ -474,7 +486,7 @@ class TestPackedDecisions:
             rule = exact_rule(strategy)
             labeller = rule.labeller(scale(emb), atoms)
             for subset in subsets:
-                pooled = rule.pool(emb, subset)
+                pooled = pool(emb, strategy, subset)
                 want = [ref_evaluate(emb, strategy.name, subset, head)
                         for head in atoms]
                 got = labeller.labels(pooled)
@@ -490,7 +502,7 @@ class TestPackedDecisions:
         for strategy in EXACT:
             rule = exact_rule(strategy)
             labeller = rule.labeller(scale(emb), ())
-            pooled = rule.pool(emb, ("a",))
+            pooled = pool(emb, strategy, ("a",))
             assert labeller.labels(pooled) == 0
             assert list(labeller.scores(pooled, 0)) == []
 

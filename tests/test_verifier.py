@@ -7,10 +7,9 @@ from functools import partial
 import pytest
 
 import embedsim.logic as logic
-import embedsim.strategies as strategies
 import embedsim.verifier as verifier
-from conftest import (accepts, follows, random_embedding, random_rule_kb,
-                      random_stratified_kb)
+from conftest import (accepts, follows, pool, random_embedding,
+                      random_rule_kb, random_stratified_kb)
 from embedsim.constructors import construct_avg_relu, construct_had_dot
 from embedsim.fixtures import fixture
 from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB, entails,
@@ -19,8 +18,8 @@ from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
                                  TABLE1_STRATEGIES, AttributeEmbedding,
                                  DimensionMismatchError, DistLabeller,
                                  DistOnNormLabeller, DotLabeller,
-                                 DotOnNormLabeller, OrdLabeller, ReluLabeller,
-                                 emb_avg, emb_had, emb_norm, emb_ord, scale)
+                                 DotOnNormLabeller, ExactEvaluationError,
+                                 OrdLabeller, ReluLabeller, StrategyId, scale)
 from embedsim.certifier import GENERIC_ATOM_CAP
 from embedsim.verifier import (MAX_SWEEP_QUERIES, nonempty_subsets,
                                subset_queries, sweep_queries,
@@ -148,6 +147,20 @@ class TestVerifyMonotonic:
                                  "got a stratified KB$"):
             verify_monotonic(emb, ORD_ORD, theta)
 
+    def test_off_table_strategy_id_refused(self):
+        # avg-dot with tied vectors has no rule of its own: it used to be
+        # swept with the tied dot labeller, report `simulates` under the
+        # name avg-dot where avg-dot mismatches, and share its KB digest
+        kb = parse_kb("atoms: a b\nformula: a <-> b\n")
+        emb = AttributeEmbedding(1, {"a": (F(1),), "b": (F(1),)},
+                                 {"a": (F(-1),), "b": (F(-1),)})
+        assert verify_monotonic(emb, AVG_DOT, kb).mismatches
+        for strategy in (StrategyId("avg", "dot", tied=True),
+                         StrategyId("avg", "dist", tied=True)):
+            with pytest.raises(ExactEvaluationError,
+                               match="^no exact rule for StrategyId"):
+                verify_monotonic(emb, strategy, kb)
+
     def test_report_records_empty_antecedent_exclusion(self):
         kb = parse_kb("atoms: a\n")
         emb = random_embedding(random.Random(5), ("a",))
@@ -155,16 +168,16 @@ class TestVerifyMonotonic:
         assert report.to_dict()["empty_antecedent_excluded"] is True
 
 
-# each exact strategy's pooling and labeller, paired by hand
+# each exact strategy's labeller, paired by hand
 DIRECT = {
-    "avg-dot": (emb_avg, DotLabeller),
-    "avg-dist": (emb_avg, DistLabeller),
-    "norm-dot": (emb_norm, DotOnNormLabeller),
-    "norm-dist": (emb_norm, DistOnNormLabeller),
-    "avg-relu": (emb_avg, ReluLabeller),
-    "had-dot": (emb_had, DotLabeller),
-    "had-dot-tied": (emb_had, partial(DotLabeller, tied=True)),
-    "ord-ord": (emb_ord, OrdLabeller),
+    "avg-dot": DotLabeller,
+    "avg-dist": DistLabeller,
+    "norm-dot": DotOnNormLabeller,
+    "norm-dist": DistOnNormLabeller,
+    "avg-relu": ReluLabeller,
+    "had-dot": DotLabeller,
+    "had-dot-tied": partial(DotLabeller, tied=True),
+    "ord-ord": OrdLabeller,
 }
 
 
@@ -175,20 +188,30 @@ class TestPoolOnce:
         # larger subsets, mismatch scores included
         kb = fixture("CE1")
         emb = random_embedding(random.Random(97), kb.signature.atoms)
-        want = sorted(emb_avg(emb, s) for s in nonempty_subsets(kb.signature, 5))
+        want = sorted(pool(emb, AVG_DOT, s)
+                      for s in nonempty_subsets(kb.signature, 5))
         assert len(set(want)) == 31  # no two subsets pool alike
-        steps = {"_start": [], "_avg_extend": []}
-        for name, made in steps.items():
-            def counting(*args, step=getattr(strategies, name), made=made):
-                pooled = step(*args)
-                made.append(pooled)
-                return pooled
+        starts, extends = [], []
+        original = verifier.exact_rule
 
-            monkeypatch.setattr(strategies, name, counting)
+        def counting_rule(s):
+            rule = original(s)
+
+            def start(*args):
+                starts.append(rule.start(*args))
+                return starts[-1]
+
+            def extend(*args):
+                extends.append(rule.extend(*args))
+                return extends[-1]
+
+            return rule._replace(start=start, extend=extend)
+
+        monkeypatch.setattr(verifier, "exact_rule", counting_rule)
         report = verify_monotonic(emb, AVG_DOT, kb)
         assert report.queries == 155 and report.mismatches
-        assert [len(made) for made in steps.values()] == [5, 26]
-        assert sorted(steps["_start"] + steps["_avg_extend"]) == want
+        assert (len(starts), len(extends)) == (5, 26)
+        assert sorted(starts + extends) == want
 
     def test_directs_cover_every_exact_strategy(self):
         assert sorted(DIRECT) == sorted(
@@ -206,7 +229,7 @@ class TestPoolOnce:
         # truth-table oracles at 4 atoms and from the KB's consequence
         # table above that
         rng = random.Random(f"direct:{strategy.name}")
-        pool, labeller = DIRECT[strategy.name]
+        labeller = DIRECT[strategy.name]
         cases = ([(random_rule_kb(rng, ATOMS[:4]), None) for _ in range(3)]
                  + [(random_stratified_kb(rng, ATOMS[:4]), None)]
                  + [(make(rng, ATOMS[:n]), cap)
@@ -226,7 +249,7 @@ class TestPoolOnce:
             scaled = scale(emb)
             expected = []
             for subset in mask_filter_subsets(sig, report.cap):
-                pooled = pool(scaled, subset)
+                pooled = pool(emb, strategy, subset)
                 for head in sig.atoms:
                     alone = labeller(scaled, (head,))
                     got = bool(alone.labels(pooled))
@@ -423,14 +446,14 @@ class TestOrdMonotonicity:
     def test_reports_dropped_labels_like_the_reference(self, monkeypatch):
         # max pooling cannot drop a label, so a pooling that lowers every
         # coordinate by |S| - 1 stands in to make violations to report
-        def shrinking(scaled, atoms):
-            total, den = emb_ord(scaled, atoms)
+        def shrinking(emb, strategy, atoms):
+            total, den = pool(emb, strategy, atoms)
             return tuple(x - (len(atoms) - 1) * den for x in total), den
 
         zero = (F(0),)
         emb = AttributeEmbedding(1, {a: zero for a in "abx"},
                                  {a: zero for a in "abx"})
-        monkeypatch.setattr(references, "emb_ord", shrinking)
+        monkeypatch.setattr(references, "pool", shrinking)
         report = ref_check_ord_monotonicity(emb)
         # each singleton loses all three labels in each of its three
         # supersets; the pairs have none left to lose
