@@ -7,9 +7,7 @@ from .certifier import (Certificate, ConicalRequirement, FarkasCertificate,
                         certify_nonmonotonic_failure, certify_strategy_failure,
                         conical_closure_certify, decide_avg_dot, lp_feasible,
                         realize_from_matrix, reverify_certificate)
-from .constructors import (ConstructionResult, construct, construct_avg_relu,
-                           construct_avg_relu_nm, construct_had_dot,
-                           construct_had_dot_nm, construct_ord)
+from .constructors import RECIPES, ConstructionResult, construct
 from .fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, fixture
 from .logic import (CapExceededError, Formula, KBError, KnowledgeBase,
                     ParseError, Signature, StratifiedKB, consequence_table,

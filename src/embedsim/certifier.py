@@ -77,9 +77,7 @@ from .logic import (CapExceededError, Implies, KBError, KnowledgeBase,
                     entailment_table, kb_digest)
 from .strategies import (AVG_DOT, AttributeEmbedding, StrategyId, frac_str,
                          strategy_from_name)
-from .verifier import subset_queries, verify_monotonic
-
-Query = tuple[tuple[str, ...], str]
+from .verifier import Query, subset_queries, verify_monotonic
 
 GENERIC_ATOM_CAP = 6
 

@@ -26,7 +26,7 @@ import sys
 
 from .certifier import (canonical_json, certify_nonmonotonic_failure,
                         certify_strategy_failure, decide_avg_dot)
-from .constructors import construct
+from .constructors import RECIPES, construct
 from .fixtures import FIXTURE_NAMES
 from .logic import (KBError, StratifiedKB, check_cap, count_models,
                     parse_kb)
@@ -253,8 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a simulating embedding")
     p.add_argument("kb")
-    p.add_argument("--prop", type=int, required=True, choices=range(1, 6),
-                   help="construction recipe (1-3 plain KB, 4-5 stratified)")
+    p.add_argument("--prop", type=int, required=True, choices=list(RECIPES),
+                   help="construction recipe: " + ", ".join(
+                       f"{n} {strategy.name} ({kind} KB)"
+                       for n, (strategy, kind) in RECIPES.items()))
     p.add_argument("--delta", type=int, help="dominance constant override")
     p.add_argument("-o", "--output", help="embedding JSON destination")
     p.add_argument("--json", action="store_true")

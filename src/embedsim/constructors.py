@@ -1,12 +1,9 @@
 """Embedding constructions that provably simulate a knowledge base.
 
-Five recipes, selected by the `--prop` number in the CLI:
-
-  1  avg pooling + ReLU labelling, tied vectors     (monotonic KB)
-  2  Hadamard pooling + dot labelling, untied       (monotonic KB)
-  3  max pooling + product-order labelling, tied    (monotonic KB)
-  4  avg pooling + ReLU labelling, tied             (stratified KB)
-  5  Hadamard pooling + dot labelling, untied       (stratified KB)
+Five recipes, numbered as the CLI's `--prop`: `RECIPES` binds each
+number to the exact strategy it simulates with and to the kind of KB
+it takes (plain, or stratified for the ranked-default consequence),
+and `construct` builds any of them.
 
 Recipes 1-3 allot one coordinate per needed counter-model (plus one
 constant coordinate for 1-2).  The paper gives every model of the KB a
@@ -41,9 +38,9 @@ of `logic`, holds for all five recipes.
 Recipes 1, 2, 4 and 5 take the dominance constant as `delta`, an int
 above 2^|A|; None, the default, picks the smallest legal value
 2^|A| + 1.  Recipe 3 has no dominance constant and ignores `delta`.
-Recipes 1, 2, 4 and 5 build their vectors with one kernel
-(`_families`).  All coordinates are exact integers (pooling introduces
-the only denominators).
+Every recipe builds its vectors with one kernel (`_families`).  All
+coordinates are exact integers (pooling introduces the only
+denominators).
 """
 
 from __future__ import annotations
@@ -55,6 +52,16 @@ from .logic import (KnowledgeBase, Signature, StratifiedKB, counter_models,
                     rank_table, ranked_counter_models)
 from .strategies import (AVG_RELU, HAD_DOT, ORD_ORD, AttributeEmbedding,
                          StrategyId, Vec)
+
+
+# recipe number -> (strategy, KB kind): the one place a recipe is bound
+RECIPES: dict[int, tuple[StrategyId, str]] = {
+    1: (AVG_RELU, "plain"),
+    2: (HAD_DOT, "plain"),
+    3: (ORD_ORD, "plain"),
+    4: (AVG_RELU, "stratified"),
+    5: (HAD_DOT, "stratified"),
+}
 
 
 @dataclass
@@ -106,123 +113,70 @@ def _families(sig: Signature, order: tuple[int, ...],
     return indicator, weighted
 
 
-def _monotonic(kb: KnowledgeBase, delta: int | None):
-    """K, delta, and both families over K with weights (1, delta) and a
-    constant coordinate 1."""
-    needed = counter_models(kb)
-    delta = _delta(len(kb.signature), delta)
-    families = _families(kb.signature, needed, [(1, delta)] * len(needed),
-                         (Fraction(1),))
-    return needed, delta, families
-
-
-def construct_avg_relu(kb: KnowledgeBase,
-                       delta: int | None = None) -> ConstructionResult:
-    """Tied embedding for avg+ReLU: one coordinate per needed counter-model
-    plus a constant.
-
-    A counter-model coordinate is 1 where the atom holds and -delta where
-    it does not, so the pooled average stays at 1 exactly on the
-    counter-models containing the pooled attribute set and drops below 0
-    elsewhere; the trailing constant coordinate keeps the case without
-    counter-models (an inconsistent KB, or one whose only model is
-    all-true) accepting every rule.
-    """
-    needed, delta, (_, weighted) = _monotonic(kb, delta)
-    emb = AttributeEmbedding(len(needed) + 1, weighted, dict(weighted))
-    return ConstructionResult(emb, AVG_RELU, 1, needed, delta)
-
-
-def construct_had_dot(kb: KnowledgeBase,
-                      delta: int | None = None) -> ConstructionResult:
-    """Untied embedding for Hadamard+dot with all thresholds at zero.
-
-    Context vectors are counter-model indicators (so the Hadamard product
-    is the indicator of the counter-models containing the pooled set);
-    output vectors penalise counter-models lacking the head by -delta.
-    Tying the two vector families is impossible here: the dot product is
-    symmetric, so a tied embedding accepting a -> b would accept b -> a
-    as well.
-    """
-    needed, delta, (indicator, weighted) = _monotonic(kb, delta)
-    emb = AttributeEmbedding(len(needed) + 1, indicator, weighted)
-    return ConstructionResult(emb, HAD_DOT, 2, needed, delta)
-
-
-def construct_ord(kb: KnowledgeBase) -> ConstructionResult:
-    """Tied embedding for max pooling with the product-order labelling.
-
-    Coordinates are counter-model complements (0 where the atom holds);
-    max pooling then marks the counter-models some pooled attribute
-    violates, and the product order reads off containment of violation
-    sets.  Without counter-models the vectors are one zero coordinate,
-    which accepts everything.
-    """
-    needed = counter_models(kb)
-    # weights (0, -1): 0 where the atom holds, 1 where it does not
-    _, vectors = _families(kb.signature, needed, [(0, -1)] * len(needed),
-                           () if needed else (Fraction(0),))
-    emb = AttributeEmbedding(max(len(needed), 1), vectors, dict(vectors))
-    return ConstructionResult(emb, ORD_ORD, 3, needed, None)
-
-
-def _ranked(theta: StratifiedKB, delta: int | None):
-    """The ranked counter-models, delta, and both families over them
-    weighted (delta^(2 mu), delta^(1 + 2 mu)) by each one's rank mu."""
-    kept = ranked_counter_models(theta)
-    sig = theta.signature
-    delta = _delta(len(sig), delta)
-    by_rank = [(delta ** (2 * mu), delta ** (1 + 2 * mu))
-               for mu in range(len(theta.strata) + 1)]
-    weights = [by_rank[mu] for mu in rank_table(theta)[list(kept)].tolist()]
-    return kept, delta, _families(sig, kept, weights)
-
-
-def construct_avg_relu_nm(theta: StratifiedKB,
-                          delta: int | None = None) -> ConstructionResult:
-    """Tied avg+ReLU embedding matching the ranked-default consequence.
-
-    One coordinate per ranked counter-model (not just models):
-    delta^(2 mu) where the atom holds, -delta^(1 + 2 mu) where it does
-    not.  After ReLU the surviving coordinates are exactly the kept
-    supersets of the pooled set, and rank dominance makes the dot-product
-    sign decide whether the best rank with the head beats the best rank
-    against it.
-    """
-    order, delta, (_, weighted) = _ranked(theta, delta)
-    emb = AttributeEmbedding(len(order), weighted, dict(weighted))
-    return ConstructionResult(emb, AVG_RELU, 4, order, delta)
-
-
-def construct_had_dot_nm(theta: StratifiedKB,
-                         delta: int | None = None) -> ConstructionResult:
-    """Untied Hadamard+dot embedding matching the ranked-default consequence.
-
-    Context vectors are ranked counter-model indicators; output vectors carry
-    the rank weights of `construct_avg_relu_nm`.  Thresholds stay at 0.
-    """
-    order, delta, (indicator, weighted) = _ranked(theta, delta)
-    emb = AttributeEmbedding(len(order), indicator, weighted)
-    return ConstructionResult(emb, HAD_DOT, 5, order, delta)
-
-
-CONSTRUCTORS = {
-    1: construct_avg_relu,
-    2: construct_had_dot,
-    3: lambda kb, delta=None: construct_ord(kb),
-    4: construct_avg_relu_nm,
-    5: construct_had_dot_nm,
-}
-
-
 def construct(kb: KnowledgeBase | StratifiedKB, proposition: int,
               delta: int | None = None) -> ConstructionResult:
-    """Dispatch by recipe number, checking the KB kind matches."""
-    if proposition not in CONSTRUCTORS:
+    """Build recipe `proposition` of `RECIPES` for `kb`, checking the KB
+    kind matches.
+
+    Coordinate j stands for interpretation order[j] (`_families`).  A
+    tied recipe uses the weighted family as context and output; an
+    untied one uses the indicator family as context, so the Hadamard
+    product of the pooled context vectors is the indicator of the
+    counter-models containing the pooled set, with all thresholds at
+    zero.  Tying the two families is impossible there: the dot product
+    is symmetric, so a tied embedding accepting a -> b would accept
+    b -> a as well.
+
+    Recipes 1-2 weigh a counter-model coordinate (1, delta): 1 where
+    the atom holds, -delta where it does not.  Under avg+ReLU the pooled
+    average stays at 1 exactly on the counter-models containing the
+    pooled set and drops below 0 elsewhere; under Hadamard+dot the
+    output vector penalises each counter-model lacking the head by
+    -delta.  A trailing constant coordinate 1 keeps the case without
+    counter-models (an inconsistent KB, or one whose only model is
+    all-true) accepting every rule.
+
+    Recipe 3's coordinates are counter-model complements (0 where the
+    atom holds, 1 where it does not); max pooling then marks the
+    counter-models some pooled attribute violates, and the product
+    order reads off containment of violation sets.  Without
+    counter-models the vectors are one zero coordinate, which accepts
+    everything.
+
+    Recipes 4-5 weigh a ranked counter-model of rank mu
+    (delta^(2 mu), delta^(1 + 2 mu)).  After ReLU the surviving
+    coordinates are exactly the kept supersets of the pooled set, and
+    rank dominance makes the dot-product sign decide whether the best
+    rank with the head beats the best rank against it; the Hadamard
+    recipe's output vectors carry the same weights.
+    """
+    if proposition not in RECIPES:
         raise ValueError(f"unknown construction {proposition}")
-    stratified = isinstance(kb, StratifiedKB)
-    if stratified != (proposition >= 4):
-        kind = "stratified" if stratified else "plain"
+    strategy, kind = RECIPES[proposition]
+    given = "stratified" if isinstance(kb, StratifiedKB) else "plain"
+    if given != kind:
         raise TypeError(
-            f"construction {proposition} does not apply to a {kind} KB")
-    return CONSTRUCTORS[proposition](kb, delta)
+            f"construction {proposition} does not apply to a {given} KB")
+    sig = kb.signature
+    if kind == "stratified":
+        order = ranked_counter_models(kb)
+        delta = _delta(len(sig), delta)
+        by_rank = [(delta ** (2 * mu), delta ** (1 + 2 * mu))
+                   for mu in range(len(kb.strata) + 1)]
+        weights = [by_rank[mu]
+                   for mu in rank_table(kb)[list(order)].tolist()]
+        extra = ()
+    elif strategy.labelling == "ord":
+        order, delta = counter_models(kb), None
+        # (0, -1): 0 where the atom holds, 1 where it does not
+        weights = [(0, -1)] * len(order)
+        extra = () if order else (Fraction(0),)
+    else:
+        order = counter_models(kb)
+        delta = _delta(len(sig), delta)
+        weights, extra = [(1, delta)] * len(order), (Fraction(1),)
+    indicator, weighted = _families(sig, order, weights, extra)
+    emb = AttributeEmbedding(len(order) + len(extra),
+                             weighted if strategy.tied else indicator,
+                             dict(weighted))
+    return ConstructionResult(emb, strategy, proposition, order, delta)

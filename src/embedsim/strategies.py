@@ -36,6 +36,7 @@ their optimisations as one batched ascent.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -69,15 +70,31 @@ def frac_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# CPython's default limit on the digits of an int read from a string:
+# a power of ten up to it is no longer than such an int may be
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def parse_frac(x: str | int) -> Fraction:
     """An exact rational from a "p/q" string or an integer.
 
     A JSON float was already rounded to binary when it was read, and
-    JSON `true` is the int 1, so both are refused, not converted.
+    JSON `true` is the int 1, so both are refused, not converted.  A
+    decimal string's exponent is refused above 4300: `Fraction` would
+    compute the power of ten in full, and "1e-3000000" would not finish
+    (the digits themselves already stop at CPython's 4300-digit limit).
     """
     # bool is an int subclass
     if type(x) is not int and not isinstance(x, str):
         raise ValueError(f'expected a "p/q" string or an integer, got {x!r}')
+    exponent = _EXPONENT.search(x) if isinstance(x, str) else None
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0") or "0"
+        if (len(digits) > len(str(_MAX_EXPONENT))
+                or int(digits) > _MAX_EXPONENT):
+            raise ValueError(f"decimal exponent of magnitude above "
+                             f"{_MAX_EXPONENT} in {x[:40]!r}")
     return Fraction(x)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .certifier import (canonical_json, certify_nonmonotonic_failure,
                         certify_strategy_failure, reverify_certificate)
-from .constructors import construct
+from .constructors import RECIPES, construct
 from .fixtures import fixture
 from .strategies import TABLE1_STRATEGIES, StrategyId, sig_conical_diagnostics
 from .verifier import verify_monotonic, verify_nonmonotonic
@@ -93,9 +93,6 @@ class Table1Report:
 MONOTONIC_DEMO_FIXTURES = ("CE1", "CE3", "MOTHER")
 NONMONOTONIC_DEMO_FIXTURES = ("EX4", "ORD-NM")
 
-# recipe numbers per constructive strategy, (monotonic, non-monotonic)
-_CONSTRUCTIVE = {"avg-relu": (1, 4), "had-dot": (2, 5), "ord-ord": (3, None)}
-
 
 def _construction_cell(strategy: StrategyId, proposition: int,
                        monotonic: bool) -> CellResult:
@@ -136,16 +133,19 @@ def _certificate_cell(strategy: StrategyId, monotonic: bool) -> CellResult:
     return CellResult("not-simulable", method, [cert.to_dict()])
 
 
+def _cell(strategy: StrategyId, monotonic: bool) -> CellResult:
+    """A construction cell where a recipe builds this strategy for the
+    column's KB kind, else a certificate cell."""
+    kind = "plain" if monotonic else "stratified"
+    for proposition, recipe in RECIPES.items():
+        if recipe == (strategy, kind):
+            return _construction_cell(strategy, proposition, monotonic)
+    return _certificate_cell(strategy, monotonic)
+
+
 def _build_row(strategy: StrategyId, diagnostics: dict) -> RowResult:
-    recipes = _CONSTRUCTIVE.get(strategy.name)
-    if recipes and recipes[0] is not None:
-        mono = _construction_cell(strategy, recipes[0], monotonic=True)
-    else:
-        mono = _certificate_cell(strategy, monotonic=True)
-    if recipes and recipes[1] is not None:
-        nm = _construction_cell(strategy, recipes[1], monotonic=False)
-    else:
-        nm = _certificate_cell(strategy, monotonic=False)
+    mono = _cell(strategy, monotonic=True)
+    nm = _cell(strategy, monotonic=False)
     return RowResult(strategy.name, strategy.pooling, strategy.labelling,
                      strategy.tied, mono, nm,
                      diagnostics if strategy.pooling == "sig" else None)

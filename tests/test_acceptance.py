@@ -25,9 +25,7 @@ from embedsim.certifier import (_ce1_queries, _ce2_queries,
                                 derive_pair_requirements, lp_feasible,
                                 reverify_certificate)
 from embedsim.cli import main as cli_main
-from embedsim.constructors import (construct_avg_relu, construct_avg_relu_nm,
-                                   construct_had_dot, construct_had_dot_nm,
-                                   construct_ord)
+from embedsim.constructors import construct
 from embedsim.fixtures import fixture
 from embedsim.logic import entails
 from embedsim.strategies import (angular_error, emb_sig_numeric,
@@ -97,18 +95,18 @@ def test_criterion_2_proposition_round_trips():
     atoms5 = ["a", "b", "c", "d", "e"]
     for _ in range(100):
         kb = random_rule_kb(rng, atoms5, max_rules=6)
-        for build in (construct_avg_relu, construct_had_dot, construct_ord):
-            res = build(kb)
+        for recipe in (1, 2, 3):
+            res = construct(kb, recipe)
             report = verify_monotonic(res.embedding, res.strategy, kb)
-            assert report.simulates, (build.__name__, report.mismatches[:2])
+            assert report.simulates, (recipe, report.mismatches[:2])
             assert report.queries == 31 * 5
     atoms4 = ["a", "b", "c", "d"]
     for _ in range(50):
         theta = random_stratified_kb(rng, atoms4, max_strata=3)
-        for build in (construct_avg_relu_nm, construct_had_dot_nm):
-            res = build(theta)
+        for recipe in (4, 5):
+            res = construct(theta, recipe)
             report = verify_nonmonotonic(res.embedding, res.strategy, theta)
-            assert report.simulates, (build.__name__, report.mismatches[:2])
+            assert report.simulates, (recipe, report.mismatches[:2])
             assert report.queries == 15 * 4
 
 
@@ -122,11 +120,11 @@ def test_criterion_3_stratified_example():
     for subset, head, want in queries:
         assert tt_nm_def(theta, subset, head) == want
         assert follows(theta, subset, head) == want
-    for build in (construct_avg_relu_nm, construct_had_dot_nm):
-        res = build(theta)
+    for recipe in (4, 5):
+        res = construct(theta, recipe)
         for subset, head, want in queries:
             got = accepts(res.embedding, res.strategy, subset, head)
-            assert got == want, (build.__name__, subset, head)
+            assert got == want, (recipe, subset, head)
 
 
 @criterion(4, "four-query dot-labelling certificate: infeasible, "

@@ -325,17 +325,26 @@ class TestVerify:
         {"dimension": 2, "atoms": [{"name": "a", "context": "12"}]},
         {"dimension": 2, "atoms": [{"name": "a", "context": ["1", "2"],
                                     "output": {"1": 0, "2": 0}}]},
+        # Fraction would compute the power of ten in full: for minutes,
+        # or ending in an unrelated message from the int-string limit
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["1e10000000"]}]},
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
+                                    "lambda": "1e10000000"}]},
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["1e-3000000"]}]},
     ], ids=["atoms-not-a-list", "not-an-object", "context-not-a-list",
             "zero-denominator", "dimension-not-an-integer",
             "dimension-boolean", "duplicate-atom", "float-coordinate",
             "boolean-coordinate", "float-lambda", "vector-a-string",
-            "vector-an-object"])
+            "vector-an-object", "huge-exponent", "huge-exponent-lambda",
+            "huge-negative-exponent"])
     def test_malformed_embedding_exit_two(self, capsys, ce1_file, tmp_path,
                                           doc):
         emb = tmp_path / "emb.json"
         emb.write_text(json.dumps(doc))
+        start = time.perf_counter()
         code, _, err = run(capsys, "verify", ce1_file, str(emb),
                            "--strategy", "avg-dot")
+        assert time.perf_counter() - start < 1
         assert code == 2
         assert err.startswith("error: cannot load embedding")
         assert err.count("\n") == 1

@@ -14,10 +14,7 @@ from hypothesis import given, settings
 
 from conftest import (accepts, plain_kbs, random_rule_kb,
                       random_stratified_kb, stratified_kbs)
-from embedsim.constructors import (_families, construct,
-                                   construct_avg_relu, construct_avg_relu_nm,
-                                   construct_had_dot, construct_had_dot_nm,
-                                   construct_ord)
+from embedsim.constructors import RECIPES, _families, construct
 from embedsim.fixtures import fixture
 from embedsim.logic import (CapExceededError, KnowledgeBase, Signature,
                             counter_models, entails, parse_kb, rank_table,
@@ -43,16 +40,16 @@ class TestAvgRelu:
         assert res.embedding.context["b"] == (F(-5), F(1), F(1), F(1))
         # the model 0b11 refutes nothing: K is the maximal model lacking
         # a (0b10) and the one lacking b (0b00)
-        res = construct_avg_relu(kb, 5)
+        res = construct(kb, 1, 5)
         assert res.model_order == (0b00, 0b10)
         assert res.embedding.context["a"] == (F(-5), F(-5), F(1))
         assert res.embedding.context["b"] == (F(-5), F(1), F(1))
 
     def test_worked_instance_scores(self):
         kb = parse_kb(AB_KB)
-        for build, want in ((ref_construct_avg_relu, (2, -3)),
-                            (construct_avg_relu, (1, -4))):
-            emb = build(kb, 5).embedding
+        for res, want in ((ref_construct_avg_relu(kb, 5), (2, -3)),
+                          (construct(kb, 1, 5), (1, -4))):
+            emb = res.embedding
             fwd = ref_dot(ref_relu_vec(ref_emb_avg(emb, ("a",))),
                           emb.context["b"])
             bwd = ref_dot(ref_relu_vec(ref_emb_avg(emb, ("b",))),
@@ -61,7 +58,7 @@ class TestAvgRelu:
 
     def test_inconsistent_kb_accepts_everything(self):
         kb = parse_kb("atoms: a b\nformula: a\nformula: !a\n")
-        res = construct_avg_relu(kb)
+        res = construct(kb, 1)
         assert res.embedding.dimension == 1
         assert all(v == (F(1),) for v in res.embedding.context.values())
         report = verify_monotonic(res.embedding, res.strategy, kb)
@@ -69,23 +66,23 @@ class TestAvgRelu:
 
     def test_empty_kb(self):
         kb = parse_kb("atoms: a b\n")
-        res = construct_avg_relu(kb)
+        res = construct(kb, 1)
         assert accepts(res.embedding, res.strategy, ("a",), "a")
         assert not accepts(res.embedding, res.strategy, ("a",), "b")
 
     def test_default_delta_is_smallest_legal(self):
         kb = parse_kb(AB_KB)
-        assert construct_avg_relu(kb).delta == 5
+        assert construct(kb, 1).delta == 5
 
     def test_delta_validation(self):
         kb = parse_kb(AB_KB)
         with pytest.raises(ValueError):
-            construct_avg_relu(kb, 4)
+            construct(kb, 1, 4)
 
     def test_atom_cap(self):
         kb = KnowledgeBase(Signature(tuple(f"p{i}" for i in range(21))), ())
         with pytest.raises(CapExceededError):
-            construct_avg_relu(kb)
+            construct(kb, 1)
 
 
 class TestHadDot:
@@ -95,7 +92,7 @@ class TestHadDot:
         assert emb.context["a"] == (F(0), F(0), F(1), F(1))
         assert emb.output["a"] == (F(-5), F(-5), F(1), F(1))
         assert ref_dot(ref_emb_had(emb, ("a",)), emb.output["b"]) == 2
-        res = construct_had_dot(kb, 5)
+        res = construct(kb, 2, 5)
         assert res.model_order == (0b00, 0b10)
         emb = res.embedding
         assert emb.context["a"] == (F(0), F(0), F(1))
@@ -104,26 +101,26 @@ class TestHadDot:
 
     def test_zero_thresholds(self):
         kb = fixture("CE1")
-        emb = construct_had_dot(kb).embedding
+        emb = construct(kb, 2).embedding
         assert all(v == 0 for v in emb.lam.values())
 
     def test_exhaustive_equivalence(self):
         rng = random.Random(41)
         for _ in range(15):
             kb = random_rule_kb(rng, ["a", "b", "c", "d", "e"])
-            res = construct_had_dot(kb)
+            res = construct(kb, 2)
             assert verify_monotonic(res.embedding, res.strategy, kb).simulates
 
     def test_inconsistent_kb_accepts_everything(self):
         kb = parse_kb("atoms: a b\nformula: a & !a\n")
-        res = construct_had_dot(kb)
+        res = construct(kb, 2)
         assert res.embedding.dimension == 1
         assert verify_monotonic(res.embedding, res.strategy, kb).simulates
 
     def test_tied_variant_models_reversed_rule(self):
         # forcing output := context breaks the asymmetric rule a -> b
         kb = parse_kb(AB_KB)
-        emb = construct_had_dot(kb).embedding
+        emb = construct(kb, 2).embedding
         tied_dot = ref_dot(ref_emb_had(emb, ("b",)), emb.context["a"])
         assert tied_dot == ref_dot(ref_emb_had(emb, ("a",)), emb.context["b"])
         assert tied_dot >= 0  # b -> a accepted despite not being entailed
@@ -139,7 +136,7 @@ class TestOrd:
         res = ref_construct_ord(kb)
         assert accepts(emb, res.strategy, ("a",), "b")
         assert not accepts(emb, res.strategy, ("b",), "a")
-        res = construct_ord(kb)
+        res = construct(kb, 3)
         emb = res.embedding
         assert res.model_order == (0b00, 0b10)
         assert emb.context["a"] == (F(1), F(1))
@@ -149,7 +146,7 @@ class TestOrd:
 
     def test_inconsistent_kb_all_zero(self):
         kb = parse_kb("atoms: a b\nformula: FALSE\n")
-        res = construct_ord(kb)
+        res = construct(kb, 3)
         assert all(all(x == 0 for x in v)
                    for v in res.embedding.context.values())
         assert verify_monotonic(res.embedding, res.strategy, kb).simulates
@@ -158,15 +155,15 @@ class TestOrd:
         rng = random.Random(43)
         for _ in range(15):
             kb = random_rule_kb(rng, ["a", "b", "c", "d", "e"])
-            res = construct_ord(kb)
+            res = construct(kb, 3)
             assert verify_monotonic(res.embedding, res.strategy, kb).simulates
 
 
 class TestNonMonotonicConstructions:
     def test_ex4_triple_both_recipes(self):
         theta = fixture("EX4")
-        for build in (construct_avg_relu_nm, construct_had_dot_nm):
-            res = build(theta)
+        for recipe in (4, 5):
+            res = construct(theta, recipe)
             emb, strat = res.embedding, res.strategy
             assert accepts(emb, strat, ("apple",), "cat:food")
             assert accepts(emb, strat, ("apple", "safari"),
@@ -176,13 +173,13 @@ class TestNonMonotonicConstructions:
 
     def test_single_stratum_reflexivity(self):
         theta = parse_kb("atoms: a b\nstratum: a\n")
-        res = construct_avg_relu_nm(theta)
+        res = construct(theta, 4)
         assert accepts(res.embedding, res.strategy, ("a",), "a")
         assert not accepts(res.embedding, res.strategy, ("a",), "b")
 
     def test_exception_suppression(self):
         theta = fixture("ORD-NM")
-        res = construct_had_dot_nm(theta)
+        res = construct(theta, 5)
         assert accepts(res.embedding, res.strategy, ("a",), "x")
         assert not accepts(res.embedding, res.strategy,
                                     ("a", "b"), "x")
@@ -196,8 +193,8 @@ class TestNonMonotonicConstructions:
         theta = fixture("EX4")
         kept = ranked_counter_models(theta)
         assert len(kept) == 10 and kept[-1] == 0b1111
-        for build in (construct_avg_relu_nm, construct_had_dot_nm):
-            res = build(theta)
+        for recipe in (4, 5):
+            res = construct(theta, recipe)
             assert res.model_order == kept
             assert res.embedding.dimension == 10
 
@@ -206,10 +203,10 @@ class TestNonMonotonicConstructions:
         atoms = ["a", "b", "c", "d"]
         for _ in range(20):
             theta = random_stratified_kb(rng, atoms, max_strata=3)
-            for build in (construct_avg_relu_nm, construct_had_dot_nm):
-                res = build(theta)
+            for recipe in (4, 5):
+                res = construct(theta, recipe)
                 report = verify_nonmonotonic(res.embedding, res.strategy, theta)
-                assert report.simulates, (theta, build.__name__,
+                assert report.simulates, (theta, recipe,
                                           report.mismatches[:3])
 
     def test_dominance_sign(self):
@@ -218,7 +215,7 @@ class TestNonMonotonicConstructions:
         atoms = ["a", "b", "c"]
         for _ in range(10):
             theta = random_stratified_kb(rng, atoms, max_strata=3)
-            res = construct_avg_relu_nm(theta)
+            res = construct(theta, 4)
             emb = res.embedding
             sig = theta.signature
             for subset, head in subset_queries(sig, len(atoms)):
@@ -240,15 +237,15 @@ class TestNonMonotonicConstructions:
         theta = parse_kb("atoms: " + " ".join(f"p{i}" for i in range(21))
                          + "\nstratum: p0\n")
         with pytest.raises(CapExceededError):
-            construct_avg_relu_nm(theta)
+            construct(theta, 4)
 
 
 class TestRankedCounterModelRecipes:
     """Recipes 4-5 over the ranked counter-models against the paper's
     recipes over every interpretation."""
 
-    RECIPES = ((construct_avg_relu_nm, ref_construct_avg_relu_nm),
-               (construct_had_dot_nm, ref_construct_had_dot_nm))
+    RECIPES = ((4, ref_construct_avg_relu_nm),
+               (5, ref_construct_had_dot_nm))
 
     @settings(max_examples=100)
     @given(stratified_kbs(max_atoms=7))
@@ -256,8 +253,8 @@ class TestRankedCounterModelRecipes:
         n = len(theta.signature)
         kept = ranked_counter_models(theta)
         assert kept == scan_ranked_counter_models(theta)
-        for build, reference in self.RECIPES:
-            res, ref = build(theta), reference(theta)
+        for recipe, reference in self.RECIPES:
+            res, ref = construct(theta, recipe), reference(theta)
             assert res.model_order == kept and res.delta == ref.delta
             report = verify_nonmonotonic(res.embedding, res.strategy, theta,
                                          cap=n)
@@ -331,6 +328,23 @@ class TestDispatch:
         with pytest.raises(ValueError):
             construct(fixture("CE1"), 9)
 
+    @pytest.mark.parametrize("recipe, name, kind", [
+        (1, "avg-relu", "plain"), (2, "had-dot", "plain"),
+        (3, "ord-ord", "plain"), (4, "avg-relu", "stratified"),
+        (5, "had-dot", "stratified")])
+    def test_recipe_builds_its_strategy_for_its_kind_only(self, recipe,
+                                                          name, kind):
+        assert sorted(RECIPES) == [1, 2, 3, 4, 5]
+        fits, other = ((fixture("CE1"), fixture("EX4")) if kind == "plain"
+                       else (fixture("EX4"), fixture("CE1")))
+        res = construct(fits, recipe)
+        assert (res.strategy.name, res.proposition) == (name, recipe)
+        tied = res.embedding.context == res.embedding.output
+        assert tied == res.strategy.tied == (name != "had-dot")
+        wrong = "stratified" if kind == "plain" else "plain"
+        with pytest.raises(TypeError, match=f"to a {wrong} KB"):
+            construct(other, recipe)
+
     def test_provenance_block(self):
         res = construct(fixture("CE1"), 1)
         prov = res.provenance()
@@ -343,9 +357,9 @@ class TestIntegerCoordinates:
     def test_all_constructions_integral(self):
         kb = fixture("CE1")
         theta = fixture("EX4")
-        results = [construct_avg_relu(kb), construct_had_dot(kb),
-                   construct_ord(kb), construct_avg_relu_nm(theta),
-                   construct_had_dot_nm(theta)]
+        results = [construct(kb, 1), construct(kb, 2),
+                   construct(kb, 3), construct(theta, 4),
+                   construct(theta, 5)]
         for res in results:
             for vecs in (res.embedding.context, res.embedding.output):
                 for v in vecs.values():
@@ -355,16 +369,16 @@ class TestIntegerCoordinates:
 class TestCounterModelRecipes:
     """Recipes 1-3 over K against the paper's recipes over every model."""
 
-    RECIPES = ((construct_avg_relu, ref_construct_avg_relu),
-               (construct_had_dot, ref_construct_had_dot),
-               (construct_ord, ref_construct_ord))
+    RECIPES = ((1, ref_construct_avg_relu),
+               (2, ref_construct_had_dot),
+               (3, ref_construct_ord))
 
     @settings(max_examples=60)
     @given(plain_kbs(max_atoms=7))
     def test_exhaustive_and_no_larger(self, kb):
         n = len(kb.signature)
-        for build, reference in self.RECIPES:
-            res, ref = build(kb), reference(kb)
+        for recipe, reference in self.RECIPES:
+            res, ref = construct(kb, recipe), reference(kb)
             assert res.model_order == counter_models(kb)
             assert res.embedding.dimension <= ref.embedding.dimension
             for built in (res, ref):
@@ -384,11 +398,11 @@ class TestCounterModelRecipes:
         n = len(kb.signature)
         assert counter_models(kb) == needed
         dims = (len(needed) + 1, len(needed) + 1, max(len(needed), 1))
-        for (build, _), dim in zip(self.RECIPES, dims):
-            res = build(kb)
+        for (recipe, _), dim in zip(self.RECIPES, dims):
+            res = construct(kb, recipe)
             assert res.embedding.dimension == dim
             report = verify_monotonic(res.embedding, res.strategy, kb, cap=n)
             assert report.simulates
         if not needed:
-            vectors = construct_ord(kb).embedding.context.values()
+            vectors = construct(kb, 3).embedding.context.values()
             assert all(v == (F(0),) for v in vectors)

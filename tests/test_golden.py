@@ -1,6 +1,7 @@
 """Byte-level pins: the table1 JSON, one mismatch report per strategy,
-the generic avg-dot decision certificate for CE1, and the indented text
-of both avg-dot CE1 certificates.
+the generic avg-dot decision certificate for CE1, the indented text
+of both avg-dot CE1 certificates, and each construction recipe's
+embedding on each fixture it applies to.
 
 Any change to verdicts, query order, score text or serialisation
 changes a digest here.
@@ -16,6 +17,7 @@ import pytest
 from conftest import random_embedding
 from embedsim.certifier import decide_avg_dot
 from embedsim.cli import main
+from embedsim.constructors import construct
 from embedsim.fixtures import FIXTURE_SOURCES, fixture
 from embedsim.strategies import (TABLE1_STRATEGIES, sig_conical_diagnostics,
                                  strategy_from_name)
@@ -57,6 +59,56 @@ INDENTED_CE1_CERTIFICATES = {
 # the benchmark's recorded digests; `fixed.CE1` (ec9ffe7e…) is the sha256
 # of the canonical JSON of `decide_avg_dot(fixture("CE1"))`
 GOLDEN_JSON = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+# sha256 of the sorted-key JSON of `construct(fixture, recipe, delta)`'s
+# embedding with its provenance, per (fixture, recipe, delta); recipe 3
+# ignores delta, so its custom-delta digest is its default one
+CONSTRUCTIONS = {
+    ("CE1", 1, None): "f67461e9f2497f4c57753ba0f14e2c61"
+                      "79b45f9f43ec917bc1f09f9e5be5d333",
+    ("CE1", 2, None): "65536d72b8931b72ea1bf66870ffc602"
+                      "1eb5339d1a0785dbea4cee20d0fefa84",
+    ("CE1", 3, None): "64b3f7e638a73c5543b7d00759124b3a"
+                      "8d5acae34505cf204c618ea483dcc1e0",
+    ("CE2", 1, None): "fbde364cd25a53b3ac126917b9c9a2f6"
+                      "541f91bcf4e283a5b8a5e62be9e54473",
+    ("CE2", 2, None): "46f4b1e32121afa97aaecffedec20250"
+                      "fd89eeb752fd672eb8a34e3d87b22d1f",
+    ("CE2", 3, None): "ef2854eb51859d41db4fd51006b4d289"
+                      "190de52a700e323dcf0b22afc99eab5e",
+    ("CE3", 1, None): "9bfc867318826eff6a8083a784269c90"
+                      "b5e5904554f921e63871a595a2696df2",
+    ("CE3", 2, None): "890902165aed827a7347bff8ef7b2646"
+                      "701fc587f1d6004623b417cc5d0df47a",
+    ("CE3", 3, None): "3a877987ac208e1654cf92881efcdd7f"
+                      "8ec5c091ba29ad8b215ea285370241df",
+    ("CE4", 1, None): "205bdb54f6a5dd6830f01744e5cf1be9"
+                      "6dbc21f458e3ff50f0da38c413ea18e2",
+    ("CE4", 2, None): "ece6e72c91f7750281411ebe07ef1084"
+                      "656665f71a1b3c20d219f9d681d84c9b",
+    ("CE4", 3, None): "a731f014fc81dd4d2920a3a3833b7e91"
+                      "3810c6e17e9ddb88e42b4b2c507fdff4",
+    ("EX4", 4, None): "71e4e895b78566a6293b5e9c579d54fa"
+                      "45512d6e8866428dbf107c0207dd65fe",
+    ("EX4", 5, None): "8049aca5079474b832253f35100e8466"
+                      "5aa2f22d741960ff403da7ba5e884eaa",
+    ("ORD-NM", 4, None): "08b12fea7553cb64c26ed225041b646d"
+                         "a7601246d5e6fb52d987614dd63c103d",
+    ("ORD-NM", 5, None): "8f533941a7fa0ef7e975adf7d060d44b"
+                         "6721c24043af7e1b566c4b25d9453e37",
+    ("MOTHER", 1, None): "f77cd78d0b2fddb7ba5564654790c2c6"
+                         "b879d84129356e4b4b86768f0237450d",
+    ("MOTHER", 2, None): "bf0fb85c85571c3b09882ad6253d7d42"
+                         "d697f2aedaf549b5a492ea776c8e5463",
+    ("MOTHER", 3, None): "8a283e4e6d53502165d59da1aa278fc1"
+                         "842c701afeadd87d146c4f95081c163b",
+    ("MOTHER", 1, 1000): "8f9c3f8e52b5f67e5dcce067a51847c8"
+                         "41552179aba468dd6f4f8827c5ac5ba0",
+    ("EX4", 5, 1000): "e67cced7586063ba421e5172261a02d0"
+                      "024c1ce8f50fb4e1d99231c2d46f769f",
+    ("CE1", 3, 1000): "64b3f7e638a73c5543b7d00759124b3a"
+                      "8d5acae34505cf204c618ea483dcc1e0",
+}
 
 SCORE_PREFIX = {
     "avg-dot": "dot=", "avg-dist": "distsq=", "norm-dot": "sum.out=",
@@ -137,6 +189,24 @@ def test_ce1_mismatch_report_bytes(name):
                for m in report.mismatches)
     doc = report.to_dict(timing=False)
     assert sha256_text(json.dumps(doc, sort_keys=True)) == digest
+
+
+def test_construction_pins_cover_every_fixture_and_recipe():
+    # recipes 1-3 take a plain KB, 4-5 a stratified one
+    covered = {(name, recipe) for name, recipe, delta in CONSTRUCTIONS
+               if delta is None}
+    assert covered == {
+        (name, recipe) for name in FIXTURE_SOURCES
+        for recipe in ((4, 5) if "stratum:" in FIXTURE_SOURCES[name]
+                       else (1, 2, 3))}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTIONS, key=str), ids=str)
+def test_construction_bytes(case):
+    name, recipe, delta = case
+    result = construct(fixture(name), recipe, delta)
+    doc = result.embedding.to_json_dict(result.provenance())
+    assert sha256_text(json.dumps(doc, sort_keys=True)) == CONSTRUCTIONS[case]
 
 
 def test_ce1_decision_certificate_bytes():

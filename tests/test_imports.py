@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name is read somewhere in the library.
+"""Every name a library module imports is used in that module, every
+private module-level name is read somewhere in the library, and no
+top-level name is defined in two library modules.
 
 Static scans with `ast`.  The first stands in for a linter's
 unused-import rule (F401): a deletion that leaves an import behind fails
@@ -7,7 +8,9 @@ here.  An import whose statement carries `# noqa: F401` is a deliberate
 re-export and is skipped.  `__init__.py` only re-exports, so it is not
 scanned for imports.  The second finds a `_name` that a module defines
 at its top level and no module of the package reads: a helper left
-behind when its last caller was deleted.
+behind when its last caller was deleted.  The third finds a name that
+two modules (`__init__.py` aside) each bind by a def, a class or an
+assignment: a copy that can drift from the one it copies.
 """
 
 import ast
@@ -67,9 +70,9 @@ def _used(tree: ast.Module) -> set[str]:
             if isinstance(n, ast.Name)} | _quoted(tree)
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Each `_name` (not a dunder) bound at the module's top level by a
-    def, a class or an assignment, with its line."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Each name bound at the module's top level by a def, a class or an
+    assignment, with its line."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -83,9 +86,14 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in bound:
-            if name.startswith("_") and not name.startswith("__"):
-                names.setdefault(name, node.lineno)
+            names.setdefault(name, node.lineno)
     return names
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each top-level `_name` (not a dunder) with its line."""
+    return {name: line for name, line in _definitions(tree).items()
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def _reads(tree: ast.Module) -> set[str]:
@@ -135,6 +143,32 @@ def test_no_unused_private_names():
               for name, line in _private_definitions(tree).items()
               if name not in read]
     assert not unused, "private names never read: " + ", ".join(unused)
+
+
+def _defined_twice(trees: dict[str, ast.Module]) -> list[str]:
+    """Each top-level name with the modules that define it, where two
+    or more do; dunders such as `__all__` are left out."""
+    where: dict[str, list[str]] = {}
+    for module, tree in trees.items():
+        for name, line in _definitions(tree).items():
+            if not name.startswith("__"):
+                where.setdefault(name, []).append(f"{module}:{line}")
+    return [f"{name} ({', '.join(sites)})"
+            for name, sites in sorted(where.items()) if len(sites) > 1]
+
+
+def test_no_name_defined_in_two_modules():
+    trees = {p.name: ast.parse(p.read_text()) for p in MODULES}
+    twice = _defined_twice(trees)
+    assert not twice, "defined in two modules: " + ", ".join(twice)
+
+
+def test_scan_finds_a_name_defined_twice():
+    trees = {"a.py": ast.parse("Query = tuple\ndef f(): pass\n"
+                               "from .b import g\n__all__ = []\n"),
+             "b.py": ast.parse("Query: type = tuple\ndef g(): pass\n"
+                               "__all__ = []\n")}
+    assert _defined_twice(trees) == ["Query (a.py:1, b.py:1)"]
 
 
 def test_scan_finds_an_unused_private_name():

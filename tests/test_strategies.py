@@ -571,6 +571,13 @@ class TestEmbeddingJson:
         assert parse_frac("7/2") == F(7, 2)
         assert parse_frac("4") == F(4)
         assert parse_frac(-4) == F(-4)  # a JSON integer is exact
+        assert parse_frac("0.5") == F(1, 2)
+        assert parse_frac("1e3") == F(1000)
+        assert parse_frac("1e-4300") == F(1, 10 ** 4300)
+        # an exponent is refused before its power of ten is computed
+        for value in ("1e4301", "1e-3000000", "2E" + "9" * 5000):
+            with pytest.raises(ValueError, match="decimal exponent"):
+                parse_frac(value)
         # a JSON float is already rounded, and `true` would read as 1
         for value in (0.1, 4.0, True, None, [1]):
             with pytest.raises(ValueError, match="p/q"):

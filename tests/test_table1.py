@@ -3,6 +3,7 @@
 import pytest
 
 import embedsim.table1 as table1
+from embedsim.constructors import RECIPES
 from embedsim.strategies import sig_conical_diagnostics
 from embedsim.table1 import (MONOTONIC_DEMO_FIXTURES,
                              NONMONOTONIC_DEMO_FIXTURES, run_table1)
@@ -36,6 +37,18 @@ def test_positive_cells_cover_all_demo_fixtures(report):
         if row.non_monotonic.verdict == "simulable":
             names = [e["fixture"] for e in row.non_monotonic.evidence]
             assert names == list(NONMONOTONIC_DEMO_FIXTURES)
+
+
+def test_construction_cells_are_the_recipe_table(report):
+    # a cell is built by construction exactly when a recipe binds its
+    # strategy to its column's KB kind, and names that recipe
+    built = {(row.strategy, kind): cell.evidence[0]["proposition"]
+             for row in report.rows
+             for kind, cell in (("plain", row.monotonic),
+                                ("stratified", row.non_monotonic))
+             if cell.method == "construction+verification"}
+    assert built == {(strategy.name, kind): number
+                     for number, (strategy, kind) in RECIPES.items()}
 
 
 def test_sig_rows_carry_numeric_diagnostics(report):

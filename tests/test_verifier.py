@@ -10,7 +10,7 @@ import embedsim.logic as logic
 import embedsim.verifier as verifier
 from conftest import (accepts, follows, pool, random_embedding,
                       random_rule_kb, random_stratified_kb)
-from embedsim.constructors import construct_avg_relu, construct_had_dot
+from embedsim.constructors import construct
 from embedsim.fixtures import fixture
 from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB, entails,
                             parse_kb)
@@ -49,7 +49,7 @@ class TestVerifyMonotonic:
         rng = random.Random(81)
         for _ in range(10):
             kb = random_rule_kb(rng, ["a", "b", "c", "d", "e"])
-            res = construct_avg_relu(kb)
+            res = construct(kb, 1)
             report = verify_monotonic(res.embedding, res.strategy, kb)
             assert report.simulates
             assert report.queries == 31 * 5
@@ -409,8 +409,7 @@ class TestOracleTables:
 class TestVerifyNonMonotonic:
     def test_ord_nm_capture_pattern_shown_by_had_construction(self):
         theta = fixture("ORD-NM")
-        from embedsim.constructors import construct_had_dot_nm
-        res = construct_had_dot_nm(theta)
+        res = construct(theta, 5)
         report = verify_nonmonotonic(res.embedding, res.strategy, theta)
         assert report.simulates
 
@@ -483,6 +482,6 @@ class TestTiedHadamardSymmetry:
 
     def test_untied_construction_is_asymmetric_and_correct(self):
         kb = parse_kb("atoms: a b\nrule: a -> b\n")
-        res = construct_had_dot(kb)
+        res = construct(kb, 2)
         assert verify_monotonic(res.embedding, res.strategy, kb).simulates
         assert res.embedding.context["a"] != res.embedding.output["a"]
