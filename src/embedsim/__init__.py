@@ -4,9 +4,9 @@ of monotonic and ranked-default attribute dependencies."""
 from .certifier import (Certificate, ConicalRequirement, FarkasCertificate,
                         FeasibilityOutcome, LinearSystem, PairRequirement,
                         build_avg_dist_relaxation, build_avg_dot_system,
-                        certify_nonmonotonic_failure, certify_strategy_failure,
-                        conical_closure_certify, decide_avg_dot, lp_feasible,
-                        realize_from_matrix, reverify_certificate)
+                        certify_strategy_failure, conical_closure_certify,
+                        decide_avg_dot, lp_feasible, realize_from_matrix,
+                        reverify_certificate)
 from .constructors import RECIPES, ConstructionResult, construct
 from .fixtures import FIXTURE_NAMES, FIXTURE_SOURCES, fixture
 from .logic import (CapExceededError, Formula, KBError, KnowledgeBase,

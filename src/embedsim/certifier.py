@@ -555,23 +555,6 @@ def realize_from_matrix(matrix: dict[tuple[str, str], Fraction],
     )
 
 
-def realize_from_witness(system: LinearSystem,
-                         outcome: FeasibilityOutcome,
-                         atoms: Sequence[str]) -> AttributeEmbedding:
-    if not outcome.feasible or outcome.witness is None:
-        raise ValueError("cannot realise an embedding from an infeasible system")
-    matrix: dict[tuple[str, str], Fraction] = {}
-    lam: dict[str, Fraction] = {}
-    for name, value in outcome.witness.items():
-        # atom names never contain brackets, so the split is unambiguous
-        if name.startswith("M["):
-            a, b = name[2:-1].split("][")
-            matrix[(a, b)] = value
-        elif name.startswith("lam["):
-            lam[name[4:-1]] = value
-    return realize_from_matrix(matrix, lam, atoms)
-
-
 # ------------------------------------------------------------------
 # Conical-closure case analysis
 # ------------------------------------------------------------------
@@ -744,23 +727,27 @@ def _lp_evidence(system: LinearSystem, outcome: FeasibilityOutcome,
 
 
 def _lp_certificate(strategy: StrategyId, fixture_name: str,
-                    build, queries: list[Query],
-                    relaxation: bool) -> Certificate:
+                    build, queries: list[Query], relaxation: bool):
     system = build(fixture(fixture_name), queries=queries)
     outcome = lp_feasible(system)
     # a feasible query-restricted system says nothing about the
     # remaining queries, so no simulability claim is made
     verdict = "inconclusive" if outcome.feasible else "not-simulable"
+    facts = [(q["subset"], q["head"], q["captured"]) for q in system.queries]
     return Certificate(strategy.name, fixture_name, "monotonic", verdict,
-                       _lp_evidence(system, outcome, relaxation), [])
+                       _lp_evidence(system, outcome, relaxation), []), facts
 
 
-def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
+def _closure_certificate(strategy: StrategyId, fixture_name: str):
     kb = fixture(fixture_name)
     table, sig = consequence_table(kb), kb.signature
     base = ("a", "b", "c", "d")
     heads = ("x", "y")
     requirement, pair_facts = derive_pair_requirements(kb, base, *heads)
+    # a pair pooled on the negative side entails the first head only
+    facts = [(r.pair, head, r.side == side)
+             for r in requirement.requirements
+             for head, side in zip(heads, ("negative", "positive"))]
     outcome = conical_closure_certify(requirement)
     if outcome.consistent:
         raise AssertionError("closure search unexpectedly found an assignment")
@@ -802,10 +789,10 @@ def _closure_certificate(strategy: StrategyId, fixture_name: str) -> Certificate
         **extra,
     }
     return Certificate(strategy.name, fixture_name, "monotonic",
-                       "not-simulable", evidence, assumptions)
+                       "not-simulable", evidence, assumptions), facts
 
 
-def _symmetry_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
+def _symmetry_certificate(strategy: StrategyId, fixture_name: str):
     kb = fixture(fixture_name)
     table, sig = consequence_table(kb), kb.signature
     atoms = sig.atoms
@@ -826,11 +813,12 @@ def _symmetry_certificate(strategy: StrategyId, fixture_name: str) -> Certificat
                      "way round, so the two requirements contradict each "
                      "other"),
     }
-    return Certificate(strategy.name, fixture_name, "monotonic",
-                       "not-simulable", evidence, [])
+    return (Certificate(strategy.name, fixture_name, "monotonic",
+                        "not-simulable", evidence, []),
+            [((u,), w, True), ((w,), u, False)])
 
 
-def _order_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
+def _order_certificate(strategy: StrategyId, fixture_name: str):
     theta = fixture(fixture_name)
     table, sig = consequence_table(theta), theta.signature
     x = sig.bit("x")
@@ -846,14 +834,17 @@ def _order_certificate(strategy: StrategyId, fixture_name: str) -> Certificate:
                      "vector, so a label kept on {a} cannot be dropped on "
                      "{a, b}"),
     }
-    return Certificate(strategy.name, fixture_name, "non-monotonic",
-                       "not-simulable", evidence, [])
+    return (Certificate(strategy.name, fixture_name, "non-monotonic",
+                        "not-simulable", evidence, []),
+            [(("a",), "x", True), (("a", "b"), "x", False)])
 
 
 # per strategy: the fixtures it has a failure certificate for (the first
-# is the default) and the builder of that certificate
+# is the default) and the builder of that certificate, which returns it
+# with the (subset, head, captured) facts it rests on
 _CERTIFIERS: dict[str, tuple[tuple[str, ...],
-                             Callable[[StrategyId, str], Certificate]]] = {
+                             Callable[[StrategyId, str],
+                                      tuple[Certificate, list]]]] = {
     "avg-dot": (("CE1",), lambda s, f: _lp_certificate(
         s, f, build_avg_dot_system, _ce1_queries(), relaxation=False)),
     "avg-dist": (("CE2",), lambda s, f: _lp_certificate(
@@ -868,8 +859,18 @@ _CERTIFIERS: dict[str, tuple[tuple[str, ...],
 
 
 def certify_strategy_failure(strategy: StrategyId | str,
-                             fixture_name: str | None = None) -> Certificate:
-    """Certificate that the strategy cannot simulate the named fixture."""
+                             fixture_name: str | None = None,
+                             nonmonotonic: bool = False) -> Certificate:
+    """Certificate that the strategy cannot simulate the named fixture.
+
+    In non-monotonic mode a monotonic certificate goes through the
+    single-stratum reduction: wrapping the fixture KB as a ranked KB
+    whose one stratum conjoins its formulas leaves every fact the
+    certificate rests on unchanged (re-checked against the rank
+    oracle), so the impossibility transfers.  A certificate that is
+    already non-monotonic (the order argument) is returned in either
+    mode.
+    """
     if isinstance(strategy, str):
         strategy = strategy_from_name(strategy)
     if strategy.name not in _CERTIFIERS:
@@ -880,63 +881,21 @@ def certify_strategy_failure(strategy: StrategyId | str,
     if fixture_name not in fixtures:
         raise ValueError(
             f"unknown fixture {fixture_name!r} for strategy {strategy.name}")
-    return build(strategy, fixture_name)
-
-
-Fact = tuple[tuple[str, ...], str, bool]
-
-
-def _encoded_queries(ev: dict) -> list[Fact]:
-    """The (subset, head, captured) facts a certificate's evidence rests on."""
-    if "system" in ev:
-        return [(tuple(q["subset"]), q["head"], q["captured"])
-                for q in ev["system"]["queries"]]
-    if ev["kind"] == "closure":
-        return [(tuple(f["pair"]), h, f[f"entails_{h}"])
-                for f in ev["pair_facts"]
-                for h in ev["heads"]]
-    if ev["kind"] == "symmetry":
-        cap, rej = ev["must_capture"], ev["must_reject"]
-        return [(tuple(cap["subset"]), cap["head"], True),
-                (tuple(rej["subset"]), rej["head"], False)]
-    return []
-
-
-def _one_stratum(kb: KnowledgeBase) -> StratifiedKB:
-    """The KB as a ranked KB whose one stratum conjoins its formulas."""
-    return StratifiedKB(kb.signature, (conjoin(kb.formulas),))
-
-
-def certify_nonmonotonic_failure(strategy: StrategyId | str,
-                                 fixture_name: str | None = None) -> Certificate:
-    """Non-monotonic impossibility via the single-stratum reduction.
-
-    Wrapping the fixture KB as a one-stratum ranked KB leaves the
-    required captures and rejections unchanged on every encoded query
-    (checked against the rank oracle), so the monotonic certificate
-    transfers.  The order strategy has its own direct certificate.
-    """
-    if isinstance(strategy, str):
-        strategy = strategy_from_name(strategy)
-    if strategy.name == "ord-ord":
-        return certify_strategy_failure(strategy, fixture_name)
-    base = certify_strategy_failure(strategy, fixture_name)
-    kb = fixture(base.fixture)
-    theta = _one_stratum(kb)
+    base, facts = build(strategy, fixture_name)
+    if not nonmonotonic or base.mode == "non-monotonic":
+        return base
+    kb = fixture(fixture_name)
+    theta = StratifiedKB(kb.signature, (conjoin(kb.formulas),))
     table, sig = consequence_table(theta), theta.signature
-    checked = 0
-    for subset, head, captured in _encoded_queries(base.evidence):
+    for subset, head, captured in facts:
         if bool(table[sig.mask(subset)] & sig.bit(head)) != captured:
             raise AssertionError(
                 "single-stratum wrapper changes the verdict on "
                 f"{'&'.join(subset)} -> {head}")
-        checked += 1
-    if checked == 0:
-        raise AssertionError("base certificate recorded no queries")
     evidence = {
         "kind": "stratified-reduction",
         "stratified_digest": kb_digest(theta),
-        "coincidence_checked": checked,
+        "coincidence_checked": len(facts),
         "wrapped": base.to_dict(),
     }
     assumptions = list(base.assumptions) + [
@@ -944,7 +903,7 @@ def certify_nonmonotonic_failure(strategy: StrategyId | str,
         "as the plain KB on every encoded query (re-checked above), so the "
         "monotonic impossibility applies unchanged"
     ]
-    return Certificate(strategy.name, base.fixture, "non-monotonic",
+    return Certificate(strategy.name, fixture_name, "non-monotonic",
                        "not-simulable", evidence, assumptions)
 
 
@@ -970,7 +929,11 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
     if not outcome.feasible:
         return Certificate(AVG_DOT.name, None, "monotonic", "not-simulable",
                            evidence, [])
-    embedding = realize_from_witness(system, outcome, kb.signature.atoms)
+    # build_avg_dot_system names the variables M[a][b] and lam[b]
+    witness, atoms = outcome.witness, kb.signature.atoms
+    embedding = realize_from_matrix(
+        {(a, b): witness[f"M[{a}][{b}]"] for a in atoms for b in atoms},
+        {b: witness[f"lam[{b}]"] for b in atoms}, atoms)
     # an atomless KB has no queries at any cap, and a sweep refuses cap 0
     report = verify_monotonic(embedding, AVG_DOT, kb, cap=max(n, 1))
     if not report.simulates:
@@ -1020,10 +983,9 @@ def _rebuild(doc: dict) -> Certificate:
     fixture_name = doc["fixture"]
     if fixture_name is None:
         return decide_avg_dot(_facts_kb(doc["evidence"]["system"]["queries"]))
-    certify = (certify_nonmonotonic_failure
-               if doc["mode"] == "non-monotonic"
-               else certify_strategy_failure)
-    return certify(strategy_from_name(doc["strategy"]), fixture_name)
+    return certify_strategy_failure(strategy_from_name(doc["strategy"]),
+                                    fixture_name,
+                                    doc["mode"] == "non-monotonic")
 
 
 def reverify_certificate(cert: Certificate | dict) -> bool:
@@ -1032,8 +994,7 @@ def reverify_certificate(cert: Certificate | dict) -> bool:
     Every certificate replays by one rule: rebuilt, it must give the
     same canonical JSON text (sorted keys), so `1` or `1.0` never stands
     in for `true`.  A fixture certificate is rebuilt from its fixture
-    (`certify_nonmonotonic_failure` in non-monotonic mode,
-    `certify_strategy_failure` otherwise), a generic one by
+    by `certify_strategy_failure` in the document's mode, a generic one by
     `decide_avg_dot` on the KB its captured queries describe
     (`_facts_kb`).  So every recorded field is derived again, and the
     rebuild checks its own Farkas combination, witness or closure search

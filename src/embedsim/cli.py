@@ -24,8 +24,8 @@ import json
 import os
 import sys
 
-from .certifier import (canonical_json, certify_nonmonotonic_failure,
-                        certify_strategy_failure, decide_avg_dot)
+from .certifier import (canonical_json, certify_strategy_failure,
+                        decide_avg_dot)
 from .constructors import RECIPES, construct
 from .fixtures import FIXTURE_NAMES
 from .logic import (KBError, StratifiedKB, check_cap, count_models,
@@ -188,11 +188,8 @@ def cmd_certify(args, config) -> int:
         raise UsageError("certify needs exactly one of --fixture or a KB file")
     if args.fixture is not None:
         try:
-            if args.nonmonotonic:
-                cert = certify_nonmonotonic_failure(args.strategy,
-                                                    args.fixture)
-            else:
-                cert = certify_strategy_failure(args.strategy, args.fixture)
+            cert = certify_strategy_failure(args.strategy, args.fixture,
+                                            args.nonmonotonic)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     else:

@@ -70,9 +70,11 @@ def frac_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# CPython's default limit on the digits of an int read from a string:
-# a power of ten up to it is no longer than such an int may be
-_MAX_EXPONENT = 4300
+# CPython's default limit on the digits of an int read from or written
+# to a string: a power of ten up to it is no longer than such an int may
+# be, and a numerator or denominator below _DIGIT_BOUND prints
+_MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** _MAX_DIGITS
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
@@ -82,8 +84,10 @@ def parse_frac(x: str | int) -> Fraction:
     A JSON float was already rounded to binary when it was read, and
     JSON `true` is the int 1, so both are refused, not converted.  A
     decimal string's exponent is refused above 4300: `Fraction` would
-    compute the power of ten in full, and "1e-3000000" would not finish
-    (the digits themselves already stop at CPython's 4300-digit limit).
+    compute the power of ten in full, and "1e-3000000" would not finish.
+    A value whose numerator or denominator has more than 4300 digits is
+    refused too, since neither `frac_str` nor a report could print it
+    ("1e4300", "1e-4300").
     """
     # bool is an int subclass
     if type(x) is not int and not isinstance(x, str):
@@ -91,11 +95,19 @@ def parse_frac(x: str | int) -> Fraction:
     exponent = _EXPONENT.search(x) if isinstance(x, str) else None
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0") or "0"
-        if (len(digits) > len(str(_MAX_EXPONENT))
-                or int(digits) > _MAX_EXPONENT):
+        if (len(digits) > len(str(_MAX_DIGITS))
+                or int(digits) > _MAX_DIGITS):
             raise ValueError(f"decimal exponent of magnitude above "
-                             f"{_MAX_EXPONENT} in {x[:40]!r}")
-    return Fraction(x)
+                             f"{_MAX_DIGITS} in {x[:40]!r}")
+    value = Fraction(x)
+    # without an exponent, a string's numerator and denominator have no
+    # more digits than the string, so only the other cases need the test
+    if ((exponent or type(x) is int or len(x) > _MAX_DIGITS)
+            and max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND):
+        shown = repr(x[:40]) if isinstance(x, str) else "an integer"
+        raise ValueError(f"numerator or denominator of more than "
+                         f"{_MAX_DIGITS} digits in {shown}")
+    return value
 
 
 def vec_strs(v: Vec) -> list[str]:

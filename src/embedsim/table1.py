@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certifier import (canonical_json, certify_nonmonotonic_failure,
-                        certify_strategy_failure, reverify_certificate)
+from .certifier import (canonical_json, certify_strategy_failure,
+                        reverify_certificate)
 from .constructors import RECIPES, construct
 from .fixtures import fixture
 from .strategies import TABLE1_STRATEGIES, StrategyId, sig_conical_diagnostics
@@ -116,10 +116,7 @@ def _construction_cell(strategy: StrategyId, proposition: int,
 
 
 def _certificate_cell(strategy: StrategyId, monotonic: bool) -> CellResult:
-    if monotonic:
-        cert = certify_strategy_failure(strategy)
-    else:
-        cert = certify_nonmonotonic_failure(strategy)
+    cert = certify_strategy_failure(strategy, nonmonotonic=not monotonic)
     column = "monotonic" if monotonic else "non-monotonic"
     if cert.verdict != "not-simulable":
         raise CellFailure(

@@ -19,17 +19,17 @@ from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
                                 _row_blocks,
                                 build_avg_dist_relaxation,
                                 build_avg_dot_system,
-                                certify_nonmonotonic_failure,
                                 certify_strategy_failure, combine_constraints,
                                 conical_closure_certify, decide_avg_dot,
                                 derive_pair_requirements, lp_feasible,
-                                realize_from_matrix, realize_from_witness,
+                                realize_from_matrix,
                                 reverify_certificate, verify_farkas,
                                 verify_witness)
 from embedsim.fixtures import FIXTURE_SOURCES, fixture
 from embedsim.logic import (CapExceededError, KnowledgeBase, Signature,
                             entailment_table, parse_kb)
-from embedsim.strategies import AVG_DOT, frac_str, parse_frac
+from embedsim.strategies import (AVG_DOT, AttributeEmbedding, frac_str,
+                                 parse_frac)
 from embedsim.table1 import run_table1
 from embedsim.verifier import subset_queries, verify_monotonic
 from oracles import tt_entails
@@ -708,20 +708,12 @@ class TestRealize:
 
     def test_feasible_system_realizes_and_verifies(self):
         kb = parse_kb("atoms: a b\nrule: a -> b\n")
-        system = build_avg_dot_system(kb)
-        outcome = lp_feasible(system)
-        assert outcome.feasible
-        emb = realize_from_witness(system, outcome, kb.signature.atoms)
+        cert = decide_avg_dot(kb)
+        assert cert.verdict == "simulable"
+        emb = AttributeEmbedding.from_json_dict(cert.evidence["embedding"])
         assert emb.dimension == 2
         report = verify_monotonic(emb, AVG_DOT, kb)
         assert report.simulates
-
-    def test_infeasible_system_rejected(self):
-        kb = fixture("CE1")
-        system = build_avg_dot_system(kb, queries=_ce1_queries())
-        outcome = lp_feasible(system)
-        with pytest.raises(ValueError):
-            realize_from_witness(system, outcome, kb.signature.atoms)
 
 
 # ------------------------------------------------------------------
@@ -838,7 +830,7 @@ class TestCertificates:
         "avg-dot", "avg-dist", "norm-dot", "norm-dist", "sig-dot",
         "sig-dist", "had-dot-tied", "ord-ord"])
     def test_nonmonotonic_certificates(self, strategy):
-        cert = certify_nonmonotonic_failure(strategy)
+        cert = certify_strategy_failure(strategy, nonmonotonic=True)
         assert cert.verdict == "not-simulable"
         assert cert.mode == "non-monotonic"
         assert reverify_certificate(cert)
@@ -921,7 +913,7 @@ def _monotonic(strategy, fixture_name=None):
 
 
 def _nonmonotonic(strategy):
-    return lambda: certify_nonmonotonic_failure(strategy)
+    return lambda: certify_strategy_failure(strategy, nonmonotonic=True)
 
 
 # the generic decisions replay covers besides CE1's: one KB the
@@ -1027,9 +1019,8 @@ def _certificate_documents() -> tuple[dict, ...]:
     strategy, every fixture it lists, both modes) and the generic
     decisions on NOT_SIMULABLE and SIMULABLE.  Built once and shared, so
     a test changes a copy (`_replaced_at`), never a document itself."""
-    return tuple([_doc(certify(strategy, name))
-                  for certify in (certify_strategy_failure,
-                                  certify_nonmonotonic_failure)
+    return tuple([_doc(certify_strategy_failure(strategy, name, nonmonotonic))
+                  for nonmonotonic in (False, True)
                   for strategy, (names, _) in certifier._CERTIFIERS.items()
                   for name in names] + [
         _doc(decide_avg_dot(parse_kb(source)))

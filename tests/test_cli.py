@@ -331,12 +331,19 @@ class TestVerify:
         {"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
                                     "lambda": "1e10000000"}]},
         {"dimension": 1, "atoms": [{"name": "a", "context": ["1e-3000000"]}]},
+        # loads as a Fraction, but a numerator or denominator of more
+        # than 4300 digits cannot be printed in a report
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["1e4300"]}]},
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
+                                    "lambda": "1e-4300"}]},
+        {"dimension": 1, "atoms": [{"name": "a", "context": ["123e4298"]}]},
     ], ids=["atoms-not-a-list", "not-an-object", "context-not-a-list",
             "zero-denominator", "dimension-not-an-integer",
             "dimension-boolean", "duplicate-atom", "float-coordinate",
             "boolean-coordinate", "float-lambda", "vector-a-string",
             "vector-an-object", "huge-exponent", "huge-exponent-lambda",
-            "huge-negative-exponent"])
+            "huge-negative-exponent", "numerator-4301-digits",
+            "denominator-4301-digits", "mantissa-4301-digits"])
     def test_malformed_embedding_exit_two(self, capsys, ce1_file, tmp_path,
                                           doc):
         emb = tmp_path / "emb.json"
@@ -358,6 +365,27 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cannot load embedding")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_score_past_the_print_limit_exit_two(self, capsys, tmp_path,
+                                                  as_json):
+        # each coordinate loads, but the tied product of a and b has 6001
+        # digits, so the mismatch score cannot be printed
+        kb = tmp_path / "ab.kb"
+        kb.write_text("atoms: a b\n")
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(
+            {"dimension": 1,
+             "atoms": [{"name": atom, "context": ["1e3000"]}
+                       for atom in ("a", "b")]}))
+        flag = ["--json"] if as_json else []
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify", str(kb), str(emb),
+                           "--strategy", "had-dot", *flag)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err.startswith("error: ") and "4300 digits" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [

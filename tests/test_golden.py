@@ -1,7 +1,8 @@
 """Byte-level pins: the table1 JSON, one mismatch report per strategy,
 the generic avg-dot decision certificate for CE1, the indented text
-of both avg-dot CE1 certificates, and each construction recipe's
-embedding on each fixture it applies to.
+of both avg-dot CE1 certificates, each construction recipe's
+embedding on each fixture it applies to, and every fixture certificate
+`certify` prints, with its errors.
 
 Any change to verdicts, query order, score text or serialisation
 changes a digest here.
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import embedsim.certifier as certifier
 from conftest import random_embedding
 from embedsim.certifier import decide_avg_dot
 from embedsim.cli import main
@@ -108,6 +110,74 @@ CONSTRUCTIONS = {
                       "024c1ce8f50fb4e1d99231c2d46f769f",
     ("CE1", 3, 1000): "64b3f7e638a73c5543b7d00759124b3a"
                       "8d5acae34505cf204c618ea483dcc1e0",
+}
+
+# sha256 of `certify --strategy S --fixture F [--nonmonotonic] --json`
+# (the certificate's canonical JSON), per strategy with a certificate,
+# fixture it lists and mode; ord-ord's order argument is non-monotonic
+# in both
+CERTIFICATES = {
+    ("avg-dot", "CE1", "monotonic"):
+        "1c3c633e1ad9e6d6342264e47815b373"
+        "ee05e1e77634817a7459490e77b37e48",
+    ("avg-dot", "CE1", "non-monotonic"):
+        "d5f30b975702dd6a403d3f2de8a21334"
+        "61b4a8314fb145463bb0865b81396b2a",
+    ("avg-dist", "CE2", "monotonic"):
+        "e83dd4abc3faac7f1d11fe034368ecd8"
+        "797eb3ea0c800ba433110c229d9a17a2",
+    ("avg-dist", "CE2", "non-monotonic"):
+        "3f1dcd330f507c7c9a0f42f446629b13"
+        "a7ccd714b75358dbe2ff247e1c1c2e19",
+    ("norm-dot", "CE3", "monotonic"):
+        "886df4c6eb769fe0948fb74836c4fa87"
+        "22481c80d8eb0d779d13dee0aa373e21",
+    ("norm-dot", "CE3", "non-monotonic"):
+        "9c9a89bb5ac992ebe9d64996c552ee63"
+        "1635c8feffa531c45438b2dd391f4a1d",
+    ("norm-dist", "CE3", "monotonic"):
+        "fb8a40c711554790d799dbabd2d9fc02"
+        "cb655e215d2f33181d5dfc6ae310cc43",
+    ("norm-dist", "CE3", "non-monotonic"):
+        "2c08fdb5d63a502e7e017386b2be514b"
+        "f2a3ab95976e0a1bdbc35a4d0d42192d",
+    ("sig-dot", "CE4", "monotonic"):
+        "06bf37e2f955a30b6af0d157357ff205"
+        "ee644c0676ecbbc3a9b4b22bd3fcbcdb",
+    ("sig-dot", "CE4", "non-monotonic"):
+        "40862226f2220e2d9a391fa939740737"
+        "e9f59febe0d2a72a7882edf6e84604fe",
+    ("sig-dist", "CE4", "monotonic"):
+        "7181713044efe4f681796087499a1db8"
+        "a15225187d157904bd85e543a26fa9c5",
+    ("sig-dist", "CE4", "non-monotonic"):
+        "faf8ceb3e0f6bc70d873031716022dba"
+        "ba9144faa7be923dac8106f359616bd3",
+    ("had-dot-tied", "MOTHER", "monotonic"):
+        "a70f6cb2cf0e97311d1c14d5dfe49bb9"
+        "45d9a7c05f275c2bc189a6fe77734a78",
+    ("had-dot-tied", "MOTHER", "non-monotonic"):
+        "92ecbad9c0b75703d1bdf16bf1bbe8e9"
+        "54a9a9c3600815cbed0e3eebb832b874",
+    ("had-dot-tied", "CE4", "monotonic"):
+        "11c797f7124ef889224b55d99a540fa1"
+        "a9c412e939044ebc24c88cfc286fc516",
+    ("had-dot-tied", "CE4", "non-monotonic"):
+        "5240e681d9791016f093c5b44e140943"
+        "786e608dba9acc7ed7e8fdcb6316a244",
+    ("ord-ord", "ORD-NM", "monotonic"):
+        "8910ae3a5b8ff642fc32c3b64648d020"
+        "ba652bbe6b7e36a0dd6ad4478e41dab1",
+    ("ord-ord", "ORD-NM", "non-monotonic"):
+        "8910ae3a5b8ff642fc32c3b64648d020"
+        "ba652bbe6b7e36a0dd6ad4478e41dab1",
+}
+
+# the one line `certify` writes to stderr, exiting 2, in both modes: a
+# strategy without a certificate, and a fixture the strategy does not list
+CERTIFY_ERRORS = {
+    ("avg-relu", "CE1"): "error: no failure fixture for strategy avg-relu",
+    ("avg-dot", "CE3"): "error: unknown fixture 'CE3' for strategy avg-dot",
 }
 
 SCORE_PREFIX = {
@@ -214,3 +284,32 @@ def test_ce1_decision_certificate_bytes():
     cert = decide_avg_dot(fixture("CE1"))
     assert cert.verdict == "not-simulable"
     assert sha256_text(json.dumps(cert.to_dict(), sort_keys=True)) == want
+
+
+def certify_argv(strategy: str, name: str, mode: str) -> list[str]:
+    flag = ["--nonmonotonic"] if mode == "non-monotonic" else []
+    return ["certify", "--strategy", strategy, "--fixture", name, *flag]
+
+
+def test_certificate_pins_cover_every_listed_fixture_in_both_modes():
+    assert set(CERTIFICATES) == {
+        (strategy, name, mode)
+        for strategy, (names, _) in certifier._CERTIFIERS.items()
+        for name in names for mode in ("monotonic", "non-monotonic")}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATES), ids=str)
+def test_certificate_bytes(capsys, case):
+    assert main([*certify_argv(*case), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert sha256_text(out[:-1]) == CERTIFICATES[case]
+
+
+@pytest.mark.parametrize("mode", ["monotonic", "non-monotonic"])
+@pytest.mark.parametrize("case", sorted(CERTIFY_ERRORS), ids=str)
+def test_certify_error_text(capsys, case, mode):
+    assert main(certify_argv(*case, mode)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == CERTIFY_ERRORS[case] + "\n"

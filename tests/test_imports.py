@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
-private module-level name is read somewhere in the library, and no
-top-level name is defined in two library modules.
+private module-level name is read somewhere in the library, no
+top-level name is defined in two library modules, and every parameter
+of a library function is read in its body.
 
 Static scans with `ast`.  The first stands in for a linter's
 unused-import rule (F401): a deletion that leaves an import behind fails
@@ -10,10 +11,13 @@ scanned for imports.  The second finds a `_name` that a module defines
 at its top level and no module of the package reads: a helper left
 behind when its last caller was deleted.  The third finds a name that
 two modules (`__init__.py` aside) each bind by a def, a class or an
-assignment: a copy that can drift from the one it copies.
+assignment: a copy that can drift from the one it copies.  The fourth
+finds a parameter that a function (or lambda) takes and never reads,
+outside a short list of signatures that are fixed from outside.
 """
 
 import ast
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -192,3 +196,76 @@ def test_scan_finds_an_unused_private_name():
                             "_orphan", "_Hidden"}
     assert {"_universe", "_attribute"} <= _reads(tree)
     assert set(defined) - _reads(tree) == {"_unused", "_written", "_orphan"}
+
+
+# (module, function name pattern, parameter): why the signature keeps a
+# parameter the body does not read
+UNREAD_PARAMETERS = {
+    ("cli.py", "cmd_*", "config"):
+        "every subcommand is dispatched as func(args, config)",
+    ("strategies.py", "_norm_start", "cden"):
+        "a pooling step's start takes the same arguments for every "
+        "strategy",
+    ("verifier.py", "to_dict", "timing"):
+        "perfbench passes timing=False; statistics are due to move into "
+        "the library (ROADMAP item 2)",
+}
+
+
+def _unread_parameters(module: str, tree: ast.Module) -> list[tuple]:
+    """(module, function, parameter, line) for each parameter of a def
+    or lambda that its body never loads; `self` and `cls` left out."""
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None and a.arg not in ("self", "cls")]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        loaded = {n.id for statement in body for n in ast.walk(statement)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [(module, name, param, node.lineno) for param in params
+                   if param not in loaded]
+    return unread
+
+
+def _allowance(module: str, function: str, param: str) -> tuple | None:
+    """The `UNREAD_PARAMETERS` key that allows this parameter, if any."""
+    return next((key for key in UNREAD_PARAMETERS
+                 if (module, param) == (key[0], key[2])
+                 and fnmatch(function, key[1])), None)
+
+
+def test_no_unread_parameters():
+    unread = [entry for p in MODULES
+              for entry in _unread_parameters(p.name,
+                                              ast.parse(p.read_text()))]
+    found = [f"{m}:{line} {f}({p})" for m, f, p, line in unread
+             if _allowance(m, f, p) is None]
+    assert not found, "parameters never read: " + ", ".join(found)
+    # an entry that no longer matches anything is dropped from the list
+    stale = set(UNREAD_PARAMETERS) - {_allowance(m, f, p)
+                                      for m, f, p, _ in unread}
+    assert not stale, f"allowed but read: {sorted(stale)}"
+
+
+def test_scan_finds_an_unread_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n"
+              "    def g(d):\n"
+              "        return a + d\n"
+              "    return g(c), kw\n"
+              "class K:\n"
+              "    def m(self, e):\n"
+              "        return (lambda x, y: x)(e, 0)\n"
+              "def cmd_x(args, config):\n"
+              "    return args\n")
+    unread = _unread_parameters("cli.py", ast.parse(source))
+    assert {(f, p) for _, f, p, _ in unread} == {
+        ("f", "b"), ("f", "args"), ("<lambda>", "y"), ("cmd_x", "config")}
+    assert _allowance("cli.py", "cmd_x", "config") == (
+        "cli.py", "cmd_*", "config")
+    assert _allowance("cli.py", "f", "b") is None

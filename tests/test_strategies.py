@@ -573,7 +573,13 @@ class TestEmbeddingJson:
         assert parse_frac(-4) == F(-4)  # a JSON integer is exact
         assert parse_frac("0.5") == F(1, 2)
         assert parse_frac("1e3") == F(1000)
-        assert parse_frac("1e-4300") == F(1, 10 ** 4300)
+        assert parse_frac("1e-4299") == F(1, 10 ** 4299)
+        assert parse_frac("1e4299") == F(10 ** 4299)
+        # a numerator or denominator of more than 4300 digits could not
+        # be printed
+        for value in ("1e4300", "1e-4300", "123e4298"):
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                parse_frac(value)
         # an exponent is refused before its power of ten is computed
         for value in ("1e4301", "1e-3000000", "2E" + "9" * 5000):
             with pytest.raises(ValueError, match="decimal exponent"):
