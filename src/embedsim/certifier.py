@@ -599,35 +599,36 @@ class ClosureOutcome:
     refutations: list[dict] = field(default_factory=list)
 
 
-def _violated(req: PairRequirement, sides: dict[str, str]) -> bool:
-    # a strictly negative pooled point is impossible when both members
-    # sit in the closed positive half-space (conical combinations stay
-    # there), so at least one member must be strictly negative; dually
-    # for strictly positive pooled points.
-    u, v = req.pair
-    if req.side == "negative":
-        return sides[u] != "negative" and sides[v] != "negative"
-    return sides[u] != "positive" and sides[v] != "positive"
-
-
 def conical_closure_certify(requirement: ConicalRequirement) -> ClosureOutcome:
     """Exhaustive sign-assignment search over the base vectors.
 
     Every embedding places each base vector strictly below, on, or
     strictly above the abstract hyperplane; if all 3^|base| assignments
-    violate some pair requirement, no embedding meets them all.
+    violate some pair requirement, no embedding meets them all.  A
+    strictly negative pooled point is impossible when both members sit
+    in the closed positive half-space (conical combinations stay
+    there), so a requirement is violated when neither member sits
+    strictly on its side; dually for strictly positive pooled points.
+
+    Each requirement is bound once to the base positions of its
+    members (a repeated base name takes its last position, as the
+    assignment's dict does), its side and its document, so an
+    assignment is tested by tuple index.
     """
     base = requirement.base
+    position = {name: i for i, name in enumerate(base)}
+    checks = [(position[r.pair[0]], position[r.pair[1]], r.side, r.to_dict())
+              for r in requirement.requirements]
     total = 0
     refutations = []
     for combo in itertools.product(SIDES, repeat=len(base)):
         total += 1
+        hit = next((doc for u, v, side, doc in checks
+                    if combo[u] != side and combo[v] != side), None)
         sides = dict(zip(base, combo))
-        hit = next((r for r in requirement.requirements
-                    if _violated(r, sides)), None)
         if hit is None:
             return ClosureOutcome(True, total, satisfying=sides)
-        refutations.append({"assignment": sides, "violated": hit.to_dict()})
+        refutations.append({"assignment": sides, "violated": hit})
     return ClosureOutcome(False, total, refutations=refutations)
 
 

@@ -208,10 +208,26 @@ class Signature:
         return m
 
 
+# A KB is an `lru_cache` key of every table below.  The hash a frozen
+# dataclass derives walks every formula tree on each call, so each KB
+# hashes its fields once, and formats its source text for `kb_digest`
+# once, as `Signature._index` is built once.
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     signature: Signature
     formulas: tuple[Formula, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.signature, self.formulas))
+
+    @cached_property
+    def _digest(self) -> str:
+        return hashlib.sha256(kb_to_source(self).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -225,6 +241,17 @@ class StratifiedKB:
         if not self.strata:
             raise ValueError("stratified KB needs at least one stratum")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.signature, self.strata))
+
+    @cached_property
+    def _digest(self) -> str:
+        return hashlib.sha256(kb_to_source(self).encode()).hexdigest()
+
 
 def kb_to_source(kb: KnowledgeBase | StratifiedKB) -> str:
     """Canonical source text; identical KBs serialize identically."""
@@ -237,7 +264,8 @@ def kb_to_source(kb: KnowledgeBase | StratifiedKB) -> str:
 
 
 def kb_digest(kb: KnowledgeBase | StratifiedKB) -> str:
-    return hashlib.sha256(kb_to_source(kb).encode()).hexdigest()
+    """SHA-256 of the KB's canonical source text, formatted once per KB."""
+    return kb._digest
 
 
 # ------------------------------------------------------------------

@@ -3,8 +3,13 @@
 Positive cells are backed by running the matching construction on
 bundled fixtures and verifying it exhaustively (zero mismatches
 required); negative cells are backed by certificates that are replayed
-from their own serialized evidence inside the same run.  Sigmoid rows
-additionally carry numeric optimizer diagnostics as corroborating,
+from their own serialized evidence inside the same run.  A row whose
+two cells are both certificates is built once: its non-monotonic
+certificate is the stratified reduction of the monotonic one and
+carries it whole (`evidence["wrapped"]`), so the monotonic cell takes
+that document instead of building it again.  Each cell is still
+replayed on its own, rebuilt from its fixture in its own mode.  Sigmoid
+rows additionally carry numeric optimizer diagnostics as corroborating,
 non-authoritative evidence; the diagnostics depend only on the seed, so
 they are computed once per table and both sigmoid rows carry that one
 dict.
@@ -115,34 +120,44 @@ def _construction_cell(strategy: StrategyId, proposition: int,
     return CellResult("simulable", "construction+verification", evidence)
 
 
-def _certificate_cell(strategy: StrategyId, monotonic: bool) -> CellResult:
-    cert = certify_strategy_failure(strategy, nonmonotonic=not monotonic)
-    column = "monotonic" if monotonic else "non-monotonic"
-    if cert.verdict != "not-simulable":
+def _certificate_cell(strategy: StrategyId, column: str,
+                      doc: dict) -> CellResult:
+    """The cell a certificate document backs, once it replays."""
+    if doc["verdict"] != "not-simulable":
         raise CellFailure(
             f"cell ({strategy.name}, {column}): expected an impossibility "
-            f"certificate, got verdict {cert.verdict}")
-    if not reverify_certificate(cert):
+            f"certificate, got verdict {doc['verdict']}")
+    if not reverify_certificate(doc):
         raise CellFailure(
             f"cell ({strategy.name}, {column}): certificate failed replay")
-    method = ("certificate-with-assumptions" if cert.assumptions
+    method = ("certificate-with-assumptions" if doc["assumptions"]
               else "certificate")
-    return CellResult("not-simulable", method, [cert.to_dict()])
+    return CellResult("not-simulable", method, [doc])
 
 
-def _cell(strategy: StrategyId, monotonic: bool) -> CellResult:
-    """A construction cell where a recipe builds this strategy for the
-    column's KB kind, else a certificate cell."""
-    kind = "plain" if monotonic else "stratified"
-    for proposition, recipe in RECIPES.items():
-        if recipe == (strategy, kind):
-            return _construction_cell(strategy, proposition, monotonic)
-    return _certificate_cell(strategy, monotonic)
+def _recipe(strategy: StrategyId, kind: str) -> int | None:
+    """The recipe that builds this strategy for KBs of this kind, if any."""
+    return next((proposition for proposition, recipe in RECIPES.items()
+                 if recipe == (strategy, kind)), None)
 
 
 def _build_row(strategy: StrategyId, diagnostics: dict) -> RowResult:
-    mono = _cell(strategy, monotonic=True)
-    nm = _cell(strategy, monotonic=False)
+    """A construction cell where a recipe builds the strategy for the
+    column's KB kind, else a certificate cell.  No recipe builds for
+    stratified KBs a strategy that has none for plain ones, so a row
+    with a monotonic certificate has a non-monotonic one too: its
+    stratified reduction, which carries the monotonic document."""
+    plain = _recipe(strategy, "plain")
+    stratified = _recipe(strategy, "stratified")
+    if stratified is None:
+        doc = certify_strategy_failure(strategy, nonmonotonic=True).to_dict()
+    mono = (_construction_cell(strategy, plain, monotonic=True)
+            if plain is not None else
+            _certificate_cell(strategy, "monotonic",
+                              doc["evidence"]["wrapped"]))
+    nm = (_construction_cell(strategy, stratified, monotonic=False)
+          if stratified is not None else
+          _certificate_cell(strategy, "non-monotonic", doc))
     return RowResult(strategy.name, strategy.pooling, strategy.labelling,
                      strategy.tied, mono, nm,
                      diagnostics if strategy.pooling == "sig" else None)

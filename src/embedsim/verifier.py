@@ -17,7 +17,9 @@ lattice level by level, pools each subset by one step from the subset
 less its top atom and extends that subset's name tuple by the same
 atom, labels all its heads at once as a bitmask, and XORs that with its
 table entry.  A subset with wrong heads costs one `scores` call, which
-yields the score text of each wrong head.  `verify_monotonic` takes a
+yields the score text of each wrong head; a score holding an integer
+longer than CPython's int-to-text limit is refused in one line that
+names the subset and its wrong heads.  `verify_monotonic` takes a
 plain KB and `verify_nonmonotonic` a stratified one; each refuses the
 other kind, so the table's type dispatch never swaps the semantics
 asked for.
@@ -32,6 +34,7 @@ entry at S's mask, and the strategy's decision is the labeller of
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -185,10 +188,18 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
         got = labeller.labels(pooled)
         wrong = got ^ table.item(mask)
         if wrong:  # one mismatch per wrong head, in head order
-            for i, score in labeller.scores(pooled, wrong):
-                label = bool(got >> i & 1)
-                mismatches.append(
-                    Mismatch(subset, atoms[i], not label, label, score))
+            try:
+                for i, score in labeller.scores(pooled, wrong):
+                    label = bool(got >> i & 1)
+                    mismatches.append(
+                        Mismatch(subset, atoms[i], not label, label, score))
+            except ValueError:
+                heads = ", ".join(a for i, a in enumerate(atoms)
+                                  if wrong >> i & 1)
+                raise ValueError(
+                    f"the score of {'&'.join(subset)} -> {heads} cannot be "
+                    f"printed: an integer in it has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
     return VerificationReport(strategy.name, kb_digest(kb), kind, cap,
                               cap < len(signature), queries, mismatches)
 

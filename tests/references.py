@@ -8,6 +8,9 @@ and the Farkas re-check with the library and must return exactly what
 it stood before it moved to integers: one `Fraction` sum per row.
 `ref_combine_constraints` is the Farkas recombination as it stood
 before it moved to integers: one `Fraction` product per coefficient.
+`ref_conical_closure_certify` is the closure search as it stood before
+it bound each requirement to base positions: one dict of sides per
+assignment, each requirement tested through it by name.
 
 The `ref_*` pooling, labelling and score functions are the exact
 strategy evaluators as they stood before the library moved to integer
@@ -40,6 +43,7 @@ the first repeated state: every one of the `iterations` steps taken.
 It must return the same bytes as `_sig_ascent`.
 """
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,9 +52,10 @@ from functools import partial
 import numpy as np
 
 from conftest import pool
-from embedsim.certifier import (FarkasCertificate, FeasibilityOutcome,
-                                LinearSystem, _normalize_multipliers,
-                                verify_farkas)
+from embedsim.certifier import (SIDES, ClosureOutcome, ConicalRequirement,
+                                FarkasCertificate, FeasibilityOutcome,
+                                LinearSystem, PairRequirement,
+                                _normalize_multipliers, verify_farkas)
 from embedsim.constructors import ConstructionResult, _delta
 from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And, Const,
                             DuplicateAtomError, Iff, Implies, KnowledgeBase,
@@ -210,6 +215,37 @@ def dense_lp_feasible(system: LinearSystem,
     gap = verify_farkas(system, multipliers)
     return FeasibilityOutcome(False,
                               farkas=FarkasCertificate(multipliers, gap))
+
+
+# ------------------------------------------------------------------
+# The closure search, one dict of sides per assignment
+# ------------------------------------------------------------------
+
+def _ref_violated(req: PairRequirement, sides: dict[str, str]) -> bool:
+    # a strictly negative pooled point is impossible when both members
+    # sit in the closed positive half-space (conical combinations stay
+    # there), so at least one member must be strictly negative; dually
+    # for strictly positive pooled points.
+    u, v = req.pair
+    if req.side == "negative":
+        return sides[u] != "negative" and sides[v] != "negative"
+    return sides[u] != "positive" and sides[v] != "positive"
+
+
+def ref_conical_closure_certify(requirement: ConicalRequirement
+                                ) -> ClosureOutcome:
+    base = requirement.base
+    total = 0
+    refutations = []
+    for combo in itertools.product(SIDES, repeat=len(base)):
+        total += 1
+        sides = dict(zip(base, combo))
+        hit = next((r for r in requirement.requirements
+                    if _ref_violated(r, sides)), None)
+        if hit is None:
+            return ClosureOutcome(True, total, satisfying=sides)
+        refutations.append({"assignment": sides, "violated": hit.to_dict()})
+    return ClosureOutcome(False, total, refutations=refutations)
 
 
 # ------------------------------------------------------------------

@@ -34,7 +34,7 @@ from embedsim.table1 import run_table1
 from embedsim.verifier import subset_queries, verify_monotonic
 from oracles import tt_entails
 from references import (dense_lp_feasible, ref_combine_constraints,
-                        ref_verify_witness)
+                        ref_conical_closure_certify, ref_verify_witness)
 
 F = Fraction
 
@@ -770,6 +770,64 @@ class TestConicalClosure:
             u, v = violated["pair"]
             want = violated["side"]
             assert sides[u] != want and sides[v] != want
+
+
+def random_conical_requirement(rng: random.Random) -> ConicalRequirement:
+    """A base of 1-5 vectors, its last name sometimes a repeat, and pair
+    requirements over its distinct names: every pair or a few, each
+    with a side, then some repeated, either way round, with either
+    side, all in random order."""
+    sides = ("negative", "positive")
+    n = rng.choice((1, 2, 3, 4, 4, 5, 5, 5))  # few requirements fit 1-2
+    base = list("abcde"[:n])
+    if n > 2 and rng.random() < 0.5:
+        base[-1] = base[rng.randrange(n - 2)]
+    pairs = list(itertools.combinations(sorted(set(base)), 2))
+    if not pairs:
+        requirements = []
+    elif rng.random() < 0.5:
+        requirements = [PairRequirement(p, rng.choice(sides)) for p in pairs]
+    else:
+        requirements = [PairRequirement(rng.choice(pairs), rng.choice(sides))
+                        for _ in range(rng.randint(0, 8))]
+    requirements += [
+        PairRequirement(r.pair[::-1] if rng.random() < 0.5 else r.pair,
+                        rng.choice(sides))
+        for r in requirements if rng.random() < 0.5]
+    rng.shuffle(requirements)
+    return ConicalRequirement(tuple(base), tuple(requirements))
+
+
+def _same_closure_outcome(requirement):
+    got = conical_closure_certify(requirement)
+    want = ref_conical_closure_certify(requirement)
+    assert (got.consistent, got.total, got.satisfying, got.refutations) == (
+        want.consistent, want.total, want.satisfying, want.refutations)
+
+
+class TestClosureMatchesReference:
+    """The closure search, bound to base positions, returns what the
+    search by name returns: verdict, count, satisfying assignment and
+    every refutation, in order."""
+
+    @pytest.mark.parametrize("name", [n for n in sorted(FIXTURE_SOURCES)
+                                      if isinstance(fixture(n),
+                                                    KnowledgeBase)])
+    def test_every_fixture_requirement(self, name):
+        # every ordered pair of heads, over the first five other atoms
+        atoms = fixture(name).signature.atoms
+        for head_neg, head_pos in itertools.permutations(atoms, 2):
+            base = [a for a in atoms if a not in (head_neg, head_pos)][:5]
+            requirement, _ = derive_pair_requirements(
+                fixture(name), base, head_neg, head_pos)
+            _same_closure_outcome(requirement)
+
+    # 700 seeds give more than 500 distinct requirements: a base of one
+    # or two vectors admits few
+    @settings(max_examples=700)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_random_requirements(self, seed):
+        _same_closure_outcome(random_conical_requirement(random.Random(seed)))
 
 
 # ------------------------------------------------------------------

@@ -371,7 +371,7 @@ class TestVerify:
     def test_score_past_the_print_limit_exit_two(self, capsys, tmp_path,
                                                   as_json):
         # each coordinate loads, but the tied product of a and b has 6001
-        # digits, so the mismatch score cannot be printed
+        # digits, so the mismatch score of a -> b cannot be printed
         kb = tmp_path / "ab.kb"
         kb.write_text("atoms: a b\n")
         emb = tmp_path / "emb.json"
@@ -386,6 +386,7 @@ class TestVerify:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert err.startswith("error: ") and "4300 digits" in err
+        assert "a -> b" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [

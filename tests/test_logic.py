@@ -1,5 +1,6 @@
 """Parser, semantics, and the two consequence relations."""
 
+import hashlib
 import random
 import time
 
@@ -8,16 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (DEEP_FORMULA_PROBES, follows, formulas_over, plain_kbs,
-                      random_formula, random_rule_kb, random_stratified_kb)
+                      random_embedding, random_formula, random_rule_kb,
+                      random_stratified_kb)
 from embedsim import logic
 from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And,
                             CapExceededError, DuplicateAtomError, Iff,
                             Implies, KnowledgeBase, Not, Or, ParseError,
                             Signature, StratifiedKB, UndeclaredAtomError, Var,
                             count_models, counter_models, entails,
-                            format_formula, kb_to_source, parse_kb,
+                            format_formula, kb_digest, kb_to_source, parse_kb,
                             rank_table, truth_set)
-from embedsim.fixtures import fixture
+from embedsim.fixtures import FIXTURE_SOURCES, fixture
+from embedsim.strategies import HAD_DOT
+from embedsim.verifier import verify_monotonic
 from oracles import (mask_names, scan_counter_models, tt_entails, tt_evaluate,
                      tt_models, tt_mu, tt_nm_def, tt_nm_rank)
 from references import ref_format_formula, ref_models, ref_parse_kb
@@ -615,3 +619,51 @@ class TestConsequenceTables:
                 assert follows(theta, subset, head) == (
                     head in subset)
                 assert tt_nm_rank(theta, subset, head) == (head in subset)
+
+
+class TestKBHashAndDigestOnce:
+    """Each KB object hashes its fields and formats its source text once;
+    the values are those derived from the fields every time."""
+
+    @staticmethod
+    def _kbs():
+        rng = random.Random(47)
+        atoms = ["a", "b", "c", "d"]
+        return ([fixture(name) for name in sorted(FIXTURE_SOURCES)]
+                + [random_rule_kb(rng, atoms) for _ in range(10)]
+                + [random_stratified_kb(rng, atoms) for _ in range(10)])
+
+    def test_digest_is_the_source_text_hash(self):
+        for kb in self._kbs():
+            want = hashlib.sha256(kb_to_source(kb).encode()).hexdigest()
+            assert kb_digest(kb) == want
+            assert kb_digest(kb) == want  # and again, from the cache
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for kb in self._kbs():
+            body = kb.formulas if isinstance(kb, KnowledgeBase) else kb.strata
+            assert hash(kb) == hash((kb.signature, body))
+
+    def test_equal_kbs_hash_and_compare_equal(self):
+        for kb in self._kbs():
+            again = parse_kb(kb_to_source(kb))
+            assert again is not kb
+            assert again == kb and hash(again) == hash(kb)
+            # an lru_cache keyed by either object answers for both
+            assert (logic.consequence_table(again)
+                    is logic.consequence_table(kb))
+
+    def test_two_sweeps_format_the_source_once(self, monkeypatch):
+        calls = []
+
+        def counting(kb):
+            calls.append(kb)
+            return kb_to_source(kb)
+
+        monkeypatch.setattr(logic, "kb_to_source", counting)
+        kb = random_rule_kb(random.Random(53), ["a", "b", "c"])
+        emb = random_embedding(random.Random(59), ["a", "b", "c"])
+        first = verify_monotonic(emb, HAD_DOT, kb)
+        second = verify_monotonic(emb, HAD_DOT, kb)
+        assert first.kb_digest == second.kb_digest
+        assert calls == [kb]

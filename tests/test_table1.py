@@ -3,10 +3,12 @@
 import pytest
 
 import embedsim.table1 as table1
+from embedsim.certifier import certify_strategy_failure, reverify_certificate
 from embedsim.constructors import RECIPES
 from embedsim.strategies import sig_conical_diagnostics
 from embedsim.table1 import (MONOTONIC_DEMO_FIXTURES,
-                             NONMONOTONIC_DEMO_FIXTURES, run_table1)
+                             NONMONOTONIC_DEMO_FIXTURES, CellFailure,
+                             run_table1)
 from references import ref_sig_ascent
 
 NEG = ("not-simulable", "not-simulable")
@@ -49,6 +51,72 @@ def test_construction_cells_are_the_recipe_table(report):
              if cell.method == "construction+verification"}
     assert built == {(strategy.name, kind): number
                      for number, (strategy, kind) in RECIPES.items()}
+
+
+def test_every_stratified_recipe_has_a_plain_one():
+    # so a row with a monotonic certificate has a non-monotonic one,
+    # whose stratified reduction carries it
+    plain = {strategy for strategy, kind in RECIPES.values()
+             if kind == "plain"}
+    assert all(strategy in plain for strategy, kind in RECIPES.values())
+
+
+def test_certificate_rows_are_built_once_and_every_cell_replayed(
+        monkeypatch):
+    built, replayed = [], []
+
+    def counting_build(strategy, *args, **kwargs):
+        built.append(strategy.name)
+        return certify_strategy_failure(strategy, *args, **kwargs)
+
+    def counting_replay(doc):
+        replayed.append((doc["strategy"], doc["mode"]))
+        return reverify_certificate(doc)
+
+    monkeypatch.setattr(table1, "certify_strategy_failure", counting_build)
+    monkeypatch.setattr(table1, "reverify_certificate", counting_replay)
+    report = run_table1()
+    # one build per row with a certificate cell, not one per cell (15) ...
+    assert built == ["avg-dot", "avg-dist", "norm-dot", "norm-dist",
+                     "sig-dot", "sig-dist", "had-dot-tied", "ord-ord"]
+    # ... and one replay per certificate cell, each in its own mode
+    cells = [(row.strategy, mode)
+             for row in report.rows
+             for mode, cell in (("monotonic", row.monotonic),
+                                ("non-monotonic", row.non_monotonic))
+             if cell.verdict == "not-simulable"]
+    assert len(replayed) == 15
+    assert replayed == cells
+
+
+def test_monotonic_cell_is_the_wrapped_document(report):
+    for row in report.rows:
+        if row.monotonic.verdict == "not-simulable":
+            [wrapped] = row.monotonic.evidence
+            [reduction] = row.non_monotonic.evidence
+            assert reduction["evidence"]["wrapped"] == wrapped
+            assert wrapped == certify_strategy_failure(
+                row.strategy).to_dict()
+
+
+@pytest.mark.parametrize("strategy", ["avg-dot", "norm-dist", "sig-dot",
+                                      "had-dot-tied"])
+@pytest.mark.parametrize("tamper", ["verdict", "assumptions"])
+def test_tampered_wrapped_document_names_its_row(monkeypatch, strategy,
+                                                 tamper):
+    def tampered(s, *args, **kwargs):
+        cert = certify_strategy_failure(s, *args, **kwargs)
+        if s.name == strategy:
+            wrapped = cert.evidence["wrapped"]
+            if tamper == "verdict":
+                wrapped["verdict"] = "simulable"
+            else:
+                wrapped["assumptions"] = wrapped["assumptions"] + ["x"]
+        return cert
+
+    monkeypatch.setattr(table1, "certify_strategy_failure", tampered)
+    with pytest.raises(CellFailure, match=rf"^cell \({strategy}, "):
+        run_table1()
 
 
 def test_sig_rows_carry_numeric_diagnostics(report):
