@@ -1,59 +1,36 @@
 """Impossibility certificates for embedding strategies.
 
-Three certificate engines:
+Which engine serves which certificate:
 
-  * an exact rational linear program over the dot products M[a][b] and
-    thresholds: feasible systems yield a witness matrix (realisable as
-    an actual embedding), infeasible ones a Farkas combination that
-    collapses the constraints to 0 >= positive;
-  * the same machinery over Gram/cross/norm/radius variables for the
-    averaged distance labelling (a necessary-condition relaxation: the
-    positive-semidefiniteness of the Gram matrix is deliberately not
-    encoded, so only infeasibility is conclusive);
-  * a half-space closure search for normalised and sigmoid pooling:
-    each pooled pair must sit strictly on a prescribed side of an
-    abstract separating hyperplane while closed half-spaces absorb
-    conical combinations, and exhaustive enumeration of the 3^|base|
-    sign assignments shows no assignment survives.
+  * CE1 (averaged dot) and CE2 (averaged distance): a Farkas
+    certificate with stated multipliers.  As in the paper's proofs, each
+    constraint of the fixture's query-restricted system is added once,
+    so every multiplier is 1, and `verify_farkas` checks exactly that
+    the sum collapses to 0 >= positive.  CE2's system, over Gram, cross,
+    norm and radius variables, is a relaxation (the Gram matrix's
+    positive-semidefiniteness is not encoded), which a refutation does
+    not need;
+  * the generic avg-dot decision (`decide_avg_dot`): the exact simplex
+    `lp_feasible` on the complete system, whose witness is realised as
+    an embedding and re-verified by a sweep, or whose Farkas
+    multipliers refute it;
+  * normalised and sigmoid pooling: a half-space closure search.  Each
+    pooled pair must sit strictly on a prescribed side of an abstract
+    separating hyperplane while closed half-spaces absorb conical
+    combinations, and no one of the 3^|base| sign assignments survives;
+  * tied Hadamard pooling and max pooling with product-order labelling:
+    a symmetry and an order argument.
 
-The two builders take the KB, answer every query from its entailment
-table, and emit rows of plain ints.  Strict inequalities enter as unit
-margins: the systems are positively homogeneous in their variables, so a
-solution with any positive slack can be scaled to one with slack 1, and
-rows are cleared of the averaging denominators (a positive row scaling
-that changes nothing about feasibility).  Every system comes from these
-builders, so every row is ints; `_integer_row` orients a row to >=, and
-each system runs it once per row (`LinearSystem.int_rows`), for the
-simplex and for the witness and Farkas checks alike.
-
-The exact simplex (`lp_feasible`) splits a system into connected blocks
-of rows, two rows sharing a block when they share a variable; the
-avg-dot system, for instance, falls apart into one block per head.  Each
-block gets its own phase-1 tableau, and a pivot subtracts only at the
-pivot row's non-zero positions.  Pivots, witness and Farkas multipliers
-equal those of the single joint tableau: every column belongs to
-exactly one block, so row operations never cross blocks, and Bland's
-lowest-index entering and leaving choices restricted to a block, whose
-columns keep the joint order, are the joint choices.
-
-The tableau holds integers only.  A row is a list of ints over one
-positive row denominator, its value being ints / denominator; it starts
-as the oriented constraint over denominator 1.  Only the p and slack
-columns and the rhs are stored: the q and artificial columns are their
-negations and are read off them (`_phase1_block`).  The entering column
-is the first reduced cost with a positive numerator, and the ratio test
-compares rhs / entry across rows by cross-multiplying (a row's
-denominator cancels in its own ratio).  A pivot keeps the pivot row's
-ints and makes the pivot entry its denominator; every other row with
-entering entry f becomes (T pe - f P) / (dt pe), reduced by its gcd,
-or, when pe and dt are both 1, just T - f P, updated in place.
-Each row stands for the same rationals as in a `Fraction` tableau,
-and every choice depends only on signs and exact comparisons, so the
-choices, and with them the returned values, are those of the `Fraction`
-tableau (`tests/references.py` keeps one as the reference).  `Fraction`s
-are built only for the witness, the phase-1 objective and the
-multipliers.  The witness re-check `verify_witness` also runs in
-integers.
+The two system builders take the KB, answer every query from its
+entailment table, and emit rows of plain ints.  Strict inequalities
+enter as unit margins: the systems are positively homogeneous in their
+variables, so a solution with any positive slack can be scaled to one
+with slack 1, and rows are cleared of the averaging denominators (a
+positive row scaling that changes nothing about feasibility).  Every
+system comes from these builders, so every row is ints; `_integer_row`
+orients a row to >=, and each system runs it once per row
+(`LinearSystem.int_rows`), for the simplex and for the witness and
+Farkas checks alike.
 
 Replay trusts nothing a certificate records: every certificate is
 rebuilt, a fixture certificate from its fixture and a generic decision
@@ -363,24 +340,11 @@ def _phase1_block(rows: Sequence[IntRow], block: Sequence[int]
                   ) -> tuple[Fraction, dict[int, Fraction], list[Fraction]]:
     """Phase-1 simplex on one connected block of rows, in integers.
 
-    The block's columns of the joint tableau are, in Bland's order, p
-    then q for the block's variables, then the rows' slacks, then the
-    artificials of the rows whose rhs is non-negative; `basis` holds
-    these joint indices.  Only the p and slack columns and the rhs are
-    stored, as ints over one positive row denominator: in every
-    constraint row a q column is its p column negated, and an
-    artificial its row's slack column negated, since row operations
-    keep both relations.  In the reduced-cost row (over zden) likewise
-    z_q = -z_p and, an artificial costing 1, z_art = -z_slack - zden.
-    A derived column enters by those readings: the ratio test reads the
-    negated stored entries, and the pivot row's stored entry, negated,
-    becomes its denominator, which so stays positive.
-
-    A pivot with entry 1 subtracts its multiple in place from every row
-    over denominator 1; any other row goes through `_eliminate`.
-    Returns the phase-1 objective, the value of every block variable
-    (p - q) and the raw dual multiplier of every row, -z_slack / zden
-    (which is z_art / zden + 1 for a row with an artificial).
+    The tableau is the one `lp_feasible` describes; `basis` holds joint
+    column indices.  Returns the phase-1 objective, the value of every
+    block variable (p - q) and the raw dual multiplier of every row,
+    -z_slack / zden (which is z_art / zden + 1 for a row with an
+    artificial).
     """
     variables = sorted({j for i in block for j, c in enumerate(rows[i][0])
                         if c})
@@ -472,30 +436,37 @@ def _phase1_block(rows: Sequence[IntRow], block: Sequence[int]
 def lp_feasible(system: LinearSystem) -> FeasibilityOutcome:
     """Exact phase-1 simplex with Bland's anti-cycling pivot rule.
 
-    Free variables are split into non-negative pairs (p - q).  The rows
-    are split into connected blocks (rows sharing a variable), each
-    solved on its own tableau whose pivots touch only the pivot row's
-    non-zero positions.  The result equals that of one joint tableau
-    over all rows, pivot for pivot: every column belongs to exactly one
-    block, so row operations never cross blocks, and Bland's
-    lowest-index choices restricted to a block, kept in the joint
-    column order, are the joint choices.
+    Free variables are split into non-negative pairs (p - q).  Rows
+    sharing a variable share a connected block (the avg-dot system has
+    one per head), and each block is solved on its own tableau
+    (`_phase1_block`), whose columns are, in Bland's order, p then q for
+    its variables, its rows' slacks, then the artificials of its rows
+    with non-negative rhs.  Every column belongs to one block, so row
+    operations never cross blocks, and Bland's lowest-index choices
+    within a block, kept in the joint column order, are those of one
+    joint tableau over all rows: the result is its, pivot for pivot.
 
-    Each tableau row is ints over one positive row denominator, its
-    value being ints / denominator (integer-preserving elimination,
-    Edmonds 1967), and the ratio test cross-multiplies ints, since a
-    row's denominator cancels in rhs / entry.  A row stores only the p
-    and slack columns and the rhs, about half the joint width: the q
-    and artificial columns are their negations and are derived when
-    scanned or entered (`_phase1_block`).  A pivot with entry 1
-    updates the rows over denominator 1 in place.  The rows stand for
-    the rationals of a `Fraction` tableau and every choice reads only
-    signs and exact comparisons, in the joint column order, so pivots,
-    witness and multipliers are the `Fraction` tableau's.
+    The tableau holds ints (integer-preserving elimination, Edmonds
+    1967): a row is ints over one positive denominator, starting as the
+    oriented constraint over 1.  Only the p and slack columns and the
+    rhs are stored: in every row a q column is its p column negated and
+    an artificial its slack negated, since row operations keep both
+    relations, and in the reduced-cost row (over zden) z_q = -z_p and,
+    an artificial costing 1, z_art = -z_slack - zden.  A derived column
+    enters by those readings, and the pivot row's stored entry, negated,
+    becomes its denominator, which so stays positive.  The entering
+    column is the first with a positive reduced cost; the ratio test
+    cross-multiplies rhs / entry (a row's denominator cancels).  A pivot
+    keeps the pivot row's ints P and makes its entry pe the denominator;
+    every other row T over dt with entering entry f becomes
+    (T pe - f P) / (dt pe), reduced by its gcd (`_eliminate`), or, when
+    pe and dt are both 1, T - f P, in place.
 
-    The multipliers of all blocks are normalised together, and every
-    returned witness or Farkas certificate is re-verified in exact
-    arithmetic on the full system before being handed back.
+    Every choice reads only signs and exact comparisons, so pivots,
+    witness and multipliers are those of a `Fraction` tableau
+    (`tests/references.py` keeps one as the reference).  The multipliers
+    of all blocks are normalised together, and every returned witness
+    or Farkas certificate is re-verified exactly on the full system.
     """
     rows = system.int_rows
     blocks = _row_blocks(rows)
@@ -670,7 +641,7 @@ class Certificate:
     strategy: str
     fixture: str | None
     mode: str  # "monotonic" | "non-monotonic"
-    verdict: str  # "simulable" | "not-simulable" | "inconclusive"
+    verdict: str  # "simulable" | "not-simulable"
     evidence: dict
     assumptions: list[str]
 
@@ -714,29 +685,26 @@ def _ce2_queries() -> list[Query]:
     return [(p, "x") for p in pairs] + [(p, "y") for p in pairs]
 
 
-def _lp_evidence(system: LinearSystem, outcome: FeasibilityOutcome,
-                 relaxation: bool = False) -> dict:
-    """Serialised witness or Farkas evidence for a solved system."""
-    if outcome.feasible:
-        return {"kind": "witness", "system": system.to_dict(),
-                "assignment": {k: frac_str(v)
-                               for k, v in outcome.witness.items()}}
+def _farkas_evidence(system: LinearSystem, farkas: FarkasCertificate,
+                     relaxation: bool = False) -> dict:
+    """Serialised Farkas evidence for a refuted system."""
     return {"kind": "farkas", "relaxation": relaxation,
             "system": system.to_dict(),
-            "multipliers": [frac_str(y) for y in outcome.farkas.multipliers],
-            "gap": frac_str(outcome.farkas.gap)}
+            "multipliers": [frac_str(y) for y in farkas.multipliers],
+            "gap": frac_str(farkas.gap)}
 
 
 def _lp_certificate(strategy: StrategyId, fixture_name: str,
                     build, queries: list[Query], relaxation: bool):
+    """The paper's refutation: every row of the fixture's system, added
+    once, collapses to 0 >= gap; `verify_farkas` raises otherwise."""
     system = build(fixture(fixture_name), queries=queries)
-    outcome = lp_feasible(system)
-    # a feasible query-restricted system says nothing about the
-    # remaining queries, so no simulability claim is made
-    verdict = "inconclusive" if outcome.feasible else "not-simulable"
+    multipliers = (Fraction(1),) * len(system.constraints)
+    farkas = FarkasCertificate(multipliers, verify_farkas(system, multipliers))
     facts = [(q["subset"], q["head"], q["captured"]) for q in system.queries]
-    return Certificate(strategy.name, fixture_name, "monotonic", verdict,
-                       _lp_evidence(system, outcome, relaxation), []), facts
+    return Certificate(strategy.name, fixture_name, "monotonic",
+                       "not-simulable",
+                       _farkas_evidence(system, farkas, relaxation), []), facts
 
 
 def _closure_certificate(strategy: StrategyId, fixture_name: str):
@@ -926,10 +894,9 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
             f"atoms, KB has {n}")
     system = build_avg_dot_system(kb)
     outcome = lp_feasible(system)
-    evidence = _lp_evidence(system, outcome)
     if not outcome.feasible:
         return Certificate(AVG_DOT.name, None, "monotonic", "not-simulable",
-                           evidence, [])
+                           _farkas_evidence(system, outcome.farkas), [])
     # build_avg_dot_system names the variables M[a][b] and lam[b]
     witness, atoms = outcome.witness, kb.signature.atoms
     embedding = realize_from_matrix(
@@ -939,8 +906,10 @@ def decide_avg_dot(kb: KnowledgeBase) -> Certificate:
     report = verify_monotonic(embedding, AVG_DOT, kb, cap=max(n, 1))
     if not report.simulates:
         raise AssertionError("realised embedding failed re-verification")
-    evidence["embedding"] = embedding.to_json_dict()
-    evidence["reverified_queries"] = report.queries
+    evidence = {"kind": "witness", "system": system.to_dict(),
+                "assignment": {k: frac_str(v) for k, v in witness.items()},
+                "embedding": embedding.to_json_dict(),
+                "reverified_queries": report.queries}
     return Certificate(AVG_DOT.name, None, "monotonic", "simulable",
                        evidence, [])
 

@@ -50,8 +50,8 @@ from fractions import Fraction
 
 from .logic import (KnowledgeBase, Signature, StratifiedKB, counter_models,
                     rank_table, ranked_counter_models)
-from .strategies import (AVG_RELU, HAD_DOT, ORD_ORD, AttributeEmbedding,
-                         StrategyId, Vec)
+from .strategies import (_DIGIT_BOUND, _MAX_DIGITS, AVG_RELU, HAD_DOT,
+                         ORD_ORD, AttributeEmbedding, StrategyId, Vec)
 
 
 # recipe number -> (strategy, KB kind): the one place a recipe is bound
@@ -88,6 +88,25 @@ def _delta(atom_count: int, delta: int | None) -> int:
     if delta < minimum:
         raise ValueError(f"delta must exceed 2^{atom_count} = {minimum - 1}")
     return delta
+
+
+def _check_digits(proposition: int, delta: int, rank: int = 0) -> None:
+    """Refuse a recipe whose largest weight, delta^(1 + 2 rank) for its
+    top kept rank (0 for a plain recipe), has more than _MAX_DIGITS
+    digits: no embedding file could print it.  delta >= 2, so delta^e is
+    at least 2^(e (bits - 1)); once that passes 2^(4 _MAX_DIGITS), above
+    10^_MAX_DIGITS, the power is refused without being computed."""
+    e = 1 + 2 * rank
+    if delta >= _DIGIT_BOUND:
+        raise ValueError(f"recipe {proposition}: delta has more than "
+                         f"{_MAX_DIGITS} digits, the most an embedding file "
+                         "holds")
+    if (e * (delta.bit_length() - 1) > 4 * _MAX_DIGITS
+            or delta ** e >= _DIGIT_BOUND):
+        raise ValueError(f"recipe {proposition}: the rank-{rank} weight "
+                         f"delta^{e} has more than {_MAX_DIGITS} digits, the "
+                         f"most an embedding file holds (a "
+                         f"{len(str(delta))}-digit delta)")
 
 
 def _families(sig: Signature, order: tuple[int, ...],
@@ -161,10 +180,12 @@ def construct(kb: KnowledgeBase | StratifiedKB, proposition: int,
     if kind == "stratified":
         order = ranked_counter_models(kb)
         delta = _delta(len(sig), delta)
+        ranks = rank_table(kb)[list(order)].tolist()
+        top = max(ranks)  # order holds the all-true interpretation
+        _check_digits(proposition, delta, top)
         by_rank = [(delta ** (2 * mu), delta ** (1 + 2 * mu))
-                   for mu in range(len(kb.strata) + 1)]
-        weights = [by_rank[mu]
-                   for mu in rank_table(kb)[list(order)].tolist()]
+                   for mu in range(top + 1)]
+        weights = [by_rank[mu] for mu in ranks]
         extra = ()
     elif strategy.labelling == "ord":
         order, delta = counter_models(kb), None
@@ -174,6 +195,7 @@ def construct(kb: KnowledgeBase | StratifiedKB, proposition: int,
     else:
         order = counter_models(kb)
         delta = _delta(len(sig), delta)
+        _check_digits(proposition, delta)
         weights, extra = [(1, delta)] * len(order), (Fraction(1),)
     indicator, weighted = _families(sig, order, weights, extra)
     emb = AttributeEmbedding(len(order) + len(extra),

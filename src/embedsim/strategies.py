@@ -768,14 +768,17 @@ def sig_gradient(e: np.ndarray, vectors: np.ndarray,
     return np.einsum("...k,...kd->...d", weights, vectors) - 2.0 * kappa * e
 
 
-def _check_ascent(kappa: float, iterations: int) -> None:
+def _check_ascent(kappa: float, iterations: int, seed: int) -> None:
     """Refuse what neither ascent entry point can run: kappa must be
-    positive and finite, iterations an int (not a bool) >= 0."""
+    positive and finite, iterations an int (not a bool) >= 0, and the
+    seed >= 0, as numpy's generators take no negative seed."""
     if not 0 < kappa < float("inf"):
         raise ValueError("kappa must be positive and finite")
     if (isinstance(iterations, bool) or not isinstance(iterations, int)
             or iterations < 0):
         raise ValueError("iterations must be a non-negative integer")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 def _sig_ascent(vectors: np.ndarray, starts: np.ndarray, kappa: float,
@@ -842,7 +845,7 @@ def emb_sig_numeric(emb: AttributeEmbedding, atoms: Iterable[str],
     maximisers are therefore resolved reproducibly rather than
     canonically.  Diagnostic use only.
     """
-    _check_ascent(kappa, iterations)
+    _check_ascent(kappa, iterations, seed)
     names = _unique(atoms)
     if not names:
         raise ValueError("sigmoid pooling needs a non-empty attribute set")
@@ -928,7 +931,7 @@ def sig_conical_diagnostics(dimension: int = 4, trials: int = 5,
     if trials * dimension > MAX_DIAGNOSTIC_SIZE:
         raise ValueError(f"trials x dimension must be at most "
                          f"{MAX_DIAGNOSTIC_SIZE}, got {trials * dimension}")
-    _check_ascent(kappa, iterations)
+    _check_ascent(kappa, iterations, seed)
     rng = np.random.default_rng(seed)
     pairs, problems = [], []
     zero = np.zeros(dimension)

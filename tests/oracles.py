@@ -155,3 +155,15 @@ def tt_nm_rank(theta: StratifiedKB, subset, head) -> bool:
         else:
             m_minus = max(m_minus, mu)
     return m_plus > m_minus
+
+
+def avg_dot_closed_form(kb: KnowledgeBase) -> bool:
+    """Whether averaged dot labelling can simulate the plain KB, read off
+    entailment: for every head b, the atoms N_b that do not entail b on
+    their own are none, or do not entail b together."""
+    atoms = kb.signature.atoms
+    for b in atoms:
+        rejected = [a for a in atoms if not tt_entails(kb, (a,), b)]
+        if rejected and tt_entails(kb, rejected, b):
+            return False
+    return True

@@ -12,11 +12,11 @@ from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 import embedsim.certifier as certifier
-from conftest import accepts, plain_kbs, random_rule_kb
+from conftest import accepts, plain_kbs, random_formula, random_rule_kb
 from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
                                 LinearSystem, PairRequirement, _ce1_queries,
                                 _ce2_queries, _facts_kb, _integer_row,
-                                _row_blocks,
+                                _lp_certificate, _row_blocks,
                                 build_avg_dist_relaxation,
                                 build_avg_dot_system,
                                 certify_strategy_failure, combine_constraints,
@@ -32,7 +32,7 @@ from embedsim.strategies import (AVG_DOT, AttributeEmbedding, frac_str,
                                  parse_frac)
 from embedsim.table1 import run_table1
 from embedsim.verifier import subset_queries, verify_monotonic
-from oracles import tt_entails
+from oracles import avg_dot_closed_form, tt_entails
 from references import (dense_lp_feasible, ref_combine_constraints,
                         ref_conical_closure_certify, ref_verify_witness)
 
@@ -1000,8 +1000,33 @@ def _drop_embedding(doc: dict) -> dict:
     return doc
 
 
+def _farkas_part(doc: dict) -> dict:
+    """The Farkas evidence of a fixture document, wrapped or not."""
+    ev = doc["evidence"]
+    return ev["wrapped"]["evidence"] if "wrapped" in ev else ev
+
+
+def _double_a_multiplier(doc: dict) -> dict:
+    _farkas_part(doc)["multipliers"][1] = "2/1"
+    return doc
+
+
+def _drop_a_row(doc: dict) -> dict:
+    ev = _farkas_part(doc)
+    for items in (ev["system"]["constraints"], ev["system"]["queries"],
+                  ev["multipliers"]):
+        del items[-1]
+    return doc
+
+
 # (certificate, tampering): each tampered certificate must fail replay
 TAMPERED = {
+    **{f"{strategy}-{mode}-{name}": (certify(strategy), tamper)
+       for strategy in ("avg-dot", "avg-dist")
+       for mode, certify in (("monotonic", _monotonic),
+                             ("non-monotonic", _nonmonotonic))
+       for name, tamper in (("multiplier-doubled", _double_a_multiplier),
+                            ("row-dropped", _drop_a_row))},
     "farkas-relabelled-flags-flipped": (
         _monotonic("avg-dot"),
         lambda d: _flip_captured(_relabel(d, "MOTHER"))),
@@ -1226,6 +1251,100 @@ class TestGenericDecision:
         cert = decide_avg_dot(KnowledgeBase(Signature(()), ()))
         assert cert.evidence["system"]["queries"] == []
         assert reverify_certificate(_doc(cert))
+
+
+# the two fixture Farkas certificates: (strategy, fixture, builder,
+# queries, rows)
+STATED = [("avg-dot", "CE1", build_avg_dot_system, _ce1_queries(), 4),
+          ("avg-dist", "CE2", build_avg_dist_relaxation, _ce2_queries(), 8)]
+
+
+class TestStatedFarkasCertificates:
+    """CE1 and CE2 state their unit multipliers; no simplex runs."""
+
+    @pytest.mark.parametrize("strategy, name, build, queries, rows", STATED,
+                             ids=["CE1", "CE2"])
+    def test_unit_multipliers_refute_the_dense_reference_too(
+            self, strategy, name, build, queries, rows):
+        system = build(fixture(name), queries=queries)
+        assert len(system.constraints) == rows
+        assert not dense_lp_feasible(system).feasible
+        gap = verify_farkas(system, [F(1)] * rows)
+        ev = certify_strategy_failure(strategy, name).evidence
+        assert ev["multipliers"] == ["1/1"] * rows
+        assert ev["gap"] == frac_str(gap)
+
+    def test_table1_runs_no_simplex(self, monkeypatch):
+        calls = []
+        original = certifier.lp_feasible
+
+        def counting(system):
+            calls.append(system)
+            return original(system)
+
+        monkeypatch.setattr(certifier, "lp_feasible", counting)
+        run_table1(0)
+        assert calls == []
+
+    def test_unrefuted_system_raises(self):
+        # one capture row alone is feasible: unit multipliers leave its
+        # variables standing
+        with pytest.raises(ValueError, match="does not cancel"):
+            _lp_certificate(AVG_DOT, "CE1", build_avg_dot_system,
+                            _ce1_queries()[:1], relaxation=False)
+
+
+def _minimal_entailing_subset(kb, atoms, head):
+    """An inclusion-minimal subset of `atoms` that entails `head`."""
+    kept = list(atoms)
+    for a in atoms:
+        rest = [x for x in kept if x != a]
+        if tt_entails(kb, rest, head):
+            kept = rest
+    return tuple(kept)
+
+
+def _closed_form_kbs():
+    """Seeded plain KBs of 1-4 atoms: 160 rule KBs, 40 formula KBs."""
+    rng = random.Random(2026)
+    for i in range(200):
+        atoms = ["a", "b", "c", "d"][:1 + i % 4]
+        if i < 160:
+            yield random_rule_kb(rng, atoms)
+        else:
+            formulas = tuple(random_formula(rng, atoms)
+                             for _ in range(rng.randint(1, 3)))
+            yield KnowledgeBase(Signature(tuple(atoms)), formulas)
+
+
+class TestAvgDotClosedForm:
+    """The closed form the avg-dot decision can read off entailment,
+    checked against the exact decision before production relies on it."""
+
+    def test_matches_the_decision_and_refutes_with_unit_rows(self):
+        verdicts = []
+        for kb in _closed_form_kbs():
+            simulable = avg_dot_closed_form(kb)
+            assert (decide_avg_dot(kb).verdict == "simulable") == simulable
+            verdicts.append(simulable)
+            if simulable:
+                continue
+            # S -> b captured, each {a} -> b rejected: 0 >= |S|
+            atoms = kb.signature.atoms
+            refuted = 0
+            for b in atoms:
+                rejected = [a for a in atoms if not tt_entails(kb, (a,), b)]
+                if not rejected or not tt_entails(kb, rejected, b):
+                    continue
+                subset = _minimal_entailing_subset(kb, rejected, b)
+                system = build_avg_dot_system(
+                    kb, queries=[(subset, b)] + [((a,), b) for a in subset])
+                rows = len(subset) + 1
+                assert verify_farkas(system, [F(1)] * rows) == len(subset)
+                refuted += 1
+            assert refuted
+        assert len(verdicts) == 200
+        assert 0 < verdicts.count(False) < 200
 
 
 def assert_facts_kb_entails_the_same(kb):

@@ -230,6 +230,43 @@ class TestConstruct:
                            "--delta", "3")
         assert code == 2
 
+    # a weight past CPython's 4300-digit print limit: delta^5 at rank 2
+    # of a two-stratum KB, and 5^6201 at rank 3100 of 3100 strata
+    @pytest.mark.parametrize("source, argv, line", [
+        ("atoms: a b\nstratum: a -> b\nstratum: b\n",
+         ("--prop", "4", "--delta", str(10 ** 900)),
+         "error: recipe 4: the rank-2 weight delta^5 has more than 4300 "
+         "digits, the most an embedding file holds (a 901-digit delta)\n"),
+        ("atoms: a b\n" + "stratum: TRUE\n" * 3100, ("--prop", "5"),
+         "error: recipe 5: the rank-3100 weight delta^6201 has more than "
+         "4300 digits, the most an embedding file holds (a 1-digit "
+         "delta)\n"),
+    ], ids=["large-delta", "many-strata"])
+    def test_weight_past_the_print_limit_exit_two(self, capsys, tmp_path,
+                                                  source, argv, line):
+        kb = tmp_path / "ranked.kb"
+        kb.write_text(source)
+        dest = tmp_path / "emb.json"
+        code, out, err = run(capsys, "construct", str(kb), *argv,
+                             "-o", str(dest))
+        assert (code, out, err) == (2, "", line)
+        assert not dest.exists()
+
+    def test_weight_just_under_the_print_limit_builds(self, capsys, tmp_path):
+        # (10^860 - 1)^5 has 4300 digits
+        kb = tmp_path / "ranked.kb"
+        kb.write_text("atoms: a b\nstratum: a -> b\nstratum: b\n")
+        dest = tmp_path / "emb.json"
+        delta = 10 ** 860 - 1
+        code, _, err = run(capsys, "construct", str(kb), "--prop", "4",
+                           "--delta", str(delta), "-o", str(dest))
+        assert (code, err) == (0, "")
+        doc = json.loads(dest.read_text())
+        assert doc["provenance"]["delta"] == str(delta)
+        longest = max(len(x.split("/")[0].lstrip("-"))
+                      for atom in doc["atoms"] for x in atom["context"])
+        assert longest == 4300
+
     def test_unwritable_output_exit_two(self, capsys, ce1_file, tmp_path):
         dest = tmp_path / "missing" / "dir" / "x.json"
         code, _, err = run(capsys, "construct", ce1_file, "--prop", "1",
@@ -629,6 +666,22 @@ class TestTable1Command:
         assert code == 2
         assert err.startswith("error: cannot write")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["flag", "environment", "config"])
+    def test_negative_seed_exit_two(self, capsys, tmp_path, monkeypatch,
+                                    source):
+        argv = ["table1"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "environment":
+            monkeypatch.setenv("EMBEDSIM_SEED", "-1")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text('{"seed": -1}')
+            argv = ["--config", str(cfg)] + argv
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def compact(text: str) -> str:

@@ -85,6 +85,31 @@ class TestAvgRelu:
             construct(kb, 1)
 
 
+class TestPrintLimit:
+    """A recipe's largest weight must print: at most 4300 digits."""
+
+    @pytest.mark.parametrize("recipe", [1, 2])
+    def test_plain_delta_past_the_limit(self, recipe):
+        kb = parse_kb(AB_KB)
+        with pytest.raises(ValueError, match=(
+                f"^recipe {recipe}: delta has more than 4300 digits, the "
+                "most an embedding file holds$")):
+            construct(kb, recipe, 10 ** 4300)
+        doc = construct(kb, recipe, 10 ** 4300 - 1).embedding.to_json_dict()
+        assert doc["dimension"] == 3
+
+    def test_ranked_weight_past_the_limit(self):
+        # EX4's top kept rank is 3, so its largest weight is delta^7:
+        # 4299 digits for delta 10^614, 4306 for 10^615
+        theta = fixture("EX4")
+        construct(theta, 4, 10 ** 614).embedding.to_json_dict()
+        with pytest.raises(ValueError, match="^recipe 5: the rank-3 weight "
+                                             "delta\\^7 has more than 4300"):
+            construct(theta, 5, 10 ** 615)
+        with pytest.raises(ValueError, match="^recipe 4: delta has more"):
+            construct(theta, 4, 10 ** 4300)
+
+
 class TestHadDot:
     def test_worked_instance_vectors(self):
         kb = parse_kb(AB_KB)

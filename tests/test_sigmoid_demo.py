@@ -42,6 +42,14 @@ def test_bad_argument_exits_two_with_one_line(argv):
     assert "error:" in done.stderr
 
 
+def test_negative_seed_exits_two_naming_the_seed():
+    done = run_demo("--seed", "-1")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("sigmoid_demo.py: error: seed must be a "
+                           "non-negative integer, got -1\n")
+
+
 def test_size_budget_exits_two_with_one_line():
     # 17 trials x dimension 241 = 4097, one over the diagnostics' budget
     done = run_demo("--trials", "17", "--dimension", "241")

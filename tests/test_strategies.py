@@ -658,6 +658,16 @@ class TestSigmoidNumeric:
         with pytest.raises(ValueError):
             emb_sig_numeric(emb, ("a",), kappa=0.0)
 
+    def test_negative_seed_is_named(self):
+        # numpy's own message ("expected non-negative integer") names
+        # no argument
+        emb = make_embedding({"a": (1, 1)})
+        message = "^seed must be a non-negative integer, got -1$"
+        with pytest.raises(ValueError, match=message):
+            emb_sig_numeric(emb, ("a",), seed=-1)
+        with pytest.raises(ValueError, match=message):
+            sig_conical_diagnostics(seed=-1)
+
 
 class TestAngularError:
     @pytest.mark.parametrize("degrees", [0, 10, 45, 90, 135, 180])
