@@ -34,8 +34,13 @@ Farkas checks alike.
 
 Replay trusts nothing a certificate records: every certificate is
 rebuilt, a fixture certificate from its fixture and a generic decision
-from the KB its captured queries describe (`_facts_kb`), and the two
-documents must be the same canonical JSON text (`reverify_certificate`).
+from the KB its captured queries describe (`_facts_kb`), and the rebuilt
+certificate's canonical JSON text must equal the given document's.  The
+comparison takes that text as given (`reverify_text`), so a caller that
+emits a document encodes it once and replays against the bytes it
+emits; `reverify_certificate` encodes the document itself.  `table1`
+encodes each certificate document once, and `table1 --json` emits
+exactly the replayed bytes (`canonical_json_spliced`).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -827,6 +832,17 @@ _CERTIFIERS: dict[str, tuple[tuple[str, ...],
 }
 
 
+@lru_cache(maxsize=None)
+def _one_stratum(fixture_name: str) -> StratifiedKB:
+    """The fixture as a ranked KB whose one stratum conjoins its formulas.
+
+    Built once per fixture, so the wrapper's hash and digest are
+    computed once and its consequence table is found by the cache.
+    """
+    kb = fixture(fixture_name)
+    return StratifiedKB(kb.signature, (conjoin(kb.formulas),))
+
+
 def certify_strategy_failure(strategy: StrategyId | str,
                              fixture_name: str | None = None,
                              nonmonotonic: bool = False) -> Certificate:
@@ -853,8 +869,7 @@ def certify_strategy_failure(strategy: StrategyId | str,
     base, facts = build(strategy, fixture_name)
     if not nonmonotonic or base.mode == "non-monotonic":
         return base
-    kb = fixture(fixture_name)
-    theta = StratifiedKB(kb.signature, (conjoin(kb.formulas),))
+    theta = _one_stratum(fixture_name)
     table, sig = consequence_table(theta), theta.signature
     for subset, head, captured in facts:
         if bool(table[sig.mask(subset)] & sig.bit(head)) != captured:
@@ -930,6 +945,33 @@ def canonical_json(doc: dict) -> str:
                       check_circular=False)
 
 
+def canonical_json_spliced(doc: dict, encoded: dict[str, str]) -> str:
+    """`canonical_json` of a document whose listed subtrees are encoded.
+
+    Each key of `encoded` is a marker string that stands in `doc` in
+    place of a subtree, and its value is that subtree's canonical text.
+    The rest of the document is encoded once, and each marker, which
+    must occur in that text exactly once, is replaced by its subtree's
+    text.  Only values are replaced, so keys sort as they would, and
+    the result is the text `canonical_json` gives the whole document.
+    """
+    skeleton = canonical_json(doc)
+    found = []
+    for marker, text in encoded.items():
+        token = json.dumps(marker)
+        at = skeleton.find(token)
+        if at < 0 or skeleton.find(token, at + 1) >= 0:
+            raise ValueError(f"marker {marker!r} must occur exactly once, "
+                             f"occurs {skeleton.count(token)} times")
+        found.append((at, len(token), text))
+    pieces, end = [], 0
+    for at, length, text in sorted(found):
+        pieces += (skeleton[end:at], text)
+        end = at + length
+    pieces.append(skeleton[end:])
+    return "".join(pieces)
+
+
 def _facts_kb(queries: Sequence[dict]) -> KnowledgeBase:
     """The KB that a generic decision's recorded queries describe.
 
@@ -958,6 +1000,22 @@ def _rebuild(doc: dict) -> Certificate:
                                     doc["mode"] == "non-monotonic")
 
 
+def reverify_text(doc: dict, text: str) -> bool:
+    """Replay a certificate document against its canonical JSON text.
+
+    The certificate the document claims to be is rebuilt
+    (`reverify_certificate` says how), and the rebuilt certificate's
+    canonical text must equal `text`, which the caller has encoded from
+    `doc` once and may emit as it is.  A document the rebuild cannot
+    read fails.
+    """
+    try:
+        rebuilt = _rebuild(doc)
+    except (KeyError, TypeError, ValueError, KBError):
+        return False
+    return canonical_json(rebuilt.to_dict()) == text
+
+
 def reverify_certificate(cert: Certificate | dict) -> bool:
     """Replay a certificate; True when it checks out exactly.
 
@@ -973,8 +1031,4 @@ def reverify_certificate(cert: Certificate | dict) -> bool:
     no certificate for) fails.
     """
     doc = cert.to_dict() if isinstance(cert, Certificate) else cert
-    try:
-        rebuilt = _rebuild(doc)
-    except (KeyError, TypeError, ValueError, KBError):
-        return False
-    return canonical_json(rebuilt.to_dict()) == canonical_json(doc)
+    return reverify_text(doc, canonical_json(doc))

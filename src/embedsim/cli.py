@@ -36,10 +36,39 @@ from .verifier import verify_monotonic, verify_nonmonotonic
 
 ENV_PREFIX = "EMBEDSIM_"
 CONFIG_KEYS = ("cap", "delta", "seed")
+SHOWN_CHARS = 40  # the most of a bad setting an error line echoes
 
 
 class UsageError(Exception):
     pass
+
+
+def _shown(text: str) -> str:
+    """A bad setting as an error line echoes it: whole when short, else
+    its first SHOWN_CHARS characters and its length."""
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def _int_flag(text: str) -> int:
+    """argparse's `int` type, echoing at most a prefix of a bad value."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_shown(repr(text))}") from None
+
+
+def _config_int(digits: str) -> int:
+    """A config file's JSON integer.  One past CPython's limit on the
+    digits of an int string is refused with its length, not its text."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(
+            f"an integer of {len(digits.lstrip('-'))} digits is past the "
+            f"limit of {sys.get_int_max_str_digits()}") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -49,9 +78,10 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: JSON nested too deeply to decode
+            doc = json.load(fh, parse_int=_config_int)
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, text that is not UTF-8, or an
+        # oversized integer; RecursionError: JSON nested too deeply
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -72,13 +102,14 @@ def _setting(name: str, flag_value, config: dict, default=None):
         try:
             return int(env)
         except ValueError as exc:
-            raise UsageError(f"bad {ENV_PREFIX}{name.upper()}={env!r}") from exc
+            raise UsageError(f"bad {ENV_PREFIX}{name.upper()}="
+                             f"{_shown(repr(env))}") from exc
     if name in config:
         value = config[name]
         # bool is an int subclass; quoted numbers and floats are refused
         if type(value) is not int:
             raise UsageError(f"config key {name!r} must be a JSON integer, "
-                             f"got {json.dumps(value)}")
+                             f"got {_shown(json.dumps(value))}")
         return value
     return default
 
@@ -254,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="construction recipe: " + ", ".join(
                        f"{n} {strategy.name} ({kind} KB)"
                        for n, (strategy, kind) in RECIPES.items()))
-    p.add_argument("--delta", type=int, help="dominance constant override")
+    p.add_argument("--delta", type=_int_flag,
+                   help="dominance constant override")
     p.add_argument("-o", "--output", help="embedding JSON destination")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_construct)
@@ -263,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kb")
     p.add_argument("embedding")
     p.add_argument("--strategy", required=True)
-    p.add_argument("--cap", type=int, help="subset size cap")
+    p.add_argument("--cap", type=_int_flag, help="subset size cap")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -278,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("table1", help="run the full strategy verdict table")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_flag)
     p.add_argument("--md", action="store_true")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")

@@ -3,12 +3,17 @@
 Positive cells are backed by running the matching construction on
 bundled fixtures and verifying it exhaustively (zero mismatches
 required); negative cells are backed by certificates that are replayed
-from their own serialized evidence inside the same run.  A row whose
-two cells are both certificates is built once: its non-monotonic
-certificate is the stratified reduction of the monotonic one and
-carries it whole (`evidence["wrapped"]`), so the monotonic cell takes
-that document instead of building it again.  Each cell is still
-replayed on its own, rebuilt from its fixture in its own mode.  Sigmoid
+inside the same run.  A row whose two cells are both certificates is
+built once: its non-monotonic certificate is the stratified reduction
+of the monotonic one and carries it whole (`evidence["wrapped"]`), so
+the monotonic cell takes that document instead of building it again.
+Each certificate document is encoded once as canonical JSON: the
+reduction's text is built around the text of the document it wraps
+(`canonical_json_spliced`).  Each cell is still replayed on its own,
+rebuilt from its fixture in its own mode, and the rebuilt
+certificate's text must equal the cell's text (`reverify_text`).
+`to_json` splices those texts into the table, so `table1 --json` emits
+exactly the replayed bytes and encodes no certificate again.  Sigmoid
 rows additionally carry numeric optimizer diagnostics as corroborating,
 non-authoritative evidence; the diagnostics depend only on the seed, so
 they are computed once per table and both sigmoid rows carry that one
@@ -22,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certifier import (canonical_json, certify_strategy_failure,
-                        reverify_certificate)
+from .certifier import (canonical_json, canonical_json_spliced,
+                        certify_strategy_failure, reverify_text)
 from .constructors import RECIPES, construct
 from .fixtures import fixture
 from .strategies import TABLE1_STRATEGIES, StrategyId, sig_conical_diagnostics
@@ -39,10 +44,18 @@ class CellResult:
     verdict: str  # "simulable" | "not-simulable"
     method: str
     evidence: list[dict]
+    text: str | None = None  # a certificate's canonical text, as replayed
 
-    def to_dict(self) -> dict:
+    def to_dict(self, texts: dict[str, str] | None = None) -> dict:
+        """The cell's document.  Given `texts`, a certificate cell's
+        document is left as a marker, recorded in `texts` with its text."""
+        evidence = self.evidence
+        if texts is not None and self.text is not None:
+            marker = f"\0certificate {len(texts)}"
+            texts[marker] = self.text
+            evidence = [marker]
         return {"verdict": self.verdict, "method": self.method,
-                "evidence": self.evidence}
+                "evidence": evidence}
 
 
 @dataclass
@@ -55,11 +68,11 @@ class RowResult:
     non_monotonic: CellResult
     diagnostics: dict | None = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, texts: dict[str, str] | None = None) -> dict:
         doc = {"strategy": self.strategy, "pooling": self.pooling,
                "labelling": self.labelling, "tied": self.tied,
-               "monotonic": self.monotonic.to_dict(),
-               "non_monotonic": self.non_monotonic.to_dict()}
+               "monotonic": self.monotonic.to_dict(texts),
+               "non_monotonic": self.non_monotonic.to_dict(texts)}
         if self.diagnostics is not None:
             doc["diagnostics"] = self.diagnostics
         return doc
@@ -73,11 +86,14 @@ class Table1Report:
         return [(r.monotonic.verdict, r.non_monotonic.verdict)
                 for r in self.rows]
 
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows]}
+    def to_dict(self, texts: dict[str, str] | None = None) -> dict:
+        return {"rows": [r.to_dict(texts) for r in self.rows]}
 
     def to_json(self) -> str:
-        return canonical_json(self.to_dict()) + "\n"
+        """`canonical_json(to_dict())` and a newline, with each certificate
+        spliced in as the text its replay matched."""
+        texts: dict[str, str] = {}
+        return canonical_json_spliced(self.to_dict(texts), texts) + "\n"
 
     def to_markdown(self) -> str:
         mark = {"simulable": "yes", "not-simulable": "no"}
@@ -120,19 +136,30 @@ def _construction_cell(strategy: StrategyId, proposition: int,
     return CellResult("simulable", "construction+verification", evidence)
 
 
-def _certificate_cell(strategy: StrategyId, column: str,
-                      doc: dict) -> CellResult:
-    """The cell a certificate document backs, once it replays."""
+def _certificate_cell(strategy: StrategyId, column: str, doc: dict,
+                      text: str) -> CellResult:
+    """The cell a certificate document backs, once its canonical text
+    `text` replays."""
     if doc["verdict"] != "not-simulable":
         raise CellFailure(
             f"cell ({strategy.name}, {column}): expected an impossibility "
             f"certificate, got verdict {doc['verdict']}")
-    if not reverify_certificate(doc):
+    if not reverify_text(doc, text):
         raise CellFailure(
             f"cell ({strategy.name}, {column}): certificate failed replay")
     method = ("certificate-with-assumptions" if doc["assumptions"]
               else "certificate")
-    return CellResult("not-simulable", method, [doc])
+    return CellResult("not-simulable", method, [doc], text)
+
+
+_WRAPPED = "\0wrapped"
+
+
+def _reduction_text(doc: dict, wrapped_text: str) -> str:
+    """The stratified reduction's canonical text, built around the text
+    of the document it wraps."""
+    skeleton = dict(doc, evidence=dict(doc["evidence"], wrapped=_WRAPPED))
+    return canonical_json_spliced(skeleton, {_WRAPPED: wrapped_text})
 
 
 def _recipe(strategy: StrategyId, kind: str) -> int | None:
@@ -151,13 +178,18 @@ def _build_row(strategy: StrategyId, diagnostics: dict) -> RowResult:
     stratified = _recipe(strategy, "stratified")
     if stratified is None:
         doc = certify_strategy_failure(strategy, nonmonotonic=True).to_dict()
-    mono = (_construction_cell(strategy, plain, monotonic=True)
-            if plain is not None else
-            _certificate_cell(strategy, "monotonic",
-                              doc["evidence"]["wrapped"]))
-    nm = (_construction_cell(strategy, stratified, monotonic=False)
-          if stratified is not None else
-          _certificate_cell(strategy, "non-monotonic", doc))
+    if plain is not None:
+        mono = _construction_cell(strategy, plain, monotonic=True)
+    else:
+        wrapped = doc["evidence"]["wrapped"]
+        mono = _certificate_cell(strategy, "monotonic", wrapped,
+                                 canonical_json(wrapped))
+    if stratified is not None:
+        nm = _construction_cell(strategy, stratified, monotonic=False)
+    else:
+        text = (canonical_json(doc) if mono.text is None
+                else _reduction_text(doc, mono.text))
+        nm = _certificate_cell(strategy, "non-monotonic", doc, text)
     return RowResult(strategy.name, strategy.pooling, strategy.labelling,
                      strategy.tied, mono, nm,
                      diagnostics if strategy.pooling == "sig" else None)

@@ -18,16 +18,18 @@ from embedsim.certifier import (Certificate, ConicalRequirement, Constraint,
                                 _ce2_queries, _facts_kb, _integer_row,
                                 _lp_certificate, _row_blocks,
                                 build_avg_dist_relaxation,
-                                build_avg_dot_system,
+                                build_avg_dot_system, canonical_json,
+                                canonical_json_spliced,
                                 certify_strategy_failure, combine_constraints,
                                 conical_closure_certify, decide_avg_dot,
                                 derive_pair_requirements, lp_feasible,
                                 realize_from_matrix,
-                                reverify_certificate, verify_farkas,
-                                verify_witness)
+                                reverify_certificate, reverify_text,
+                                verify_farkas, verify_witness)
 from embedsim.fixtures import FIXTURE_SOURCES, fixture
 from embedsim.logic import (CapExceededError, KnowledgeBase, Signature,
-                            entailment_table, parse_kb)
+                            StratifiedKB, conjoin, entailment_table,
+                            kb_digest, parse_kb)
 from embedsim.strategies import (AVG_DOT, AttributeEmbedding, frac_str,
                                  parse_frac)
 from embedsim.table1 import run_table1
@@ -1211,6 +1213,74 @@ class TestTamperedCertificates:
         assume(json.dumps(value) != json.dumps(old))
         tampered = _replaced_at(doc, path, value)
         assert reverify_certificate(tampered) is False, path
+
+
+class TestSplicedEncoding:
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_spliced_text_is_the_canonical_text(self, data):
+        # subtrees of real certificates, replaced by markers and encoded
+        # on their own, splice back to the whole document's text
+        doc = data.draw(st.sampled_from(_certificate_documents()))
+        subtrees = sorted({path[:k] for path in _leaf_paths(doc)
+                           for k in range(1, len(path) + 1)}, key=repr)
+        chosen = data.draw(st.lists(st.sampled_from(subtrees), max_size=6))
+        chosen = [p for p in chosen if not any(
+            q != p and p[:len(q)] == q for q in chosen)]
+        skeleton, encoded = json.loads(json.dumps(doc)), {}
+        for i, path in enumerate(dict.fromkeys(chosen)):
+            marker = f"\0part {i}"
+            encoded[marker] = canonical_json(_at(doc, path))
+            _at(skeleton, path[:-1])[path[-1]] = marker
+        assert (canonical_json_spliced(skeleton, encoded)
+                == canonical_json(doc))
+
+    def test_nested_texts_splice_in_place(self):
+        doc = {"b": [1, {"z": True}], "a": {"y": None, "x": "1/2"}}
+        skeleton = {"b": [1, "\0m1"], "a": "\0m0"}
+        text = canonical_json_spliced(skeleton, {
+            "\0m0": canonical_json(doc["a"]),
+            "\0m1": canonical_json(doc["b"][1])})
+        assert text == canonical_json(doc)
+        assert text == '{"a":{"x":"1/2","y":null},"b":[1,{"z":true}]}'
+
+    @pytest.mark.parametrize("skeleton,count", [
+        ({"a": 1}, 0), ({"a": "m"}, 0), ({"a": "\0m", "b": ["\0m"]}, 2)],
+        ids=["missing", "prefix-only", "repeated"])
+    def test_marker_must_occur_exactly_once(self, skeleton, count):
+        with pytest.raises(ValueError,
+                           match=rf"must occur exactly once, occurs {count} "):
+            canonical_json_spliced(skeleton, {"\0m": "{}"})
+
+
+class TestReplayAgainstText:
+    @pytest.mark.parametrize("nonmonotonic", [False, True])
+    def test_replay_compares_with_the_given_text(self, nonmonotonic):
+        doc = _doc(certify_strategy_failure("norm-dot",
+                                            nonmonotonic=nonmonotonic))
+        text = canonical_json(doc)
+        assert reverify_text(doc, text)
+        # the text, not the document, is what the rebuild must match
+        assert reverify_text(doc, json.dumps(doc, sort_keys=True)) is False
+        assert reverify_text(doc, text.replace('"CE3"', '"CE4"')) is False
+        other = _doc(certify_strategy_failure(
+            "norm-dist", nonmonotonic=nonmonotonic))
+        assert reverify_text(doc, canonical_json(other)) is False
+
+    def test_unreadable_document_fails(self):
+        doc = _doc(certify_strategy_failure("avg-dot"))
+        text = canonical_json(doc)
+        del doc["mode"]
+        assert reverify_text(doc, text) is False
+
+    def test_one_stratum_wrapper_is_built_once_per_fixture(self):
+        wrapper = certifier._one_stratum("CE3")
+        assert certifier._one_stratum("CE3") is wrapper
+        kb = fixture("CE3")
+        fresh = StratifiedKB(kb.signature, (conjoin(kb.formulas),))
+        assert wrapper == fresh
+        cert = certify_strategy_failure("norm-dot", nonmonotonic=True)
+        assert cert.evidence["stratified_digest"] == kb_digest(fresh)
 
 
 class TestGenericDecision:

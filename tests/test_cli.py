@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DEEP_FORMULA_PROBES
-from embedsim.cli import main
+from embedsim.cli import build_parser, main
 from embedsim.fixtures import FIXTURE_SOURCES
 from embedsim.logic import parse_kb
 from embedsim.strategies import frac_str
@@ -827,3 +827,97 @@ class TestConfigPrecedence:
                          "-o", str(emb))
         assert code == 0
         assert json.loads(emb.read_text())["provenance"]["delta"] == "100"
+
+
+BIG = "1" * 5000  # past CPython's 4300-digit limit on int strings
+
+
+def one_error_line(err: str) -> str:
+    """The error line of a refusal: the only line, or the one that follows
+    argparse's usage lines."""
+    lines = err.splitlines()
+    errors = [line for line in lines if "error:" in line]
+    assert len(errors) == 1, err
+    assert lines[-1] == errors[0]
+    assert all(line.startswith(("usage:", " ")) for line in lines[:-1])
+    return errors[0]
+
+
+class TestOversizedSettings:
+    """A 5000-digit setting exits 2 with one bounded line naming its source."""
+
+    @pytest.mark.parametrize("argv,name", [
+        (("construct", "KB", "--prop", "1", "--delta", BIG), "--delta"),
+        (("verify", "KB", "EMB", "--strategy", "avg-dot", "--cap", BIG),
+         "--cap"),
+        (("table1", "--seed", BIG), "--seed"),
+    ], ids=["delta", "cap", "seed"])
+    def test_flag(self, capsys, ce1_file, argv, name):
+        argv = [ce1_file if a in ("KB", "EMB") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        line = one_error_line(err)
+        assert len(line) < 200
+        assert f"argument {name}: invalid int value: '1111" in line
+        assert line.endswith("... (5002 characters)")
+
+    @pytest.mark.parametrize("variable,argv", [
+        ("EMBEDSIM_DELTA", ("construct", "KB", "--prop", "1")),
+        ("EMBEDSIM_CAP", ("verify", "KB", "KB", "--strategy", "avg-dot")),
+        ("EMBEDSIM_SEED", ("table1",)),
+    ], ids=["delta", "cap", "seed"])
+    def test_environment(self, capsys, monkeypatch, ce1_file, tmp_path,
+                         variable, argv):
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ce1_file, "--prop", "1", "-o", str(emb))
+        argv = [{"KB": ce1_file}.get(a, a) for a in argv]
+        if variable == "EMBEDSIM_CAP":
+            argv[2] = str(emb)
+        monkeypatch.setenv(variable, BIG)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith(f"error: bad {variable}='1111")
+
+    @pytest.mark.parametrize("text,reason", [
+        ('{"delta": %s}' % BIG,
+         "an integer of 5000 digits is past the limit of 4300"),
+        ('{"seed": -%s}' % BIG,
+         "an integer of 5000 digits is past the limit of 4300"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["delta", "negative-seed", "not-utf8"])
+    def test_config_file(self, capsys, tmp_path, text, reason):
+        cfg = tmp_path / "cfg.json"
+        if isinstance(text, bytes):
+            cfg.write_bytes(text)
+        else:
+            cfg.write_text(text)
+        code, out, err = run(capsys, "--config", str(cfg), "table1")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith(f"error: cannot read config file {cfg}: "
+                              f"{reason}")
+
+    def test_config_string_value(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": BIG}))
+        code, out, err = run(capsys, "--config", str(cfg), "table1")
+        assert (code, out) == (2, "")
+        assert err == ("error: config key 'seed' must be a JSON integer, "
+                       f'got "{BIG[:39]}... (5002 characters)\n')
+
+    def test_short_bad_values_keep_their_text(self, capsys, monkeypatch,
+                                              ce1_file):
+        code, _, err = run(capsys, "construct", ce1_file, "--prop", "1",
+                           "--delta", "x1")
+        assert code == 2
+        assert err.splitlines()[-1] == ("embedsim construct: error: argument "
+                                        "--delta: invalid int value: 'x1'")
+        # a 38-character value's repr is 40 characters: echoed whole
+        monkeypatch.setenv("EMBEDSIM_SEED", "x" * 38)
+        code, _, err = run(capsys, "table1")
+        assert (code, err) == (2, f"error: bad EMBEDSIM_SEED='{'x' * 38}'\n")
+
+    def test_limit_is_unchanged(self):
+        args = build_parser().parse_args(["table1", "--seed", "9" * 4300])
+        assert args.seed == 10 ** 4300 - 1

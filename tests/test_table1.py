@@ -1,9 +1,14 @@
 """The verdict table as a library object: pattern, evidence, determinism."""
 
+import sys
+
 import pytest
 
+import embedsim.certifier as certifier
+import embedsim.logic as logic
 import embedsim.table1 as table1
-from embedsim.certifier import certify_strategy_failure, reverify_certificate
+from embedsim.certifier import (canonical_json, certify_strategy_failure,
+                                reverify_text)
 from embedsim.constructors import RECIPES
 from embedsim.strategies import sig_conical_diagnostics
 from embedsim.table1 import (MONOTONIC_DEMO_FIXTURES,
@@ -69,12 +74,12 @@ def test_certificate_rows_are_built_once_and_every_cell_replayed(
         built.append(strategy.name)
         return certify_strategy_failure(strategy, *args, **kwargs)
 
-    def counting_replay(doc):
+    def counting_replay(doc, text):
         replayed.append((doc["strategy"], doc["mode"]))
-        return reverify_certificate(doc)
+        return reverify_text(doc, text)
 
     monkeypatch.setattr(table1, "certify_strategy_failure", counting_build)
-    monkeypatch.setattr(table1, "reverify_certificate", counting_replay)
+    monkeypatch.setattr(table1, "reverify_text", counting_replay)
     report = run_table1()
     # one build per row with a certificate cell, not one per cell (15) ...
     assert built == ["avg-dot", "avg-dist", "norm-dot", "norm-dist",
@@ -87,6 +92,68 @@ def test_certificate_rows_are_built_once_and_every_cell_replayed(
              if cell.verdict == "not-simulable"]
     assert len(replayed) == 15
     assert replayed == cells
+
+
+def _clear_library_caches():
+    """Empty every memo cache of the package, as a fresh process starts."""
+    for name, module in list(sys.modules.items()):
+        if name == "embedsim" or name.startswith("embedsim."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_one_table_encodes_each_certificate_once(monkeypatch):
+    # Counted over run_table1().to_json() from cold caches.  Before each
+    # certificate document was encoded once: 31 full-document encodes
+    # (each of the 15 replays encoded its document and the rebuilt one,
+    # and to_json the whole table) and 19 kb_to_source calls (14 of
+    # them for a new one-stratum wrapper per non-monotonic build or
+    # replay).  Now: 15 rebuilt certificates and 8 cell documents are
+    # encoded in full; the 7 reductions' and the table's own skeletons
+    # are encoded with markers where the already-encoded texts go; and
+    # 5 wrappers, one per fixture, format their source once each.
+    full, skeletons, sources = [], [], []
+    encode, to_source = certifier.canonical_json, logic.kb_to_source
+
+    def counting_encode(doc):
+        text = encode(doc)
+        (skeletons if "\\u0000" in text else full).append(len(text))
+        return text
+
+    def counting_source(kb):
+        sources.append(kb)
+        return to_source(kb)
+
+    _clear_library_caches()
+    monkeypatch.setattr(certifier, "canonical_json", counting_encode)
+    monkeypatch.setattr(table1, "canonical_json", counting_encode)
+    monkeypatch.setattr(logic, "kb_to_source", counting_source)
+    text = run_table1().to_json()
+    assert (len(full), len(skeletons), len(sources)) == (23, 8, 10)
+    # the encodes together came to 2.9 times the table's bytes (325 KB
+    # for 113 KB at seed 0) and now come to 1.5 times
+    assert sum(full) + sum(skeletons) < 2 * len(text)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_json_is_the_canonical_text_of_the_document(seed):
+    report = run_table1(seed)
+    assert report.to_json() == canonical_json(report.to_dict()) + "\n"
+
+
+def test_certificate_cell_text_is_its_document_encoded(report):
+    cells = [cell for row in report.rows
+             for cell in (row.monotonic, row.non_monotonic)
+             if cell.verdict == "not-simulable"]
+    assert len(cells) == 15
+    for cell in cells:
+        [doc] = cell.evidence
+        assert cell.text == canonical_json(doc)
+    for row in report.rows:
+        # each spliced reduction text carries its wrapped cell's text
+        if row.monotonic.verdict == "not-simulable":
+            assert row.monotonic.text in row.non_monotonic.text
 
 
 def test_monotonic_cell_is_the_wrapped_document(report):
