@@ -836,8 +836,8 @@ _CERTIFIERS: dict[str, tuple[tuple[str, ...],
 def _one_stratum(fixture_name: str) -> StratifiedKB:
     """The fixture as a ranked KB whose one stratum conjoins its formulas.
 
-    Built once per fixture, so the wrapper's hash and digest are
-    computed once and its consequence table is found by the cache.
+    Built once per fixture, so the wrapper's digest and consequence
+    table, which live on the wrapper, are derived once.
     """
     kb = fixture(fixture_name)
     return StratifiedKB(kb.signature, (conjoin(kb.formulas),))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .certifier import (canonical_json, certify_strategy_failure,
@@ -51,24 +52,32 @@ def _shown(text: str) -> str:
     return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
-def _int_flag(text: str) -> int:
-    """argparse's `int` type, echoing at most a prefix of a bad value."""
+_INTEGER = re.compile(r"\s*[-+]?\d+(_\d+)*\s*")  # the text int() reads
+
+
+def _integer(text: str) -> int:
+    """`int(text)` for a flag, the environment or the config file.  An
+    integer with more digits than CPython converts raises OverflowError
+    naming its digit count and the limit; other bad text, ValueError."""
     try:
         return int(text)
     except ValueError:
+        if not _INTEGER.fullmatch(text):
+            raise
+    digits = sum(c.isdecimal() for c in text)
+    raise OverflowError(f"an integer of {digits} digits is past the limit "
+                        f"of {sys.get_int_max_str_digits()}")
+
+
+def _int_flag(text: str) -> int:
+    """argparse's `int` type, echoing at most a prefix of a bad value."""
+    try:
+        return _integer(text)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {_shown(repr(text))}") from None
-
-
-def _config_int(digits: str) -> int:
-    """A config file's JSON integer.  One past CPython's limit on the
-    digits of an int string is refused with its length, not its text."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ValueError(
-            f"an integer of {len(digits.lstrip('-'))} digits is past the "
-            f"limit of {sys.get_int_max_str_digits()}") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -78,9 +87,9 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_int=_config_int)
-    except (OSError, ValueError, RecursionError) as exc:
-        # ValueError: malformed JSON, text that is not UTF-8, or an
+            doc = json.load(fh, parse_int=_integer)
+    except (OSError, ValueError, OverflowError, RecursionError) as exc:
+        # ValueError: malformed JSON or not UTF-8; OverflowError: an
         # oversized integer; RecursionError: JSON nested too deeply
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -97,13 +106,15 @@ def _setting(name: str, flag_value, config: dict, default=None):
     """An integer setting: flag, else environment, else config, else default."""
     if flag_value is not None:
         return flag_value
-    env = os.environ.get(ENV_PREFIX + name.upper())
+    variable = ENV_PREFIX + name.upper()
+    env = os.environ.get(variable)
     if env is not None:
         try:
-            return int(env)
+            return _integer(env)
+        except OverflowError as exc:
+            raise UsageError(f"bad {variable}: {exc}") from None
         except ValueError as exc:
-            raise UsageError(f"bad {ENV_PREFIX}{name.upper()}="
-                             f"{_shown(repr(env))}") from exc
+            raise UsageError(f"bad {variable}={_shown(repr(env))}") from exc
     if name in config:
         value = config[name]
         # bool is an int subclass; quoted numbers and floats are refused
@@ -192,10 +203,7 @@ def cmd_construct(args, config) -> int:
 def cmd_verify(args, config) -> int:
     kb = _read_kb(args.kb)
     embedding = _read_embedding(args.embedding)
-    try:
-        strategy = strategy_from_name(args.strategy)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    strategy = strategy_from_name(args.strategy)
     cap = _setting("cap", args.cap, config)
     if isinstance(kb, StratifiedKB):
         report = verify_nonmonotonic(embedding, strategy, kb, cap=cap)
@@ -218,11 +226,8 @@ def cmd_certify(args, config) -> int:
     if (args.fixture is None) == (args.kb is None):
         raise UsageError("certify needs exactly one of --fixture or a KB file")
     if args.fixture is not None:
-        try:
-            cert = certify_strategy_failure(args.strategy, args.fixture,
-                                            args.nonmonotonic)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        cert = certify_strategy_failure(args.strategy, args.fixture,
+                                        args.nonmonotonic)
     else:
         if args.strategy != "avg-dot":
             raise UsageError(

@@ -50,7 +50,7 @@ from fractions import Fraction
 
 from .logic import (KnowledgeBase, Signature, StratifiedKB, counter_models,
                     rank_table, ranked_counter_models)
-from .strategies import (_DIGIT_BOUND, _MAX_DIGITS, AVG_RELU, HAD_DOT,
+from .strategies import (AVG_RELU, DIGIT_BOUND, HAD_DOT, MAX_DIGITS,
                          ORD_ORD, AttributeEmbedding, StrategyId, Vec)
 
 
@@ -92,19 +92,19 @@ def _delta(atom_count: int, delta: int | None) -> int:
 
 def _check_digits(proposition: int, delta: int, rank: int = 0) -> None:
     """Refuse a recipe whose largest weight, delta^(1 + 2 rank) for its
-    top kept rank (0 for a plain recipe), has more than _MAX_DIGITS
+    top kept rank (0 for a plain recipe), has more than MAX_DIGITS
     digits: no embedding file could print it.  delta >= 2, so delta^e is
-    at least 2^(e (bits - 1)); once that passes 2^(4 _MAX_DIGITS), above
-    10^_MAX_DIGITS, the power is refused without being computed."""
+    at least 2^(e (bits - 1)); once that passes 2^(4 MAX_DIGITS), above
+    10^MAX_DIGITS, the power is refused without being computed."""
     e = 1 + 2 * rank
-    if delta >= _DIGIT_BOUND:
+    if delta >= DIGIT_BOUND:
         raise ValueError(f"recipe {proposition}: delta has more than "
-                         f"{_MAX_DIGITS} digits, the most an embedding file "
+                         f"{MAX_DIGITS} digits, the most an embedding file "
                          "holds")
-    if (e * (delta.bit_length() - 1) > 4 * _MAX_DIGITS
-            or delta ** e >= _DIGIT_BOUND):
+    if (e * (delta.bit_length() - 1) > 4 * MAX_DIGITS
+            or delta ** e >= DIGIT_BOUND):
         raise ValueError(f"recipe {proposition}: the rank-{rank} weight "
-                         f"delta^{e} has more than {_MAX_DIGITS} digits, the "
+                         f"delta^{e} has more than {MAX_DIGITS} digits, the "
                          f"most an embedding file holds (a "
                          f"{len(str(delta))}-digit delta)")
 

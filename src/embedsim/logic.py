@@ -23,7 +23,8 @@ interpretation comes from a running AND over the strata (`rank_table`).
 Neither relation scans the interpretations per query.  Each KB gets one
 table over all 2^n antecedents, built by a superset transform in
 O(n 2^n) steps (Yates; see Bjorklund et al., "Fourier meets Mobius",
-STOC 2007) and cached: entry S holds the AND of the relevant
+STOC 2007) and kept on the KB object for as long as that object lives
+(`_kept_on_kb`): entry S holds the AND of the relevant
 interpretations containing S, and a query (S, b) reads bit b of entry
 S.  `consequence_table` picks a KB's table by the KB's type; sweeps and
 certificates fetch it once and index it by subset mask.  The
@@ -40,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import TYPE_CHECKING, Iterable, Union
 
 if TYPE_CHECKING:
@@ -208,26 +209,10 @@ class Signature:
         return m
 
 
-# A KB is an `lru_cache` key of every table below.  The hash a frozen
-# dataclass derives walks every formula tree on each call, so each KB
-# hashes its fields once, and formats its source text for `kb_digest`
-# once, as `Signature._index` is built once.
-
 @dataclass(frozen=True)
 class KnowledgeBase:
     signature: Signature
     formulas: tuple[Formula, ...]
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.signature, self.formulas))
-
-    @cached_property
-    def _digest(self) -> str:
-        return hashlib.sha256(kb_to_source(self).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -241,16 +226,19 @@ class StratifiedKB:
         if not self.strata:
             raise ValueError("stratified KB needs at least one stratum")
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.signature, self.strata))
+def _kept_on_kb(derive):
+    """Derive a value once per KB object and keep it in the object's
+    `__dict__` under the function's name, as `cached_property` does: it
+    lives as long as the KB, and equal but distinct KBs derive their own."""
+    name = derive.__name__
 
-    @cached_property
-    def _digest(self) -> str:
-        return hashlib.sha256(kb_to_source(self).encode()).hexdigest()
+    @wraps(derive)
+    def kept(kb):
+        if name not in kb.__dict__:
+            kb.__dict__[name] = derive(kb)
+        return kb.__dict__[name]
+    return kept
 
 
 def kb_to_source(kb: KnowledgeBase | StratifiedKB) -> str:
@@ -263,9 +251,10 @@ def kb_to_source(kb: KnowledgeBase | StratifiedKB) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_kept_on_kb
 def kb_digest(kb: KnowledgeBase | StratifiedKB) -> str:
     """SHA-256 of the KB's canonical source text, formatted once per KB."""
-    return kb._digest
+    return hashlib.sha256(kb_to_source(kb).encode()).hexdigest()
 
 
 # ------------------------------------------------------------------
@@ -543,6 +532,7 @@ def check_cap(signature: Signature) -> int:
     return n
 
 
+@_kept_on_kb
 def _model_set(kb: KnowledgeBase) -> int:
     """The models of the KB as a bit set; the caller checks the cap."""
     full, atoms = _universe(len(kb.signature))
@@ -563,7 +553,7 @@ def _members(bits: int, n: int) -> tuple[int, ...]:
     return tuple(_bit_array(bits, n).nonzero()[0].tolist())
 
 
-@lru_cache(maxsize=64)
+@_kept_on_kb
 def entailment_table(kb: KnowledgeBase) -> np.ndarray:
     """Entailment for every antecedent, indexed by the antecedent's bitmask.
 
@@ -573,8 +563,8 @@ def entailment_table(kb: KnowledgeBase) -> np.ndarray:
     table in O(n 2^n) steps; the result is read-only.
     """
     # numpy is imported on first use: importing it with this module, ahead
-    # of the rest of the package, raised the peak memory of a fresh
-    # process by 1 MB when sources are compiled on import
+    # of the rest of the package, raises the peak memory of a process
+    # that imports the package by 1.4 MB
     import numpy as np
     n = check_cap(kb.signature)
     table = np.where(_bit_array(_model_set(kb), n),
@@ -639,6 +629,7 @@ def entails(kb: KnowledgeBase, antecedent: Iterable[str], head: str) -> bool:
     return bool(entailment_table(kb)[smask] & hbit)
 
 
+@_kept_on_kb
 def _rank_at_least(theta: StratifiedKB) -> tuple[int, ...]:
     """Entry r is the set of interpretations of rank at least r, for r
     from 0 up to the highest rank any interpretation has; the caller
@@ -657,7 +648,7 @@ def _rank_at_least(theta: StratifiedKB) -> tuple[int, ...]:
     return tuple(sets)
 
 
-@lru_cache(maxsize=1024)
+@_kept_on_kb
 def rank_table(theta: StratifiedKB) -> np.ndarray:
     """Rank of every interpretation, indexed by bitmask; read-only.
 
@@ -703,7 +694,7 @@ def ranked_counter_models(theta: StratifiedKB) -> tuple[int, ...]:
     return _members(kept, n)
 
 
-@lru_cache(maxsize=64)
+@_kept_on_kb
 def nm_consequence_table(theta: StratifiedKB) -> np.ndarray:
     """Ranked-default consequence for every antecedent, indexed by bitmask.
 

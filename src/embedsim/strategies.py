@@ -70,11 +70,11 @@ def frac_str(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-# CPython's default limit on the digits of an int read from or written
-# to a string: a power of ten up to it is no longer than such an int may
-# be, and a numerator or denominator below _DIGIT_BOUND prints
-_MAX_DIGITS = 4300
-_DIGIT_BOUND = 10 ** _MAX_DIGITS
+# The print limit, CPython's default on the digits of an int string, for
+# every numerator, denominator and recipe weight: a power of ten up to it
+# is no longer than such an int may be, and a value below DIGIT_BOUND prints
+MAX_DIGITS = 4300
+DIGIT_BOUND = 10 ** MAX_DIGITS
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
@@ -95,18 +95,18 @@ def parse_frac(x: str | int) -> Fraction:
     exponent = _EXPONENT.search(x) if isinstance(x, str) else None
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0") or "0"
-        if (len(digits) > len(str(_MAX_DIGITS))
-                or int(digits) > _MAX_DIGITS):
+        if (len(digits) > len(str(MAX_DIGITS))
+                or int(digits) > MAX_DIGITS):
             raise ValueError(f"decimal exponent of magnitude above "
-                             f"{_MAX_DIGITS} in {x[:40]!r}")
+                             f"{MAX_DIGITS} in {x[:40]!r}")
     value = Fraction(x)
     # without an exponent, a string's numerator and denominator have no
     # more digits than the string, so only the other cases need the test
-    if ((exponent or type(x) is int or len(x) > _MAX_DIGITS)
-            and max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND):
+    if ((exponent or type(x) is int or len(x) > MAX_DIGITS)
+            and max(abs(value.numerator), value.denominator) >= DIGIT_BOUND):
         shown = repr(x[:40]) if isinstance(x, str) else "an integer"
         raise ValueError(f"numerator or denominator of more than "
-                         f"{_MAX_DIGITS} digits in {shown}")
+                         f"{MAX_DIGITS} digits in {shown}")
     return value
 
 

@@ -843,8 +843,13 @@ def one_error_line(err: str) -> str:
     return errors[0]
 
 
+LIMIT_REASON = "an integer of 5000 digits is past the limit of 4300"
+
+
 class TestOversizedSettings:
-    """A 5000-digit setting exits 2 with one bounded line naming its source."""
+    """A 5000-digit setting exits 2 with one bounded line naming its
+    source; an integer names its digit count and the limit, the same on
+    every route."""
 
     @pytest.mark.parametrize("argv,name", [
         (("construct", "KB", "--prop", "1", "--delta", BIG), "--delta"),
@@ -858,8 +863,14 @@ class TestOversizedSettings:
         assert (code, out) == (2, "")
         line = one_error_line(err)
         assert len(line) < 200
-        assert f"argument {name}: invalid int value: '1111" in line
-        assert line.endswith("... (5002 characters)")
+        assert line.endswith(f"error: argument {name}: {LIMIT_REASON}")
+        # text that is no integer is echoed, cut short
+        code, out, err = run(capsys, *[a if a != BIG else "x" + BIG
+                                       for a in argv])
+        assert (code, out) == (2, "")
+        line = one_error_line(err)
+        assert f"argument {name}: invalid int value: 'x111" in line
+        assert line.endswith("... (5003 characters)")
 
     @pytest.mark.parametrize("variable,argv", [
         ("EMBEDSIM_DELTA", ("construct", "KB", "--prop", "1")),
@@ -875,15 +886,22 @@ class TestOversizedSettings:
             argv[2] = str(emb)
         monkeypatch.setenv(variable, BIG)
         code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "",
+                                    f"error: bad {variable}: {LIMIT_REASON}\n")
+        monkeypatch.setenv(variable, "-" + BIG[:2000] + "_" + BIG[2000:])
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "",
+                                    f"error: bad {variable}: {LIMIT_REASON}\n")
+        monkeypatch.setenv(variable, BIG + "x")
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and len(err) < 200
         assert err.startswith(f"error: bad {variable}='1111")
+        assert err.endswith("... (5003 characters)\n")
 
     @pytest.mark.parametrize("text,reason", [
-        ('{"delta": %s}' % BIG,
-         "an integer of 5000 digits is past the limit of 4300"),
-        ('{"seed": -%s}' % BIG,
-         "an integer of 5000 digits is past the limit of 4300"),
+        ('{"delta": %s}' % BIG, LIMIT_REASON),
+        ('{"seed": -%s}' % BIG, LIMIT_REASON),
         (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
     ], ids=["delta", "negative-seed", "not-utf8"])
     def test_config_file(self, capsys, tmp_path, text, reason):

@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private module-level name is read somewhere in the library, no
-top-level name is defined in two library modules, and every parameter
-of a library function is read in its body.
+top-level name is defined in two library modules, every parameter of a
+library function is read in its body, and no library module reads
+another's private name.
 
 Static scans with `ast`.  The first stands in for a linter's
 unused-import rule (F401): a deletion that leaves an import behind fails
@@ -13,7 +14,10 @@ behind when its last caller was deleted.  The third finds a name that
 two modules (`__init__.py` aside) each bind by a def, a class or an
 assignment: a copy that can drift from the one it copies.  The fourth
 finds a parameter that a function (or lambda) takes and never reads,
-outside a short list of signatures that are fixed from outside.
+outside a short list of signatures that are fixed from outside.  The
+fifth finds a `_name` that one module reads from another, by a
+relative import or as an attribute of a module so imported: each
+private name has one owner, and a name two modules share is public.
 """
 
 import ast
@@ -94,10 +98,15 @@ def _definitions(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def _private(name: str) -> bool:
+    """A `_name` that is not a dunder."""
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
     """Each top-level `_name` (not a dunder) with its line."""
     return {name: line for name, line in _definitions(tree).items()
-            if name.startswith("_") and not name.startswith("__")}
+            if _private(name)}
 
 
 def _reads(tree: ast.Module) -> set[str]:
@@ -196,6 +205,49 @@ def test_scan_finds_an_unused_private_name():
                             "_orphan", "_Hidden"}
     assert {"_universe", "_attribute"} <= _reads(tree)
     assert set(defined) - _reads(tree) == {"_unused", "_written", "_orphan"}
+
+
+def _foreign_private_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """("module._name", line) for each private name the module reads
+    from another package module: imported by a relative import, or read
+    as an attribute of a module that a relative import binds."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append((f"{node.module}.{alias.name}", node.lineno))
+    found += [(f"{node.value.id}.{node.attr}", node.lineno)
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _private(node.attr)]
+    return sorted(found, key=lambda entry: entry[1])
+
+
+def test_no_private_name_read_from_another_module():
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(SOURCE.glob("*.py"))}
+    found = [f"{module}:{line} {name}" for module, tree in trees.items()
+             for name, line in _foreign_private_reads(tree)]
+    assert not found, "private names read by another module: " + ", ".join(
+        found)
+
+
+def test_scan_finds_a_private_name_of_another_module():
+    source = ("from .strategies import _LIMIT, VISIBLE\n"
+              "from . import logic\n"
+              "from .logic import (KnowledgeBase,\n"
+              "                    _universe as universe)\n"
+              "from re import _compile\n"
+              "_OWN = 1\n"
+              "def f():\n"
+              "    return (logic._truth, logic.entails, logic.__name__,\n"
+              "            universe, _compile, _OWN)\n")
+    assert _foreign_private_reads(ast.parse(source)) == [
+        ("strategies._LIMIT", 1), ("logic._universe", 3), ("logic._truth", 8)]
 
 
 # (module, function name pattern, parameter): why the signature keeps a

@@ -1,8 +1,10 @@
 """Parser, semantics, and the two consequence relations."""
 
+import gc
 import hashlib
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -622,8 +624,9 @@ class TestConsequenceTables:
 
 
 class TestKBHashAndDigestOnce:
-    """Each KB object hashes its fields and formats its source text once;
-    the values are those derived from the fields every time."""
+    """Each KB object formats its source text once and keeps its tables;
+    the values are those derived from the fields every time, and they
+    live exactly as long as the KB object."""
 
     @staticmethod
     def _kbs():
@@ -649,9 +652,24 @@ class TestKBHashAndDigestOnce:
             again = parse_kb(kb_to_source(kb))
             assert again is not kb
             assert again == kb and hash(again) == hash(kb)
-            # an lru_cache keyed by either object answers for both
-            assert (logic.consequence_table(again)
-                    is logic.consequence_table(kb))
+            # each KB derives its own table, equal to the other's
+            mine = logic.consequence_table(again)
+            theirs = logic.consequence_table(kb)
+            assert mine is not theirs and (mine == theirs).all()
+
+    @pytest.mark.parametrize("table", ["entailment_table", "rank_table",
+                                       "nm_consequence_table"])
+    def test_tables_die_with_their_kb(self, table):
+        rng = random.Random(61)
+        atoms = ["a", "b", "c", "d"]
+        kb = (random_rule_kb(rng, atoms) if table == "entailment_table"
+              else random_stratified_kb(rng, atoms))
+        derived = getattr(logic, table)(kb)
+        assert getattr(logic, table)(kb) is derived  # kept on the KB
+        alive = weakref.ref(derived)
+        del kb, derived
+        gc.collect()
+        assert alive() is None
 
     def test_two_sweeps_format_the_source_once(self, monkeypatch):
         calls = []

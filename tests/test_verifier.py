@@ -10,7 +10,7 @@ import embedsim.logic as logic
 import embedsim.verifier as verifier
 from conftest import (accepts, follows, pool, random_embedding,
                       random_rule_kb, random_stratified_kb)
-from embedsim.constructors import construct
+from embedsim.constructors import RECIPES, construct
 from embedsim.fixtures import fixture
 from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB, entails,
                             parse_kb)
@@ -390,11 +390,8 @@ class TestOracleTables:
             return original(formula, *args)
 
         monkeypatch.setattr(logic, "_truth", counting)
-        logic.rank_table.cache_clear()
-        logic.nm_consequence_table.cache_clear()
         report = verify_nonmonotonic(emb, ORD_ORD, theta, cap=10)
         assert report.queries == 1023 * 10
-        assert logic.rank_table.cache_info().misses == 1
         # ranking stops after the first stratum no interpretation reaches
         best = max(tt_mu(theta, a) for a in tt_assignments(atoms))
         reached = theta.strata[:best + 1]
@@ -404,6 +401,38 @@ class TestOracleTables:
         # sampled expected sides agree with the truth-table oracle
         for m in report.mismatches[:5]:
             assert tt_nm_rank(theta, m.subset, m.head) == m.expected
+
+    @pytest.mark.parametrize("proposition", sorted(RECIPES))
+    def test_construct_then_verify_evaluates_each_formula_once(
+            self, monkeypatch, proposition):
+        # construct reads the counter-models, the sweep the consequence
+        # table; both derive from one model set (plain) or one set of
+        # rank levels (stratified), kept on the KB object
+        atoms = [f"p{i}" for i in range(6)]
+        rng = random.Random(70 + proposition)
+        stratified = RECIPES[proposition][1] == "stratified"
+        kb = (random_stratified_kb(rng, atoms, max_strata=3) if stratified
+              else random_rule_kb(rng, atoms))
+        evaluated = []
+        original = logic._truth
+
+        def counting(formula, *args):
+            evaluated.append(formula)
+            return original(formula, *args)
+
+        monkeypatch.setattr(logic, "_truth", counting)
+        result = construct(kb, proposition)
+        sweep = verify_nonmonotonic if stratified else verify_monotonic
+        assert sweep(result.embedding, result.strategy, kb,
+                     cap=len(atoms)).simulates
+        if stratified:
+            # ranking stops after the first stratum no interpretation
+            # reaches
+            best = max(tt_mu(kb, a) for a in tt_assignments(atoms))
+            formulas = kb.strata[:best + 1]
+        else:
+            formulas = kb.formulas
+        assert len(evaluated) == sum(syntax_nodes(f) for f in formulas)
 
 
 class TestVerifyNonMonotonic:
