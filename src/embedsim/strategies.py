@@ -4,28 +4,31 @@ Every strategy pairs a pooling function (how an entity vector is built
 from the context vectors of its attributes) with a labelling rule (when
 an attribute is predicted from an entity vector).  All pooling and
 labelling decisions except the sigmoid-MLE pooling are exact and run in
-integers: `scale` puts each vector family (context, output) over one
-common denominator, and pooling returns integer numerators with a
-single denominator, built by a start step and extend steps.  These
-steps are the library's only pooling: a sweep pools each subset by one
-step from its parent, and `exact_rule` reads the eight exact
-strategies' steps and labellers from one table built at import.  Each
-labelling rule is a labeller, bound once to the scaled embedding and a
-tuple of heads with every denominator and threshold p/q multiplied out;
-one call labels every head of a pooled value as a bitmask.  The dot,
-ReLU and distance labellers pack every head into one integer: field i
-holds head i's signed threshold difference, made by one packed product
-per coordinate plus packed constants, and the fields' sign bits are
-read out together as the label mask.  A field is w bits wide, a
-multiple of 16 that leaves two bits to spare over the labeller's bound
-on the difference.  Scores are read back from the fields: one call per
-wrong subset inverts each wrong head's difference to its dot product
-or squared distance.  The order and normalised labellers compare head
-by head.  `Fraction` appears
-only in the embedding itself and in threshold text.  Normalised
-pooling never materialises the irrational unit vector; it carries
-(sum, ||sum||^2) and decides comparisons by sign analysis and
-squaring.
+integers: `scale` checks the embedding and puts each vector family
+(context, output) over one common denominator, and pooling returns
+integer numerators with a single denominator, built by a start step and
+extend steps.  These steps are the library's only pooling: a sweep
+pools each subset by one step from its parent, and `exact_rule` reads
+the eight exact strategies' steps and labellers from one table built at
+import.  `Fraction` appears only in the embedding itself and in
+threshold text.  Normalised pooling never materialises the irrational
+unit vector; it carries (sum, ||sum||^2) and decides comparisons by
+sign analysis and squaring.
+
+Each labelling rule is a labeller, bound once to the scaled embedding
+and a tuple of heads with every denominator and threshold p/q
+multiplied out; one call labels every head of a pooled value as a
+bitmask.  A sweep checks its embedding once, in `scale`, and builds
+every pooled value from it, so a labeller checks no pooled value.  The
+dot, ReLU and distance labellers pack every head into one integer:
+field i holds head i's signed threshold difference, made by one packed
+product per coordinate plus packed constants, and the fields' sign
+bits are read out together as the label mask.  A field is w bits wide,
+a multiple of 16 that leaves two bits to spare over the labeller's
+bound on the difference.  Scores are read back from the fields of the
+value last labelled: one call per wrong subset inverts each wrong
+head's difference to its dot product or squared distance.  The order
+and normalised labellers compare head by head.
 
 The sigmoid-MLE pooling is a floating-point demonstrator (gradient
 ascent on a seeded start, deterministic per (seed, iterations)); it is
@@ -148,11 +151,6 @@ class StrategyId:
             return base + "-tied"
         return base
 
-    @property
-    def exact(self) -> bool:
-        """Whether `exact_rule` accepts this id."""
-        return self in _RULES
-
 
 AVG_DOT = StrategyId("avg", "dot")
 AVG_DIST = StrategyId("avg", "dist")
@@ -201,16 +199,10 @@ class AttributeEmbedding:
     theta: dict[str, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, vec in list(self.context.items()) + list(self.output.items()):
-            if len(vec) != self.dimension:
-                raise DimensionMismatchError(
-                    f"vector for {name!r} has length {len(vec)}, "
-                    f"embedding dimension is {self.dimension}")
         for name in self.context:
             self.lam.setdefault(name, Fraction(0))
             self.theta.setdefault(name, Fraction(0))
-            if self.theta[name] < 0:
-                raise ValueError(f"negative distance radius for {name!r}")
+        _check(self)
 
     @property
     def atoms(self) -> tuple[str, ...]:
@@ -236,13 +228,21 @@ class AttributeEmbedding:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AttributeEmbedding":
-        dim = doc["dimension"]
+        if not isinstance(doc, dict):
+            raise ValueError("an embedding must be a JSON object")
+        dim = doc.get("dimension")
         # bool is an int subclass; a float is refused, not truncated
         if type(dim) is not int:
             raise ValueError(f"dimension must be a JSON integer, got {dim!r}")
+        atoms = doc.get("atoms")
+        if (not isinstance(atoms, list)
+                or not all(isinstance(entry, dict) for entry in atoms)):
+            raise ValueError("atoms must be a JSON list of objects")
         context, output, lam, theta = {}, {}, {}, {}
-        for entry in doc["atoms"]:
-            name = entry["name"]
+        for i, entry in enumerate(atoms):
+            name = entry.get("name")
+            if not isinstance(name, str):
+                raise ValueError(f"the name of atom {i} must be a JSON string")
             if name in context:
                 raise ValueError(f"duplicate atom {name!r}")
             context[name] = parse_vec(entry["context"])
@@ -250,6 +250,22 @@ class AttributeEmbedding:
             lam[name] = parse_frac(entry.get("lambda", "0"))
             theta[name] = parse_frac(entry.get("theta", "0"))
         return cls(dim, context, output, lam, theta)
+
+
+def _check(emb: AttributeEmbedding) -> None:
+    """Refuse a vector whose length is not the dimension, and a context
+    atom without a lambda or with a missing or negative theta."""
+    for name, vec in list(emb.context.items()) + list(emb.output.items()):
+        if len(vec) != emb.dimension:
+            raise DimensionMismatchError(
+                f"vector for {name!r} has length {len(vec)}, "
+                f"embedding dimension is {emb.dimension}")
+    for name in emb.context:
+        for kind, values in (("lambda", emb.lam), ("theta", emb.theta)):
+            if name not in values:
+                raise ValueError(f"no {kind} for {name!r}")
+        if emb.theta[name] < 0:
+            raise ValueError(f"negative distance radius for {name!r}")
 
 
 # ------------------------------------------------------------------
@@ -289,12 +305,14 @@ def _over_common_denominator(vectors: dict[str, Vec]
 
 
 def scale(emb: AttributeEmbedding) -> ScaledEmbedding:
-    """The embedding over common denominators.
+    """The embedding over common denominators, checked for its sweep.
 
     A sweep scales once and hands the result to its pooling steps and
     its labeller.  The result is never stored on the embedding, whose
-    fields may be reassigned.
+    fields may be reassigned, so the embedding is checked here as it is
+    constructed (`_check`), and the labellers check no pooled value.
     """
+    _check(emb)
     context, cden = _over_common_denominator(emb.context)
     output, oden = _over_common_denominator(emb.output)
     return ScaledEmbedding(emb.dimension, context, output, cden, oden,
@@ -398,12 +416,11 @@ class _Labeller:
     """The label set of a pooled value over heads fixed at binding.
 
     `labels(pooled)` sets bit i when `heads[i]` is labelled, doing the
-    per-subset work once for all heads.  `scores(pooled, wrong)` yields
-    (i, text) for each bit i set in `wrong`: the exact quantity behind
-    head i's decision as mismatch-report text, the parts it shares with
-    the other heads made once.  `labels` keeps what it computed for the
-    value it last labelled, so scoring that value costs no further
-    products; any other value is labelled first.
+    per-subset work once for all heads.  `scores(wrong)` yields (i, text)
+    for each bit i set in `wrong`: the exact quantity behind head i's
+    decision on the value last labelled, as mismatch-report text, the
+    parts it shares with the other heads made once.  `labels` keeps what
+    it computed for that value, so scoring costs no further products.
 
     Each head has a column vector and may have constants, packed
     (`_Pack`) at a width w fitted to the pooled value: a multiple of 16
@@ -413,20 +430,13 @@ class _Labeller:
 
     def __init__(self, sc: ScaledEmbedding, columns: Sequence[IntVec],
                  constants: Sequence[Sequence[int]] = ()):
-        self.dimension, self.cden, self.oden = sc.dimension, sc.cden, sc.oden
+        self.cden, self.oden = sc.cden, sc.oden
         self.last: tuple | None = None
         self.columns = tuple(columns)
         self.constants = tuple(constants)
         self.heads = len(self.columns)
         self.reach = max((sum(map(abs, c)) for c in self.columns), default=0)
         self.packs: dict[int, _Pack] = {}
-
-    def _vector(self, pooled: Pooled) -> IntVec:
-        if len(pooled[0]) != self.dimension:
-            raise DimensionMismatchError(
-                f"pooled vector has length {len(pooled[0])}, "
-                f"embedding dimension is {self.dimension}")
-        return pooled[0]
 
     def _pack(self, bound: int) -> _Pack:
         """The pack whose fields hold values up to `bound` in magnitude."""
@@ -439,13 +449,6 @@ class _Labeller:
                 [sum(map(lshift, row, shifts)) for row in self.constants],
                 sum(1 << s + w - 1 for s in shifts))
         return self.packs[w]
-
-    def _labelled(self, pooled: Pooled) -> tuple:
-        """What `labels` kept for `pooled`, labelling it first unless it
-        was the value last labelled."""
-        if self.last is None or self.last[0] is not pooled:
-            self.labels(pooled)
-        return self.last
 
 
 class DotLabeller(_Labeller):
@@ -469,19 +472,18 @@ class DotLabeller(_Labeller):
                      for lam, px in zip(lams, pxs)]
 
     def labels(self, pooled: Pooled) -> int:
-        total, den = self._vector(pooled), pooled[1]
+        total, den = pooled
         pack = self._pack(max(map(abs, total), default=0) * self.reach
                           + den * self.preach)
         x = sum(map(mul, total, pack.columns),
                 pack.signs - den * pack.constants[0])
-        self.last = pooled, x, pack
+        self.last = den, x, pack
         return pack.top_bits(x, self.heads)
 
-    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
-        _, x, pack = self._labelled(pooled)
+    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+        den, x, pack = self.last
         w = pack.width
         mask, half = (1 << w) - 1, 1 << w - 1
-        den = pooled[1]
         dden, rows = den * self.tden, self.rows
         while wrong:
             low = wrong & -wrong
@@ -519,7 +521,7 @@ class DistLabeller(_Labeller):
                      for p2, q2, th in zip(p2s, q2s, thetas)]
 
     def labels(self, pooled: Pooled) -> int:
-        total, den = self._vector(pooled), pooled[1]
+        total, den = pooled
         o = self.oden
         cross, dsq = 2 * o * den, den * den
         tsq = o * o * sum(map(mul, total, total))
@@ -528,14 +530,13 @@ class DistLabeller(_Labeller):
         offsets, q2s = pack.constants
         x = (cross * sum(map(mul, total, pack.columns))
              + dsq * offsets - tsq * q2s + pack.signs)
-        self.last = pooled, x, pack
+        self.last = den, x, pack
         return pack.top_bits(x, self.heads)
 
-    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
-        _, x, pack = self._labelled(pooled)
+    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+        den, x, pack = self.last
         w = pack.width
         mask, half = (1 << w) - 1, 1 << w - 1
-        den = pooled[1]
         dsq, dden, rows = den * den, (den * self.oden) ** 2, self.rows
         while wrong:
             low = wrong & -wrong
@@ -557,17 +558,17 @@ class ReluLabeller(_Labeller):
         super().__init__(sc, [sc.context[b] for b in heads])
 
     def labels(self, pooled: Pooled) -> int:
-        v = _relu(self._vector(pooled))
+        v = _relu(pooled[0])
         pack = self._pack(max(v, default=0) * self.reach)
         x = sum(map(mul, v, pack.columns), pack.signs)
-        self.last = pooled, x, pack
+        self.last = pooled[1], x, pack
         return pack.top_bits(x, self.heads)
 
-    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
-        _, x, pack = self._labelled(pooled)
+    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+        den, x, pack = self.last
         w = pack.width
         mask, half = (1 << w) - 1, 1 << w - 1
-        dden = pooled[1] * self.cden
+        dden = den * self.cden
         while wrong:
             low = wrong & -wrong
             i = low.bit_length() - 1
@@ -587,23 +588,18 @@ class OrdLabeller(_Labeller):
         super().__init__(sc, [sc.context[b] for b in heads])
 
     def labels(self, pooled: Pooled) -> int:
-        total = self._vector(pooled)
-        if pooled[1] != self.cden:
-            raise ValueError(f"order labelling needs the max-pooled "
-                             f"denominator {self.cden}, got {pooled[1]}")
+        self.last = pooled
         return sum(1 << i for i, c in enumerate(self.columns)
-                   if all(map(le, c, total)))
+                   if all(map(le, c, pooled[0])))
 
-    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
-        total, den = pooled
+    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+        total, den = self.last
         text = f"pooled={','.join(_ratio(x, den) for x in total)}"
         return ((i, text) for i in range(self.heads) if wrong >> i & 1)
 
 
 def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
     """Decide lhs >= coeff * sqrt(q) exactly (q >= 0), without radicals."""
-    if q < 0:
-        raise ValueError("negative squared norm")
     if coeff <= 0:
         # unless lhs >= 0, both sides are negative: squaring reverses them
         return lhs >= 0 or coeff * coeff * q >= lhs * lhs
@@ -630,24 +626,23 @@ class _NormLabeller(_Labeller):
                            self.heads)
 
     def labels(self, pooled: Pooled) -> int:
-        normsq = pooled[1]
-        dots = self.dots(self._vector(pooled))
-        self.last = pooled, dots
+        v, normsq = pooled
+        dots = self.dots(v)
+        self.last = dots, normsq
         if normsq == 0:
             return self.zero
         return sum(bit for (bit, m, c, _), dot in zip(self.rows, dots)
                    if _ge_scaled_sqrt(m * dot, c, normsq))
 
-    def scores(self, pooled: Pooled, wrong: int) -> Iterator[tuple[int, str]]:
-        _, dots = self._labelled(pooled)
-        cden = self.cden
-        dden, normsq = cden * self.oden, _ratio(pooled[1], cden * cden)
+    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+        dots, normsq = self.last
+        dden, shown = self.cden * self.oden, _ratio(normsq, self.cden ** 2)
         rows = self.rows
         while wrong:
             low = wrong & -wrong
             i = low.bit_length() - 1
             wrong ^= low
-            yield i, (f"sum.out={_ratio(dots[i], dden)} normsq={normsq}"
+            yield i, (f"sum.out={_ratio(dots[i], dden)} normsq={shown}"
                       f"{rows[i][3]}")
 
 

@@ -189,7 +189,7 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
         wrong = got ^ table.item(mask)
         if wrong:  # one mismatch per wrong head, in head order
             try:
-                for i, score in labeller.scores(pooled, wrong):
+                for i, score in labeller.scores(wrong):
                     label = bool(got >> i & 1)
                     mismatches.append(
                         Mismatch(subset, atoms[i], not label, label, score))

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from embedsim.logic import (BOTTOM, TOP, And, Iff, Implies, KnowledgeBase, Not,
                             Or, Signature, StratifiedKB, Var, conjoin,
                             consequence_table)
-from embedsim.strategies import AttributeEmbedding, exact_rule, scale
+from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
+                                 ExactEvaluationError, exact_rule, scale)
 
 # make `oracles` and `references` importable
 sys.path.insert(0, str(Path(__file__).parent))
@@ -68,6 +69,18 @@ def accepts(emb, strategy, atoms, head) -> bool:
     """Does the exact strategy label the pooled `atoms` with `head`?"""
     return label(exact_rule(strategy).labeller, emb,
                  pool(emb, strategy, atoms), head)
+
+
+def _has_rule(strategy) -> bool:
+    try:
+        exact_rule(strategy)
+    except ExactEvaluationError:
+        return False
+    return True
+
+
+# the table's strategies that `exact_rule` accepts, in table order
+EXACT_STRATEGIES = [s for s in TABLE1_STRATEGIES if _has_rule(s)]
 
 
 # Formulas far past the parser's depth budget, each the `formula:` line

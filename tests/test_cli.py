@@ -393,6 +393,39 @@ class TestVerify:
         assert err.startswith("error: cannot load embedding")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"dimension": 1}, "atoms must be a JSON list of objects"),
+        ({"dimension": 1, "atoms": [{"context": ["1"]}]},
+         "the name of atom 0 must be a JSON string"),
+        ({"dimension": 1, "atoms": [1]},
+         "atoms must be a JSON list of objects"),
+        ({"dimension": 1, "atoms": "abc"},
+         "atoms must be a JSON list of objects"),
+        ("abc", "an embedding must be a JSON object"),
+        ({"dimension": 1, "atoms": {"name": "a", "context": ["1"]}},
+         "atoms must be a JSON list of objects"),
+        ({"dimension": 1, "atoms": [{"name": ["a"], "context": ["1"]}]},
+         "the name of atom 0 must be a JSON string"),
+        # a number used to load as an atom named 5, and the sweep then
+        # found no vectors for the KB's atoms
+        ({"dimension": 1, "atoms": [{"name": "a", "context": ["1"]},
+                                    {"name": 5, "context": ["1"]}]},
+         "the name of atom 1 must be a JSON string"),
+    ], ids=["no-atoms", "no-name", "atom-a-number", "atoms-a-string",
+            "top-level-string", "atoms-an-object", "name-a-list",
+            "name-a-number"])
+    def test_wrong_shape_names_the_field(self, capsys, ce1_file, tmp_path,
+                                         doc, message):
+        # each of these used to print a bare KeyError or TypeError, such
+        # as 'atoms' or "string indices must be integers, not 'str'"
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", ce1_file, str(emb),
+                             "--strategy", "avg-dot")
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot load embedding {emb}: {message}\n"
+        assert len(err) < 200
+
     def test_deeply_nested_embedding_exit_two(self, capsys, ce1_file,
                                               tmp_path):
         emb = tmp_path / "emb.json"

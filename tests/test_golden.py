@@ -16,13 +16,12 @@ from pathlib import Path
 import pytest
 
 import embedsim.certifier as certifier
-from conftest import random_embedding
+from conftest import EXACT_STRATEGIES, random_embedding
 from embedsim.certifier import decide_avg_dot
 from embedsim.cli import main
 from embedsim.constructors import construct
 from embedsim.fixtures import FIXTURE_SOURCES, fixture
-from embedsim.strategies import (TABLE1_STRATEGIES, sig_conical_diagnostics,
-                                 strategy_from_name)
+from embedsim.strategies import sig_conical_diagnostics, strategy_from_name
 from embedsim.verifier import verify_monotonic
 
 # sha256 of `embedsim table1 --json` with the sigmoid diagnostics removed
@@ -200,8 +199,7 @@ def ce1_report(name: str):
 
 
 def test_pins_cover_every_exact_strategy():
-    assert sorted(CE1_REPORTS) == sorted(
-        s.name for s in TABLE1_STRATEGIES if s.exact)
+    assert sorted(CE1_REPORTS) == sorted(s.name for s in EXACT_STRATEGIES)
 
 
 def test_table1_json_bytes(capsys):

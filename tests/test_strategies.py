@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (accepts, label, pool, random_embedding,
-                      random_fraction)
+from conftest import (EXACT_STRATEGIES, accepts, label, pool,
+                      random_embedding)
 from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  DimensionMismatchError, DistLabeller,
                                  DistOnNormLabeller, DotLabeller,
@@ -27,7 +27,7 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  sig_conical_diagnostics,
                                  LABELLINGS, MAX_ASCENT_WORK,
                                  MAX_DIAGNOSTIC_SIZE, POOLINGS,
-                                 ScaledEmbedding, StrategyId)
+                                 ScaledEmbedding, StrategyId, _RULES)
 from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
                         ref_sig_ascent, ref_sig_conical_diagnostics)
 
@@ -134,10 +134,16 @@ class TestLabelling:
         emb2 = make_embedding({"b": (1, 1)}, lam={"b": 1})
         assert not label(DotLabeller, emb2, ((0, 0), 1), "b")
 
-    def test_dot_dimension_mismatch(self):
-        emb = make_embedding({"b": (1, 1)})
-        with pytest.raises(DimensionMismatchError):
-            label(DotLabeller, emb, ((1,), 1), "b")
+    def test_reassigned_vector_of_the_wrong_length(self):
+        # the labellers check no pooled value: scaling refuses the
+        # embedding, naming the atom, before a labeller is bound
+        for family in ("context", "output"):
+            emb = make_embedding({"a": (1, 1), "b": (1, 1)})
+            getattr(emb, family)["b"] = (F(1),)
+            with pytest.raises(DimensionMismatchError,
+                               match="^vector for 'b' has length 1, "
+                                     "embedding dimension is 2$"):
+                scale(emb)
 
     def test_dist_witness_configuration(self):
         # avg{a,b} hits the head exactly; avg{a,c} misses at radius 1/2
@@ -165,14 +171,6 @@ class TestLabelling:
         emb = make_embedding({"b": (0, 1), "c": (1, 0)})
         assert label(OrdLabeller, emb, ((0, 1), 1), "b")
         assert not label(OrdLabeller, emb, ((1, 0), 1), "b")
-
-    def test_ord_needs_the_max_pooled_denominator(self):
-        # numerators are compared directly, so the pooled value must be
-        # over cden, as max pooling leaves it
-        emb = make_embedding({"a": (F(1, 2), 0), "b": (F(1, 2), F(1, 3))})
-        assert label(OrdLabeller, emb, pool(emb, ORD_ORD, ("a", "b")), "b")
-        with pytest.raises(ValueError, match="denominator 6, got 1"):
-            label(OrdLabeller, emb, ((3, 2), 1), "b")
 
     @settings(max_examples=60)
     @given(st.integers(0, 10**6),
@@ -287,14 +285,13 @@ class TestStrategyDispatch:
         # under the name avg-dot, and avg-dist with tied vectors was
         # evaluated untied; every id off the table is refused
         table = [s for s in TABLE1_STRATEGIES if s.pooling != "sig"]
-        assert len(table) == 8
+        assert set(_RULES) == set(table) and EXACT_STRATEGIES == table
         for pooling in POOLINGS:
             for labelling in LABELLINGS:
                 for tied in (False, True):
                     strategy = StrategyId(pooling, labelling, tied)
-                    assert strategy.exact == (strategy in table)
-                    if strategy.exact:
-                        assert exact_rule(strategy).labeller
+                    if strategy in _RULES:
+                        assert exact_rule(strategy) is _RULES[strategy]
                         continue
                     with pytest.raises(ExactEvaluationError):
                         exact_rule(strategy)
@@ -323,7 +320,6 @@ class TestStrategyDispatch:
 # Integer kernels against the Fraction reference
 # ------------------------------------------------------------------
 
-EXACT = [s for s in TABLE1_STRATEGIES if s.exact]
 KERNEL_ATOMS = ("a", "b", "c", "d", "e", "f")
 # mixed denominators: the lcm of a family's denominators reaches 60
 coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -370,7 +366,7 @@ def labeller_cases(draw):
 
 class TestKernelsMatchFractionReference:
     def test_reference_covers_every_exact_strategy(self):
-        assert sorted(REF_RULES) == sorted(s.name for s in EXACT)
+        assert sorted(REF_RULES) == sorted(s.name for s in EXACT_STRATEGIES)
 
     @settings(max_examples=80)
     @given(labeller_cases(),
@@ -384,7 +380,7 @@ class TestKernelsMatchFractionReference:
         # the drawn atoms (duplicates included), a cancelling pair, and a
         # Hadamard product over all six kernel atoms
         subsets = [tuple(drawn), ("e", "f"), KERNEL_ATOMS]
-        for strategy in EXACT:
+        for strategy in EXACT_STRATEGIES:
             rule = exact_rule(strategy)
             labeller = rule.labeller(scaled, heads)
             cases = subsets + ([()] if strategy.pooling == "norm" else [])
@@ -397,10 +393,10 @@ class TestKernelsMatchFractionReference:
                 # one scores call over every head, and one over the heads
                 # at even positions alone
                 every = (1 << len(heads)) - 1
-                assert list(labeller.scores(pooled, every)) == [
+                assert list(labeller.scores(every)) == [
                     (i, text) for i, (_, text) in enumerate(want)], (
                         strategy.name, subset)
-                assert list(labeller.scores(pooled, every & 0b10101)) == [
+                assert list(labeller.scores(every & 0b10101)) == [
                     (i, text) for i, (_, text) in enumerate(want)
                     if i % 2 == 0]
                 for i, head in enumerate(heads):
@@ -408,26 +404,6 @@ class TestKernelsMatchFractionReference:
                         assert accepts(
                             emb, strategy, subset + subset[:1],
                             head) == want[i][0]
-
-    def test_score_of_a_value_other_than_the_last_labelled(self):
-        # scores reads what `labels` kept for the value it last labelled;
-        # any other value, or one never labelled, is labelled first
-        rng = random.Random(61)
-        atoms = ["a", "b", "c"]
-        for strategy in EXACT:
-            emb = random_embedding(rng, atoms, dimension=3, tied=strategy.tied)
-            emb.lam = {a: random_fraction(rng) for a in atoms}
-            emb.theta = {a: abs(random_fraction(rng)) for a in atoms}
-            rule = exact_rule(strategy)
-            labeller = rule.labeller(scale(emb), atoms)
-            first, second = (pool(emb, strategy, s)
-                             for s in (("a", "b"), ("c",)))
-            labeller.labels(first)
-            for subset, pooled in ((("c",), second), (("a", "b"), first)):
-                want = [(i, ref_evaluate(emb, strategy.name, subset, head)[1])
-                        for i, head in enumerate(atoms)]
-                assert list(labeller.scores(pooled, 0b111)) == want, (
-                    strategy.name)
 
     def test_scaling_reads_the_current_thresholds(self):
         emb = make_embedding({"a": (1, 0), "b": (1, 0)}, lam={"b": 2})
@@ -478,7 +454,7 @@ class TestPackedDecisions:
         base = _wide_embedding(rng, atoms, rng.randint(2, 4), bits)
         subsets = [atoms[:2], atoms[2:3], atoms[:6], atoms[3:11],
                    tuple(rng.sample(atoms, 7)), atoms[5:6]]
-        for strategy in EXACT:
+        for strategy in EXACT_STRATEGIES:
             emb = base
             if strategy.tied:  # tied rules read the context vectors
                 emb = AttributeEmbedding(base.dimension, base.context,
@@ -493,18 +469,18 @@ class TestPackedDecisions:
                 assert [bool(got >> i & 1) for i in range(len(atoms))] == [
                     label for label, _ in want], (strategy.name, subset)
                 every = (1 << len(atoms)) - 1
-                assert list(labeller.scores(pooled, every)) == [
+                assert list(labeller.scores(every)) == [
                     (i, text) for i, (_, text) in enumerate(want)], (
                         strategy.name, subset)
 
     def test_no_heads(self):
         emb = make_embedding({"a": (1, -2)}, lam={"a": 1}, theta={"a": 1})
-        for strategy in EXACT:
+        for strategy in EXACT_STRATEGIES:
             rule = exact_rule(strategy)
             labeller = rule.labeller(scale(emb), ())
             pooled = pool(emb, strategy, ("a",))
             assert labeller.labels(pooled) == 0
-            assert list(labeller.scores(pooled, 0)) == []
+            assert list(labeller.scores(0)) == []
 
 
 def _packed(heads, dimension):
@@ -590,11 +566,14 @@ class TestEmbeddingJson:
                 parse_frac(value)
 
     def test_dimension_validation(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError,
+                           match="^vector for 'a' has length 1, "
+                                 "embedding dimension is 2$"):
             AttributeEmbedding(2, {"a": (F(1),)}, {"a": (F(1),)})
 
     def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^negative distance radius for 'a'$"):
             AttributeEmbedding(1, {"a": (F(1),)}, {"a": (F(1),)},
                                theta={"a": F(-1)})
 

@@ -8,14 +8,14 @@ import pytest
 
 import embedsim.logic as logic
 import embedsim.verifier as verifier
-from conftest import (accepts, follows, pool, random_embedding,
-                      random_rule_kb, random_stratified_kb)
+from conftest import (EXACT_STRATEGIES, accepts, follows, pool,
+                      random_embedding, random_rule_kb, random_stratified_kb)
 from embedsim.constructors import RECIPES, construct
 from embedsim.fixtures import fixture
 from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB, entails,
                             parse_kb)
-from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, ORD_ORD,
-                                 TABLE1_STRATEGIES, AttributeEmbedding,
+from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, NORM_DIST,
+                                 ORD_ORD, AttributeEmbedding,
                                  DimensionMismatchError, DistLabeller,
                                  DistOnNormLabeller, DotLabeller,
                                  DotOnNormLabeller, ExactEvaluationError,
@@ -214,11 +214,9 @@ class TestPoolOnce:
         assert sorted(starts + extends) == want
 
     def test_directs_cover_every_exact_strategy(self):
-        assert sorted(DIRECT) == sorted(
-            s.name for s in TABLE1_STRATEGIES if s.exact)
+        assert sorted(DIRECT) == sorted(s.name for s in EXACT_STRATEGIES)
 
-    @pytest.mark.parametrize("strategy",
-                             [s for s in TABLE1_STRATEGIES if s.exact],
+    @pytest.mark.parametrize("strategy", EXACT_STRATEGIES,
                              ids=lambda s: s.name)
     def test_sweep_matches_direct_evaluation(self, strategy):
         # every subset pooled from scratch and every head labelled and
@@ -253,7 +251,7 @@ class TestPoolOnce:
                 for head in sig.atoms:
                     alone = labeller(scaled, (head,))
                     got = bool(alone.labels(pooled))
-                    (_, score), = alone.scores(pooled, 1)
+                    (_, score), = alone.scores(1)
                     assert (got, score) == ref_evaluate(
                         emb, strategy.name, subset, head)
                     want = oracle(kb, subset, head)
@@ -264,8 +262,7 @@ class TestPoolOnce:
 
 
 class TestLabelOnce:
-    @pytest.mark.parametrize("strategy",
-                             [s for s in TABLE1_STRATEGIES if s.exact],
+    @pytest.mark.parametrize("strategy", EXACT_STRATEGIES,
                              ids=lambda s: s.name)
     def test_one_labeller_and_one_labels_call_per_subset(self, strategy,
                                                          monkeypatch):
@@ -298,6 +295,76 @@ class TestLabelOnce:
         # bound once to every head; 31 non-empty subsets of 5 atoms
         assert bound == [kb.signature.atoms]
         assert len(labelled) == 31
+
+
+AB = "atoms: a b\nformula: a -> b\n"
+
+
+class TestEmbeddingCheckedOnce:
+    """An embedding's fields may be reassigned after it is built, so a
+    sweep checks the embedding once, as it scales it.  A reassigned
+    vector of the wrong length, a negative radius or a dropped threshold
+    is refused in one line that names the atom, before a labeller is
+    bound, so before any subset is labelled."""
+
+    def refused(self, monkeypatch, emb, strategy, kb, error, message):
+        bound = []
+        original = verifier.exact_rule
+
+        def recording_rule(s):
+            rule = original(s)
+
+            def bind(*args):
+                bound.append(args)
+                return rule.labeller(*args)
+
+            return rule._replace(labeller=bind)
+
+        monkeypatch.setattr(verifier, "exact_rule", recording_rule)
+        verify = (verify_nonmonotonic if isinstance(kb, StratifiedKB)
+                  else verify_monotonic)
+        with pytest.raises(error) as info:
+            verify(emb, strategy, kb)
+        assert str(info.value) == message
+        assert bound == []
+
+    @pytest.mark.parametrize("family", ["context", "output"])
+    @pytest.mark.parametrize("strategy", EXACT_STRATEGIES,
+                             ids=lambda s: s.name)
+    def test_vector_of_the_wrong_length(self, monkeypatch, strategy, family):
+        # a short output vector used to be zipped against longer pooled
+        # vectors, so every verdict read a truncated vector
+        kb = parse_kb(AB)
+        emb = random_embedding(random.Random(29), kb.signature.atoms,
+                               dimension=2, tied=strategy.tied)
+        getattr(emb, family)["b"] = (F(1),)
+        self.refused(monkeypatch, emb, strategy, kb, DimensionMismatchError,
+                     "vector for 'b' has length 1, embedding dimension is 2")
+
+    @pytest.mark.parametrize("source", [AB, "atoms: a b\nstratum: a -> b\n"],
+                             ids=["plain", "stratified"])
+    @pytest.mark.parametrize("strategy", [AVG_DIST, NORM_DIST],
+                             ids=lambda s: s.name)
+    def test_negative_radius(self, monkeypatch, strategy, source):
+        # the distance labellers square the radius's numerator, so -1/2
+        # used to give exactly the mismatches of 1/2
+        kb = parse_kb(source)
+        emb = random_embedding(random.Random(29), kb.signature.atoms)
+        emb.theta["b"] = F(-1, 2)
+        self.refused(monkeypatch, emb, strategy, kb, ValueError,
+                     "negative distance radius for 'b'")
+
+    @pytest.mark.parametrize("field, name", [("lam", "lambda"),
+                                             ("theta", "theta")])
+    @pytest.mark.parametrize("strategy", EXACT_STRATEGIES,
+                             ids=lambda s: s.name)
+    def test_dropped_threshold(self, monkeypatch, strategy, field, name):
+        kb = parse_kb(AB)
+        emb = random_embedding(random.Random(29), kb.signature.atoms,
+                               tied=strategy.tied)
+        setattr(emb, field, {"a": F(0)})
+        self.refused(monkeypatch, emb, strategy, kb, ValueError,
+                     f"no {name} for 'b'")
 
 
 class TestSubsetEnumeration:
