@@ -1,5 +1,5 @@
-"""Byte-level pins: the table1 JSON, one mismatch report per strategy,
-the generic avg-dot decision certificate for CE1, the indented text
+"""Byte-level pins: the table1 JSON, one mismatch report per strategy
+on a plain KB and one on a stratified KB, the generic avg-dot decision certificate for CE1, the indented text
 of both avg-dot CE1 certificates, each construction recipe's
 embedding on each fixture it applies to, and every fixture certificate
 `certify` prints, with its errors.
@@ -22,7 +22,7 @@ from embedsim.cli import main
 from embedsim.constructors import construct
 from embedsim.fixtures import FIXTURE_SOURCES, fixture
 from embedsim.strategies import sig_conical_diagnostics, strategy_from_name
-from embedsim.verifier import verify_monotonic
+from embedsim.verifier import verify_monotonic, verify_nonmonotonic
 
 # sha256 of `embedsim table1 --json` with the sigmoid diagnostics removed
 # (they are floats from a numeric optimiser), re-dumped canonically
@@ -48,6 +48,27 @@ CE1_REPORTS = {
                          "f94928e72b25c3e86afbccde2e1708c2"),
     "ord-ord": (27, "d2075d727967bc1cddc6d9bd5720775b"
                     "25ed8b18a82f2b3e54518c101bb4baff"),
+}
+
+# the same for a seeded random 3-dimensional embedding swept against the
+# stratified EX4 under ranked-default consequence
+EX4_REPORTS = {
+    "avg-dot": (30, "7a7d7c2567269f7dbac4905553e35006"
+                    "ca8b34f25f90d5936e46f87c96e1b0f5"),
+    "avg-dist": (35, "933a638ab25939c0fff5987c9748c8e3"
+                     "3d2fa7a2c113c48fb965135785bc0bfe"),
+    "norm-dot": (37, "0cc72a77d47743a42a5f704b7e16bb1a"
+                     "36ba97dda3246d442ee77198800c5e52"),
+    "norm-dist": (33, "9b99c3856f5534cd0ecb8d9996a158d8"
+                      "7e3a6d9dd3338a79f7cc167a225b133e"),
+    "avg-relu": (24, "ae520c903beb4b1ce35fe502bc3ee118"
+                     "3084c09850f67d423c9b9244dcec72aa"),
+    "had-dot": (28, "01e73400c29d6ba32f8d5ca7e5e675e9"
+                    "3311e21c85a4b4bffb6f66ea0b7f5e23"),
+    "had-dot-tied": (28, "7f2ba14b35d2344882481988ae315f4f"
+                         "b76ac600880a32d064e97947d9a5ecfd"),
+    "ord-ord": (8, "d1a3a025e67e3d4c4a6493b9fb5676ca"
+                   "a03b655fc5a2d42c2eba69847eb0296d"),
 }
 
 # sha256 of the CE1 certificates as `certify --strategy avg-dot --json`
@@ -198,8 +219,17 @@ def ce1_report(name: str):
     return verify_monotonic(emb, strategy, kb)
 
 
+def ex4_report(name: str):
+    strategy = strategy_from_name(name)
+    kb = fixture("EX4")
+    emb = random_embedding(random.Random(f"golden:EX4:{name}"),
+                           kb.signature.atoms, dimension=3, tied=strategy.tied)
+    return verify_nonmonotonic(emb, strategy, kb)
+
+
 def test_pins_cover_every_exact_strategy():
-    assert sorted(CE1_REPORTS) == sorted(s.name for s in EXACT_STRATEGIES)
+    names = sorted(s.name for s in EXACT_STRATEGIES)
+    assert sorted(CE1_REPORTS) == sorted(EX4_REPORTS) == names
 
 
 def test_table1_json_bytes(capsys):
@@ -249,9 +279,16 @@ def test_compact_ce1_certificate_is_the_indented_document(capsys, tmp_path,
 
 @pytest.mark.parametrize("name", sorted(CE1_REPORTS))
 def test_ce1_mismatch_report_bytes(name):
-    report = ce1_report(name)
-    mismatches, digest = CE1_REPORTS[name]
-    assert report.queries == 155
+    check_report(ce1_report(name), 155, *CE1_REPORTS[name], name)
+
+
+@pytest.mark.parametrize("name", sorted(EX4_REPORTS))
+def test_ex4_mismatch_report_bytes(name):
+    check_report(ex4_report(name), 60, *EX4_REPORTS[name], name)
+
+
+def check_report(report, queries, mismatches, digest, name):
+    assert report.queries == queries
     assert len(report.mismatches) == mismatches
     assert all(m.score.startswith(SCORE_PREFIX[name])
                for m in report.mismatches)
