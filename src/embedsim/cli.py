@@ -138,9 +138,9 @@ def _read_embedding(path: str) -> AttributeEmbedding:
         with open(path, encoding="utf-8") as fh:
             return AttributeEmbedding.from_json_dict(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            ZeroDivisionError, RecursionError) as exc:
-        # TypeError: JSON of the wrong shape; ZeroDivisionError: "p/0";
-        # RecursionError: JSON nested too deeply to decode
+            RecursionError) as exc:
+        # TypeError: JSON of the wrong shape; RecursionError: JSON nested
+        # too deeply to decode
         raise UsageError(f"cannot load embedding {path}: {exc}") from exc
 
 

@@ -11,24 +11,27 @@ extend steps.  These steps are the library's only pooling: a sweep
 pools each subset by one step from its parent, and `exact_rule` reads
 the eight exact strategies' steps and labellers from one table built at
 import.  `Fraction` appears only in the embedding itself and in
-threshold text.  Normalised pooling never materialises the irrational
-unit vector; it carries (sum, ||sum||^2) and decides comparisons by
-sign analysis and squaring.
+threshold text; loading an embedding parses each distinct rational
+text once.  Normalised pooling never materialises the irrational unit
+vector; it carries (sum, ||sum||^2) and bounds ||sum|| between
+isqrt(||sum||^2) and one more, squaring only where the bounds do not
+decide.
 
 Each labelling rule is a labeller, bound once to the scaled embedding
 and a tuple of heads with every denominator and threshold p/q
 multiplied out; one call labels every head of a pooled value as a
 bitmask.  A sweep checks its embedding once, in `scale`, and builds
 every pooled value from it, so a labeller checks no pooled value.  The
-dot, ReLU and distance labellers pack every head into one integer:
-field i holds head i's signed threshold difference, made by one packed
-product per coordinate plus packed constants, and the fields' sign
-bits are read out together as the label mask.  A field is w bits wide,
-a multiple of 16 that leaves two bits to spare over the labeller's
-bound on the difference.  Scores are read back from the fields of the
-value last labelled: one call per wrong subset inverts each wrong
-head's difference to its dot product or squared distance.  The order
-and normalised labellers compare head by head.
+dot, ReLU, distance and normalised labellers pack every head into one
+integer: field i holds head i's signed threshold difference, made by
+one packed product per coordinate plus packed constants, and the
+fields' sign bits are read out together as the label mask.  A field is
+w bits wide, a multiple of 16 that leaves two bits to spare over the
+labeller's bound on the difference.  Only the order labeller compares
+head by head.  A wrong subset costs one `report` call, which appends a
+`Mismatch` per wrong head: its score is read back from the fields of
+the value last labelled, each wrong head's difference inverted to its
+dot product or squared distance.
 
 The sigmoid-MLE pooling is a floating-point demonstrator (gradient
 ascent on a seeded start, deterministic per (seed, iterations)); it is
@@ -43,9 +46,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, le, lshift, mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,22 +93,29 @@ def parse_frac(x: str | int) -> Fraction:
     compute the power of ten in full, and "1e-3000000" would not finish.
     A value whose numerator or denominator has more than 4300 digits is
     refused too, since neither `frac_str` nor a report could print it
-    ("1e4300", "1e-4300").
+    ("1e4300", "1e-4300"), and so is a zero denominator ("1/0").
     """
-    # bool is an int subclass
-    if type(x) is not int and not isinstance(x, str):
+    if isinstance(x, str):
+        exponent = _EXPONENT.search(x) if "e" in x or "E" in x else None
+        if exponent:
+            digits = exponent[1].replace("_", "").lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_DIGITS))
+                    or int(digits) > MAX_DIGITS):
+                raise ValueError(f"decimal exponent of magnitude above "
+                                 f"{MAX_DIGITS} in {x[:40]!r}")
+        # without an exponent, a string's numerator and denominator have
+        # no more digits than the string, so only the other cases need
+        # the digit test
+        unbounded = exponent or len(x) > MAX_DIGITS
+    elif type(x) is int:  # bool is an int subclass
+        unbounded = True
+    else:
         raise ValueError(f'expected a "p/q" string or an integer, got {x!r}')
-    exponent = _EXPONENT.search(x) if isinstance(x, str) else None
-    if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0") or "0"
-        if (len(digits) > len(str(MAX_DIGITS))
-                or int(digits) > MAX_DIGITS):
-            raise ValueError(f"decimal exponent of magnitude above "
-                             f"{MAX_DIGITS} in {x[:40]!r}")
-    value = Fraction(x)
-    # without an exponent, a string's numerator and denominator have no
-    # more digits than the string, so only the other cases need the test
-    if ((exponent or type(x) is int or len(x) > MAX_DIGITS)
+    try:
+        value = Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f'zero denominator in "{x[:40]}"') from None
+    if (unbounded
             and max(abs(value.numerator), value.denominator) >= DIGIT_BOUND):
         shown = repr(x[:40]) if isinstance(x, str) else "an integer"
         raise ValueError(f"numerator or denominator of more than "
@@ -115,15 +125,6 @@ def parse_frac(x: str | int) -> Fraction:
 
 def vec_strs(v: Vec) -> list[str]:
     return [frac_str(x) for x in v]
-
-
-def parse_vec(items: list[str | int]) -> Vec:
-    """An exact vector from a JSON list; a string or an object, which
-    would iterate as its characters or keys, is refused."""
-    if not isinstance(items, list):
-        raise ValueError(
-            f"a vector must be a JSON list, got {type(items).__name__}")
-    return tuple(map(parse_frac, items))
 
 
 # ------------------------------------------------------------------
@@ -239,17 +240,58 @@ class AttributeEmbedding:
                 or not all(isinstance(entry, dict) for entry in atoms)):
             raise ValueError("atoms must be a JSON list of objects")
         context, output, lam, theta = {}, {}, {}, {}
+        parsed = _Parsed()
+
+        def value(item, key: str) -> Fraction:
+            """The rational of `item`, field `key` of the current atom."""
+            try:
+                try:
+                    return parsed[item]
+                except TypeError:  # unhashable: parse_frac refuses it
+                    return parse_frac(item)
+            except ValueError as exc:
+                raise ValueError(f"atom {name!r}: {key}: {exc}") from None
+
+        def vector(key: str, items) -> Vec:
+            # a string or an object would iterate as its characters or keys
+            if not isinstance(items, list):
+                raise ValueError(f"atom {name!r}: {key}: a vector must be a "
+                                 f"JSON list, got {type(items).__name__}")
+            try:
+                return tuple(map(parsed.__getitem__, items))
+            except (TypeError, ValueError):
+                for k, x in enumerate(items):  # the first item refused
+                    value(x, f"{key}[{k}]")
+                raise
+
         for i, entry in enumerate(atoms):
             name = entry.get("name")
             if not isinstance(name, str):
                 raise ValueError(f"the name of atom {i} must be a JSON string")
             if name in context:
                 raise ValueError(f"duplicate atom {name!r}")
-            context[name] = parse_vec(entry["context"])
-            output[name] = parse_vec(entry.get("output", entry["context"]))
-            lam[name] = parse_frac(entry.get("lambda", "0"))
-            theta[name] = parse_frac(entry.get("theta", "0"))
+            if "context" not in entry:
+                raise ValueError(f"atom {name!r}: context is missing")
+            context[name] = vector("context", entry["context"])
+            output[name] = (vector("output", entry["output"])
+                            if "output" in entry else context[name])
+            lam[name] = value(entry.get("lambda", "0"), "lambda")
+            theta[name] = value(entry.get("theta", "0"), "theta")
         return cls(dim, context, output, lam, theta)
+
+
+class _Parsed(dict):
+    """The rational of each text an embedding document holds, parsed by
+    `parse_frac` on first lookup.  Only a string is stored: JSON true and
+    1.0 equal the int 1 and hash like it, so an int key would let them
+    through, and every value that is not a string is parsed (and, unless
+    it is an int, refused) each time it is looked up."""
+
+    def __missing__(self, item) -> Fraction:
+        result = parse_frac(item)
+        if type(item) is str:
+            self[item] = result
+        return result
 
 
 def _check(emb: AttributeEmbedding) -> None:
@@ -368,8 +410,27 @@ def _ord_extend(pooled: Pooled, one: Pooled) -> Pooled:
 # and a tuple of heads, with every threshold multiplied out at binding
 # ------------------------------------------------------------------
 
+@dataclass(slots=True)
+class Mismatch:
+    """One wrong head of a swept subset, as a labeller reports it."""
+
+    subset: tuple[str, ...]
+    head: str
+    expected: bool
+    got: bool
+    score: str
+
+    def to_dict(self) -> dict:
+        return {"subset": list(self.subset), "head": self.head,
+                "expected": self.expected, "got": self.got,
+                "score": self.score}
+
+
 def _ratio(num: int, den: int) -> str:
-    """`frac_str(Fraction(num, den))` for den > 0, without the Fraction."""
+    """`frac_str(Fraction(num, den))` for den > 0, without the Fraction.
+
+    The report loops write this inline for each wrong head's score.
+    """
     g = gcd(num, den)
     return f"{num // g}/{den // g}"
 
@@ -406,36 +467,41 @@ class _Pack(NamedTuple):
         digits = x.to_bytes(heads * step, "little")[step - 1::step]
         return int(digits.translate(_TOP_BIT)[::-1] or b"0", 2)
 
-    def fields(self, x: int, heads: int) -> list[int]:
-        w = self.width
-        mask, half = (1 << w) - 1, 1 << w - 1
-        return [(x >> s & mask) - half for s in range(0, w * heads, w)]
-
 
 class _Labeller:
     """The label set of a pooled value over heads fixed at binding.
 
     `labels(pooled)` sets bit i when `heads[i]` is labelled, doing the
-    per-subset work once for all heads.  `scores(wrong)` yields (i, text)
-    for each bit i set in `wrong`: the exact quantity behind head i's
-    decision on the value last labelled, as mismatch-report text, the
-    parts it shares with the other heads made once.  `labels` keeps what
-    it computed for that value, so scoring costs no further products.
+    per-subset work once for all heads, and keeps what it computed.
+    `report(out, subset, got, wrong)` appends to `out` one `Mismatch`
+    per bit i set in `wrong`, in head order, for the value last
+    labelled, whose label set was `got`: head i, the label it should
+    have had and the one it got, and as score text the exact quantity
+    behind the decision.  The parts that text shares with the other
+    heads are made once per call, and it costs no further products.
 
-    Each head has a column vector and may have constants, packed
-    (`_Pack`) at a width w fitted to the pooled value: a multiple of 16
-    that holds the labeller's bound on every field's value with two bits
-    to spare, so that no field of a packed sum carries into the next.
+    Each head has a column vector, `scales[i]` times `columns[i]` (the
+    scale is multiplied in as the columns are packed, not coordinate by
+    coordinate at binding), and may have constants, packed (`_Pack`) at
+    a width w fitted to the pooled value: a multiple of 16 that holds
+    the labeller's bound on every field's value with two bits to spare,
+    so that no field of a packed sum carries into the next.
     """
 
-    def __init__(self, sc: ScaledEmbedding, columns: Sequence[IntVec],
-                 constants: Sequence[Sequence[int]] = ()):
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str],
+                 columns: Sequence[IntVec],
+                 constants: Sequence[Sequence[int]] = (),
+                 scales: Sequence[int] | None = None):
         self.cden, self.oden = sc.cden, sc.oden
         self.last: tuple | None = None
+        self.names = tuple(heads)
         self.columns = tuple(columns)
         self.constants = tuple(constants)
         self.heads = len(self.columns)
-        self.reach = max((sum(map(abs, c)) for c in self.columns), default=0)
+        self.scales = [1] * self.heads if scales is None else list(scales)
+        self.reach = max((m * sum(map(abs, c))
+                          for m, c in zip(self.scales, self.columns)),
+                         default=0)
         self.packs: dict[int, _Pack] = {}
 
     def _pack(self, bound: int) -> _Pack:
@@ -443,8 +509,9 @@ class _Labeller:
         w = (bound.bit_length() + 17) // 16 * 16
         if w not in self.packs:
             shifts = range(0, w * self.heads, w)
+            weights = [m << s for m, s in zip(self.scales, shifts)]
             self.packs[w] = _Pack(
-                w, [sum(map(lshift, column, shifts))
+                w, [sum(map(mul, column, weights))
                     for column in zip(*self.columns)],
                 [sum(map(lshift, row, shifts)) for row in self.constants],
                 sum(1 << s + w - 1 for s in shifts))
@@ -465,11 +532,11 @@ class DotLabeller(_Labeller):
                               else (sc.output, sc.oden))
         lams = [sc.lam[b] for b in heads]
         pxs = [lam.numerator * self.tden for lam in lams]
-        super().__init__(sc, [tuple(lam.denominator * t for t in vectors[b])
-                              for b, lam in zip(heads, lams)], [pxs])
+        super().__init__(sc, heads, [vectors[b] for b in heads], [pxs],
+                         [lam.denominator for lam in lams])
         self.preach = max(map(abs, pxs), default=0)
-        self.rows = [(lam.denominator, px, f" lambda={frac_str(lam)}")
-                     for lam, px in zip(lams, pxs)]
+        self.rows = [(b, lam.denominator, px, f" lambda={frac_str(lam)}")
+                     for b, lam, px in zip(heads, lams, pxs)]
 
     def labels(self, pooled: Pooled) -> int:
         total, den = pooled
@@ -480,7 +547,8 @@ class DotLabeller(_Labeller):
         self.last = den, x, pack
         return pack.top_bits(x, self.heads)
 
-    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+    def report(self, out: list, subset: tuple[str, ...], got: int,
+               wrong: int) -> None:
         den, x, pack = self.last
         w = pack.width
         mask, half = (1 << w) - 1, 1 << w - 1
@@ -489,9 +557,12 @@ class DotLabeller(_Labeller):
             low = wrong & -wrong
             i = low.bit_length() - 1
             wrong ^= low
-            q, px, text = rows[i]
+            head, q, px, text = rows[i]
             dot = ((x >> i * w & mask) - half + px * den) // q
-            yield i, f"dot={_ratio(dot, dden)}{text}"
+            g = gcd(dot, dden)
+            label = (got & low) != 0
+            out.append(Mismatch(subset, head, not label, label,
+                                f"dot={dot // g}/{dden // g}{text}"))
 
 
 class DistLabeller(_Labeller):
@@ -512,13 +583,11 @@ class DistLabeller(_Labeller):
         p2s = [(th.numerator * sc.oden) ** 2 for th in thetas]
         offsets = [p2 - q2 * sum(map(mul, out, out))
                    for p2, q2, out in zip(p2s, q2s, outputs)]
-        super().__init__(sc, [tuple(q2 * x for x in out)
-                              for q2, out in zip(q2s, outputs)],
-                         [offsets, q2s])
+        super().__init__(sc, heads, outputs, [offsets, q2s], q2s)
         self.offset_reach = max(map(abs, offsets), default=0)
         self.q2_reach = max(q2s, default=0)
-        self.rows = [(p2, q2, f" theta={frac_str(th)}")
-                     for p2, q2, th in zip(p2s, q2s, thetas)]
+        self.rows = [(b, p2, q2, f" theta={frac_str(th)}")
+                     for b, p2, q2, th in zip(heads, p2s, q2s, thetas)]
 
     def labels(self, pooled: Pooled) -> int:
         total, den = pooled
@@ -533,7 +602,8 @@ class DistLabeller(_Labeller):
         self.last = den, x, pack
         return pack.top_bits(x, self.heads)
 
-    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+    def report(self, out: list, subset: tuple[str, ...], got: int,
+               wrong: int) -> None:
         den, x, pack = self.last
         w = pack.width
         mask, half = (1 << w) - 1, 1 << w - 1
@@ -542,9 +612,12 @@ class DistLabeller(_Labeller):
             low = wrong & -wrong
             i = low.bit_length() - 1
             wrong ^= low
-            p2, q2, text = rows[i]
+            head, p2, q2, text = rows[i]
             distsq = (p2 * dsq - (x >> i * w & mask) + half) // q2
-            yield i, f"distsq={_ratio(distsq, dden)}{text}"
+            g = gcd(distsq, dden)
+            label = (got & low) != 0
+            out.append(Mismatch(subset, head, not label, label,
+                                f"distsq={distsq // g}/{dden // g}{text}"))
 
 
 class ReluLabeller(_Labeller):
@@ -555,7 +628,7 @@ class ReluLabeller(_Labeller):
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc, [sc.context[b] for b in heads])
+        super().__init__(sc, heads, [sc.context[b] for b in heads])
 
     def labels(self, pooled: Pooled) -> int:
         v = _relu(pooled[0])
@@ -564,16 +637,21 @@ class ReluLabeller(_Labeller):
         self.last = pooled[1], x, pack
         return pack.top_bits(x, self.heads)
 
-    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+    def report(self, out: list, subset: tuple[str, ...], got: int,
+               wrong: int) -> None:
         den, x, pack = self.last
         w = pack.width
         mask, half = (1 << w) - 1, 1 << w - 1
-        dden = den * self.cden
+        dden, names = den * self.cden, self.names
         while wrong:
             low = wrong & -wrong
             i = low.bit_length() - 1
             wrong ^= low
-            yield i, f"relu_dot={_ratio((x >> i * w & mask) - half, dden)}"
+            dot = (x >> i * w & mask) - half
+            g = gcd(dot, dden)
+            label = (got & low) != 0
+            out.append(Mismatch(subset, names[i], not label, label,
+                                f"relu_dot={dot // g}/{dden // g}"))
 
 
 class OrdLabeller(_Labeller):
@@ -581,21 +659,26 @@ class OrdLabeller(_Labeller):
 
     Max pooling stays over cden, the context vectors' own denominator,
     so the numerators are compared directly, head by head: a comparison
-    stops at the first coordinate that decides it.
+    stops at the first coordinate that decides it.  Every wrong head of
+    a subset is scored by the same text, the pooled vector.
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc, [sc.context[b] for b in heads])
+        super().__init__(sc, heads, [sc.context[b] for b in heads])
 
     def labels(self, pooled: Pooled) -> int:
         self.last = pooled
         return sum(1 << i for i, c in enumerate(self.columns)
                    if all(map(le, c, pooled[0])))
 
-    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
+    def report(self, out: list, subset: tuple[str, ...], got: int,
+               wrong: int) -> None:
         total, den = self.last
         text = f"pooled={','.join(_ratio(x, den) for x in total)}"
-        return ((i, text) for i in range(self.heads) if wrong >> i & 1)
+        for i, head in enumerate(self.names):
+            if wrong >> i & 1:
+                label = (got >> i & 1) != 0
+                out.append(Mismatch(subset, head, not label, label, text))
 
 
 def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
@@ -608,57 +691,89 @@ def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
 
 class _NormLabeller(_Labeller):
     """A rule on the (sum, ||sum||^2) pair of normalised pooling, decided
-    exactly.
+    exactly: head b reads m (sum . O) >= c ||sum|| with m > 0, where the
+    sum's denominator cancels.
 
-    Head b's row reads m (sum . O) >= c ||sum||, decided by sign analysis
-    and squaring, head by head, on the plain products that `dots` reads
-    from one packed product; the sum's denominator cancels.  The zero
-    pooled vector (empty set or cancelling sum) gets the label set
-    `zero`, fixed at binding."""
+    Column b packs m O and one constant packs every head's c.  With
+    s = isqrt(||sum||^2), one packed product gives field b = m dot - c s,
+    and subtracting the constants once more gives m dot - c (s + 1).  As
+    s <= ||sum|| < s + 1, c ||sum|| lies between c s and c (s + 1), so
+    the two sign bits decide every head on which they agree, and when
+    ||sum||^2 is a perfect square the first decides every head.  A head
+    whose m dot lies between the two bounds is decided by squaring
+    (`_ge_scaled_sqrt`).  The zero pooled vector (empty set or cancelling
+    sum) gets the label set `zero`, fixed at binding.  Subclasses give
+    each head's m, c, score text and zero label.
+    """
 
-    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc, [sc.output[b] for b in heads])
-
-    def dots(self, v: IntVec) -> list[int]:
-        """v . output[b] for every head."""
-        pack = self._pack(max(map(abs, v), default=0) * self.reach)
-        return pack.fields(sum(map(mul, v, pack.columns), pack.signs),
-                           self.heads)
+    def __init__(self, sc: ScaledEmbedding, heads: Sequence[str],
+                 rows: Sequence[tuple[int, int, str, bool]]):
+        super().__init__(sc, heads, [sc.output[b] for b in heads],
+                         [[c for _, c, _, _ in rows]],
+                         [m for m, _, _, _ in rows])
+        self.creach = max((abs(c) for _, c, _, _ in rows), default=0)
+        self.rows = [(b, m, c, text)
+                     for b, (m, c, text, _) in zip(heads, rows)]
+        self.zero = sum(zero << i for i, (_, _, _, zero) in enumerate(rows))
 
     def labels(self, pooled: Pooled) -> int:
         v, normsq = pooled
-        dots = self.dots(v)
-        self.last = dots, normsq
+        s = isqrt(normsq)
+        pack = self._pack(max(map(abs, v), default=0) * self.reach
+                          + (s + 1) * self.creach)
+        cs = pack.constants[0]
+        x = sum(map(mul, v, pack.columns), pack.signs - s * cs)
+        self.last = normsq, s, x, pack
         if normsq == 0:
             return self.zero
-        return sum(bit for (bit, m, c, _), dot in zip(self.rows, dots)
-                   if _ge_scaled_sqrt(m * dot, c, normsq))
+        low = pack.top_bits(x, self.heads)  # m dot >= c s
+        if s * s == normsq:
+            return low
+        high = pack.top_bits(x - cs, self.heads)  # m dot >= c (s + 1)
+        labels, between = low & high, low ^ high
+        w = pack.width
+        mask, half = (1 << w) - 1, 1 << w - 1
+        while between:
+            bit = between & -between
+            i = bit.bit_length() - 1
+            between ^= bit
+            c = self.rows[i][2]
+            if _ge_scaled_sqrt((x >> i * w & mask) - half + c * s, c, normsq):
+                labels |= bit
+        return labels
 
-    def scores(self, wrong: int) -> Iterator[tuple[int, str]]:
-        dots, normsq = self.last
-        dden, shown = self.cden * self.oden, _ratio(normsq, self.cden ** 2)
-        rows = self.rows
+    def report(self, out: list, subset: tuple[str, ...], got: int,
+               wrong: int) -> None:
+        normsq, s, x, pack = self.last
+        w = pack.width
+        mask, half = (1 << w) - 1, 1 << w - 1
+        dden, rows = self.cden * self.oden, self.rows
+        shown = f" normsq={_ratio(normsq, self.cden ** 2)}"
         while wrong:
             low = wrong & -wrong
             i = low.bit_length() - 1
             wrong ^= low
-            yield i, (f"sum.out={_ratio(dots[i], dden)} normsq={shown}"
-                      f"{rows[i][3]}")
+            head, m, c, text = rows[i]
+            dot = ((x >> i * w & mask) - half + c * s) // m
+            g = gcd(dot, dden)
+            label = (got & low) != 0
+            out.append(Mismatch(
+                subset, head, not label, label,
+                f"sum.out={dot // g}/{dden // g}{shown}{text}"))
 
 
 class DotOnNormLabeller(_NormLabeller):
     """Dot labelling on normalised pooling: sum . b >= lambda_b ||sum||.
 
-    For b = O/o and lambda_b = p/q: (sum . O) q >= p o ||sum||.  The
+    For b = O/o and lambda_b = p/q: q (sum . O) >= p o ||sum||.  The
     zero vector reduces to 0 >= lambda_b.
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc, heads)
-        self.rows = [(1 << i, lam.denominator, lam.numerator * sc.oden,
-                      f" lambda={frac_str(lam)}")
-                     for i, lam in enumerate(sc.lam[b] for b in heads)]
-        self.zero = sum(bit for bit, _, po, _ in self.rows if po <= 0)
+        lams = [sc.lam[b] for b in heads]
+        super().__init__(sc, heads, [
+            (lam.denominator, lam.numerator * sc.oden,
+             f" lambda={frac_str(lam)}", lam <= 0) for lam in lams])
 
 
 class DistOnNormLabeller(_NormLabeller):
@@ -671,17 +786,15 @@ class DistOnNormLabeller(_NormLabeller):
     """
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
-        super().__init__(sc, heads)
-        o2, self.rows, self.zero = sc.oden ** 2, [], 0
-        for i, b in enumerate(heads):
+        o2, rows = sc.oden ** 2, []
+        for b in heads:
             out, th = sc.output[b], sc.theta[b]
             outsq = sum(map(mul, out, out))
             p2, q2 = th.numerator ** 2, th.denominator ** 2
-            self.rows.append((1 << i, 2 * sc.oden * q2,
-                              (o2 + outsq) * q2 - p2 * o2,
-                              f" outsq={_ratio(outsq, o2)} "
-                              f"theta={frac_str(th)}"))
-            self.zero |= (outsq * q2 <= p2 * o2) << i
+            rows.append((2 * sc.oden * q2, (o2 + outsq) * q2 - p2 * o2,
+                         f" outsq={_ratio(outsq, o2)} theta={frac_str(th)}",
+                         outsq * q2 <= p2 * o2))
+        super().__init__(sc, heads, rows)
 
 
 # ------------------------------------------------------------------

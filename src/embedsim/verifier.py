@@ -16,13 +16,13 @@ strategy's labeller to the signature's heads.  It walks the subset
 lattice level by level, pools each subset by one step from the subset
 less its top atom and extends that subset's name tuple by the same
 atom, labels all its heads at once as a bitmask, and XORs that with its
-table entry.  A subset with wrong heads costs one `scores` call, which
-yields the score text of each wrong head; a score holding an integer
-longer than CPython's int-to-text limit is refused in one line that
-names the subset and its wrong heads.  `verify_monotonic` takes a
-plain KB and `verify_nonmonotonic` a stratified one; each refuses the
-other kind, so the table's type dispatch never swaps the semantics
-asked for.
+table entry.  A subset with wrong heads costs one labeller `report`
+call, which appends one `Mismatch` per wrong head, in head order, with
+its score text; a score holding an integer longer than CPython's
+int-to-text limit is refused in one line that names the subset and its
+wrong heads.  `verify_monotonic` takes a plain KB and
+`verify_nonmonotonic` a stratified one; each refuses the other kind, so
+the table's type dispatch never swaps the semantics asked for.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
 undefined for most strategies); each report's JSON records that
@@ -45,7 +45,7 @@ from .logic import entails  # noqa: F401
 from .logic import (CapExceededError, KnowledgeBase, Signature, StratifiedKB,
                     consequence_table, kb_digest)
 from .strategies import (AttributeEmbedding, DimensionMismatchError,
-                         StrategyId, exact_rule, scale)
+                         Mismatch, StrategyId, exact_rule, scale)
 
 FULL_SWEEP_ATOM_LIMIT = 8
 CAPPED_SWEEP_DEFAULT = 4
@@ -58,20 +58,6 @@ CAPPED_SWEEP_DEFAULT = 4
 MAX_SWEEP_QUERIES = 1 << 20
 
 Query = tuple[tuple[str, ...], str]
-
-
-@dataclass(slots=True)
-class Mismatch:
-    subset: tuple[str, ...]
-    head: str
-    expected: bool
-    got: bool
-    score: str
-
-    def to_dict(self) -> dict:
-        return {"subset": list(self.subset), "head": self.head,
-                "expected": self.expected, "got": self.got,
-                "score": self.score}
 
 
 @dataclass
@@ -181,18 +167,16 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
     scaled = scale(embedding)
     atoms = signature.atoms
     labeller = rule.labeller(scaled, atoms)
-    mismatches = []
+    labels, report = labeller.labels, labeller.report
+    mismatches: list[Mismatch] = []
     for mask, subset, pooled in _walk(
             atoms, [rule.start(scaled.context[a], scaled.cden) for a in atoms],
             cap, rule.extend):
-        got = labeller.labels(pooled)
+        got = labels(pooled)
         wrong = got ^ table.item(mask)
         if wrong:  # one mismatch per wrong head, in head order
             try:
-                for i, score in labeller.scores(wrong):
-                    label = bool(got >> i & 1)
-                    mismatches.append(
-                        Mismatch(subset, atoms[i], not label, label, score))
+                report(mismatches, subset, got, wrong)
             except ValueError:
                 heads = ", ".join(a for i, a in enumerate(atoms)
                                   if wrong >> i & 1)

@@ -65,6 +65,15 @@ def label(labeller, emb, pooled, head, **kwargs) -> bool:
     return bool(labeller(scale(emb), (head,), **kwargs).labels(pooled))
 
 
+def reported(labeller, subset, got, wrong) -> list[tuple]:
+    """The records one `report` call appends for the value the labeller
+    last labelled, whose label set was `got`, as (subset, head, expected,
+    got, score) tuples."""
+    out = []
+    labeller.report(out, subset, got, wrong)
+    return [(m.subset, m.head, m.expected, m.got, m.score) for m in out]
+
+
 def accepts(emb, strategy, atoms, head) -> bool:
     """Does the exact strategy label the pooled `atoms` with `head`?"""
     return label(exact_rule(strategy).labeller, emb,

@@ -411,9 +411,31 @@ class TestVerify:
         ({"dimension": 1, "atoms": [{"name": "a", "context": ["1"]},
                                     {"name": 5, "context": ["1"]}]},
          "the name of atom 1 must be a JSON string"),
+        # a bad per-atom field names its atom and the field, and a bad
+        # coordinate its index: these used to print 'context', a bare
+        # type name, Fraction's own message or "Fraction(1, 0)"
+        ({"dimension": 1, "atoms": [{"name": "a", "context": ["1"]},
+                                    {"name": "b"}]},
+         "atom 'b': context is missing"),
+        ({"dimension": 1, "atoms": [{"name": "a", "context": None}]},
+         "atom 'a': context: a vector must be a JSON list, got NoneType"),
+        ({"dimension": 2, "atoms": [{"name": "a", "context": ["1", "x"]}]},
+         "atom 'a': context[1]: Invalid literal for Fraction: 'x'"),
+        ({"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
+                                    "output": ["1/0"]}]},
+         'atom \'a\': output[0]: zero denominator in "1/0"'),
+        ({"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
+                                    "theta": "2/0"}]},
+         'atom \'a\': theta: zero denominator in "2/0"'),
+        ({"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
+                                    "lambda": True}]},
+         "atom 'a': lambda: expected a \"p/q\" string or an integer, "
+         "got True"),
     ], ids=["no-atoms", "no-name", "atom-a-number", "atoms-a-string",
             "top-level-string", "atoms-an-object", "name-a-list",
-            "name-a-number"])
+            "name-a-number", "no-context", "null-context", "bad-coordinate",
+            "zero-denominator-output", "zero-denominator-theta",
+            "boolean-lambda"])
     def test_wrong_shape_names_the_field(self, capsys, ce1_file, tmp_path,
                                          doc, message):
         # each of these used to print a bare KeyError or TypeError, such

@@ -4,6 +4,8 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
+from math import isqrt
 from operator import mul
 
 import numpy as np
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (EXACT_STRATEGIES, accepts, label, pool,
-                      random_embedding)
+                      random_embedding, reported)
+import embedsim.strategies as strategies
 from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  DimensionMismatchError, DistLabeller,
                                  DistOnNormLabeller, DotLabeller,
@@ -27,8 +30,10 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  sig_conical_diagnostics,
                                  LABELLINGS, MAX_ASCENT_WORK,
                                  MAX_DIAGNOSTIC_SIZE, POOLINGS,
-                                 ScaledEmbedding, StrategyId, _RULES)
+                                 StrategyId, _RULES)
 from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
+                        ref_lab_dist_on_norm, ref_lab_dot_on_norm,
+                        ref_score_dist_on_norm, ref_score_dot_on_norm,
                         ref_sig_ascent, ref_sig_conical_diagnostics)
 
 F = Fraction
@@ -388,17 +393,18 @@ class TestKernelsMatchFractionReference:
                 pooled = pool(emb, strategy, subset)
                 want = [ref_evaluate(emb, strategy.name, subset, head)
                         for head in heads]
-                assert labeller.labels(pooled) == sum(
+                got = labeller.labels(pooled)
+                assert got == sum(
                     1 << i for i, (label, _) in enumerate(want) if label)
-                # one scores call over every head, and one over the heads
-                # at even positions alone
+                # one report over every head, and one over the heads at
+                # even positions alone
                 every = (1 << len(heads)) - 1
-                assert list(labeller.scores(every)) == [
-                    (i, text) for i, (_, text) in enumerate(want)], (
-                        strategy.name, subset)
-                assert list(labeller.scores(every & 0b10101)) == [
-                    (i, text) for i, (_, text) in enumerate(want)
-                    if i % 2 == 0]
+                records = [(subset, head, not label, label, text)
+                           for head, (label, text) in zip(heads, want)]
+                assert reported(labeller, subset, got, every) == records, (
+                    strategy.name, subset)
+                assert reported(labeller, subset, got,
+                                every & 0b10101) == records[::2]
                 for i, head in enumerate(heads):
                     if subset:
                         assert accepts(
@@ -469,8 +475,9 @@ class TestPackedDecisions:
                 assert [bool(got >> i & 1) for i in range(len(atoms))] == [
                     label for label, _ in want], (strategy.name, subset)
                 every = (1 << len(atoms)) - 1
-                assert list(labeller.scores(every)) == [
-                    (i, text) for i, (_, text) in enumerate(want)], (
+                assert reported(labeller, subset, got, every) == [
+                    (subset, head, not label, label, text)
+                    for head, (label, text) in zip(atoms, want)], (
                         strategy.name, subset)
 
     def test_no_heads(self):
@@ -480,54 +487,144 @@ class TestPackedDecisions:
             labeller = rule.labeller(scale(emb), ())
             pooled = pool(emb, strategy, ("a",))
             assert labeller.labels(pooled) == 0
-            assert list(labeller.scores(0)) == []
+            assert reported(labeller, ("a",), 0, 0) == []
 
 
-def _packed(heads, dimension):
-    """A normalised dot labeller whose output vectors are `heads`."""
-    names = [f"h{i}" for i in range(len(heads))]
-    sc = ScaledEmbedding(dimension, {}, dict(zip(names, heads)), 1, 1,
-                         dict.fromkeys(names, F(0)), {})
-    return DotOnNormLabeller(sc, names)
+def _norm_embedding(outputs, dimension, lam=(), theta=()):
+    """Heads h0, h1, ... whose context and output vectors are the integer
+    tuples `outputs`, so that both denominators are 1; lambda and theta
+    are 0 past the given ones."""
+    names = [f"h{i}" for i in range(len(outputs))]
+    vectors = {a: tuple(map(F, v)) for a, v in zip(names, outputs)}
+    return AttributeEmbedding(dimension, vectors, dict(vectors),
+                              dict(zip(names, lam)), dict(zip(names, theta)))
 
 
-def _per_head(v, heads):
-    return [sum(map(mul, v, h)) for h in heads]
+# each normalised labeller with its Fraction reference
+NORM_RULES = [(DotOnNormLabeller, ref_lab_dot_on_norm, ref_score_dot_on_norm),
+              (DistOnNormLabeller, ref_lab_dist_on_norm,
+               ref_score_dist_on_norm)]
+
+
+def _check_norm(emb, labeller, ref_label, ref_score, v):
+    """The label set of the integer sum v, and one report over every
+    head, against the reference."""
+    pooled = v, sum(map(mul, v, v))
+    got = labeller.labels(pooled)
+    want = [ref_label(emb, pooled, head) for head in labeller.names]
+    assert got == sum(1 << i for i, label in enumerate(want) if label), v
+    assert reported(labeller, ("s",), got, (1 << len(want)) - 1) == [
+        (("s",), head, not label, label, ref_score(emb, pooled, head))
+        for head, label in zip(labeller.names, want)], v
 
 
 class TestPackedDots:
-    """`dots`, one packed product per coordinate, against one product
-    per head."""
+    """The normalised labellers, whose columns pack m O per head, against
+    the Fraction reference: every head's label and report text, at field
+    widths of 16 bits and up."""
 
-    @settings(max_examples=300)
+    @settings(max_examples=100)
     @given(st.integers(0, 25), st.integers(0, 60),
            st.lists(st.sampled_from([0, 1, 2**7, 2**15, 2**16, 10**9, 2**31,
                                      10**40]), min_size=5, max_size=5),
            st.integers(0, 2**32))
     def test_matches_per_head_products(self, n, d, bounds, seed):
-        # coordinates up to each drawn bound, drawn from a seeded generator
-        # (drawing 25 x 60 of them through hypothesis is slow)
+        # coordinates up to each drawn bound and small thresholds, drawn
+        # from a seeded generator (drawing 25 x 60 of them through
+        # hypothesis is slow)
         rng = random.Random(seed)
 
         def vector(bound):
             return tuple(rng.randint(-bound, bound) for _ in range(d))
 
-        heads = [vector(bounds[0]) for _ in range(n)]
-        labeller = _packed(heads, d)
+        def fraction():
+            return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+        emb = _norm_embedding([vector(bounds[0]) for _ in range(n)], d,
+                              [fraction() for _ in range(n)],
+                              [abs(fraction()) for _ in range(n)])
+        labellers = [(rule(scale(emb), emb.atoms), label, score)
+                     for rule, label, score in NORM_RULES]
         # several magnitudes per labeller, so several widths share it
         for v in [(0,) * d] + [vector(bound) for bound in bounds[1:]]:
-            assert labeller.dots(v) == _per_head(v, heads)
+            for labeller, label, score in labellers:
+                _check_norm(emb, labeller, label, score, v)
 
     def test_widths_on_either_side_of_a_16_bit_boundary(self):
-        # the reach is 3, so |dot| <= 3 max|v_k|, and a field holds that
-        # with two bits to spare: 16 bits up to max|v_k| = 5461, 32 up to
-        # 357,913,941 and 48 above
-        heads = [(1, 1, 1), (-1, -1, -1), (1, -1, 1), (0, 0, 0)]
-        labeller = _packed(heads, 3)
+        # lambda is 0, so c is 0 and m is 1; the reach is 3, so
+        # |dot| <= 3 max|v_k|, and a field holds that with two bits to
+        # spare: 16 bits up to max|v_k| = 5461, 32 up to 357,913,941 and
+        # 48 above
+        emb = _norm_embedding([(1, 1, 1), (-1, -1, -1), (1, -1, 1),
+                               (0, 0, 0)], 3)
+        labeller = DotOnNormLabeller(scale(emb), emb.atoms)
         for top in (5460, 5461, 5462, 357913941, 357913942):
             for v in ((top,) * 3, (-top,) * 3, (top, -top, top)):
-                assert labeller.dots(v) == _per_head(v, heads), (top, v)
+                _check_norm(emb, labeller, ref_lab_dot_on_norm,
+                            ref_score_dot_on_norm, v)
         assert sorted(labeller.packs) == [16, 32, 48]
+
+
+class TestNormBrackets:
+    """Each case of the packed normalised decision m dot >= c ||sum||,
+    with s = isqrt(||sum||^2): the zero sum, ||sum||^2 a perfect square,
+    and otherwise c < 0, c = 0 and c > 0 with m dot at c s, at c (s + 1)
+    and strictly between the two, where squaring decides."""
+
+    def test_every_case_against_the_reference(self):
+        # 2-dimensional integer sums and outputs, and thresholds that
+        # make c negative, zero and positive under both rules (c is 0
+        # for lambda 0, and for theta^2 = 1 + ||O||^2, as at O = (0, 0)
+        # with theta 1 and O = (2, 2) with theta 3)
+        sums = list(product(range(-3, 4), repeat=2))
+        outputs = list(product(range(-2, 3), repeat=2))
+        lams = [F(-2), F(-1, 2), F(0), F(1, 3), F(1), F(2), F(5, 2)]
+        thetas = [F(0), F(1, 2), F(1), F(2), F(3)]
+        heads = [(out, lam, thetas[(j + k) % len(thetas)])
+                 for j, out in enumerate(outputs)
+                 for k, lam in enumerate(lams)]
+        emb = _norm_embedding([out for out, _, _ in heads], 2,
+                              [lam for _, lam, _ in heads],
+                              [theta for _, _, theta in heads])
+        for rule, label, score in NORM_RULES:
+            labeller = rule(scale(emb), emb.atoms)
+            cases = set()
+            for v in sums:
+                _check_norm(emb, labeller, label, score, v)
+                cases |= {_bracket(rule, v, *head) for head in heads}
+            assert cases == ALL_BRACKETS, (rule.__name__,
+                                           ALL_BRACKETS - cases)
+
+
+def _bracket(rule, v, out, lam, theta) -> tuple:
+    """Which case of the decision the sum v and one head fall in."""
+    normsq = sum(map(mul, v, v))
+    if normsq == 0:
+        return ("zero",)
+    s = isqrt(normsq)
+    if s * s == normsq:
+        return ("square",)
+    if rule is DotOnNormLabeller:
+        m, c = lam.denominator, lam.numerator
+    else:
+        p, q = theta.numerator, theta.denominator
+        m, c = 2 * q * q, (1 + sum(map(mul, out, out))) * q * q - p * p
+    mdot, low, high = m * sum(map(mul, v, out)), c * s, c * (s + 1)
+    sign = "c<0" if c < 0 else "c=0" if c == 0 else "c>0"
+    if mdot == low:
+        return sign, "at c s"
+    if mdot == high:
+        return sign, "at c (s+1)"
+    if min(low, high) < mdot < max(low, high):
+        return sign, "between"
+    return sign, "outside"
+
+
+ALL_BRACKETS = ({("zero",), ("square",), ("c=0", "at c s"),
+                 ("c=0", "outside")}
+                | {(sign, where) for sign in ("c<0", "c>0")
+                   for where in ("at c s", "at c (s+1)", "between",
+                                 "outside")})
 
 
 class TestEmbeddingJson:
@@ -564,6 +661,40 @@ class TestEmbeddingJson:
         for value in (0.1, 4.0, True, None, [1]):
             with pytest.raises(ValueError, match="p/q"):
                 parse_frac(value)
+
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        # "1/2" five times, "-3" twice and "0" twice (the default lambda
+        # and theta are the text "0"); the JSON int 1 is not a text, so
+        # it is parsed where it stands
+        calls = []
+        original = strategies.parse_frac
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(strategies, "parse_frac", counting)
+        emb = AttributeEmbedding.from_json_dict({"dimension": 2, "atoms": [
+            {"name": "a", "context": ["1/2", "-3"], "output": ["1/2", 1],
+             "lambda": "1/2"},
+            {"name": "b", "context": ["-3", "1/2"], "theta": "1/2"}]})
+        assert calls == ["1/2", "-3", 1, "0"]
+        assert emb.context == {"a": (F(1, 2), F(-3)), "b": (F(-3), F(1, 2))}
+        assert emb.output["a"] == (F(1, 2), F(1))
+        assert (emb.lam, emb.theta) == ({"a": F(1, 2), "b": F(0)},
+                                        {"a": F(0), "b": F(1, 2)})
+
+    @pytest.mark.parametrize("item", [True, 1.0, 0.5, None, [1]],
+                             ids=["true", "1.0", "0.5", "null", "list"])
+    def test_a_cached_text_admits_no_other_json_value(self, item):
+        # true and 1.0 equal the int 1 read before them, and hash like
+        # it, but only texts are stored, so each still reaches parse_frac
+        # and is refused; a list cannot even be looked up
+        doc = {"dimension": 2, "atoms": [
+            {"name": "a", "context": [1, "1"], "output": [1, item]}]}
+        with pytest.raises(ValueError, match=r"^atom 'a': output\[1\]: "
+                                             r"expected a \"p/q\" string"):
+            AttributeEmbedding.from_json_dict(doc)
 
     def test_dimension_validation(self):
         with pytest.raises(DimensionMismatchError,

@@ -9,7 +9,8 @@ import pytest
 import embedsim.logic as logic
 import embedsim.verifier as verifier
 from conftest import (EXACT_STRATEGIES, accepts, follows, pool,
-                      random_embedding, random_rule_kb, random_stratified_kb)
+                      random_embedding, random_rule_kb, random_stratified_kb,
+                      reported)
 from embedsim.constructors import RECIPES, construct
 from embedsim.fixtures import fixture
 from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB, entails,
@@ -250,8 +251,9 @@ class TestPoolOnce:
                 pooled = pool(emb, strategy, subset)
                 for head in sig.atoms:
                     alone = labeller(scaled, (head,))
-                    got = bool(alone.labels(pooled))
-                    (_, score), = alone.scores(1)
+                    got = alone.labels(pooled)
+                    (_, _, _, _, score), = reported(alone, subset, got, 1)
+                    got = bool(got)
                     assert (got, score) == ref_evaluate(
                         emb, strategy.name, subset, head)
                     want = oracle(kb, subset, head)
