@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from embedsim.strategies import sig_conical_diagnostics
+from embedsim.sigmoid import sig_conical_diagnostics
 
 
 def main() -> int:

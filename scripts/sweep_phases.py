@@ -60,7 +60,7 @@ def _walk(kb, emb, strategy, label):
     table = logic.consequence_table(kb)
     labeller = rule.labeller(scaled, atoms)
     for mask, _, pooled in walk:
-        labeller.labels(pooled) ^ table.item(mask)
+        labeller.labels(pooled) ^ table[mask]
 
 
 def one_pass(jobs) -> dict[str, float]:

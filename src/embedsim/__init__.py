@@ -14,8 +14,8 @@ from .logic import (CapExceededError, Formula, KBError, KnowledgeBase,
                     entailment_table, entails, format_formula, kb_digest,
                     nm_consequence_table, parse_kb)
 from .strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
-                         ScaledEmbedding, StrategyId, emb_sig_numeric,
-                         exact_rule, scale, strategy_from_name)
+                         ScaledEmbedding, StrategyId, exact_rule, scale,
+                         strategy_from_name)
 from .table1 import Table1Report, run_table1
 from .verifier import (VerificationReport, verify_monotonic,
                        verify_nonmonotonic)

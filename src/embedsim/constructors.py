@@ -180,7 +180,8 @@ def construct(kb: KnowledgeBase | StratifiedKB, proposition: int,
     if kind == "stratified":
         order = ranked_counter_models(kb)
         delta = _delta(len(sig), delta)
-        ranks = rank_table(kb)[list(order)].tolist()
+        rank_of = rank_table(kb)
+        ranks = [rank_of[w] for w in order]
         top = max(ranks)  # order holds the all-true interpretation
         _check_digits(proposition, delta, top)
         by_rank = [(delta ** (2 * mu), delta ** (1 + 2 * mu))

@@ -23,10 +23,11 @@ interpretation comes from a running AND over the strata (`rank_table`).
 Neither relation scans the interpretations per query.  Each KB gets one
 table over all 2^n antecedents, built by a superset transform in
 O(n 2^n) steps (Yates; see Bjorklund et al., "Fourier meets Mobius",
-STOC 2007) and kept on the KB object for as long as that object lives
-(`_kept_on_kb`): entry S holds the AND of the relevant
-interpretations containing S, and a query (S, b) reads bit b of entry
-S.  `consequence_table` picks a KB's table by the KB's type; sweeps and
+STOC 2007) over one big int of 32-bit fields (`_superset_and`), and
+kept on the KB object for as long as that object lives (`_kept_on_kb`):
+entry S holds the AND of the relevant interpretations containing S,
+and a query (S, b) reads bit b of entry S.  `consequence_table` picks a
+KB's table, a read-only int sequence, by the KB's type; sweeps and
 certificates fetch it once and index it by subset mask.  The
 constructions read `counter_models`, the maximal models lacking each
 head, and `ranked_counter_models`, its analogue per rank level, both
@@ -40,12 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from typing import TYPE_CHECKING, Iterable, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Iterable, Iterator, Union
 
 DEFAULT_MODEL_CAP = 20
 
@@ -461,24 +461,21 @@ def parse_kb(text: str) -> KnowledgeBase | StratifiedKB:
 # Semantics
 # ------------------------------------------------------------------
 
+def _atom_runs(size: int, n: int) -> Iterator[int]:
+    """For atom i from n - 1 down, `size` bits in runs of size >> (n - i)
+    clear then set bits, each made from the last by one shift and XOR."""
+    runs = (1 << size) - (1 << size // 2)
+    for i in reversed(range(n)):
+        yield runs
+        if i:
+            runs ^= runs >> (size >> (n - i + 1))
+
+
 @lru_cache(maxsize=8)
 def _universe(n: int) -> tuple[int, tuple[int, ...]]:
-    """The set of all 2^n interpretations, and atom i's truth set.
-
-    Atom i holds where bit i of the interpretation is set: runs of 2^i
-    clear then 2^i set bits.  One period is doubled by shifts until it
-    fills 2^n bits, O(2^n / 64) word operations per atom.
-    """
-    size = 1 << n
-    atoms = []
-    for i in range(n):
-        period = 2 << i
-        bits = ((1 << (1 << i)) - 1) << (1 << i)
-        while period < size:
-            bits |= bits << period
-            period <<= 1
-        atoms.append(bits)
-    return (1 << size) - 1, tuple(atoms)
+    """The set of all 2^n interpretations, and atom i's truth set: atom i
+    holds where bit i of the interpretation is set."""
+    return (1 << (1 << n)) - 1, tuple(_atom_runs(1 << n, n))[::-1]
 
 
 def truth_set(formula: Formula, signature: Signature) -> int:
@@ -514,15 +511,6 @@ def _truth(formula: Formula, signature: Signature, full: int,
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _bit_array(bits: int, n: int) -> np.ndarray:
-    """The bit set over 2^n interpretations as a bool array, one entry each."""
-    import numpy as np  # on first use, as in `entailment_table`
-    size = 1 << n
-    packed = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"),
-                           dtype=np.uint8)
-    return np.unpackbits(packed, count=size, bitorder="little").view(bool)
-
-
 def check_cap(signature: Signature) -> int:
     """Atom count of the signature; raises above `DEFAULT_MODEL_CAP` atoms."""
     n = len(signature)
@@ -548,33 +536,71 @@ def count_models(kb: KnowledgeBase) -> int:
     return _model_set(kb).bit_count()
 
 
+# A table over the 2^n masks is built as one big int whose field S, bits
+# [32 S, 32 S + 32), holds entry S.  Per byte of a bit set: its members,
+# and its bits moved to the low bits of eight little-endian fields.
+_BYTE_MEMBERS = [tuple(j for j in range(8) if byte >> j & 1)
+                 for byte in range(256)]
+_BYTE_FIELDS = [b"".join((byte >> j & 1).to_bytes(4, "little")
+                         for j in range(8)) for byte in range(256)]
+
+
 def _members(bits: int, n: int) -> tuple[int, ...]:
     """The interpretations in a bit set, in ascending bitmask order."""
-    return tuple(_bit_array(bits, n).nonzero()[0].tolist())
+    data = bits.to_bytes(((1 << n) + 7) // 8, "little")
+    return tuple(8 * k + j for k, byte in enumerate(data) if byte
+                 for j in _BYTE_MEMBERS[byte])
+
+
+@lru_cache(maxsize=8)
+def _fields(n: int) -> tuple[int, int]:
+    """1 in every field over 2^n masks, and S in field S."""
+    ones, identity = 1, 0
+    for k in range(n):  # the masks with atom k: those without it, plus 2^k
+        identity |= (identity | ones << k) << (32 << k)
+        ones |= ones << (32 << k)
+    return ones, identity
+
+
+def _spread(bits: int, n: int) -> int:
+    """A bit set over 2^n masks with bit S moved to field S."""
+    data = bits.to_bytes(((1 << n) + 7) // 8, "little")
+    return int.from_bytes(b"".join(map(_BYTE_FIELDS.__getitem__, data)),
+                          "little")
+
+
+def _superset_and(tables: list[int], n: int) -> list[int]:
+    """Each table with field S set to the AND of the fields of S's
+    supersets, in place: one pass per atom i, in which a field without
+    atom i ANDs in the field 2^i fields up, and `keep`, every bit of the
+    fields with atom i, leaves those alone.  Returns `tables`."""
+    for i, keep in zip(reversed(range(n)), _atom_runs(32 << n, n)):
+        for k, x in enumerate(tables):  # one table at a time in memory
+            tables[k] = x & (x >> (32 << i) | keep)
+    return tables
+
+
+def _frozen(fields: int, n: int) -> memoryview:
+    """The 2^n fields as a read-only sequence of ints."""
+    table = array("I", fields.to_bytes(4 << n, "little"))
+    if sys.byteorder == "big":
+        table.byteswap()
+    return memoryview(table).toreadonly()
 
 
 @_kept_on_kb
-def entailment_table(kb: KnowledgeBase) -> np.ndarray:
+def entailment_table(kb: KnowledgeBase) -> memoryview:
     """Entailment for every antecedent, indexed by the antecedent's bitmask.
 
     Entry S is the AND of the models that contain S, or all n bits when
     no model does, so head b follows from S exactly when bit b of entry S
-    is set.  One superset pass per atom (Yates' transform) fills the
+    is set.  One superset pass per atom (`_superset_and`) fills the
     table in O(n 2^n) steps; the result is read-only.
     """
-    # numpy is imported on first use: importing it with this module, ahead
-    # of the rest of the package, raises the peak memory of a process
-    # that imports the package by 1.4 MB
-    import numpy as np
     n = check_cap(kb.signature)
-    table = np.where(_bit_array(_model_set(kb), n),
-                     np.arange(1 << n, dtype=np.int64), (1 << n) - 1)
-    for i in range(n):
-        # [:, 0] holds the masks without atom i, [:, 1] the same masks with it
-        halves = table.reshape(-1, 2, 1 << i)
-        halves[:, 0] &= halves[:, 1]
-    table.flags.writeable = False
-    return table
+    nonmodels = _universe(n)[0] ^ _model_set(kb)  # their fields: n bits
+    fields = _fields(n)[1] | _spread(nonmodels, n) * ((1 << n) - 1)
+    return _frozen(_superset_and([fields], n)[0], n)
 
 
 def _strictly_below(bits: int, atoms: tuple[int, ...]) -> int:
@@ -649,19 +675,15 @@ def _rank_at_least(theta: StratifiedKB) -> tuple[int, ...]:
 
 
 @_kept_on_kb
-def rank_table(theta: StratifiedKB) -> np.ndarray:
+def rank_table(theta: StratifiedKB) -> memoryview:
     """Rank of every interpretation, indexed by bitmask; read-only.
 
     Each interpretation gains a rank for every level r >= 1 whose set
     `_rank_at_least` puts it in.
     """
-    import numpy as np  # on first use, as in `entailment_table`
     n = check_cap(theta.signature)
-    rank = np.zeros(1 << n, dtype=np.int64)
-    for at_least in _rank_at_least(theta)[1:]:
-        rank += _bit_array(at_least, n)
-    rank.flags.writeable = False
-    return rank
+    return _frozen(sum(_spread(at_least, n)
+                       for at_least in _rank_at_least(theta)[1:]), n)
 
 
 def ranked_counter_models(theta: StratifiedKB) -> tuple[int, ...]:
@@ -695,33 +717,33 @@ def ranked_counter_models(theta: StratifiedKB) -> tuple[int, ...]:
 
 
 @_kept_on_kb
-def nm_consequence_table(theta: StratifiedKB) -> np.ndarray:
+def nm_consequence_table(theta: StratifiedKB) -> memoryview:
     """Ranked-default consequence for every antecedent, indexed by bitmask.
 
     Entry S is the AND of the best-ranked interpretations that contain
     S.  The best rank with head b beats the best rank without it exactly
     when every best-ranked interpretation containing S satisfies b, so
-    S |> b holds exactly when bit b of entry S is set.  The pairs (best
-    rank, AND at that rank) are merged over supersets in one pass per
-    atom, O(n 2^n) steps; the result is read-only.
+    S |> b holds exactly when bit b of entry S is set.  Each level r >= 1
+    of `_rank_at_least` gets a superset transform from field S = S if S
+    has rank at least r, else all n bits and a flag, bit n, which
+    survives exactly when no superset of S does.  The highest unflagged
+    level is S's best rank, and its field entry S; with none, entry S is
+    S.  O(n 2^n) steps per level; the result is read-only.
     """
-    import numpy as np  # on first use, as in `entailment_table`
-    rank = rank_table(theta).copy()
-    best = np.arange(len(rank), dtype=np.int64)
-    for i in range(len(theta.signature)):
-        # [:, 0] holds the masks without atom i, [:, 1] the same masks with it
-        ranks = rank.reshape(-1, 2, 1 << i)
-        bests = best.reshape(-1, 2, 1 << i)
-        low_r, high_r = ranks[:, 0], ranks[:, 1]
-        low, high = bests[:, 0], bests[:, 1]
-        np.copyto(low, high, where=high_r > low_r)
-        np.bitwise_and(low, high, out=low, where=high_r == low_r)
-        np.maximum(low_r, high_r, out=low_r)
-    best.flags.writeable = False
-    return best
+    n = check_cap(theta.signature)
+    full = _universe(n)[0]
+    ones, identity = _fields(n)
+    levels = _superset_and(
+        [identity | _spread(full ^ at_least, n) * ((2 << n) - 1)
+         for at_least in _rank_at_least(theta)[1:]], n)
+    best = identity
+    for level in levels:
+        reached = (ones ^ (level >> n & ones)) * 0xFFFFFFFF
+        best ^= (best ^ level) & reached
+    return _frozen(best, n)
 
 
-def consequence_table(kb: KnowledgeBase | StratifiedKB) -> np.ndarray:
+def consequence_table(kb: KnowledgeBase | StratifiedKB) -> memoryview:
     """The KB's consequence table: `entailment_table` for a plain KB,
     `nm_consequence_table` for a stratified one.
 

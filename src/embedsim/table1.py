@@ -31,7 +31,7 @@ from .certifier import (canonical_json, canonical_json_spliced,
                         certify_strategy_failure, reverify_text)
 from .constructors import RECIPES, construct
 from .fixtures import fixture
-from .strategies import TABLE1_STRATEGIES, StrategyId, sig_conical_diagnostics
+from .strategies import TABLE1_STRATEGIES, StrategyId
 from .verifier import verify_monotonic, verify_nonmonotonic
 
 
@@ -197,6 +197,8 @@ def _build_row(strategy: StrategyId, diagnostics: dict) -> RowResult:
 
 def run_table1(seed: int = 0) -> Table1Report:
     """Build every row; any failing cell aborts with the cell named."""
+    # the one numpy user, imported here so that no other command loads it
+    from .sigmoid import sig_conical_diagnostics
     diagnostics = sig_conical_diagnostics(seed=seed)
     return Table1Report([_build_row(s, diagnostics)
                          for s in TABLE1_STRATEGIES])

@@ -173,7 +173,7 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
             atoms, [rule.start(scaled.context[a], scaled.cden) for a in atoms],
             cap, rule.extend):
         got = labels(pooled)
-        wrong = got ^ table.item(mask)
+        wrong = got ^ table[mask]
         if wrong:  # one mismatch per wrong head, in head order
             try:
                 report(mismatches, subset, got, wrong)

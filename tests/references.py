@@ -35,6 +35,11 @@ tokenizer, one recursive-descent method per precedence level
 branch per connective.  They must give the library's ASTs, its errors
 (class, message, line and column) and its canonical text.
 
+`ref_entailment_table`, `ref_rank_table` and `ref_nm_consequence_table`
+are the consequence tables as they stood before they moved to big ints:
+numpy int64 arrays, filled by vector passes over the two halves of each
+atom's split.  They must hold the library's tables entry for entry.
+
 `ref_emb_sig_numeric` and `ref_sig_conical_diagnostics` are the sigmoid
 demonstrator as it stood before the library stepped all problems as one
 batch: one 2-D problem at a time, one numpy step per iteration.
@@ -60,12 +65,13 @@ from embedsim.constructors import ConstructionResult, _delta
 from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And, Const,
                             DuplicateAtomError, Iff, Implies, KnowledgeBase,
                             Not, Or, ParseError, Signature, StratifiedKB,
-                            UndeclaredAtomError, Var, rank_table, truth_set)
+                            UndeclaredAtomError, Var, _model_set,
+                            _rank_at_least, check_cap, truth_set)
+from embedsim.sigmoid import (angular_error, cone_residual, sig_gradient,
+                              sig_objective)
 from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  AttributeEmbedding, DimensionMismatchError,
-                                 OrdLabeller, angular_error, cone_residual,
-                                 frac_str, scale, sig_gradient,
-                                 sig_objective)
+                                 OrdLabeller, frac_str, scale)
 from embedsim.verifier import default_cap, nonempty_subsets
 
 
@@ -306,6 +312,56 @@ def ref_construct_ord(kb: KnowledgeBase) -> ConstructionResult:
 
 
 # ------------------------------------------------------------------
+# Consequence tables as numpy arrays
+# ------------------------------------------------------------------
+
+def _ref_bit_array(bits: int, n: int) -> np.ndarray:
+    """The bit set over 2^n interpretations as a bool array, one entry each."""
+    size = 1 << n
+    packed = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"),
+                           dtype=np.uint8)
+    return np.unpackbits(packed, count=size, bitorder="little").view(bool)
+
+
+def ref_entailment_table(kb: KnowledgeBase) -> np.ndarray:
+    """Entry S: the AND of the models containing S, else all n bits."""
+    n = check_cap(kb.signature)
+    table = np.where(_ref_bit_array(_model_set(kb), n),
+                     np.arange(1 << n, dtype=np.int64), (1 << n) - 1)
+    for i in range(n):
+        # [:, 0] holds the masks without atom i, [:, 1] the same masks with it
+        halves = table.reshape(-1, 2, 1 << i)
+        halves[:, 0] &= halves[:, 1]
+    return table
+
+
+def ref_rank_table(theta: StratifiedKB) -> np.ndarray:
+    """The rank of every interpretation."""
+    n = check_cap(theta.signature)
+    rank = np.zeros(1 << n, dtype=np.int64)
+    for at_least in _rank_at_least(theta)[1:]:
+        rank += _ref_bit_array(at_least, n)
+    return rank
+
+
+def ref_nm_consequence_table(theta: StratifiedKB) -> np.ndarray:
+    """Entry S: the AND of the best-ranked interpretations containing S,
+    the pairs (best rank, AND at that rank) merged over supersets."""
+    rank = ref_rank_table(theta)
+    best = np.arange(len(rank), dtype=np.int64)
+    for i in range(len(theta.signature)):
+        # [:, 0] holds the masks without atom i, [:, 1] the same masks with it
+        ranks = rank.reshape(-1, 2, 1 << i)
+        bests = best.reshape(-1, 2, 1 << i)
+        low_r, high_r = ranks[:, 0], ranks[:, 1]
+        low, high = bests[:, 0], bests[:, 1]
+        np.copyto(low, high, where=high_r > low_r)
+        np.bitwise_and(low, high, out=low, where=high_r == low_r)
+        np.maximum(low_r, high_r, out=low_r)
+    return best
+
+
+# ------------------------------------------------------------------
 # Recipes 4-5 over every interpretation
 # ------------------------------------------------------------------
 
@@ -313,7 +369,7 @@ def ref_rank_weighted_vectors(theta: StratifiedKB, delta: int) -> dict:
     """Per atom over every interpretation w: delta^(2 mu(w)) where it
     holds, -delta^(1 + 2 mu(w)) where it does not."""
     sig = theta.signature
-    mu = rank_table(theta).tolist()
+    mu = ref_rank_table(theta).tolist()
     return {a: tuple(Fraction(delta ** (2 * mu[w])) if w & sig.bit(a)
                      else Fraction(-delta ** (1 + 2 * mu[w]))
                      for w in range(1 << len(sig)))

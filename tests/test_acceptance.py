@@ -28,8 +28,8 @@ from embedsim.cli import main as cli_main
 from embedsim.constructors import construct
 from embedsim.fixtures import fixture
 from embedsim.logic import entails
-from embedsim.strategies import (angular_error, emb_sig_numeric,
-                                 sig_gradient, sig_objective)
+from embedsim.sigmoid import (angular_error, emb_sig_numeric, sig_gradient,
+                              sig_objective)
 from embedsim.table1 import run_table1
 from embedsim.verifier import verify_monotonic, verify_nonmonotonic
 from oracles import tt_entails, tt_nm_def, tt_nm_rank

@@ -1423,7 +1423,7 @@ def assert_facts_kb_entails_the_same(kb):
     facts = _facts_kb(build_avg_dot_system(kb).queries)
     assert facts.signature == kb.signature
     # entry 0 answers the empty antecedent, which no query asks
-    assert (entailment_table(facts)[1:] == entailment_table(kb)[1:]).all()
+    assert entailment_table(facts)[1:] == entailment_table(kb)[1:]
 
 
 class TestFactsKB:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,10 +15,11 @@ from conftest import DEEP_FORMULA_PROBES
 from embedsim.cli import build_parser, main
 from embedsim.fixtures import FIXTURE_SOURCES
 from embedsim.logic import parse_kb
-from embedsim.strategies import frac_str
+from embedsim.strategies import AttributeEmbedding, frac_str
 from embedsim.verifier import VerificationReport
 from references import ref_construct_avg_relu_nm
 
+ROOT = Path(__file__).resolve().parents[1]
 CE1 = FIXTURE_SOURCES["CE1"]
 EX4 = FIXTURE_SOURCES["EX4"]
 AB = "atoms: a b\nrule: a -> b\n"
@@ -431,11 +433,20 @@ class TestVerify:
                                     "lambda": True}]},
          "atom 'a': lambda: expected a \"p/q\" string or an integer, "
          "got True"),
+        # misspelt keys used to load silently with their defaults: output
+        # the context and lambda 0, so verify exited 1 with a mismatch
+        ({"dimension": 1, "atoms": [{"name": "a", "context": ["1"],
+                                    "ouptut": ["-1"], "lamda": "5"}]},
+         "atom 'a': unknown key 'ouptut' "
+         "(known: name, context, output, lambda, theta)"),
+        ({"dimension": 1, "atoms": [{"name": "a", "context": ["1"]}],
+          "provenance": {}, "dimensions": 2},
+         "unknown key 'dimensions' (known: dimension, atoms, provenance)"),
     ], ids=["no-atoms", "no-name", "atom-a-number", "atoms-a-string",
             "top-level-string", "atoms-an-object", "name-a-list",
             "name-a-number", "no-context", "null-context", "bad-coordinate",
             "zero-denominator-output", "zero-denominator-theta",
-            "boolean-lambda"])
+            "boolean-lambda", "misspelt-atom-keys", "misspelt-top-level-key"])
     def test_wrong_shape_names_the_field(self, capsys, ce1_file, tmp_path,
                                          doc, message):
         # each of these used to print a bare KeyError or TypeError, such
@@ -447,6 +458,23 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: cannot load embedding {emb}: {message}\n"
         assert len(err) < 200
+
+    def test_written_and_benchmark_embeddings_load(self, capsys, ex4_file,
+                                                   tmp_path, monkeypatch):
+        # every key that `construct -o` and the benchmark's embedding
+        # files hold is a known one
+        emb = tmp_path / "emb.json"
+        run(capsys, "construct", ex4_file, "--prop", "4", "-o", str(emb))
+        assert "provenance" in json.loads(emb.read_text())
+        code, _, err = run(capsys, "verify", ex4_file, str(emb),
+                           "--strategy", "avg-relu")
+        assert (code, err) == (0, "")
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+        for tied in (False, True):
+            doc = json.loads(workloads.embedding_json(
+                random.Random(tied), 5, 3, tied))
+            assert len(AttributeEmbedding.from_json_dict(doc).atoms) == 5
 
     def test_deeply_nested_embedding_exit_two(self, capsys, ce1_file,
                                               tmp_path):
@@ -627,6 +655,52 @@ class TestClosedStdout:
         child.stderr.close()
         assert child.wait(timeout=60) == 141
         assert err == b""
+
+
+# One CLI command in a fresh interpreter; the last line of stderr says
+# whether numpy was imported.
+NUMPY_PROBE = ("import sys\n"
+               "from embedsim.cli import main\n"
+               "code = main(sys.argv[1:])\n"
+               "print('numpy' in sys.modules, file=sys.stderr)\n"
+               "sys.exit(code)\n")
+
+
+def chain_kb(n: int) -> str:
+    atoms = [f"p{i}" for i in range(n)]
+    return f"atoms: {' '.join(atoms)}\n" + "".join(
+        f"rule: {a} -> {b}\n" for a, b in zip(atoms, atoms[1:]))
+
+
+class TestStartsWithoutNumpy:
+    """Only the sigmoid demonstrator imports numpy: every command but
+    table1 runs without it, each in a fresh interpreter."""
+
+    @staticmethod
+    def numpy_loaded(*argv) -> bool:
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        return {"True": True, "False": False}[done.stderr.splitlines()[-1]]
+
+    def test_exact_commands_skip_numpy(self, tmp_path):
+        eight, six = tmp_path / "eight.kb", tmp_path / "six.kb"
+        eight.write_text(chain_kb(8))
+        six.write_text(chain_kb(6))
+        emb = tmp_path / "emb.json"
+        for argv in (["check", str(eight)],
+                     ["construct", str(eight), "--prop", "1", "-o", str(emb)],
+                     ["verify", str(eight), str(emb),
+                      "--strategy", "avg-relu"],
+                     ["certify", "--fixture", "CE1", "--strategy", "avg-dot"],
+                     ["certify", str(six), "--strategy", "avg-dot"]):
+            assert not self.numpy_loaded(*argv), argv
+
+    def test_table1_loads_numpy(self, tmp_path):
+        # the positive control: the probe does see numpy when it is loaded
+        assert self.numpy_loaded("table1", "-o", str(tmp_path / "t.txt"))
 
 
 class TestCertify:

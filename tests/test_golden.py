@@ -21,7 +21,8 @@ from embedsim.certifier import decide_avg_dot
 from embedsim.cli import main
 from embedsim.constructors import construct
 from embedsim.fixtures import FIXTURE_SOURCES, fixture
-from embedsim.strategies import sig_conical_diagnostics, strategy_from_name
+from embedsim.sigmoid import sig_conical_diagnostics
+from embedsim.strategies import strategy_from_name
 from embedsim.verifier import verify_monotonic, verify_nonmonotonic
 
 # sha256 of `embedsim table1 --json` with the sigmoid diagnostics removed

@@ -26,7 +26,9 @@ from embedsim.strategies import HAD_DOT
 from embedsim.verifier import verify_monotonic
 from oracles import (mask_names, scan_counter_models, tt_entails, tt_evaluate,
                      tt_models, tt_mu, tt_nm_def, tt_nm_rank)
-from references import ref_format_formula, ref_models, ref_parse_kb
+from references import (ref_entailment_table, ref_format_formula,
+                        ref_models, ref_nm_consequence_table, ref_parse_kb,
+                        ref_rank_table)
 
 
 # ------------------------------------------------------------------
@@ -374,7 +376,7 @@ class TestTruthSetsMatchTruthTables:
         theta = StratifiedKB(*drawn)
         ranks = rank_table(theta)
         assert len(ranks) == 1 << len(theta.signature)
-        assert not ranks.flags.writeable
+        assert ranks.readonly
         for omega in range(1 << len(theta.signature)):
             want = tt_mu(theta, _assignment(theta.signature.atoms, omega))
             assert ranks[omega] == want
@@ -394,7 +396,7 @@ class TestTruthSetsMatchTruthTables:
                          "stratum: c & !c\nstratum: a\n")
         want = [tt_mu(theta, _assignment(theta.signature.atoms, omega))
                 for omega in range(8)]
-        assert rank_table(theta).tolist() == want == [0, 1, 1, 1, 0, 1, 1, 1]
+        assert list(rank_table(theta)) == want == [0, 1, 1, 1, 0, 1, 1, 1]
 
 
 class TestEntails:
@@ -574,7 +576,7 @@ class TestConsequenceTables:
         kbs += [_formula_kb(rng, self.atoms) for _ in range(10)]
         for kb in kbs:
             table = logic.entailment_table(kb)
-            assert len(table) == 16 and not table.flags.writeable
+            assert len(table) == 16 and table.readonly
             # every antecedent, the empty one and those holding the head
             for mask in range(16):
                 subset = mask_names(kb.signature, mask)
@@ -600,7 +602,7 @@ class TestConsequenceTables:
         for _ in range(25):
             theta = random_stratified_kb(rng, self.atoms, max_strata=4)
             table = logic.nm_consequence_table(theta)
-            assert len(table) == 16 and not table.flags.writeable
+            assert len(table) == 16 and table.readonly
             for mask in range(1, 16):
                 subset = mask_names(theta.signature, mask)
                 for head in self.atoms:
@@ -621,6 +623,62 @@ class TestConsequenceTables:
                 assert follows(theta, subset, head) == (
                     head in subset)
                 assert tt_nm_rank(theta, subset, head) == (head in subset)
+
+
+# `stratified_kb_source(random.Random('big'), 20, 4)` of
+# perfbench/workloads.py: 20 atoms, ranks 0-4
+BIG_KB = ("atoms: " + " ".join(f"p{i}" for i in range(20)) + "\n"
+          "stratum: ((p17 -> p2) & (p10 <-> p10))\nstratum: p18\n"
+          "stratum: p6\nstratum: p13\n")
+
+
+class TestTablesMatchNumpyReference:
+    """The big-int tables against the numpy builders they replaced
+    (`tests/references.py`), entry for entry."""
+
+    @staticmethod
+    def assert_tables_match(kb):
+        if isinstance(kb, StratifiedKB):
+            assert list(logic.nm_consequence_table(kb)) == (
+                ref_nm_consequence_table(kb).tolist())
+            assert list(rank_table(kb)) == ref_rank_table(kb).tolist()
+        else:
+            assert list(logic.entailment_table(kb)) == (
+                ref_entailment_table(kb).tolist())
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_seeded_kbs(self, n):
+        rng = random.Random(f"tables {n}")
+        atoms = [f"p{i}" for i in range(n)]
+        kbs = [random_rule_kb(rng, atoms) for _ in range(3)]
+        kbs += [_formula_kb(rng, atoms) for _ in range(2)]
+        kbs += [random_stratified_kb(rng, atoms, max_strata=5)
+                for _ in range(3)]
+        for kb in kbs:
+            self.assert_tables_match(kb)
+
+    def test_twenty_atoms_four_strata(self):
+        theta = parse_kb(BIG_KB)
+        assert len(logic._rank_at_least(theta)) == 5
+        self.assert_tables_match(theta)
+
+    def test_ten_rank_levels(self):
+        atoms = [f"p{i}" for i in range(12)]
+        theta = parse_kb(f"atoms: {' '.join(atoms)}\n" + "".join(
+            f"stratum: p{i} | p{(i + 3) % 12} & !p{(i + 5) % 12}\n"
+            for i in range(10)))
+        assert len(logic._rank_at_least(theta)) == 11
+        self.assert_tables_match(theta)
+
+    @pytest.mark.parametrize("table", ["entailment_table", "rank_table",
+                                       "nm_consequence_table"])
+    def test_writing_to_a_table_raises(self, table):
+        kb = fixture("CE1" if table == "entailment_table" else "EX4")
+        derived = getattr(logic, table)(kb)
+        before = list(derived)
+        with pytest.raises(TypeError):
+            derived[0] = 1
+        assert list(getattr(logic, table)(kb)) == before
 
 
 class TestKBHashAndDigestOnce:
@@ -655,7 +713,7 @@ class TestKBHashAndDigestOnce:
             # each KB derives its own table, equal to the other's
             mine = logic.consequence_table(again)
             theirs = logic.consequence_table(kb)
-            assert mine is not theirs and (mine == theirs).all()
+            assert mine is not theirs and mine == theirs
 
     @pytest.mark.parametrize("table", ["entailment_table", "rank_table",
                                        "nm_consequence_table"])

@@ -16,20 +16,19 @@ from hypothesis import strategies as st
 from conftest import (EXACT_STRATEGIES, accepts, label, pool,
                       random_embedding, reported)
 import embedsim.strategies as strategies
+from embedsim.sigmoid import (MAX_ASCENT_WORK, MAX_DIAGNOSTIC_SIZE,
+                              _sig_ascent, _sigmoid, angular_error,
+                              cone_residual, emb_sig_numeric,
+                              sig_conical_diagnostics, sig_gradient,
+                              sig_objective)
 from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  DimensionMismatchError, DistLabeller,
                                  DistOnNormLabeller, DotLabeller,
                                  DotOnNormLabeller, ExactEvaluationError,
-                                 OrdLabeller, ReluLabeller, angular_error,
-                                 cone_residual, emb_sig_numeric, frac_str,
+                                 OrdLabeller, ReluLabeller, frac_str,
                                  parse_frac, _relu, exact_rule, scale,
-                                 sig_gradient, sig_objective,
                                  strategy_from_name, AVG_DOT, HAD_DOT,
-                                 NORM_DOT, ORD_ORD,
-                                 _sig_ascent, _sigmoid,
-                                 sig_conical_diagnostics,
-                                 LABELLINGS, MAX_ASCENT_WORK,
-                                 MAX_DIAGNOSTIC_SIZE, POOLINGS,
+                                 NORM_DOT, ORD_ORD, LABELLINGS, POOLINGS,
                                  StrategyId, _RULES)
 from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
                         ref_lab_dist_on_norm, ref_lab_dot_on_norm,
@@ -899,7 +898,7 @@ class TestSigmoidBatch:
     def test_diagnostics_arguments_validated(self, bad, monkeypatch):
         def no_work(*args):
             raise AssertionError("ran before validating its arguments")
-        monkeypatch.setattr("embedsim.strategies._sig_ascent", no_work)
+        monkeypatch.setattr("embedsim.sigmoid._sig_ascent", no_work)
         with pytest.raises(ValueError):
             sig_conical_diagnostics(**bad)
 
@@ -911,7 +910,7 @@ class TestSigmoidBatch:
         def no_ascent(vectors, starts, kappa, iterations):
             seen.append(vectors.shape)
             return starts
-        monkeypatch.setattr("embedsim.strategies._sig_ascent", no_ascent)
+        monkeypatch.setattr("embedsim.sigmoid._sig_ascent", no_ascent)
         # 17 x 241 = 4097 is one over, each factor within its own bound
         with pytest.raises(ValueError, match="at most 4096, got 4097"):
             sig_conical_diagnostics(dimension=241, trials=17)
@@ -945,7 +944,7 @@ def _table_batch(seed, monkeypatch):
         seen.append((vectors, starts, kappa))
         return starts
     with monkeypatch.context() as m:
-        m.setattr("embedsim.strategies._sig_ascent", capture)
+        m.setattr("embedsim.sigmoid._sig_ascent", capture)
         sig_conical_diagnostics(seed=seed)
     (batch,) = seen
     return batch
@@ -958,7 +957,7 @@ def _count_gradients(monkeypatch):
     def counting(*args):
         calls.append(None)
         return real(*args)
-    monkeypatch.setattr("embedsim.strategies.sig_gradient", counting)
+    monkeypatch.setattr("embedsim.sigmoid.sig_gradient", counting)
     return calls
 
 
@@ -1031,6 +1030,6 @@ class TestSigmoidCycleStop:
 def test_emb_sig_numeric_arguments_validated(bad, monkeypatch):
     def no_work(*args):
         raise AssertionError("ran before validating its arguments")
-    monkeypatch.setattr("embedsim.strategies._sig_ascent", no_work)
+    monkeypatch.setattr("embedsim.sigmoid._sig_ascent", no_work)
     with pytest.raises(ValueError):
         emb_sig_numeric(make_embedding({"a": (1, 2)}), ("a",), **bad)

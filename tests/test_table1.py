@@ -10,7 +10,7 @@ import embedsim.table1 as table1
 from embedsim.certifier import (canonical_json, certify_strategy_failure,
                                 reverify_text)
 from embedsim.constructors import RECIPES
-from embedsim.strategies import sig_conical_diagnostics
+from embedsim.sigmoid import sig_conical_diagnostics
 from embedsim.table1 import (MONOTONIC_DEMO_FIXTURES,
                              NONMONOTONIC_DEMO_FIXTURES, CellFailure,
                              run_table1)
@@ -213,7 +213,7 @@ def test_diagnostics_computed_once_per_table(monkeypatch):
         calls.append(kwargs)
         return sig_conical_diagnostics(**kwargs)
 
-    monkeypatch.setattr(table1, "sig_conical_diagnostics", counting)
+    monkeypatch.setattr("embedsim.sigmoid.sig_conical_diagnostics", counting)
     run_table1(seed=4)
     assert calls == [{"seed": 4}]
 
@@ -239,5 +239,5 @@ def test_markdown_shape(report):
 @pytest.mark.parametrize("seed", range(4))
 def test_json_matches_full_step_ascent(seed, monkeypatch):
     fast = run_table1(seed).to_json()
-    monkeypatch.setattr("embedsim.strategies._sig_ascent", ref_sig_ascent)
+    monkeypatch.setattr("embedsim.sigmoid._sig_ascent", ref_sig_ascent)
     assert run_table1(seed).to_json() == fast
