@@ -28,10 +28,10 @@ one packed product per coordinate plus packed constants, and the
 fields' sign bits are read out together as the label mask.  A field is
 w bits wide, a multiple of 16 that leaves two bits to spare over the
 labeller's bound on the difference.  Only the order labeller compares
-head by head.  A wrong subset costs one `report` call, which appends a
-`Mismatch` per wrong head: its score is read back from the fields of
-the value last labelled, each wrong head's difference inverted to its
-dot product or squared distance.
+head by head.  A wrong subset costs one `report` call, shared by the
+packed labellers, which appends a `Mismatch` per wrong head: the
+head's row, bound with it, inverts its field of the value last
+labelled to its dot product or squared distance by one exact division.
 
 Sigmoid-MLE pooling has no exact verdict (`exact_rule` refuses it); its
 floating-point demonstrator is `embedsim.sigmoid`.
@@ -432,7 +432,7 @@ class Mismatch:
 def _ratio(num: int, den: int) -> str:
     """`frac_str(Fraction(num, den))` for den > 0, without the Fraction.
 
-    The report loops write this inline for each wrong head's score.
+    `_Labeller.report` writes this inline for each wrong head's score.
     """
     g = gcd(num, den)
     return f"{num // g}/{den // g}"
@@ -480,8 +480,12 @@ class _Labeller:
     per bit i set in `wrong`, in head order, for the value last
     labelled, whose label set was `got`: head i, the label it should
     have had and the one it got, and as score text the exact quantity
-    behind the decision.  The parts that text shares with the other
-    heads are made once per call, and it costs no further products.
+    behind the decision.  A packed labeller binds `rows[i]` = (head,
+    coefficient, divisor, prefix, threshold text), and its `_scoring()`
+    gives the last value's packed fields x, their pack, a multiplier k,
+    the score's denominator and the middle text every head shares:
+    head i's score is (field i + coefficient k) / divisor, an exact
+    division, so a report costs no further products.
 
     Each head has a column vector, `scales[i]` times `columns[i]` (the
     scale is multiplied in as the columns are packed, not coordinate by
@@ -520,6 +524,23 @@ class _Labeller:
                 sum(1 << s + w - 1 for s in shifts))
         return self.packs[w]
 
+    def report(self, out: list, subset: tuple[str, ...], got: int,
+               wrong: int) -> None:
+        x, pack, k, dden, middle = self._scoring()
+        w, rows = pack.width, self.rows
+        mask, half = (1 << w) - 1, 1 << w - 1
+        while wrong:
+            low = wrong & -wrong
+            i = low.bit_length() - 1
+            wrong ^= low
+            head, coeff, divisor, prefix, text = rows[i]
+            score = ((x >> i * w & mask) - half + coeff * k) // divisor
+            g = gcd(score, dden)
+            label = (got & low) != 0
+            out.append(Mismatch(
+                subset, head, not label, label,
+                f"{prefix}{score // g}/{dden // g}{middle}{text}"))
+
 
 class DotLabeller(_Labeller):
     """e . output[b] >= lambda_b (the context vector of b when tied).
@@ -538,7 +559,8 @@ class DotLabeller(_Labeller):
         super().__init__(sc, heads, [vectors[b] for b in heads], [pxs],
                          [lam.denominator for lam in lams])
         self.preach = max(map(abs, pxs), default=0)
-        self.rows = [(b, lam.denominator, px, f" lambda={frac_str(lam)}")
+        self.rows = [(b, px, lam.denominator, "dot=",
+                      f" lambda={frac_str(lam)}")
                      for b, lam, px in zip(heads, lams, pxs)]
 
     def labels(self, pooled: Pooled) -> int:
@@ -550,22 +572,9 @@ class DotLabeller(_Labeller):
         self.last = den, x, pack
         return pack.top_bits(x, self.heads)
 
-    def report(self, out: list, subset: tuple[str, ...], got: int,
-               wrong: int) -> None:
+    def _scoring(self) -> tuple:
         den, x, pack = self.last
-        w = pack.width
-        mask, half = (1 << w) - 1, 1 << w - 1
-        dden, rows = den * self.tden, self.rows
-        while wrong:
-            low = wrong & -wrong
-            i = low.bit_length() - 1
-            wrong ^= low
-            head, q, px, text = rows[i]
-            dot = ((x >> i * w & mask) - half + px * den) // q
-            g = gcd(dot, dden)
-            label = (got & low) != 0
-            out.append(Mismatch(subset, head, not label, label,
-                                f"dot={dot // g}/{dden // g}{text}"))
+        return x, pack, den, den * self.tden, ""
 
 
 class DistLabeller(_Labeller):
@@ -589,7 +598,8 @@ class DistLabeller(_Labeller):
         super().__init__(sc, heads, outputs, [offsets, q2s], q2s)
         self.offset_reach = max(map(abs, offsets), default=0)
         self.q2_reach = max(q2s, default=0)
-        self.rows = [(b, p2, q2, f" theta={frac_str(th)}")
+        # (p2 D^2 - field) / q2 with both signs flipped: it divides exactly
+        self.rows = [(b, -p2, -q2, "distsq=", f" theta={frac_str(th)}")
                      for b, p2, q2, th in zip(heads, p2s, q2s, thetas)]
 
     def labels(self, pooled: Pooled) -> int:
@@ -605,22 +615,9 @@ class DistLabeller(_Labeller):
         self.last = den, x, pack
         return pack.top_bits(x, self.heads)
 
-    def report(self, out: list, subset: tuple[str, ...], got: int,
-               wrong: int) -> None:
+    def _scoring(self) -> tuple:
         den, x, pack = self.last
-        w = pack.width
-        mask, half = (1 << w) - 1, 1 << w - 1
-        dsq, dden, rows = den * den, (den * self.oden) ** 2, self.rows
-        while wrong:
-            low = wrong & -wrong
-            i = low.bit_length() - 1
-            wrong ^= low
-            head, p2, q2, text = rows[i]
-            distsq = (p2 * dsq - (x >> i * w & mask) + half) // q2
-            g = gcd(distsq, dden)
-            label = (got & low) != 0
-            out.append(Mismatch(subset, head, not label, label,
-                                f"distsq={distsq // g}/{dden // g}{text}"))
+        return x, pack, den * den, (den * self.oden) ** 2, ""
 
 
 class ReluLabeller(_Labeller):
@@ -632,6 +629,7 @@ class ReluLabeller(_Labeller):
 
     def __init__(self, sc: ScaledEmbedding, heads: Sequence[str]):
         super().__init__(sc, heads, [sc.context[b] for b in heads])
+        self.rows = [(b, 0, 1, "relu_dot=", "") for b in heads]
 
     def labels(self, pooled: Pooled) -> int:
         v = _relu(pooled[0])
@@ -640,21 +638,9 @@ class ReluLabeller(_Labeller):
         self.last = pooled[1], x, pack
         return pack.top_bits(x, self.heads)
 
-    def report(self, out: list, subset: tuple[str, ...], got: int,
-               wrong: int) -> None:
+    def _scoring(self) -> tuple:
         den, x, pack = self.last
-        w = pack.width
-        mask, half = (1 << w) - 1, 1 << w - 1
-        dden, names = den * self.cden, self.names
-        while wrong:
-            low = wrong & -wrong
-            i = low.bit_length() - 1
-            wrong ^= low
-            dot = (x >> i * w & mask) - half
-            g = gcd(dot, dden)
-            label = (got & low) != 0
-            out.append(Mismatch(subset, names[i], not label, label,
-                                f"relu_dot={dot // g}/{dden // g}"))
+        return x, pack, 0, den * self.cden, ""
 
 
 class OrdLabeller(_Labeller):
@@ -715,7 +701,7 @@ class _NormLabeller(_Labeller):
                          [[c for _, c, _, _ in rows]],
                          [m for m, _, _, _ in rows])
         self.creach = max((abs(c) for _, c, _, _ in rows), default=0)
-        self.rows = [(b, m, c, text)
+        self.rows = [(b, c, m, "sum.out=", text)
                      for b, (m, c, text, _) in zip(heads, rows)]
         self.zero = sum(zero << i for i, (_, _, _, zero) in enumerate(rows))
 
@@ -740,29 +726,15 @@ class _NormLabeller(_Labeller):
             bit = between & -between
             i = bit.bit_length() - 1
             between ^= bit
-            c = self.rows[i][2]
+            c = self.rows[i][1]
             if _ge_scaled_sqrt((x >> i * w & mask) - half + c * s, c, normsq):
                 labels |= bit
         return labels
 
-    def report(self, out: list, subset: tuple[str, ...], got: int,
-               wrong: int) -> None:
+    def _scoring(self) -> tuple:
         normsq, s, x, pack = self.last
-        w = pack.width
-        mask, half = (1 << w) - 1, 1 << w - 1
-        dden, rows = self.cden * self.oden, self.rows
-        shown = f" normsq={_ratio(normsq, self.cden ** 2)}"
-        while wrong:
-            low = wrong & -wrong
-            i = low.bit_length() - 1
-            wrong ^= low
-            head, m, c, text = rows[i]
-            dot = ((x >> i * w & mask) - half + c * s) // m
-            g = gcd(dot, dden)
-            label = (got & low) != 0
-            out.append(Mismatch(
-                subset, head, not label, label,
-                f"sum.out={dot // g}/{dden // g}{shown}{text}"))
+        return (x, pack, s, self.cden * self.oden,
+                f" normsq={_ratio(normsq, self.cden ** 2)}")
 
 
 class DotOnNormLabeller(_NormLabeller):

@@ -487,22 +487,35 @@ class TestVerify:
         assert err.startswith("error: cannot load embedding")
         assert err.count("\n") == 1
 
+    # both atoms carry the context 10^3000 and these fields, and each
+    # coordinate loads; the KB has no rule, yet b is labelled from a, and
+    # the score of a -> b has more than 4300 digits, so it cannot be
+    # printed: the dot product 10^6000 (through ReLU, or as sum.out), the
+    # sum.out 10^5000 for an output of 10^2000, or the squared distance
+    # 10^6000 from a to an output of 0 for a radius of 10^3000
+    PAST_THE_PRINT_LIMIT = {
+        "avg-dot": {}, "norm-dot": {}, "avg-relu": {}, "had-dot": {},
+        "had-dot-tied": {},
+        "avg-dist": {"output": ["0"], "theta": "1e3000"},
+        "norm-dist": {"output": ["1e2000"], "theta": "1e2000"},
+    }
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("strategy", PAST_THE_PRINT_LIMIT)
     def test_score_past_the_print_limit_exit_two(self, capsys, tmp_path,
-                                                  as_json):
-        # each coordinate loads, but the tied product of a and b has 6001
-        # digits, so the mismatch score of a -> b cannot be printed
+                                                  strategy, as_json):
+        fields = self.PAST_THE_PRINT_LIMIT[strategy]
         kb = tmp_path / "ab.kb"
         kb.write_text("atoms: a b\n")
         emb = tmp_path / "emb.json"
         emb.write_text(json.dumps(
             {"dimension": 1,
-             "atoms": [{"name": atom, "context": ["1e3000"]}
+             "atoms": [{"name": atom, "context": ["1e3000"], **fields}
                        for atom in ("a", "b")]}))
         flag = ["--json"] if as_json else []
         start = time.perf_counter()
         code, _, err = run(capsys, "verify", str(kb), str(emb),
-                           "--strategy", "had-dot", *flag)
+                           "--strategy", strategy, *flag)
         assert time.perf_counter() - start < 1
         assert code == 2
         assert err.startswith("error: ") and "4300 digits" in err

@@ -260,7 +260,7 @@ UNREAD_PARAMETERS = {
         "strategy",
     ("verifier.py", "to_dict", "timing"):
         "perfbench passes timing=False; statistics are due to move into "
-        "the library (ROADMAP item 2)",
+        "the library (ROADMAP item 4)",
 }
 
 

@@ -31,8 +31,10 @@ from embedsim.strategies import (TABLE1_STRATEGIES, AttributeEmbedding,
                                  NORM_DOT, ORD_ORD, LABELLINGS, POOLINGS,
                                  StrategyId, _RULES)
 from references import (REF_RULES, ref_emb_sig_numeric, ref_evaluate,
-                        ref_lab_dist_on_norm, ref_lab_dot_on_norm,
-                        ref_score_dist_on_norm, ref_score_dot_on_norm,
+                        ref_lab_dist, ref_lab_dist_on_norm, ref_lab_dot,
+                        ref_lab_dot_on_norm, ref_lab_relu, ref_score_dist,
+                        ref_score_dist_on_norm, ref_score_dot,
+                        ref_score_dot_on_norm, ref_score_relu,
                         ref_sig_ascent, ref_sig_conical_diagnostics)
 
 F = Fraction
@@ -448,14 +450,20 @@ def _wide_embedding(rng, atoms, dimension, bits):
 class TestPackedDecisions:
     """Every head's label bit and score text, from a labeller bound to
     16-20 heads (at least as many as a narrowest field has bits),
-    against the Fraction reference: coordinates of 3 and of 100-130
-    bits, Hadamard products over 6-8 atoms, and zero pooled vectors."""
+    against the Fraction reference: coordinates of 3, 5-7, 13-15 and
+    100-130 bits, Hadamard products over 6-8 atoms, and zero pooled
+    vectors."""
 
-    @pytest.mark.parametrize("seed", range(6))
+    # seeds 6-11 draw 5-7 and 13-15 bits, where the dot and ReLU
+    # labellers' fields step from 16 to 32, 32 to 48 and 48 to 64 bits
+    @pytest.mark.parametrize("seed", range(12))
     def test_matches_reference_on_wide_heads(self, seed):
         rng = random.Random(f"packed:{seed}")
         atoms = tuple(f"h{i}" for i in range(rng.randint(16, 20)))
-        bits = 3 if seed % 3 == 0 else rng.randint(100, 130)
+        if seed >= 6:
+            bits = (5, 6, 7, 13, 14, 15)[seed - 6]
+        else:
+            bits = 3 if seed % 3 == 0 else rng.randint(100, 130)
         base = _wide_embedding(rng, atoms, rng.randint(2, 4), bits)
         subsets = [atoms[:2], atoms[2:3], atoms[:6], atoms[3:11],
                    tuple(rng.sample(atoms, 7)), atoms[5:6]]
@@ -487,6 +495,35 @@ class TestPackedDecisions:
             pooled = pool(emb, strategy, ("a",))
             assert labeller.labels(pooled) == 0
             assert reported(labeller, ("a",), 0, 0) == []
+
+    # lambda and theta are 0 and every denominator is 1, so q = 1 and the
+    # reach is 3: the dot and ReLU bound is 3 max|v_k| and the distance
+    # bound 3 (max|v_k| + 1)^2, and each top below is the largest
+    # max|v_k| whose bound fits in 14, 30 and 46 bits, the last widths
+    # of 16, 32 and 48 that leave two bits to spare
+    @pytest.mark.parametrize("rule, ref_label, ref_score, tops", [
+        (DotLabeller, ref_lab_dot, ref_score_dot,
+         (5461, 357913941, 23456248059221)),
+        (ReluLabeller, ref_lab_relu, ref_score_relu,
+         (5461, 357913941, 23456248059221)),
+        (DistLabeller, ref_lab_dist, ref_score_dist, (72, 18917, 4843164)),
+    ], ids=["dot", "relu", "dist"])
+    def test_widths_on_either_side_of_each_16_bit_step(
+            self, rule, ref_label, ref_score, tops):
+        emb = _norm_embedding([(1, 1, 1), (-1, -1, -1), (1, -1, 1),
+                               (0, 0, 0)], 3)
+        labeller = rule(scale(emb), emb.atoms)
+        for t in (x + step for x in tops for step in (0, 1)):
+            for v in ((t,) * 3, (-t,) * 3, (t, -t, t)):
+                e = tuple(map(F, v))
+                want = [ref_label(emb, e, head) for head in emb.atoms]
+                got = labeller.labels((v, 1))
+                assert got == sum(1 << i for i, label in enumerate(want)
+                                  if label), v
+                assert reported(labeller, ("s",), got, 15) == [
+                    (("s",), head, not label, label, ref_score(emb, e, head))
+                    for head, label in zip(emb.atoms, want)], v
+        assert sorted(labeller.packs) == [16, 32, 48, 64]
 
 
 def _norm_embedding(outputs, dimension, lam=(), theta=()):
