@@ -16,7 +16,9 @@ total, in raw milliseconds:
     pool     the sweep's walk over the subsets, pooling each by one step
     label    the same walk, labelling every pooled value
     records  the rest of the sweep: scaling, binding the labeller and
-             the mismatch records (the sweep less pool and label)
+             keeping each wrong subset (the sweep less pool and label)
+    format   the report's `to_dict()`, which makes every mismatch record
+             the sweep kept unformatted, as `verify --json` does
 
 Pool and label are timed on the library's own walk and labeller, so
 they read the same on any checkout whose labeller has `labels`.
@@ -35,7 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import workloads  # noqa: E402
 from embedsim import logic, strategies, verifier  # noqa: E402
 
-PHASES = ("parse", "load", "table", "pool", "label", "records")
+PHASES = ("parse", "load", "table", "pool", "label", "records", "format")
 
 
 def _timed(call):
@@ -78,10 +80,11 @@ def one_pass(jobs) -> dict[str, float]:
         verify = (verifier.verify_nonmonotonic
                   if isinstance(kb, logic.StratifiedKB)
                   else verifier.verify_monotonic)
-        sweep = _timed(lambda: verify(emb, strategy, kb))[0]
+        sweep, report = _timed(lambda: verify(emb, strategy, kb))
         totals["pool"] += pool
         totals["label"] += label - pool
         totals["records"] += sweep - label
+        totals["format"] += _timed(report.to_dict)[0]
     return totals
 
 

@@ -28,10 +28,12 @@ one packed product per coordinate plus packed constants, and the
 fields' sign bits are read out together as the label mask.  A field is
 w bits wide, a multiple of 16 that leaves two bits to spare over the
 labeller's bound on the difference.  Only the order labeller compares
-head by head.  A wrong subset costs one `report` call, shared by the
-packed labellers, which appends a `Mismatch` per wrong head: the
-head's row, bound with it, inverts its field of the value last
-labelled to its dot product or squared distance by one exact division.
+head by head.  A labeller keeps what it computed for the value last
+labelled; a sweep keeps that state per wrong subset, and a record is
+made only when it is read, by one `report` call, shared by the packed
+labellers, which returns a `Mismatch` per wrong head: the head's row,
+bound with it, inverts its field of the kept state to its dot product
+or squared distance by one exact division.
 
 Sigmoid-MLE pooling has no exact verdict (`exact_rule` refuses it); its
 floating-point demonstrator is `embedsim.sigmoid`.
@@ -475,17 +477,20 @@ class _Labeller:
     """The label set of a pooled value over heads fixed at binding.
 
     `labels(pooled)` sets bit i when `heads[i]` is labelled, doing the
-    per-subset work once for all heads, and keeps what it computed.
-    `report(out, subset, got, wrong)` appends to `out` one `Mismatch`
-    per bit i set in `wrong`, in head order, for the value last
-    labelled, whose label set was `got`: head i, the label it should
-    have had and the one it got, and as score text the exact quantity
-    behind the decision.  A packed labeller binds `rows[i]` = (head,
-    coefficient, divisor, prefix, threshold text), and its `_scoring()`
-    gives the last value's packed fields x, their pack, a multiplier k,
-    the score's denominator and the middle text every head shares:
-    head i's score is (field i + coefficient k) / divisor, an exact
-    division, so a report costs no further products.
+    per-subset work once for all heads, and keeps what it computed as
+    `last`, an immutable tuple.  `report(subset, got, wrong, last)`
+    returns one `Mismatch` per bit i set in `wrong`, in head order, for
+    the pooled value that `last` was kept for, whose label set was
+    `got`: head i, the label it should have had and the one it got, and
+    as score text the exact quantity behind the decision.  A sweep
+    keeps `last` per wrong subset and reports only the records that are
+    read.  A
+    packed labeller binds `rows[i]` = (head, coefficient, divisor,
+    prefix, threshold text), and its `_scoring(last)` gives the value's
+    packed fields x, their pack, a multiplier k, the score's denominator
+    and the middle text every head shares: head i's score is
+    (field i + coefficient k) / divisor, an exact division, so a report
+    costs no further products.
 
     Each head has a column vector, `scales[i]` times `columns[i]` (the
     scale is multiplied in as the columns are packed, not coordinate by
@@ -524,11 +529,12 @@ class _Labeller:
                 sum(1 << s + w - 1 for s in shifts))
         return self.packs[w]
 
-    def report(self, out: list, subset: tuple[str, ...], got: int,
-               wrong: int) -> None:
-        x, pack, k, dden, middle = self._scoring()
+    def report(self, subset: tuple[str, ...], got: int, wrong: int,
+               last: tuple) -> list[Mismatch]:
+        x, pack, k, dden, middle = self._scoring(last)
         w, rows = pack.width, self.rows
         mask, half = (1 << w) - 1, 1 << w - 1
+        out = []
         while wrong:
             low = wrong & -wrong
             i = low.bit_length() - 1
@@ -540,6 +546,7 @@ class _Labeller:
             out.append(Mismatch(
                 subset, head, not label, label,
                 f"{prefix}{score // g}/{dden // g}{middle}{text}"))
+        return out
 
 
 class DotLabeller(_Labeller):
@@ -572,8 +579,8 @@ class DotLabeller(_Labeller):
         self.last = den, x, pack
         return pack.top_bits(x, self.heads)
 
-    def _scoring(self) -> tuple:
-        den, x, pack = self.last
+    def _scoring(self, last: tuple) -> tuple:
+        den, x, pack = last
         return x, pack, den, den * self.tden, ""
 
 
@@ -615,8 +622,8 @@ class DistLabeller(_Labeller):
         self.last = den, x, pack
         return pack.top_bits(x, self.heads)
 
-    def _scoring(self) -> tuple:
-        den, x, pack = self.last
+    def _scoring(self, last: tuple) -> tuple:
+        den, x, pack = last
         return x, pack, den * den, (den * self.oden) ** 2, ""
 
 
@@ -638,8 +645,8 @@ class ReluLabeller(_Labeller):
         self.last = pooled[1], x, pack
         return pack.top_bits(x, self.heads)
 
-    def _scoring(self) -> tuple:
-        den, x, pack = self.last
+    def _scoring(self, last: tuple) -> tuple:
+        den, x, pack = last
         return x, pack, 0, den * self.cden, ""
 
 
@@ -660,14 +667,16 @@ class OrdLabeller(_Labeller):
         return sum(1 << i for i, c in enumerate(self.columns)
                    if all(map(le, c, pooled[0])))
 
-    def report(self, out: list, subset: tuple[str, ...], got: int,
-               wrong: int) -> None:
-        total, den = self.last
+    def report(self, subset: tuple[str, ...], got: int, wrong: int,
+               last: tuple) -> list[Mismatch]:
+        total, den = last
         text = f"pooled={','.join(_ratio(x, den) for x in total)}"
+        out = []
         for i, head in enumerate(self.names):
             if wrong >> i & 1:
                 label = (got >> i & 1) != 0
                 out.append(Mismatch(subset, head, not label, label, text))
+        return out
 
 
 def _ge_scaled_sqrt(lhs: int, coeff: int, q: int) -> bool:
@@ -731,8 +740,8 @@ class _NormLabeller(_Labeller):
                 labels |= bit
         return labels
 
-    def _scoring(self) -> tuple:
-        normsq, s, x, pack = self.last
+    def _scoring(self, last: tuple) -> tuple:
+        normsq, s, x, pack = last
         return (x, pack, s, self.cden * self.oden,
                 f" normsq={_ratio(normsq, self.cden ** 2)}")
 

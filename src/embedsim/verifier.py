@@ -3,7 +3,7 @@
 A verification sweep enumerates every non-empty attribute subset up to a
 cap, reads the logical verdict (entailment for plain KBs, ranked-default
 consequence for stratified ones) from the KB's consequence table,
-evaluates the strategy's labelling decision exactly, and records every
+evaluates the strategy's labelling decision exactly, and keeps every
 mismatch.  The sweep order is canonical: subsets ordered by (size,
 bitmask), heads by signature index, so reports are deterministic.
 
@@ -16,13 +16,18 @@ strategy's labeller to the signature's heads.  It walks the subset
 lattice level by level, pools each subset by one step from the subset
 less its top atom and extends that subset's name tuple by the same
 atom, labels all its heads at once as a bitmask, and XORs that with its
-table entry.  A subset with wrong heads costs one labeller `report`
-call, which appends one `Mismatch` per wrong head, in head order, with
-its score text; a score holding an integer longer than CPython's
-int-to-text limit is refused in one line that names the subset and its
-wrong heads.  `verify_monotonic` takes a plain KB and
-`verify_nonmonotonic` a stratified one; each refuses the other kind, so
-the table's type dispatch never swaps the semantics asked for.
+table entry.  A subset with wrong heads is kept as one entry: the
+subset, its label set, its wrong heads and the state its labeller kept
+for it, all already built.  The report's `mismatches` (`Mismatches`)
+makes a subset's records only when they are read, by one labeller
+`report` call, one `Mismatch` per wrong head, in head order, with its
+score text; so `verify` in text mode formats the 20 records it prints,
+and `to_dict` formats them all.  A score holding an integer longer than
+CPython's int-to-text limit is refused as its record is made, in one
+line that names the subset and its wrong heads.  `verify_monotonic`
+takes a plain KB and `verify_nonmonotonic` a stratified one; each
+refuses the other kind, so the table's type dispatch never swaps the
+semantics asked for.
 
 Empty antecedents are excluded from every sweep (pooling an empty set is
 undefined for most strategies); each report's JSON records that
@@ -34,10 +39,14 @@ entry at S's mask, and the strategy's decision is the labeller of
 
 from __future__ import annotations
 
+import operator
 import sys
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 # `entails` is not called here; the benchmark's tracing test reads it
 # back as `embedsim.verifier.entails` after removing its wrappers
@@ -52,12 +61,79 @@ CAPPED_SWEEP_DEFAULT = 4
 # Queries (subsets x heads) a sweep may answer; a larger one is refused
 # before any table is built.  2^20 admits the full 16-atom sweep
 # (1,048,560 queries) and refuses the full 17-atom one (2,228,207).  At
-# that edge a sweep whose every query mismatches took 10.4 s and 800 MB
-# through `verify --json`, writing 134 MB (2-vCPU VM; 15 atoms: 5.5 s,
-# 390 MB).
+# that edge a sweep whose every query mismatches took 8.7-9.7 s and
+# 718 MB through `verify --json`, writing 134 MB, and 0.5-0.7 s and 49 MB
+# in text mode (2-vCPU VM, fresh processes).
 MAX_SWEEP_QUERIES = 1 << 20
 
 Query = tuple[tuple[str, ...], str]
+# what a sweep keeps of a wrong subset: (subset, got, wrong, the state
+# its labeller kept when labelling it)
+Entry = tuple[tuple[str, ...], int, int, tuple]
+
+
+class Mismatches(Sequence):
+    """A sweep's mismatch records, read-only, made when they are read.
+
+    It holds one entry per wrong subset, in sweep order, and the
+    labeller's `report`, which turns an entry into that subset's
+    records, one per wrong head in head order.  Its length is the sum
+    of the entries' popcounts; an index is found by bisecting their
+    running sums, so reading a record formats its subset's records
+    alone, and the subset last formatted is kept, so that reading its
+    records one index at a time formats it once.  It equals a list
+    holding the same records.
+    """
+
+    def __init__(self, atoms: Sequence[str],
+                 report: Callable[..., list[Mismatch]], entries: list[Entry]):
+        self._atoms = atoms
+        self._report = report
+        self._entries = entries
+        self._ends = list(accumulate(wrong.bit_count()
+                                     for _, _, wrong, _ in entries))
+        self._shown: tuple[int, list[Mismatch]] = (-1, [])
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _records(self, k: int) -> list[Mismatch]:
+        """The records of entry k; a score holding an integer longer
+        than CPython's int-to-text limit is refused in one line that
+        names the subset and its wrong heads."""
+        if k != self._shown[0]:
+            entry = self._entries[k]
+            try:
+                self._shown = k, self._report(*entry)
+            except ValueError:
+                subset, _, wrong, _ = entry
+                heads = ", ".join(a for i, a in enumerate(self._atoms)
+                                  if wrong >> i & 1)
+                raise ValueError(
+                    f"the score of {'&'.join(subset)} -> {heads} cannot be "
+                    f"printed: an integer in it has more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
+        return self._shown[1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("mismatch index out of range")
+        k = bisect_right(self._ends, i)
+        return self._records(k)[i - (self._ends[k - 1] if k else 0)]
+
+    def __iter__(self) -> Iterator[Mismatch]:
+        for k in range(len(self._entries)):
+            yield from self._records(k)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, Mismatches)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 @dataclass
@@ -68,7 +144,7 @@ class VerificationReport:
     cap: int
     capped: bool
     queries: int
-    mismatches: list[Mismatch]
+    mismatches: Sequence[Mismatch]
 
     @property
     def simulates(self) -> bool:
@@ -167,25 +243,18 @@ def _sweep(embedding: AttributeEmbedding, strategy: StrategyId, kind: str,
     scaled = scale(embedding)
     atoms = signature.atoms
     labeller = rule.labeller(scaled, atoms)
-    labels, report = labeller.labels, labeller.report
-    mismatches: list[Mismatch] = []
+    labels = labeller.labels
+    entries: list[Entry] = []
     for mask, subset, pooled in _walk(
             atoms, [rule.start(scaled.context[a], scaled.cden) for a in atoms],
             cap, rule.extend):
         got = labels(pooled)
         wrong = got ^ table[mask]
-        if wrong:  # one mismatch per wrong head, in head order
-            try:
-                report(mismatches, subset, got, wrong)
-            except ValueError:
-                heads = ", ".join(a for i, a in enumerate(atoms)
-                                  if wrong >> i & 1)
-                raise ValueError(
-                    f"the score of {'&'.join(subset)} -> {heads} cannot be "
-                    f"printed: an integer in it has more than "
-                    f"{sys.get_int_max_str_digits()} digits") from None
+        if wrong:
+            entries.append((subset, got, wrong, labeller.last))
     return VerificationReport(strategy.name, kb_digest(kb), kind, cap,
-                              cap < len(signature), queries, mismatches)
+                              cap < len(signature), queries,
+                              Mismatches(atoms, labeller.report, entries))
 
 
 def verify_monotonic(embedding: AttributeEmbedding, strategy: StrategyId,

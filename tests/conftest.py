@@ -66,12 +66,11 @@ def label(labeller, emb, pooled, head, **kwargs) -> bool:
 
 
 def reported(labeller, subset, got, wrong) -> list[tuple]:
-    """The records one `report` call appends for the value the labeller
+    """The records one `report` call returns for the value the labeller
     last labelled, whose label set was `got`, as (subset, head, expected,
     got, score) tuples."""
-    out = []
-    labeller.report(out, subset, got, wrong)
-    return [(m.subset, m.head, m.expected, m.got, m.score) for m in out]
+    return [(m.subset, m.head, m.expected, m.got, m.score)
+            for m in labeller.report(subset, got, wrong, labeller.last)]
 
 
 def accepts(emb, strategy, atoms, head) -> bool:

@@ -21,6 +21,11 @@ The `ref_construct_*` recipes are the recipes as the paper states them:
 recipes 1-3 with one coordinate per model of the KB (`ref_models`),
 recipes 4-5 (`ref_construct_*_nm`) with one per interpretation.
 
+`ref_sweep_records` is the sweep's record loop as it stood before
+records were made on demand: each wrong subset reported right after it
+is labelled, from the labeller's state at that moment, into one list.
+A report's `mismatches` must equal it record for record.
+
 `ref_check_ord_monotonicity` is the product-order monotonicity check
 (label sets under max pooling grow with the attribute set) that
 ACCEPTANCE 7 runs: Python sets, and a containment test on every ordered
@@ -66,13 +71,15 @@ from embedsim.logic import (BOTTOM, MAX_FORMULA_DEPTH, TOP, And, Const,
                             DuplicateAtomError, Iff, Implies, KnowledgeBase,
                             Not, Or, ParseError, Signature, StratifiedKB,
                             UndeclaredAtomError, Var, _model_set,
-                            _rank_at_least, check_cap, truth_set)
+                            _rank_at_least, check_cap, consequence_table,
+                            truth_set)
 from embedsim.sigmoid import (angular_error, cone_residual, sig_gradient,
                               sig_objective)
 from embedsim.strategies import (AVG_RELU, HAD_DOT, ORD_ORD,
                                  AttributeEmbedding, DimensionMismatchError,
-                                 OrdLabeller, frac_str, scale)
-from embedsim.verifier import default_cap, nonempty_subsets
+                                 Mismatch, OrdLabeller, exact_rule, frac_str,
+                                 scale)
+from embedsim.verifier import _walk, default_cap, nonempty_subsets
 
 
 def _fraction_row(constraint):
@@ -556,6 +563,24 @@ def ref_evaluate(emb, strategy_name: str, atoms, head) -> tuple[bool, str]:
     pool, label, score = REF_RULES[strategy_name]
     pooled = pool(emb, atoms)
     return label(emb, pooled, head), score(emb, pooled, head)
+
+
+def ref_sweep_records(embedding, strategy, kb, cap) -> list[Mismatch]:
+    """Every mismatch record of a sweep up to the cap, in sweep order,
+    made as the sweep finds its subset."""
+    atoms = kb.signature.atoms
+    rule = exact_rule(strategy)
+    scaled = scale(embedding)
+    table = consequence_table(kb)
+    labeller = rule.labeller(scaled, atoms)
+    records = []
+    for mask, subset, pooled in _walk(
+            atoms, [rule.start(scaled.context[a], scaled.cden) for a in atoms],
+            cap, rule.extend):
+        got = labeller.labels(pooled)
+        if wrong := got ^ table[mask]:
+            records += labeller.report(subset, got, wrong, labeller.last)
+    return records
 
 
 # ------------------------------------------------------------------

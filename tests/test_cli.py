@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -521,6 +522,42 @@ class TestVerify:
         assert err.startswith("error: ") and "4300 digits" in err
         assert "a -> b" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_unprintable_score_after_the_20th_record(self, capsys, tmp_path,
+                                                     as_json):
+        # had-dot over six atoms, all with context 1 but y and z with
+        # 10^2200: y&z pools a product of 4401 digits.  No formula holds,
+        # so every head outside a subset is wrong, and y&z's records
+        # follow 86 others.  Text mode prints 20 records and never
+        # formats that one; --json formats every record and refuses.
+        atoms = ("a", "b", "c", "d", "y", "z")
+        kb = tmp_path / "six.kb"
+        kb.write_text(f"atoms: {' '.join(atoms)}\n")
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(
+            {"dimension": 1,
+             "atoms": [{"name": atom, "output": ["1"],
+                        "context": ["1e2200" if atom in "yz" else "1"]}
+                       for atom in atoms]}))
+        flag = ["--json"] if as_json else []
+        code, out, err = run(capsys, "verify", str(kb), str(emb),
+                             "--strategy", "had-dot", *flag)
+        if as_json:
+            assert (code, out) == (2, "")
+            assert err == ("error: the score of y&z -> a, b, c, d cannot be "
+                           "printed: an integer in it has more than 4300 "
+                           "digits\n")
+        else:
+            assert (code, err) == (1, "")
+            lines = out.splitlines()
+            assert lines[2] == "verdict: mismatches"
+            assert len(lines) == 3 + 20 + 1
+            assert lines[3] == ("  mismatch a -> b: expected False, got "
+                                "True [dot=1/1 lambda=0/1]")
+            # subsets of size k have 6 - k wrong heads each
+            wrong = sum(comb(6, k) * (6 - k) for k in range(1, 7))
+            assert lines[-1] == f"  ... {wrong - 20} more"
 
     @pytest.mark.parametrize("text", [
         '{"dimension": 1e400, "atoms": [{"name": "a", "context": ["1"]}]}',

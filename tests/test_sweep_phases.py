@@ -20,5 +20,5 @@ def test_one_round_prints_every_phase():
     assert (doc["seed"], doc["rounds"]) == (0, 1)
     phases = doc["median_ms_per_pass"]
     assert list(phases) == ["parse", "load", "table", "pool", "label",
-                            "records", "total"]
+                            "records", "format", "total"]
     assert all(ms >= 0 for ms in phases.values())

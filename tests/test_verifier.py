@@ -1,8 +1,11 @@
 """Verification sweeps, property checks, determinism."""
 
+import collections.abc
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from math import comb
 
 import pytest
 
@@ -15,7 +18,8 @@ from embedsim.constructors import RECIPES, construct
 from embedsim.fixtures import fixture
 from embedsim.logic import (KnowledgeBase, Signature, StratifiedKB, entails,
                             parse_kb)
-from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT_TIED, NORM_DIST,
+from embedsim.strategies import (AVG_DIST, AVG_DOT, HAD_DOT, HAD_DOT_TIED,
+                                 NORM_DIST,
                                  ORD_ORD, AttributeEmbedding,
                                  DimensionMismatchError, DistLabeller,
                                  DistOnNormLabeller, DotLabeller,
@@ -583,3 +587,124 @@ class TestTiedHadamardSymmetry:
         res = construct(kb, 2)
         assert verify_monotonic(res.embedding, res.strategy, kb).simulates
         assert res.embedding.context["a"] != res.embedding.output["a"]
+
+
+ORACLE_SAMPLE = 4  # the mismatches perfbench's sweep-lowdim check samples
+
+
+def check_records_on_demand(report, eager: list) -> None:
+    """A report's `mismatches` read every way a caller may read it,
+    against the eager reference's list of the same records."""
+    lazy = report.mismatches
+    assert isinstance(lazy, collections.abc.Sequence)
+    assert len(lazy) == len(eager)
+    assert bool(lazy) == bool(eager) == (not report.simulates)
+    assert list(lazy) == eager
+    assert list(lazy) == list(lazy)  # a second iteration reads the same
+    assert [lazy[i] for i in range(len(eager))] == eager
+    assert [lazy[-i] for i in range(1, len(eager) + 1)] == eager[::-1]
+    for past in (len(eager), -len(eager) - 1):
+        with pytest.raises(IndexError):
+            lazy[past]
+    for part in (slice(None, 20), slice(3, 7), slice(None, None, -1)):
+        assert lazy[part] == eager[part]
+    k = min(ORACLE_SAMPLE, len(eager))
+    assert random.Random(5).sample(lazy, k) == random.Random(5).sample(eager, k)
+    assert lazy == eager and eager == lazy
+    assert lazy != eager + [None]
+    assert replace(report, mismatches=eager) == report
+    assert report.to_dict()["mismatches"] == [m.to_dict() for m in eager]
+
+
+class TestMismatchesOnDemand:
+    """A sweep keeps each wrong subset and formats its records only when
+    they are read; read in any way, they are the records the eager loop
+    (`references.ref_sweep_records`) makes."""
+
+    @pytest.mark.parametrize("stratified", [False, True],
+                             ids=["plain", "stratified"])
+    @pytest.mark.parametrize("strategy", EXACT_STRATEGIES,
+                             ids=lambda s: s.name)
+    def test_equals_the_eager_records(self, strategy, stratified):
+        rng = random.Random(f"on-demand:{strategy.name}:{stratified}")
+        sweep = verify_nonmonotonic if stratified else verify_monotonic
+        for n in range(2, 13):
+            atoms = [f"p{i}" for i in range(n)]
+            kb = (random_stratified_kb(rng, atoms) if stratified
+                  else random_rule_kb(rng, atoms))
+            emb = random_embedding(rng, atoms, dimension=rng.randint(1, 4))
+            # every cap up to 5 atoms; then 1, a drawn cap of 2 or 3,
+            # and the full cap up to 7 atoms
+            caps = (range(1, n + 1) if n <= 5
+                    else [1, rng.randint(2, 3)] + ([n] if n <= 7 else []))
+            for cap in caps:
+                report = sweep(emb, strategy, kb, cap)
+                check_records_on_demand(
+                    report,
+                    references.ref_sweep_records(emb, strategy, kb, cap))
+
+    @pytest.mark.parametrize("proposition", sorted(RECIPES))
+    def test_a_sweep_without_mismatches(self, proposition):
+        atoms = [f"p{i}" for i in range(5)]
+        rng = random.Random(90 + proposition)
+        stratified = RECIPES[proposition][1] == "stratified"
+        kb = (random_stratified_kb(rng, atoms) if stratified
+              else random_rule_kb(rng, atoms))
+        result = construct(kb, proposition)
+        sweep = verify_nonmonotonic if stratified else verify_monotonic
+        report = sweep(result.embedding, result.strategy, kb)
+        check_records_on_demand(report, [])
+        assert report.mismatches == [] and report.mismatches[:20] == []
+
+    def test_unread_records_are_never_formatted(self, monkeypatch):
+        atoms = [f"p{i}" for i in range(8)]
+        rng = random.Random(93)
+        kb = random_rule_kb(rng, atoms)
+        emb = random_embedding(rng, atoms, dimension=4)
+        formatted = []
+        original = DotLabeller.report
+
+        def counting(self, subset, got, wrong, last):
+            formatted.append(subset)
+            return original(self, subset, got, wrong, last)
+
+        monkeypatch.setattr(DotLabeller, "report", counting)
+        report = verify_monotonic(emb, AVG_DOT, kb)
+        assert len(report.mismatches) > 40 and not formatted
+        assert not report.simulates and not formatted
+        first = report.mismatches[:20]
+        # the first 20 records come from the first wrong subsets alone
+        assert formatted == list(dict.fromkeys(m.subset for m in first))
+        formatted.clear()
+        assert report.mismatches[-1].subset == tuple(atoms)
+        assert formatted == [tuple(atoms)]
+
+
+class TestScorePastThePrintLimit:
+    # had-dot: six atoms whose contexts are 1; the top two, y and z, have
+    # 10^2200, so a subset holding both pools a product of 4401 digits.
+    # The empty KB entails only a subset's own atoms and every head is
+    # labelled, so y&z's records come after those of the six singletons
+    # and of the 14 pairs before it (30 + 56 records).
+    ATOMS = ("a", "b", "c", "d", "y", "z")
+
+    def embedding(self) -> AttributeEmbedding:
+        big = {"y", "z"}
+        return AttributeEmbedding(1, {a: (F(10 ** 2200 if a in big else 1),)
+                                      for a in self.ATOMS},
+                                  {a: (F(1),) for a in self.ATOMS})
+
+    def test_reading_the_record_raises_one_line(self):
+        kb = KnowledgeBase(Signature(self.ATOMS), ())
+        report = verify_monotonic(self.embedding(), HAD_DOT, kb)
+        records = report.mismatches
+        # subsets of size k have 6 - k wrong heads each
+        assert len(records) == sum(comb(6, k) * (6 - k) for k in range(1, 7))
+        assert len(records[:86]) == 86
+        line = ("the score of y&z -> a, b, c, d cannot be printed: an "
+                "integer in it has more than 4300 digits")
+        for read in (lambda: records[86], lambda: records[80:90],
+                     lambda: list(records), report.to_dict):
+            with pytest.raises(ValueError) as caught:
+                read()
+            assert str(caught.value) == line
